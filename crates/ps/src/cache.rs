@@ -1,4 +1,8 @@
 //! The worker-side embedding cache (paper Fig. 7).
+//!
+//! The paper draws a static cache and a dynamic cache; they always hold
+//! the same key set, so here they are the two halves of one record per
+//! row — one map, one lookup per read or update.
 
 use crate::kv::{ParamKey, RowSource};
 use std::collections::HashMap;
@@ -6,7 +10,7 @@ use std::collections::HashMap;
 /// Hit/miss counters for one worker's cache.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Dynamic-cache hits (no PS round-trip).
+    /// Cache hits (no PS round-trip).
     pub hits: u64,
     /// Misses that pulled the latest row from the PS.
     pub misses: u64,
@@ -33,20 +37,29 @@ pub struct StalenessStats {
     pub mean: f64,
 }
 
-/// The static/dynamic cache pair of one worker.
+/// One cached row: the paper's static/dynamic pair plus the version it
+/// was pulled at.
+#[derive(Debug)]
+struct CachedRow {
+    /// `pulled ‖ local` in one allocation. The first half is the static
+    /// cache — the value the row had when this worker first pulled it
+    /// during the current outer round, the Θ reference point of Eq. 3 —
+    /// and the second half the dynamic cache, the worker's locally updated
+    /// value Θ̃. One allocation and a 32-byte record keep the round-lived
+    /// map's table small; a table twice the size is retained by the
+    /// allocator's per-thread arenas and is visible in peak RSS.
+    buf: Vec<f32>,
+    /// Server version of the row at the moment it was pulled.
+    version: u64,
+}
+
+/// The static/dynamic cache of one worker: one record per touched row.
 ///
-/// * `static_cache` holds the value a row had when this worker first pulled
-///   it during the current outer round — the Θ reference point of Eq. 3.
-/// * `dynamic_cache` holds the worker's locally updated value Θ̃.
-///
-/// Both are cleared by [`WorkerCache::drain_outer_grads`] at the end of the
-/// round, so the next round re-pulls fresh values (bounded staleness).
+/// Emptied by [`WorkerCache::drain_outer_grads`] at the end of the round,
+/// so the next round re-pulls fresh values (bounded staleness).
 #[derive(Debug, Default)]
 pub struct WorkerCache {
-    static_cache: HashMap<ParamKey, Vec<f32>>,
-    dynamic_cache: HashMap<ParamKey, Vec<f32>>,
-    /// Server version of each row at the moment it was pulled.
-    pulled_versions: HashMap<ParamKey, u64>,
+    rows: HashMap<ParamKey, CachedRow>,
     stats: CacheStats,
 }
 
@@ -56,78 +69,77 @@ impl WorkerCache {
         Self::default()
     }
 
+    /// Pulls `missing` (distinct, uncached keys) in one batched read and
+    /// seeds a record for each, counting one miss per key.
+    fn fill<S: RowSource + ?Sized>(&mut self, src: &S, missing: &[ParamKey]) {
+        let pulled = src.pull_rows(missing);
+        debug_assert_eq!(pulled.len(), missing.len(), "pull_rows preserves key order");
+        for (&key, (latest, version)) in missing.iter().zip(pulled) {
+            let mut buf = latest;
+            buf.extend_from_within(..);
+            self.rows.insert(key, CachedRow { buf, version });
+            self.stats.misses += 1;
+        }
+    }
+
     /// Reads the current (locally updated) value of a row.
     ///
-    /// Dynamic-cache hit → no traffic. Miss → pull the latest value from
-    /// the row source (the in-process PS or an RPC client), seed both
-    /// caches.
+    /// Hit → no traffic. Miss → a one-key batched pull of the latest value
+    /// from the row source (the in-process PS or an RPC client).
     pub fn get<S: RowSource + ?Sized>(&mut self, src: &S, key: ParamKey) -> &[f32] {
-        if !self.dynamic_cache.contains_key(&key) {
-            let (latest, version) = src.pull_versioned(key);
-            self.pulled_versions.insert(key, version);
-            self.static_cache.insert(key, latest.clone());
-            self.dynamic_cache.insert(key, latest);
-            self.stats.misses += 1;
-        } else {
+        if self.rows.contains_key(&key) {
             self.stats.hits += 1;
+        } else {
+            self.fill(src, &[key]);
         }
-        self.dynamic_cache.get(&key).expect("just inserted")
+        let buf = &self.rows[&key].buf;
+        &buf[buf.len() / 2..]
     }
 
     /// Warms the cache for a round's whole working set in one batched
     /// pull: every key not already cached is fetched through a single
     /// [`RowSource::pull_rows`] call (one RPC per wire chunk over the
-    /// network) and seeds both caches, exactly as a lazy miss would.
-    /// Duplicate and already-cached keys are skipped, so prefetching the
-    /// keys a round will touch makes every subsequent [`WorkerCache::get`]
-    /// a hit while leaving values, versions, and miss accounting identical
-    /// to the lazy path.
+    /// network), exactly as a lazy miss would fetch it. Duplicate and
+    /// already-cached keys are skipped, so prefetching the keys a round
+    /// will touch makes every subsequent [`WorkerCache::get`] a hit while
+    /// leaving values, versions, and miss accounting identical to the lazy
+    /// path.
     pub fn prefetch<S: RowSource + ?Sized>(&mut self, src: &S, keys: &[ParamKey]) {
-        let mut missing = Vec::new();
         let mut seen = std::collections::HashSet::new();
-        for &key in keys {
-            if !self.dynamic_cache.contains_key(&key) && seen.insert(key) {
-                missing.push(key);
-            }
-        }
-        if missing.is_empty() {
-            return;
-        }
-        let rows = src.pull_rows(&missing);
-        debug_assert_eq!(rows.len(), missing.len(), "pull_rows preserves key order");
-        for (key, (latest, version)) in missing.into_iter().zip(rows) {
-            self.pulled_versions.insert(key, version);
-            self.static_cache.insert(key, latest.clone());
-            self.dynamic_cache.insert(key, latest);
-            self.stats.misses += 1;
-        }
+        let missing: Vec<ParamKey> = keys
+            .iter()
+            .copied()
+            .filter(|key| !self.rows.contains_key(key) && seen.insert(*key))
+            .collect();
+        self.fill(src, &missing);
     }
 
     /// Applies a local update to a cached row (must have been read first).
     pub fn update(&mut self, key: ParamKey, f: impl FnOnce(&mut [f32])) {
-        let row = self.dynamic_cache.get_mut(&key).expect("update of a row that was never read");
-        f(row);
+        let row = self.rows.get_mut(&key).expect("update of a row that was never read");
+        let half = row.buf.len() / 2;
+        f(&mut row.buf[half..]);
     }
 
     /// Measures how stale the cached rows are right now: for each cached
     /// row, the number of server-side pushes that happened after this
     /// worker pulled it. This is the inconsistency the §IV-E protocol
     /// bounds — it resets to zero at every round boundary because the
-    /// caches are cleared and re-pulled.
+    /// cache is drained and re-pulled.
     /// One batched version probe covers every cached row (a single
     /// version-only request per wire chunk over the network, instead of
     /// one per key).
     pub fn staleness<S: RowSource + ?Sized>(&self, src: &S) -> StalenessStats {
-        if self.pulled_versions.is_empty() {
+        if self.rows.is_empty() {
             return StalenessStats::default();
         }
-        let mut keys: Vec<ParamKey> = self.pulled_versions.keys().copied().collect();
+        let mut keys: Vec<ParamKey> = self.rows.keys().copied().collect();
         keys.sort_by_key(|k| (k.table, k.row));
         let current = src.versions_of(&keys);
         let mut max = 0u64;
         let mut total = 0u64;
         for (key, now) in keys.iter().zip(current) {
-            let lag = now.saturating_sub(self.pulled_versions[key]);
+            let lag = now.saturating_sub(self.rows[key].version);
             max = max.max(lag);
             total += lag;
         }
@@ -135,28 +147,26 @@ impl WorkerCache {
         StalenessStats { max, mean: total as f64 / n as f64 }
     }
 
-    /// Ends the round: returns `(key, dynamic − static)` for every touched
-    /// row and clears both caches.
+    /// Ends the round: returns `(key, local − pulled)` for every touched
+    /// row and empties the cache.
     pub fn drain_outer_grads(&mut self) -> Vec<(ParamKey, Vec<f32>)> {
-        let mut out = Vec::with_capacity(self.dynamic_cache.len());
-        for (key, dynamic) in self.dynamic_cache.drain() {
-            let initial = self.static_cache.remove(&key).expect("static entry exists");
-            let delta: Vec<f32> = dynamic.iter().zip(&initial).map(|(&d, &s)| d - s).collect();
-            out.push((key, delta));
-        }
-        self.static_cache.clear();
-        self.pulled_versions.clear();
-        out
+        self.rows
+            .drain()
+            .map(|(key, row)| {
+                let (pulled, local) = row.buf.split_at(row.buf.len() / 2);
+                (key, local.iter().zip(pulled).map(|(&d, &s)| d - s).collect())
+            })
+            .collect()
     }
 
     /// Number of rows currently cached.
     pub fn len(&self) -> usize {
-        self.dynamic_cache.len()
+        self.rows.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.dynamic_cache.is_empty()
+        self.rows.is_empty()
     }
 
     /// Hit/miss counters.
@@ -270,12 +280,6 @@ mod tests {
         let mut cache = WorkerCache::new();
         cache.update(ParamKey::new(0, 0), |_| {});
     }
-}
-
-#[cfg(test)]
-mod staleness_tests {
-    use super::*;
-    use crate::kv::ParameterServer;
 
     #[test]
     fn staleness_counts_foreign_pushes() {

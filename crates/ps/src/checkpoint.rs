@@ -12,12 +12,17 @@
 //! magic "MAMDRPS1" | u32 dim | u64 n_rows | n_rows × (u32 table, u32 row, dim × f32)
 //! ```
 
-use crate::kv::{ParamKey, ParameterServer};
+use crate::kv::{ParamKey, ParameterServer, LOCK_STRIPES};
 use mamdr_obs::{EventLog, Value};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"MAMDRPS1";
+
+/// Widest row a checkpoint header may declare. Far above any embedding
+/// width the repo trains (8–64), and small enough that a corrupt header
+/// cannot ask [`load`] for more than a 256 KiB row buffer.
+const MAX_DIM: usize = 1 << 16;
 
 /// A checkpointing error.
 #[derive(Debug)]
@@ -73,8 +78,15 @@ pub fn save(ps: &ParameterServer, dim: usize, mut w: impl Write) -> Result<(), C
     Ok(())
 }
 
-/// Restores a checkpoint into a fresh server with `n_shards` shards.
-pub fn load(mut r: impl Read, n_shards: usize) -> Result<ParameterServer, CheckpointError> {
+/// Restores a checkpoint into a fresh server.
+///
+/// The header is untrusted: a declared width above [`MAX_DIM`] is
+/// [`CheckpointError::Corrupt`] before any buffer is sized from it. The
+/// declared row count is never allocated for — rows are read one at a time
+/// and a short stream ends in an I/O error — so a stream of unknown length
+/// needs no further bound; [`load_from_path`] additionally checks the count
+/// against the file's length.
+pub fn load(mut r: impl Read) -> Result<ParameterServer, CheckpointError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -83,11 +95,16 @@ pub fn load(mut r: impl Read, n_shards: usize) -> Result<ParameterServer, Checkp
     let mut b4 = [0u8; 4];
     r.read_exact(&mut b4)?;
     let dim = u32::from_le_bytes(b4) as usize;
+    if dim > MAX_DIM {
+        return Err(CheckpointError::Corrupt(format!(
+            "header declares row width {dim}, above the {MAX_DIM} cap"
+        )));
+    }
     let mut b8 = [0u8; 8];
     r.read_exact(&mut b8)?;
     let n_rows = u64::from_le_bytes(b8) as usize;
 
-    let ps = ParameterServer::new(n_shards, dim);
+    let ps = ParameterServer::new(LOCK_STRIPES, dim);
     let mut fbuf = vec![0u8; 4 * dim];
     for _ in 0..n_rows {
         r.read_exact(&mut b4)?;
@@ -135,7 +152,7 @@ fn validate_checkpoint(path: &Path) -> Result<(), CheckpointError> {
     }
     let dim = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) as u64;
     let n_rows = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
-    let expected = 20 + n_rows.saturating_mul(8 + 4 * dim);
+    let expected = n_rows.saturating_mul(8 + 4 * dim).saturating_add(20);
     let actual = f.metadata()?.len();
     if actual != expected {
         return Err(CheckpointError::Corrupt(format!(
@@ -198,10 +215,12 @@ pub fn latest_checkpoint(
     Ok(None)
 }
 
-/// Loads a checkpoint file into a fresh server with `n_shards` shards.
-pub fn load_from_path(path: &Path, n_shards: usize) -> Result<ParameterServer, CheckpointError> {
-    let r = std::io::BufReader::new(std::fs::File::open(path)?);
-    load(r, n_shards)
+/// Loads a checkpoint file into a fresh server. The file's length is
+/// known, so the header's declared row count and width must account for it
+/// exactly before a single row is parsed.
+pub fn load_from_path(path: &Path) -> Result<ParameterServer, CheckpointError> {
+    validate_checkpoint(path)?;
+    load(std::io::BufReader::new(std::fs::File::open(path)?))
 }
 
 #[cfg(test)]
@@ -226,7 +245,7 @@ mod tests {
         let ps = sample_server();
         let mut buf = Vec::new();
         save(&ps, 3, &mut buf).unwrap();
-        let restored = load(buf.as_slice(), 2).unwrap();
+        let restored = load(buf.as_slice()).unwrap();
         assert_eq!(restored.n_rows(), ps.n_rows());
         for t in 0..2u32 {
             for r in 0..5u32 {
@@ -248,7 +267,7 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         assert!(matches!(
-            load(&b"NOTMAGIC"[..], 1),
+            load(&b"NOTMAGIC"[..]),
             Err(CheckpointError::Corrupt(_)) | Err(CheckpointError::Io(_))
         ));
         // truncated body
@@ -256,7 +275,40 @@ mod tests {
         let mut buf = Vec::new();
         save(&ps, 3, &mut buf).unwrap();
         buf.truncate(buf.len() - 5);
-        assert!(load(buf.as_slice(), 1).is_err());
+        assert!(load(buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn forged_header_is_rejected_before_allocation() {
+        // A flipped header byte must not size a buffer: dim = u32::MAX
+        // would otherwise ask for 16 GiB before the first row is read.
+        let mut forged = Vec::new();
+        forged.extend_from_slice(MAGIC);
+        forged.extend_from_slice(&u32::MAX.to_le_bytes());
+        forged.extend_from_slice(&1u64.to_le_bytes());
+        assert!(matches!(load(forged.as_slice()), Err(CheckpointError::Corrupt(_))));
+
+        // On disk the length is known, so a forged row count (or a width
+        // under the cap that the file cannot hold) is Corrupt as well —
+        // never an I/O error halfway through the rows.
+        let dir = std::env::temp_dir().join(format!("mamdr-ckpt-forged-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let path = save_to_dir(&sample_server(), 3, &dir, 1).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        for (at, bytes) in [
+            (8, &u32::MAX.to_le_bytes()[..]),
+            (8, &4u32.to_le_bytes()[..]),
+            (12, &u64::MAX.to_le_bytes()[..]),
+        ] {
+            let mut bad = clean.clone();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            std::fs::write(&path, &bad).unwrap();
+            assert!(
+                matches!(load_from_path(&path), Err(CheckpointError::Corrupt(_))),
+                "forged header field at byte {at} must be Corrupt"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -277,7 +329,7 @@ mod tests {
         assert_eq!(found, p12, "round 12 must shadow round 3");
 
         // The discovered file round-trips into a working server.
-        let restored = load_from_path(&found, 2).unwrap();
+        let restored = load_from_path(&found).unwrap();
         assert_eq!(restored.n_rows(), ps.n_rows());
         assert_eq!(restored.value_dim(), 3);
         std::fs::remove_dir_all(&dir).ok();
@@ -313,7 +365,7 @@ mod tests {
         let ps = sample_server();
         let mut buf = Vec::new();
         save(&ps, 3, &mut buf).unwrap();
-        let restored = load(buf.as_slice(), 4).unwrap();
+        let restored = load(buf.as_slice()).unwrap();
         let key = ParamKey::new(0, 0);
         restored.push_delta(key, &[1.0, 1.0, 1.0]);
         let v = restored.read_silent(key).unwrap();

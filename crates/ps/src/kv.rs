@@ -1,8 +1,15 @@
-//! The sharded parameter server.
+//! The parameter-server store: one record per row behind one striped map.
+//!
+//! A row's value, its Adagrad accumulator and its push version live in one
+//! record, so every data-plane operation costs one lock and one
+//! hash lookup per key, and a write validates the row before it mutates or
+//! counts anything. The same file defines the read-side contract workers
+//! program against ([`RowSource`]: two batch methods, no single-row
+//! variants) and the traffic counters the §IV-E cache exists to shrink.
 
 use mamdr_obs::MetricsRegistry;
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Addresses one parameter row: an embedding table id plus a row index.
@@ -35,11 +42,9 @@ pub const WIRE_BATCH_KEYS: usize = 4096;
 /// Where a worker's reads come from: the in-process [`ParameterServer`] or
 /// a remote stand-in (e.g. an RPC client in `mamdr-rpc`).
 ///
-/// The contract is batch-first: [`RowSource::pull_rows`] and
-/// [`RowSource::versions_of`] are the primary operations, so one cache
-/// miss set (or one staleness probe) costs one request per
-/// [`WIRE_BATCH_KEYS`] chunk rather than one per key. The single-row
-/// methods are convenience defaults over the batch path. Everything that
+/// The contract is batch-only: one cache miss set (or one staleness probe)
+/// costs one request per [`WIRE_BATCH_KEYS`] chunk rather than one per
+/// key, and a single-row read is simply a one-key batch. Everything that
 /// mutates the store stays on the concrete server so the write path (and
 /// its exactly-once semantics over the wire) remains explicit.
 pub trait RowSource {
@@ -52,18 +57,6 @@ pub trait RowSource {
     /// input-key order (silent — an observability probe, not counted
     /// traffic).
     fn versions_of(&self, keys: &[ParamKey]) -> Vec<u64>;
-
-    /// Pulls the latest value of a single row together with its push
-    /// version — a one-key [`RowSource::pull_rows`].
-    fn pull_versioned(&self, key: ParamKey) -> (Vec<f32>, u64) {
-        self.pull_rows(std::slice::from_ref(&key)).pop().expect("one key yields one row")
-    }
-
-    /// Reads a single row's push version — a one-key
-    /// [`RowSource::versions_of`].
-    fn version_of(&self, key: ParamKey) -> u64 {
-        self.versions_of(std::slice::from_ref(&key)).pop().expect("one key yields one version")
-    }
 }
 
 /// Byte-accurate synchronization counters.
@@ -115,18 +108,33 @@ impl TrafficStats {
     }
 }
 
-/// A sharded in-memory parameter server.
+/// Number of independently lockable stripes a store spreads its rows
+/// over. A concurrency detail, not a tunable: results are bit-identical at
+/// any value, and eight stripes keep concurrent workers off each other's
+/// locks at every worker count the repo runs.
+pub const LOCK_STRIPES: usize = 8;
+
+/// Everything the store knows about one parameter row, behind one lookup.
+#[derive(Clone)]
+struct Row {
+    value: Vec<f32>,
+    /// Adagrad accumulator of the outer update; empty until the row's
+    /// first outer push materializes it.
+    accum: Vec<f32>,
+    /// Pushes this row has received — the basis of the staleness
+    /// measurement (§IV-E "alleviate inconsistency").
+    version: u64,
+}
+
+/// An in-memory parameter server: one record per row, one striped map.
 ///
-/// Rows are assigned to shards by key hash; each shard is independently
-/// lockable so concurrent workers rarely contend (the real deployment's 40
-/// server machines play the same role).
+/// Rows are assigned to lock stripes by key hash; each stripe is
+/// independently lockable so concurrent workers rarely contend (the real
+/// deployment's 40 server machines play the same role). Every operation
+/// takes one lock and one lookup per key, and validates before it mutates
+/// or counts anything.
 pub struct ParameterServer {
-    shards: Vec<RwLock<HashMap<ParamKey, Vec<f32>>>>,
-    /// Adagrad accumulators for the outer update, sharded like the values.
-    adagrad: Vec<RwLock<HashMap<ParamKey, Vec<f32>>>>,
-    /// Per-row write counters, bumped on every push — the basis of the
-    /// staleness measurement (§IV-E "alleviate inconsistency").
-    versions: Vec<RwLock<HashMap<ParamKey, u64>>>,
+    stripes: Vec<RwLock<HashMap<ParamKey, Row>>>,
     traffic: TrafficStats,
     dim_bytes: usize,
     /// Number of *server* shards pull batches are modeled as routed over
@@ -136,14 +144,13 @@ pub struct ParameterServer {
 }
 
 impl ParameterServer {
-    /// A server with `n_shards` shards; `value_dim` is the per-row vector
-    /// width used for byte accounting.
-    pub fn new(n_shards: usize, value_dim: usize) -> Self {
-        assert!(n_shards >= 1);
+    /// A server with `n_stripes` lock stripes (in-crate callers pass
+    /// [`LOCK_STRIPES`]); `value_dim` is the per-row vector width used for
+    /// byte accounting.
+    pub fn new(n_stripes: usize, value_dim: usize) -> Self {
+        assert!(n_stripes >= 1);
         ParameterServer {
-            shards: (0..n_shards).map(|_| RwLock::new(HashMap::new())).collect(),
-            adagrad: (0..n_shards).map(|_| RwLock::new(HashMap::new())).collect(),
-            versions: (0..n_shards).map(|_| RwLock::new(HashMap::new())).collect(),
+            stripes: (0..n_stripes).map(|_| RwLock::new(HashMap::new())).collect(),
             traffic: TrafficStats::default(),
             dim_bytes: value_dim * std::mem::size_of::<f32>(),
             route_shards: AtomicUsize::new(1),
@@ -166,27 +173,32 @@ impl ParameterServer {
         self.dim_bytes / std::mem::size_of::<f32>()
     }
 
-    fn shard_of(&self, key: ParamKey) -> usize {
+    fn stripe(&self, key: ParamKey) -> &RwLock<HashMap<ParamKey, Row>> {
         // Fibonacci hashing over the packed key.
         let packed = ((key.table as u64) << 32) | key.row as u64;
-        (packed.wrapping_mul(0x9E3779B97F4A7C15) >> 33) as usize % self.shards.len()
+        &self.stripes[(packed.wrapping_mul(0x9E3779B97F4A7C15) >> 33) as usize % self.stripes.len()]
     }
 
-    /// Seeds a row without counting traffic (initial placement).
+    /// Seeds a row without counting traffic (initial placement). Re-seeding
+    /// an existing row replaces its value and keeps its accumulator and
+    /// version.
     pub fn init_row(&self, key: ParamKey, value: Vec<f32>) {
-        self.shards[self.shard_of(key)].write().insert(key, value);
+        match self.stripe(key).write().entry(key) {
+            Entry::Occupied(mut e) => e.get_mut().value = value,
+            Entry::Vacant(e) => {
+                e.insert(Row { value, accum: Vec::new(), version: 0 });
+            }
+        }
     }
 
-    /// Pulls the latest value of a row (one RPC, counted).
+    /// Pulls the latest value of a row (one RPC, counted) — the
+    /// per-example read of the [`crate::SyncMode::NoCache`] baseline.
     ///
     /// Panics if the row was never initialized — workers may only touch
     /// rows the driver placed.
     pub fn pull(&self, key: ParamKey) -> Vec<f32> {
-        let v = self.shards[self.shard_of(key)]
-            .read()
-            .get(&key)
-            .unwrap_or_else(|| panic!("pull of uninitialized key {:?}", key))
-            .clone();
+        let v =
+            self.read_silent(key).unwrap_or_else(|| panic!("pull of uninitialized key {key:?}"));
         self.traffic.pulls.fetch_add(1, Ordering::Relaxed);
         self.traffic.bytes_pulled.fetch_add(self.dim_bytes as u64, Ordering::Relaxed);
         v
@@ -197,32 +209,64 @@ impl ParameterServer {
     /// protocol would spend on the same key set, so in-process and
     /// loopback runs report identical pull counters.
     ///
-    /// Panics if any row was never initialized — workers may only touch
-    /// rows the driver placed.
+    /// Panics, before any traffic is counted, if any row was never
+    /// initialized — workers may only touch rows the driver placed.
     pub fn pull_batch(&self, keys: &[ParamKey]) -> Vec<(Vec<f32>, u64)> {
-        if keys.is_empty() {
-            return Vec::new();
-        }
+        let rows: Vec<(Vec<f32>, u64)> = keys
+            .iter()
+            .map(|&key| {
+                let stripe = self.stripe(key).read();
+                let row =
+                    stripe.get(&key).unwrap_or_else(|| panic!("pull of uninitialized key {key:?}"));
+                (row.value.clone(), row.version)
+            })
+            .collect();
         let chunks = crate::shard::route_chunks(keys, self.route_shards.load(Ordering::Relaxed));
         self.traffic.pulls.fetch_add(chunks, Ordering::Relaxed);
         self.traffic
             .bytes_pulled
             .fetch_add((self.dim_bytes * keys.len()) as u64, Ordering::Relaxed);
-        keys.iter()
-            .map(|&key| {
-                let v = self.shards[self.shard_of(key)]
-                    .read()
-                    .get(&key)
-                    .unwrap_or_else(|| panic!("pull of uninitialized key {:?}", key))
-                    .clone();
-                (v, self.version(key))
-            })
-            .collect()
+        rows
     }
 
     /// Reads a row without traffic accounting (driver-side evaluation).
     pub fn read_silent(&self, key: ParamKey) -> Option<Vec<f32>> {
-        self.shards[self.shard_of(key)].read().get(&key).cloned()
+        self.stripe(key).read().get(&key).map(|row| row.value.clone())
+    }
+
+    /// The first of `keys` the store holds no row for, if any — the
+    /// non-cloning existence check a front end runs over a whole request
+    /// batch before it reads or applies any of it.
+    pub fn first_missing(&self, keys: &[ParamKey]) -> Option<ParamKey> {
+        keys.iter().copied().find(|key| !self.stripe(*key).read().contains_key(key))
+    }
+
+    /// The one write path: validates the target row, then applies `update`
+    /// to it, bumps its version and counts one push — all under a single
+    /// stripe lock and lookup. A push to an uninitialized key or of the
+    /// wrong width panics with nothing mutated and nothing counted; the
+    /// lock is released first, so a rejected push leaves the store usable.
+    fn push_with(&self, key: ParamKey, width: usize, update: impl FnOnce(&mut Row)) {
+        let rejected = {
+            let mut stripe = self.stripe(key).write();
+            match stripe.get_mut(&key) {
+                None => Some(format!("push to uninitialized key {key:?}")),
+                Some(row) if row.value.len() != width => Some(format!(
+                    "row width mismatch: {key:?} is {} wide, push is {width}",
+                    row.value.len()
+                )),
+                Some(row) => {
+                    update(row);
+                    row.version += 1;
+                    None
+                }
+            }
+        };
+        if let Some(why) = rejected {
+            panic!("{why}");
+        }
+        self.traffic.pushes.fetch_add(1, Ordering::Relaxed);
+        self.traffic.bytes_pushed.fetch_add(self.dim_bytes as u64, Ordering::Relaxed);
     }
 
     /// Pushes an outer-loop gradient for one row (one RPC, counted) and
@@ -230,39 +274,30 @@ impl ParameterServer {
     /// scaling is Adagrad over accumulated squared gradients — the paper's
     /// industry configuration (SGD inner, Adagrad outer).
     pub fn push_outer_grad(&self, key: ParamKey, grad: &[f32], lr: f32) {
-        self.bump_version(key);
-        self.traffic.pushes.fetch_add(1, Ordering::Relaxed);
-        self.traffic.bytes_pushed.fetch_add(self.dim_bytes as u64, Ordering::Relaxed);
-        let si = self.shard_of(key);
-        let mut acc_shard = self.adagrad[si].write();
-        // Accumulators start at 0.1 (the TensorFlow Adagrad default): from
-        // zero, a row's first-ever update degenerates to lr * sign(g),
-        // which on rarely-touched rows amplifies noise to 10x the init
-        // scale regardless of how small the pushed delta was.
-        let acc = acc_shard.entry(key).or_insert_with(|| vec![0.1; grad.len()]);
-        let mut shard = self.shards[si].write();
-        let value =
-            shard.get_mut(&key).unwrap_or_else(|| panic!("push to uninitialized key {:?}", key));
-        assert_eq!(value.len(), grad.len(), "row width mismatch");
-        for ((v, &g), a) in value.iter_mut().zip(grad).zip(acc.iter_mut()) {
-            *a += g * g;
-            *v += lr * g / (a.sqrt() + 1e-8);
-        }
+        self.push_with(key, grad.len(), |row| {
+            // Accumulators start at 0.1 (the TensorFlow Adagrad default):
+            // from zero, a row's first-ever update degenerates to
+            // lr * sign(g), which on rarely-touched rows amplifies noise to
+            // 10x the init scale regardless of how small the pushed delta
+            // was.
+            if row.accum.is_empty() {
+                row.accum = vec![0.1; grad.len()];
+            }
+            for ((v, &g), a) in row.value.iter_mut().zip(grad).zip(row.accum.iter_mut()) {
+                *a += g * g;
+                *v += lr * g / (a.sqrt() + 1e-8);
+            }
+        });
     }
 
     /// Pushes a raw delta applied verbatim (used by the no-cache baseline's
     /// immediate writes).
     pub fn push_delta(&self, key: ParamKey, delta: &[f32]) {
-        self.bump_version(key);
-        self.traffic.pushes.fetch_add(1, Ordering::Relaxed);
-        self.traffic.bytes_pushed.fetch_add(self.dim_bytes as u64, Ordering::Relaxed);
-        let si = self.shard_of(key);
-        let mut shard = self.shards[si].write();
-        let value =
-            shard.get_mut(&key).unwrap_or_else(|| panic!("push to uninitialized key {:?}", key));
-        for (v, &d) in value.iter_mut().zip(delta) {
-            *v += d;
-        }
+        self.push_with(key, delta.len(), |row| {
+            for (v, &d) in row.value.iter_mut().zip(delta) {
+                *v += d;
+            }
+        });
     }
 
     /// The traffic counters.
@@ -272,7 +307,7 @@ impl ParameterServer {
 
     /// Number of rows stored.
     pub fn n_rows(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.stripes.iter().map(|s| s.read().len()).sum()
     }
 
     /// Resident payload bytes: the f32 storage of every value row plus
@@ -281,15 +316,10 @@ impl ParameterServer {
     /// account against its memory budget.
     pub fn resident_bytes(&self) -> u64 {
         let f32s: usize = self
-            .shards
+            .stripes
             .iter()
-            .map(|s| s.read().values().map(Vec::len).sum::<usize>())
-            .sum::<usize>()
-            + self
-                .adagrad
-                .iter()
-                .map(|s| s.read().values().map(Vec::len).sum::<usize>())
-                .sum::<usize>();
+            .map(|s| s.read().values().map(|r| r.value.len() + r.accum.len()).sum::<usize>())
+            .sum();
         (f32s * std::mem::size_of::<f32>()) as u64
     }
 
@@ -313,26 +343,26 @@ impl ParameterServer {
             .set(self.resident_bytes() as f64);
     }
 
-    fn bump_version(&self, key: ParamKey) {
-        *self.versions[self.shard_of(key)].write().entry(key).or_insert(0) += 1;
-    }
-
     /// The number of pushes a row has received (0 if never pushed). Silent:
     /// a driver-side observability read, not an RPC.
     pub fn version(&self, key: ParamKey) -> u64 {
-        self.versions[self.shard_of(key)].read().get(&key).copied().unwrap_or(0)
+        self.stripe(key).read().get(&key).map_or(0, |row| row.version)
+    }
+
+    /// Copies one field of every record out of the store, skipping records
+    /// for which `field` yields nothing (order unspecified).
+    fn dump<T>(&self, field: impl Fn(&Row) -> Option<T>) -> Vec<(ParamKey, T)> {
+        let mut out = Vec::with_capacity(self.n_rows());
+        for stripe in &self.stripes {
+            out.extend(stripe.read().iter().filter_map(|(k, row)| Some((*k, field(row)?))));
+        }
+        out
     }
 
     /// Copies every `(key, value)` pair out of the store (checkpointing;
     /// order is unspecified — callers sort).
     pub fn dump_rows(&self) -> Vec<(ParamKey, Vec<f32>)> {
-        let mut out = Vec::with_capacity(self.n_rows());
-        for shard in &self.shards {
-            for (k, v) in shard.read().iter() {
-                out.push((*k, v.clone()));
-            }
-        }
-        out
+        self.dump(|row| Some(row.value.clone()))
     }
 
     /// Copies every materialized Adagrad accumulator row out of the store
@@ -342,42 +372,63 @@ impl ParameterServer {
     /// not enough, because a cold-started accumulator rescales the next
     /// update of every previously-touched row.
     pub fn dump_adagrad(&self) -> Vec<(ParamKey, Vec<f32>)> {
-        let mut out = Vec::new();
-        for shard in &self.adagrad {
-            for (k, v) in shard.read().iter() {
-                out.push((*k, v.clone()));
+        self.dump(|row| (!row.accum.is_empty()).then(|| row.accum.clone()))
+    }
+
+    /// Copies every record of `other` — value, accumulator and version —
+    /// into this store, replacing records already present under the same
+    /// key. Traffic counters are not touched.
+    pub(crate) fn absorb(&self, other: &ParameterServer) {
+        for stripe in &other.stripes {
+            for (key, row) in stripe.read().iter() {
+                self.stripe(*key).write().insert(*key, row.clone());
             }
         }
-        out
     }
 
     /// Seeds one Adagrad accumulator row verbatim (resume/rollback; no
     /// traffic accounting, no version bump).
+    ///
+    /// Panics if the row was never initialized: an accumulator belongs to
+    /// a row, so values are restored first.
     pub fn restore_adagrad_row(&self, key: ParamKey, acc: Vec<f32>) {
-        self.adagrad[self.shard_of(key)].write().insert(key, acc);
+        let restored = self.stripe(key).write().get_mut(&key).map(|row| row.accum = acc);
+        restored.unwrap_or_else(|| panic!("accumulator restore for uninitialized key {key:?}"));
     }
 
     /// Restores the full training state — values and Adagrad accumulators —
     /// in place, replacing whatever the store currently holds. Traffic
-    /// counters and row versions are deliberately left alone: the RPCs that
-    /// moved the now-discarded updates really happened, and versions only
-    /// ever need to be monotonic (staleness is measured as a delta within
-    /// one round).
+    /// counters and the versions of surviving rows are deliberately left
+    /// alone: the RPCs that moved the now-discarded updates really
+    /// happened, and versions only ever need to be monotonic (staleness is
+    /// measured as a delta within one round). A row absent from `rows` is
+    /// dropped whole, version included.
     ///
     /// This is the rollback primitive: the server object stays shared (the
     /// RPC front end holds an `Arc` to it), only its contents rewind.
+    ///
+    /// Panics, with the store untouched, if `adagrad` names a key `rows`
+    /// does not.
     pub fn restore_state(&self, rows: &[(ParamKey, Vec<f32>)], adagrad: &[(ParamKey, Vec<f32>)]) {
-        for shard in &self.shards {
-            shard.write().clear();
-        }
-        for shard in &self.adagrad {
-            shard.write().clear();
-        }
-        for (k, v) in rows {
-            self.init_row(*k, v.clone());
-        }
+        let mut fresh: HashMap<ParamKey, Row> = rows
+            .iter()
+            .map(|(k, v)| (*k, Row { value: v.clone(), accum: Vec::new(), version: 0 }))
+            .collect();
         for (k, a) in adagrad {
-            self.restore_adagrad_row(*k, a.clone());
+            fresh
+                .get_mut(k)
+                .unwrap_or_else(|| panic!("accumulator restore for uninitialized key {k:?}"))
+                .accum = a.clone();
+        }
+        for stripe in &self.stripes {
+            for (k, old) in stripe.write().drain() {
+                if let Some(row) = fresh.get_mut(&k) {
+                    row.version = old.version;
+                }
+            }
+        }
+        for (k, row) in fresh {
+            self.stripe(k).write().insert(k, row);
         }
     }
 }
@@ -429,14 +480,6 @@ impl<S: RowSource + ?Sized> RowSource for TimedRowSource<'_, S> {
 
     fn versions_of(&self, keys: &[ParamKey]) -> Vec<u64> {
         self.time(|| self.inner.versions_of(keys))
-    }
-
-    fn pull_versioned(&self, key: ParamKey) -> (Vec<f32>, u64) {
-        self.time(|| self.inner.pull_versioned(key))
-    }
-
-    fn version_of(&self, key: ParamKey) -> u64 {
-        self.time(|| self.inner.version_of(key))
     }
 }
 
@@ -499,14 +542,19 @@ mod tests {
     }
 
     #[test]
-    fn row_source_matches_direct_reads() {
+    fn row_source_reads_are_the_batch_path() {
         let ps = ParameterServer::new(2, 2);
         let key = ParamKey::new(1, 3);
         ps.init_row(key, vec![1.0, -1.0]);
         ps.push_delta(key, &[1.0, 0.0]);
         let src: &dyn RowSource = &ps;
-        assert_eq!(src.pull_versioned(key), (vec![2.0, -1.0], 1));
-        assert_eq!(src.version_of(key), 1);
+        // A single-row read is a one-key batch: one counted RPC.
+        let before = ps.traffic().snapshot().0;
+        assert_eq!(src.pull_rows(&[key]), vec![(vec![2.0, -1.0], 1)]);
+        assert_eq!(ps.traffic().snapshot().0, before + 1);
+        // The version probe is silent.
+        assert_eq!(src.versions_of(&[key, ParamKey::new(9, 9)]), vec![1, 0]);
+        assert_eq!(ps.traffic().snapshot().0, before + 1);
     }
 
     #[test]
@@ -535,21 +583,39 @@ mod tests {
         assert_eq!(sample[1].0[0], 3.0);
     }
 
+    /// Runs `f`, which must panic with a message containing `expected`.
+    fn panics_with(expected: &str, f: impl FnOnce() + std::panic::UnwindSafe) {
+        let payload = std::panic::catch_unwind(f).expect_err("the operation must be rejected");
+        let msg = payload.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains(expected), "panicked with {msg:?}, expected {expected:?}");
+    }
+
     #[test]
-    fn single_row_defaults_route_through_the_batch_path() {
-        let ps = ParameterServer::new(2, 2);
-        let key = ParamKey::new(1, 3);
-        ps.init_row(key, vec![1.0, -1.0]);
-        ps.push_delta(key, &[1.0, 0.0]);
-        let src: &dyn RowSource = &ps;
-        assert_eq!(src.pull_rows(&[key]), vec![(vec![2.0, -1.0], 1)]);
-        assert_eq!(src.versions_of(&[key]), vec![1]);
-        // One default single-row pull = one counted RPC, same as before
-        // the batch-first redesign.
-        let before = ps.traffic().snapshot().0;
-        assert_eq!(src.pull_versioned(key), (vec![2.0, -1.0], 1));
-        assert_eq!(ps.traffic().snapshot().0, before + 1);
-        assert_eq!(src.version_of(key), 1);
+    fn rejected_operations_leave_no_trace() {
+        let ps = std::panic::AssertUnwindSafe(ParameterServer::new(2, 2));
+        let missing = ParamKey::new(7, 7);
+        let present = ParamKey::new(0, 0);
+        ps.init_row(present, vec![1.0, 2.0]);
+        // An uninitialized key is refused before the version bump and the
+        // traffic count — by either push flavour and by a batch pull that
+        // names it anywhere.
+        panics_with("uninitialized key", || ps.push_outer_grad(missing, &[1.0, 1.0], 0.5));
+        panics_with("uninitialized key", || ps.push_delta(missing, &[1.0, 1.0]));
+        panics_with("uninitialized key", || drop(ps.pull_batch(&[present, missing])));
+        // So is a push of the wrong width to a row that does exist.
+        panics_with("width mismatch", || ps.push_outer_grad(present, &[1.0], 0.5));
+        panics_with("width mismatch", || ps.push_delta(present, &[1.0, 1.0, 1.0]));
+        assert_eq!(ps.version(missing), 0);
+        assert_eq!(ps.version(present), 0);
+        assert_eq!(ps.traffic().snapshot(), (0, 0, 0, 0));
+        assert_eq!(ps.read_silent(present), Some(vec![1.0, 2.0]));
+        assert!(ps.dump_adagrad().is_empty());
+        assert_eq!(ps.n_rows(), 1);
+        // The store is still usable: no lock was poisoned by the refusals.
+        ps.push_outer_grad(present, &[1.0, 1.0], 0.5);
+        assert_eq!(ps.version(present), 1);
+        assert_eq!(ps.first_missing(&[present, missing, ParamKey::new(8, 8)]), Some(missing));
+        assert_eq!(ps.first_missing(&[present]), None);
     }
 
     #[test]

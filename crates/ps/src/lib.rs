@@ -9,9 +9,11 @@
 //! ## What is simulated, and how faithfully
 //!
 //! The paper runs 40 parameter servers and 400 workers over 4.9×10⁸
-//! samples. Here the parameter server is a sharded in-memory KV store
-//! behind `parking_lot::RwLock`s, workers are `crossbeam` scoped threads,
-//! and "network traffic" is counted byte-accurately on every pull/push.
+//! samples. Here the parameter server is an in-memory KV store holding one
+//! record per row — value, Adagrad accumulator and push version behind a
+//! single lookup — lock-striped over `parking_lot::RwLock`s; workers are
+//! `crossbeam` scoped threads, and "network traffic" is counted
+//! byte-accurately on every pull/push.
 //! That preserves exactly the quantities the §IV-E mechanism optimizes —
 //! number of synchronizations and bytes moved — while fitting on one
 //! machine (see DESIGN.md, substitution 3).
@@ -32,6 +34,11 @@
 //! * After the inner loop the worker pushes `dynamic − static` per touched
 //!   row (the Reptile-style outer gradient of Eq. 3) and clears both caches.
 //!
+//! The two caches always hold the same key set, so [`WorkerCache`] keeps
+//! them as the two halves of one record per row. Reads are batch-only
+//! ([`RowSource`] is `pull_rows` + `versions_of`): a round prefetches its
+//! whole key set in one batched pull, and a lazy miss is a one-key batch.
+//!
 //! The `NoCache` mode pulls every row on every read and pushes every update
 //! immediately — the baseline the `pscache` benchmark compares against.
 
@@ -48,7 +55,10 @@ pub mod trainer;
 pub use cache::{CacheStats, StalenessStats, WorkerCache};
 pub use guard::{outer_grad_norm, GuardConfig, GuardRail, GuardVerdict};
 pub use journal::{latest_journal, JournalError, RoundJournal};
-pub use kv::{ParamKey, ParameterServer, RowSource, TimedRowSource, TrafficStats, WIRE_BATCH_KEYS};
+pub use kv::{
+    ParamKey, ParameterServer, RowSource, TimedRowSource, TrafficStats, LOCK_STRIPES,
+    WIRE_BATCH_KEYS,
+};
 pub use publish::{
     latest_snapshot, snapshot_path, write_atomic_bytes, ContinualPublisher, PublishOutcome,
     PublisherFaults, SNAPSHOT_EXT,

@@ -7,7 +7,8 @@
 //! *server* shards by FNV-1a hash — deliberately a different function from
 //! the Fibonacci hash [`ParameterServer`] uses for its internal lock
 //! stripes, so the cross-server route and the in-store stripe stay
-//! independent. The map is versioned: a manifest records which map wrote a
+//! independent (the stripe count is the fixed [`LOCK_STRIPES`]; the shard
+//! count is the deployment's one sharding knob). The map is versioned: a manifest records which map wrote a
 //! set of shard files, and resuming into a different shard count bumps the
 //! version while the hash itself re-routes every row (consistent routing
 //! is a pure function of the key and the shard count, never of history —
@@ -25,7 +26,7 @@
 
 use crate::checkpoint::{self, CheckpointError};
 use crate::journal::{JournalError, RoundJournal};
-use crate::kv::{ParamKey, ParameterServer, WIRE_BATCH_KEYS};
+use crate::kv::{ParamKey, ParameterServer, LOCK_STRIPES, WIRE_BATCH_KEYS};
 use mamdr_obs::{EventLog, Value};
 use mamdr_util::Checksum;
 use std::path::{Path, PathBuf};
@@ -414,7 +415,7 @@ pub fn load_manifest_state(
     let mut meta: Option<RoundJournal> = None;
     let mut traffic = (0u64, 0u64, 0u64, 0u64);
     for (i, files) in manifest.shards.iter().enumerate() {
-        let store = checkpoint::load_from_path(&dir.join(&files.checkpoint), 1)?;
+        let store = checkpoint::load_from_path(&dir.join(&files.checkpoint))?;
         rows.extend(store.dump_rows());
         let journal = RoundJournal::read(&dir.join(&files.journal))?;
         if journal.rounds_done != manifest.rounds_done {
@@ -439,18 +440,13 @@ pub fn load_manifest_state(
 }
 
 /// Merges several shard stores into one fresh store (driver-side: final
-/// evaluation and the merged checkpoint artifact). Values, accumulators,
-/// and row versions are copied; traffic counters are *not* — the caller
-/// aggregates those across shards itself.
-pub fn merge_stores(stores: &[&ParameterServer], n_stripes: usize, dim: usize) -> ParameterServer {
-    let merged = ParameterServer::new(n_stripes, dim);
+/// evaluation and the merged checkpoint artifact). Whole records move:
+/// values, accumulators, and row versions are copied; traffic counters are
+/// *not* — the caller aggregates those across shards itself.
+pub fn merge_stores(stores: &[&ParameterServer], dim: usize) -> ParameterServer {
+    let merged = ParameterServer::new(LOCK_STRIPES, dim);
     for store in stores {
-        for (key, value) in store.dump_rows() {
-            merged.init_row(key, value);
-        }
-        for (key, acc) in store.dump_adagrad() {
-            merged.restore_adagrad_row(key, acc);
-        }
+        merged.absorb(store);
     }
     merged
 }
@@ -727,16 +723,20 @@ mod tests {
     }
 
     #[test]
-    fn merge_stores_copies_values_and_accumulators() {
+    fn merge_stores_copies_whole_records() {
         let a = ParameterServer::new(1, 2);
         let b = ParameterServer::new(1, 2);
         a.init_row(key(0, 0), vec![1.0, 2.0]);
         b.init_row(key(0, 1), vec![3.0, 4.0]);
         b.push_outer_grad(key(0, 1), &[1.0, 1.0], 0.5);
-        let merged = merge_stores(&[&a, &b], 2, 2);
+        let merged = merge_stores(&[&a, &b], 2);
         assert_eq!(merged.n_rows(), 2);
         assert_eq!(merged.read_silent(key(0, 0)), Some(vec![1.0, 2.0]));
         assert_eq!(merged.read_silent(key(0, 1)), b.read_silent(key(0, 1)));
-        assert_eq!(merged.dump_adagrad().len(), 1);
+        assert_eq!(merged.dump_adagrad(), b.dump_adagrad());
+        // Versions travel with their rows; traffic does not.
+        assert_eq!(merged.version(key(0, 0)), 0);
+        assert_eq!(merged.version(key(0, 1)), 1);
+        assert_eq!(merged.traffic().snapshot(), (0, 0, 0, 0));
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::cache::{CacheStats, StalenessStats, WorkerCache};
 use crate::guard::{outer_grad_norm, GuardConfig, GuardRail, GuardVerdict};
-use crate::kv::{ParamKey, ParameterServer, RowSource, TimedRowSource};
+use crate::kv::{ParamKey, ParameterServer, RowSource, TimedRowSource, LOCK_STRIPES};
 use crate::model::{error_signal, log_loss, score, tables, ExampleKeys};
 use crate::shard::ShardMap;
 use mamdr_core::metrics::auc;
@@ -31,8 +31,6 @@ pub enum SyncMode {
 pub struct DistributedConfig {
     /// Worker threads.
     pub n_workers: usize,
-    /// Parameter-server shards.
-    pub n_shards: usize,
     /// Embedding width.
     pub dim: usize,
     /// Inner-loop SGD learning rate (paper industry setting: SGD inner).
@@ -76,7 +74,6 @@ impl Default for DistributedConfig {
     fn default() -> Self {
         DistributedConfig {
             n_workers: 4,
-            n_shards: 8,
             dim: 8,
             inner_lr: 0.1,
             outer_lr: 0.5,
@@ -161,17 +158,6 @@ pub struct CachedRoundOutput {
     /// Outer gradients (Θ̃ − Θ per touched row), sorted by
     /// `(table, row)`. The caller applies them (directly or over RPC).
     pub grads: Vec<(ParamKey, Vec<f32>)>,
-}
-
-/// One worker's accounting for one outer round.
-struct WorkerRound {
-    cache: CacheStats,
-    staleness: StalenessStats,
-    loss_sum: f64,
-    n_examples: u64,
-    /// Gradients deferred to the driver ([`DistributedConfig::sync_rounds`]);
-    /// empty when the worker already pushed them itself.
-    deferred: Vec<(ParamKey, Vec<f32>)>,
 }
 
 /// The per-epoch round-robin partition of shuffled domains over workers —
@@ -286,7 +272,7 @@ impl DistributedMamdr {
     /// Builds the server and seeds every embedding row the dataset can
     /// touch (`N(0, 0.05)`, deterministic in the config seed).
     pub fn new(ds: &MdrDataset, cfg: DistributedConfig) -> Self {
-        let ps = ParameterServer::new(cfg.n_shards, cfg.dim);
+        let ps = ParameterServer::new(LOCK_STRIPES, cfg.dim);
         ps.set_route_shards(cfg.route_shards.max(1));
         seed_server(&ps, ds, cfg.dim, cfg.seed);
         DistributedMamdr { ps, cfg, tracer: None }
@@ -339,7 +325,7 @@ impl DistributedMamdr {
                 partition_domains(ds.n_domains(), cfg.seed, epoch, cfg.n_workers)
             };
 
-            let stats: Vec<WorkerRound> = {
+            let stats: Vec<CachedRoundOutput> = {
                 let workers_span = round_ctx
                     .map(|c| tracer.expect("ctx implies tracer").child("round.workers", c));
                 let workers_ctx = workers_span.as_ref().map(|s| s.ctx());
@@ -379,7 +365,7 @@ impl DistributedMamdr {
                 if guard_active {
                     let worker_loss =
                         if w.n_examples == 0 { 0.0 } else { w.loss_sum / w.n_examples as f64 };
-                    match guard.check(worker_loss, outer_grad_norm(&w.deferred)).0 {
+                    match guard.check(worker_loss, outer_grad_norm(&w.grads)).0 {
                         GuardVerdict::Accept => {}
                         GuardVerdict::Skip => {
                             // Drop the update *and* its loss contribution:
@@ -404,7 +390,7 @@ impl DistributedMamdr {
                 // Synchronous mode: the driver is the only writer, applying
                 // each worker's key-sorted gradients in worker order — the
                 // one total order the networked trainer reproduces.
-                for (key, delta) in w.deferred {
+                for (key, delta) in w.grads {
                     self.ps.push_outer_grad(key, &delta, cfg.outer_lr);
                 }
             }
@@ -519,6 +505,9 @@ pub fn partition_keys(ds: &MdrDataset, domains: &[usize]) -> Vec<ParamKey> {
 }
 
 /// One worker's round: the MAMDR inner loop over its domain partition.
+/// The returned `grads` are the ones deferred to the driver
+/// ([`DistributedConfig::sync_rounds`]) — empty when the worker already
+/// pushed them itself.
 #[allow(clippy::too_many_arguments)]
 fn run_worker_round(
     ps: &ParameterServer,
@@ -529,7 +518,7 @@ fn run_worker_round(
     tracer: Option<&Tracer>,
     parent: Option<SpanContext>,
     worker: usize,
-) -> WorkerRound {
+) -> CachedRoundOutput {
     let worker_span = tracer.map(|t| {
         let mut s = match parent {
             Some(p) => t.child("worker.round", p),
@@ -544,7 +533,7 @@ fn run_worker_round(
             // With a tracer, split the worker's wall-clock into store reads
             // ("pull", in-process here but an RPC over the wire) vs local
             // compute. The timing decorator forwards reads unchanged.
-            let out = match tracer {
+            let mut out = match tracer {
                 Some(t) => {
                     let timed = TimedRowSource::new(ps);
                     let t0 = std::time::Instant::now();
@@ -557,21 +546,17 @@ fn run_worker_round(
                 }
                 None => run_cached_round(ps, ds, domains, cfg.inner_lr, seed),
             };
-            let CachedRoundOutput { cache, staleness, loss_sum, n_examples, grads } = out;
-            let deferred = if cfg.sync_rounds {
-                // Deliver to the driver; the server stays read-only until
-                // every worker has joined.
-                grads
-            } else {
+            if !cfg.sync_rounds {
                 // Asynchronous protocol: push now, racing other workers;
                 // the server applies with Adagrad (Eq. 3 with a
-                // server-side optimizer).
-                for (key, delta) in grads {
+                // server-side optimizer). Otherwise the gradients go to
+                // the driver and the server stays read-only until every
+                // worker has joined.
+                for (key, delta) in out.grads.drain(..) {
                     ps.push_outer_grad(key, &delta, cfg.outer_lr);
                 }
-                Vec::new()
-            };
-            WorkerRound { cache, staleness, loss_sum, n_examples, deferred }
+            }
+            out
         }
         SyncMode::NoCache => {
             let mut rng = seeded(seed);
@@ -582,12 +567,12 @@ fn run_worker_round(
                 loss_sum += l;
                 n_examples += n;
             }
-            WorkerRound {
+            CachedRoundOutput {
                 cache: CacheStats::default(),
                 staleness: StalenessStats::default(),
                 loss_sum,
                 n_examples,
-                deferred: Vec::new(),
+                grads: Vec::new(),
             }
         }
     }

@@ -12,14 +12,16 @@
 //!
 //! All requests flow through one code path: [`WorkerClient::call`] for a
 //! single request, [`WorkerClient::call_many`] to pipeline a batch with a
-//! bounded in-flight window. The named wrappers (`pull`, `push`, …) are
-//! thin conveniences over [`Request`] values, so pipelining, retry,
-//! tracing, and fault injection live in exactly one place.
+//! bounded in-flight window. The named wrappers (`barrier`, `checkpoint`,
+//! `shutdown`) are thin conveniences over [`Request`] values, so
+//! pipelining, retry, tracing, and fault injection live in exactly one
+//! place. Reads and writes are batch-only: a single row is a one-key
+//! `PullMany`/`PushMany`.
 
 use crate::fault::{FaultDecision, FaultState};
 use crate::frame::{
     decode_error, BarrierReq, CheckpointReq, Frame, FrameError, OpCode, PullManyReq, PullManyResp,
-    PullReq, PullResp, PushManyReq, PushReq, PushResp, TraceContext, FLAG_VERSION_ONLY,
+    PushManyReq, PushResp, TraceContext, FLAG_VERSION_ONLY,
 };
 use mamdr_obs::{MetricsRegistry, SpanContext, SpanGuard, Tracer};
 use mamdr_ps::{ParamKey, RowSource, ShardMap, WIRE_BATCH_KEYS};
@@ -70,16 +72,6 @@ impl Default for RetryPolicy {
 /// vocabulary behind [`WorkerClient::call`] / [`WorkerClient::call_many`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Read one row (value + version).
-    Pull {
-        /// The row to read.
-        key: ParamKey,
-    },
-    /// Read one row's push version only (silent server-side).
-    PullVersion {
-        /// The row to probe.
-        key: ParamKey,
-    },
     /// Read many rows in one frame. Keys should be `(table, row)`-sorted.
     PullMany {
         /// The rows to read.
@@ -89,15 +81,6 @@ pub enum Request {
     PullVersions {
         /// The rows to probe.
         keys: Vec<ParamKey>,
-    },
-    /// Apply one outer-gradient row update.
-    Push {
-        /// The row to update.
-        key: ParamKey,
-        /// Server-side Adagrad learning rate.
-        lr: f32,
-        /// The outer gradient.
-        grad: Vec<f32>,
     },
     /// Apply many outer-gradient rows atomically under one sequence
     /// number. Keys should be `(table, row)`-sorted; `grads` holds the
@@ -127,33 +110,30 @@ pub enum Request {
 }
 
 impl Request {
-    fn opcode(&self) -> OpCode {
+    /// The request's op-code and the op-code of its success response.
+    fn opcodes(&self) -> (OpCode, OpCode) {
         match self {
-            Request::Pull { .. } | Request::PullVersion { .. } => OpCode::Pull,
-            Request::PullMany { .. } | Request::PullVersions { .. } => OpCode::PullMany,
-            Request::Push { .. } => OpCode::Push,
-            Request::PushMany { .. } => OpCode::PushMany,
-            Request::Barrier { .. } => OpCode::BarrierSync,
-            Request::Checkpoint { .. } => OpCode::Checkpoint,
-            Request::Shutdown => OpCode::Shutdown,
+            Request::PullMany { .. } | Request::PullVersions { .. } => {
+                (OpCode::PullMany, OpCode::PullManyOk)
+            }
+            Request::PushMany { .. } => (OpCode::PushMany, OpCode::PushManyOk),
+            Request::Barrier { .. } => (OpCode::BarrierSync, OpCode::BarrierOk),
+            Request::Checkpoint { .. } => (OpCode::Checkpoint, OpCode::CheckpointOk),
+            Request::Shutdown => (OpCode::Shutdown, OpCode::ShutdownOk),
         }
     }
 
     fn flags(&self) -> u8 {
         match self {
-            Request::PullVersion { .. } | Request::PullVersions { .. } => FLAG_VERSION_ONLY,
+            Request::PullVersions { .. } => FLAG_VERSION_ONLY,
             _ => 0,
         }
     }
 
     fn payload(&self, client_id: u32) -> Vec<u8> {
         match self {
-            Request::Pull { key } | Request::PullVersion { key } => PullReq { key: *key }.encode(),
             Request::PullMany { keys } | Request::PullVersions { keys } => {
                 PullManyReq { keys: keys.clone() }.encode()
-            }
-            Request::Push { key, lr, grad } => {
-                PushReq { client_id, key: *key, lr: *lr, grad: grad.clone() }.encode()
             }
             Request::PushMany { lr, keys, grads } => {
                 PushManyReq { client_id, lr: *lr, keys: keys.clone(), grads: grads.clone() }
@@ -171,16 +151,12 @@ impl Request {
         matches!(self, Request::Barrier { .. })
     }
 
-    /// Span name of the logical request. The `Many` variants share their
-    /// single-row siblings' names: a span consumer cares about pull vs
-    /// push, not about the frame-level batching.
+    /// Span name of the logical request: a span consumer cares about pull
+    /// vs push, not about the frame-level batching.
     fn span_name(&self) -> &'static str {
         match self {
-            Request::Pull { .. }
-            | Request::PullVersion { .. }
-            | Request::PullMany { .. }
-            | Request::PullVersions { .. } => "rpc.pull",
-            Request::Push { .. } | Request::PushMany { .. } => "rpc.push",
+            Request::PullMany { .. } | Request::PullVersions { .. } => "rpc.pull",
+            Request::PushMany { .. } => "rpc.push",
             Request::Barrier { .. } => "rpc.barrier",
             Request::Checkpoint { .. } => "rpc.checkpoint",
             Request::Shutdown => "rpc.shutdown",
@@ -191,20 +167,7 @@ impl Request {
     /// request. The response op-code must be the request's success
     /// op-code — anything else is a protocol violation.
     fn decode_response(&self, resp: &Frame) -> Result<Response, RpcError> {
-        let expect = match self.opcode() {
-            OpCode::Pull => OpCode::PullOk,
-            OpCode::PullMany => OpCode::PullManyOk,
-            OpCode::Push => OpCode::PushOk,
-            OpCode::PushMany => OpCode::PushManyOk,
-            OpCode::BarrierSync => OpCode::BarrierOk,
-            OpCode::Checkpoint => OpCode::CheckpointOk,
-            OpCode::Shutdown => OpCode::ShutdownOk,
-            other => {
-                return Err(RpcError::Frame(FrameError::Malformed(format!(
-                    "{other:?} is not a request op-code"
-                ))))
-            }
-        };
+        let expect = self.opcodes().1;
         if resp.opcode != expect {
             return Err(RpcError::Frame(FrameError::Malformed(format!(
                 "expected {expect:?} response, got {:?}",
@@ -212,13 +175,6 @@ impl Request {
             ))));
         }
         Ok(match self {
-            Request::Pull { .. } => {
-                let r = PullResp::decode(&resp.payload)?;
-                Response::Pull { value: r.value, version: r.version }
-            }
-            Request::PullVersion { .. } => {
-                Response::PullVersion { version: PullResp::decode(&resp.payload)?.version }
-            }
             Request::PullMany { keys } => {
                 let r = PullManyResp::decode(&resp.payload)?;
                 if r.versions.len() != keys.len() {
@@ -242,9 +198,6 @@ impl Request {
                 }
                 Response::PullVersions { versions: r.versions }
             }
-            Request::Push { .. } => {
-                Response::Push { applied: PushResp::decode(&resp.payload)?.applied }
-            }
             Request::PushMany { .. } => {
                 Response::PushMany { applied: PushResp::decode(&resp.payload)?.applied }
             }
@@ -260,18 +213,6 @@ impl Request {
 /// A typed, validated server response — one variant per [`Request`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Row value + version.
-    Pull {
-        /// Row values.
-        value: Vec<f32>,
-        /// Push version at read time.
-        version: u64,
-    },
-    /// Version-only probe result.
-    PullVersion {
-        /// Push version at read time.
-        version: u64,
-    },
     /// Batched rows: versions and concatenated values in request order.
     PullMany {
         /// Per-key versions.
@@ -283,11 +224,6 @@ pub enum Response {
     PullVersions {
         /// Per-key versions.
         versions: Vec<u64>,
-    },
-    /// Push acknowledged.
-    Push {
-        /// False when the server recognized a duplicate and skipped it.
-        applied: bool,
     },
     /// Batch push acknowledged (the whole batch applied or deduplicated).
     PushMany {
@@ -408,39 +344,9 @@ impl WorkerClient {
         self.trace_parent = parent;
     }
 
-    /// Whether a tracer is attached.
-    pub fn has_tracer(&self) -> bool {
-        self.tracer.is_some()
-    }
-
     /// This client's id.
     pub fn client_id(&self) -> u32 {
         self.client_id
-    }
-
-    /// Pulls one row: `(value, version)`.
-    pub fn pull(&mut self, key: ParamKey) -> Result<(Vec<f32>, u64), RpcError> {
-        match self.call(Request::Pull { key })? {
-            Response::Pull { value, version } => Ok((value, version)),
-            other => unreachable!("Pull answered with {other:?}"),
-        }
-    }
-
-    /// Reads one row's push version without transferring the value.
-    pub fn pull_version(&mut self, key: ParamKey) -> Result<u64, RpcError> {
-        match self.call(Request::PullVersion { key })? {
-            Response::PullVersion { version } => Ok(version),
-            other => unreachable!("PullVersion answered with {other:?}"),
-        }
-    }
-
-    /// Pushes one outer gradient. Returns `false` when the server
-    /// recognized the push as a retry of an already-applied update.
-    pub fn push(&mut self, key: ParamKey, grad: &[f32], lr: f32) -> Result<bool, RpcError> {
-        match self.call(Request::Push { key, lr, grad: grad.to_vec() })? {
-            Response::Push { applied } => Ok(applied),
-            other => unreachable!("Push answered with {other:?}"),
-        }
     }
 
     /// Blocks until `expected` distinct clients have arrived at `round`.
@@ -463,27 +369,23 @@ impl WorkerClient {
         Ok(())
     }
 
-    /// One logical request: a single sequence number, retried with
-    /// exponential backoff until a response arrives or the attempt budget
-    /// is spent. When traced, the logical request is one span; every
-    /// network attempt (including retries) is a child of it, and the
-    /// frame carries the logical span's context so server-side handling
-    /// spans parent to it — a retried/deduplicated push shows up as
-    /// multiple attempts and multiple server spans under one logical
-    /// span.
-    pub fn call(&mut self, req: Request) -> Result<Response, RpcError> {
+    /// Assigns `req` its sequence number and builds its frame. When traced,
+    /// opens the logical request's span and embeds its context in the frame
+    /// before the first send, so every retry re-uses both.
+    fn prepare<'t>(
+        &mut self,
+        req: &Request,
+        tracer: Option<&'t Tracer>,
+    ) -> (Frame, Option<SpanGuard<'t>>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let mut frame = Frame {
-            opcode: req.opcode(),
+            opcode: req.opcodes().0,
             flags: req.flags(),
             seq,
             payload: req.payload(self.client_id),
         };
-        // Clone the handle so the span guard borrows a local, leaving
-        // `self` free for `&mut` attempts.
-        let tracer = self.tracer.clone();
-        let logical = tracer.as_deref().map(|t| {
+        let logical = tracer.map(|t| {
             let mut span = match self.trace_parent {
                 Some(p) => t.child(req.span_name(), p),
                 None => t.span(req.span_name()),
@@ -496,6 +398,22 @@ impl WorkerClient {
             frame = frame
                 .with_trace_context(TraceContext { trace_id: ctx.trace_id, span_id: ctx.span_id });
         }
+        (frame, logical)
+    }
+
+    /// One logical request: a single sequence number, retried with
+    /// exponential backoff until a response arrives or the attempt budget
+    /// is spent. When traced, the logical request is one span; every
+    /// network attempt (including retries) is a child of it, and the
+    /// frame carries the logical span's context so server-side handling
+    /// spans parent to it — a retried/deduplicated push shows up as
+    /// multiple attempts and multiple server spans under one logical
+    /// span.
+    pub fn call(&mut self, req: Request) -> Result<Response, RpcError> {
+        // Clone the handle so the span guard borrows a local, leaving
+        // `self` free for `&mut` attempts.
+        let tracer = self.tracer.clone();
+        let (frame, logical) = self.prepare(&req, tracer.as_deref());
         let trace_ctx = logical.as_ref().map(|s| s.ctx());
         let resp = self.finish_with_retries(&frame, req.is_barrier(), trace_ctx, None)?;
         req.decode_response(&resp)
@@ -523,40 +441,16 @@ impl WorkerClient {
         }
         let depth = self.policy.pipeline_depth.max(1);
         let tracer = self.tracer.clone();
-        // Prepare every frame up front: sequence numbers in request
-        // order, one logical span each, trace context embedded before
-        // the first send so retries re-use it.
+        // Prepare every frame up front, sequence numbers in request order.
         let mut frames = Vec::with_capacity(reqs.len());
         let mut spans = Vec::with_capacity(reqs.len());
-        let mut ctxs = Vec::with_capacity(reqs.len());
         for req in &reqs {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let mut frame = Frame {
-                opcode: req.opcode(),
-                flags: req.flags(),
-                seq,
-                payload: req.payload(self.client_id),
-            };
-            let logical = tracer.as_deref().map(|t| {
-                let mut span = match self.trace_parent {
-                    Some(p) => t.child(req.span_name(), p),
-                    None => t.span(req.span_name()),
-                };
-                span.attr("seq", seq);
-                span
-            });
-            if let Some(span) = &logical {
-                let ctx = span.ctx();
-                frame = frame.with_trace_context(TraceContext {
-                    trace_id: ctx.trace_id,
-                    span_id: ctx.span_id,
-                });
-            }
-            ctxs.push(logical.as_ref().map(|s| s.ctx()));
-            spans.push(logical);
+            let (frame, logical) = self.prepare(req, tracer.as_deref());
             frames.push(frame);
+            spans.push(logical);
         }
+        let ctxs: Vec<Option<SpanContext>> =
+            spans.iter().map(|s| s.as_ref().map(|s| s.ctx())).collect();
         let n = reqs.len();
         let mut resolved: Vec<Option<Frame>> = (0..n).map(|_| None).collect();
         let mut failures: Vec<Option<RpcError>> = (0..n).map(|_| None).collect();
@@ -568,6 +462,8 @@ impl WorkerClient {
                 &ctxs[start..end],
                 &mut resolved[start..end],
                 &mut failures[start..end],
+                1,
+                false,
             );
             // Sequential completion of whatever the window could not
             // finish, in request order.
@@ -621,152 +517,36 @@ impl WorkerClient {
                 std::thread::sleep(Duration::from_micros(jittered));
             }
             attempt += 1;
-            match self.attempt(frame, barrier, trace_ctx, attempt) {
-                Ok(resp) => return Ok(resp),
+            let (mut resolved, mut failed) = ([None], [None]);
+            self.attempt_window(
+                std::slice::from_ref(frame),
+                &[trace_ctx],
+                &mut resolved,
+                &mut failed,
+                attempt,
+                barrier,
+            );
+            match (resolved, failed) {
                 // An application-level refusal is authoritative: the server
                 // received the request and rejected it, so retrying cannot
                 // change the answer.
-                Err(e @ RpcError::Server(_)) => return Err(e),
-                Err(e) => pending = Some(e),
-            }
-        }
-    }
-
-    /// One attempt: roll the fault dice, send, read responses until one
-    /// matches this request's sequence number.
-    fn attempt(
-        &mut self,
-        frame: &Frame,
-        barrier: bool,
-        trace_ctx: Option<SpanContext>,
-        attempt_no: u32,
-    ) -> Result<Frame, RpcError> {
-        let tracer = self.tracer.clone();
-        let attempt_span = match (tracer.as_deref(), trace_ctx) {
-            (Some(t), Some(ctx)) => {
-                let mut span = t.child("rpc.attempt", ctx);
-                span.attr("attempt", attempt_no as u64);
-                Some(span)
-            }
-            _ => None,
-        };
-        let result = self.attempt_inner(frame, barrier, tracer.as_deref());
-        if let Some(mut span) = attempt_span {
-            span.attr("ok", result.is_ok() as u64);
-            span.finish();
-        }
-        result
-    }
-
-    fn attempt_inner(
-        &mut self,
-        frame: &Frame,
-        barrier: bool,
-        tracer: Option<&Tracer>,
-    ) -> Result<Frame, RpcError> {
-        let decision = match &mut self.fault {
-            Some(fs) => fs.decide(),
-            None => FaultDecision::default(),
-        };
-        if decision.disconnect {
-            self.metrics.counter("rpc_faults_disconnects_total").inc();
-            self.drop_connection();
-            return Err(RpcError::ConnectionLost("injected disconnect".into()));
-        }
-        if decision.drop_send {
-            // The frame "never left": indistinguishable from a network
-            // drop, so it surfaces as a deadline expiry. Simulated rather
-            // than slept so fault runs stay fast and their counters exact.
-            self.metrics.counter("rpc_faults_dropped_total").inc();
-            self.metrics.counter("rpc_timeouts_total").inc();
-            return Err(RpcError::Timeout);
-        }
-        if decision.delay {
-            self.metrics.counter("rpc_faults_delayed_total").inc();
-            let micros = self.fault.as_ref().expect("delay implies plan").delay_micros();
-            std::thread::sleep(Duration::from_micros(micros));
-        }
-
-        let read_timeout = if barrier { self.policy.barrier_timeout } else { self.policy.timeout };
-        let mut buf = match tracer {
-            Some(t) => {
-                let t0 = Instant::now();
-                let buf = frame.to_bytes();
-                t.record_phase("wire.encode", t0.elapsed());
-                buf
-            }
-            None => frame.to_bytes(),
-        };
-        if decision.duplicate {
-            // Two copies of the same frame back-to-back; the server must
-            // apply at most one and answer both.
-            self.metrics.counter("rpc_faults_duplicated_total").inc();
-            buf.extend_from_slice(&frame.to_bytes());
-        }
-        let stream = self.ensure_connected()?;
-        stream.set_read_timeout(Some(read_timeout)).map_err(FrameError::Io)?;
-        if let Err(e) = stream.write_all(&buf) {
-            self.drop_connection();
-            return Err(RpcError::ConnectionLost(e.to_string()));
-        }
-
-        loop {
-            // Timed decode measures deserialization after the response's
-            // first bytes arrive, not the wait for the server.
-            let decoded = match tracer {
-                Some(t) => Frame::decode_timed(&mut *self.stream.as_mut().expect("connected")).map(
-                    |(f, d)| {
-                        t.record_phase("wire.decode", d);
-                        f
-                    },
-                ),
-                None => Frame::decode(&mut *self.stream.as_mut().expect("connected")),
-            };
-            let resp = match decoded {
-                Ok(f) => f,
-                Err(FrameError::Io(e))
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    // A real deadline expiry may leave a half-read frame on
-                    // the stream; reconnect to resynchronize.
-                    self.metrics.counter("rpc_timeouts_total").inc();
-                    self.drop_connection();
-                    return Err(RpcError::Timeout);
+                ([Some(resp)], _) if resp.opcode == OpCode::Error => {
+                    return Err(RpcError::Server(decode_error(&resp.payload)))
                 }
-                Err(e) => {
-                    self.drop_connection();
-                    return Err(e.into());
-                }
-            };
-            if resp.seq != frame.seq {
-                // Leftover from a duplicated earlier request or a dropped
-                // read: discard and keep reading.
-                self.metrics.counter("rpc_stale_responses_total").inc();
-                continue;
+                ([Some(resp)], _) => return Ok(resp),
+                (_, [e]) => pending = Some(e.expect("an unresolved attempt records its failure")),
             }
-            if decision.drop_recv {
-                // The server processed the request but its response "got
-                // lost". The retry will re-send the same sequence number
-                // and exercise the server's exactly-once path.
-                self.metrics.counter("rpc_faults_dropped_total").inc();
-                self.metrics.counter("rpc_timeouts_total").inc();
-                return Err(RpcError::Timeout);
-            }
-            if resp.opcode == OpCode::Error {
-                return Err(RpcError::Server(decode_error(&resp.payload)));
-            }
-            return Ok(resp);
         }
     }
 
-    /// One pipelined attempt over a window of prepared frames: send every
-    /// frame back to back (fault dice rolled per request, in send order —
-    /// one four-draw decision per attempted request, same as the
-    /// sequential path), then read responses until every sent frame is
-    /// resolved or the connection fails. Unresolved slots keep their
-    /// first-attempt error in `failures` for the caller's sequential
-    /// retry path.
+    /// The one network attempt path, over a window of prepared frames: send
+    /// every frame back to back (fault dice rolled per request, in send
+    /// order — one four-draw decision per attempted request), then read
+    /// responses until every sent frame is resolved or the connection
+    /// fails. A slot that was attempted but not resolved keeps its error in
+    /// `failures` for the caller's sequential retry path; a sequential
+    /// retry is itself a window of one, numbered `attempt_no`. `barrier`
+    /// selects the long read deadline barrier waits need.
     ///
     /// Ordering is load-bearing: the server's exactly-once dedup keeps
     /// only the *highest* applied sequence number per client, so a
@@ -785,9 +565,12 @@ impl WorkerClient {
         ctxs: &[Option<SpanContext>],
         resolved: &mut [Option<Frame>],
         failures: &mut [Option<RpcError>],
+        attempt_no: u32,
+        barrier: bool,
     ) {
         let tracer = self.tracer.clone();
         let t = tracer.as_deref();
+        let timeout = if barrier { self.policy.barrier_timeout } else { self.policy.timeout };
         let mut attempt_spans: Vec<Option<SpanGuard<'_>>> = Vec::with_capacity(frames.len());
         let mut outstanding: HashMap<u64, usize> = HashMap::new();
         let mut drop_recv = vec![false; frames.len()];
@@ -805,7 +588,7 @@ impl WorkerClient {
             let mut span = match (t, ctxs[i]) {
                 (Some(t), Some(ctx)) => {
                     let mut s = t.child("rpc.attempt", ctx);
-                    s.attr("attempt", 1);
+                    s.attr("attempt", attempt_no as u64);
                     Some(s)
                 }
                 _ => None,
@@ -848,7 +631,6 @@ impl WorkerClient {
                 self.metrics.counter("rpc_faults_duplicated_total").inc();
                 buf.extend_from_slice(&frame.to_bytes());
             }
-            let timeout = self.policy.timeout;
             let sent: Result<(), RpcError> = match self.ensure_connected() {
                 Ok(stream) => {
                     if let Err(e) = stream.set_read_timeout(Some(timeout)) {
@@ -968,134 +750,6 @@ impl WorkerClient {
     }
 }
 
-/// A [`RowSource`] over a [`WorkerClient`], letting the generic cached
-/// training round ([`mamdr_ps::run_cached_round`]) read rows over the wire
-/// exactly as it reads the in-process server. Interior mutability because
-/// the socket client needs `&mut` for I/O while `RowSource` reads take
-/// `&self`; single-threaded per worker, so a `RefCell` suffices.
-///
-/// The `RowSource` trait is infallible (the in-process store cannot fail)
-/// but the wire can. Instead of panicking — which would abort the whole
-/// training process on one worker's bad connection — the source records
-/// the *first* RPC failure, stops touching the network, and serves
-/// zero-filled rows for the remainder of the round. The worker loop then
-/// finds the poisoned flag via [`RpcRowSource::take_error`] and reports a
-/// typed failure to the supervisor, which discards the round's output and
-/// re-runs the partition.
-pub struct RpcRowSource {
-    client: RefCell<WorkerClient>,
-    dim: usize,
-    error: RefCell<Option<RpcError>>,
-}
-
-impl RpcRowSource {
-    /// Wraps a client serving rows of width `dim` (the width of the
-    /// zero rows served after a failure).
-    pub fn new(client: WorkerClient, dim: usize) -> Self {
-        RpcRowSource { client: RefCell::new(client), dim, error: RefCell::new(None) }
-    }
-
-    /// Unwraps the client (e.g. to run the end-of-round barrier).
-    pub fn into_client(self) -> WorkerClient {
-        self.client.into_inner()
-    }
-
-    /// Takes the first RPC failure, if any read failed. Once set, every
-    /// subsequent read was served locally as zeros — the round's output is
-    /// garbage and must be discarded.
-    pub fn take_error(&self) -> Option<RpcError> {
-        self.error.borrow_mut().take()
-    }
-
-    fn poisoned(&self) -> bool {
-        self.error.borrow().is_some()
-    }
-
-    fn record(&self, e: RpcError) {
-        let mut slot = self.error.borrow_mut();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-    }
-}
-
-impl RowSource for RpcRowSource {
-    /// One batched read: the key set is split into [`WIRE_BATCH_KEYS`]
-    /// chunks — one `PullMany` frame each, pipelined on the connection —
-    /// so a round's whole cache-miss set costs a handful of round trips
-    /// instead of one per key.
-    fn pull_rows(&self, keys: &[ParamKey]) -> Vec<(Vec<f32>, u64)> {
-        if keys.is_empty() {
-            return Vec::new();
-        }
-        if self.poisoned() {
-            return keys.iter().map(|_| (vec![0.0; self.dim], 0)).collect();
-        }
-        let reqs: Vec<Request> = keys
-            .chunks(WIRE_BATCH_KEYS)
-            .map(|chunk| Request::PullMany { keys: chunk.to_vec() })
-            .collect();
-        match self.client.borrow_mut().call_many(reqs) {
-            Ok(resps) => {
-                let mut out = Vec::with_capacity(keys.len());
-                for (chunk, resp) in keys.chunks(WIRE_BATCH_KEYS).zip(resps) {
-                    let Response::PullMany { versions, values } = resp else {
-                        unreachable!("PullMany answered with a different variant")
-                    };
-                    if values.len() != chunk.len() * self.dim {
-                        self.record(RpcError::Frame(FrameError::Malformed(format!(
-                            "expected {} values for {} rows of width {}, got {}",
-                            chunk.len() * self.dim,
-                            chunk.len(),
-                            self.dim,
-                            values.len()
-                        ))));
-                        return keys.iter().map(|_| (vec![0.0; self.dim], 0)).collect();
-                    }
-                    for (row, version) in values.chunks(self.dim).zip(versions) {
-                        out.push((row.to_vec(), version));
-                    }
-                }
-                out
-            }
-            Err(e) => {
-                self.record(e);
-                keys.iter().map(|_| (vec![0.0; self.dim], 0)).collect()
-            }
-        }
-    }
-
-    /// One batched version probe per [`WIRE_BATCH_KEYS`] chunk, silent
-    /// server-side like the single-key probe it replaces.
-    fn versions_of(&self, keys: &[ParamKey]) -> Vec<u64> {
-        if keys.is_empty() {
-            return Vec::new();
-        }
-        if self.poisoned() {
-            return vec![0; keys.len()];
-        }
-        let reqs: Vec<Request> = keys
-            .chunks(WIRE_BATCH_KEYS)
-            .map(|chunk| Request::PullVersions { keys: chunk.to_vec() })
-            .collect();
-        match self.client.borrow_mut().call_many(reqs) {
-            Ok(resps) => resps
-                .into_iter()
-                .flat_map(|resp| {
-                    let Response::PullVersions { versions } = resp else {
-                        unreachable!("PullVersions answered with a different variant")
-                    };
-                    versions
-                })
-                .collect(),
-            Err(e) => {
-                self.record(e);
-                vec![0; keys.len()]
-            }
-        }
-    }
-}
-
 /// Builds one request per [`WIRE_BATCH_KEYS`] chunk of a shard's sub-batch
 /// (`idxs` indexes into the caller's key slice, input order preserved).
 fn shard_requests<F>(idxs: &[usize], keys: &[ParamKey], make_req: &F) -> Vec<Request>
@@ -1109,10 +763,9 @@ where
 
 /// Issues one pipelined [`WorkerClient::call_many`] per non-empty shard and
 /// returns the per-shard results (`None` for shards the batch never
-/// touches). A single live shard is called inline on the caller's thread —
-/// byte-for-byte the traffic a plain [`RpcRowSource`] would produce — while
-/// two or more live shards run concurrently on scoped threads, one per
-/// shard. Concurrency cannot perturb determinism: each client owns its
+/// touches). A single live shard is called inline on the caller's thread,
+/// while two or more live shards run concurrently on scoped threads, one
+/// per shard. Concurrency cannot perturb determinism: each client owns its
 /// socket, sequence space, and fault RNG, so nothing is shared across
 /// threads.
 fn call_shards<F>(
@@ -1152,17 +805,28 @@ where
     results
 }
 
-/// A [`RowSource`] over a *fleet* of per-shard [`WorkerClient`]s: every
+/// A [`RowSource`] over a *fleet* of per-shard [`WorkerClient`]s, letting
+/// the generic cached training round ([`mamdr_ps::run_cached_round`]) read
+/// rows over the wire exactly as it reads the in-process server. Every
 /// batched read is partitioned by the [`ShardMap`], the per-shard
 /// sub-batches are pulled concurrently (pipelined within each connection,
 /// parallel across shards), and the responses are re-assembled into the
-/// caller's key order. With one shard it degenerates to [`RpcRowSource`]
-/// exactly — same frames, same chunking, no extra threads.
+/// caller's key order. A single-server deployment is the one-client fleet:
+/// one `PullMany` frame per [`WIRE_BATCH_KEYS`] chunk, no extra threads.
 ///
-/// Failure semantics mirror [`RpcRowSource`]: the first error (in shard
-/// order, so the record is deterministic) poisons the source, the whole
-/// read returns zeros, and the worker loop surfaces the failure via
-/// [`ShardedRowSource::take_error`].
+/// Interior mutability because the socket clients need `&mut` for I/O
+/// while `RowSource` reads take `&self`; single-threaded per worker, so a
+/// `RefCell` suffices.
+///
+/// The `RowSource` trait is infallible (the in-process store cannot fail)
+/// but the wire can. Instead of panicking — which would abort the whole
+/// training process on one worker's bad connection — the source records
+/// the *first* RPC failure (in shard order, so the record is
+/// deterministic), stops touching the network, and serves zero-filled rows
+/// for the remainder of the round. The worker loop then finds the poisoned
+/// flag via [`ShardedRowSource::take_error`] and reports a typed failure
+/// to the supervisor, which discards the round's output and re-runs the
+/// partition.
 pub struct ShardedRowSource {
     clients: RefCell<Vec<WorkerClient>>,
     map: ShardMap,
@@ -1183,8 +847,9 @@ impl ShardedRowSource {
         self.clients.into_inner()
     }
 
-    /// Takes the first RPC failure, if any read failed — same poisoned
-    /// contract as [`RpcRowSource::take_error`].
+    /// Takes the first RPC failure, if any read failed. Once set, every
+    /// subsequent read was served locally as zeros — the round's output is
+    /// garbage and must be discarded.
     pub fn take_error(&self) -> Option<RpcError> {
         self.error.borrow_mut().take()
     }
@@ -1200,103 +865,72 @@ impl ShardedRowSource {
         }
     }
 
-    fn zero_rows(&self, n: usize) -> Vec<(Vec<f32>, u64)> {
-        (0..n).map(|_| (vec![0.0; self.dim], 0)).collect()
+    /// The one batched read path: scatters `keys` over the shard fleet as
+    /// `make_req` requests (one per [`WIRE_BATCH_KEYS`] chunk per shard),
+    /// turns each chunk's response into its per-key items with `unpack`,
+    /// and gathers them back into input-key order. Any failure poisons the
+    /// source, and a poisoned source answers `zero` for every key without
+    /// touching the network.
+    fn gather<T: Clone + Default>(
+        &self,
+        keys: &[ParamKey],
+        zero: T,
+        make_req: impl Fn(Vec<ParamKey>) -> Request + Sync,
+        unpack: impl Fn(Response, usize) -> Result<Vec<T>, RpcError>,
+    ) -> Vec<T> {
+        if self.poisoned() {
+            return vec![zero; keys.len()];
+        }
+        let parts = self.map.partition_indices(keys);
+        let results = call_shards(&mut self.clients.borrow_mut(), &parts, keys, make_req);
+        let mut out = vec![T::default(); keys.len()];
+        for (idxs, result) in parts.iter().zip(results) {
+            let Some(result) = result else { continue };
+            let gathered = result.and_then(|resps| {
+                for (chunk, resp) in idxs.chunks(WIRE_BATCH_KEYS).zip(resps) {
+                    for (&i, item) in chunk.iter().zip(unpack(resp, chunk.len())?) {
+                        out[i] = item;
+                    }
+                }
+                Ok(())
+            });
+            if let Err(e) = gathered {
+                self.record(e);
+            }
+        }
+        if self.poisoned() {
+            return vec![zero; keys.len()];
+        }
+        out
     }
 }
 
 impl RowSource for ShardedRowSource {
     fn pull_rows(&self, keys: &[ParamKey]) -> Vec<(Vec<f32>, u64)> {
-        if keys.is_empty() {
-            return Vec::new();
-        }
-        if self.poisoned() {
-            return self.zero_rows(keys.len());
-        }
-        let parts = self.map.partition_indices(keys);
-        let mut clients = self.clients.borrow_mut();
-        let mut results =
-            call_shards(&mut clients, &parts, keys, |keys| Request::PullMany { keys });
-        let mut out: Vec<(Vec<f32>, u64)> = Vec::new();
-        out.resize_with(keys.len(), || (Vec::new(), 0));
-        let mut failed = false;
-        for (shard, idxs) in parts.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
+        let dim = self.dim;
+        let pull = |keys| Request::PullMany { keys };
+        self.gather(keys, (vec![0.0; dim], 0), pull, |resp, n_rows| {
+            let Response::PullMany { versions, values } = resp else {
+                unreachable!("PullMany answered with a different variant")
+            };
+            if values.len() != n_rows * dim {
+                return Err(RpcError::Frame(FrameError::Malformed(format!(
+                    "expected {} values for {n_rows} rows of width {dim}, got {}",
+                    n_rows * dim,
+                    values.len()
+                ))));
             }
-            match results[shard].take().expect("live shard has a result") {
-                Ok(resps) => {
-                    for (chunk, resp) in idxs.chunks(WIRE_BATCH_KEYS).zip(resps) {
-                        let Response::PullMany { versions, values } = resp else {
-                            unreachable!("PullMany answered with a different variant")
-                        };
-                        if values.len() != chunk.len() * self.dim {
-                            self.record(RpcError::Frame(FrameError::Malformed(format!(
-                                "expected {} values for {} rows of width {}, got {}",
-                                chunk.len() * self.dim,
-                                chunk.len(),
-                                self.dim,
-                                values.len()
-                            ))));
-                            failed = true;
-                            break;
-                        }
-                        for ((&i, row), version) in
-                            chunk.iter().zip(values.chunks(self.dim)).zip(versions)
-                        {
-                            out[i] = (row.to_vec(), version);
-                        }
-                    }
-                }
-                Err(e) => {
-                    self.record(e);
-                    failed = true;
-                }
-            }
-        }
-        if failed {
-            return self.zero_rows(keys.len());
-        }
-        out
+            Ok(values.chunks(dim).map(<[f32]>::to_vec).zip(versions).collect())
+        })
     }
 
     fn versions_of(&self, keys: &[ParamKey]) -> Vec<u64> {
-        if keys.is_empty() {
-            return Vec::new();
-        }
-        if self.poisoned() {
-            return vec![0; keys.len()];
-        }
-        let parts = self.map.partition_indices(keys);
-        let mut clients = self.clients.borrow_mut();
-        let mut results =
-            call_shards(&mut clients, &parts, keys, |keys| Request::PullVersions { keys });
-        let mut out = vec![0u64; keys.len()];
-        let mut failed = false;
-        for (shard, idxs) in parts.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            match results[shard].take().expect("live shard has a result") {
-                Ok(resps) => {
-                    for (chunk, resp) in idxs.chunks(WIRE_BATCH_KEYS).zip(resps) {
-                        let Response::PullVersions { versions } = resp else {
-                            unreachable!("PullVersions answered with a different variant")
-                        };
-                        for (&i, version) in chunk.iter().zip(versions) {
-                            out[i] = version;
-                        }
-                    }
-                }
-                Err(e) => {
-                    self.record(e);
-                    failed = true;
-                }
-            }
-        }
-        if failed {
-            return vec![0; keys.len()];
-        }
-        out
+        let probe = |keys| Request::PullVersions { keys };
+        self.gather(keys, 0, probe, |resp, _| {
+            let Response::PullVersions { versions } = resp else {
+                unreachable!("PullVersions answered with a different variant")
+            };
+            Ok(versions)
+        })
     }
 }

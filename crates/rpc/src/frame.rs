@@ -37,9 +37,10 @@ pub const MAGIC: &[u8; 9] = b"MAMDRRPC1";
 
 /// Wire-protocol version. Bumped whenever op-codes or payload layouts
 /// change; a server rejects frames from a different version with a typed
-/// error instead of misparsing them. Version 2 added the vectorized
+/// error instead of misparsing them. Version 2 is the vectorized
 /// `PullMany`/`PushMany` family (multi-row payloads, one frame per key
-/// batch instead of one per key).
+/// batch instead of one per key). Retiring the single-row op-codes did not
+/// bump it: no byte of any frame a version-2 peer sends today changed.
 pub const WIRE_VERSION: u8 = 2;
 
 /// Hard cap on a frame's declared payload length (16 MiB). Validated
@@ -51,7 +52,7 @@ pub const MAX_PAYLOAD: u32 = 16 << 20;
 /// 1 flags + 8 seq + 4 len + 8 crc.
 pub const FRAME_OVERHEAD: usize = 32;
 
-/// Pull flag: respond with the row's version only (no value section, no
+/// Pull flag: respond with the rows' versions only (no value section, no
 /// traffic accounting server-side) — used by staleness probes.
 pub const FLAG_VERSION_ONLY: u8 = 0b0000_0001;
 
@@ -115,18 +116,13 @@ impl TraceContext {
     }
 }
 
-/// Operation codes of wire version 2.
+/// Operation codes of wire version 2. Bytes 1–4 belonged to the retired
+/// single-row `Pull`/`PullOk`/`Push`/`PushOk` and stay unassigned — they
+/// decode to [`FrameError::UnknownOpcode`] like any other undefined byte,
+/// and the surviving op-codes keep their values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum OpCode {
-    /// Worker → PS: read one row (optionally version-only).
-    Pull = 1,
-    /// PS → worker: row version + value.
-    PullOk = 2,
-    /// Worker → PS: apply one outer-gradient push (idempotent by seq).
-    Push = 3,
-    /// PS → worker: push acknowledged (applied or deduplicated).
-    PushOk = 4,
     /// Worker → PS: block until every worker reached this round boundary.
     BarrierSync = 5,
     /// PS → worker: barrier released.
@@ -158,11 +154,7 @@ impl OpCode {
     /// variant (`as u8`), decode scans this table — adding a variant here
     /// makes it decodable, and a variant missing from the table fails the
     /// exhaustive roundtrip test, so the two directions cannot drift.
-    pub const ALL: [OpCode; 15] = [
-        OpCode::Pull,
-        OpCode::PullOk,
-        OpCode::Push,
-        OpCode::PushOk,
+    pub const ALL: [OpCode; 11] = [
         OpCode::BarrierSync,
         OpCode::BarrierOk,
         OpCode::Checkpoint,
@@ -434,96 +426,7 @@ fn write_counted_f32s(out: &mut Vec<u8>, values: &[f32]) {
     mamdr_util::write_f32_section(&mut *out, values).expect("Vec write is infallible");
 }
 
-/// `Pull` request payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PullReq {
-    /// The row to read.
-    pub key: ParamKey,
-}
-
-impl PullReq {
-    /// Encodes into a payload buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8);
-        out.extend_from_slice(&self.key.table.to_le_bytes());
-        out.extend_from_slice(&self.key.row.to_le_bytes());
-        out
-    }
-
-    /// Decodes from a payload buffer.
-    pub fn decode(mut r: &[u8]) -> Result<Self, FrameError> {
-        let table = read_u32(&mut r)?;
-        let row = read_u32(&mut r)?;
-        expect_empty(r)?;
-        Ok(PullReq { key: ParamKey::new(table, row) })
-    }
-}
-
-/// `PullOk` response payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PullResp {
-    /// The row's push version at read time.
-    pub version: u64,
-    /// Row values (empty for a version-only probe).
-    pub value: Vec<f32>,
-}
-
-impl PullResp {
-    /// Encodes into a payload buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + 4 * self.value.len());
-        out.extend_from_slice(&self.version.to_le_bytes());
-        write_counted_f32s(&mut out, &self.value);
-        out
-    }
-
-    /// Decodes from a payload buffer.
-    pub fn decode(mut r: &[u8]) -> Result<Self, FrameError> {
-        let version = read_u64(&mut r)?;
-        let value = read_counted_f32s(&mut r)?;
-        expect_empty(r)?;
-        Ok(PullResp { version, value })
-    }
-}
-
-/// `Push` request payload: one outer-gradient row update.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PushReq {
-    /// The pushing worker (dedup namespace for `seq`).
-    pub client_id: u32,
-    /// The row to update.
-    pub key: ParamKey,
-    /// Server-side Adagrad learning rate.
-    pub lr: f32,
-    /// The outer gradient (Θ̃ − Θ for this row).
-    pub grad: Vec<f32>,
-}
-
-impl PushReq {
-    /// Encodes into a payload buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(20 + 4 * self.grad.len());
-        out.extend_from_slice(&self.client_id.to_le_bytes());
-        out.extend_from_slice(&self.key.table.to_le_bytes());
-        out.extend_from_slice(&self.key.row.to_le_bytes());
-        out.extend_from_slice(&self.lr.to_le_bytes());
-        write_counted_f32s(&mut out, &self.grad);
-        out
-    }
-
-    /// Decodes from a payload buffer.
-    pub fn decode(mut r: &[u8]) -> Result<Self, FrameError> {
-        let client_id = read_u32(&mut r)?;
-        let table = read_u32(&mut r)?;
-        let row = read_u32(&mut r)?;
-        let lr = read_f32(&mut r)?;
-        let grad = read_counted_f32s(&mut r)?;
-        expect_empty(r)?;
-        Ok(PushReq { client_id, key: ParamKey::new(table, row), lr, grad })
-    }
-}
-
-/// `PushOk` response payload.
+/// `PushManyOk` response payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PushResp {
     /// False when the push was recognized as a duplicate and skipped —
@@ -700,8 +603,8 @@ impl PullManyResp {
 
 /// `PushMany` request payload: a key-sorted batch of outer-gradient row
 /// updates applied atomically under one `(client, seq)` — a retry of the
-/// frame dedups the whole batch, so pipelined pushes keep the
-/// exactly-once guarantee of the single-row protocol.
+/// frame dedups the whole batch, so pipelined pushes are exactly-once
+/// per batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PushManyReq {
     /// The pushing worker (dedup namespace for `seq`).
@@ -763,9 +666,13 @@ mod tests {
         Frame::decode(frame.to_bytes().as_slice()).unwrap()
     }
 
+    fn one_key_pull(table: u32, row: u32) -> Vec<u8> {
+        PullManyReq { keys: vec![ParamKey::new(table, row)] }.encode()
+    }
+
     #[test]
     fn frame_roundtrips_bit_exactly() {
-        let frame = Frame::new(OpCode::Push, 42, vec![1, 2, 3, 255, 0]);
+        let frame = Frame::new(OpCode::PushMany, 42, vec![1, 2, 3, 255, 0]);
         assert_eq!(roundtrip(&frame), frame);
         let empty = Frame { opcode: OpCode::Shutdown, flags: 3, seq: u64::MAX, payload: vec![] };
         assert_eq!(roundtrip(&empty), empty);
@@ -773,8 +680,7 @@ mod tests {
 
     #[test]
     fn every_flipped_bit_is_detected() {
-        let buf =
-            Frame::new(OpCode::Pull, 7, PullReq { key: ParamKey::new(1, 9) }.encode()).to_bytes();
+        let buf = Frame::new(OpCode::PullMany, 7, one_key_pull(1, 9)).to_bytes();
         for pos in 0..buf.len() {
             let mut bad = buf.clone();
             bad[pos] ^= 0x10;
@@ -784,7 +690,7 @@ mod tests {
 
     #[test]
     fn truncation_is_an_io_error() {
-        let buf = Frame::new(OpCode::Pull, 1, vec![0u8; 16]).to_bytes();
+        let buf = Frame::new(OpCode::PullMany, 1, vec![0u8; 16]).to_bytes();
         for keep in 0..buf.len() {
             let err = Frame::decode(&buf[..keep]).unwrap_err();
             assert!(
@@ -801,42 +707,44 @@ mod tests {
         buf.extend_from_slice(MAGIC);
         let mut head = [0u8; 15];
         head[0] = WIRE_VERSION;
-        head[1] = OpCode::Pull as u8;
+        head[1] = OpCode::PullMany as u8;
         head[11..15].copy_from_slice(&u32::MAX.to_le_bytes());
         buf.extend_from_slice(&head);
         assert!(matches!(Frame::decode(buf.as_slice()), Err(FrameError::TooLarge(_))));
     }
 
+    /// `frame`'s bytes with the op-code byte overwritten and the checksum
+    /// recomputed to match — a well-formed frame of an arbitrary op-code.
+    fn with_opcode_byte(frame: &Frame, byte: u8) -> Vec<u8> {
+        let mut buf = frame.to_bytes();
+        buf[10] = byte;
+        let n = buf.len();
+        let crc = Checksum::of(&buf[9..n - 8]).to_le_bytes();
+        buf[n - 8..].copy_from_slice(&crc);
+        buf
+    }
+
     #[test]
     fn wrong_version_and_opcode_are_typed_errors() {
         // A frame from the retired v1 protocol is rejected up front.
-        let mut buf = Frame::new(OpCode::Pull, 1, vec![]).to_bytes();
+        let frame = Frame::new(OpCode::PullMany, 1, vec![]);
+        let mut buf = frame.to_bytes();
         buf[9] = 1; // version byte
         assert!(matches!(Frame::decode(buf.as_slice()), Err(FrameError::UnsupportedVersion(1))));
 
-        // A valid checksum over an unknown op-code byte.
-        let mut frame = Frame::new(OpCode::Pull, 1, vec![]);
-        frame.opcode = OpCode::Error;
-        let mut buf = frame.to_bytes();
-        // Re-encode with opcode byte 200 and a matching checksum.
-        buf[10] = 200;
-        let mut crc = Checksum::new();
-        crc.update(&buf[9..buf.len() - 8]);
-        let crc = crc.digest().to_le_bytes();
-        let n = buf.len();
-        buf[n - 8..].copy_from_slice(&crc);
-        assert!(matches!(Frame::decode(buf.as_slice()), Err(FrameError::UnknownOpcode(200))));
+        // A valid checksum over an op-code byte that was never assigned,
+        // and over each retired single-row op-code (bytes 1–4).
+        for byte in [200u8, 0, 1, 2, 3, 4, 16] {
+            let buf = with_opcode_byte(&frame, byte);
+            assert!(
+                matches!(Frame::decode(buf.as_slice()), Err(FrameError::UnknownOpcode(b)) if b == byte),
+                "op-code byte {byte}"
+            );
+        }
     }
 
     #[test]
     fn payload_codecs_roundtrip() {
-        let pull = PullReq { key: ParamKey::new(3, 77) };
-        assert_eq!(PullReq::decode(&pull.encode()).unwrap(), pull);
-        let resp = PullResp { version: 12, value: vec![1.5, -2.25, 0.0] };
-        assert_eq!(PullResp::decode(&resp.encode()).unwrap(), resp);
-        let push =
-            PushReq { client_id: 2, key: ParamKey::new(0, 5), lr: 0.5, grad: vec![0.25, -0.125] };
-        assert_eq!(PushReq::decode(&push.encode()).unwrap(), push);
         let bar = BarrierReq { client_id: 1, round: 9, expected: 4 };
         assert_eq!(BarrierReq::decode(&bar.encode()).unwrap(), bar);
         let ck = CheckpointReq { round: 3 };
@@ -865,6 +773,7 @@ mod tests {
             }
         }
         assert_eq!(known.len(), OpCode::ALL.len());
+        assert_eq!(OpCode::ALL.len(), 11);
     }
 
     #[test]
@@ -949,8 +858,8 @@ mod tests {
     #[test]
     fn trace_context_roundtrips_through_a_frame() {
         let ctx = TraceContext { trace_id: 0xDEAD_BEEF_CAFE, span_id: 42 };
-        let inner = PullReq { key: ParamKey::new(1, 9) }.encode();
-        let traced = Frame::new(OpCode::Pull, 7, inner.clone()).with_trace_context(ctx);
+        let inner = one_key_pull(1, 9);
+        let traced = Frame::new(OpCode::PullMany, 7, inner.clone()).with_trace_context(ctx);
         assert_eq!(traced.flags & FLAG_TRACE, FLAG_TRACE);
         assert_eq!(traced.wire_len(), FRAME_OVERHEAD + TRACE_EXT_LEN + inner.len());
 
@@ -958,16 +867,16 @@ mod tests {
         let got = decoded.take_trace_context().unwrap();
         assert_eq!(got, Some(ctx));
         // After stripping, the frame is byte-identical to the untraced one.
-        assert_eq!(decoded, Frame::new(OpCode::Pull, 7, inner.clone()));
+        assert_eq!(decoded, Frame::new(OpCode::PullMany, 7, inner.clone()));
         assert_eq!(decoded.take_trace_context().unwrap(), None);
         // Payload codecs see the original bytes.
-        assert_eq!(PullReq::decode(&decoded.payload).unwrap().key, ParamKey::new(1, 9));
+        assert_eq!(PullManyReq::decode(&decoded.payload).unwrap().keys, [ParamKey::new(1, 9)]);
     }
 
     #[test]
     fn trace_context_other_flags_survive_strip() {
         let ctx = TraceContext { trace_id: 1, span_id: 2 };
-        let mut frame = Frame::new(OpCode::Pull, 1, PullReq { key: ParamKey::new(0, 0) }.encode());
+        let mut frame = Frame::new(OpCode::PullMany, 1, one_key_pull(0, 0));
         frame.flags |= FLAG_VERSION_ONLY;
         let mut traced = frame.clone().with_trace_context(ctx);
         assert_eq!(traced.flags, FLAG_VERSION_ONLY | FLAG_TRACE);
@@ -978,7 +887,7 @@ mod tests {
     #[test]
     fn malformed_trace_extensions_are_typed_errors() {
         // Flag set but payload too short.
-        let mut short = Frame::new(OpCode::Pull, 1, vec![0u8; 4]);
+        let mut short = Frame::new(OpCode::PullMany, 1, vec![0u8; 4]);
         short.flags |= FLAG_TRACE;
         assert!(matches!(short.take_trace_context(), Err(FrameError::Malformed(_))));
         // Unknown extension version.
@@ -991,17 +900,21 @@ mod tests {
 
     #[test]
     fn payload_codecs_reject_truncation_and_trailing_garbage() {
-        let push =
-            PushReq { client_id: 2, key: ParamKey::new(0, 5), lr: 0.5, grad: vec![0.25, -0.125] };
+        let push = PushManyReq {
+            client_id: 2,
+            lr: 0.5,
+            keys: vec![ParamKey::new(0, 5)],
+            grads: vec![0.25, -0.125],
+        };
         let bytes = push.encode();
-        assert!(PushReq::decode(&bytes[..bytes.len() - 1]).is_err());
+        assert!(PushManyReq::decode(&bytes[..bytes.len() - 1]).is_err());
         let mut long = bytes.clone();
         long.push(0);
-        assert!(PushReq::decode(&long).is_err());
+        assert!(PushManyReq::decode(&long).is_err());
         // A counted f32 section whose count exceeds the remaining bytes
         // must error before allocating.
-        let mut lying = PullResp { version: 1, value: vec![1.0] }.encode();
-        lying[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(PullResp::decode(&lying).is_err());
+        let mut lying = PullManyResp { versions: vec![1], values: vec![1.0] }.encode();
+        lying[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(PullManyResp::decode(&lying).is_err());
     }
 }

@@ -22,8 +22,7 @@
 
 use crate::frame::{
     encode_error, BarrierReq, CheckpointReq, Frame, FrameError, OpCode, PullManyReq, PullManyResp,
-    PullReq, PullResp, PushManyReq, PushReq, PushResp, TraceContext, FLAG_VERSION_ONLY,
-    TRACE_EXT_LEN,
+    PushManyReq, PushResp, TraceContext, FLAG_VERSION_ONLY, TRACE_EXT_LEN,
 };
 use mamdr_obs::{MetricsRegistry, SpanContext, Tracer};
 use mamdr_ps::{checkpoint, ParameterServer};
@@ -205,11 +204,11 @@ impl PsServer {
 /// Span name of a server-side request handling, by op-code.
 fn server_span_name(op: OpCode) -> &'static str {
     match op {
-        OpCode::Pull | OpCode::PullMany => "server.pull",
+        OpCode::PullMany => "server.pull",
         // The push handler's job is applying the update to the store;
         // this is the span the issue's "worker pull/push parents server
         // apply" contract names.
-        OpCode::Push | OpCode::PushMany => "server.apply",
+        OpCode::PushMany => "server.apply",
         OpCode::BarrierSync => "server.barrier",
         OpCode::Checkpoint => "server.checkpoint",
         OpCode::Shutdown => "server.shutdown",
@@ -279,7 +278,7 @@ fn serve_conn(mut stream: TcpStream, inner: &Inner) {
         };
         let resp = handle(&req, inner);
         if let Some(mut span) = span {
-            if resp.opcode == OpCode::PushOk || resp.opcode == OpCode::PushManyOk {
+            if resp.opcode == OpCode::PushManyOk {
                 // `applied: false` means the exactly-once path recognized
                 // a retransmission — visible in the trace as a deduped
                 // sibling attempt under the same logical push span.
@@ -309,24 +308,6 @@ fn handle(req: &Frame, inner: &Inner) -> Frame {
     let seq = req.seq;
     let error = |msg: String| Frame::new(OpCode::Error, seq, encode_error(&msg));
     match req.opcode {
-        OpCode::Pull => match PullReq::decode(&req.payload) {
-            Ok(pull) => {
-                if req.flags & FLAG_VERSION_ONLY != 0 {
-                    // Silent observability probe: no value bytes, no
-                    // traffic accounting — mirrors `ParameterServer::version`.
-                    let version = inner.ps.version(pull.key);
-                    let payload = PullResp { version, value: Vec::new() }.encode();
-                    return Frame::new(OpCode::PullOk, seq, payload);
-                }
-                if inner.ps.read_silent(pull.key).is_none() {
-                    return error(format!("pull of uninitialized key {:?}", pull.key));
-                }
-                let value = inner.ps.pull(pull.key);
-                let version = inner.ps.version(pull.key);
-                Frame::new(OpCode::PullOk, seq, PullResp { version, value }.encode())
-            }
-            Err(e) => error(format!("bad pull payload: {e}")),
-        },
         OpCode::PullMany => match PullManyReq::decode(&req.payload) {
             Ok(pull) => {
                 if req.flags & FLAG_VERSION_ONLY != 0 {
@@ -336,10 +317,8 @@ fn handle(req: &Frame, inner: &Inner) -> Frame {
                     let payload = PullManyResp { versions, values: Vec::new() }.encode();
                     return Frame::new(OpCode::PullManyOk, seq, payload);
                 }
-                for &key in &pull.keys {
-                    if inner.ps.read_silent(key).is_none() {
-                        return error(format!("pull of uninitialized key {key:?}"));
-                    }
+                if let Some(key) = inner.ps.first_missing(&pull.keys) {
+                    return error(format!("pull of uninitialized key {key:?}"));
                 }
                 // One batched store read: counts a single pull per wire
                 // chunk, keeping the traffic counter identical to the
@@ -355,30 +334,6 @@ fn handle(req: &Frame, inner: &Inner) -> Frame {
             }
             Err(e) => error(format!("bad pull-many payload: {e}")),
         },
-        OpCode::Push => match PushReq::decode(&req.payload) {
-            Ok(push) => {
-                if inner.ps.read_silent(push.key).is_none() {
-                    return error(format!("push to uninitialized key {:?}", push.key));
-                }
-                // Exactly-once: check-and-apply under one lock so retries
-                // and concurrent clients cannot double-apply.
-                let mut last = inner.last_push_seq.lock().expect("push-seq lock");
-                let applied = match last.get(&push.client_id) {
-                    Some(&prev) if seq <= prev => false,
-                    _ => {
-                        inner.ps.push_outer_grad(push.key, &push.grad, push.lr);
-                        last.insert(push.client_id, seq);
-                        true
-                    }
-                };
-                drop(last);
-                let name =
-                    if applied { "rpc_push_applied_total" } else { "rpc_push_deduped_total" };
-                inner.metrics.counter(name).inc();
-                Frame::new(OpCode::PushOk, seq, PushResp { applied }.encode())
-            }
-            Err(e) => error(format!("bad push payload: {e}")),
-        },
         OpCode::PushMany => match PushManyReq::decode(&req.payload) {
             Ok(push) => {
                 if push.grads.len() != push.keys.len() * inner.dim {
@@ -389,10 +344,8 @@ fn handle(req: &Frame, inner: &Inner) -> Frame {
                         inner.dim
                     ));
                 }
-                for &key in &push.keys {
-                    if inner.ps.read_silent(key).is_none() {
-                        return error(format!("push to uninitialized key {key:?}"));
-                    }
+                if let Some(key) = inner.ps.first_missing(&push.keys) {
+                    return error(format!("push to uninitialized key {key:?}"));
                 }
                 // Exactly-once for the *whole batch*: the frame carries one
                 // sequence number, so a retry of a partially lost response

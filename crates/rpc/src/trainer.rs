@@ -8,7 +8,7 @@
 //! same single-writer gradient application — worker order, keys sorted.
 //! The only difference is *where* reads and writes go: worker threads pull
 //! rows through [`WorkerClient`]s over TCP, and the driver delivers the
-//! outer gradients as sequence-numbered `Push` RPCs. With fault injection
+//! outer gradients as sequence-numbered `PushMany` RPCs. With fault injection
 //! off, a loopback run therefore produces bit-identical parameters,
 //! traffic counters and report to the in-process trainer; with faults on,
 //! retries and deduplication keep the *parameters* identical while the
@@ -89,7 +89,7 @@ use mamdr_ps::{
     checkpoint, latest_manifest, load_manifest_state, merge_stores, outer_grad_norm, shard_dir,
     CacheStats, ContinualPublisher, DistributedConfig, DistributedReport, GuardRail, GuardVerdict,
     ParamKey, ParameterServer, PublishOutcome, PublisherFaults, ShardFiles, ShardManifest,
-    ShardMap, SyncMode, TimedRowSource, WIRE_BATCH_KEYS,
+    ShardMap, SyncMode, TimedRowSource, LOCK_STRIPES, WIRE_BATCH_KEYS,
 };
 use mamdr_tensor::pool;
 use mamdr_tensor::rng::derive_seed;
@@ -409,9 +409,8 @@ impl DistributedTrainer {
                 }
             }
         }
-        let stores: Vec<Arc<ParameterServer>> = (0..n)
-            .map(|_| Arc::new(ParameterServer::new(cfg.train.n_shards, cfg.train.dim)))
-            .collect();
+        let stores: Vec<Arc<ParameterServer>> =
+            (0..n).map(|_| Arc::new(ParameterServer::new(LOCK_STRIPES, cfg.train.dim))).collect();
         let mut map = ShardMap::new(n);
         {
             let refs: Vec<&ParameterServer> = stores.iter().map(|s| s.as_ref()).collect();
@@ -509,7 +508,7 @@ impl DistributedTrainer {
     /// a single-server run's store.
     pub fn merged_store(&self) -> ParameterServer {
         let stores: Vec<&ParameterServer> = self.shards.iter().map(|rt| rt.ps.as_ref()).collect();
-        merge_stores(&stores, self.cfg.train.n_shards, self.cfg.train.dim)
+        merge_stores(&stores, self.cfg.train.dim)
     }
 
     /// The round the next `train` call starts at (nonzero after a
@@ -1168,10 +1167,10 @@ impl DistributedTrainer {
                     dir.display()
                 ))
             })?;
-        let ps = Arc::new(ParameterServer::new(self.cfg.train.n_shards, self.cfg.train.dim));
+        let ps = Arc::new(ParameterServer::new(LOCK_STRIPES, self.cfg.train.dim));
         if manifest.n_shards() == n {
             let files = &manifest.shards[s];
-            let loaded = checkpoint::load_from_path(&dir.join(&files.checkpoint), 1)
+            let loaded = checkpoint::load_from_path(&dir.join(&files.checkpoint))
                 .map_err(|e| TrainerError::Resume(format!("{}: {e}", files.checkpoint)))?;
             let journal = RoundJournal::read(&dir.join(&files.journal))
                 .map_err(|e| TrainerError::Resume(format!("{}: {e}", files.journal)))?;
@@ -1251,34 +1250,14 @@ fn file_name_of(path: &str) -> String {
         .unwrap_or_else(|| path.to_owned())
 }
 
-/// Packs one worker's drained outer gradients into `PushMany` requests,
-/// one per [`WIRE_BATCH_KEYS`] chunk, preserving the pre-sorted key order.
-fn push_many_requests(grads: &[(ParamKey, Vec<f32>)], lr: f32) -> Vec<Request> {
-    grads
-        .chunks(WIRE_BATCH_KEYS)
-        .map(|chunk| {
-            let mut keys = Vec::with_capacity(chunk.len());
-            let mut flat = Vec::new();
-            for (key, delta) in chunk {
-                keys.push(*key);
-                flat.extend_from_slice(delta);
-            }
-            Request::PushMany { lr, keys, grads: flat }
-        })
-        .collect()
-}
-
 /// Partitions one worker's key-sorted gradients over the shard map and
 /// packs each shard's (still key-sorted) sub-sequence into `PushMany`
-/// chunks. With one shard this is exactly [`push_many_requests`].
+/// requests, one per [`WIRE_BATCH_KEYS`] chunk.
 fn sharded_push_requests(
     grads: &[(ParamKey, Vec<f32>)],
     lr: f32,
     map: &ShardMap,
 ) -> Vec<Vec<Request>> {
-    if map.n_shards() == 1 {
-        return vec![push_many_requests(grads, lr)];
-    }
     let keys: Vec<ParamKey> = grads.iter().map(|(k, _)| *k).collect();
     map.partition_indices(&keys)
         .into_iter()
@@ -1369,7 +1348,7 @@ fn load_resume_state(
         )));
     }
     let ckpt_path = dir.join(&journal.checkpoint_file);
-    let loaded = checkpoint::load_from_path(&ckpt_path, train.n_shards)
+    let loaded = checkpoint::load_from_path(&ckpt_path)
         .map_err(|e| TrainerError::Resume(format!("{}: {e}", ckpt_path.display())))?;
     ps.restore_state(&loaded.dump_rows(), &journal.adagrad);
     Ok(ResumeBase {

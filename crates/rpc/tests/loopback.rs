@@ -35,6 +35,22 @@ fn faulted_client(
     WorkerClient::new(server.addr(), id, policy, fault, Arc::clone(metrics))
 }
 
+/// A single-row read is a one-key `PullMany`: `(value, version)`.
+fn pull_one(c: &mut WorkerClient, key: ParamKey) -> Result<(Vec<f32>, u64), RpcError> {
+    match c.call(Request::PullMany { keys: vec![key] })? {
+        Response::PullMany { mut versions, values } => Ok((values, versions.remove(0))),
+        other => panic!("PullMany answered with {other:?}"),
+    }
+}
+
+/// A single-row write is a one-key `PushMany`; `false` means deduplicated.
+fn push_one(c: &mut WorkerClient, key: ParamKey, grad: &[f32], lr: f32) -> Result<bool, RpcError> {
+    match c.call(Request::PushMany { lr, keys: vec![key], grads: grad.to_vec() })? {
+        Response::PushMany { applied } => Ok(applied),
+        other => panic!("PushMany answered with {other:?}"),
+    }
+}
+
 #[test]
 fn pull_and_push_roundtrip_with_traffic_accounting() {
     let (server, ps, metrics) = harness(4);
@@ -42,12 +58,12 @@ fn pull_and_push_roundtrip_with_traffic_accounting() {
     ps.init_row(key, vec![1.0, 2.0, 3.0, 4.0]);
     let mut c = client(&server, 1, &metrics);
 
-    let (value, version) = c.pull(key).unwrap();
+    let (value, version) = pull_one(&mut c, key).unwrap();
     assert_eq!(value, vec![1.0, 2.0, 3.0, 4.0]);
     assert_eq!(version, 0);
 
-    assert!(c.push(key, &[1.0, 0.0, 0.0, 0.0], 0.5).unwrap());
-    let (after, version) = c.pull(key).unwrap();
+    assert!(push_one(&mut c, key, &[1.0, 0.0, 0.0, 0.0], 0.5).unwrap());
+    let (after, version) = pull_one(&mut c, key).unwrap();
     assert!(after[0] > 1.0, "{after:?}");
     assert_eq!(version, 1);
 
@@ -56,7 +72,10 @@ fn pull_and_push_roundtrip_with_traffic_accounting() {
     let (pulls, pushes, _, _) = ps.traffic().snapshot();
     assert_eq!((pulls, pushes), (2, 1));
     // A version-only probe is silent.
-    assert_eq!(c.pull_version(key).unwrap(), 1);
+    match c.call(Request::PullVersions { keys: vec![key] }).unwrap() {
+        Response::PullVersions { versions } => assert_eq!(versions, vec![1]),
+        other => panic!("PullVersions answered with {other:?}"),
+    }
     assert_eq!(ps.traffic().snapshot().0, 2);
     assert!(metrics.counter("rpc_frames_total").get() >= 4);
 }
@@ -66,21 +85,34 @@ fn uninitialized_key_is_a_server_error_not_a_crash() {
     let (server, _ps, metrics) = harness(2);
     let mut c = client(&server, 1, &metrics);
     // Both the pull and push paths must answer with a typed Error frame
-    // (the in-process store would panic); later requests still work.
-    match c.pull(ParamKey::new(9, 9)) {
+    // (the in-process store would panic) — also when the missing key sits
+    // behind valid ones in a batch, in which case nothing of the batch is
+    // read or applied; later requests still work.
+    match pull_one(&mut c, ParamKey::new(9, 9)) {
         Err(RpcError::Server(msg)) => assert!(msg.contains("uninitialized")),
         other => panic!("expected server error, got {other:?}"),
     }
-    match c.push(ParamKey::new(9, 9), &[0.0, 0.0], 0.1) {
+    match push_one(&mut c, ParamKey::new(9, 9), &[0.0, 0.0], 0.1) {
         Err(RpcError::Server(msg)) => assert!(msg.contains("uninitialized")),
         other => panic!("expected server error, got {other:?}"),
     }
+    let key = ParamKey::new(0, 0);
+    server.store().init_row(key, vec![1.0, 1.0]);
+    let batch = vec![key, ParamKey::new(9, 9)];
+    match c.call(Request::PullMany { keys: batch.clone() }) {
+        Err(RpcError::Server(msg)) => assert!(msg.contains("uninitialized")),
+        other => panic!("expected server error, got {other:?}"),
+    }
+    match c.call(Request::PushMany { lr: 0.1, keys: batch, grads: vec![1.0; 4] }) {
+        Err(RpcError::Server(msg)) => assert!(msg.contains("uninitialized")),
+        other => panic!("expected server error, got {other:?}"),
+    }
+    assert_eq!(server.store().traffic().snapshot(), (0, 0, 0, 0), "refused batches leave no trace");
+    assert_eq!(server.store().version(key), 0);
     // Server errors are authoritative: none of the retry budget was spent.
     assert_eq!(metrics.counter("rpc_retries_total").get(), 0);
     // The connection survived and still serves requests.
-    let key = ParamKey::new(0, 0);
-    server.store().init_row(key, vec![1.0, 1.0]);
-    assert_eq!(c.pull(key).unwrap().0, vec![1.0, 1.0]);
+    assert_eq!(pull_one(&mut c, key).unwrap().0, vec![1.0, 1.0]);
 }
 
 #[test]
@@ -92,12 +124,12 @@ fn duplicated_push_frames_are_applied_exactly_once() {
     // copy by (client, seq).
     let mut c = faulted_client(&server, 3, &metrics, RetryPolicy::default(), "seed=1,dup=1.0");
     for _ in 0..10 {
-        assert!(c.push(key, &[1.0, 0.0], 1.0).unwrap());
+        assert!(push_one(&mut c, key, &[1.0, 0.0], 1.0).unwrap());
     }
     // The last push's duplicate may still be in flight when its response
     // arrives; frames on one connection are served in order, so a trailing
     // round trip guarantees the server has processed every duplicate.
-    c.pull(key).unwrap();
+    pull_one(&mut c, key).unwrap();
     assert_eq!(ps.traffic().snapshot().1, 10, "store saw each push once");
     assert_eq!(metrics.counter("rpc_push_applied_total").get(), 10);
     assert_eq!(metrics.counter("rpc_push_deduped_total").get(), 10);
@@ -123,7 +155,7 @@ fn lost_responses_retry_without_double_applying() {
         "seed=2,drop_recv=0.3",
     );
     for _ in 0..40 {
-        c.push(key, &[1.0, 0.0], 1.0).unwrap();
+        push_one(&mut c, key, &[1.0, 0.0], 1.0).unwrap();
     }
     assert_eq!(ps.traffic().snapshot().1, 40, "exactly one application per logical push");
     assert_eq!(metrics.counter("rpc_push_applied_total").get(), 40);
@@ -146,7 +178,7 @@ fn injected_disconnect_reconnects_and_recovers() {
         "seed=3,disconnect=1+3",
     );
     for _ in 0..6 {
-        assert_eq!(c.pull(key).unwrap().0, vec![5.0, 5.0]);
+        assert_eq!(pull_one(&mut c, key).unwrap().0, vec![5.0, 5.0]);
     }
     assert_eq!(metrics.counter("rpc_faults_disconnects_total").get(), 2);
     // Initial connect plus one reconnect per injected disconnect.
@@ -166,7 +198,7 @@ fn unsendable_requests_exhaust_the_retry_budget() {
         RetryPolicy { max_attempts: 3, base_backoff_micros: 10, ..Default::default() },
         "seed=4,drop_send=1.0",
     );
-    match c.pull(key) {
+    match pull_one(&mut c, key) {
         Err(RpcError::Exhausted { attempts, .. }) => assert_eq!(attempts, 3),
         other => panic!("expected exhaustion, got {other:?}"),
     }
@@ -354,7 +386,7 @@ fn checkpoint_rpc_writes_a_loadable_snapshot() {
     let mut c = client(&server, 1, &metrics);
     let path = c.checkpoint(3).unwrap();
     assert!(path.ends_with("ckpt-0000000003.mamdrps"), "{path}");
-    let restored = mamdr_ps::checkpoint::load_from_path(std::path::Path::new(&path), 4).unwrap();
+    let restored = mamdr_ps::checkpoint::load_from_path(std::path::Path::new(&path)).unwrap();
     assert_eq!(restored.read_silent(ParamKey::new(0, 0)).unwrap(), vec![1.5, -2.5]);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,15 +5,16 @@
 
 use mamdr_ps::ParamKey;
 use mamdr_rpc::frame::{
-    BarrierReq, CheckpointReq, Frame, FrameError, OpCode, PullManyReq, PullManyResp, PullReq,
-    PullResp, PushManyReq, PushReq, PushResp, FRAME_OVERHEAD, MAX_PAYLOAD,
+    BarrierReq, CheckpointReq, Frame, FrameError, OpCode, PullManyReq, PullManyResp, PushManyReq,
+    PushResp, FRAME_OVERHEAD, MAX_PAYLOAD,
 };
+use mamdr_util::Checksum;
 use proptest::prelude::*;
 
 fn opcode_from(byte: u8) -> OpCode {
-    // Map an arbitrary byte onto the valid op-code range (the table has
-    // 15 entries at bytes 1..=15).
-    OpCode::from_byte(1 + byte % OpCode::ALL.len() as u8).expect("in range")
+    // Map an arbitrary byte onto the op-code table (11 entries at bytes
+    // 5..=15; bytes 1..=4 are the retired single-row op-codes).
+    OpCode::ALL[byte as usize % OpCode::ALL.len()]
 }
 
 proptest! {
@@ -52,7 +53,7 @@ proptest! {
         payload in proptest::collection::vec(0u8..=255, 0..200),
         keep in 0usize..4096,
     ) {
-        let bytes = Frame::new(OpCode::Push, seq, payload).to_bytes();
+        let bytes = Frame::new(OpCode::PushMany, seq, payload).to_bytes();
         let keep = keep % bytes.len();
         prop_assert!(Frame::decode(&bytes[..keep]).is_err());
     }
@@ -67,9 +68,6 @@ proptest! {
         // declared length cannot balloon memory.
         let _ = Frame::decode(junk.as_slice());
         // The same junk fed to every payload parser.
-        let _ = PullReq::decode(&junk);
-        let _ = PullResp::decode(&junk);
-        let _ = PushReq::decode(&junk);
         let _ = PushResp::decode(&junk);
         let _ = BarrierReq::decode(&junk);
         let _ = CheckpointReq::decode(&junk);
@@ -85,7 +83,7 @@ proptest! {
     ) {
         // Hand-forge a header whose length field exceeds the cap; the
         // decoder must reject it from the 32 header bytes alone.
-        let mut bytes = Frame::new(OpCode::Pull, seq, Vec::new()).to_bytes();
+        let mut bytes = Frame::new(OpCode::PullMany, seq, Vec::new()).to_bytes();
         bytes.truncate(FRAME_OVERHEAD - 8); // keep magic + header only
         let lying = MAX_PAYLOAD + excess;
         bytes[20..24].copy_from_slice(&lying.to_le_bytes());
@@ -96,23 +94,43 @@ proptest! {
     }
 
     #[test]
-    fn pull_and_push_payloads_roundtrip(
-        table in 0u32..16,
-        row in 0u32..u32::MAX,
-        client in 0u32..64,
-        version in 0u64..u64::MAX,
-        lr in -10.0f32..10.0,
-        values in proptest::collection::vec(-1e30f32..1e30, 0..64),
+    fn undefined_opcode_bytes_are_typed_errors_never_panics(
+        byte in 0u8..=255,
+        seq in 0u64..u64::MAX,
+        payload in proptest::collection::vec(0u8..=255, 0..64),
     ) {
-        let key = ParamKey::new(table, row);
-        let pull = PullReq { key };
-        prop_assert_eq!(PullReq::decode(&pull.encode()).unwrap(), pull);
-        let resp = PullResp { version, value: values.clone() };
-        prop_assert_eq!(PullResp::decode(&resp.encode()).unwrap(), resp);
-        let push = PushReq { client_id: client, key, lr, grad: values };
-        prop_assert_eq!(PushReq::decode(&push.encode()).unwrap(), push);
-        let bar = BarrierReq { client_id: client, round: version, expected: table };
+        // A well-formed, correctly checksummed frame of any op-code byte:
+        // the eleven table entries decode, everything else — byte 0, the
+        // retired single-row bytes 1..=4, every byte above 15 — is a typed
+        // `UnknownOpcode`.
+        let mut bytes = Frame::new(OpCode::Error, seq, payload).to_bytes();
+        bytes[10] = byte;
+        let n = bytes.len();
+        let crc = Checksum::of(&bytes[9..n - 8]).to_le_bytes();
+        bytes[n - 8..].copy_from_slice(&crc);
+        match Frame::decode(bytes.as_slice()) {
+            Ok(frame) => {
+                prop_assert!((5..=15).contains(&byte));
+                prop_assert_eq!(frame.opcode as u8, byte);
+            }
+            Err(FrameError::UnknownOpcode(b)) => {
+                prop_assert_eq!(b, byte);
+                prop_assert!(byte <= 4 || byte > 15);
+            }
+            Err(other) => prop_assert!(false, "byte {}: unexpected {:?}", byte, other),
+        }
+    }
+
+    #[test]
+    fn barrier_and_checkpoint_payloads_roundtrip(
+        client in 0u32..64,
+        round in 0u64..u64::MAX,
+        expected in 0u32..16,
+    ) {
+        let bar = BarrierReq { client_id: client, round, expected };
         prop_assert_eq!(BarrierReq::decode(&bar.encode()).unwrap(), bar);
+        let ck = CheckpointReq { round };
+        prop_assert_eq!(CheckpointReq::decode(&ck.encode()).unwrap(), ck);
     }
 
     #[test]
@@ -200,21 +218,5 @@ proptest! {
         prop_assert!(payload.len() as u32 > MAX_PAYLOAD);
         let frame = Frame::new(OpCode::PullMany, 1, payload);
         prop_assert!(matches!(frame.encode(&mut Vec::new()), Err(FrameError::TooLarge(_))));
-    }
-
-    #[test]
-    fn truncated_payload_bodies_error(
-        values in proptest::collection::vec(-1e6f32..1e6, 1..32),
-        cut in 1usize..256,
-    ) {
-        let push = PushReq {
-            client_id: 1,
-            key: ParamKey::new(2, 3),
-            lr: 0.5,
-            grad: values,
-        };
-        let bytes = push.encode();
-        let cut = 1 + cut % (bytes.len() - 1);
-        prop_assert!(PushReq::decode(&bytes[..bytes.len() - cut]).is_err());
     }
 }

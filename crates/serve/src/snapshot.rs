@@ -197,7 +197,7 @@ impl ServingSnapshot {
         let path = mamdr_ps::checkpoint::latest_checkpoint(dir, None)
             .map_err(|e| SnapshotError::Invalid(format!("checkpoint discovery: {e}")))?;
         let Some(path) = path else { return Ok(None) };
-        let ps = mamdr_ps::checkpoint::load_from_path(&path, 1)
+        let ps = mamdr_ps::checkpoint::load_from_path(&path)
             .map_err(|e| SnapshotError::Corrupt(format!("{}: {e}", path.display())))?;
         Ok(Some(Self::from_ps(version, &ps, n_domains)))
     }
