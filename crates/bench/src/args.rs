@@ -32,7 +32,7 @@ pub struct BenchArgs {
     pub checkpoint_every: usize,
     /// Directory the distributed binaries write checkpoints/journals to.
     pub checkpoint_dir: Option<String>,
-    /// Resume a distributed run from the newest valid journal in this
+    /// Resume a distributed run from the newest committed manifest in this
     /// directory (also used as the checkpoint destination).
     pub resume: Option<String>,
     /// Chrome `trace_event` JSON output path. Setting it attaches a span
@@ -248,6 +248,18 @@ impl BenchArgs {
             if !std::path::Path::new(dir).is_dir() {
                 return Err(format!("--resume {dir} is not an existing directory"));
             }
+            // Every resume restores from a committed manifest — catch a
+            // directory that cannot possibly satisfy it before any
+            // training starts.
+            let has_manifest = std::fs::read_dir(dir)
+                .ok()
+                .into_iter()
+                .flatten()
+                .flatten()
+                .any(|e| e.path().extension().is_some_and(|x| x == "mamdrmf"));
+            if !has_manifest {
+                return Err(format!("--resume {dir} holds no committed manifest (*.mamdrmf)"));
+            }
         }
         if let Some(path) = &self.metrics_out {
             check_out_path("--metrics-out", path)?;
@@ -319,26 +331,6 @@ impl BenchArgs {
             return Err("--serve-live requires --publish-every <n> (live serving without \
                         publication has nothing to swap)"
                 .into());
-        }
-        // A multi-shard resume restores from a shard manifest, never from
-        // the legacy single-server journal — catch a directory that cannot
-        // possibly satisfy it before any training starts.
-        if self.shards > 1 {
-            if let Some(dir) = &self.resume {
-                let has_manifest = std::fs::read_dir(dir)
-                    .ok()
-                    .into_iter()
-                    .flatten()
-                    .flatten()
-                    .any(|e| e.path().extension().is_some_and(|x| x == "mamdrmf"));
-                if !has_manifest {
-                    return Err(format!(
-                        "--resume {dir} holds no shard manifest (*.mamdrmf); \
-                         a {}-shard resume needs a committed manifest",
-                        self.shards
-                    ));
-                }
-            }
         }
         Ok(())
     }
@@ -484,13 +476,25 @@ mod tests {
         // Resume demands an existing directory up front.
         let err = parse(&["--resume", "/no/such/dir/ever"]).validate().unwrap_err();
         assert!(err.contains("--resume"), "{err}");
-        let dir = std::env::temp_dir();
-        let a = parse(&["--resume", dir.to_str().unwrap()]);
-        assert_eq!(a.resume.as_deref(), dir.to_str());
-        assert!(a.validate().is_ok());
+        let dir = std::env::temp_dir().join(format!("mamdr-args-resume-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let dir_s = dir.to_str().unwrap();
+        assert_eq!(parse(&["--resume", dir_s]).resume.as_deref(), Some(dir_s));
+
+        // ...holding a committed manifest, at any shard count: a directory
+        // without one cannot be resumed from and is rejected up front.
+        for shards in ["1", "2"] {
+            let err = parse(&["--shards", shards, "--resume", dir_s]).validate().unwrap_err();
+            assert!(err.contains("manifest"), "{err}");
+        }
+        std::fs::write(dir.join("manifest-0000000001.mamdrmf"), b"x").unwrap();
+        for shards in ["1", "2"] {
+            assert!(parse(&["--shards", shards, "--resume", dir_s]).validate().is_ok());
+        }
         // A resume directory doubles as the checkpoint destination.
-        let a = parse(&["--checkpoint-every", "2", "--resume", dir.to_str().unwrap()]);
-        assert!(a.validate().is_ok());
+        assert!(parse(&["--checkpoint-every", "2", "--resume", dir_s]).validate().is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -562,28 +566,6 @@ mod tests {
         assert!(parse(&["--preset", "longtail"]).validate().is_ok());
         let err = parse(&["--preset", "banana"]).validate().unwrap_err();
         assert!(err.contains("--preset"), "{err}");
-    }
-
-    #[test]
-    fn sharded_resume_demands_a_committed_manifest() {
-        let dir = std::env::temp_dir().join(format!("mamdr-args-shards-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let dir_s = dir.to_str().unwrap();
-
-        // A single-server resume from a journal-only directory is still
-        // allowed; the trainer itself validates the journal.
-        assert!(parse(&["--resume", dir_s]).validate().is_ok());
-
-        // A multi-shard resume from a directory with no manifest cannot
-        // work and is rejected up front...
-        let err = parse(&["--shards", "2", "--resume", dir_s]).validate().unwrap_err();
-        assert!(err.contains("manifest"), "{err}");
-
-        // ...and passes once a committed manifest exists.
-        std::fs::write(dir.join("manifest-0000000001.mamdrmf"), b"x").unwrap();
-        assert!(parse(&["--shards", "2", "--resume", dir_s]).validate().is_ok());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

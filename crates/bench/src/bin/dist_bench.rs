@@ -41,8 +41,9 @@
 //! invocation re-proves tracing neutrality through the bit-identity gate.
 //!
 //! Crash-resume drill: `--checkpoint-every N --checkpoint-dir <dir>`
-//! journals every N rounds; a later invocation with `--resume <dir>`
-//! restores the newest journal and runs only the remaining rounds. The
+//! commits a round boundary (per-shard checkpoint + journal, one manifest)
+//! every N rounds; a later invocation with `--resume <dir>` restores the
+//! newest committed manifest and runs only the remaining rounds. The
 //! resumed run must still match the uninterrupted in-process ground truth
 //! in every round loss and the final AUC bits (the push-count gates are
 //! skipped, since the RPC counters only cover the resumed segment).

@@ -5,28 +5,31 @@
 //! it deliberately omits the Adagrad accumulators (cold-starting them
 //! rescales every subsequent update), and the final [`crate::
 //! DistributedReport`] aggregates per-round losses, cache counters, and
-//! traffic from round zero. The journal closes that gap. Every
-//! `checkpoint_every` rounds the driver writes, atomically (temp file +
-//! rename), one `journal-<round>.mamdrj` holding:
+//! traffic from round zero. The journal closes that gap. At every
+//! committed round boundary the driver writes, atomically (temp file +
+//! rename), one `journal-<round>.mamdrj` per shard holding:
 //!
 //! * the number of completed rounds (the RNG cursor: every stream this
 //!   workspace uses is derived statelessly from `(seed, round, worker)`,
 //!   so the round index *is* the full RNG position),
-//! * the file name of the parameter checkpoint written just before the
-//!   journal (the journal is the commit point: a crash between the two
-//!   leaves an orphaned checkpoint, never a journal pointing at nothing),
+//! * the file name of the shard's parameter checkpoint written just before
+//!   the journal,
 //! * the report aggregates so far (losses, cache hits/misses, staleness,
-//!   traffic, guard counters),
-//! * the complete Adagrad accumulator state,
+//!   guard counters — duplicated into every shard's journal — and the
+//!   shard's own store traffic),
+//! * the shard's complete Adagrad accumulator state,
 //!
 //! all integrity-protected by the workspace's FNV-1a checksum
 //! ([`mamdr_util::Checksum`]), so a torn write surfaces as
-//! [`JournalError::Corrupt`] and recovery falls back to the next-newest
-//! journal instead of resuming from garbage.
+//! [`JournalError::Corrupt`]. A journal is recovery *data*, never a commit
+//! point by itself: the boundary is committed by the
+//! [`crate::ShardManifest`] written after every shard's files, which
+//! records each file's digest — [`crate::latest_manifest`] skips a
+//! manifest whose journal or checkpoint fails its digest, so recovery
+//! falls back to the previous boundary instead of resuming from garbage.
 
 use crate::cache::CacheStats;
 use crate::kv::ParamKey;
-use mamdr_obs::{EventLog, Value};
 use mamdr_util::Checksum;
 use std::path::{Path, PathBuf};
 
@@ -252,53 +255,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Finds the newest *valid* journal in `dir`: candidates are scanned in
-/// descending round order, and a corrupt or truncated file is skipped —
-/// with a `journal_skipped` event when `log` is given — so one torn write
-/// degrades resume to the previous boundary instead of failing it.
-///
-/// Returns `Ok(None)` for an empty or absent directory, or when every
-/// candidate is corrupt.
-pub fn latest_journal(
-    dir: &Path,
-    log: Option<&EventLog>,
-) -> Result<Option<(PathBuf, RoundJournal)>, JournalError> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    let mut candidates: Vec<PathBuf> = Vec::new();
-    for entry in entries {
-        let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-        if name.starts_with("journal-")
-            && path.extension().and_then(|e| e.to_str()) == Some(JOURNAL_EXT)
-        {
-            candidates.push(path);
-        }
-    }
-    // Zero-padded round numbers sort lexicographically; newest first.
-    candidates.sort();
-    for path in candidates.into_iter().rev() {
-        match RoundJournal::read(&path) {
-            Ok(j) => return Ok(Some((path, j))),
-            Err(e) => {
-                if let Some(log) = log {
-                    log.emit(
-                        "journal_skipped",
-                        &[
-                            ("path", Value::from(path.to_string_lossy().into_owned())),
-                            ("error", Value::from(e.to_string())),
-                        ],
-                    );
-                }
-            }
-        }
-    }
-    Ok(None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,37 +325,6 @@ mod tests {
             // trailing digest itself) the digest no longer matches.
             assert!(RoundJournal::read(&path).is_err(), "flip at byte {byte} must not parse");
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn latest_journal_skips_corrupt_and_falls_back() {
-        let dir = tmp_dir("latest");
-        assert!(latest_journal(&dir, None).unwrap().is_none());
-        sample(2).write_to_dir(&dir).unwrap();
-        let newest = sample(5).write_to_dir(&dir).unwrap();
-        // Newest wins when valid.
-        let (path, j) = latest_journal(&dir, None).unwrap().unwrap();
-        assert_eq!(path, newest);
-        assert_eq!(j.rounds_done, 5);
-        // Corrupt the newest: discovery falls back to round 2, and the
-        // skip is logged.
-        let mut bytes = std::fs::read(&newest).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&newest, &bytes).unwrap();
-        let log = EventLog::in_memory();
-        let (_, j) = latest_journal(&dir, Some(&log)).unwrap().unwrap();
-        assert_eq!(j.rounds_done, 2);
-        let lines = log.lines();
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].contains("journal_skipped"), "{}", lines[0]);
-        assert!(lines[0].contains("checksum mismatch"), "{}", lines[0]);
-        // Every journal corrupt: Ok(None), two skip events.
-        std::fs::write(dir.join("journal-0000000002.mamdrj"), b"garbage").unwrap();
-        let log = EventLog::in_memory();
-        assert!(latest_journal(&dir, Some(&log)).unwrap().is_none());
-        assert_eq!(log.lines().len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -44,6 +44,7 @@
 
 pub mod cache;
 pub mod checkpoint;
+pub mod engine;
 pub mod guard;
 pub mod journal;
 pub mod kv;
@@ -53,8 +54,9 @@ pub mod shard;
 pub mod trainer;
 
 pub use cache::{CacheStats, StalenessStats, WorkerCache};
+pub use engine::{partition_domains, run_rounds, ResumeBase, RoundTransport};
 pub use guard::{outer_grad_norm, GuardConfig, GuardRail, GuardVerdict};
-pub use journal::{latest_journal, JournalError, RoundJournal};
+pub use journal::{JournalError, RoundJournal};
 pub use kv::{
     ParamKey, ParameterServer, RowSource, TimedRowSource, TrafficStats, LOCK_STRIPES,
     WIRE_BATCH_KEYS,
@@ -68,7 +70,7 @@ pub use shard::{
     ManifestState, ShardFiles, ShardManifest, ShardMap, MANIFEST_EXT,
 };
 pub use trainer::{
-    evaluate_server, partition_domains, partition_keys, run_cached_round, seed_server,
+    evaluate_server, partition_keys, run_cached_round, run_cached_round_traced, seed_server,
     worker_round_seed, CachedRoundOutput, DistributedConfig, DistributedMamdr, DistributedReport,
-    SyncMode,
+    StoreSnapshot, SyncMode,
 };

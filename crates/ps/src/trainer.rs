@@ -1,18 +1,27 @@
-//! The distributed MAMDR driver: partitions domains over worker threads,
-//! runs the inner loop through the embedding cache, and applies the outer
-//! update on the parameter server (paper Fig. 6).
+//! The in-process deployment of the round engine (paper Fig. 6), and the
+//! worker half every deployment shares.
+//!
+//! The outer loop itself lives in [`crate::engine`]. This module holds
+//! what the loop is generic over: the configuration and report types, the
+//! cached worker round ([`run_cached_round`]) that the in-process and the
+//! networked workers both execute, server seeding and evaluation, and
+//! [`DistributedMamdr`] — the trivial [`RoundTransport`], whose workers
+//! are scoped threads reading one shared [`ParameterServer`] and whose
+//! "wire" is a direct `push_outer_grad` call that cannot fail.
 
 use crate::cache::{CacheStats, StalenessStats, WorkerCache};
-use crate::guard::{outer_grad_norm, GuardConfig, GuardRail, GuardVerdict};
+use crate::engine::{self, ResumeBase, RoundTransport};
+use crate::guard::GuardConfig;
 use crate::kv::{ParamKey, ParameterServer, RowSource, TimedRowSource, LOCK_STRIPES};
 use crate::model::{error_signal, log_loss, score, tables, ExampleKeys};
 use crate::shard::ShardMap;
 use mamdr_core::metrics::auc;
 use mamdr_data::{MdrDataset, Split};
-use mamdr_obs::{MetricsRegistry, SpanContext, Tracer};
+use mamdr_obs::{maybe_child, MetricsRegistry, SpanContext, Tracer};
 use mamdr_tensor::pool;
 use mamdr_tensor::rng::{derive_seed, normal, seeded, shuffle};
 use rand::Rng;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// How workers synchronize with the parameter server.
@@ -160,21 +169,6 @@ pub struct CachedRoundOutput {
     pub grads: Vec<(ParamKey, Vec<f32>)>,
 }
 
-/// The per-epoch round-robin partition of shuffled domains over workers —
-/// shared verbatim by the in-process and the networked trainer so both
-/// assign identical work given identical seeds.
-pub fn partition_domains(
-    n_domains: usize,
-    seed: u64,
-    epoch: usize,
-    n_workers: usize,
-) -> Vec<Vec<usize>> {
-    let mut domains: Vec<usize> = (0..n_domains).collect();
-    let mut ep_rng = seeded(derive_seed(seed, 0xA0 + epoch as u64));
-    shuffle(&mut ep_rng, &mut domains);
-    (0..n_workers).map(|w| domains.iter().copied().skip(w).step_by(n_workers).collect()).collect()
-}
-
 /// The per-worker round seed (derived from the master seed, the epoch and
 /// the worker index) — shared by both trainers.
 pub fn worker_round_seed(seed: u64, epoch: usize, worker: usize) -> u64 {
@@ -261,6 +255,10 @@ pub fn evaluate_server(ps: &ParameterServer, ds: &MdrDataset, split: Split) -> f
     mamdr_core::metrics::mean(&aucs)
 }
 
+/// A full store snapshot — parameter rows plus Adagrad accumulators — the
+/// guard's rollback target.
+pub type StoreSnapshot = (Vec<(ParamKey, Vec<f32>)>, Vec<(ParamKey, Vec<f32>)>);
+
 /// The distributed MAMDR trainer.
 pub struct DistributedMamdr {
     ps: ParameterServer,
@@ -271,7 +269,14 @@ pub struct DistributedMamdr {
 impl DistributedMamdr {
     /// Builds the server and seeds every embedding row the dataset can
     /// touch (`N(0, 0.05)`, deterministic in the config seed).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a configuration [`engine::validate`] rejects.
     pub fn new(ds: &MdrDataset, cfg: DistributedConfig) -> Self {
+        if let Err(e) = engine::validate(&cfg) {
+            panic!("bad DistributedConfig: {e}");
+        }
         let ps = ParameterServer::new(LOCK_STRIPES, cfg.dim);
         ps.set_route_shards(cfg.route_shards.max(1));
         seed_server(&ps, ds, cfg.dim, cfg.seed);
@@ -286,149 +291,96 @@ impl DistributedMamdr {
         self
     }
 
-    /// Applies the configured kernel thread count (no-op when inheriting).
-    fn apply_kernel_threads(&self) {
-        if self.cfg.kernel_threads > 0 {
-            pool::set_threads(self.cfg.kernel_threads);
-        }
-    }
-
     /// Runs the configured number of outer rounds and reports traffic and
     /// final quality.
     pub fn train(&self, ds: &MdrDataset) -> DistributedReport {
-        self.apply_kernel_threads();
-        let cfg = self.cfg;
-        let mut combined = CacheStats::default();
-        let mut max_staleness = 0u64;
-        let mut round_losses = Vec::with_capacity(cfg.epochs);
+        let mut cfg = self.cfg;
         // The guard only makes sense when the driver is the sole writer:
         // asynchronous workers apply their own pushes before the driver
-        // could vet them. The last-good snapshot carries both values and
-        // Adagrad accumulators so a rollback rewinds the optimizer too.
-        let guard_active = cfg.sync_rounds && cfg.guard.enabled;
-        let mut guard = GuardRail::new(cfg.guard);
-        let mut last_good =
-            if guard_active { Some((self.ps.dump_rows(), self.ps.dump_adagrad())) } else { None };
-        let tracer = self.tracer.as_deref();
-        for epoch in 0..cfg.epochs {
-            let round_span = tracer.map(|t| {
-                let mut s = t.span("round");
-                s.attr("epoch", epoch as u64);
-                s
-            });
-            let round_ctx = round_span.as_ref().map(|s| s.ctx());
-            // Round-robin partition of domains over workers, reshuffled
-            // each epoch (the driver-side analogue of DN's domain shuffle).
-            let partitions = {
-                let _span = round_ctx
-                    .map(|c| tracer.expect("ctx implies tracer").child("round.partition", c));
-                partition_domains(ds.n_domains(), cfg.seed, epoch, cfg.n_workers)
-            };
-
-            let stats: Vec<CachedRoundOutput> = {
-                let workers_span = round_ctx
-                    .map(|c| tracer.expect("ctx implies tracer").child("round.workers", c));
-                let workers_ctx = workers_span.as_ref().map(|s| s.ctx());
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = partitions
-                        .iter()
-                        .enumerate()
-                        .map(|(w, part)| {
-                            let ps = &self.ps;
-                            scope.spawn(move |_| {
-                                run_worker_round(
-                                    ps,
-                                    ds,
-                                    part,
-                                    cfg,
-                                    worker_round_seed(cfg.seed, epoch, w),
-                                    tracer,
-                                    workers_ctx,
-                                    w,
-                                )
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                })
-                .unwrap()
-            };
-            let apply_span =
-                round_ctx.map(|c| tracer.expect("ctx implies tracer").child("round.apply", c));
-            let mut loss_sum = 0.0f64;
-            let mut n_examples = 0u64;
-            let mut round_tripped = false;
-            for w in stats {
-                combined.hits += w.cache.hits;
-                combined.misses += w.cache.misses;
-                max_staleness = max_staleness.max(w.staleness.max);
-                if guard_active {
-                    let worker_loss =
-                        if w.n_examples == 0 { 0.0 } else { w.loss_sum / w.n_examples as f64 };
-                    match guard.check(worker_loss, outer_grad_norm(&w.grads)).0 {
-                        GuardVerdict::Accept => {}
-                        GuardVerdict::Skip => {
-                            // Drop the update *and* its loss contribution:
-                            // a NaN loss would otherwise poison the report.
-                            round_tripped = true;
-                            continue;
-                        }
-                        GuardVerdict::Rollback => {
-                            // Rewind to the last clean round boundary; this
-                            // also discards whatever this round already
-                            // applied (the round is atomic under rollback).
-                            round_tripped = true;
-                            if let Some((rows, acc)) = &last_good {
-                                self.ps.restore_state(rows, acc);
-                            }
-                            continue;
-                        }
-                    }
-                }
-                loss_sum += w.loss_sum;
-                n_examples += w.n_examples;
-                // Synchronous mode: the driver is the only writer, applying
-                // each worker's key-sorted gradients in worker order — the
-                // one total order the networked trainer reproduces.
-                for (key, delta) in w.grads {
-                    self.ps.push_outer_grad(key, &delta, cfg.outer_lr);
-                }
-            }
-            drop(apply_span);
-            round_losses.push(if n_examples == 0 { 0.0 } else { loss_sum / n_examples as f64 });
-            // Only a round with zero trips advances the rollback target.
-            if guard_active && !round_tripped {
-                last_good = Some((self.ps.dump_rows(), self.ps.dump_adagrad()));
-            }
-        }
-        let (pulls, pushes, bp, bs) = self.ps.traffic().snapshot();
-        let mean_auc = {
-            let _span = tracer.map(|t| t.span("round.evaluate"));
-            self.evaluate(ds, Split::Test)
-        };
-        DistributedReport {
-            mean_auc,
-            pulls,
-            pushes,
-            total_bytes: bp + bs,
-            cache: combined,
-            max_staleness,
-            round_losses,
-            guard_trips: guard.trips(),
-            guard_rollbacks: guard.rollbacks(),
-        }
+        // could vet them.
+        cfg.guard.enabled &= cfg.sync_rounds;
+        let mut transport = InProcess { trainer: self, ds };
+        let Ok(report) = engine::run_rounds(
+            &mut transport,
+            &cfg,
+            ds.n_domains(),
+            &self.tracer,
+            ResumeBase::default(),
+        );
+        report
     }
 
     /// Mean per-domain AUC using the server's current parameters — see
     /// [`evaluate_server`].
     pub fn evaluate(&self, ds: &MdrDataset, split: Split) -> f64 {
-        self.apply_kernel_threads();
+        if self.cfg.kernel_threads > 0 {
+            pool::set_threads(self.cfg.kernel_threads);
+        }
         evaluate_server(&self.ps, ds, split)
     }
 
     /// The underlying parameter server (for tests and benches).
     pub fn server(&self) -> &ParameterServer {
         &self.ps
+    }
+}
+
+/// The in-process transport: workers are scoped threads on the trainer's
+/// own store, and the driver's writes are direct calls.
+struct InProcess<'a> {
+    trainer: &'a DistributedMamdr,
+    ds: &'a MdrDataset,
+}
+
+impl RoundTransport for InProcess<'_> {
+    type Error = Infallible;
+    type Snapshot = StoreSnapshot;
+
+    fn run_workers(
+        &mut self,
+        epoch: usize,
+        partitions: &[Vec<usize>],
+        parent: Option<SpanContext>,
+    ) -> Result<Vec<CachedRoundOutput>, Infallible> {
+        let (trainer, ds) = (self.trainer, self.ds);
+        let outputs = crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = partitions
+                .iter()
+                .enumerate()
+                .map(|(w, part)| {
+                    scope.spawn(move |_| trainer.run_worker_round(ds, part, epoch, w, parent))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
+        })
+        .expect("worker scope panicked");
+        Ok(outputs)
+    }
+
+    fn queue_grads(&mut self, grads: Vec<(ParamKey, Vec<f32>)>) {
+        for (key, delta) in grads {
+            self.trainer.ps.push_outer_grad(key, &delta, self.trainer.cfg.outer_lr);
+        }
+    }
+
+    fn flush(&mut self, _parent: Option<SpanContext>) -> Result<(), Infallible> {
+        Ok(())
+    }
+
+    fn snapshot(&self) -> StoreSnapshot {
+        (self.trainer.ps.dump_rows(), self.trainer.ps.dump_adagrad())
+    }
+
+    fn restore(&mut self, (rows, adagrad): &StoreSnapshot) {
+        self.trainer.ps.restore_state(rows, adagrad);
+    }
+
+    fn traffic(&self) -> (u64, u64, u64, u64) {
+        self.trainer.ps.traffic().snapshot()
+    }
+
+    fn evaluate(&mut self) -> f64 {
+        evaluate_server(&self.trainer.ps, self.ds, Split::Test)
     }
 }
 
@@ -476,6 +428,32 @@ pub fn run_cached_round<S: RowSource + ?Sized>(
     CachedRoundOutput { cache: stats, staleness, loss_sum, n_examples, grads }
 }
 
+/// [`run_cached_round`] with the worker's wall-clock attributed: under a
+/// tracer the time spent in store reads (in-process here, an RPC over the
+/// wire) is recorded as the `round.pull` phase and the remainder as
+/// `round.compute`. The timing decorator only times calls; the training
+/// math it forwards is byte-for-byte the untraced path.
+pub fn run_cached_round_traced<S: RowSource + ?Sized>(
+    src: &S,
+    ds: &MdrDataset,
+    domains: &[usize],
+    inner_lr: f32,
+    seed: u64,
+    tracer: Option<&Tracer>,
+) -> CachedRoundOutput {
+    let Some(tracer) = tracer else {
+        return run_cached_round(src, ds, domains, inner_lr, seed);
+    };
+    let timed = TimedRowSource::new(src);
+    let t0 = std::time::Instant::now();
+    let out = run_cached_round(&timed, ds, domains, inner_lr, seed);
+    let total = t0.elapsed();
+    let pull = timed.elapsed();
+    tracer.record_phase("round.pull", pull);
+    tracer.record_phase("round.compute", total.saturating_sub(pull));
+    out
+}
+
 /// The distinct parameter rows a cached round over `domains` will touch,
 /// sorted by `(table, row)`: every embedding and bias row reachable from
 /// the partition's training examples. This is the prefetch set of
@@ -504,75 +482,63 @@ pub fn partition_keys(ds: &MdrDataset, domains: &[usize]) -> Vec<ParamKey> {
     keys
 }
 
-/// One worker's round: the MAMDR inner loop over its domain partition.
-/// The returned `grads` are the ones deferred to the driver
-/// ([`DistributedConfig::sync_rounds`]) — empty when the worker already
-/// pushed them itself.
-#[allow(clippy::too_many_arguments)]
-fn run_worker_round(
-    ps: &ParameterServer,
-    ds: &MdrDataset,
-    domains: &[usize],
-    cfg: DistributedConfig,
-    seed: u64,
-    tracer: Option<&Tracer>,
-    parent: Option<SpanContext>,
-    worker: usize,
-) -> CachedRoundOutput {
-    let worker_span = tracer.map(|t| {
-        let mut s = match parent {
-            Some(p) => t.child("worker.round", p),
-            None => t.span("worker.round"),
-        };
-        s.attr("worker", worker as u64);
-        s
-    });
-    let _ = &worker_span;
-    match cfg.mode {
-        SyncMode::Cached => {
-            // With a tracer, split the worker's wall-clock into store reads
-            // ("pull", in-process here but an RPC over the wire) vs local
-            // compute. The timing decorator forwards reads unchanged.
-            let mut out = match tracer {
-                Some(t) => {
-                    let timed = TimedRowSource::new(ps);
-                    let t0 = std::time::Instant::now();
-                    let out = run_cached_round(&timed, ds, domains, cfg.inner_lr, seed);
-                    let total = t0.elapsed();
-                    let pull = timed.elapsed();
-                    t.record_phase("round.pull", pull);
-                    t.record_phase("round.compute", total.saturating_sub(pull));
-                    out
-                }
-                None => run_cached_round(ps, ds, domains, cfg.inner_lr, seed),
-            };
-            if !cfg.sync_rounds {
-                // Asynchronous protocol: push now, racing other workers;
-                // the server applies with Adagrad (Eq. 3 with a
-                // server-side optimizer). Otherwise the gradients go to
-                // the driver and the server stays read-only until every
-                // worker has joined.
-                for (key, delta) in out.grads.drain(..) {
-                    ps.push_outer_grad(key, &delta, cfg.outer_lr);
-                }
-            }
-            out
+impl DistributedMamdr {
+    /// One worker's round: the MAMDR inner loop over its domain partition.
+    /// The returned `grads` are the ones deferred to the driver
+    /// ([`DistributedConfig::sync_rounds`]) — empty when the worker already
+    /// pushed them itself.
+    fn run_worker_round(
+        &self,
+        ds: &MdrDataset,
+        domains: &[usize],
+        epoch: usize,
+        worker: usize,
+        parent: Option<SpanContext>,
+    ) -> CachedRoundOutput {
+        let (ps, cfg) = (&self.ps, self.cfg);
+        let seed = worker_round_seed(cfg.seed, epoch, worker);
+        let mut worker_span = maybe_child(&self.tracer, "worker.round", parent);
+        if let Some(s) = &mut worker_span {
+            s.attr("worker", worker as u64);
         }
-        SyncMode::NoCache => {
-            let mut rng = seeded(seed);
-            let mut loss_sum = 0.0f64;
-            let mut n_examples = 0u64;
-            for &d in domains {
-                let (l, n) = train_domain_no_cache(ps, ds, d, cfg, &mut rng);
-                loss_sum += l;
-                n_examples += n;
+        match cfg.mode {
+            SyncMode::Cached => {
+                let mut out = run_cached_round_traced(
+                    ps,
+                    ds,
+                    domains,
+                    cfg.inner_lr,
+                    seed,
+                    self.tracer.as_deref(),
+                );
+                if !cfg.sync_rounds {
+                    // Asynchronous protocol: push now, racing other workers;
+                    // the server applies with Adagrad (Eq. 3 with a
+                    // server-side optimizer). Otherwise the gradients go to
+                    // the driver and the server stays read-only until every
+                    // worker has joined.
+                    for (key, delta) in out.grads.drain(..) {
+                        ps.push_outer_grad(key, &delta, cfg.outer_lr);
+                    }
+                }
+                out
             }
-            CachedRoundOutput {
-                cache: CacheStats::default(),
-                staleness: StalenessStats::default(),
-                loss_sum,
-                n_examples,
-                grads: Vec::new(),
+            SyncMode::NoCache => {
+                let mut rng = seeded(seed);
+                let mut loss_sum = 0.0f64;
+                let mut n_examples = 0u64;
+                for &d in domains {
+                    let (l, n) = train_domain_no_cache(ps, ds, d, cfg, &mut rng);
+                    loss_sum += l;
+                    n_examples += n;
+                }
+                CachedRoundOutput {
+                    cache: CacheStats::default(),
+                    staleness: StalenessStats::default(),
+                    loss_sum,
+                    n_examples,
+                    grads: Vec::new(),
+                }
             }
         }
     }
@@ -796,6 +762,12 @@ mod tests {
         assert_eq!(a.max_staleness, 0);
         // And it still learns.
         assert!(a.mean_auc > 0.53, "AUC {}", a.mean_auc);
+    }
+
+    #[test]
+    #[should_panic(expected = "n_workers must be at least 1")]
+    fn zero_workers_is_rejected_at_construction() {
+        DistributedMamdr::new(&dataset(), DistributedConfig { n_workers: 0, ..Default::default() });
     }
 
     #[test]

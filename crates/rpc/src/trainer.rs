@@ -2,13 +2,17 @@
 //! shards, with worker supervision, crash-resumable rounds, shard-death
 //! recovery, and divergence guardrails.
 //!
-//! The driver mirrors the in-process synchronous trainer
-//! (`DistributedConfig::sync_rounds`) move for move: identical domain
-//! partitions, identical per-worker seeds, identical aggregation, and the
-//! same single-writer gradient application — worker order, keys sorted.
-//! The only difference is *where* reads and writes go: worker threads pull
-//! rows through [`WorkerClient`]s over TCP, and the driver delivers the
-//! outer gradients as sequence-numbered `PushMany` RPCs. With fault injection
+//! The outer loop is not written here: [`DistributedTrainer::train`] runs
+//! [`mamdr_ps::engine::run_rounds`] — the same loop the in-process
+//! synchronous trainer (`DistributedConfig::sync_rounds`) runs — over the
+//! loopback [`RoundTransport`] this module implements. Partitions,
+//! per-worker seeds, aggregation, guard verdicts and the single-writer
+//! gradient application (worker order, keys sorted) are therefore shared
+//! by construction. The only difference is *where* reads and writes go:
+//! worker threads pull rows through [`WorkerClient`]s over TCP, and the
+//! driver delivers the outer gradients as sequence-numbered `PushMany`
+//! RPCs. Supervision, shard recovery, the boundary commit and publication
+//! are layers inside the transport's methods. With fault injection
 //! off, a loopback run therefore produces bit-identical parameters,
 //! traffic counters and report to the in-process trainer; with faults on,
 //! retries and deduplication keep the *parameters* identical while the
@@ -22,10 +26,7 @@
 //! into per-shard sub-batches that preserve the global order within each
 //! shard; Adagrad updates on distinct keys commute, so applying each
 //! shard's key-sorted sub-sequence yields bit-identical parameters to the
-//! single-server order. Checkpoints and journals are written per shard
-//! (shard-parallel) and committed by a [`ShardManifest`] written last —
-//! the rename is the commit point, and resume re-routes the merged state
-//! through whatever shard count the new run uses.
+//! single-server order.
 //!
 //! ## Supervision
 //!
@@ -54,14 +55,17 @@
 //!
 //! ## Crash-resumable rounds
 //!
-//! With [`LoopbackConfig::checkpoint_every`] set, the driver writes a
-//! parameter checkpoint plus a [`RoundJournal`] (round index, report
+//! With [`LoopbackConfig::checkpoint_every`] set, each boundary writes
+//! one parameter checkpoint plus one [`RoundJournal`] (round index, report
 //! aggregates, and the Adagrad accumulators the checkpoint format omits)
-//! at each boundary. Single-server runs keep the journal itself as the
-//! commit point; sharded runs write one checkpoint + journal per shard in
-//! parallel and commit them all with one digest-carrying manifest. A
-//! restarted driver with [`LoopbackConfig::resume`] restores the store(s)
-//! and re-runs the remaining rounds; since every RNG stream is derived
+//! per shard under `shard-<i>/`, shard-parallel, and commits them all with
+//! one digest-carrying [`ShardManifest`] written last — the rename is the
+//! commit point. There is one protocol at every shard count: a
+//! single-server run is a manifest of one shard. A restarted driver with
+//! [`LoopbackConfig::resume`] restores the stores from the newest manifest
+//! whose files all pass their digests (a torn shard file degrades resume
+//! to the previous boundary) and re-runs the remaining rounds; since every
+//! RNG stream is derived
 //! statelessly from `(seed, epoch, worker)`, the resumed run's final
 //! parameters and report are bit-identical to an uninterrupted run — at
 //! *any* shard count, because resume merges the committed shard files and
@@ -79,19 +83,18 @@ use crate::client::{Request, RetryPolicy, ShardedRowSource, WorkerClient};
 use crate::fault::{FaultPlan, FaultState};
 use crate::server::PsServer;
 use mamdr_data::{MdrDataset, Split};
-use mamdr_obs::{maybe_child, maybe_span, MetricsRegistry, SpanContext, Tracer};
-use mamdr_ps::journal::{latest_journal, RoundJournal};
+use mamdr_obs::{maybe_child, MetricsRegistry, SpanContext, Tracer};
+use mamdr_ps::engine::{self, ResumeBase, RoundTransport};
 use mamdr_ps::trainer::{
-    evaluate_server, partition_domains, run_cached_round, seed_sharded_servers, worker_round_seed,
+    evaluate_server, run_cached_round_traced, seed_sharded_servers, worker_round_seed,
     CachedRoundOutput,
 };
 use mamdr_ps::{
-    checkpoint, latest_manifest, load_manifest_state, merge_stores, outer_grad_norm, shard_dir,
-    CacheStats, ContinualPublisher, DistributedConfig, DistributedReport, GuardRail, GuardVerdict,
-    ParamKey, ParameterServer, PublishOutcome, PublisherFaults, ShardFiles, ShardManifest,
-    ShardMap, SyncMode, TimedRowSource, LOCK_STRIPES, WIRE_BATCH_KEYS,
+    checkpoint, latest_manifest, load_manifest_state, merge_stores, shard_dir, ContinualPublisher,
+    DistributedConfig, DistributedReport, ParamKey, ParameterServer, PublishOutcome,
+    PublisherFaults, RoundJournal, ShardFiles, ShardManifest, ShardMap, StoreSnapshot, SyncMode,
+    LOCK_STRIPES, WIRE_BATCH_KEYS,
 };
-use mamdr_tensor::pool;
 use mamdr_tensor::rng::derive_seed;
 use mamdr_util::Checksum;
 use std::net::SocketAddr;
@@ -185,8 +188,8 @@ pub enum TrainerError {
     /// A driver-side RPC (gradient push or checkpoint) failed past its
     /// retry budget.
     Driver(String),
-    /// Resume state could not be loaded (no journal, or a checkpoint /
-    /// journal mismatch).
+    /// Resume state could not be loaded (no committed manifest, or a
+    /// checkpoint / journal mismatch).
     Resume(String),
 }
 
@@ -236,16 +239,14 @@ pub struct LoopbackConfig {
     pub fault: Option<FaultPlan>,
     /// Client retry/deadline policy.
     pub retry: RetryPolicy,
-    /// Where `Checkpoint` RPCs write snapshots (`None` disables them).
-    /// Sharded runs write per-shard files under `shard-<i>/` plus a
-    /// top-level manifest.
+    /// Where `Checkpoint` RPCs write snapshots (`None` disables them):
+    /// per-shard files under `shard-<i>/` plus a top-level manifest.
     pub checkpoint_dir: Option<PathBuf>,
     /// Write a checkpoint + round journal every this many rounds
     /// (`0` disables journaling). Requires a checkpoint directory.
     pub checkpoint_every: usize,
-    /// Resume from the newest valid journal (single-server) or committed
-    /// manifest (sharded) in the checkpoint directory instead of starting
-    /// from round 0.
+    /// Resume from the newest committed manifest in the checkpoint
+    /// directory instead of starting from round 0.
     pub resume: bool,
     /// How long the supervisor waits without hearing from *any* worker
     /// before presuming the missing ones hung and restarting them.
@@ -325,22 +326,6 @@ impl std::fmt::Debug for PublishHook {
     }
 }
 
-/// The aggregates a resumed run starts from (all zero for a fresh run).
-#[derive(Default)]
-struct ResumeBase {
-    start_epoch: usize,
-    cache: CacheStats,
-    max_staleness: u64,
-    round_losses: Vec<f64>,
-    traffic: (u64, u64, u64, u64),
-    guard_trips: u64,
-    guard_rollbacks: u64,
-}
-
-/// A full store snapshot — parameter rows plus Adagrad accumulators — the
-/// guard's rollback target.
-type StoreSnapshot = (Vec<(ParamKey, Vec<f32>)>, Vec<(ParamKey, Vec<f32>)>);
-
 /// One server shard's runtime state: its store, its (possibly dead)
 /// server, and the address clients reach it at.
 struct ShardRt {
@@ -364,10 +349,9 @@ impl DistributedTrainer {
     /// Seeds fresh stores exactly like [`mamdr_ps::DistributedMamdr::new`]
     /// — one RNG stream, each row routed to its owning shard — and starts
     /// one loopback server per shard on an ephemeral port. With
-    /// [`LoopbackConfig::resume`], the newest committed state is loaded on
-    /// top: the legacy journal for single-server runs, the newest manifest
-    /// for sharded ones (merged and re-routed, so the shard count may
-    /// differ from the run that wrote it).
+    /// [`LoopbackConfig::resume`], the newest committed manifest is loaded
+    /// on top (merged and re-routed, so the shard count may differ from
+    /// the run that wrote it).
     pub fn new(
         ds: &MdrDataset,
         cfg: LoopbackConfig,
@@ -383,6 +367,7 @@ impl DistributedTrainer {
                 "checkpoint_every / resume require a checkpoint directory".into(),
             ));
         }
+        engine::validate(&cfg.train).map_err(TrainerError::Config)?;
         let n = cfg.shards;
         if n == 0 {
             return Err(TrainerError::Config("a deployment needs at least one shard".into()));
@@ -417,20 +402,6 @@ impl DistributedTrainer {
             seed_sharded_servers(&refs, &map, ds, cfg.train.dim, cfg.train.seed);
         }
         let resume_base = match (&cfg.checkpoint_dir, cfg.resume) {
-            (Some(dir), true) if n == 1 => {
-                // Prefer the legacy single-server journal; fall back to a
-                // committed manifest so an N-shard run can shrink to one.
-                match load_resume_state(&stores[0], dir, &cfg.train) {
-                    Ok(base) => base,
-                    Err(journal_err) => match load_sharded_resume_state(&stores, dir, &cfg.train) {
-                        Ok((m, base)) => {
-                            map = m;
-                            base
-                        }
-                        Err(_) => return Err(journal_err),
-                    },
-                }
-            }
             (Some(dir), true) => {
                 let (m, base) = load_sharded_resume_state(&stores, dir, &cfg.train)?;
                 map = m;
@@ -442,13 +413,7 @@ impl DistributedTrainer {
             .into_iter()
             .enumerate()
             .map(|(s, ps)| -> Result<ShardRt, TrainerError> {
-                let ckpt_dir = cfg.checkpoint_dir.as_ref().map(|d| {
-                    if n == 1 {
-                        d.clone()
-                    } else {
-                        shard_dir(d, s)
-                    }
-                });
+                let ckpt_dir = cfg.checkpoint_dir.as_ref().map(|d| shard_dir(d, s));
                 let server = PsServer::bind_shard(
                     "127.0.0.1:0",
                     Arc::clone(&ps),
@@ -463,20 +428,10 @@ impl DistributedTrainer {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let trainer = DistributedTrainer { shards, map, cfg, metrics, resume_base };
-        if n > 1
-            && trainer.cfg.checkpoint_every > 0
-            && !trainer.cfg.resume
-            && trainer.resume_base.start_epoch == 0
-        {
+        if trainer.cfg.checkpoint_every > 0 && !trainer.cfg.resume {
             // Commit the seeded round-0 state up front so a shard killed in
             // the very first round has a committed recovery source.
-            trainer.commit_sharded_round(
-                0,
-                CacheStats::default(),
-                0,
-                &[],
-                &GuardRail::new(trainer.cfg.train.guard),
-            )?;
+            trainer.commit_round(&ResumeBase::default())?;
         }
         Ok(trainer)
     }
@@ -514,7 +469,7 @@ impl DistributedTrainer {
     /// The round the next `train` call starts at (nonzero after a
     /// resume).
     pub fn start_epoch(&self) -> usize {
-        self.resume_base.start_epoch
+        self.resume_base.rounds_done
     }
 
     /// A client to shard `shard` with this run's retry policy and — when a
@@ -584,24 +539,14 @@ impl DistributedTrainer {
             client.set_trace_parent(worker_span.as_ref().map(|s| s.ctx()));
         }
         let src = ShardedRowSource::new(clients, self.map, cfg.dim);
-        let round_seed = worker_round_seed(cfg.seed, epoch, w);
-        // With a tracer, split the worker's wall-clock into time spent in
-        // row reads (the wire) vs everything else (local compute). The
-        // decorated source only times calls; the training math it forwards
-        // is byte-for-byte the untraced path.
-        let mut out = match tracer.as_deref() {
-            Some(t) => {
-                let timed = TimedRowSource::new(&src);
-                let t0 = std::time::Instant::now();
-                let out = run_cached_round(&timed, ds, part, cfg.inner_lr, round_seed);
-                let total = t0.elapsed();
-                let pull = timed.elapsed();
-                t.record_phase("round.pull", pull);
-                t.record_phase("round.compute", total.saturating_sub(pull));
-                out
-            }
-            None => run_cached_round(&src, ds, part, cfg.inner_lr, round_seed),
-        };
+        let mut out = run_cached_round_traced(
+            &src,
+            ds,
+            part,
+            cfg.inner_lr,
+            worker_round_seed(cfg.seed, epoch, w),
+            tracer.as_deref(),
+        );
         if let Some(e) = src.take_error() {
             // The round trained against zero-filled fallback rows after the
             // first failure; its output is garbage and must be re-run.
@@ -778,41 +723,19 @@ impl DistributedTrainer {
         })
     }
 
-    /// A rollback snapshot of every shard store, in shard order.
-    fn snapshot_stores(&self) -> Vec<StoreSnapshot> {
-        self.shards.iter().map(|rt| (rt.ps.dump_rows(), rt.ps.dump_adagrad())).collect()
-    }
-
     /// Runs the configured rounds over the wire and reports exactly like
-    /// the in-process trainer. Recovers killed / hung / disconnected
+    /// the in-process trainer: the loop is [`engine::run_rounds`], this
+    /// deployment is its transport. Recovers killed / hung / disconnected
     /// workers *and* killed server shards, skips or rolls back divergent
-    /// updates when the guard is enabled, and journals every
+    /// updates when the guard is enabled, and commits a boundary every
     /// [`LoopbackConfig::checkpoint_every`] rounds.
     pub fn train(&mut self, ds: &MdrDataset) -> Result<DistributedReport, TrainerError> {
-        let cfg = self.cfg.train;
-        if cfg.kernel_threads > 0 {
-            pool::set_threads(cfg.kernel_threads);
-        }
         let n_sh = self.map.n_shards();
-        let start_epoch = self.resume_base.start_epoch;
-        let base_traffic = self.resume_base.traffic;
-        let base_guard = (self.resume_base.guard_trips, self.resume_base.guard_rollbacks);
-        let mut combined = self.resume_base.cache;
-        let mut max_staleness = self.resume_base.max_staleness;
-        let mut round_losses = self.resume_base.round_losses.clone();
-        // The networked protocol is always synchronous (the driver is the
-        // only writer), so the guard is active whenever it is enabled.
-        let guard_active = cfg.guard.enabled;
-        let mut guard = GuardRail::new(cfg.guard);
-        let mut last_good: Option<Vec<StoreSnapshot>> =
-            if guard_active { Some(self.snapshot_stores()) } else { None };
         // Client id 0 is the driver; workers are 1..=n. The driver's
         // pushes carry the fault plan too, so retries exercise the
         // server's exactly-once path where it matters most. One driver
         // client per shard: each holds its own monotonic sequence space.
-        let mut drivers: Vec<WorkerClient> =
-            (0..n_sh).map(|s| self.make_client(0, 0xD0, s)).collect();
-        let tracer = self.cfg.tracer.clone();
+        let drivers: Vec<WorkerClient> = (0..n_sh).map(|s| self.make_client(0, 0xD0, s)).collect();
         // The continual publisher: one per run, so its fault schedule and
         // counters span every round. Faults come from the same plan as the
         // wire faults but consume no RNG draws — scheduling a publisher
@@ -832,257 +755,27 @@ impl DistributedTrainer {
             }
             _ => None,
         };
-        for epoch in start_epoch..cfg.epochs {
-            let round_span = {
-                let mut span = maybe_span(&tracer, "round");
-                if let Some(s) = &mut span {
-                    s.attr("epoch", epoch as u64);
-                }
-                span
-            };
-            let round_ctx = round_span.as_ref().map(|s| s.ctx());
-            let partitions = {
-                let _span = maybe_child(&tracer, "round.partition", round_ctx);
-                partition_domains(ds.n_domains(), cfg.seed, epoch, cfg.n_workers)
-            };
-            let kills: Vec<u32> =
-                self.cfg.fault.as_ref().map(|p| p.shards_to_kill(epoch as u64)).unwrap_or_default();
-            if !kills.is_empty() {
-                for &s in &kills {
-                    self.metrics.counter("rpc_faults_shard_kills_total").inc();
-                    if let Some(server) = self.shards[s as usize].server.take() {
-                        server.kill();
-                    }
-                }
-                // The doomed attempt: workers run against the dead shard
-                // until their retries exhaust and the round fails. Nothing
-                // is applied — gradients only reach the stores after a
-                // successful round — so the discarded attempt leaves every
-                // parameter untouched.
-                let _ = self.run_round(ds, epoch, &partitions, None);
-                for &s in &kills {
-                    self.restart_shard(s as usize)?;
-                    // The dead server's address died with it: rebuild this
-                    // shard's driver client against the restarted one (a
-                    // fresh sequence space against a fresh dedup map).
-                    drivers[s as usize] = self.make_client(0, 0xD0, s as usize);
-                }
-            }
-            let outputs = {
-                let workers_span = maybe_child(&tracer, "round.workers", round_ctx);
-                let workers_ctx = workers_span.as_ref().map(|s| s.ctx());
-                self.run_round(ds, epoch, &partitions, workers_ctx)?
-            };
-            let apply_span = maybe_child(&tracer, "round.apply", round_ctx);
-            for driver in &mut drivers {
-                driver.set_trace_parent(apply_span.as_ref().map(|s| s.ctx()));
-            }
-            let mut loss_sum = 0.0f64;
-            let mut n_examples = 0u64;
-            let mut round_tripped = false;
-            let mut pending: Vec<Vec<Request>> = (0..n_sh).map(|_| Vec::new()).collect();
-            for out in outputs {
-                combined.hits += out.cache.hits;
-                combined.misses += out.cache.misses;
-                max_staleness = max_staleness.max(out.staleness.max);
-                if guard_active {
-                    let worker_loss = if out.n_examples == 0 {
-                        0.0
-                    } else {
-                        out.loss_sum / out.n_examples as f64
-                    };
-                    match guard.check(worker_loss, outer_grad_norm(&out.grads)).0 {
-                        GuardVerdict::Accept => {}
-                        GuardVerdict::Skip => {
-                            round_tripped = true;
-                            continue;
-                        }
-                        GuardVerdict::Rollback => {
-                            // Rewind values and accumulators to the last
-                            // clean boundary, discarding whatever this
-                            // round already applied. Direct store access:
-                            // the driver owns the apply phase, so there is
-                            // no concurrent writer to race.
-                            round_tripped = true;
-                            if let Some(snaps) = &last_good {
-                                for (rt, (rows, acc)) in self.shards.iter().zip(snaps) {
-                                    rt.ps.restore_state(rows, acc);
-                                }
-                            }
-                            continue;
-                        }
-                    }
-                }
-                loss_sum += out.loss_sum;
-                n_examples += out.n_examples;
-                // Single writer, worker order, keys pre-sorted: the same
-                // total order the in-process synchronous driver applies.
-                // Each shard receives its key-sorted sub-sequence — Adagrad
-                // updates on distinct keys commute, so per-shard order is
-                // all that bit-identity needs.
-                let shard_reqs = sharded_push_requests(&out.grads, cfg.outer_lr, &self.map);
-                if guard_active {
-                    // The guard interleaves verdicts with application (a
-                    // rollback rewinds the store to the round boundary but
-                    // never the traffic counters), so each accepted
-                    // worker's update must hit the stores before the next
-                    // verdict — flush immediately rather than batching
-                    // across workers.
-                    flush_sharded(&mut drivers, shard_reqs)?;
-                } else {
-                    for (s, reqs) in shard_reqs.into_iter().enumerate() {
-                        pending[s].extend(reqs);
-                    }
-                }
-            }
-            // No guard: every accepted worker's chunks ride one pipelined
-            // window per shard, all shards concurrently. Same requests,
-            // same per-shard order, same sequence numbers as per-worker
-            // flushing — only the wire scheduling differs.
-            flush_sharded(&mut drivers, std::mem::take(&mut pending))?;
-            drop(apply_span);
-            round_losses.push(if n_examples == 0 { 0.0 } else { loss_sum / n_examples as f64 });
-            if guard_active && !round_tripped {
-                last_good = Some(self.snapshot_stores());
-            }
-            let rounds_done = epoch + 1;
-            if self.cfg.checkpoint_every > 0 && rounds_done % self.cfg.checkpoint_every == 0 {
-                let _span = maybe_child(&tracer, "round.journal", round_ctx);
-                if n_sh == 1 {
-                    self.write_journal(
-                        rounds_done as u64,
-                        combined,
-                        max_staleness,
-                        &round_losses,
-                        &guard,
-                    )?;
-                } else {
-                    self.commit_sharded_round(
-                        rounds_done as u64,
-                        combined,
-                        max_staleness,
-                        &round_losses,
-                        &guard,
-                    )?;
-                }
-            }
-            if let Some((hook, publisher)) = &publisher {
-                if rounds_done % hook.every == 0 {
-                    let mut span = maybe_child(&tracer, "publish.build", round_ctx);
-                    let round = rounds_done as u64;
-                    // Reads only: the merged view is a fresh store, so
-                    // encoding can never perturb training state.
-                    let merged = self.merged_store();
-                    let bytes = (hook.encode)(round, &merged).map_err(TrainerError::Driver)?;
-                    if let Some(s) = &mut span {
-                        s.attr("round", round);
-                        s.attr("bytes", bytes.len() as u64);
-                    }
-                    match publisher.commit(round, &bytes)? {
-                        PublishOutcome::Committed(path) => (hook.on_commit)(round, &path),
-                        // A killed publisher left a half-written staging
-                        // file and offered nothing; the next scheduled
-                        // round is the "restart".
-                        PublishOutcome::Killed(_) => {}
-                    }
-                }
-            }
-        }
-        let mut traffic = (0u64, 0u64, 0u64, 0u64);
-        for rt in &self.shards {
-            let (p, q, bp, bs) = rt.ps.traffic().snapshot();
-            traffic.0 += p;
-            traffic.1 += q;
-            traffic.2 += bp;
-            traffic.3 += bs;
-        }
-        let mean_auc = if n_sh == 1 {
-            self.shards[0].ps.export_kv_gauges(&self.metrics);
-            let _span = maybe_span(&tracer, "round.evaluate");
-            evaluate_server(&self.shards[0].ps, ds, Split::Test)
-        } else {
-            let merged = self.merged_store();
-            merged.export_kv_gauges(&self.metrics);
-            for (s, rt) in self.shards.iter().enumerate() {
-                rt.ps.export_kv_gauges_for_shard(&self.metrics, s);
-            }
-            let _span = maybe_span(&tracer, "round.evaluate");
-            evaluate_server(&merged, ds, Split::Test)
-        };
-        Ok(DistributedReport {
-            mean_auc,
-            pulls: base_traffic.0 + traffic.0,
-            pushes: base_traffic.1 + traffic.1,
-            total_bytes: base_traffic.2 + base_traffic.3 + traffic.2 + traffic.3,
-            cache: combined,
-            max_staleness,
-            round_losses,
-            guard_trips: base_guard.0 + guard.trips(),
-            guard_rollbacks: base_guard.1 + guard.rollbacks(),
-        })
+        // The networked protocol is always synchronous (the driver is the
+        // only writer), so the guard is active whenever it is enabled.
+        let train = self.cfg.train;
+        let tracer = self.cfg.tracer.clone();
+        let base = self.resume_base.clone();
+        let pending = (0..n_sh).map(|_| Vec::new()).collect();
+        let mut transport = Loopback { trainer: self, ds, drivers, pending, publisher };
+        engine::run_rounds(&mut transport, &train, ds.n_domains(), &tracer, base)
     }
 
-    /// Writes the round-boundary checkpoint (over RPC, so the server-side
-    /// path is exercised) and then the journal that commits it — the
-    /// single-server boundary protocol.
-    fn write_journal(
-        &self,
-        rounds_done: u64,
-        cache: CacheStats,
-        max_staleness: u64,
-        round_losses: &[f64],
-        guard: &GuardRail,
-    ) -> Result<(), TrainerError> {
+    /// The round boundary, identical at every shard count (one shard is a
+    /// manifest of one): every shard's checkpoint RPC and journal write
+    /// run shard-parallel on scoped threads, then one [`ShardManifest`]
+    /// carrying each file's digest is written at the top level. The
+    /// manifest rename is the *only* commit point — a crash at any earlier
+    /// moment leaves the previous boundary committed.
+    fn commit_round(&self, boundary: &ResumeBase) -> Result<(), TrainerError> {
         let Some(dir) = &self.cfg.checkpoint_dir else {
             return Err(TrainerError::Config("journaling requires a checkpoint directory".into()));
         };
-        let ckpt_path = self.checkpoint(rounds_done)?;
-        let checkpoint_file = file_name_of(&ckpt_path);
-        let base = &self.resume_base;
-        let (pulls, pushes, bp, bs) = self.shards[0].ps.traffic().snapshot();
-        let journal = RoundJournal {
-            rounds_done,
-            checkpoint_file,
-            cache,
-            max_staleness,
-            traffic: (
-                base.traffic.0 + pulls,
-                base.traffic.1 + pushes,
-                base.traffic.2 + bp,
-                base.traffic.3 + bs,
-            ),
-            guard_trips: base.guard_trips + guard.trips(),
-            guard_rollbacks: base.guard_rollbacks + guard.rollbacks(),
-            round_losses: round_losses.to_vec(),
-            dim: self.cfg.train.dim as u32,
-            adagrad: self.shards[0].ps.dump_adagrad(),
-        };
-        journal
-            .write_to_dir(dir)
-            .map_err(|e| TrainerError::Driver(format!("journal write: {e}")))?;
-        self.metrics.counter("rpc_journal_writes_total").inc();
-        Ok(())
-    }
-
-    /// The sharded round boundary: every shard's checkpoint RPC and
-    /// journal write run shard-parallel on scoped threads, then one
-    /// [`ShardManifest`] carrying each file's digest is written at the
-    /// top level. The manifest rename is the *only* commit point — a crash
-    /// at any earlier moment leaves the previous boundary committed.
-    fn commit_sharded_round(
-        &self,
-        rounds_done: u64,
-        cache: CacheStats,
-        max_staleness: u64,
-        round_losses: &[f64],
-        guard: &GuardRail,
-    ) -> Result<(), TrainerError> {
-        let Some(dir) = &self.cfg.checkpoint_dir else {
-            return Err(TrainerError::Config("journaling requires a checkpoint directory".into()));
-        };
-        let base = &self.resume_base;
-        let guard_trips = base.guard_trips + guard.trips();
-        let guard_rollbacks = base.guard_rollbacks + guard.rollbacks();
+        let rounds_done = boundary.rounds_done as u64;
         let results: Vec<Result<ShardFiles, TrainerError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
@@ -1102,12 +795,12 @@ impl DistributedTrainer {
                         let journal = RoundJournal {
                             rounds_done,
                             checkpoint_file: checkpoint_file.clone(),
-                            cache,
-                            max_staleness,
+                            cache: boundary.cache,
+                            max_staleness: boundary.max_staleness,
                             traffic: rt.ps.traffic().snapshot(),
-                            guard_trips,
-                            guard_rollbacks,
-                            round_losses: round_losses.to_vec(),
+                            guard_trips: boundary.guard_trips,
+                            guard_rollbacks: boundary.guard_rollbacks,
+                            round_losses: boundary.round_losses.clone(),
                             dim: self.cfg.train.dim as u32,
                             adagrad: rt.ps.dump_adagrad(),
                         };
@@ -1205,16 +898,6 @@ impl DistributedTrainer {
         Ok(())
     }
 
-    /// Writes a server-side checkpoint via the `Checkpoint` RPC (shard 0
-    /// of a sharded run — boundary commits go through
-    /// `commit_sharded_round` instead) and returns its path. Requires
-    /// [`LoopbackConfig::checkpoint_dir`].
-    pub fn checkpoint(&self, round: u64) -> Result<String, TrainerError> {
-        self.make_client(u32::MAX, 0xCC, 0)
-            .checkpoint(round)
-            .map_err(|e| TrainerError::Driver(format!("checkpoint rpc: {e}")))
-    }
-
     /// Gracefully drains every shard's server: `Shutdown` RPC, then joins
     /// the accept loop and every connection thread. A failed drain request
     /// is non-fatal — the drain flag is set directly instead (counted as
@@ -1238,6 +921,162 @@ impl DistributedTrainer {
             drop(client);
             server.join();
         }
+    }
+}
+
+impl Drop for DistributedTrainer {
+    /// A trainer that goes out of scope without [`DistributedTrainer::
+    /// shutdown`] still drains its servers instead of leaking their accept
+    /// loops and connection threads.
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// The loopback transport of one `train` call: the trainer's shard fleet
+/// plus the per-run driver state. Supervision, shard recovery, the
+/// boundary commit and publication all live in these methods — the round
+/// loop in [`engine::run_rounds`] knows none of them.
+struct Loopback<'a> {
+    trainer: &'a mut DistributedTrainer,
+    ds: &'a MdrDataset,
+    /// One driver client per shard, each with its own sequence space.
+    drivers: Vec<WorkerClient>,
+    /// Queued `PushMany` requests per shard, in application order.
+    pending: Vec<Vec<Request>>,
+    publisher: Option<(PublishHook, ContinualPublisher)>,
+}
+
+impl RoundTransport for Loopback<'_> {
+    type Error = TrainerError;
+    type Snapshot = Vec<StoreSnapshot>;
+
+    fn run_workers(
+        &mut self,
+        epoch: usize,
+        partitions: &[Vec<usize>],
+        parent: Option<SpanContext>,
+    ) -> Result<Vec<CachedRoundOutput>, TrainerError> {
+        let t = &mut *self.trainer;
+        let kills: Vec<u32> =
+            t.cfg.fault.as_ref().map(|p| p.shards_to_kill(epoch as u64)).unwrap_or_default();
+        if !kills.is_empty() {
+            for &s in &kills {
+                t.metrics.counter("rpc_faults_shard_kills_total").inc();
+                if let Some(server) = t.shards[s as usize].server.take() {
+                    server.kill();
+                }
+            }
+            // The doomed attempt: workers run against the dead shard until
+            // their retries exhaust and the round fails. Nothing is
+            // applied — gradients only reach the stores after a successful
+            // round — so the discarded attempt leaves every parameter
+            // untouched.
+            let _ = t.run_round(self.ds, epoch, partitions, None);
+            for &s in &kills {
+                t.restart_shard(s as usize)?;
+                // The dead server's address died with it: rebuild this
+                // shard's driver client against the restarted one (a fresh
+                // sequence space against a fresh dedup map).
+                self.drivers[s as usize] = t.make_client(0, 0xD0, s as usize);
+            }
+        }
+        t.run_round(self.ds, epoch, partitions, parent)
+    }
+
+    fn queue_grads(&mut self, grads: Vec<(ParamKey, Vec<f32>)>) {
+        // Each shard receives its key-sorted sub-sequence — Adagrad updates
+        // on distinct keys commute, so per-shard order is all that
+        // bit-identity needs.
+        let t = &*self.trainer;
+        let shard_reqs = sharded_push_requests(&grads, t.cfg.train.outer_lr, &t.map);
+        for (queue, reqs) in self.pending.iter_mut().zip(shard_reqs) {
+            queue.extend(reqs);
+        }
+    }
+
+    fn flush(&mut self, parent: Option<SpanContext>) -> Result<(), TrainerError> {
+        for driver in &mut self.drivers {
+            driver.set_trace_parent(parent);
+        }
+        // Everything queued rides one pipelined window per shard, all
+        // shards concurrently. Flushing per worker or per round sends the
+        // same requests in the same per-shard order under the same
+        // sequence numbers — only the wire scheduling differs.
+        let reqs = self.pending.iter_mut().map(std::mem::take).collect();
+        flush_sharded(&mut self.drivers, reqs)
+    }
+
+    fn snapshot(&self) -> Vec<StoreSnapshot> {
+        self.trainer.shards.iter().map(|rt| (rt.ps.dump_rows(), rt.ps.dump_adagrad())).collect()
+    }
+
+    fn restore(&mut self, snapshot: &Vec<StoreSnapshot>) {
+        // Direct store access: the driver owns the apply phase, so there
+        // is no concurrent writer to race.
+        for (rt, (rows, acc)) in self.trainer.shards.iter().zip(snapshot) {
+            rt.ps.restore_state(rows, acc);
+        }
+    }
+
+    fn end_round(
+        &mut self,
+        boundary: &ResumeBase,
+        parent: Option<SpanContext>,
+    ) -> Result<(), TrainerError> {
+        let t = &*self.trainer;
+        let rounds_done = boundary.rounds_done;
+        if t.cfg.checkpoint_every > 0 && rounds_done.is_multiple_of(t.cfg.checkpoint_every) {
+            let _span = maybe_child(&t.cfg.tracer, "round.journal", parent);
+            t.commit_round(boundary)?;
+        }
+        let Some((hook, publisher)) = &self.publisher else { return Ok(()) };
+        if rounds_done.is_multiple_of(hook.every) {
+            let mut span = maybe_child(&t.cfg.tracer, "publish.build", parent);
+            let round = rounds_done as u64;
+            // Reads only: the merged view is a fresh store, so encoding
+            // can never perturb training state.
+            let merged = t.merged_store();
+            let bytes = (hook.encode)(round, &merged).map_err(TrainerError::Driver)?;
+            if let Some(s) = &mut span {
+                s.attr("round", round);
+                s.attr("bytes", bytes.len() as u64);
+            }
+            match publisher.commit(round, &bytes)? {
+                PublishOutcome::Committed(path) => (hook.on_commit)(round, &path),
+                // A killed publisher left a half-written staging file and
+                // offered nothing; the next scheduled round is the
+                // "restart".
+                PublishOutcome::Killed(_) => {}
+            }
+        }
+        Ok(())
+    }
+
+    fn traffic(&self) -> (u64, u64, u64, u64) {
+        let mut total = (0u64, 0u64, 0u64, 0u64);
+        for rt in &self.trainer.shards {
+            let (pulls, pushes, bytes_pulled, bytes_pushed) = rt.ps.traffic().snapshot();
+            total.0 += pulls;
+            total.1 += pushes;
+            total.2 += bytes_pulled;
+            total.3 += bytes_pushed;
+        }
+        total
+    }
+
+    fn evaluate(&mut self) -> f64 {
+        let t = &*self.trainer;
+        if let [only] = t.shards.as_slice() {
+            only.ps.export_kv_gauges(&t.metrics);
+            return evaluate_server(&only.ps, self.ds, Split::Test);
+        }
+        let merged = t.merged_store();
+        merged.export_kv_gauges(&t.metrics);
+        for (s, rt) in t.shards.iter().enumerate() {
+            rt.ps.export_kv_gauges_for_shard(&t.metrics, s);
+        }
+        evaluate_server(&merged, self.ds, Split::Test)
     }
 }
 
@@ -1328,42 +1167,8 @@ fn flush_sharded(
     })
 }
 
-/// Restores a resumed run's store and aggregates from the newest valid
-/// journal in `dir`: parameter rows from the journal's checkpoint file,
-/// Adagrad accumulators and report aggregates from the journal itself.
-fn load_resume_state(
-    ps: &ParameterServer,
-    dir: &Path,
-    train: &DistributedConfig,
-) -> Result<ResumeBase, TrainerError> {
-    let (journal_path, journal) = latest_journal(dir, None)
-        .map_err(|e| TrainerError::Resume(format!("journal discovery: {e}")))?
-        .ok_or_else(|| TrainerError::Resume(format!("no valid journal in {}", dir.display())))?;
-    if journal.dim as usize != train.dim {
-        return Err(TrainerError::Resume(format!(
-            "journal {} has dim {}, config wants {}",
-            journal_path.display(),
-            journal.dim,
-            train.dim
-        )));
-    }
-    let ckpt_path = dir.join(&journal.checkpoint_file);
-    let loaded = checkpoint::load_from_path(&ckpt_path)
-        .map_err(|e| TrainerError::Resume(format!("{}: {e}", ckpt_path.display())))?;
-    ps.restore_state(&loaded.dump_rows(), &journal.adagrad);
-    Ok(ResumeBase {
-        start_epoch: journal.rounds_done as usize,
-        cache: journal.cache,
-        max_staleness: journal.max_staleness,
-        round_losses: journal.round_losses,
-        traffic: journal.traffic,
-        guard_trips: journal.guard_trips,
-        guard_rollbacks: journal.guard_rollbacks,
-    })
-}
-
-/// Restores a resumed *sharded* run from the newest committed manifest in
-/// `dir`: the per-shard checkpoints and journals are merged, the merged
+/// Restores a resumed run from the newest committed manifest in `dir`:
+/// the per-shard checkpoints and journals are merged, the merged
 /// key-sorted rows and accumulators are re-routed through a map for the
 /// *new* shard count (the N→M rehash — the map generation is bumped when
 /// the topology changed), and the dead run's summed wire traffic rides
@@ -1410,11 +1215,10 @@ fn load_sharded_resume_state(
     Ok((
         map,
         ResumeBase {
-            start_epoch: meta.rounds_done as usize,
+            rounds_done: meta.rounds_done as usize,
             cache: meta.cache,
             max_staleness: meta.max_staleness,
             round_losses: meta.round_losses.clone(),
-            traffic: (0, 0, 0, 0),
             guard_trips: meta.guard_trips,
             guard_rollbacks: meta.guard_rollbacks,
         },

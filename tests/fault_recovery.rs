@@ -73,7 +73,8 @@ fn resume_is_bit_identical(n_workers: usize) {
     let mut crashed = DistributedTrainer::new(&ds, crashed_cfg, Arc::clone(&metrics)).unwrap();
     crashed.train(&ds).unwrap();
     crashed.shutdown();
-    assert_eq!(metrics.counter("rpc_journal_writes_total").get(), 2);
+    // The seeded round-0 state plus one boundary per round.
+    assert_eq!(metrics.counter("rpc_manifest_writes_total").get(), 3);
 
     // The restarted driver: resumes at round 2 and finishes the schedule.
     let resumed_cfg = LoopbackConfig {
@@ -84,7 +85,7 @@ fn resume_is_bit_identical(n_workers: usize) {
     };
     let metrics = Arc::new(MetricsRegistry::new());
     let mut resumed = DistributedTrainer::new(&ds, resumed_cfg, metrics).unwrap();
-    assert_eq!(resumed.start_epoch(), 2, "resume should pick up the newest journal");
+    assert_eq!(resumed.start_epoch(), 2, "resume should pick up the newest manifest");
     let report = resumed.train(&ds).unwrap();
 
     // Bit-identity, in the parameters and in every report aggregate: the
@@ -137,11 +138,14 @@ fn resume_falls_back_past_a_corrupt_journal() {
     crashed.train(&ds).unwrap();
     crashed.shutdown();
 
-    // Tear the newest journal (a crash mid-write); resume must fall back
-    // to the round-1 boundary and re-run rounds 1 and 2.
-    let newest = dir.join("journal-0000000002.mamdrj");
+    // Tear the newest journal (bit rot after the commit): the round-2
+    // manifest still parses, but its digest check rejects the torn file, so
+    // resume must fall back to the round-1 boundary and re-run rounds 1
+    // and 2.
+    let newest = dir.join("shard-0").join("journal-0000000002.mamdrj");
     let bytes = std::fs::read(&newest).unwrap();
     std::fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
+    assert!(dir.join("manifest-0000000002.mamdrmf").exists());
 
     let resumed_cfg = LoopbackConfig {
         checkpoint_dir: Some(dir.clone()),
@@ -151,7 +155,7 @@ fn resume_falls_back_past_a_corrupt_journal() {
     };
     let mut resumed =
         DistributedTrainer::new(&ds, resumed_cfg, Arc::new(MetricsRegistry::new())).unwrap();
-    assert_eq!(resumed.start_epoch(), 1, "the torn journal must be skipped");
+    assert_eq!(resumed.start_epoch(), 1, "the manifest over the torn journal must be skipped");
     let report = resumed.train(&ds).unwrap();
     assert_eq!(report.round_losses, expected.round_losses);
     assert_eq!(report.mean_auc.to_bits(), expected.mean_auc.to_bits());
@@ -161,7 +165,7 @@ fn resume_falls_back_past_a_corrupt_journal() {
 }
 
 #[test]
-fn resume_without_a_journal_is_a_typed_error() {
+fn resume_without_a_manifest_is_a_typed_error() {
     let ds = dataset();
     let dir = scratch_dir("empty-resume");
     let cfg = LoopbackConfig {
@@ -347,17 +351,48 @@ fn guard_rollback_restores_the_last_clean_round_byte_for_byte() {
 fn the_supervised_round_path_has_no_panicking_escape_hatches() {
     // The whole point of typed WorkerFailure propagation is that a flaky
     // worker can never take the driver down with it. Enforce it at the
-    // source level: the rpc trainer must not contain unwrap/expect/panic.
-    let src =
-        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/crates/rpc/src/trainer.rs"))
-            .unwrap();
-    for forbidden in
-        [".unwrap()", ".expect(", "panic!(", "unreachable!(", "todo!(", "unimplemented!("]
-    {
-        assert!(
-            !src.contains(forbidden),
-            "crates/rpc/src/trainer.rs contains `{forbidden}` — \
-             round-path failures must propagate as WorkerFailure/TrainerError"
-        );
+    // source level: neither the rpc trainer nor the round engine whose loop
+    // it runs (its non-test part) may contain unwrap/expect/panic.
+    for file in ["crates/rpc/src/trainer.rs", "crates/ps/src/engine.rs"] {
+        let src =
+            std::fs::read_to_string(format!("{}/{file}", env!("CARGO_MANIFEST_DIR"))).unwrap();
+        let src = src.split("#[cfg(test)]").next().unwrap();
+        for forbidden in
+            [".unwrap()", ".expect(", "panic!(", "unreachable!(", "todo!(", "unimplemented!("]
+        {
+            assert!(
+                !src.contains(forbidden),
+                "{file} contains `{forbidden}` — \
+                 round-path failures must propagate as WorkerFailure/TrainerError"
+            );
+        }
     }
+}
+
+#[test]
+fn a_trainer_dropped_without_shutdown_still_drains_its_servers() {
+    let ds = dataset();
+    let trainer = DistributedTrainer::new(
+        &ds,
+        LoopbackConfig::new(train_config(1, 1)),
+        Arc::new(MetricsRegistry::new()),
+    )
+    .unwrap();
+    let addr = trainer.addr().unwrap();
+    assert!(std::net::TcpStream::connect(addr).is_ok(), "the server should be accepting");
+    drop(trainer);
+    assert!(
+        std::net::TcpStream::connect(addr).is_err(),
+        "the accept loop outlived its dropped trainer"
+    );
+}
+
+#[test]
+fn zero_workers_is_a_config_error() {
+    let ds = dataset();
+    let cfg = LoopbackConfig::new(train_config(0, 1));
+    assert!(matches!(
+        DistributedTrainer::new(&ds, cfg, Arc::new(MetricsRegistry::new())),
+        Err(TrainerError::Config(_))
+    ));
 }

@@ -4,7 +4,7 @@
 //! mid-schedule must be restarted from its last committed manifest files
 //! and the round replayed without divergence; and a sharded checkpoint
 //! must resume bit-identically at the same shard count *and* across a
-//! topology change (4 shards committed, 2 shards resumed).
+//! topology change (4 shards or 1 shard committed, 2 shards resumed).
 
 use mamdr::data::{DomainSpec, GeneratorConfig, MdrDataset};
 use mamdr::obs::MetricsRegistry;
@@ -247,59 +247,63 @@ fn sharded_resume_is_bit_identical_at_the_same_shard_count() {
 
 #[test]
 fn a_four_shard_checkpoint_resumes_as_two_shards_bit_identically() {
-    let ds = dataset();
-    let dir = scratch_dir("resume-4to2");
+    // Shrink (4 -> 2) and grow (1 -> 2): a single-server directory is a
+    // manifest of one shard like any other.
+    for (from, to) in [(4usize, 2usize), (1, 2)] {
+        let ds = dataset();
+        let dir = scratch_dir(&format!("resume-{from}to{to}"));
 
-    // Ground truth: an uninterrupted 2-shard run.
-    let full = train_config(4, 2);
-    let loopback = LoopbackConfig { shards: 2, ..LoopbackConfig::new(full) };
-    let mut uninterrupted =
-        DistributedTrainer::new(&ds, loopback, Arc::new(MetricsRegistry::new())).unwrap();
-    let expected = uninterrupted.train(&ds).unwrap();
-    let expected_bytes = snapshot_bytes(&uninterrupted.merged_store(), full.dim);
-    uninterrupted.shutdown();
+        // Ground truth: an uninterrupted run at the resumed shard count.
+        let full = train_config(4, to);
+        let loopback = LoopbackConfig { shards: to, ..LoopbackConfig::new(full) };
+        let mut uninterrupted =
+            DistributedTrainer::new(&ds, loopback, Arc::new(MetricsRegistry::new())).unwrap();
+        let expected = uninterrupted.train(&ds).unwrap();
+        let expected_bytes = snapshot_bytes(&uninterrupted.merged_store(), full.dim);
+        uninterrupted.shutdown();
 
-    // Two rounds on FOUR shards, then the cluster shrinks: the resumed
-    // driver merges the 4-shard manifest files and re-routes every row
-    // through the 2-shard map.
-    let crashed_cfg = LoopbackConfig {
-        shards: 4,
-        checkpoint_dir: Some(dir.clone()),
-        checkpoint_every: 1,
-        ..LoopbackConfig::new(train_config(2, 4))
-    };
-    let mut crashed =
-        DistributedTrainer::new(&ds, crashed_cfg, Arc::new(MetricsRegistry::new())).unwrap();
-    crashed.train(&ds).unwrap();
-    crashed.shutdown();
+        // Two rounds on `from` shards, then the topology changes: the
+        // resumed driver merges the committed manifest's files and
+        // re-routes every row through the `to`-shard map.
+        let crashed_cfg = LoopbackConfig {
+            shards: from,
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 1,
+            ..LoopbackConfig::new(train_config(2, from))
+        };
+        let mut crashed =
+            DistributedTrainer::new(&ds, crashed_cfg, Arc::new(MetricsRegistry::new())).unwrap();
+        crashed.train(&ds).unwrap();
+        crashed.shutdown();
 
-    let resumed_cfg = LoopbackConfig {
-        shards: 2,
-        checkpoint_dir: Some(dir.clone()),
-        checkpoint_every: 1,
-        resume: true,
-        ..LoopbackConfig::new(full)
-    };
-    let mut resumed =
-        DistributedTrainer::new(&ds, resumed_cfg, Arc::new(MetricsRegistry::new())).unwrap();
-    assert_eq!(resumed.start_epoch(), 2);
-    assert_eq!(resumed.shard_map().n_shards(), 2);
-    let report = resumed.train(&ds).unwrap();
+        let resumed_cfg = LoopbackConfig {
+            shards: to,
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 1,
+            resume: true,
+            ..LoopbackConfig::new(full)
+        };
+        let mut resumed =
+            DistributedTrainer::new(&ds, resumed_cfg, Arc::new(MetricsRegistry::new())).unwrap();
+        assert_eq!(resumed.start_epoch(), 2);
+        assert_eq!(resumed.shard_map().n_shards(), to);
+        let report = resumed.train(&ds).unwrap();
 
-    // The math and the per-key push traffic are topology-independent;
-    // pull-chunk counts are not (4 shards split a batch into more
-    // sub-requests), so pulls/total_bytes are not compared across the
-    // topology change.
-    assert_eq!(report.round_losses, expected.round_losses);
-    assert_eq!(report.mean_auc.to_bits(), expected.mean_auc.to_bits());
-    assert_eq!(report.pushes, expected.pushes);
-    assert_eq!(
-        snapshot_bytes(&resumed.merged_store(), full.dim),
-        expected_bytes,
-        "rehashed resume diverged from the uninterrupted 2-shard run"
-    );
-    resumed.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
+        // The math and the per-key push traffic are topology-independent;
+        // pull-chunk counts are not (more shards split a batch into more
+        // sub-requests), so pulls/total_bytes are not compared across the
+        // topology change.
+        assert_eq!(report.round_losses, expected.round_losses, "{from} -> {to}");
+        assert_eq!(report.mean_auc.to_bits(), expected.mean_auc.to_bits(), "{from} -> {to}");
+        assert_eq!(report.pushes, expected.pushes, "{from} -> {to}");
+        assert_eq!(
+            snapshot_bytes(&resumed.merged_store(), full.dim),
+            expected_bytes,
+            "rehashed {from} -> {to} resume diverged from the uninterrupted {to}-shard run"
+        );
+        resumed.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
