@@ -109,10 +109,10 @@ mod tests {
             let b1 = tape.param(1, ps[1].clone());
             let w2 = tape.param(2, ps[2].clone());
             let b2 = tape.param(3, ps[3].clone());
-            let h = tape.matmul(xin, w1);
+            let h = tape.gemm(xin, w1, false, false);
             let h = tape.add_row(h, b1);
             let h = tape.relu(h);
-            let z = tape.matmul(h, w2);
+            let z = tape.gemm(h, w2, false, false);
             let z = tape.add_row(z, b2);
             let z = tape.reshape(z, &[5]);
             tape.bce_with_logits_mean(z, labels.clone())
@@ -197,7 +197,7 @@ mod tests {
         assert_gradients_match(&params, EPS, TOL, |tape, ps| {
             let a = tape.param(0, ps[0].clone());
             let b = tape.param(1, ps[1].clone());
-            let c = tape.matmul(a, b);
+            let c = tape.gemm(a, b, false, false);
             let s = tape.sigmoid(c);
             tape.sum_all(s)
         });
@@ -264,7 +264,7 @@ mod tests {
         let xp = plain.leaf(x);
         let wp = plain.param(0, w);
         let bp = plain.param(1, b);
-        let zp = plain.matmul(xp, wp);
+        let zp = plain.gemm(xp, wp, false, false);
         let zp = plain.add_row(zp, bp);
         let yp = plain.sigmoid(zp);
         let lp = plain.sum_all(yp);

@@ -25,7 +25,7 @@
 //! let mut tape = Tape::new();
 //! let x = tape.leaf(Tensor::from_vec([1, 2], vec![1.0, 2.0]));
 //! let w = tape.param(0, Tensor::from_vec([2, 1], vec![0.5, -0.25]));
-//! let y = tape.matmul(x, w);
+//! let y = tape.gemm(x, w, false, false);
 //! let loss = tape.sum_all(y);
 //! let grads = tape.backward(loss);
 //! // d loss / d w = x

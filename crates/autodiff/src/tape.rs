@@ -141,6 +141,52 @@ enum Op {
     },
 }
 
+impl Op {
+    /// Calls `f` with every node this op reads.
+    fn for_each_input(&self, mut f: impl FnMut(Var)) {
+        match self {
+            Op::Leaf | Op::Param { .. } | Op::GatherParam { .. } => {}
+            Op::Add { a, b } | Op::Sub { a, b } | Op::Mul { a, b } | Op::Gemm { a, b, .. } => {
+                f(*a);
+                f(*b);
+            }
+            Op::AddRow { a, row } => {
+                f(*a);
+                f(*row);
+            }
+            Op::MulCol { a, col } => {
+                f(*a);
+                f(*col);
+            }
+            Op::Dense { x, w, bias, .. } => {
+                f(*x);
+                f(*w);
+                if let Some(bias) = bias {
+                    f(*bias);
+                }
+            }
+            Op::ConcatCols { parts } => parts.iter().copied().for_each(f),
+            Op::BceWithLogitsMean { logits, .. } => f(*logits),
+            Op::Transpose { a }
+            | Op::Relu { a }
+            | Op::Sigmoid { a }
+            | Op::Tanh { a }
+            | Op::Square { a }
+            | Op::ScalarMul { a, .. }
+            | Op::AddScalar { a }
+            | Op::SumAll { a }
+            | Op::MeanAll { a }
+            | Op::SumColsKeep { a }
+            | Op::SumRowsKeep { a }
+            | Op::SliceCols { a, .. }
+            | Op::SoftmaxRows { a }
+            | Op::NormalizeRows { a, .. }
+            | Op::Dropout { a, .. }
+            | Op::Reshape { a } => f(*a),
+        }
+    }
+}
+
 /// A reverse-mode autodiff tape.
 ///
 /// Construction order is the topological order: ops may only reference
@@ -148,6 +194,9 @@ enum Op {
 pub struct Tape {
     values: Vec<Tensor>,
     ops: Vec<Op>,
+    /// Per node: does any parameter feed it? The reverse pass forms no
+    /// adjoint for a node without one — it could only be dropped at a leaf.
+    needs_grad: Vec<bool>,
 }
 
 impl Default for Tape {
@@ -159,7 +208,7 @@ impl Default for Tape {
 impl Tape {
     /// An empty tape.
     pub fn new() -> Self {
-        Tape { values: Vec::new(), ops: Vec::new() }
+        Tape { values: Vec::new(), ops: Vec::new(), needs_grad: Vec::new() }
     }
 
     /// Number of recorded nodes.
@@ -178,8 +227,11 @@ impl Tape {
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
+        let mut needs_grad = matches!(op, Op::Param { .. } | Op::GatherParam { .. });
+        op.for_each_input(|v| needs_grad |= self.needs_grad[v.0]);
         self.values.push(value);
         self.ops.push(op);
+        self.needs_grad.push(needs_grad);
         Var(self.values.len() - 1)
     }
 
@@ -239,11 +291,6 @@ impl Tape {
     pub fn gemm(&mut self, a: Var, b: Var, lhs_t: bool, rhs_t: bool) -> Var {
         let v = self.values[a.0].gemm(&self.values[b.0], lhs_t, rhs_t);
         self.push(v, Op::Gemm { a, b, lhs_t, rhs_t })
-    }
-
-    /// Matrix product (legacy wrapper over [`Tape::gemm`]).
-    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        self.gemm(a, b, false, false)
     }
 
     /// Fused dense layer `act(x @ w + bias)` as a single tape node.
@@ -409,12 +456,12 @@ impl Tape {
     pub fn backward(&mut self, loss: Var) -> HashMap<usize, Tensor> {
         assert_eq!(self.values[loss.0].numel(), 1, "backward requires a scalar loss");
         let n = self.values.len();
-        let mut adj: Vec<Option<Tensor>> = vec![None; n];
-        adj[loss.0] = Some(Tensor::scalar(1.0));
+        let mut adj = Adjoints { slots: vec![None; n], needs_grad: &self.needs_grad };
+        adj.slots[loss.0] = Some(Tensor::scalar(1.0));
         let mut grads: HashMap<usize, Tensor> = HashMap::new();
 
         for idx in (0..=loss.0).rev() {
-            let d = match adj[idx].take() {
+            let d = match adj.slots[idx].take() {
                 Some(d) => d,
                 None => continue,
             };
@@ -465,18 +512,22 @@ impl Tape {
                     // dB' = op(a)ᵀ @ d; a transposed operand receives the
                     // transposed adjoint, which the flags express without
                     // ever materializing a transpose.
-                    let da = if lhs_t {
-                        self.values[b.0].gemm(&d, rhs_t, true)
-                    } else {
-                        d.gemm(&self.values[b.0], false, !rhs_t)
-                    };
-                    let db = if rhs_t {
-                        d.gemm(&self.values[a.0], true, lhs_t)
-                    } else {
-                        self.values[a.0].gemm(&d, !lhs_t, false)
-                    };
-                    accumulate(&mut adj, a, da);
-                    accumulate(&mut adj, b, db);
+                    if self.needs_grad[a.0] {
+                        let da = if lhs_t {
+                            self.values[b.0].gemm(&d, rhs_t, true)
+                        } else {
+                            d.gemm(&self.values[b.0], false, !rhs_t)
+                        };
+                        accumulate(&mut adj, a, da);
+                    }
+                    if self.needs_grad[b.0] {
+                        let db = if rhs_t {
+                            d.gemm(&self.values[a.0], true, lhs_t)
+                        } else {
+                            self.values[a.0].gemm(&d, !lhs_t, false)
+                        };
+                        accumulate(&mut adj, b, db);
+                    }
                 }
                 Op::Dense { x, w, bias, act } => {
                     let (x, w, bias, act) = (*x, *w, *bias, *act);
@@ -491,10 +542,12 @@ impl Tape {
                         Act::Sigmoid => d.zip(y, |g, s| g * s * (1.0 - s)),
                         Act::Tanh => d.zip(y, |g, t| g * (1.0 - t * t)),
                     };
-                    let dx = dz.gemm(&self.values[w.0], false, true);
-                    let dw = self.values[x.0].gemm(&dz, true, false);
-                    accumulate(&mut adj, x, dx);
-                    accumulate(&mut adj, w, dw);
+                    if self.needs_grad[x.0] {
+                        accumulate(&mut adj, x, dz.gemm(&self.values[w.0], false, true));
+                    }
+                    if self.needs_grad[w.0] {
+                        accumulate(&mut adj, w, self.values[x.0].gemm(&dz, true, false));
+                    }
                     if let Some(bias) = bias {
                         let db = reshape_like(dz.sum_rows(), &self.values[bias.0]);
                         accumulate(&mut adj, bias, db);
@@ -639,8 +692,18 @@ impl Tape {
     }
 }
 
-fn accumulate(adj: &mut [Option<Tensor>], v: Var, d: Tensor) {
-    match &mut adj[v.0] {
+/// The reverse sweep's adjoint slots, beside the tape's `needs_grad` bits.
+struct Adjoints<'a> {
+    slots: Vec<Option<Tensor>>,
+    needs_grad: &'a [bool],
+}
+
+/// Adds `d` into the adjoint of `v`, or drops it when no parameter feeds `v`.
+fn accumulate(adj: &mut Adjoints<'_>, v: Var, d: Tensor) {
+    if !adj.needs_grad[v.0] {
+        return;
+    }
+    match &mut adj.slots[v.0] {
         Some(existing) => existing.axpy(1.0, &d),
         slot => *slot = Some(d),
     }
@@ -671,7 +734,7 @@ mod tests {
         let x = tape.leaf(Tensor::from_vec([2, 2], vec![1., 2., 3., 4.]));
         let w = tape.param(0, Tensor::from_vec([2, 2], vec![1., 0., 0., 1.]));
         let b = tape.param(1, Tensor::from_vec([2], vec![0.5, -0.5]));
-        let xw = tape.matmul(x, w);
+        let xw = tape.gemm(x, w, false, false);
         let y = tape.add_row(xw, b);
         let loss = tape.sum_all(y);
         assert_eq!(tape.value(loss).item(), 1. + 2. + 3. + 4. + 2.0 * 0.0);
@@ -680,6 +743,47 @@ mod tests {
         assert_eq!(grads[&0].data(), &[4., 4., 6., 6.]);
         // db = batch size per output
         assert_eq!(grads[&1].data(), &[2., 2.]);
+    }
+
+    #[test]
+    fn leaf_operands_get_no_adjoint_and_parameter_grads_keep_their_bits() {
+        // The same graph twice: with `x` and `c` as leaves their adjoints are
+        // skipped; as parameters every adjoint is formed, as it was before
+        // the tape tracked `needs_grad`.
+        let mut rng = seeded(9);
+        let x = Tensor::randn(&mut rng, [6, 5], 0.0, 1.0);
+        let w = Tensor::randn(&mut rng, [5, 4], 0.0, 1.0);
+        let b = Tensor::randn(&mut rng, [4], 0.0, 1.0);
+        let c = Tensor::randn(&mut rng, [6, 3], 0.0, 1.0);
+        let v = Tensor::randn(&mut rng, [3, 4], 0.0, 1.0);
+        let run = |leaves: bool| {
+            let mut tape = Tape::new();
+            let input = |tape: &mut Tape, param: usize, t: &Tensor| {
+                if leaves {
+                    tape.leaf(t.clone())
+                } else {
+                    tape.param(param, t.clone())
+                }
+            };
+            let (xv, cv) = (input(&mut tape, 8, &x), input(&mut tape, 9, &c));
+            let wv = tape.param(0, w.clone());
+            let bv = tape.param(1, b.clone());
+            let vv = tape.param(2, v.clone());
+            let h = tape.dense(xv, wv, Some(bv), Act::Tanh);
+            let g = tape.gemm(cv, vv, false, false);
+            let y = tape.mul(h, g);
+            let loss = tape.mean_all(y);
+            assert_eq!(tape.needs_grad[xv.0], !leaves);
+            assert_eq!(tape.needs_grad[cv.0], !leaves);
+            assert!(tape.needs_grad[h.0] && tape.needs_grad[g.0] && tape.needs_grad[loss.0]);
+            tape.backward(loss)
+        };
+        let (skipped, full) = (run(true), run(false));
+        assert_eq!(skipped.len(), 3);
+        assert_eq!(full.len(), 5);
+        for param in 0..3 {
+            assert_eq!(skipped[&param].data(), full[&param].data(), "param {param}");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ proptest! {
             let xin = tape.leaf(x.clone());
             let w = tape.param(0, ps[0].clone());
             let b = tape.param(1, ps[1].clone());
-            let h = tape.matmul(xin, w);
+            let h = tape.gemm(xin, w, false, false);
             let h = tape.add_row(h, b);
             let h = tape.relu(h);
             let s = tape.square(h);

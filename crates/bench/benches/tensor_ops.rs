@@ -12,8 +12,9 @@ fn bench_matmul(c: &mut Criterion) {
         let mut rng = seeded(1);
         let a = Tensor::randn(&mut rng, [m, k], 0.0, 1.0);
         let b = Tensor::randn(&mut rng, [k, n], 0.0, 1.0);
-        group
-            .bench_function(format!("{m}x{k}x{n}"), |bench| bench.iter(|| black_box(a.matmul(&b))));
+        group.bench_function(format!("{m}x{k}x{n}"), |bench| {
+            bench.iter(|| black_box(a.gemm(&b, false, false)))
+        });
     }
     group.finish();
 }

@@ -299,7 +299,7 @@ fn sample_subset(rng: &mut impl Rng, n: usize, frac: f64) -> Vec<u32> {
 fn categorical_from_latents(latents: &Tensor, k: usize, rng: &mut impl Rng) -> Vec<u32> {
     let (n, d) = latents.matrix_dims();
     let proj = Tensor::randn(rng, [d, k], 0.0, 1.0);
-    let scores = latents.matmul(&proj);
+    let scores = latents.gemm(&proj, false, false);
     (0..n)
         .map(|i| {
             let row = scores.row(i);
@@ -319,7 +319,7 @@ fn categorical_from_latents(latents: &Tensor, k: usize, rng: &mut impl Rng) -> V
 fn dense_from_latents(latents: &Tensor, dim: usize, rng: &mut impl Rng) -> Tensor {
     let (n, d) = latents.matrix_dims();
     let proj = Tensor::randn(rng, [d, dim], 0.0, (1.0 / d as f32).sqrt());
-    let mut out = latents.matmul(&proj);
+    let mut out = latents.gemm(&proj, false, false);
     for x in out.data_mut() {
         *x += 0.1 * normal(rng);
     }

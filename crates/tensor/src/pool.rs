@@ -191,6 +191,12 @@ pub fn run(chunks: usize, task: &(dyn Fn(usize) + Sync)) {
     }
 }
 
+/// How many ranges [`for_each_chunk`] cuts `n` items into at `threads`
+/// threads: as many whole `grain`s as fit, at least one, at most `threads`.
+pub(crate) fn chunk_count(n: usize, grain: usize, threads: usize) -> usize {
+    (n / grain.max(1)).clamp(1, threads)
+}
+
 /// Splits `0..n` into up to `configured_threads()` contiguous ranges of at
 /// least `grain` items each and runs `f` on every range, in parallel when
 /// more than one range results.
@@ -203,7 +209,7 @@ pub fn for_each_chunk(n: usize, grain: usize, f: impl Fn(Range<usize>) + Sync) {
     if n == 0 {
         return;
     }
-    let chunks = (n / grain.max(1)).clamp(1, configured_threads());
+    let chunks = chunk_count(n, grain, configured_threads());
     if chunks == 1 {
         f(0..n);
         return;

@@ -22,8 +22,8 @@ proptest! {
         let a = Tensor::randn(&mut rng, [m, k], 0.0, 1.0);
         let b = Tensor::randn(&mut rng, [k, n], 0.0, 1.0);
         let c = Tensor::randn(&mut rng, [n, p], 0.0, 1.0);
-        let left = a.matmul(&b).matmul(&c);
-        let right = a.matmul(&b.matmul(&c));
+        let left = a.gemm(&b, false, false).gemm(&c, false, false);
+        let right = a.gemm(&b.gemm(&c, false, false), false, false);
         prop_assert!(left.max_abs_diff(&right) < 1e-3);
     }
 
@@ -33,8 +33,8 @@ proptest! {
         let a = Tensor::randn(&mut rng, [m, k], 0.0, 1.0);
         let b1 = Tensor::randn(&mut rng, [k, n], 0.0, 1.0);
         let b2 = Tensor::randn(&mut rng, [k, n], 0.0, 1.0);
-        let lhs = a.matmul(&b1.add(&b2));
-        let rhs = a.matmul(&b1).add(&a.matmul(&b2));
+        let lhs = a.gemm(&b1.add(&b2), false, false);
+        let rhs = a.gemm(&b1, false, false).add(&a.gemm(&b2, false, false));
         prop_assert!(lhs.max_abs_diff(&rhs) < 1e-3);
     }
 
@@ -44,8 +44,8 @@ proptest! {
         let mut rng = mamdr_tensor::rng::seeded(seed);
         let a = Tensor::randn(&mut rng, [m, k], 0.0, 1.0);
         let b = Tensor::randn(&mut rng, [k, n], 0.0, 1.0);
-        let lhs = a.matmul(&b).transpose();
-        let rhs = b.transpose().matmul(&a.transpose());
+        let lhs = a.gemm(&b, false, false).transpose();
+        let rhs = b.transpose().gemm(&a.transpose(), false, false);
         prop_assert!(lhs.max_abs_diff(&rhs) < 1e-4);
     }
 
