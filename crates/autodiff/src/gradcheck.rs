@@ -8,7 +8,6 @@
 
 use crate::tape::{Tape, Var};
 use mamdr_tensor::Tensor;
-use std::collections::HashMap;
 
 /// Result of a gradient check for one parameter.
 #[derive(Debug, Clone)]
@@ -34,11 +33,11 @@ pub fn check_gradients(
     // Analytic gradients.
     let mut tape = Tape::new();
     let loss = forward(&mut tape, params);
-    let analytic: HashMap<usize, Tensor> = tape.backward(loss);
+    let analytic = tape.backward(loss);
 
     let mut reports = Vec::with_capacity(params.len());
     for (pi, p) in params.iter().enumerate() {
-        let grad = analytic.get(&pi).cloned().unwrap_or_else(|| Tensor::zeros(p.shape()));
+        let grad = analytic.to_dense(pi).unwrap_or_else(|| Tensor::zeros(p.shape()));
         let mut max_abs = 0.0f32;
         let mut max_rel = 0.0f32;
         for ei in 0..p.numel() {
@@ -271,7 +270,7 @@ mod tests {
         let gp = plain.backward(lp);
 
         assert_eq!(fused.value(yf), plain.value(yp), "fused forward differs");
-        assert_eq!(gf[&0], gp[&0], "fused dw differs");
-        assert_eq!(gf[&1], gp[&1], "fused db differs");
+        assert_eq!(gf[0], gp[0], "fused dw differs");
+        assert_eq!(gf[1], gp[1], "fused db differs");
     }
 }

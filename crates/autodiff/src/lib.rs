@@ -7,7 +7,8 @@
 //! flat parameter vector. This crate supplies that gradient. A model's
 //! forward pass records every operation on a [`Tape`]; calling
 //! [`Tape::backward`] replays the tape in reverse and accumulates adjoints
-//! into per-parameter gradient tensors.
+//! into a [`Grads`]: a tensor per parameter read whole, and only the touched
+//! rows of each embedding table read by gather.
 //!
 //! The op set (~25 ops) is exactly what the ten CTR architectures in
 //! `mamdr-models` need: dense layers, embedding gather, attention
@@ -29,10 +30,12 @@
 //! let loss = tape.sum_all(y);
 //! let grads = tape.backward(loss);
 //! // d loss / d w = x
-//! assert_eq!(grads[&0].data(), &[1.0, 2.0]);
+//! assert_eq!(grads[0].data(), &[1.0, 2.0]);
 //! ```
 
 pub mod gradcheck;
+pub mod grads;
 pub mod tape;
 
+pub use grads::{Grads, RowGrad};
 pub use tape::{Tape, Var};

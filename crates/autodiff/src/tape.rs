@@ -1,7 +1,7 @@
 //! The autodiff tape: op recording and the reverse pass.
 
+use crate::grads::Grads;
 use mamdr_tensor::{Act, Tensor};
-use std::collections::HashMap;
 
 /// Numerically stable logistic sigmoid (re-exported from `mamdr-tensor`,
 /// where the fused kernels need it; the old path keeps working).
@@ -27,7 +27,8 @@ enum Op {
     Param {
         param: usize,
     },
-    /// Embedding rows gathered from parameter `param` (adjoint scatter-adds).
+    /// Embedding rows gathered from parameter `param` (adjoint: row sums
+    /// per distinct id, see [`crate::RowGrad`]).
     GatherParam {
         param: usize,
         ids: Vec<u32>,
@@ -241,15 +242,17 @@ impl Tape {
     }
 
     /// Records a parameter copy; its adjoint becomes `grads[param]`.
+    ///
+    /// A parameter is read either whole (here) or by rows
+    /// ([`Tape::gather_param`]) on one tape, never both.
     pub fn param(&mut self, param: usize, value: Tensor) -> Var {
         self.push(value, Op::Param { param })
     }
 
     /// Records an embedding gather from parameter table `param`.
     ///
-    /// Only the gathered rows are stored on the tape; the backward pass
-    /// scatter-adds row adjoints into a dense zero tensor of the full table
-    /// shape.
+    /// Only the gathered rows are stored on the tape, and the backward pass
+    /// returns only the touched rows' gradients ([`crate::RowGrad`]).
     pub fn gather_param(&mut self, param: usize, table: &Tensor, ids: &[u32]) -> Var {
         let (rows, dim) = table.matrix_dims();
         let value = table.gather_rows(ids);
@@ -450,15 +453,14 @@ impl Tape {
     /// Runs the reverse pass from scalar node `loss`.
     ///
     /// Returns the gradient of `loss` with respect to every parameter that
-    /// participated in the forward pass, keyed by parameter index. Parameters
-    /// touched only through [`Tape::gather_param`] receive dense tensors of
-    /// the full table shape with scatter-added rows.
-    pub fn backward(&mut self, loss: Var) -> HashMap<usize, Tensor> {
+    /// participated in the forward pass: a dense tensor for each parameter
+    /// read whole, and the touched rows of each gathered table.
+    pub fn backward(&mut self, loss: Var) -> Grads {
         assert_eq!(self.values[loss.0].numel(), 1, "backward requires a scalar loss");
         let n = self.values.len();
         let mut adj = Adjoints { slots: vec![None; n], needs_grad: &self.needs_grad };
         adj.slots[loss.0] = Some(Tensor::scalar(1.0));
-        let mut grads: HashMap<usize, Tensor> = HashMap::new();
+        let mut grads = Grads::default();
 
         for idx in (0..=loss.0).rev() {
             let d = match adj.slots[idx].take() {
@@ -467,12 +469,9 @@ impl Tape {
             };
             match &self.ops[idx] {
                 Op::Leaf => {}
-                Op::Param { param } => accumulate_param(&mut grads, *param, d),
+                Op::Param { param } => grads.add_dense(*param, d),
                 Op::GatherParam { param, ids, table_shape } => {
-                    let entry = grads
-                        .entry(*param)
-                        .or_insert_with(|| Tensor::zeros([table_shape[0], table_shape[1]]));
-                    entry.scatter_add_rows(ids, &d);
+                    grads.add_rows(*param, *table_shape, ids, &d)
                 }
                 Op::Add { a, b } => {
                     let (a, b) = (*a, *b);
@@ -709,15 +708,6 @@ fn accumulate(adj: &mut Adjoints<'_>, v: Var, d: Tensor) {
     }
 }
 
-fn accumulate_param(grads: &mut HashMap<usize, Tensor>, param: usize, d: Tensor) {
-    match grads.get_mut(&param) {
-        Some(existing) => existing.axpy(1.0, &d),
-        None => {
-            grads.insert(param, d);
-        }
-    }
-}
-
 fn reshape_like(t: Tensor, like: &Tensor) -> Tensor {
     t.reshape(like.shape())
 }
@@ -740,9 +730,9 @@ mod tests {
         assert_eq!(tape.value(loss).item(), 1. + 2. + 3. + 4. + 2.0 * 0.0);
         let grads = tape.backward(loss);
         // dW = xᵀ @ 1 = column sums of x replicated
-        assert_eq!(grads[&0].data(), &[4., 4., 6., 6.]);
+        assert_eq!(grads[0].data(), &[4., 4., 6., 6.]);
         // db = batch size per output
-        assert_eq!(grads[&1].data(), &[2., 2.]);
+        assert_eq!(grads[1].data(), &[2., 2.]);
     }
 
     #[test]
@@ -782,7 +772,7 @@ mod tests {
         assert_eq!(skipped.len(), 3);
         assert_eq!(full.len(), 5);
         for param in 0..3 {
-            assert_eq!(skipped[&param].data(), full[&param].data(), "param {param}");
+            assert_eq!(skipped[param].data(), full[param].data(), "param {param}");
         }
     }
 
@@ -793,8 +783,11 @@ mod tests {
         let e = tape.gather_param(7, &table, &[2, 0, 2]);
         let loss = tape.sum_all(e);
         let grads = tape.backward(loss);
-        assert_eq!(grads[&7].shape(), &[3, 2]);
-        assert_eq!(grads[&7].data(), &[1., 1., 0., 0., 2., 2.]);
+        let rows = grads.rows(7).expect("a gathered table gets row gradients");
+        assert_eq!(rows.table_shape(), [3, 2]);
+        // First-occurrence order: id 2 (positions 0 and 2), then id 0.
+        assert_eq!(rows.ids(), &[2, 0]);
+        assert_eq!(grads.to_dense(7).unwrap().data(), &[1., 1., 0., 0., 2., 2.]);
     }
 
     #[test]
@@ -807,8 +800,8 @@ mod tests {
         assert!((tape.value(loss).item() - 0.5 * std::f32::consts::LN_2).abs() < 1e-3);
         let grads = tape.backward(loss);
         // grad = (σ(z) - y)/n
-        assert!((grads[&0].data()[0] - (0.5 - 1.0) / 2.0).abs() < 1e-6);
-        assert!(grads[&0].data()[1].abs() < 1e-3);
+        assert!((grads[0].data()[0] - (0.5 - 1.0) / 2.0).abs() < 1e-6);
+        assert!(grads[0].data()[1].abs() < 1e-3);
     }
 
     #[test]
@@ -836,7 +829,7 @@ mod tests {
         let loss = tape.add(s1, s2);
         let grads = tape.backward(loss);
         // d/dw (w² + w) = 2w + 1
-        assert_eq!(grads[&0].data(), &[7.0, 9.0]);
+        assert_eq!(grads[0].data(), &[7.0, 9.0]);
     }
 
     #[test]
@@ -848,7 +841,7 @@ mod tests {
         let s = tape.softmax_rows(x);
         let loss = tape.sum_all(s);
         let grads = tape.backward(loss);
-        assert!(grads[&0].norm() < 1e-6);
+        assert!(grads[0].norm() < 1e-6);
     }
 
     #[test]
@@ -879,7 +872,7 @@ mod tests {
         let y = tape.dropout(x, mask.clone());
         let loss = tape.sum_all(y);
         let grads = tape.backward(loss);
-        assert_eq!(grads[&0].data(), mask.data());
+        assert_eq!(grads[0].data(), mask.data());
     }
 
     #[test]

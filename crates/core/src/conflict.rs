@@ -71,8 +71,7 @@ pub fn domain_gradient(
     domain: usize,
     max_batches: usize,
 ) -> Vec<f32> {
-    let mut batches = env.train_batches(domain);
-    batches.truncate(max_batches.max(1));
+    let batches = env.first_train_batches(domain, max_batches.max(1));
     let mut acc = vec![0.0f32; theta.len()];
     let n = batches.len().max(1);
     for batch in batches {

@@ -1,23 +1,26 @@
 //! The training environment and the trained-model artifact.
 //!
 //! `TrainEnv` is the *only* window a learning framework has onto a model:
-//! flat parameter vectors in, `(loss, flat gradient)` out. This enforces the
-//! model-agnosticism the paper claims — no framework in this crate can even
-//! name an architecture.
+//! flat parameter vectors in, `(loss, flat gradient)` out — dense, or as
+//! the spans a minibatch touched. This enforces the model-agnosticism the
+//! paper claims — no framework in this crate can even name an architecture.
 
 use crate::config::TrainConfig;
 use crate::metrics::auc;
-use mamdr_data::{batches_for_domain, Batch, BatchPlan, MdrDataset, Split};
+use mamdr_data::{
+    batches_for_domain, first_batches_for_domain, Batch, BatchPlan, MdrDataset, Split,
+};
 use mamdr_models::{eval_logits, loss_and_grads, CtrModel};
-use mamdr_nn::{ForwardCtx, ParamStore};
+use mamdr_nn::{ForwardCtx, ParamStore, SparseGrad};
 use mamdr_obs::{ConflictSummary, EpochEvent, TrainMeta, TrainObserver};
 use mamdr_tensor::pool;
 use mamdr_tensor::rng::{derive_seed, seeded};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Per-epoch telemetry accumulators, populated by [`TrainEnv::grad`] only
-/// while an observer is attached.
+/// Per-epoch telemetry accumulators, populated by
+/// [`TrainEnv::grad_sparse`] (which every gradient goes through) only while
+/// an observer is attached.
 #[derive(Default)]
 struct Telemetry {
     epoch: usize,
@@ -52,6 +55,8 @@ pub struct TrainEnv<'a> {
     pub rng: StdRng,
     init_flat: Vec<f32>,
     scratch: ParamStore,
+    /// The sparse gradient [`grad_into`](Self::grad_into) densifies.
+    sparse_scratch: SparseGrad,
     obs: Option<Box<dyn TrainObserver>>,
     /// Dedicated stream for observer-requested conflict probes, so probing
     /// never advances `rng` (training stays bit-identical with and without
@@ -76,6 +81,7 @@ impl<'a> TrainEnv<'a> {
             rng: seeded(derive_seed(cfg.seed, 0xE17)),
             init_flat,
             scratch: init,
+            sparse_scratch: SparseGrad::default(),
             obs: None,
             probe_rng: seeded(derive_seed(cfg.seed, 0x0B5)),
             telemetry: Telemetry::default(),
@@ -119,6 +125,24 @@ impl<'a> TrainEnv<'a> {
         training: bool,
         out: &mut [f32],
     ) -> f32 {
+        let mut sparse = std::mem::take(&mut self.sparse_scratch);
+        let loss = self.grad_sparse(flat, batch, training, &mut sparse);
+        sparse.write_dense(out);
+        self.sparse_scratch = sparse;
+        loss
+    }
+
+    /// [`grad_into`](Self::grad_into) without densifying: `out` receives
+    /// only the coordinates the batch touched (every parameter read whole,
+    /// the gathered rows of each embedding table), reusing its buffers.
+    /// Returns the loss.
+    pub fn grad_sparse(
+        &mut self,
+        flat: &[f32],
+        batch: &Batch,
+        training: bool,
+        out: &mut SparseGrad,
+    ) -> f32 {
         self.scratch.load_flat(flat);
         let mut ctx = if training {
             ForwardCtx::train(&mut self.rng)
@@ -126,7 +150,7 @@ impl<'a> TrainEnv<'a> {
             ForwardCtx::eval(&mut self.rng)
         };
         let (loss, grads) = loss_and_grads(self.model, &self.scratch, batch, &mut ctx);
-        self.scratch.grads_write_flat(&grads, out);
+        self.scratch.grads_write_sparse(&grads, out);
         // Telemetry accumulation reuses values training computed anyway
         // (plus one dot product) and touches no RNG; without an observer
         // the hot path pays this single branch.
@@ -134,7 +158,10 @@ impl<'a> TrainEnv<'a> {
             let t = &mut self.telemetry;
             t.loss_sum += loss as f64;
             t.n_batches += 1;
-            t.sq_grad_sum += out.iter().map(|&g| (g as f64) * (g as f64)).sum::<f64>();
+            // Ascending flat order, as over the dense vector: the skipped
+            // coordinates' squares are +0.0, which leaves an f64 sum's bits.
+            t.sq_grad_sum +=
+                out.spans().flat_map(|(_, g)| g).map(|&g| (g as f64) * (g as f64)).sum::<f64>();
             if t.domain_loss.len() <= batch.domain {
                 t.domain_loss.resize(batch.domain + 1, (0.0, 0));
             }
@@ -147,11 +174,19 @@ impl<'a> TrainEnv<'a> {
 
     /// All training batches of one domain, shuffled.
     pub fn train_batches(&mut self, domain: usize) -> Vec<Batch> {
-        batches_for_domain(
+        self.first_train_batches(domain, usize::MAX)
+    }
+
+    /// The first `cap` of the batches [`train_batches`](Self::train_batches)
+    /// would return, leaving the RNG exactly where it would (see
+    /// [`first_batches_for_domain`]).
+    pub(crate) fn first_train_batches(&mut self, domain: usize, cap: usize) -> Vec<Batch> {
+        first_batches_for_domain(
             self.ds,
             domain,
             Split::Train,
             BatchPlan::train(self.cfg.batch_size),
+            cap,
             &mut self.rng,
         )
     }
@@ -308,14 +343,14 @@ impl<'a> TrainEnv<'a> {
         let n = self.ds.n_domains();
         let mut grads = Vec::with_capacity(n);
         for d in 0..n {
-            let mut batches = batches_for_domain(
+            let batches = first_batches_for_domain(
                 self.ds,
                 d,
                 Split::Train,
                 BatchPlan::train(self.cfg.batch_size),
+                PROBE_BATCHES,
                 &mut self.probe_rng,
             );
-            batches.truncate(PROBE_BATCHES);
             let mut acc = vec![0.0f32; theta.len()];
             let k = batches.len().max(1);
             for batch in &batches {
@@ -454,6 +489,22 @@ mod tests {
         let l2 = env.grad_into(&flat, &batch, false, &mut g2);
         assert_eq!(l1, l2);
         assert_eq!(g1, g2);
+    }
+
+    #[test]
+    fn grad_sparse_touches_the_batch_rows_and_densifies_to_grad() {
+        let (ds, built) = fixture();
+        let mut env =
+            TrainEnv::new(&ds, built.model.as_ref(), built.params.clone(), TrainConfig::quick());
+        let flat = env.init_flat();
+        let batch = mamdr_data::make_batch(&ds, 0, &ds.domains[0].train[..16]);
+        let (l1, dense) = env.grad(&flat, &batch, false);
+        let mut sparse = SparseGrad::default();
+        let l2 = env.grad_sparse(&flat, &batch, false, &mut sparse);
+        assert_eq!(l1.to_bits(), l2.to_bits());
+        assert_eq!(sparse.to_dense(), dense);
+        let touched: usize = sparse.spans().map(|(_, g)| g.len()).sum();
+        assert!(touched < env.n_params(), "all {touched} coordinates touched");
     }
 
     #[test]

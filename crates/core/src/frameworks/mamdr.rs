@@ -4,8 +4,9 @@
 use crate::env::{DomainParams, TrainEnv, TrainedModel};
 use crate::frameworks::alternate::alternate_epoch;
 use crate::frameworks::Framework;
-use mamdr_nn::vecmath;
+use mamdr_nn::{vecmath, Moved, SparseGrad};
 use rand::Rng;
+use std::ops::Range;
 
 /// MAMDR with independently switchable components, covering the paper's
 /// ablation rows: full (DN+DR), `w/o DN` (DR only), `w/o DR` (DN only) and
@@ -172,6 +173,12 @@ pub fn domain_regularization(env: &mut TrainEnv, shared: &[f32], specific_i: &mu
 
 /// Runs the DR lookahead: clone the specific delta and train it on each
 /// listed domain in order (capped minibatch steps each), returning θ̃.
+///
+/// Θ = θS + θ̃ is composed once. A step's gradient touches a minibatch's
+/// embedding rows plus the dense layers, and plain SGD moves exactly those
+/// coordinates of θ̃ (the optimizer reports which), so only they are
+/// re-added — the same single f32 add as a fresh θS + θ̃, on the only
+/// coordinates where it could differ.
 fn dr_lookahead(
     env: &mut TrainEnv,
     shared: &[f32],
@@ -191,16 +198,27 @@ fn dr_lookahead(
         Box::new(mamdr_nn::Sgd::new(dr_alpha(env), 0.0, 0))
     };
     let cap = env.cfg.dr_lookahead_batches.max(1);
-    let mut grad = vec![0.0f32; tilde.len()];
+    let mut full = vecmath::add(shared, &tilde);
+    let mut grad = SparseGrad::default();
+    let recompose = |full: &mut [f32], tilde: &[f32], range: Range<usize>| {
+        for ((f, &s), &t) in
+            full[range.clone()].iter_mut().zip(&shared[range.clone()]).zip(&tilde[range])
+        {
+            *f = s + t;
+        }
+    };
     for &d in domain_order {
-        let mut batches = env.train_batches(d);
-        batches.truncate(cap);
-        for batch in batches {
-            // Composed parameters Θ = θS + θ̃.
-            let full = vecmath::add(shared, &tilde);
-            env.grad_into(&full, &batch, true, &mut grad);
+        for batch in env.first_train_batches(d, cap) {
+            env.grad_sparse(&full, &batch, true, &mut grad);
             // dΘ/dθ̃ = I, so the gradient applies to the delta directly.
-            opt.step(&mut tilde, &grad);
+            match opt.step_sparse(&mut tilde, &grad) {
+                Moved::Touched => {
+                    for (start, g) in grad.spans() {
+                        recompose(&mut full, &tilde, start..start + g.len());
+                    }
+                }
+                Moved::All => recompose(&mut full, &tilde, 0..tilde.len()),
+            }
         }
     }
     tilde

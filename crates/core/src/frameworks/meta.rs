@@ -75,9 +75,8 @@ impl Framework for Reptile {
             for d in env.shuffled_domains() {
                 let mut tilde = theta.clone();
                 let mut inner = env.cfg.inner.build(tilde.len());
-                let mut batches = env.train_batches(d);
-                batches.truncate(env.cfg.meta_inner_steps.max(1) * 4);
-                for batch in batches {
+                let cap = env.cfg.meta_inner_steps.max(1) * 4;
+                for batch in env.first_train_batches(d, cap) {
                     let (_, g) = env.grad(&tilde, &batch, true);
                     inner.step(&mut tilde, &g);
                 }

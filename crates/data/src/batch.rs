@@ -49,12 +49,32 @@ pub fn batches_for_domain(
     plan: BatchPlan,
     rng: &mut impl Rng,
 ) -> Vec<Batch> {
+    first_batches_for_domain(ds, domain, split, plan, usize::MAX, rng)
+}
+
+/// The first `max_batches` of the batches [`batches_for_domain`] builds,
+/// building only those. The shuffle still permutes the whole split, so
+/// `rng` advances exactly as it does there, and [`make_batch`] draws
+/// nothing: callers that keep a prefix get the same batches and the same
+/// stream either way.
+pub fn first_batches_for_domain(
+    ds: &MdrDataset,
+    domain: usize,
+    split: Split,
+    plan: BatchPlan,
+    max_batches: usize,
+    rng: &mut impl Rng,
+) -> Vec<Batch> {
     assert!(plan.batch_size > 0, "batch_size must be positive");
     let mut interactions: Vec<Interaction> = ds.domains[domain].split(split).to_vec();
     if plan.shuffled {
         shuffle(rng, &mut interactions);
     }
-    interactions.chunks(plan.batch_size).map(|chunk| make_batch(ds, domain, chunk)).collect()
+    interactions
+        .chunks(plan.batch_size)
+        .take(max_batches)
+        .map(|chunk| make_batch(ds, domain, chunk))
+        .collect()
 }
 
 #[cfg(test)]
@@ -111,6 +131,20 @@ mod tests {
         let t1 = batches_for_domain(&ds, 0, Split::Train, BatchPlan::train(16), &mut seeded(1));
         let t2 = batches_for_domain(&ds, 0, Split::Train, BatchPlan::train(16), &mut seeded(2));
         assert_ne!(t1[0].users, t2[0].users, "train order should be shuffled");
+    }
+
+    #[test]
+    fn first_batches_are_a_prefix_and_leave_the_rng_where_all_batches_do() {
+        let ds = dataset();
+        let plan = BatchPlan::train(32);
+        let (mut all_rng, mut first_rng) = (seeded(3), seeded(3));
+        let all = batches_for_domain(&ds, 0, Split::Train, plan, &mut all_rng);
+        let first = first_batches_for_domain(&ds, 0, Split::Train, plan, 2, &mut first_rng);
+        assert_eq!(first.len(), 2);
+        for (a, b) in all.iter().zip(&first) {
+            assert_eq!((&a.users, &a.items, &a.labels), (&b.users, &b.items, &b.labels));
+        }
+        assert_eq!(all_rng.gen::<u64>(), first_rng.gen::<u64>(), "rng streams diverged");
     }
 
     #[test]

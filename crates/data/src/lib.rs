@@ -31,6 +31,6 @@ pub mod presets;
 pub mod stats;
 pub mod types;
 
-pub use batch::{batches_for_domain, make_batch, BatchPlan};
+pub use batch::{batches_for_domain, first_batches_for_domain, make_batch, BatchPlan};
 pub use generator::{DomainSpec, GeneratorConfig, GroundTruth};
 pub use types::{Batch, DomainData, Interaction, MdrDataset, Split};

@@ -4,12 +4,10 @@ use crate::config::{FeatureConfig, ModelConfig, ModelKind};
 use crate::multi::{Cgc, Mmoe, Ple, SharedBottom, Star};
 use crate::single::{AutoInt, DeepFm, MlpModel, NeurFm, Raw, Wdl};
 use mamdr_autodiff::tape::stable_sigmoid;
-use mamdr_autodiff::{Tape, Var};
+use mamdr_autodiff::{Grads, Tape, Var};
 use mamdr_data::Batch;
 use mamdr_nn::{ForwardCtx, ParamStore, ParamStoreBuilder};
 use mamdr_tensor::rng::seeded;
-use mamdr_tensor::Tensor;
-use std::collections::HashMap;
 
 /// A CTR model: registers parameters at construction, replays its forward
 /// pass per batch.
@@ -67,7 +65,7 @@ pub fn build_model(
 }
 
 /// One training evaluation: mean BCE loss and the gradient of every touched
-/// parameter.
+/// parameter (embedding tables as the rows the batch gathered).
 ///
 /// This is the *entire* interface the model-agnostic frameworks use — they
 /// never see the architecture.
@@ -76,7 +74,7 @@ pub fn loss_and_grads(
     ps: &ParamStore,
     batch: &Batch,
     ctx: &mut ForwardCtx,
-) -> (f32, HashMap<usize, Tensor>) {
+) -> (f32, Grads) {
     let mut tape = Tape::new();
     let logits = model.forward(ps, &mut tape, ctx, batch);
     let flat = flatten_logits(&mut tape, logits, batch.len());

@@ -110,16 +110,19 @@ fn gradients_are_zero_for_unused_embedding_rows() {
     let mut ctx = ForwardCtx::eval(&mut rng);
     let (_, grads) = loss_and_grads(built.model.as_ref(), &built.params, &batch, &mut ctx);
     let user_table = built.params.index_of("mlp/emb_user").unwrap();
-    let g = &grads[&user_table];
+    let mut ids = grads.rows(user_table).expect("the user table is gathered").ids().to_vec();
+    ids.sort_unstable();
+    let mut users = batch.users.clone();
+    users.sort_unstable();
+    users.dedup();
+    assert_eq!(ids, users, "row gradients exist for exactly the batch's users");
+    let g = grads.to_dense(user_table).unwrap();
     let used: std::collections::HashSet<u32> = batch.users.iter().copied().collect();
-    let (rows, dim) = g.matrix_dims();
-    for r in 0..rows {
-        let touched = used.contains(&(r as u32));
+    for r in 0..g.matrix_dims().0 {
         let row_norm: f32 = g.row(r).iter().map(|x| x * x).sum();
-        if !touched {
+        if !used.contains(&(r as u32)) {
             assert_eq!(row_norm, 0.0, "row {} got gradient without being in batch", r);
         }
-        let _ = dim;
     }
     // and at least the touched rows received signal
     assert!(used.iter().any(|&u| g.row(u as usize).iter().any(|&x| x != 0.0)));

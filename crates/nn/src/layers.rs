@@ -327,8 +327,8 @@ mod tests {
         // 2 layers × (w, b) = 4 parameter tensors, all touched
         assert_eq!(grads.len(), 4);
         for layer in mlp.layers() {
-            assert!(grads.contains_key(&layer.weight_index()));
-            assert!(grads.contains_key(&layer.bias_index()));
+            assert!(grads.contains(layer.weight_index()));
+            assert!(grads.contains(layer.bias_index()));
         }
     }
 }

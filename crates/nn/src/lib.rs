@@ -20,10 +20,12 @@ pub mod layers;
 pub mod optim;
 pub mod persist;
 pub mod schedule;
+pub mod sparse;
 pub mod store;
 pub mod vecmath;
 
 pub use layers::{Activation, Dense, Embedding, ForwardCtx, Mlp};
-pub use optim::{Adagrad, Adam, Optimizer, OptimizerKind, Sgd};
+pub use optim::{Adagrad, Adam, Moved, Optimizer, OptimizerKind, Sgd};
 pub use schedule::LrSchedule;
+pub use sparse::SparseGrad;
 pub use store::{ParamStore, ParamStoreBuilder};

@@ -4,11 +4,38 @@
 //! (§IV-E): Adam for the benchmark datasets, SGD inner + Adagrad outer for
 //! the industry deployment. All three are provided; each owns its state
 //! vectors and can be `reset` when a framework re-enters an inner loop.
+//!
+//! A step can also take a [`SparseGrad`]. Plain SGD and Adagrad then touch
+//! only the gradient's coordinates, which is exact: at a zero gradient
+//! their dense update is `p − lr·0 = p` and `a + 0·0 = a`, bit for bit.
+//! Adam and momentum SGD still move a coordinate whose gradient is zero
+//! (the moments decay), so they take the dense step.
+
+use crate::sparse::SparseGrad;
+
+/// Which coordinates an [`Optimizer::step_sparse`] call may have changed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Moved {
+    /// Only the coordinates in the gradient's spans; every other parameter
+    /// and every other state entry kept its bits.
+    Touched,
+    /// Any coordinate.
+    All,
+}
 
 /// A first-order optimizer updating `params` in place from `grads`.
 pub trait Optimizer {
     /// Applies one update step.
     fn step(&mut self, params: &mut [f32], grads: &[f32]);
+    /// Applies one update step from a sparse gradient and reports which
+    /// coordinates it moved. The result is bit-identical to
+    /// [`step`](Self::step) on the densified gradient.
+    ///
+    /// The default densifies, takes that step and reports [`Moved::All`].
+    fn step_sparse(&mut self, params: &mut [f32], grads: &SparseGrad) -> Moved {
+        self.step(params, &grads.to_dense());
+        Moved::All
+    }
     /// Clears accumulated state (moments, history).
     fn reset(&mut self);
     /// Current learning rate.
@@ -78,6 +105,20 @@ impl Optimizer for Sgd {
                 *p -= self.lr * g;
             }
         }
+    }
+
+    fn step_sparse(&mut self, params: &mut [f32], grads: &SparseGrad) -> Moved {
+        if self.momentum > 0.0 || !zero_steps_are_exact(self.lr) {
+            self.step(params, &grads.to_dense());
+            return Moved::All;
+        }
+        assert_eq!(params.len(), grads.len());
+        for (start, g) in grads.spans() {
+            for (p, &g) in params[start..start + g.len()].iter_mut().zip(g) {
+                *p -= self.lr * g;
+            }
+        }
+        Moved::Touched
     }
 
     fn reset(&mut self) {
@@ -168,6 +209,23 @@ impl Optimizer for Adagrad {
         }
     }
 
+    fn step_sparse(&mut self, params: &mut [f32], grads: &SparseGrad) -> Moved {
+        if !zero_steps_are_exact(self.lr) {
+            self.step(params, &grads.to_dense());
+            return Moved::All;
+        }
+        assert_eq!(params.len(), grads.len());
+        for (start, g) in grads.spans() {
+            let end = start + g.len();
+            for ((p, &g), a) in params[start..end].iter_mut().zip(g).zip(&mut self.acc[start..end])
+            {
+                *a += g * g;
+                *p -= self.lr * g / (a.sqrt() + self.eps);
+            }
+        }
+        Moved::Touched
+    }
+
     fn reset(&mut self) {
         self.acc.iter_mut().for_each(|x| *x = 0.0);
     }
@@ -179,6 +237,13 @@ impl Optimizer for Adagrad {
     fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
+}
+
+/// Whether `p − lr·(+0.0)` leaves every `p` bit for bit: it needs
+/// `lr·(+0.0) = +0.0`. A non-finite rate makes it NaN, and a sign-negative
+/// one makes it `−0.0`, which turns a stored `−0.0` into `+0.0`.
+fn zero_steps_are_exact(lr: f32) -> bool {
+    lr.is_finite() && lr.is_sign_positive()
 }
 
 #[cfg(test)]
@@ -236,6 +301,45 @@ mod tests {
         assert!(adam.t == 1 && adam.m[0] != 0.0);
         adam.reset();
         assert!(adam.t == 0 && adam.m[0] == 0.0 && adam.v[0] == 0.0);
+    }
+
+    /// A gradient over 8 coordinates touching `[1, 3)` and `[5, 7)`, with
+    /// signed zeros among the touched values.
+    fn sparse_grad() -> SparseGrad {
+        let mut g = SparseGrad::new(8);
+        g.push(5, &[-0.0, 0.75]);
+        g.push(1, &[0.5, 0.0]);
+        g.finish();
+        g
+    }
+
+    #[test]
+    fn sparse_steps_match_dense_steps_bit_for_bit() {
+        let kinds = [
+            (OptimizerKind::Sgd { lr: 0.1, momentum: 0.0 }, Moved::Touched),
+            (OptimizerKind::Adagrad { lr: 0.1 }, Moved::Touched),
+            (OptimizerKind::Adam { lr: 0.1 }, Moved::All),
+            (OptimizerKind::Sgd { lr: 0.1, momentum: 0.9 }, Moved::All),
+            // lr·0 = −0.0 would turn an untouched −0.0 into +0.0.
+            (OptimizerKind::Sgd { lr: -0.1, momentum: 0.0 }, Moved::All),
+        ];
+        let g = sparse_grad();
+        let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for (kind, moved) in kinds {
+            let (mut dense, mut sparse) = (kind.build(8), kind.build(8));
+            let start = vec![-0.0, 0.0, -0.0, 1.5, -2.0, -0.0, 0.25, -0.0];
+            let (mut pd, mut ps) = (start.clone(), start.clone());
+            for step in 0..3 {
+                dense.step(&mut pd, &g.to_dense());
+                assert_eq!(sparse.step_sparse(&mut ps, &g), moved, "{kind:?}");
+                assert_eq!(bits(&pd), bits(&ps), "{kind:?} step {step}");
+            }
+            if moved == Moved::Touched {
+                for i in [0, 3, 4, 7] {
+                    assert_eq!(ps[i].to_bits(), start[i].to_bits(), "{kind:?} moved {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Named parameter storage with flat-vector views.
 
+use crate::sparse::SparseGrad;
+use mamdr_autodiff::Grads;
 use mamdr_tensor::init::Init;
 use mamdr_tensor::{pool, Tensor};
 use rand::Rng;
@@ -192,10 +194,10 @@ impl ParamStore {
         });
     }
 
-    /// Converts a sparse per-tensor gradient map (as returned by
-    /// `Tape::backward`) into a dense flat gradient vector; untouched
-    /// parameters contribute zeros.
-    pub fn grads_to_flat(&self, grads: &HashMap<usize, Tensor>) -> Vec<f32> {
+    /// Converts a tape's gradient (as returned by `Tape::backward`) into a
+    /// dense flat gradient vector; untouched parameters and table rows
+    /// contribute zeros.
+    pub fn grads_to_flat(&self, grads: &Grads) -> Vec<f32> {
         let mut flat = vec![0.0f32; self.total];
         self.grads_write_flat(grads, &mut flat);
         flat
@@ -203,21 +205,47 @@ impl ParamStore {
 
     /// Like [`ParamStore::grads_to_flat`] but scattering into a caller-owned
     /// buffer (cleared first), so per-step training loops stop allocating.
-    pub fn grads_write_flat(&self, grads: &HashMap<usize, Tensor>, out: &mut [f32]) {
+    pub fn grads_write_flat(&self, grads: &Grads, out: &mut [f32]) {
         assert_eq!(out.len(), self.total, "flat vector length mismatch");
         out.fill(0.0);
-        for (&idx, g) in grads {
-            let off = self.offsets[idx];
-            let n = g.numel();
-            assert_eq!(
-                n,
-                self.tensors[idx].numel(),
-                "gradient shape mismatch for param {} ({})",
-                idx,
-                self.specs[idx].name
-            );
-            out[off..off + n].copy_from_slice(g.data());
+        self.for_each_span(grads, |start, values| {
+            out[start..start + values.len()].copy_from_slice(values);
+        });
+    }
+
+    /// Maps a tape's gradient to flat coordinates without densifying it:
+    /// one span per parameter read whole, one per touched table row.
+    /// Reuses `out`'s buffers.
+    pub fn grads_write_sparse(&self, grads: &Grads, out: &mut SparseGrad) {
+        out.clear(self.total);
+        self.for_each_span(grads, |start, values| out.push(start, values));
+        out.finish();
+    }
+
+    /// Calls `f(flat start, values)` for every parameter read whole, then
+    /// for every touched table row.
+    fn for_each_span(&self, grads: &Grads, mut f: impl FnMut(usize, &[f32])) {
+        for (idx, g) in grads.dense_iter() {
+            self.check_grad_shape(idx, g.numel());
+            f(self.offsets[idx], g.data());
         }
+        for (idx, rows) in grads.rows_iter() {
+            let [n_rows, dim] = rows.table_shape();
+            self.check_grad_shape(idx, n_rows * dim);
+            for (id, row) in rows.iter() {
+                f(self.offsets[idx] + id as usize * dim, row);
+            }
+        }
+    }
+
+    fn check_grad_shape(&self, idx: usize, numel: usize) {
+        assert_eq!(
+            numel,
+            self.tensors[idx].numel(),
+            "gradient shape mismatch for param {} ({})",
+            idx,
+            self.specs[idx].name
+        );
     }
 
     /// A zero vector with the flat length of this store.
@@ -234,6 +262,7 @@ impl ParamStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mamdr_autodiff::Tape;
     use mamdr_tensor::rng::seeded;
 
     fn sample_store() -> ParamStore {
@@ -277,15 +306,47 @@ mod tests {
         assert_eq!(s.to_flat(), modified);
     }
 
+    /// The tape gradient of `Σ c ⊙ b1 + Σ emb[ids]` with `c = [1, 2, 3]`:
+    /// `c` for `b1`, and for each table row the number of times `ids`
+    /// names it. `w1` is never read.
+    fn sample_grads(s: &ParamStore, ids: &[u32]) -> Grads {
+        let mut tape = Tape::new();
+        let b1 = tape.param(1, s.get(1).clone());
+        let c = tape.leaf(Tensor::from_vec([3], vec![1., 2., 3.]));
+        let bc = tape.mul(b1, c);
+        let l1 = tape.sum_all(bc);
+        let e = tape.gather_param(2, s.get(2), ids);
+        let l2 = tape.sum_all(e);
+        let loss = tape.add(l1, l2);
+        tape.backward(loss)
+    }
+
     #[test]
     fn grads_to_flat_fills_zeros_for_untouched() {
         let s = sample_store();
-        let mut grads = HashMap::new();
-        grads.insert(1usize, Tensor::from_vec([3], vec![1., 2., 3.]));
-        let flat = s.grads_to_flat(&grads);
+        let flat = s.grads_to_flat(&sample_grads(&s, &[3, 1, 3]));
         assert_eq!(&flat[0..6], &[0.0; 6]);
         assert_eq!(&flat[6..9], &[1., 2., 3.]);
-        assert_eq!(&flat[9..], &[0.0; 8]);
+        assert_eq!(&flat[9..], &[0., 0., 1., 1., 0., 0., 2., 2.]);
+    }
+
+    #[test]
+    fn sparse_grads_list_touched_spans_in_flat_order_and_densify_alike() {
+        let s = sample_store();
+        let grads = sample_grads(&s, &[3, 1, 3]);
+        let mut sparse = SparseGrad::default();
+        s.grads_write_sparse(&grads, &mut sparse);
+        let spans: Vec<(usize, Vec<f32>)> = sparse.spans().map(|(i, v)| (i, v.to_vec())).collect();
+        assert_eq!(
+            spans,
+            vec![(6, vec![1., 2., 3.]), (11, vec![1., 1.]), (15, vec![2., 2.])],
+            "b1 whole, then emb rows 1 and 3; w1 and the other rows untouched"
+        );
+        assert_eq!(sparse.len(), s.flat_len());
+        assert_eq!(sparse.to_dense(), s.grads_to_flat(&grads));
+        // Refilling reuses the buffers and forgets the previous spans.
+        s.grads_write_sparse(&sample_grads(&s, &[0]), &mut sparse);
+        assert_eq!(sparse.spans().map(|(i, _)| i).collect::<Vec<_>>(), vec![6, 9]);
     }
 
     #[test]
@@ -308,8 +369,7 @@ mod tests {
     fn grads_write_flat_clears_previous_contents() {
         let s = sample_store();
         let mut buf = vec![99.0f32; s.flat_len()];
-        let mut grads = HashMap::new();
-        grads.insert(1usize, Tensor::from_vec([3], vec![1., 2., 3.]));
+        let grads = sample_grads(&s, &[2]);
         s.grads_write_flat(&grads, &mut buf);
         assert_eq!(buf, s.grads_to_flat(&grads));
         assert_eq!(&buf[0..6], &[0.0; 6], "stale buffer contents must be cleared");

@@ -174,13 +174,15 @@ impl Tensor {
     /// Scatter-adds rows into `self`: for each i, `self[ids[i]] += src[i]`.
     ///
     /// This is the adjoint of [`Tensor::gather_rows`]; duplicate ids
-    /// accumulate.
+    /// accumulate. Into a zeroed table, in reverse node order, it is the
+    /// reference rule the tape's row-sparse gather gradients reproduce bit
+    /// for bit.
     pub fn scatter_add_rows(&mut self, ids: &[u32], src: &Tensor) {
         let (rows, dim) = self.matrix_dims();
         let (srows, sdim) = src.matrix_dims();
         assert_eq!(sdim, dim, "scatter dim mismatch");
         assert_eq!(srows, ids.len(), "scatter id count mismatch");
-        let s = src.data().to_vec();
+        let s = src.data();
         let a = self.data_mut();
         for (i, &id) in ids.iter().enumerate() {
             let id = id as usize;
