@@ -18,7 +18,6 @@
 
 pub mod layers;
 pub mod optim;
-pub mod persist;
 pub mod schedule;
 pub mod sparse;
 pub mod store;

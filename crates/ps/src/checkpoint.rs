@@ -11,9 +11,15 @@
 //! ```text
 //! magic "MAMDRPS1" | u32 dim | u64 n_rows | n_rows × (u32 table, u32 row, dim × f32)
 //! ```
+//!
+//! The format predates the workspace's digest envelope and carries none;
+//! its bytes are pinned (`tests/ps_golden.rs`), so it uses the
+//! `mamdr_util::codec` reader and writer without `seal`. On disk, integrity
+//! comes from the shard manifest, which records each checkpoint's FNV-1a.
 
 use crate::kv::{ParamKey, ParameterServer, LOCK_STRIPES};
 use mamdr_obs::{EventLog, Value};
+use mamdr_util::codec::{self, CodecError, Reader, Writer};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -21,141 +27,99 @@ const MAGIC: &[u8; 8] = b"MAMDRPS1";
 
 /// Widest row a checkpoint header may declare. Far above any embedding
 /// width the repo trains (8–64), and small enough that a corrupt header
-/// cannot ask [`load`] for more than a 256 KiB row buffer.
+/// cannot ask [`load`] for more than a 256 KiB row.
 const MAX_DIM: usize = 1 << 16;
-
-/// A checkpointing error.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// The stream is not a valid checkpoint.
-    Corrupt(String),
-}
-
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "I/O error: {e}"),
-            CheckpointError::Corrupt(m) => write!(f, "corrupt checkpoint: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
 
 /// Serializes every row of the server.
 ///
 /// Rows are written in a deterministic order (sorted by key) so identical
 /// server states produce byte-identical checkpoints.
-pub fn save(ps: &ParameterServer, dim: usize, mut w: impl Write) -> Result<(), CheckpointError> {
+pub fn save(ps: &ParameterServer, dim: usize, mut w: impl Write) -> Result<(), CodecError> {
+    w.write_all(&encode(ps, dim)?)?;
+    Ok(())
+}
+
+fn encode(ps: &ParameterServer, dim: usize) -> Result<Vec<u8>, CodecError> {
     let mut rows = ps.dump_rows();
     rows.sort_by_key(|(k, _)| (k.table, k.row));
-    w.write_all(MAGIC)?;
-    w.write_all(&(dim as u32).to_le_bytes())?;
-    w.write_all(&(rows.len() as u64).to_le_bytes())?;
-    for (key, value) in rows {
-        if value.len() != dim {
-            return Err(CheckpointError::Corrupt(format!(
-                "row {:?} has width {} (expected {})",
-                key,
-                value.len(),
-                dim
-            )));
-        }
-        w.write_all(&key.table.to_le_bytes())?;
-        w.write_all(&key.row.to_le_bytes())?;
-        for v in value {
-            w.write_all(&v.to_le_bytes())?;
-        }
+    if let Some((key, value)) = rows.iter().find(|(_, v)| v.len() != dim) {
+        return Err(CodecError::corrupt(
+            MAGIC,
+            format!("row {key:?} has width {} (expected {dim})", value.len()),
+        ));
     }
-    Ok(())
+    let mut w = Writer::default();
+    w.bytes(MAGIC).u32(dim as u32).u64(rows.len() as u64);
+    for (key, value) in &rows {
+        key.write_to(&mut w);
+        w.f32s(value);
+    }
+    Ok(w.into_bytes())
 }
 
 /// Restores a checkpoint into a fresh server.
 ///
-/// The header is untrusted: a declared width above [`MAX_DIM`] is
-/// [`CheckpointError::Corrupt`] before any buffer is sized from it. The
-/// declared row count is never allocated for — rows are read one at a time
-/// and a short stream ends in an I/O error — so a stream of unknown length
-/// needs no further bound; [`load_from_path`] additionally checks the count
-/// against the file's length.
-pub fn load(mut r: impl Read) -> Result<ParameterServer, CheckpointError> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(CheckpointError::Corrupt("bad magic".into()));
-    }
-    let mut b4 = [0u8; 4];
-    r.read_exact(&mut b4)?;
-    let dim = u32::from_le_bytes(b4) as usize;
-    if dim > MAX_DIM {
-        return Err(CheckpointError::Corrupt(format!(
-            "header declares row width {dim}, above the {MAX_DIM} cap"
-        )));
-    }
-    let mut b8 = [0u8; 8];
-    r.read_exact(&mut b8)?;
-    let n_rows = u64::from_le_bytes(b8) as usize;
+/// The header is untrusted: a declared width above [`MAX_DIM`], or a row
+/// count the remaining bytes cannot hold, is [`CodecError::Corrupt`] before
+/// any buffer is sized from it, and so is a stream with bytes left over.
+pub fn load(mut r: impl Read) -> Result<ParameterServer, CodecError> {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    decode(&bytes)
+}
 
-    let ps = ParameterServer::new(LOCK_STRIPES, dim);
-    let mut fbuf = vec![0u8; 4 * dim];
-    for _ in 0..n_rows {
-        r.read_exact(&mut b4)?;
-        let table = u32::from_le_bytes(b4);
-        r.read_exact(&mut b4)?;
-        let row = u32::from_le_bytes(b4);
-        r.read_exact(&mut fbuf)?;
-        let value: Vec<f32> =
-            fbuf.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
-        ps.init_row(ParamKey::new(table, row), value);
+fn decode(bytes: &[u8]) -> Result<ParameterServer, CodecError> {
+    let mut r = Reader::new(MAGIC, bytes);
+    r.magic()?;
+    let dim = r.u32()? as usize;
+    if dim > MAX_DIM {
+        return Err(r.corrupt(format!("header declares row width {dim}, above the {MAX_DIM} cap")));
     }
+    let n_rows = r.u64()?;
+    let n_rows = r.count(n_rows, 8 + 4 * dim as u64)?;
+    let ps = ParameterServer::new(LOCK_STRIPES, dim);
+    for _ in 0..n_rows {
+        let key = ParamKey::read_from(&mut r)?;
+        ps.init_row(key, r.f32s(dim as u64)?);
+    }
+    r.finish()?;
     Ok(ps)
 }
 
 /// File extension of on-disk parameter-server checkpoints.
 pub const CHECKPOINT_EXT: &str = "mamdrps";
 
-/// Writes a checkpoint to `dir/ckpt-<round>.mamdrps` and returns the path.
+/// Commits a checkpoint to `dir/ckpt-<round>.mamdrps` through
+/// [`codec::write_atomic`] and returns the path.
 pub fn save_to_dir(
     ps: &ParameterServer,
     dim: usize,
     dir: &Path,
     round: u64,
-) -> Result<PathBuf, CheckpointError> {
+) -> Result<PathBuf, CodecError> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("ckpt-{round:010}.{CHECKPOINT_EXT}"));
-    let mut w = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    save(ps, dim, &mut w)?;
-    use std::io::Write as _;
-    w.flush()?;
+    codec::write_atomic(&path, &encode(ps, dim)?)?;
     Ok(path)
 }
 
 /// Quick structural validation of a checkpoint file: magic, plausible
 /// header, and an exact file-length match against the declared row count.
-/// Catches truncation and header corruption without parsing every row
-/// (payload bit flips are the journal's checksum's job — the v1 checkpoint
-/// format predates `mamdr-util` and carries no digest).
-fn validate_checkpoint(path: &Path) -> Result<(), CheckpointError> {
+/// Catches truncation and header corruption without reading every row
+/// (payload bit flips are the manifest digest's job — the v1 checkpoint
+/// format carries no digest of its own).
+fn validate_checkpoint(path: &Path) -> Result<(), CodecError> {
     let mut f = std::fs::File::open(path)?;
     let mut header = [0u8; 8 + 4 + 8];
     f.read_exact(&mut header)?;
-    if &header[..8] != MAGIC {
-        return Err(CheckpointError::Corrupt("bad magic".into()));
-    }
-    let dim = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) as u64;
-    let n_rows = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
+    let mut r = Reader::new(MAGIC, &header);
+    r.magic()?;
+    let dim = r.u32()? as u64;
+    let n_rows = r.u64()?;
     let expected = n_rows.saturating_mul(8 + 4 * dim).saturating_add(20);
     let actual = f.metadata()?.len();
     if actual != expected {
-        return Err(CheckpointError::Corrupt(format!(
+        return Err(r.corrupt(format!(
             "file is {actual} bytes, header declares {expected} ({n_rows} rows × dim {dim})"
         )));
     }
@@ -176,7 +140,7 @@ fn validate_checkpoint(path: &Path) -> Result<(), CheckpointError> {
 pub fn latest_checkpoint(
     dir: &Path,
     log: Option<&EventLog>,
-) -> Result<Option<PathBuf>, CheckpointError> {
+) -> Result<Option<PathBuf>, CodecError> {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -215,12 +179,10 @@ pub fn latest_checkpoint(
     Ok(None)
 }
 
-/// Loads a checkpoint file into a fresh server. The file's length is
-/// known, so the header's declared row count and width must account for it
-/// exactly before a single row is parsed.
-pub fn load_from_path(path: &Path) -> Result<ParameterServer, CheckpointError> {
-    validate_checkpoint(path)?;
-    load(std::io::BufReader::new(std::fs::File::open(path)?))
+/// Loads a checkpoint file into a fresh server. The header's row count and
+/// width must account for the file's length exactly.
+pub fn load_from_path(path: &Path) -> Result<ParameterServer, CodecError> {
+    decode(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -268,7 +230,7 @@ mod tests {
     fn rejects_garbage() {
         assert!(matches!(
             load(&b"NOTMAGIC"[..]),
-            Err(CheckpointError::Corrupt(_)) | Err(CheckpointError::Io(_))
+            Err(CodecError::Corrupt(_)) | Err(CodecError::Io(_))
         ));
         // truncated body
         let ps = sample_server();
@@ -286,7 +248,7 @@ mod tests {
         forged.extend_from_slice(MAGIC);
         forged.extend_from_slice(&u32::MAX.to_le_bytes());
         forged.extend_from_slice(&1u64.to_le_bytes());
-        assert!(matches!(load(forged.as_slice()), Err(CheckpointError::Corrupt(_))));
+        assert!(matches!(load(forged.as_slice()), Err(CodecError::Corrupt(_))));
 
         // On disk the length is known, so a forged row count (or a width
         // under the cap that the file cannot hold) is Corrupt as well —
@@ -304,7 +266,7 @@ mod tests {
             bad[at..at + bytes.len()].copy_from_slice(bytes);
             std::fs::write(&path, &bad).unwrap();
             assert!(
-                matches!(load_from_path(&path), Err(CheckpointError::Corrupt(_))),
+                matches!(load_from_path(&path), Err(CodecError::Corrupt(_))),
                 "forged header field at byte {at} must be Corrupt"
             );
         }

@@ -6,8 +6,9 @@
 //! rescales every subsequent update), and the final [`crate::
 //! DistributedReport`] aggregates per-round losses, cache counters, and
 //! traffic from round zero. The journal closes that gap. At every
-//! committed round boundary the driver writes, atomically (temp file +
-//! rename), one `journal-<round>.mamdrj` per shard holding:
+//! committed round boundary the trainer commits one `journal-<round>.mamdrj`
+//! per shard through `mamdr_util::codec::write_atomic` (staging file, fsync,
+//! rename), holding:
 //!
 //! * the number of completed rounds (the RNG cursor: every stream this
 //!   workspace uses is derived statelessly from `(seed, round, worker)`,
@@ -19,9 +20,9 @@
 //!   shard's own store traffic),
 //! * the shard's complete Adagrad accumulator state,
 //!
-//! all integrity-protected by the workspace's FNV-1a checksum
-//! ([`mamdr_util::Checksum`]), so a torn write surfaces as
-//! [`JournalError::Corrupt`]. A journal is recovery *data*, never a commit
+//! all inside the workspace's digest envelope (`magic ‖ body ‖
+//! FNV-1a(body)`, [`mamdr_util::codec::seal`]), so a torn write surfaces
+//! as [`CodecError::Corrupt`]. A journal is recovery *data*, never a commit
 //! point by itself: the boundary is committed by the
 //! [`crate::ShardManifest`] written after every shard's files, which
 //! records each file's digest — [`crate::latest_manifest`] skips a
@@ -30,40 +31,13 @@
 
 use crate::cache::CacheStats;
 use crate::kv::ParamKey;
-use mamdr_util::Checksum;
+use mamdr_util::codec::{self, CodecError, Reader};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"MAMDRJN1";
 
 /// File extension of on-disk round journals.
 pub const JOURNAL_EXT: &str = "mamdrj";
-
-/// A journaling error.
-#[derive(Debug)]
-pub enum JournalError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// The file is not a valid journal (bad magic, checksum mismatch,
-    /// truncation, or malformed body).
-    Corrupt(String),
-}
-
-impl From<std::io::Error> for JournalError {
-    fn from(e: std::io::Error) -> Self {
-        JournalError::Io(e)
-    }
-}
-
-impl std::fmt::Display for JournalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JournalError::Io(e) => write!(f, "I/O error: {e}"),
-            JournalError::Corrupt(m) => write!(f, "corrupt journal: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for JournalError {}
 
 /// One resumable round boundary: the aggregates of every completed round
 /// plus the optimizer state the checkpoint format does not carry.
@@ -100,158 +74,71 @@ impl RoundJournal {
         format!("journal-{:010}.{JOURNAL_EXT}", self.rounds_done)
     }
 
-    /// Serializes the body (everything between magic and checksum).
-    fn encode_body(&self) -> Result<Vec<u8>, JournalError> {
-        let mut b = Vec::with_capacity(128 + self.adagrad.len() * (8 + 4 * self.dim as usize));
-        b.extend_from_slice(&self.rounds_done.to_le_bytes());
-        let name = self.checkpoint_file.as_bytes();
-        b.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        b.extend_from_slice(name);
-        b.extend_from_slice(&self.cache.hits.to_le_bytes());
-        b.extend_from_slice(&self.cache.misses.to_le_bytes());
-        b.extend_from_slice(&self.max_staleness.to_le_bytes());
-        for part in [self.traffic.0, self.traffic.1, self.traffic.2, self.traffic.3] {
-            b.extend_from_slice(&part.to_le_bytes());
-        }
-        b.extend_from_slice(&self.guard_trips.to_le_bytes());
-        b.extend_from_slice(&self.guard_rollbacks.to_le_bytes());
-        b.extend_from_slice(&(self.round_losses.len() as u64).to_le_bytes());
-        for &loss in &self.round_losses {
-            b.extend_from_slice(&loss.to_le_bytes());
-        }
-        b.extend_from_slice(&self.dim.to_le_bytes());
-        b.extend_from_slice(&(self.adagrad.len() as u64).to_le_bytes());
-        let mut rows = self.adagrad.clone();
+    /// Encodes the journal in its envelope, accumulator rows key-sorted.
+    fn encode(&self) -> Result<Vec<u8>, CodecError> {
+        let dim = self.dim as usize;
+        let mut rows: Vec<&(ParamKey, Vec<f32>)> = self.adagrad.iter().collect();
         rows.sort_by_key(|(k, _)| (k.table, k.row));
-        for (key, acc) in &rows {
-            if acc.len() != self.dim as usize {
-                return Err(JournalError::Corrupt(format!(
-                    "accumulator {key:?} has width {} (expected {})",
-                    acc.len(),
-                    self.dim
-                )));
-            }
-            b.extend_from_slice(&key.table.to_le_bytes());
-            b.extend_from_slice(&key.row.to_le_bytes());
-            for v in acc {
-                b.extend_from_slice(&v.to_le_bytes());
-            }
+        if let Some((key, acc)) = rows.iter().find(|(_, acc)| acc.len() != dim) {
+            return Err(CodecError::corrupt(
+                MAGIC,
+                format!("accumulator {key:?} has width {} (expected {dim})", acc.len()),
+            ));
         }
-        Ok(b)
+        Ok(codec::seal(MAGIC, |w| {
+            w.u64(self.rounds_done).string(&self.checkpoint_file);
+            w.u64(self.cache.hits).u64(self.cache.misses).u64(self.max_staleness);
+            let (pulls, pushes, bytes_pulled, bytes_pushed) = self.traffic;
+            w.u64(pulls).u64(pushes).u64(bytes_pulled).u64(bytes_pushed);
+            w.u64(self.guard_trips).u64(self.guard_rollbacks);
+            w.u64(self.round_losses.len() as u64);
+            for &loss in &self.round_losses {
+                w.f64(loss);
+            }
+            w.u32(self.dim).u64(rows.len() as u64);
+            for (key, acc) in rows {
+                key.write_to(w);
+                w.f32s(acc);
+            }
+        }))
     }
 
-    /// Writes the journal to `dir/<file_name()>` atomically: the bytes land
-    /// in a temp file first and are renamed into place, so a crash mid-write
-    /// can truncate only the temp file, never a committed journal.
-    pub fn write_to_dir(&self, dir: &Path) -> Result<PathBuf, JournalError> {
+    /// Commits the journal to `dir/<file_name()>` through
+    /// [`codec::write_atomic`]: a crash mid-write can tear only the staging
+    /// file, never a committed journal.
+    pub fn write_to_dir(&self, dir: &Path) -> Result<PathBuf, CodecError> {
         std::fs::create_dir_all(dir)?;
-        let body = self.encode_body()?;
-        let mut bytes = Vec::with_capacity(MAGIC.len() + body.len() + 8);
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&body);
-        bytes.extend_from_slice(&Checksum::of(&body).to_le_bytes());
         let path = dir.join(self.file_name());
-        let tmp = dir.join(format!("{}.tmp", self.file_name()));
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, &path)?;
+        codec::write_atomic(&path, &self.encode()?)?;
         Ok(path)
     }
 
     /// Reads and verifies a journal file.
-    pub fn read(path: &Path) -> Result<RoundJournal, JournalError> {
+    pub fn read(path: &Path) -> Result<RoundJournal, CodecError> {
         let bytes = std::fs::read(path)?;
-        if bytes.len() < MAGIC.len() + 8 || &bytes[..MAGIC.len()] != MAGIC {
-            return Err(JournalError::Corrupt("bad magic or truncated header".into()));
-        }
-        let body = &bytes[MAGIC.len()..bytes.len() - 8];
-        let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-        if Checksum::of(body) != stored {
-            return Err(JournalError::Corrupt("checksum mismatch".into()));
-        }
-        Self::decode_body(body)
-    }
-
-    fn decode_body(b: &[u8]) -> Result<RoundJournal, JournalError> {
-        let corrupt = |m: &str| JournalError::Corrupt(m.to_string());
-        let mut cur = Cursor { bytes: b, pos: 0 };
-        let rounds_done = cur.u64()?;
-        let name_len = cur.u32()? as usize;
-        if name_len > 4096 {
-            return Err(corrupt("checkpoint name implausibly long"));
-        }
-        let checkpoint_file = String::from_utf8(cur.take(name_len)?.to_vec())
-            .map_err(|_| corrupt("checkpoint name is not UTF-8"))?;
-        let hits = cur.u64()?;
-        let misses = cur.u64()?;
-        let max_staleness = cur.u64()?;
-        let traffic = (cur.u64()?, cur.u64()?, cur.u64()?, cur.u64()?);
-        let guard_trips = cur.u64()?;
-        let guard_rollbacks = cur.u64()?;
-        let n_losses = cur.u64()? as usize;
-        if n_losses > b.len() / 8 {
-            return Err(corrupt("loss count exceeds body size"));
-        }
-        let mut round_losses = Vec::with_capacity(n_losses);
-        for _ in 0..n_losses {
-            round_losses.push(f64::from_le_bytes(cur.take(8)?.try_into().expect("8 bytes")));
-        }
-        let dim = cur.u32()?;
-        let n_acc = cur.u64()? as usize;
-        let row_bytes = 8 + 4 * dim as usize;
-        if n_acc.checked_mul(row_bytes).is_none_or(|total| total > b.len()) {
-            return Err(corrupt("accumulator count exceeds body size"));
-        }
-        let mut adagrad = Vec::with_capacity(n_acc);
-        for _ in 0..n_acc {
-            let table = cur.u32()?;
-            let row = cur.u32()?;
-            let acc: Vec<f32> = cur
-                .take(4 * dim as usize)?
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect();
-            adagrad.push((ParamKey::new(table, row), acc));
-        }
-        if cur.pos != b.len() {
-            return Err(corrupt("trailing bytes after accumulator section"));
-        }
-        Ok(RoundJournal {
-            rounds_done,
-            checkpoint_file,
-            cache: CacheStats { hits, misses },
-            max_staleness,
-            traffic,
-            guard_trips,
-            guard_rollbacks,
-            round_losses,
-            dim,
-            adagrad,
-        })
-    }
-}
-
-/// Bounds-checked reader over a journal body.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], JournalError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len()).ok_or_else(|| {
-            JournalError::Corrupt(format!("truncated body at offset {} (+{n})", self.pos))
-        })?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, JournalError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, JournalError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        let mut r = codec::open(MAGIC, &bytes)?;
+        // Fields in file order (struct-literal fields evaluate as written).
+        let mut journal = RoundJournal {
+            rounds_done: r.u64()?,
+            checkpoint_file: r.string()?,
+            cache: CacheStats { hits: r.u64()?, misses: r.u64()? },
+            max_staleness: r.u64()?,
+            traffic: (r.u64()?, r.u64()?, r.u64()?, r.u64()?),
+            guard_trips: r.u64()?,
+            guard_rollbacks: r.u64()?,
+            round_losses: {
+                let n = r.u64()?;
+                r.counted(n, 8, Reader::f64)?
+            },
+            dim: r.u32()?,
+            adagrad: Vec::new(),
+        };
+        let n_acc = r.u64()?;
+        let dim = journal.dim as u64;
+        journal.adagrad =
+            r.counted(n_acc, 8 + 4 * dim, |r| Ok((ParamKey::read_from(r)?, r.f32s(dim)?)))?;
+        r.finish()?;
+        Ok(journal)
     }
 }
 

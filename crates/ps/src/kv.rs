@@ -8,6 +8,7 @@
 //! variants) and the traffic counters the §IV-E cache exists to shrink.
 
 use mamdr_obs::MetricsRegistry;
+use mamdr_util::codec::{CodecError, Reader, Writer};
 use parking_lot::RwLock;
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -27,6 +28,18 @@ impl ParamKey {
     /// Convenience constructor.
     pub fn new(table: u32, row: u32) -> Self {
         ParamKey { table, row }
+    }
+
+    /// Writes the key as `table_le ‖ row_le`, its layout in every format.
+    #[inline]
+    pub fn write_to(&self, w: &mut Writer) {
+        w.u32(self.table).u32(self.row);
+    }
+
+    /// Reads a key written by [`ParamKey::write_to`].
+    #[inline]
+    pub fn read_from(r: &mut Reader) -> Result<Self, CodecError> {
+        Ok(ParamKey::new(r.u32()?, r.u32()?))
     }
 }
 

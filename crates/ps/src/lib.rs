@@ -56,18 +56,18 @@ pub mod trainer;
 pub use cache::{CacheStats, StalenessStats, WorkerCache};
 pub use engine::{partition_domains, run_rounds, ResumeBase, RoundTransport};
 pub use guard::{outer_grad_norm, GuardConfig, GuardRail, GuardVerdict};
-pub use journal::{JournalError, RoundJournal};
+pub use journal::RoundJournal;
 pub use kv::{
     ParamKey, ParameterServer, RowSource, TimedRowSource, TrafficStats, LOCK_STRIPES,
     WIRE_BATCH_KEYS,
 };
 pub use publish::{
-    latest_snapshot, snapshot_path, write_atomic_bytes, ContinualPublisher, PublishOutcome,
-    PublisherFaults, SNAPSHOT_EXT,
+    latest_snapshot, snapshot_path, ContinualPublisher, PublishOutcome, PublisherFaults,
+    SNAPSHOT_EXT,
 };
 pub use shard::{
-    latest_manifest, load_manifest_state, merge_stores, route_chunks, shard_dir, ManifestError,
-    ManifestState, ShardFiles, ShardManifest, ShardMap, MANIFEST_EXT,
+    latest_manifest, load_manifest_state, merge_stores, route_chunks, shard_dir, ManifestState,
+    ShardFiles, ShardManifest, ShardMap, MANIFEST_EXT,
 };
 pub use trainer::{
     evaluate_server, partition_keys, run_cached_round, run_cached_round_traced, seed_server,

@@ -3,11 +3,12 @@
 //!
 //! Every `publish_every` rounds the distributed trainer encodes a serving
 //! snapshot of the live (merged, sharded) store and hands the bytes to a
-//! [`ContinualPublisher`], which commits them to a publish directory with
-//! the same atomic discipline as checkpoints and journals: write a
-//! same-directory `*.tmp`, fsync, then rename — the rename is the sole
-//! commit point. A watcher (or the serve-side gate) therefore never
-//! observes a half-written snapshot, no matter where the publisher dies.
+//! [`ContinualPublisher`], which commits them to a publish directory through
+//! [`codec::write_atomic`] — the commit every checkpoint, journal and
+//! manifest goes through too: a same-directory `*.tmp`, fsync, then rename,
+//! the rename being the sole commit point. A watcher (or the serve-side
+//! gate) therefore never observes a half-written snapshot, no matter where
+//! the publisher dies.
 //!
 //! This module is deliberately format-agnostic: it moves *bytes*, so the
 //! serving-snapshot encoding stays in `mamdr-serve` (which depends on this
@@ -17,6 +18,7 @@
 //! downstream gate's rejection counters are exactly reproducible.
 
 use mamdr_obs::{Counter, MetricsRegistry};
+use mamdr_util::codec;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -62,26 +64,6 @@ pub fn latest_snapshot(dir: &Path) -> io::Result<Option<(u64, PathBuf)>> {
         }
     }
     Ok(best)
-}
-
-/// Writes `bytes` to `path` through a same-directory `<name>.tmp` sibling
-/// with fsync-before-rename: after this returns, the committed file is
-/// durable and complete; before the rename, `path` is untouched.
-pub fn write_atomic_bytes(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = staging_path(path);
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
-}
-
-/// The staging sibling of `path`: its file name with `.tmp` appended.
-fn staging_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-    name.push(".tmp");
-    path.with_file_name(name)
 }
 
 /// Scheduled publisher chaos, extracted from the driver's fault plan.
@@ -176,10 +158,11 @@ impl ContinualPublisher {
         self.metrics.attempts_total.inc();
         let path = snapshot_path(&self.dir, round);
         if self.faults.kill_at.contains(&round) {
-            // Crash mid-write: a strict prefix reaches the staging file,
-            // then the process "dies" — no fsync, no rename. The committed
-            // name never exists, so discovery and the gate see nothing.
-            let tmp = staging_path(&path);
+            // Crash mid-write: a strict prefix reaches the staging file
+            // `write_atomic` would have used, then the process "dies" — no
+            // fsync, no rename. The committed name never exists, so
+            // discovery and the gate see nothing.
+            let tmp = codec::staging_path(&path);
             let mut f = File::create(&tmp)?;
             f.write_all(&bytes[..bytes.len() / 2])?;
             self.metrics.kills_total.inc();
@@ -192,12 +175,12 @@ impl ContinualPublisher {
             let mut bad = bytes.to_vec();
             let mid = bad.len() / 2;
             bad[mid] ^= 0x40;
-            write_atomic_bytes(&path, &bad)?;
+            codec::write_atomic(&path, &bad)?;
             self.metrics.corruptions_total.inc();
             self.metrics.commits_total.inc();
             return Ok(PublishOutcome::Committed(path));
         }
-        write_atomic_bytes(&path, bytes)?;
+        codec::write_atomic(&path, bytes)?;
         self.metrics.commits_total.inc();
         Ok(PublishOutcome::Committed(path))
     }
@@ -245,7 +228,7 @@ mod tests {
         let out = p.commit(4, b"snapshot-bytes").unwrap();
         let PublishOutcome::Committed(path) = out else { panic!("clean round must commit") };
         assert_eq!(fs::read(&path).unwrap(), b"snapshot-bytes");
-        assert!(!staging_path(&path).exists(), "staging file must be renamed away");
+        assert!(!codec::staging_path(&path).exists(), "staging file must be renamed away");
         assert_eq!(registry.counter("publish_attempts_total").get(), 1);
         assert_eq!(registry.counter("publish_commits_total").get(), 1);
         assert_eq!(registry.counter("publish_kills_total").get(), 0);

@@ -15,19 +15,21 @@
 //! that is what makes an N→M rehash a deterministic merge-and-replay).
 //!
 //! Persistence is shard-parallel with a single commit point: each shard
-//! writes its own checkpoint and journal under `dir/shard-<i>/` using the
+//! commits its own checkpoint and journal under `dir/shard-<i>/` using the
 //! unchanged single-server formats, and only after every shard file is
-//! durable does the driver write `manifest-<round>.mamdrmf` (atomically,
-//! temp file + rename, FNV-checksummed) naming each file and its digest.
+//! durable does the trainer commit `manifest-<round>.mamdrmf` (FNV-1a
+//! envelope, staging file + fsync + rename) naming each file and its
+//! digest.
 //! A crash before the manifest leaves orphaned shard files and the
 //! previous manifest wins; a torn manifest fails its checksum and
 //! discovery falls back — exactly the journal's crash contract, lifted one
 //! level up.
 
-use crate::checkpoint::{self, CheckpointError};
-use crate::journal::{JournalError, RoundJournal};
+use crate::checkpoint;
+use crate::journal::RoundJournal;
 use crate::kv::{ParamKey, ParameterServer, LOCK_STRIPES, WIRE_BATCH_KEYS};
 use mamdr_obs::{EventLog, Value};
+use mamdr_util::codec::{self, CodecError};
 use mamdr_util::Checksum;
 use std::path::{Path, PathBuf};
 
@@ -120,51 +122,6 @@ pub const MANIFEST_EXT: &str = "mamdrmf";
 
 const MAGIC: &[u8; 8] = b"MAMDRMF1";
 
-/// A manifest error.
-#[derive(Debug)]
-pub enum ManifestError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// The file is not a valid manifest, or a referenced shard file is
-    /// missing or fails its recorded digest.
-    Corrupt(String),
-}
-
-impl From<std::io::Error> for ManifestError {
-    fn from(e: std::io::Error) -> Self {
-        ManifestError::Io(e)
-    }
-}
-
-impl From<CheckpointError> for ManifestError {
-    fn from(e: CheckpointError) -> Self {
-        match e {
-            CheckpointError::Io(e) => ManifestError::Io(e),
-            CheckpointError::Corrupt(m) => ManifestError::Corrupt(m),
-        }
-    }
-}
-
-impl From<JournalError> for ManifestError {
-    fn from(e: JournalError) -> Self {
-        match e {
-            JournalError::Io(e) => ManifestError::Io(e),
-            JournalError::Corrupt(m) => ManifestError::Corrupt(m),
-        }
-    }
-}
-
-impl std::fmt::Display for ManifestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ManifestError::Io(e) => write!(f, "I/O error: {e}"),
-            ManifestError::Corrupt(m) => write!(f, "corrupt manifest: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for ManifestError {}
-
 /// One shard's committed files at a round boundary: paths relative to the
 /// checkpoint directory plus the FNV-1a digest of each file's bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,130 +163,70 @@ impl ShardManifest {
         format!("manifest-{:010}.{MANIFEST_EXT}", self.rounds_done)
     }
 
-    fn encode_body(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(64 + self.shards.len() * 64);
-        b.extend_from_slice(&self.rounds_done.to_le_bytes());
-        b.extend_from_slice(&self.map_version.to_le_bytes());
-        b.extend_from_slice(&(self.shards.len() as u32).to_le_bytes());
-        for files in &self.shards {
-            for (path, fnv) in
-                [(&files.checkpoint, files.checkpoint_fnv), (&files.journal, files.journal_fnv)]
-            {
-                let bytes = path.as_bytes();
-                b.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                b.extend_from_slice(bytes);
-                b.extend_from_slice(&fnv.to_le_bytes());
+    fn encode(&self) -> Vec<u8> {
+        codec::seal(MAGIC, |w| {
+            w.u64(self.rounds_done).u64(self.map_version).u32(self.shards.len() as u32);
+            for files in &self.shards {
+                w.string(&files.checkpoint).u64(files.checkpoint_fnv);
+                w.string(&files.journal).u64(files.journal_fnv);
             }
-        }
-        b
+        })
     }
 
-    /// Writes the manifest to `dir/<file_name()>` atomically (temp file +
-    /// rename). Call this only after every referenced shard file is on
-    /// disk: the rename is the commit point of the whole round.
-    pub fn write_to_dir(&self, dir: &Path) -> Result<PathBuf, ManifestError> {
+    /// Commits the manifest to `dir/<file_name()>` through
+    /// [`codec::write_atomic`]. Call this only after every referenced shard
+    /// file is committed: the rename is the commit point of the whole round.
+    pub fn write_to_dir(&self, dir: &Path) -> Result<PathBuf, CodecError> {
         std::fs::create_dir_all(dir)?;
-        let body = self.encode_body();
-        let mut bytes = Vec::with_capacity(MAGIC.len() + body.len() + 8);
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&body);
-        bytes.extend_from_slice(&Checksum::of(&body).to_le_bytes());
         let path = dir.join(self.file_name());
-        let tmp = dir.join(format!("{}.tmp", self.file_name()));
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, &path)?;
+        codec::write_atomic(&path, &self.encode())?;
         Ok(path)
     }
 
     /// Reads and verifies a manifest file (the manifest itself, not the
     /// files it references — see [`ShardManifest::verify_files`]).
-    pub fn read(path: &Path) -> Result<ShardManifest, ManifestError> {
+    pub fn read(path: &Path) -> Result<ShardManifest, CodecError> {
         let bytes = std::fs::read(path)?;
-        if bytes.len() < MAGIC.len() + 8 || &bytes[..MAGIC.len()] != MAGIC {
-            return Err(ManifestError::Corrupt("bad magic or truncated header".into()));
+        let mut r = codec::open(MAGIC, &bytes)?;
+        let rounds_done = r.u64()?;
+        let map_version = r.u64()?;
+        let n_shards = r.u32()?;
+        if n_shards == 0 {
+            return Err(r.corrupt("manifest commits zero shards"));
         }
-        let body = &bytes[MAGIC.len()..bytes.len() - 8];
-        let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-        if Checksum::of(body) != stored {
-            return Err(ManifestError::Corrupt("checksum mismatch".into()));
-        }
-        Self::decode_body(body)
-    }
-
-    fn decode_body(b: &[u8]) -> Result<ShardManifest, ManifestError> {
-        let corrupt = |m: &str| ManifestError::Corrupt(m.to_string());
-        let mut cur = Cursor { bytes: b, pos: 0 };
-        let rounds_done = cur.u64()?;
-        let map_version = cur.u64()?;
-        let n_shards = cur.u32()? as usize;
-        if n_shards == 0 || n_shards > 4096 {
-            return Err(corrupt("implausible shard count"));
-        }
-        let mut shards = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            let entry = |cur: &mut Cursor| -> Result<(String, u64), ManifestError> {
-                let len = cur.u32()? as usize;
-                if len > 4096 {
-                    return Err(corrupt("file name implausibly long"));
-                }
-                let path = String::from_utf8(cur.take(len)?.to_vec())
-                    .map_err(|_| corrupt("file name is not UTF-8"))?;
-                Ok((path, cur.u64()?))
-            };
-            let (checkpoint, checkpoint_fnv) = entry(&mut cur)?;
-            let (journal, journal_fnv) = entry(&mut cur)?;
-            shards.push(ShardFiles { checkpoint, checkpoint_fnv, journal, journal_fnv });
-        }
-        if cur.pos != b.len() {
-            return Err(corrupt("trailing bytes after shard section"));
-        }
+        // An entry is at least two empty names and two digests.
+        let shards = r.counted(n_shards as u64, 24, |r| {
+            Ok(ShardFiles {
+                checkpoint: r.string()?,
+                checkpoint_fnv: r.u64()?,
+                journal: r.string()?,
+                journal_fnv: r.u64()?,
+            })
+        })?;
+        r.finish()?;
         Ok(ShardManifest { rounds_done, map_version, shards })
     }
 
     /// Verifies that every referenced shard file exists under `dir` and
     /// matches its recorded digest. A manifest whose files fail this is
     /// not a commit point — discovery skips it.
-    pub fn verify_files(&self, dir: &Path) -> Result<(), ManifestError> {
+    pub fn verify_files(&self, dir: &Path) -> Result<(), CodecError> {
         for (i, files) in self.shards.iter().enumerate() {
             for (path, fnv) in
                 [(&files.checkpoint, files.checkpoint_fnv), (&files.journal, files.journal_fnv)]
             {
                 let bytes = std::fs::read(dir.join(path)).map_err(|e| {
-                    ManifestError::Corrupt(format!("shard {i} file '{path}' unreadable: {e}"))
+                    CodecError::corrupt(MAGIC, format!("shard {i} file '{path}' unreadable: {e}"))
                 })?;
                 if Checksum::of(&bytes) != fnv {
-                    return Err(ManifestError::Corrupt(format!(
-                        "shard {i} file '{path}' fails its recorded digest"
-                    )));
+                    return Err(CodecError::corrupt(
+                        MAGIC,
+                        format!("shard {i} file '{path}' fails its recorded digest"),
+                    ));
                 }
             }
         }
         Ok(())
-    }
-}
-
-/// Bounds-checked reader over a manifest body.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ManifestError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len()).ok_or_else(|| {
-            ManifestError::Corrupt(format!("truncated body at offset {} (+{n})", self.pos))
-        })?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, ManifestError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ManifestError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 }
 
@@ -342,7 +239,7 @@ impl<'a> Cursor<'a> {
 pub fn latest_manifest(
     dir: &Path,
     log: Option<&EventLog>,
-) -> Result<Option<(PathBuf, ShardManifest)>, ManifestError> {
+) -> Result<Option<(PathBuf, ShardManifest)>, CodecError> {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -409,7 +306,7 @@ pub struct ManifestState {
 pub fn load_manifest_state(
     dir: &Path,
     manifest: &ShardManifest,
-) -> Result<ManifestState, ManifestError> {
+) -> Result<ManifestState, CodecError> {
     let mut rows = Vec::new();
     let mut adagrad = Vec::new();
     let mut meta: Option<RoundJournal> = None;
@@ -419,10 +316,13 @@ pub fn load_manifest_state(
         rows.extend(store.dump_rows());
         let journal = RoundJournal::read(&dir.join(&files.journal))?;
         if journal.rounds_done != manifest.rounds_done {
-            return Err(ManifestError::Corrupt(format!(
-                "shard {i} journal is at round {} but the manifest commits round {}",
-                journal.rounds_done, manifest.rounds_done
-            )));
+            return Err(CodecError::corrupt(
+                MAGIC,
+                format!(
+                    "shard {i} journal is at round {} but the manifest commits round {}",
+                    journal.rounds_done, manifest.rounds_done
+                ),
+            ));
         }
         adagrad.extend(journal.adagrad.iter().cloned());
         traffic.0 += journal.traffic.0;
@@ -433,7 +333,7 @@ pub fn load_manifest_state(
             meta = Some(journal);
         }
     }
-    let meta = meta.ok_or_else(|| ManifestError::Corrupt("manifest commits zero shards".into()))?;
+    let meta = meta.ok_or_else(|| CodecError::corrupt(MAGIC, "manifest commits zero shards"))?;
     rows.sort_by_key(|(k, _)| (k.table, k.row));
     adagrad.sort_by_key(|(k, _)| (k.table, k.row));
     Ok(ManifestState { manifest: manifest.clone(), rows, adagrad, meta, traffic })

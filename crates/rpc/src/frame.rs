@@ -21,15 +21,17 @@
 //! * **Length-capped.** `len` is validated against [`MAX_PAYLOAD`] *before*
 //!   any payload allocation; attacker-controlled declared lengths cannot
 //!   make the decoder over-allocate.
-//! * **Zero-copy f32 sections.** Row payloads move through
-//!   [`mamdr_util::write_f32_section`] / [`read_f32_into`], which on
-//!   little-endian hosts write and read the f32 memory block directly.
+//! * **One payload codec.** Payloads are field lists over
+//!   `mamdr_util::codec`'s `Writer` / `Reader`: every count is checked
+//!   against the payload bytes left before it sizes a vector, and f32
+//!   sections are written as one block copy on little-endian hosts.
 //! * **Sequence-numbered.** `seq` pairs responses with requests (a client
 //!   discards stale responses after a retry) and makes pushes idempotent:
 //!   the server applies each `(client, seq)` push at most once.
 
 use mamdr_ps::ParamKey;
-use mamdr_util::{read_f32_into, Checksum};
+use mamdr_util::codec::{CodecError, Reader, Writer};
+use mamdr_util::Checksum;
 use std::io::{Read, Write};
 
 /// The 9-byte frame magic.
@@ -97,22 +99,14 @@ impl TraceContext {
 
     /// Decodes the extension, rejecting unknown extension versions.
     pub fn decode(bytes: &[u8]) -> Result<Self, FrameError> {
-        if bytes.len() != TRACE_EXT_LEN {
-            return Err(FrameError::Malformed(format!(
-                "trace extension needs {TRACE_EXT_LEN} bytes, has {}",
-                bytes.len()
-            )));
+        let mut r = Reader::new(MAGIC, bytes);
+        let version = r.u8()?;
+        if version != TRACE_EXT_VERSION {
+            return Err(r.corrupt(format!("unknown trace extension version {version}")).into());
         }
-        if bytes[0] != TRACE_EXT_VERSION {
-            return Err(FrameError::Malformed(format!(
-                "unknown trace extension version {}",
-                bytes[0]
-            )));
-        }
-        Ok(TraceContext {
-            trace_id: u64::from_le_bytes(bytes[1..9].try_into().expect("8 bytes")),
-            span_id: u64::from_le_bytes(bytes[9..17].try_into().expect("8 bytes")),
-        })
+        let ctx = TraceContext { trace_id: r.u64()?, span_id: r.u64()? };
+        r.finish()?;
+        Ok(ctx)
     }
 }
 
@@ -198,6 +192,15 @@ pub enum FrameError {
 impl From<std::io::Error> for FrameError {
     fn from(e: std::io::Error) -> Self {
         FrameError::Io(e)
+    }
+}
+
+impl From<CodecError> for FrameError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Io(e) => FrameError::Io(e),
+            CodecError::Corrupt(m) => FrameError::Malformed(m),
+        }
     }
 }
 
@@ -373,57 +376,31 @@ impl Frame {
 }
 
 // ---------------------------------------------------------------------------
-// Payload codecs. Cursor-style readers over `&[u8]`, mirroring the style of
-// `serve::snapshot`: every read is bounds-checked and returns a typed error.
+// Payload codecs: field lists over `mamdr_util::codec`. A decode error is
+// `FrameError::Malformed` naming the frame magic.
 // ---------------------------------------------------------------------------
 
-fn take<'a>(r: &mut &'a [u8], n: usize) -> Result<&'a [u8], FrameError> {
-    if r.len() < n {
-        return Err(FrameError::Malformed(format!(
-            "payload needs {n} more bytes, has {}",
-            r.len()
-        )));
-    }
-    let (head, tail) = r.split_at(n);
-    *r = tail;
-    Ok(head)
+/// A `u32` key count, then `table ‖ row` per key.
+fn read_keys(r: &mut Reader) -> Result<Vec<ParamKey>, CodecError> {
+    let n = r.u32()?;
+    r.counted(n.into(), 8, ParamKey::read_from)
 }
 
-fn read_u32(r: &mut &[u8]) -> Result<u32, FrameError> {
-    Ok(u32::from_le_bytes(take(r, 4)?.try_into().expect("4 bytes")))
-}
-
-fn read_u64(r: &mut &[u8]) -> Result<u64, FrameError> {
-    Ok(u64::from_le_bytes(take(r, 8)?.try_into().expect("8 bytes")))
-}
-
-fn read_f32(r: &mut &[u8]) -> Result<f32, FrameError> {
-    Ok(f32::from_le_bytes(take(r, 4)?.try_into().expect("4 bytes")))
-}
-
-fn expect_empty(r: &[u8]) -> Result<(), FrameError> {
-    if r.is_empty() {
-        Ok(())
-    } else {
-        Err(FrameError::Malformed(format!("{} trailing bytes", r.len())))
+fn write_keys(w: &mut Writer, keys: &[ParamKey]) {
+    w.u32(keys.len() as u32);
+    for key in keys {
+        key.write_to(w);
     }
 }
 
-/// Reads a `u32`-counted f32 section, bounds-checking the count against the
-/// remaining payload before allocating.
-fn read_counted_f32s(r: &mut &[u8]) -> Result<Vec<f32>, FrameError> {
-    let n = read_u32(r)? as usize;
-    if n * 4 > r.len() {
-        return Err(FrameError::Malformed(format!("{n} f32s declared, {} bytes left", r.len())));
-    }
-    let mut values = vec![0.0f32; n];
-    read_f32_into(take(r, n * 4)?, &mut values).expect("length checked");
-    Ok(values)
+/// A `u32` value count, then the values as one f32 section.
+fn read_counted_f32s(r: &mut Reader) -> Result<Vec<f32>, CodecError> {
+    let n = r.u32()?;
+    r.f32s(n.into())
 }
 
-fn write_counted_f32s(out: &mut Vec<u8>, values: &[f32]) {
-    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    mamdr_util::write_f32_section(&mut *out, values).expect("Vec write is infallible");
+fn write_counted_f32s(w: &mut Writer, values: &[f32]) {
+    w.u32(values.len() as u32).f32s(values);
 }
 
 /// `PushManyOk` response payload.
@@ -441,10 +418,11 @@ impl PushResp {
     }
 
     /// Decodes from a payload buffer.
-    pub fn decode(mut r: &[u8]) -> Result<Self, FrameError> {
-        let b = take(&mut r, 1)?[0];
-        expect_empty(r)?;
-        Ok(PushResp { applied: b != 0 })
+    pub fn decode(payload: &[u8]) -> Result<Self, FrameError> {
+        let mut r = Reader::new(MAGIC, payload);
+        let resp = PushResp { applied: r.u8()? != 0 };
+        r.finish()?;
+        Ok(resp)
     }
 }
 
@@ -463,20 +441,17 @@ pub struct BarrierReq {
 impl BarrierReq {
     /// Encodes into a payload buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16);
-        out.extend_from_slice(&self.client_id.to_le_bytes());
-        out.extend_from_slice(&self.round.to_le_bytes());
-        out.extend_from_slice(&self.expected.to_le_bytes());
-        out
+        let mut w = Writer::default();
+        w.u32(self.client_id).u64(self.round).u32(self.expected);
+        w.into_bytes()
     }
 
     /// Decodes from a payload buffer.
-    pub fn decode(mut r: &[u8]) -> Result<Self, FrameError> {
-        let client_id = read_u32(&mut r)?;
-        let round = read_u64(&mut r)?;
-        let expected = read_u32(&mut r)?;
-        expect_empty(r)?;
-        Ok(BarrierReq { client_id, round, expected })
+    pub fn decode(payload: &[u8]) -> Result<Self, FrameError> {
+        let mut r = Reader::new(MAGIC, payload);
+        let req = BarrierReq { client_id: r.u32()?, round: r.u64()?, expected: r.u32()? };
+        r.finish()?;
+        Ok(req)
     }
 }
 
@@ -494,34 +469,11 @@ impl CheckpointReq {
     }
 
     /// Decodes from a payload buffer.
-    pub fn decode(mut r: &[u8]) -> Result<Self, FrameError> {
-        let round = read_u64(&mut r)?;
-        expect_empty(r)?;
-        Ok(CheckpointReq { round })
-    }
-}
-
-/// Reads a `u32`-counted key section (table/row pairs), bounds-checking
-/// the count against the remaining payload before allocating.
-fn read_counted_keys(r: &mut &[u8]) -> Result<Vec<ParamKey>, FrameError> {
-    let n = read_u32(r)? as usize;
-    if n.saturating_mul(8) > r.len() {
-        return Err(FrameError::Malformed(format!("{n} keys declared, {} bytes left", r.len())));
-    }
-    let mut keys = Vec::with_capacity(n);
-    for _ in 0..n {
-        let table = read_u32(r)?;
-        let row = read_u32(r)?;
-        keys.push(ParamKey::new(table, row));
-    }
-    Ok(keys)
-}
-
-fn write_counted_keys(out: &mut Vec<u8>, keys: &[ParamKey]) {
-    out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-    for key in keys {
-        out.extend_from_slice(&key.table.to_le_bytes());
-        out.extend_from_slice(&key.row.to_le_bytes());
+    pub fn decode(payload: &[u8]) -> Result<Self, FrameError> {
+        let mut r = Reader::new(MAGIC, payload);
+        let req = CheckpointReq { round: r.u64()? };
+        r.finish()?;
+        Ok(req)
     }
 }
 
@@ -538,15 +490,16 @@ pub struct PullManyReq {
 impl PullManyReq {
     /// Encodes into a payload buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + 8 * self.keys.len());
-        write_counted_keys(&mut out, &self.keys);
-        out
+        let mut w = Writer::default();
+        write_keys(&mut w, &self.keys);
+        w.into_bytes()
     }
 
     /// Decodes from a payload buffer.
-    pub fn decode(mut r: &[u8]) -> Result<Self, FrameError> {
-        let keys = read_counted_keys(&mut r)?;
-        expect_empty(r)?;
+    pub fn decode(payload: &[u8]) -> Result<Self, FrameError> {
+        let mut r = Reader::new(MAGIC, payload);
+        let keys = read_keys(&mut r)?;
+        r.finish()?;
         Ok(PullManyReq { keys })
     }
 }
@@ -567,33 +520,26 @@ pub struct PullManyResp {
 impl PullManyResp {
     /// Encodes into a payload buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 8 * self.versions.len() + 4 * self.values.len());
-        out.extend_from_slice(&(self.versions.len() as u32).to_le_bytes());
-        for v in &self.versions {
-            out.extend_from_slice(&v.to_le_bytes());
+        let mut w = Writer::default();
+        w.u32(self.versions.len() as u32);
+        for &v in &self.versions {
+            w.u64(v);
         }
-        write_counted_f32s(&mut out, &self.values);
-        out
+        write_counted_f32s(&mut w, &self.values);
+        w.into_bytes()
     }
 
     /// Decodes from a payload buffer, rejecting value sections that are
     /// not an exact multiple of the key count.
-    pub fn decode(mut r: &[u8]) -> Result<Self, FrameError> {
-        let n = read_u32(&mut r)? as usize;
-        if n.saturating_mul(8) > r.len() {
-            return Err(FrameError::Malformed(format!(
-                "{n} versions declared, {} bytes left",
-                r.len()
-            )));
-        }
-        let mut versions = Vec::with_capacity(n);
-        for _ in 0..n {
-            versions.push(read_u64(&mut r)?);
-        }
+    pub fn decode(payload: &[u8]) -> Result<Self, FrameError> {
+        let mut r = Reader::new(MAGIC, payload);
+        let n = r.u32()?;
+        let versions = r.counted(n.into(), 8, Reader::u64)?;
         let values = read_counted_f32s(&mut r)?;
-        expect_empty(r)?;
+        r.finish()?;
         // Empty values with rows present is the version-only probe shape;
         // otherwise the value section must divide evenly across the rows.
+        let n = versions.len();
         if values.is_empty() || (n > 0 && values.len() % n == 0) {
             return Ok(PullManyResp { versions, values });
         }
@@ -621,22 +567,22 @@ pub struct PushManyReq {
 impl PushManyReq {
     /// Encodes into a payload buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + 8 * self.keys.len() + 4 * self.grads.len());
-        out.extend_from_slice(&self.client_id.to_le_bytes());
-        out.extend_from_slice(&self.lr.to_le_bytes());
-        write_counted_keys(&mut out, &self.keys);
-        write_counted_f32s(&mut out, &self.grads);
-        out
+        let mut w = Writer::default();
+        w.u32(self.client_id).f32(self.lr);
+        write_keys(&mut w, &self.keys);
+        write_counted_f32s(&mut w, &self.grads);
+        w.into_bytes()
     }
 
     /// Decodes from a payload buffer, rejecting gradient sections that are
     /// not an exact multiple of the key count.
-    pub fn decode(mut r: &[u8]) -> Result<Self, FrameError> {
-        let client_id = read_u32(&mut r)?;
-        let lr = read_f32(&mut r)?;
-        let keys = read_counted_keys(&mut r)?;
+    pub fn decode(payload: &[u8]) -> Result<Self, FrameError> {
+        let mut r = Reader::new(MAGIC, payload);
+        let client_id = r.u32()?;
+        let lr = r.f32()?;
+        let keys = read_keys(&mut r)?;
         let grads = read_counted_f32s(&mut r)?;
-        expect_empty(r)?;
+        r.finish()?;
         if keys.is_empty() || grads.is_empty() || grads.len() % keys.len() != 0 {
             return Err(FrameError::Malformed(format!(
                 "{} gradient values do not divide across {} rows",

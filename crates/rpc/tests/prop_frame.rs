@@ -1,7 +1,10 @@
 //! Property-based tests of the RPC wire codec: round trips are
 //! bit-identical, corruption and truncation surface as typed errors, and
 //! attacker-controlled bytes can never panic the decoder or trick it into
-//! allocating more than the declared-length cap permits.
+//! allocating more than the declared-length cap permits. The exhaustive
+//! form of the corruption properties — every truncation and byte flip of
+//! every op-code's frame, under a counting allocator — is the corruption
+//! table in the root crate's `tests/formats.rs`.
 
 use mamdr_ps::ParamKey;
 use mamdr_rpc::frame::{

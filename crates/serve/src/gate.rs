@@ -573,7 +573,7 @@ mod tests {
         let dir = std::env::temp_dir().join("mamdr-gate-digest-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cand.mamdrsv");
-        tiny_dense_snapshot(2).write_atomic(&path).unwrap();
+        tiny_dense_snapshot(2).save_to_path(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;

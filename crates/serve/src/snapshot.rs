@@ -16,13 +16,14 @@
 //!   distributed trainer, loaded from a parameter server (or a checkpoint
 //!   via [`mamdr_ps::checkpoint`]).
 //!
-//! On-disk format (little-endian), extending `nn/persist.rs`'s conventions
-//! with a trailing FNV-1a digest so a flipped bit anywhere in the file is a
-//! load error:
+//! On-disk format (little-endian), the workspace's digest envelope from
+//! `mamdr_util::codec`, so a flipped bit anywhere in the file is a load
+//! error and every count is checked against the bytes before it sizes an
+//! allocation:
 //!
 //! ```text
 //! magic "MAMDRSV1"
-//! payload (backend-tagged, see `encode_payload`)
+//! payload (backend-tagged, see `encode`)
 //! u64 fnv1a-64 digest of the payload
 //! ```
 
@@ -32,11 +33,11 @@ use mamdr_core::env::DomainParams;
 use mamdr_core::TrainedModel;
 use mamdr_data::Batch;
 use mamdr_models::{build_model, CtrModel, FeatureConfig, ModelConfig, ModelKind};
-use mamdr_nn::persist::PersistError;
 use mamdr_nn::ParamStore;
 use mamdr_ps::{model as ps_model, ParamKey, ParameterServer};
 use mamdr_tensor::Tensor;
-use mamdr_util::{read_f32_section, write_f32_section, Checksum};
+use mamdr_util::codec::{self, CodecError};
+use mamdr_util::Checksum;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -66,11 +67,11 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-impl From<PersistError> for SnapshotError {
-    fn from(e: PersistError) -> Self {
+impl From<CodecError> for SnapshotError {
+    fn from(e: CodecError) -> Self {
         match e {
-            PersistError::Io(e) => SnapshotError::Io(e),
-            PersistError::Mismatch(m) => SnapshotError::Corrupt(m),
+            CodecError::Io(e) => SnapshotError::Io(e),
+            CodecError::Corrupt(m) => SnapshotError::Corrupt(m),
         }
     }
 }
@@ -315,68 +316,28 @@ impl ServingSnapshot {
 
     /// Serializes the snapshot (payload + trailing checksum).
     pub fn write_to(&self, mut w: impl Write) -> Result<(), SnapshotError> {
-        let payload = self.encode_payload()?;
-        w.write_all(MAGIC)?;
-        w.write_all(&payload)?;
-        w.write_all(&Checksum::of(&payload).to_le_bytes())?;
+        w.write_all(&self.encode()?)?;
         Ok(())
     }
 
     /// Deserializes a snapshot, verifying the checksum before parsing.
     pub fn read_from(mut r: impl Read) -> Result<Self, SnapshotError> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(SnapshotError::Corrupt("bad magic".into()));
-        }
-        let mut rest = Vec::new();
-        r.read_to_end(&mut rest)?;
-        if rest.len() < 8 {
-            return Err(SnapshotError::Corrupt("missing checksum".into()));
-        }
-        let (payload, digest_bytes) = rest.split_at(rest.len() - 8);
-        let stored = u64::from_le_bytes(digest_bytes.try_into().expect("8 bytes"));
-        let computed = Checksum::of(payload);
-        if stored != computed {
-            return Err(SnapshotError::Corrupt(format!(
-                "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            )));
-        }
-        Self::decode_payload(payload)
+        let mut bytes = Vec::new();
+        r.read_to_end(&mut bytes)?;
+        Self::decode(&bytes)
     }
 
-    /// Writes the snapshot to a file (created/truncated).
+    /// Commits the snapshot to a file through [`codec::write_atomic`]
+    /// (staging file, fsync, rename): a crash at any earlier byte leaves
+    /// only the staging file, which no loader or watcher opens.
     pub fn save_to_path(&self, path: &Path) -> Result<(), SnapshotError> {
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        self.write_to(&mut w)?;
-        w.flush()?;
+        codec::write_atomic(path, &self.encode()?)?;
         Ok(())
     }
 
     /// Reads a snapshot file written by [`save_to_path`](Self::save_to_path).
     pub fn load_from_path(path: &Path) -> Result<Self, SnapshotError> {
-        Self::read_from(std::io::BufReader::new(std::fs::File::open(path)?))
-    }
-
-    /// Publisher-side atomic write: the snapshot is serialized into a
-    /// same-directory `<name>.tmp` sibling, fsynced, and renamed into
-    /// place. The rename is the sole commit point — a publisher crash at
-    /// any earlier byte leaves only the temp file, which no loader or
-    /// watcher ever opens, so a half-written snapshot can never be served.
-    pub fn write_atomic(&self, path: &Path) -> Result<(), SnapshotError> {
-        let tmp = tmp_sibling(path);
-        {
-            let file = std::fs::File::create(&tmp)?;
-            let mut w = std::io::BufWriter::new(file);
-            self.write_to(&mut w)?;
-            w.flush()?;
-            // Data must be durable *before* the rename: otherwise a crash
-            // after the rename but before writeback could expose a
-            // committed path with unsynced (torn) contents.
-            w.get_ref().sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        Self::decode(&std::fs::read(path)?)
     }
 
     /// Verifies every served parameter is finite. This is the gate-side
@@ -465,153 +426,123 @@ impl ServingSnapshot {
         out
     }
 
-    fn encode_payload(&self) -> Result<Vec<u8>, SnapshotError> {
-        let mut out = Vec::new();
+    fn encode(&self) -> Result<Vec<u8>, SnapshotError> {
         match &self.backend {
             Backend::Dense { spec, trained, .. } => {
-                out.push(0u8);
-                out.extend_from_slice(&self.version.to_le_bytes());
-                out.push(kind_id(spec.kind));
-                for v in [
-                    spec.features.n_users,
-                    spec.features.n_items,
-                    spec.features.n_user_groups,
-                    spec.features.n_item_cats,
-                    spec.features.dense_dim,
-                ] {
-                    out.extend_from_slice(&(v as u32).to_le_bytes());
-                }
-                let c = &spec.config;
-                out.extend_from_slice(&(c.embed_dim as u32).to_le_bytes());
-                out.extend_from_slice(&(c.hidden.len() as u32).to_le_bytes());
-                for &h in &c.hidden {
-                    out.extend_from_slice(&(h as u32).to_le_bytes());
-                }
-                out.extend_from_slice(&c.dropout.to_le_bytes());
-                for v in [c.n_experts, c.att_dim, c.att_heads, c.att_layers] {
-                    out.extend_from_slice(&(v as u32).to_le_bytes());
-                }
-                out.extend_from_slice(&(spec.n_domains as u32).to_le_bytes());
-                let (mode, per_domain): (u8, Option<&[Vec<f32>]>) = match &trained.domains {
-                    DomainParams::SharedOnly => (0, None),
-                    DomainParams::Deltas(d) => (1, Some(d)),
-                    DomainParams::Full(d) => (2, Some(d)),
+                let (mode, per_domain): (u8, &[Vec<f32>]) = match &trained.domains {
+                    DomainParams::SharedOnly => (0, &[]),
+                    DomainParams::Deltas(d) => (1, d),
+                    DomainParams::Full(d) => (2, d),
                 };
-                out.push(mode);
-                out.extend_from_slice(&(trained.shared.len() as u64).to_le_bytes());
-                write_f32_section(&mut out, &trained.shared)?;
-                if let Some(vecs) = per_domain {
-                    for v in vecs {
-                        if v.len() != trained.shared.len() {
-                            return Err(SnapshotError::Invalid(
-                                "per-domain vector length != shared length".into(),
-                            ));
-                        }
-                        write_f32_section(&mut out, v)?;
-                    }
+                let flat = trained.shared.len();
+                if per_domain.iter().any(|v| v.len() != flat) {
+                    return Err(SnapshotError::Invalid(
+                        "per-domain vector length != shared length".into(),
+                    ));
                 }
+                let (f, c) = (&spec.features, &spec.config);
+                Ok(codec::seal(MAGIC, |w| {
+                    w.u8(0).u64(self.version).u8(kind_id(spec.kind));
+                    for v in [f.n_users, f.n_items, f.n_user_groups, f.n_item_cats, f.dense_dim] {
+                        w.u32(v as u32);
+                    }
+                    w.u32(c.embed_dim as u32).u32(c.hidden.len() as u32);
+                    for &h in &c.hidden {
+                        w.u32(h as u32);
+                    }
+                    w.f32(c.dropout);
+                    for v in [c.n_experts, c.att_dim, c.att_heads, c.att_layers, spec.n_domains] {
+                        w.u32(v as u32);
+                    }
+                    w.u8(mode).u64(flat as u64).f32s(&trained.shared);
+                    for v in per_domain {
+                        w.f32s(v);
+                    }
+                }))
             }
             Backend::Embedding { dim, n_domains, rows } => {
-                out.push(1u8);
-                out.extend_from_slice(&self.version.to_le_bytes());
-                out.extend_from_slice(&(*dim as u32).to_le_bytes());
-                out.extend_from_slice(&(*n_domains as u32).to_le_bytes());
-                out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
                 // Sorted rows: identical states produce byte-identical files.
                 let mut sorted: Vec<(&ParamKey, &Vec<f32>)> = rows.iter().collect();
                 sorted.sort_by_key(|(k, _)| (k.table, k.row));
-                for (key, value) in sorted {
-                    if value.len() != *dim {
-                        return Err(SnapshotError::Invalid(format!(
-                            "row {key:?} has width {} (expected {dim})",
-                            value.len()
-                        )));
-                    }
-                    out.extend_from_slice(&key.table.to_le_bytes());
-                    out.extend_from_slice(&key.row.to_le_bytes());
-                    write_f32_section(&mut out, value)?;
+                if let Some((key, value)) = sorted.iter().find(|(_, v)| v.len() != *dim) {
+                    return Err(SnapshotError::Invalid(format!(
+                        "row {key:?} has width {} (expected {dim})",
+                        value.len()
+                    )));
                 }
+                Ok(codec::seal(MAGIC, |w| {
+                    w.u8(1).u64(self.version).u32(*dim as u32).u32(*n_domains as u32);
+                    w.u64(sorted.len() as u64);
+                    for (key, value) in sorted {
+                        key.write_to(w);
+                        w.f32s(value);
+                    }
+                }))
             }
         }
-        Ok(out)
     }
 
-    fn decode_payload(payload: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = payload;
-        let tag = read_u8(&mut r)?;
-        let version = read_u64(&mut r)?;
+    fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        let mut r = codec::open(MAGIC, bytes)?;
+        let tag = r.u8()?;
+        let version = r.u64()?;
         match tag {
             0 => {
-                let kind = kind_from_id(read_u8(&mut r)?)?;
+                let kind_id = r.u8()?;
+                let kind = *ModelKind::ALL
+                    .get(kind_id as usize)
+                    .ok_or_else(|| r.corrupt(format!("unknown model kind id {kind_id}")))?;
                 let features = FeatureConfig {
-                    n_users: read_u32(&mut r)? as usize,
-                    n_items: read_u32(&mut r)? as usize,
-                    n_user_groups: read_u32(&mut r)? as usize,
-                    n_item_cats: read_u32(&mut r)? as usize,
-                    dense_dim: read_u32(&mut r)? as usize,
+                    n_users: r.u32()? as usize,
+                    n_items: r.u32()? as usize,
+                    n_user_groups: r.u32()? as usize,
+                    n_item_cats: r.u32()? as usize,
+                    dense_dim: r.u32()? as usize,
                 };
-                let embed_dim = read_u32(&mut r)? as usize;
-                let n_hidden = read_u32(&mut r)? as usize;
+                let embed_dim = r.u32()? as usize;
+                let n_hidden = r.u32()?;
                 if n_hidden > 64 {
-                    return Err(SnapshotError::Corrupt(format!("absurd hidden count {n_hidden}")));
+                    return Err(r.corrupt(format!("absurd hidden count {n_hidden}")).into());
                 }
-                let hidden = (0..n_hidden)
-                    .map(|_| read_u32(&mut r).map(|v| v as usize))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let dropout = f32::from_le_bytes(take(&mut r, 4)?.try_into().expect("4 bytes"));
                 let config = ModelConfig {
                     embed_dim,
-                    hidden,
-                    dropout,
-                    n_experts: read_u32(&mut r)? as usize,
-                    att_dim: read_u32(&mut r)? as usize,
-                    att_heads: read_u32(&mut r)? as usize,
-                    att_layers: read_u32(&mut r)? as usize,
+                    hidden: r.counted(n_hidden as u64, 4, |r| Ok(r.u32()? as usize))?,
+                    dropout: r.f32()?,
+                    n_experts: r.u32()? as usize,
+                    att_dim: r.u32()? as usize,
+                    att_heads: r.u32()? as usize,
+                    att_layers: r.u32()? as usize,
                 };
-                let n_domains = read_u32(&mut r)? as usize;
-                let mode = read_u8(&mut r)?;
-                let flat_len = read_u64(&mut r)? as usize;
-                if flat_len.checked_mul(4).is_none_or(|b| b > payload.len() * (n_domains + 1)) {
-                    return Err(SnapshotError::Corrupt(format!("absurd flat length {flat_len}")));
-                }
-                let shared = read_f32_section(&mut r, flat_len)?;
+                let n_domains = r.u32()?;
+                let mode = r.u8()?;
+                let flat_len = r.u64()?;
+                let shared = r.f32s(flat_len)?;
+                let mut per_domain =
+                    || r.counted(n_domains as u64, 4 * flat_len, |r| r.f32s(flat_len));
                 let domains = match mode {
                     0 => DomainParams::SharedOnly,
-                    1 | 2 => {
-                        let vecs = (0..n_domains)
-                            .map(|_| read_f32_section(&mut r, flat_len))
-                            .collect::<Result<Vec<_>, _>>()?;
-                        if mode == 1 {
-                            DomainParams::Deltas(vecs)
-                        } else {
-                            DomainParams::Full(vecs)
-                        }
-                    }
-                    m => return Err(SnapshotError::Corrupt(format!("unknown domain mode {m}"))),
+                    1 => DomainParams::Deltas(per_domain()?),
+                    2 => DomainParams::Full(per_domain()?),
+                    m => return Err(r.corrupt(format!("unknown domain mode {m}")).into()),
                 };
-                let spec = ModelSpec { kind, features, config, n_domains };
+                r.finish()?;
+                let spec = ModelSpec { kind, features, config, n_domains: n_domains as usize };
                 Self::from_trained(version, spec, TrainedModel { shared, domains })
             }
             1 => {
-                let dim = read_u32(&mut r)? as usize;
-                let n_domains = read_u32(&mut r)? as usize;
-                let n_rows = read_u64(&mut r)? as usize;
-                if n_rows.checked_mul(dim.max(1) * 4).is_none_or(|b| b > payload.len()) {
-                    return Err(SnapshotError::Corrupt(format!("absurd row count {n_rows}")));
-                }
+                let dim = r.u32()?;
+                let n_domains = r.u32()? as usize;
+                let n_rows = r.u64()?;
+                let n_rows = r.count(n_rows, 8 + 4 * dim as u64)?;
                 let mut rows = HashMap::with_capacity(n_rows);
                 for _ in 0..n_rows {
-                    let table = read_u32(&mut r)?;
-                    let row = read_u32(&mut r)?;
-                    let value = read_f32_section(&mut r, dim)?;
-                    rows.insert(ParamKey::new(table, row), value);
+                    rows.insert(ParamKey::read_from(&mut r)?, r.f32s(dim as u64)?);
                 }
-                Ok(ServingSnapshot {
-                    version,
-                    backend: Backend::Embedding { dim, n_domains, rows },
-                })
+                r.finish()?;
+                let backend = Backend::Embedding { dim: dim as usize, n_domains, rows };
+                Ok(ServingSnapshot { version, backend })
             }
-            t => Err(SnapshotError::Corrupt(format!("unknown backend tag {t}"))),
+            t => Err(r.corrupt(format!("unknown backend tag {t}")).into()),
         }
     }
 }
@@ -644,45 +575,8 @@ fn assemble_batch(features: &FeatureConfig, domain: usize, reqs: &[ScoreRequest]
     }
 }
 
-/// The same-directory temp path `write_atomic` stages into: the file name
-/// with `.tmp` appended (never a replaced extension, so distinct snapshot
-/// files can never share a staging path by extension collision).
-fn tmp_sibling(path: &Path) -> std::path::PathBuf {
-    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
 fn kind_id(kind: ModelKind) -> u8 {
     ModelKind::ALL.iter().position(|&k| k == kind).expect("kind in registry") as u8
-}
-
-fn kind_from_id(id: u8) -> Result<ModelKind, SnapshotError> {
-    ModelKind::ALL
-        .get(id as usize)
-        .copied()
-        .ok_or_else(|| SnapshotError::Corrupt(format!("unknown model kind id {id}")))
-}
-
-fn take<'a>(r: &mut &'a [u8], n: usize) -> Result<&'a [u8], SnapshotError> {
-    if r.len() < n {
-        return Err(SnapshotError::Corrupt("payload truncated".into()));
-    }
-    let (head, tail) = r.split_at(n);
-    *r = tail;
-    Ok(head)
-}
-
-fn read_u8(r: &mut &[u8]) -> Result<u8, SnapshotError> {
-    Ok(take(r, 1)?[0])
-}
-
-fn read_u32(r: &mut &[u8]) -> Result<u32, SnapshotError> {
-    Ok(u32::from_le_bytes(take(r, 4)?.try_into().expect("4 bytes")))
-}
-
-fn read_u64(r: &mut &[u8]) -> Result<u64, SnapshotError> {
-    Ok(u64::from_le_bytes(take(r, 8)?.try_into().expect("8 bytes")))
 }
 
 #[cfg(test)]
@@ -869,12 +763,13 @@ mod tests {
         let dir = std::env::temp_dir().join("mamdr-serve-write-atomic-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.mamdrsv");
-        tiny_embedding_snapshot(1).write_atomic(&path).unwrap();
+        tiny_embedding_snapshot(1).save_to_path(&path).unwrap();
         assert_eq!(ServingSnapshot::load_from_path(&path).unwrap().version(), 1);
-        assert!(!super::tmp_sibling(&path).exists(), "temp sibling must be renamed away");
+        let staging = codec::staging_path(&path);
+        assert!(!staging.exists(), "the staging file must be renamed away");
         // Overwriting an existing snapshot is atomic too: the old file
         // stays valid until the rename lands the new one.
-        tiny_embedding_snapshot(2).write_atomic(&path).unwrap();
+        tiny_embedding_snapshot(2).save_to_path(&path).unwrap();
         assert_eq!(ServingSnapshot::load_from_path(&path).unwrap().version(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,18 +1,18 @@
 //! # mamdr-util
 //!
-//! The one home of the workspace's binary-format primitives. Three on-disk
-//! or on-wire formats (`nn::persist` model snapshots, `serve::snapshot`
-//! serving artifacts, and the `mamdr-rpc` frame protocol) share the same
-//! integrity and payload conventions; keeping three copies of the checksum
-//! and f32-section logic was a bug farm, so they live here once and
-//! everyone delegates.
+//! The one home of the workspace's binary-format primitives. Five formats
+//! — `MAMDRPS1` parameter checkpoints, `MAMDRJN1` round journals,
+//! `MAMDRMF1` shard manifests, `MAMDRSV1` serving snapshots and the
+//! `MAMDRRPC1` wire frames — are field lists over one codec, so bounds
+//! checks, the digest envelope and the commit discipline exist once.
 //!
 //! * [`Checksum`] — incremental FNV-1a 64-bit digest.
-//! * [`write_f32_section`] / [`read_f32_section`] — little-endian f32
-//!   payload sections, moved as one block copy on little-endian targets
-//!   (no per-element conversion loop on the hot framing path).
+//! * [`codec`] — [`codec::Writer`] / [`codec::Reader`] (every count checked
+//!   against the bytes left before it sizes an allocation), the
+//!   [`codec::seal`] / [`codec::open`] envelope, [`codec::CodecError`], and
+//!   [`codec::write_atomic`] (staging file, fsync, rename).
 
-use std::io::{self, Read, Write};
+pub mod codec;
 
 /// Incremental FNV-1a 64-bit hasher over serialized bytes.
 ///
@@ -59,68 +59,6 @@ impl Checksum {
     }
 }
 
-/// Views an f32 slice as its raw bytes (alignment of u8 is 1, so this is
-/// always valid; byte order is the host's, which callers must gate on).
-#[cfg(target_endian = "little")]
-fn as_bytes(values: &[f32]) -> &[u8] {
-    // SAFETY: f32 has no padding or invalid bit patterns as bytes, and the
-    // length arithmetic cannot overflow (the slice already fits in memory).
-    unsafe { std::slice::from_raw_parts(values.as_ptr() as *const u8, values.len() * 4) }
-}
-
-#[cfg(target_endian = "little")]
-fn as_bytes_mut(values: &mut [f32]) -> &mut [u8] {
-    // SAFETY: as above; exclusive access is inherited from the &mut slice.
-    unsafe { std::slice::from_raw_parts_mut(values.as_mut_ptr() as *mut u8, values.len() * 4) }
-}
-
-/// Writes a little-endian f32 section (values only, caller frames lengths).
-///
-/// On little-endian hosts the slice is written as one block with no
-/// per-element conversion — the wire order *is* the memory order.
-pub fn write_f32_section(mut w: impl Write, values: &[f32]) -> io::Result<()> {
-    #[cfg(target_endian = "little")]
-    {
-        w.write_all(as_bytes(values))
-    }
-    #[cfg(not(target_endian = "little"))]
-    {
-        for &v in values {
-            w.write_all(&v.to_le_bytes())?;
-        }
-        Ok(())
-    }
-}
-
-/// Reads `n` little-endian f32 values written by [`write_f32_section`].
-///
-/// Allocates `4 * n` bytes up front: callers decoding untrusted input must
-/// cap `n` from their framing *before* calling (the rpc frame codec and the
-/// snapshot readers both do).
-pub fn read_f32_section(mut r: impl Read, n: usize) -> io::Result<Vec<f32>> {
-    let mut values = vec![0.0f32; n];
-    read_f32_into(&mut r, &mut values)?;
-    Ok(values)
-}
-
-/// Reads little-endian f32 values directly into `out` (no intermediate
-/// buffer on little-endian hosts).
-pub fn read_f32_into(mut r: impl Read, out: &mut [f32]) -> io::Result<()> {
-    #[cfg(target_endian = "little")]
-    {
-        r.read_exact(as_bytes_mut(out))
-    }
-    #[cfg(not(target_endian = "little"))]
-    {
-        let mut b = [0u8; 4];
-        for v in out.iter_mut() {
-            r.read_exact(&mut b)?;
-            *v = f32::from_le_bytes(b);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,30 +80,32 @@ mod tests {
         assert_eq!(inc.digest(), Checksum::of(b"hello"));
     }
 
+    const MAGIC: &[u8] = b"MAMDRTS1";
+
     #[test]
     fn f32_section_roundtrip_is_bit_exact() {
         let values = vec![0.0f32, -1.5, f32::MIN_POSITIVE, 3.25e7, -0.0, f32::NAN];
-        let mut buf = Vec::new();
-        write_f32_section(&mut buf, &values).unwrap();
+        let mut w = codec::Writer::default();
+        w.f32s(&values);
+        let buf = w.into_bytes();
         assert_eq!(buf.len(), 4 * values.len());
-        let back = read_f32_section(buf.as_slice(), values.len()).unwrap();
+        let back = codec::Reader::new(MAGIC, &buf).f32s(values.len() as u64).unwrap();
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back), bits(&values));
     }
 
     #[test]
     fn f32_section_bytes_are_little_endian() {
-        let mut buf = Vec::new();
-        write_f32_section(&mut buf, &[1.0f32]).unwrap();
-        assert_eq!(buf, 1.0f32.to_le_bytes());
+        let mut w = codec::Writer::default();
+        w.f32s(&[1.0f32]);
+        assert_eq!(w.into_bytes(), 1.0f32.to_le_bytes());
     }
 
     #[test]
     fn truncated_section_errors() {
-        let mut buf = Vec::new();
-        write_f32_section(&mut buf, &[1.0, 2.0]).unwrap();
-        assert!(read_f32_section(buf.as_slice(), 3).is_err());
-        let mut out = [0.0f32; 3];
-        assert!(read_f32_into(buf.as_slice(), &mut out).is_err());
+        let mut w = codec::Writer::default();
+        w.f32s(&[1.0, 2.0]);
+        let buf = w.into_bytes();
+        assert!(codec::Reader::new(MAGIC, &buf).f32s(3).is_err());
     }
 }

@@ -1,0 +1,601 @@
+//! Byte goldens and one corruption table for every binary format the
+//! system persists or sends: `MAMDRPS1` parameter checkpoints, `MAMDRJN1`
+//! round journals, `MAMDRMF1` shard manifests, `MAMDRSV1` serving snapshots
+//! and `MAMDRRPC1` wire frames.
+//!
+//! **Goldens.** The FNV-1a digest of each fixed fixture's bytes is pinned.
+//! The constants were captured on the commit before the formats moved onto
+//! `mamdr_util::codec` and must never be re-captured: a failure here means a
+//! byte on disk or on the wire changed. (`tests/ps_golden.rs` pins the
+//! checkpoint bytes of a trained store; this file pins the other four
+//! formats and a hand-built checkpoint.)
+//!
+//! **Corruption table.** Every decoder is fed every truncation of its
+//! fixture, every single-byte flip, and forged count and length fields with
+//! a recomputed digest. Each input must come back as a typed error, never a
+//! panic, and no single allocation made while decoding it may exceed the
+//! input's length plus 64 KiB. A counting global allocator lives in this one
+//! test binary (every `tests/*.rs` file is its own binary) to check the
+//! last part. Two rules are format-specific: `MAMDRPS1` carries no digest,
+//! so a flipped value byte there may decode, and its flips are held to the
+//! panic and allocation rules only; a frame is read from a stream whose end
+//! it cannot see, so the payload length its header declares — refused above
+//! `MAX_PAYLOAD` before anything is allocated — is the one allocation a
+//! frame may make past that bound.
+
+use mamdr::core::env::DomainParams;
+use mamdr::core::TrainedModel;
+use mamdr::models::{build_model, FeatureConfig, ModelConfig, ModelKind};
+use mamdr::ps::{
+    checkpoint, CacheStats, ParamKey, ParameterServer, RoundJournal, ShardFiles, ShardManifest,
+};
+use mamdr::rpc::frame::{
+    decode_error, encode_error, BarrierReq, CheckpointReq, PullManyReq, PullManyResp, PushManyReq,
+    PushResp, TraceContext, MAX_PAYLOAD,
+};
+use mamdr::rpc::{Frame, OpCode};
+use mamdr::serve::{ModelSpec, ServingSnapshot, SnapshotError};
+use mamdr::tensor::rng::seeded;
+use mamdr_util::Checksum;
+use rand::Rng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// FNV-1a of each fixture's bytes, captured before the formats moved onto
+/// `mamdr_util::codec`. Never re-capture these.
+const GOLDEN: &[(&str, u64)] = &[
+    ("checkpoint", 0x4c92_92c2_67b6_be0c),
+    ("journal", 0xd569_763f_d6c8_0cf1),
+    ("manifest", 0xa006_c3de_8b2b_df9e),
+    ("snapshot shared-only", 0x7480_d62f_ff83_4ca0),
+    ("snapshot deltas", 0xc665_d5a9_a0bf_d428),
+    ("snapshot full", 0x4d2a_5ede_ee07_5d5d),
+    ("snapshot embedding", 0xb00b_e881_6e7d_3dd5),
+    ("frame BarrierSync", 0xec03_d63d_d2cd_2348),
+    ("frame BarrierOk", 0x10d6_ee93_b2f2_2320),
+    ("frame Checkpoint", 0xfbb8_8137_6e7a_127c),
+    ("frame CheckpointOk", 0xd655_dff7_7508_641d),
+    ("frame Shutdown", 0x9049_3244_e69d_7552),
+    ("frame ShutdownOk", 0xeba9_2fc4_387f_0675),
+    ("frame Error", 0x18f0_5c37_55b7_dfe2),
+    ("frame PullMany", 0x7c8a_2bae_5314_40a8),
+    ("frame PullManyOk", 0x11e0_eeac_9200_db89),
+    ("frame PushMany", 0xbebb_1348_6ed6_7523),
+    ("frame PushManyOk", 0x9815_5d48_e825_a193),
+    ("frame BarrierSync traced", 0xf9f4_ab05_182e_0dae),
+    ("frame BarrierOk traced", 0x27d7_f031_1353_2634),
+    ("frame Checkpoint traced", 0x9269_3490_ac97_3cc5),
+    ("frame CheckpointOk traced", 0xa089_68b9_aa91_4b04),
+    ("frame Shutdown traced", 0xa354_710c_f224_40ed),
+    ("frame ShutdownOk traced", 0x9c07_028b_8b97_6cd3),
+    ("frame Error traced", 0x8a8c_42b7_5b08_8c53),
+    ("frame PullMany traced", 0x8cbf_24ad_f672_c8f9),
+    ("frame PullManyOk traced", 0xd987_6279_ef6f_415c),
+    ("frame PushMany traced", 0x98aa_e736_cbc8_3197),
+    ("frame PushManyOk traced", 0xe759_f36d_47b2_9fc8),
+];
+
+/// Slack above the input length that a decode may allocate in one piece.
+const ALLOC_SLACK: usize = 64 << 10;
+
+struct Counting;
+
+thread_local! {
+    /// The largest single request on this thread since [`largest_alloc`]
+    /// last reset it.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(bytes: usize) {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = LARGEST.try_with(|c| c.set(c.get().max(bytes)));
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments; the
+// counter only reads the layout.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f` and returns its result with the largest single allocation this
+/// thread made meanwhile.
+fn largest_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|c| c.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
+
+// ---------------------------------------------------------------------------
+// Fixtures
+// ---------------------------------------------------------------------------
+
+/// A fresh directory per call: the tests of this binary run concurrently.
+fn fresh_dir(tag: &str) -> PathBuf {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("mamdr-formats-{tag}-{}-{call}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// A 3-wide store over two tables, with a `-0.0` and a subnormal among
+/// the values.
+fn store() -> ParameterServer {
+    let ps = ParameterServer::new(4, 3);
+    for table in 0..2u32 {
+        for row in [0u32, 2, 7] {
+            let base = table as f32 * 10.0 + row as f32;
+            ps.init_row(ParamKey::new(table, row), vec![base, -0.0, f32::MIN_POSITIVE + base]);
+        }
+    }
+    ps
+}
+
+fn checkpoint_bytes() -> Vec<u8> {
+    let mut buf = Vec::new();
+    checkpoint::save(&store(), 3, &mut buf).unwrap();
+    buf
+}
+
+fn journal() -> RoundJournal {
+    RoundJournal {
+        rounds_done: 3,
+        checkpoint_file: "ckpt-0000000003.mamdrps".into(),
+        cache: CacheStats { hits: 100, misses: 7 },
+        max_staleness: 2,
+        traffic: (11, 13, 1700, 1900),
+        guard_trips: 1,
+        guard_rollbacks: 0,
+        round_losses: vec![0.7, 0.65, 0.61],
+        dim: 3,
+        adagrad: vec![
+            (ParamKey::new(0, 1), vec![0.1, 0.2, 0.3]),
+            (ParamKey::new(2, 0), vec![1.5, -0.0, f32::MIN_POSITIVE]),
+        ],
+    }
+}
+
+fn journal_bytes() -> Vec<u8> {
+    let dir = fresh_dir("journal-golden");
+    let bytes = std::fs::read(journal().write_to_dir(&dir).unwrap()).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    bytes
+}
+
+fn manifest() -> ShardManifest {
+    let files = |shard: usize, checkpoint_fnv: u64, journal_fnv: u64| ShardFiles {
+        checkpoint: format!("shard-{shard}/ckpt-0000000007.mamdrps"),
+        checkpoint_fnv,
+        journal: format!("shard-{shard}/journal-0000000007.mamdrj"),
+        journal_fnv,
+    };
+    ShardManifest {
+        rounds_done: 7,
+        map_version: 2,
+        shards: vec![files(0, 0xDEAD, 0xBEEF), files(1, 0xF00D, 0xCAFE)],
+    }
+}
+
+fn manifest_bytes() -> Vec<u8> {
+    let dir = fresh_dir("manifest-golden");
+    let bytes = std::fs::read(manifest().write_to_dir(&dir).unwrap()).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    bytes
+}
+
+/// A tiny two-domain MLP spec.
+fn spec() -> ModelSpec {
+    ModelSpec {
+        kind: ModelKind::Mlp,
+        features: FeatureConfig {
+            n_users: 30,
+            n_items: 20,
+            n_user_groups: 4,
+            n_item_cats: 5,
+            dense_dim: 0,
+        },
+        config: ModelConfig::tiny(),
+        n_domains: 2,
+    }
+}
+
+/// A seeded dense snapshot in domain mode 0 (`SharedOnly`), 1 (`Deltas`)
+/// or 2 (`Full`).
+fn dense(mode: u8) -> ServingSnapshot {
+    let spec = spec();
+    let n =
+        build_model(spec.kind, &spec.features, &spec.config, spec.n_domains, 1).params.n_scalars();
+    let mut rng = seeded(100 + mode as u64);
+    let mut flat = |scale: f32| (0..n).map(|_| rng.gen_range(-scale..scale)).collect::<Vec<f32>>();
+    let shared = flat(0.5);
+    let domains = match mode {
+        0 => DomainParams::SharedOnly,
+        1 => DomainParams::Deltas((0..spec.n_domains).map(|_| flat(0.1)).collect()),
+        _ => DomainParams::Full((0..spec.n_domains).map(|_| flat(0.5)).collect()),
+    };
+    ServingSnapshot::from_trained(10 + mode as u64, spec, TrainedModel { shared, domains }).unwrap()
+}
+
+fn embedding() -> ServingSnapshot {
+    ServingSnapshot::from_ps(5, &store(), 2)
+}
+
+fn snapshot_bytes(snapshot: &ServingSnapshot) -> Vec<u8> {
+    let mut buf = Vec::new();
+    snapshot.write_to(&mut buf).unwrap();
+    buf
+}
+
+fn keys() -> Vec<ParamKey> {
+    vec![ParamKey::new(0, 1), ParamKey::new(0, 7), ParamKey::new(3, 77)]
+}
+
+/// A representative payload for every op-code.
+fn payload(op: OpCode) -> Vec<u8> {
+    let values: Vec<f32> = (0..9).map(|i| i as f32 * 0.25 - 1.0).collect();
+    match op {
+        OpCode::BarrierSync => BarrierReq { client_id: 1, round: 9, expected: 2 }.encode(),
+        OpCode::Checkpoint => CheckpointReq { round: 3 }.encode(),
+        OpCode::CheckpointOk => b"shard-0/ckpt-0000000003.mamdrps".to_vec(),
+        OpCode::Error => encode_error("unknown row"),
+        OpCode::PullMany => PullManyReq { keys: keys() }.encode(),
+        OpCode::PullManyOk => PullManyResp { versions: vec![4, 0, 9], values }.encode(),
+        OpCode::PushMany => {
+            PushManyReq { client_id: 1, lr: 0.5, keys: keys(), grads: values }.encode()
+        }
+        OpCode::PushManyOk => PushResp { applied: true }.encode(),
+        OpCode::BarrierOk | OpCode::Shutdown | OpCode::ShutdownOk => Vec::new(),
+    }
+}
+
+/// Every op-code's frame, untraced then traced: `(name, bytes)`.
+fn frames() -> Vec<(String, Vec<u8>)> {
+    let mut out = Vec::new();
+    for traced in [false, true] {
+        for op in OpCode::ALL {
+            let mut frame = Frame::new(op, 40 + op as u64, payload(op));
+            if traced {
+                frame =
+                    frame.with_trace_context(TraceContext { trace_id: 0xABCD, span_id: op as u64 });
+            }
+            let name = format!("frame {op:?}{}", if traced { " traced" } else { "" });
+            out.push((name, frame.to_bytes()));
+        }
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
+// Goldens
+// ---------------------------------------------------------------------------
+
+fn fixtures() -> Vec<(String, Vec<u8>)> {
+    let mut out = vec![
+        ("checkpoint".to_string(), checkpoint_bytes()),
+        ("journal".to_string(), journal_bytes()),
+        ("manifest".to_string(), manifest_bytes()),
+        ("snapshot shared-only".to_string(), snapshot_bytes(&dense(0))),
+        ("snapshot deltas".to_string(), snapshot_bytes(&dense(1))),
+        ("snapshot full".to_string(), snapshot_bytes(&dense(2))),
+        ("snapshot embedding".to_string(), snapshot_bytes(&embedding())),
+    ];
+    out.extend(frames());
+    out
+}
+
+#[test]
+fn every_format_keeps_its_bytes() {
+    let got: Vec<(String, u64)> =
+        fixtures().into_iter().map(|(name, bytes)| (name, Checksum::of(&bytes))).collect();
+    let table: String =
+        got.iter().map(|(name, fnv)| format!("    ({name:?}, {fnv:#018x}),\n")).collect();
+    let names: Vec<&str> = got.iter().map(|(n, _)| n.as_str()).collect();
+    let pinned: Vec<&str> = GOLDEN.iter().map(|(n, _)| *n).collect();
+    assert_eq!(names, pinned, "fixture set changed; computed table:\n{table}");
+    for ((name, fnv), (_, want)) in got.iter().zip(GOLDEN) {
+        assert_eq!(fnv, want, "{name} bytes moved; computed table:\n{table}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Corruption table
+// ---------------------------------------------------------------------------
+
+/// A decoder under test: `Ok` when the bytes parse, the typed error's text
+/// when they do not.
+type Decode = Box<dyn Fn(&[u8]) -> Result<(), String>>;
+
+/// One format fixture and what the table does to it.
+struct Row {
+    name: String,
+    bytes: Vec<u8>,
+    decode: Decode,
+    /// Whether every single-byte flip must be rejected (the format carries
+    /// a digest over every byte).
+    flips_rejected: bool,
+    /// `(offset, width)` of the count and length fields to forge.
+    counts: Vec<(usize, usize)>,
+    /// Recomputes the digest after a forgery.
+    reseal: fn(&mut [u8]),
+    /// The largest single allocation a decode of these bytes may make.
+    bound: fn(&[u8]) -> usize,
+}
+
+fn within_input(bytes: &[u8]) -> usize {
+    bytes.len() + ALLOC_SLACK
+}
+
+/// A frame may also allocate the payload length its header declares, once
+/// that length has passed the `MAX_PAYLOAD` cap.
+fn within_declared_payload(bytes: &[u8]) -> usize {
+    let declared = bytes.get(20..24).map_or(0, |b| u32::from_le_bytes(b.try_into().unwrap()));
+    within_input(bytes).max(if declared <= MAX_PAYLOAD { declared as usize } else { 0 })
+}
+
+fn no_digest(_: &mut [u8]) {}
+
+/// `magic(8) ‖ body ‖ FNV-1a(body)`: journals, manifests and snapshots.
+fn reseal_envelope(bytes: &mut [u8]) {
+    let n = bytes.len();
+    let digest = Checksum::of(&bytes[8..n - 8]);
+    bytes[n - 8..].copy_from_slice(&digest.to_le_bytes());
+}
+
+/// A frame's digest covers everything between the 9-byte magic and itself.
+fn reseal_frame(bytes: &mut [u8]) {
+    let n = bytes.len();
+    let digest = Checksum::of(&bytes[9..n - 8]);
+    bytes[n - 8..].copy_from_slice(&digest.to_le_bytes());
+}
+
+/// Journals and manifests are read from files: each input is written to a
+/// temporary file and read back through the format's own reader.
+fn from_file<T: 'static, E: std::fmt::Display + 'static>(
+    path: PathBuf,
+    read: fn(&Path) -> Result<T, E>,
+) -> Decode {
+    Box::new(move |bytes| {
+        std::fs::write(&path, bytes).unwrap();
+        read(&path).map(drop).map_err(|e| e.to_string())
+    })
+}
+
+fn decode_snapshot(bytes: &[u8]) -> Result<(), String> {
+    ServingSnapshot::read_from(bytes).map(drop).map_err(|e| e.to_string())
+}
+
+/// Decodes a frame the way a peer does: header and digest, then the trace
+/// extension, then the op-code's payload codec.
+fn decode_frame(bytes: &[u8]) -> Result<(), String> {
+    let text = |e: mamdr::rpc::FrameError| e.to_string();
+    let mut frame = Frame::decode(bytes).map_err(text)?;
+    frame.take_trace_context().map_err(text)?;
+    let p = frame.payload.as_slice();
+    match frame.opcode {
+        OpCode::BarrierSync => BarrierReq::decode(p).map(drop),
+        OpCode::Checkpoint => CheckpointReq::decode(p).map(drop),
+        OpCode::PullMany => PullManyReq::decode(p).map(drop),
+        OpCode::PullManyOk => PullManyResp::decode(p).map(drop),
+        OpCode::PushMany => PushManyReq::decode(p).map(drop),
+        OpCode::PushManyOk => PushResp::decode(p).map(drop),
+        OpCode::Error | OpCode::CheckpointOk => {
+            decode_error(p);
+            Ok(())
+        }
+        OpCode::BarrierOk | OpCode::Shutdown | OpCode::ShutdownOk => Ok(()),
+    }
+    .map_err(text)
+}
+
+/// Byte offsets of a dense snapshot's count fields: magic 8 | tag 1 |
+/// version 8 | kind 1 | five feature sizes ×4 | embed_dim 4 | n_hidden 4 |
+/// hidden ×4 | dropout 4 | four expert/attention sizes ×4 | n_domains 4 |
+/// mode 1 | flat_len 8.
+const SNAPSHOT_N_HIDDEN_AT: usize = 42;
+fn snapshot_n_domains_at() -> usize {
+    66 + 4 * ModelConfig::tiny().hidden.len()
+}
+fn snapshot_flat_len_at() -> usize {
+    71 + 4 * ModelConfig::tiny().hidden.len()
+}
+
+/// The count fields of a frame's payload, relative to the payload start.
+fn payload_counts(op: OpCode) -> Vec<(usize, usize)> {
+    let n = keys().len();
+    match op {
+        OpCode::PullMany => vec![(0, 4)],
+        OpCode::PullManyOk => vec![(0, 4), (4 + 8 * n, 4)],
+        OpCode::PushMany => vec![(8, 4), (12 + 8 * n, 4)],
+        _ => Vec::new(),
+    }
+}
+
+fn table(dir: &Path) -> Vec<Row> {
+    let journal = journal();
+    let n_losses_at = 20 + journal.checkpoint_file.len() + 9 * 8;
+    let journal_dim_at = n_losses_at + 8 + 8 * journal.round_losses.len();
+    let mut rows = vec![
+        Row {
+            name: "MAMDRPS1 checkpoint".into(),
+            bytes: checkpoint_bytes(),
+            decode: Box::new(|b| checkpoint::load(b).map(drop).map_err(|e| e.to_string())),
+            flips_rejected: false,
+            counts: vec![(8, 4), (12, 8)],
+            reseal: no_digest,
+            bound: within_input,
+        },
+        Row {
+            name: "MAMDRJN1 journal".into(),
+            bytes: journal_bytes(),
+            decode: from_file(dir.join("journal-0000000003.mamdrj"), RoundJournal::read),
+            flips_rejected: true,
+            counts: vec![(16, 4), (n_losses_at, 8), (journal_dim_at, 4), (journal_dim_at + 4, 8)],
+            reseal: reseal_envelope,
+            bound: within_input,
+        },
+        Row {
+            name: "MAMDRMF1 manifest".into(),
+            bytes: manifest_bytes(),
+            decode: from_file(dir.join("manifest-0000000007.mamdrmf"), ShardManifest::read),
+            flips_rejected: true,
+            counts: vec![(24, 4), (28, 4)],
+            reseal: reseal_envelope,
+            bound: within_input,
+        },
+        Row {
+            name: "MAMDRSV1 embedding snapshot".into(),
+            bytes: snapshot_bytes(&embedding()),
+            decode: Box::new(decode_snapshot),
+            flips_rejected: true,
+            counts: vec![(17, 4), (25, 8)],
+            reseal: reseal_envelope,
+            bound: within_input,
+        },
+    ];
+    for mode in 0..3u8 {
+        // A shared-only snapshot's domain count sizes the rebuilt model, not
+        // a section of the file, so only modes 1 and 2 forge it here.
+        let mut counts = vec![(SNAPSHOT_N_HIDDEN_AT, 4), (snapshot_flat_len_at(), 8)];
+        if mode > 0 {
+            counts.push((snapshot_n_domains_at(), 4));
+        }
+        rows.push(Row {
+            name: format!("MAMDRSV1 dense snapshot, mode {mode}"),
+            bytes: snapshot_bytes(&dense(mode)),
+            decode: Box::new(decode_snapshot),
+            flips_rejected: true,
+            counts,
+            reseal: reseal_envelope,
+            bound: within_input,
+        });
+    }
+    for traced in [false, true] {
+        let start = 24 + if traced { 17 } else { 0 };
+        for op in OpCode::ALL {
+            let mut frame = Frame::new(op, 40 + op as u64, payload(op));
+            if traced {
+                frame = frame.with_trace_context(TraceContext { trace_id: 7, span_id: 9 });
+            }
+            let mut counts = vec![(20, 4)];
+            counts.extend(payload_counts(op).into_iter().map(|(at, w)| (start + at, w)));
+            rows.push(Row {
+                name: format!("MAMDRRPC1 frame {op:?}{}", if traced { " traced" } else { "" }),
+                bytes: frame.to_bytes(),
+                decode: Box::new(decode_frame),
+                flips_rejected: true,
+                counts,
+                reseal: reseal_frame,
+                bound: within_declared_payload,
+            });
+        }
+    }
+    rows
+}
+
+/// Decodes `input` under the allocation counter and records what broke the
+/// table's rules: a panic, an accepted input that `must_fail`, or one
+/// allocation above the row's bound.
+fn check(row: &Row, case: &str, input: &[u8], must_fail: bool, failures: &mut Vec<String>) {
+    let run = std::panic::AssertUnwindSafe(|| largest_alloc(|| (row.decode)(input)));
+    match std::panic::catch_unwind(run) {
+        Err(_) => failures.push(format!("{}: {case}: panicked", row.name)),
+        Ok((result, largest)) => {
+            if must_fail && result.is_ok() {
+                failures.push(format!("{}: {case}: decoded", row.name));
+            }
+            if largest > (row.bound)(input) {
+                failures.push(format!(
+                    "{}: {case}: one allocation of {largest} bytes for a {}-byte input",
+                    row.name,
+                    input.len()
+                ));
+            }
+        }
+    }
+}
+
+#[test]
+fn every_corruption_of_every_format_is_a_typed_error_within_its_bytes() {
+    let dir = fresh_dir("table");
+    let mut failures = Vec::new();
+    let mut inputs = 0usize;
+    for row in table(&dir) {
+        let clean = &row.bytes;
+        assert!((row.decode)(clean).is_ok(), "{}: the clean fixture must decode", row.name);
+        for keep in 0..clean.len() {
+            check(&row, &format!("truncated to {keep}"), &clean[..keep], true, &mut failures);
+        }
+        for at in 0..clean.len() {
+            let mut bad = clean.clone();
+            bad[at] ^= 0x5a;
+            check(&row, &format!("byte {at} flipped"), &bad, row.flips_rejected, &mut failures);
+        }
+        for &(at, width) in &row.counts {
+            let honest = match width {
+                4 => u32::from_le_bytes(clean[at..at + 4].try_into().unwrap()) as u64,
+                _ => u64::from_le_bytes(clean[at..at + 8].try_into().unwrap()),
+            };
+            let max = if width == 4 { u32::MAX as u64 } else { u64::MAX };
+            for forged in [max, honest + 1, 1 << 28] {
+                let mut bad = clean.clone();
+                bad[at..at + width].copy_from_slice(&forged.to_le_bytes()[..width]);
+                (row.reseal)(&mut bad);
+                check(
+                    &row,
+                    &format!("field at {at} forged to {forged}"),
+                    &bad,
+                    true,
+                    &mut failures,
+                );
+            }
+        }
+        inputs += 2 * clean.len() + 3 * row.counts.len();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        failures.is_empty(),
+        "{} of {inputs} corrupt inputs broke the rules:\n{}",
+        failures.len(),
+        failures.iter().take(40).cloned().collect::<Vec<_>>().join("\n")
+    );
+}
+
+/// The shared-only fixture is 1 615 bytes. Declaring `u32::MAX` domains and
+/// a 2²⁸-float shared section, under a recomputed digest, once made the
+/// decoder allocate 1 GiB before it failed with an I/O error.
+#[test]
+fn a_forged_snapshot_header_cannot_size_an_allocation() {
+    let mut bytes = snapshot_bytes(&dense(0));
+    assert_eq!(bytes.len(), 1615);
+    let (domains_at, flat_at) = (snapshot_n_domains_at(), snapshot_flat_len_at());
+    bytes[domains_at..domains_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    bytes[flat_at..flat_at + 8].copy_from_slice(&(1u64 << 28).to_le_bytes());
+    reseal_envelope(&mut bytes);
+    let (result, largest) = largest_alloc(|| ServingSnapshot::read_from(bytes.as_slice()));
+    assert!(matches!(result, Err(SnapshotError::Corrupt(_))), "{result:?}");
+    assert!(largest <= bytes.len(), "one allocation of {largest} bytes for a 1615-byte file");
+}
