@@ -70,9 +70,6 @@ pub struct BenchArgs {
     pub duration: f64,
     /// Serving replica count behind the deterministic user router.
     pub replicas: usize,
-    /// Micro-batch close policy for the serving dispatcher
-    /// (`fixed` | `adaptive`; `None` keeps the server default, adaptive).
-    pub policy: Option<String>,
     /// Continual publishing: commit a serving snapshot every this many
     /// training rounds (0 disables). Snapshots land under the checkpoint
     /// directory, so `--publish-every` requires `--checkpoint-dir`.
@@ -111,7 +108,6 @@ impl Default for BenchArgs {
             rate: 0.0,
             duration: 0.0,
             replicas: 1,
-            policy: None,
             publish_every: 0,
             canary_pct: 0.0,
             serve_live: false,
@@ -179,7 +175,6 @@ impl BenchArgs {
                 "--rate" => out.rate = num("--rate", take("--rate")),
                 "--duration" => out.duration = num("--duration", take("--duration")),
                 "--replicas" => out.replicas = num("--replicas", take("--replicas")) as usize,
-                "--policy" => out.policy = Some(take("--policy")),
                 "--publish-every" => {
                     out.publish_every = num("--publish-every", take("--publish-every")) as usize;
                 }
@@ -187,7 +182,7 @@ impl BenchArgs {
                 "--serve-live" => out.serve_live = true,
                 other => {
                     eprintln!(
-                        "unknown flag {other}; supported: --scale <f> --epochs <n> --threads <n> --seed <n> --quick --metrics-out <path> --workers <n> --fault-plan <spec> --checkpoint-every <n> --checkpoint-dir <dir> --resume <dir> --trace-out <path> --phase-summary --introspect-addr <addr> --pipeline-depth <n> --shards <n> --preset <industry|longtail> --open-loop --rate <rps> --duration <s> --replicas <n> --policy <fixed|adaptive> --publish-every <n> --canary-pct <p> --serve-live"
+                        "unknown flag {other}; supported: --scale <f> --epochs <n> --threads <n> --seed <n> --quick --metrics-out <path> --workers <n> --fault-plan <spec> --checkpoint-every <n> --checkpoint-dir <dir> --resume <dir> --trace-out <path> --phase-summary --introspect-addr <addr> --pipeline-depth <n> --shards <n> --preset <industry|longtail> --open-loop --rate <rps> --duration <s> --replicas <n> --publish-every <n> --canary-pct <p> --serve-live"
                     );
                     std::process::exit(2);
                 }
@@ -308,11 +303,6 @@ impl BenchArgs {
         }
         if !(self.duration.is_finite() && self.duration >= 0.0) {
             return Err(format!("--duration must be a non-negative number, got {}", self.duration));
-        }
-        if let Some(p) = &self.policy {
-            if let Err(e) = mamdr_serve::BatchPolicy::parse(p) {
-                return Err(format!("--policy: {e}"));
-            }
         }
         if self.publish_every > 0 && self.checkpoint_dir.is_none() {
             return Err("--publish-every requires --checkpoint-dir <dir> (snapshots are \
@@ -575,27 +565,14 @@ mod tests {
         assert_eq!(a.rate, 0.0);
         assert_eq!(a.duration, 0.0);
         assert_eq!(a.replicas, 1);
-        assert_eq!(a.policy, None);
         assert!(a.validate().is_ok());
 
-        let a = parse(&[
-            "--open-loop",
-            "--rate",
-            "50000",
-            "--duration",
-            "20",
-            "--replicas",
-            "4",
-            "--policy",
-            "adaptive",
-        ]);
+        let a = parse(&["--open-loop", "--rate", "50000", "--duration", "20", "--replicas", "4"]);
         assert!(a.open_loop);
         assert_eq!(a.rate, 50_000.0);
         assert_eq!(a.duration, 20.0);
         assert_eq!(a.replicas, 4);
-        assert_eq!(a.policy.as_deref(), Some("adaptive"));
         assert!(a.validate().is_ok());
-        assert!(parse(&["--policy", "fixed"]).validate().is_ok());
 
         let err = parse(&["--replicas", "0"]).validate().unwrap_err();
         assert!(err.contains("--replicas"), "{err}");
@@ -605,8 +582,6 @@ mod tests {
         assert!(err.contains("--rate"), "{err}");
         let err = parse(&["--duration", "-1"]).validate().unwrap_err();
         assert!(err.contains("--duration"), "{err}");
-        let err = parse(&["--policy", "banana"]).validate().unwrap_err();
-        assert!(err.contains("--policy"), "{err}");
     }
 
     #[test]

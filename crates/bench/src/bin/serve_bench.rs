@@ -24,13 +24,15 @@
 //!
 //! Both modes print a `probe_digest`: an FNV-1a digest over the scores of
 //! a fixed probe set served through the pool before the run. The digest is
-//! invariant across `--replicas` and `--policy` — bit-identical scoring is
-//! a hard guarantee, and CI diffs it across configurations.
+//! invariant across `--replicas` and `--threads` (which also sets the
+//! worker count per replica, and so how requests are batched) —
+//! bit-identical scoring is a hard guarantee, and CI diffs it across
+//! configurations.
 //!
 //! Knobs: `--scale` multiplies the closed-loop request count (default
-//! 1 000), `--threads` sets the client count and kernel pool, `--replicas`
-//! the serving-stack count, `--policy fixed|adaptive` the micro-batch
-//! close policy, `--rate`/`--duration` the open-loop trace, `--quick` caps
+//! 1 000), `--threads` sets the client count, the kernel pool and the
+//! scoring workers per replica (at most 8), `--replicas` the serving-stack
+//! count, `--rate`/`--duration` the open-loop trace, `--quick` caps
 //! training epochs and shrinks the default trace. `--metrics-out`,
 //! `--trace-out`, `--phase-summary`, `--introspect-addr` as everywhere
 //! else.
@@ -42,8 +44,7 @@ use mamdr_load::{run_open_loop, LoadOptions, TraceConfig, TraceGen};
 use mamdr_models::{build_model, FeatureConfig, ModelConfig, ModelKind};
 use mamdr_obs::Value;
 use mamdr_serve::{
-    BatchPolicy, ModelSpec, ReplicatedServer, ScoreRequest, ServeConfig, ServeResult,
-    ServingSnapshot, SloClass,
+    ModelSpec, ReplicatedServer, ScoreRequest, ServeConfig, ServeResult, ServingSnapshot, SloClass,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -79,7 +80,7 @@ fn train_snapshot(
 }
 
 /// Scores a fixed probe set through the pool and digests the score bits
-/// with FNV-1a. Identical across replica counts and batch policies — the
+/// with FNV-1a. Identical across replica and worker counts — the
 /// bit-identity evidence CI diffs.
 fn probe_digest(pool: &ReplicatedServer, fc: &FeatureConfig, n_domains: usize) -> u64 {
     let pending: Vec<_> = (0..64u32)
@@ -107,10 +108,6 @@ fn probe_digest(pool: &ReplicatedServer, fc: &FeatureConfig, n_domains: usize) -
 fn main() {
     let args = BenchArgs::from_env();
     let telemetry = BenchTelemetry::from_args(&args);
-    let policy = match args.policy.as_deref() {
-        Some(p) => BatchPolicy::parse(p).expect("validated at parse time"),
-        None => BatchPolicy::default(),
-    };
 
     eprintln!("[serve_bench] training snapshot versions 1 and 2 ...");
     let ds = dataset(&args);
@@ -125,7 +122,6 @@ fn main() {
         // flood sheds (typed) long before it can crowd out interactive.
         class_caps: [0, 1024],
         n_workers: args.threads.clamp(1, 8),
-        policy,
         ..ServeConfig::default()
     };
     let pool = ReplicatedServer::start(
@@ -178,8 +174,9 @@ fn run_open(
 
     let opts = LoadOptions {
         // Interactive traffic carries a deadline: under overload the
-        // dispatcher sheds what it can no longer serve in time (counted in
-        // serve_deadline_expired_total). Bulk waits as long as it takes.
+        // workers answer what they can no longer serve in time without
+        // scoring it (counted in serve_deadline_expired_total). Bulk waits
+        // as long as it takes.
         deadline: [Some(Duration::from_millis(20)), None],
         time_scale: 1.0,
     };
@@ -213,9 +210,8 @@ fn run_open(
     let compute = engine.metrics().batch_compute_us.snapshot();
 
     println!(
-        "serve_bench[open]: rate={rate:.0} duration={duration}s replicas={} policy={} threads={}",
+        "serve_bench[open]: rate={rate:.0} duration={duration}s replicas={} threads={}",
         pool.n_replicas(),
-        args.policy.as_deref().unwrap_or("adaptive"),
         args.threads
     );
     println!("  submitted    {}", report.submitted());

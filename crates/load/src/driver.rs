@@ -60,8 +60,8 @@ pub struct ClassReport {
     pub closed: u64,
     /// Admitted requests that scored.
     pub scored: u64,
-    /// Admitted requests whose deadline passed first (shed while queued
-    /// by the dispatcher, or expired at worker pickup).
+    /// Admitted requests whose deadline passed first (while queued, or
+    /// after worker pickup but before their forward pass).
     pub deadline_expired: u64,
     /// Admitted requests that failed snapshot validation.
     pub invalid: u64,

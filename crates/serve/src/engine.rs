@@ -33,23 +33,23 @@ pub struct ServeMetrics {
     pub responses_total: Counter,
     /// Submissions refused because the queue was full.
     pub rejected_total: Counter,
-    /// Admitted requests that expired before scoring.
+    /// Admitted requests that were still live at worker pickup but expired
+    /// before their forward pass started, while earlier groups of the same
+    /// pickup were scored. Disjoint from `deadline_expired_total`.
     pub deadline_exceeded_total: Counter,
-    /// Admitted requests whose deadline expired *while queued* and were
-    /// shed by the dispatcher without ever reaching a scoring worker — a
-    /// subset of the deadline outcomes that `deadline_exceeded_total`
-    /// does not include (that one counts worker-side pickup expiry).
+    /// Admitted requests whose deadline passed *while queued*: answered at
+    /// worker pickup, never scored. Disjoint from `deadline_exceeded_total`.
     pub deadline_expired_total: Counter,
     /// Submissions shed because their SLO class hit its bounded depth,
     /// one counter per class (`serve_shed_total{class="..."}`).
     pub shed_total: [Counter; SloClass::COUNT],
-    /// Micro-batches executed.
+    /// Forward passes executed: one per chunk of a pickup's domain group.
     pub batches_total: Counter,
     /// Snapshot hot swaps performed.
     pub swaps_total: Counter,
     /// Current depth of the admission queue.
     pub queue_depth: Gauge,
-    /// Coalesced micro-batch sizes.
+    /// Requests per forward pass.
     pub batch_size: Arc<Histogram>,
     /// Per-request latency, submit → response, in seconds.
     pub latency_seconds: Arc<Histogram>,
@@ -72,11 +72,11 @@ impl ServeMetrics {
             .describe("serve_rejected_total", "Submissions refused because the queue was full.");
         registry.describe(
             "serve_deadline_exceeded_total",
-            "Admitted requests that expired before scoring.",
+            "Admitted requests that expired after worker pickup, before their forward pass.",
         );
         registry.describe(
             "serve_deadline_expired_total",
-            "Admitted requests shed while queued because their deadline expired.",
+            "Admitted requests whose deadline passed while queued, answered at worker pickup.",
         );
         registry.describe(
             "serve_shed_total",

@@ -1,5 +1,5 @@
 //! Online inference for MAMDR: frozen serving snapshots, per-domain
-//! routing, micro-batched scoring, and hot model swap.
+//! routing, batched scoring, and hot model swap.
 //!
 //! Training (the rest of the workspace) produces Θ = θS + θi — a shared
 //! flat parameter vector plus per-domain specializations (paper Eq. 4).
@@ -14,13 +14,13 @@
 //!   finish on the version they pinned and the retired snapshot is freed
 //!   when its last pin drops.
 //! * [`Server`] — bounded-queue admission (full ⇒ explicit rejection,
-//!   per-[`SloClass`] bounds ⇒ typed shed), a dispatcher that coalesces
-//!   same-(domain, class) requests into micro-batches under a pluggable
-//!   [`BatchPolicy`] (adaptive queue-drain closing by default, the PR 3
-//!   fixed window on request), per-request deadlines enforced both while
-//!   queued and at worker pickup, and worker threads scoring through the
-//!   same deterministic kernels as training — scores are bit-identical at
-//!   any `MAMDR_THREADS` setting.
+//!   per-[`SloClass`] bounds ⇒ typed shed) in front of worker threads that
+//!   each take everything queued, group it by domain into a multi-domain
+//!   super-batch and score the groups back to back through the same
+//!   deterministic kernels as training — scores are bit-identical at any
+//!   `MAMDR_THREADS` setting and however requests were batched.
+//!   Per-request deadlines are enforced at pickup and again right before
+//!   each forward pass.
 //! * [`ReplicatedServer`] — N complete serving stacks over one shared
 //!   snapshot allocation, routed by FNV-1a over the user id (the
 //!   `ShardMap` discipline: reproducible, feedback-free), with hot swap
@@ -35,7 +35,6 @@
 //! and batch-size histograms) flows through `mamdr-obs`'s
 //! [`MetricsRegistry`](mamdr_obs::MetricsRegistry).
 
-mod batcher;
 mod engine;
 mod gate;
 mod replica;
@@ -43,7 +42,6 @@ mod request;
 mod server;
 mod snapshot;
 
-pub use batcher::{BatchPolicy, SpeedupPredictor};
 pub use engine::{ScoringEngine, ServeMetrics};
 pub use gate::{GateConfig, GateReject, PublishGate, GATE_REASONS};
 pub use replica::{replica_of, ReplicatedServer};

@@ -1,10 +1,11 @@
 //! Replicated scoring engines behind deterministic routing.
 //!
-//! One [`Server`] is a single dispatcher loop; past the point where one
-//! thread can drain admission, the serving tier scales *out*: N complete
-//! replicas (engine + dispatcher + workers), each with its own bounded
-//! admission, behind a router that assigns every request to a replica by
-//! FNV-1a hash of its user id modulo the replica count. The discipline
+//! One [`Server`] is one admission queue whose workers take turns at it;
+//! past the point where one queue can admit and hand out the load, the
+//! serving tier scales *out*: N complete replicas (engine, admission queue
+//! and workers), each with its own bounded admission, behind a router that
+//! assigns every request to a replica by FNV-1a hash of its user id modulo
+//! the replica count. The discipline
 //! mirrors `ps::ShardMap`: the route is a pure function of the key and
 //! the replica count — no per-process state, no load feedback — so a
 //! request's replica is reproducible across runs and across processes,
@@ -167,8 +168,8 @@ impl ReplicatedServer {
         self.replicas[replica].engine()
     }
 
-    /// Graceful shutdown of every replica: stops admission, flushes all
-    /// buffered requests through scoring, joins all threads.
+    /// Graceful shutdown of every replica: stops admission, scores every
+    /// queued request, joins all threads.
     pub fn shutdown(self) {
         for server in self.replicas {
             server.shutdown();

@@ -3,8 +3,8 @@
 use std::time::Instant;
 
 /// One scoring request: the features of a single (user, item) candidate in
-/// one domain. This is the wire unit clients submit; the scheduler coalesces
-/// same-domain requests into micro-batches before the forward pass.
+/// one domain. This is the wire unit clients submit; a scoring worker groups
+/// the same-domain requests of one pickup into a single forward pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoreRequest {
     /// Domain id (routes to the materialized Θ_d).
@@ -57,7 +57,7 @@ pub struct Response {
 pub enum ServeResult {
     /// Scored before its deadline.
     Scored(Response),
-    /// Deadline passed before a worker reached the request.
+    /// Deadline passed before the request's forward pass started.
     DeadlineExceeded {
         /// The request's id.
         id: u64,
@@ -90,7 +90,7 @@ impl ServeResult {
 /// requests keep flowing into their own budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SloClass {
-    /// User-facing traffic: tight latency target, flushed ahead of bulk.
+    /// User-facing traffic: tight latency target, scored ahead of bulk.
     #[default]
     Interactive,
     /// Offline/batch rescoring traffic: tolerant of queueing, first to
@@ -158,9 +158,5 @@ pub(crate) struct Envelope {
     pub class: SloClass,
     pub deadline: Option<Instant>,
     pub enqueued: Instant,
-    /// When the dispatcher flushed this request's micro-batch toward the
-    /// workers — splits queue time into coalescing wait vs. batch-queue
-    /// wait in the per-request span chain.
-    pub flushed: Option<Instant>,
     pub reply: std::sync::mpsc::Sender<ServeResult>,
 }

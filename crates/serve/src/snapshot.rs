@@ -589,6 +589,11 @@ pub(crate) mod tests_support {
     /// A tiny 2-domain MLP snapshot whose weights derive from `version`,
     /// so different versions produce different scores.
     pub fn tiny_dense_snapshot(version: u64) -> ServingSnapshot {
+        tiny_dense_snapshot_over(version, 2)
+    }
+
+    /// [`tiny_dense_snapshot`] over `n_domains` domains.
+    pub fn tiny_dense_snapshot_over(version: u64, n_domains: usize) -> ServingSnapshot {
         let spec = ModelSpec {
             kind: ModelKind::Mlp,
             features: FeatureConfig {
@@ -599,7 +604,7 @@ pub(crate) mod tests_support {
                 dense_dim: 0,
             },
             config: ModelConfig::tiny(),
-            n_domains: 2,
+            n_domains,
         };
         let built =
             build_model(spec.kind, &spec.features, &spec.config, spec.n_domains, REBUILD_SEED);

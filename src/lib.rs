@@ -16,7 +16,7 @@
 //!   embedding static/dynamic cache.
 //! * [`obs`] — unified telemetry: metrics registry, event log, observers.
 //! * [`serve`] — online inference: frozen serving snapshots, per-domain
-//!   routing, adaptive micro-batched scoring, replicated engines and hot
+//!   routing, multi-domain batched scoring, replicated engines and hot
 //!   model swap.
 //! * [`load`] — trace-driven open-loop load generation: Zipf users and
 //!   domains, diurnal Poisson arrivals, per-SLO-class overload accounting.

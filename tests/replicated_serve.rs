@@ -185,12 +185,11 @@ fn publish_racing_shed_conserves_every_submission() {
     let v1 = ServingSnapshot::from_trained(1, spec.clone(), tm1).unwrap();
     let v2 = Arc::new(ServingSnapshot::from_trained(2, spec, tm2).unwrap());
 
-    // A deliberately starved pool: one slow-flushing worker per replica
-    // and a bulk cap of 2, so bulk traffic sheds almost immediately while
-    // interactive traffic keeps landing under the global cap.
+    // A deliberately starved pool: one worker per replica and a bulk cap
+    // of 2, so bulk traffic sheds almost immediately while interactive
+    // traffic keeps landing under the global cap.
     let cfg = ServeConfig {
         max_batch: 4,
-        max_wait_us: 2_000,
         queue_cap: 64,
         class_caps: {
             let mut c = [0; SloClass::COUNT];
@@ -198,7 +197,6 @@ fn publish_racing_shed_conserves_every_submission() {
             c
         },
         n_workers: 1,
-        ..ServeConfig::default()
     };
     let registry = MetricsRegistry::new();
     let pool = Arc::new(ReplicatedServer::start(v1, 2, cfg, &registry, None));

@@ -125,13 +125,8 @@ fn hot_swap_under_load_loses_no_requests() {
 
     let registry = mamdr::obs::MetricsRegistry::new();
     let engine = Arc::new(ScoringEngine::new(v1, &registry));
-    let config = ServeConfig {
-        max_batch: 16,
-        max_wait_us: 200,
-        queue_cap: 4096,
-        n_workers: 2,
-        ..ServeConfig::default()
-    };
+    let config =
+        ServeConfig { max_batch: 16, queue_cap: 4096, n_workers: 2, ..ServeConfig::default() };
     let server = Server::start(Arc::clone(&engine), config);
 
     const CLIENTS: usize = 4;
