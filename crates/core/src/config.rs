@@ -44,8 +44,9 @@ pub struct TrainConfig {
     pub dr_use_inner_optimizer: bool,
     /// Base seed controlling shuffling, dropout and domain sampling.
     pub seed: u64,
-    /// Kernel worker threads for this run's tensor math; `0` (the default)
-    /// inherits the process-wide setting (`MAMDR_THREADS` env var /
+    /// Kernel threads for this run: the most scoped threads a large GEMM or
+    /// an evaluation pass splits into; `0` (the default) inherits the
+    /// process-wide setting (`MAMDR_THREADS` env var /
     /// `mamdr_tensor::pool::set_threads`). Results are bit-identical at any
     /// value — the knob trades wall-clock only.
     pub threads: usize,

@@ -210,7 +210,7 @@ impl<'a> TrainEnv<'a> {
 
     /// Per-domain AUC of a trained model on `split`.
     ///
-    /// Batches within a domain are scored on the kernel worker pool: each
+    /// Batches within a domain are split across the kernel threads: each
     /// batch's logits land in a dedicated slot and are concatenated in batch
     /// order afterwards, so the AUC input — and therefore the reported AUC —
     /// is bit-identical at any thread count.
@@ -223,20 +223,12 @@ impl<'a> TrainEnv<'a> {
             let mut rng = seeded(0);
             let batches = batches_for_domain(self.ds, d, split, plan, &mut rng);
             let mut slots: Vec<Vec<f32>> = vec![Vec::new(); batches.len()];
-            {
-                let model = self.model;
-                let scratch = &self.scratch;
-                let batches = &batches;
-                let slot_ptr = pool::SendMutPtr(slots.as_mut_ptr());
-                pool::for_each_chunk(batches.len(), 1, move |range| {
-                    for i in range {
-                        let scores = eval_logits(model, scratch, &batches[i]);
-                        // SAFETY: each batch index is visited by exactly one
-                        // chunk, so writes to the slots are disjoint.
-                        unsafe { *slot_ptr.get().add(i) = scores };
-                    }
-                });
-            }
+            let (model, scratch) = (self.model, &self.scratch);
+            pool::for_each_row_block(&mut slots, 1, 1, |range, block| {
+                for (slot, batch) in block.iter_mut().zip(&batches[range]) {
+                    *slot = eval_logits(model, scratch, batch);
+                }
+            });
             let mut labels = Vec::new();
             let mut scores = Vec::new();
             for (b, s) in batches.iter().zip(&slots) {
@@ -417,8 +409,18 @@ mod tests {
     use mamdr_models::{build_model, FeatureConfig, ModelConfig, ModelKind};
 
     fn fixture() -> (MdrDataset, mamdr_models::BuiltModel) {
-        let mut cfg = GeneratorConfig::base("t", 40, 25, 77);
-        cfg.domains = vec![DomainSpec::new("a", 300, 0.3), DomainSpec::new("b", 200, 0.4)];
+        fixture_of(40, 25, 300)
+    }
+
+    /// Two domains over `users × items`; the first asks for `first`
+    /// interactions, as many as the distinct pairs allow.
+    fn fixture_of(
+        users: usize,
+        items: usize,
+        first: usize,
+    ) -> (MdrDataset, mamdr_models::BuiltModel) {
+        let mut cfg = GeneratorConfig::base("t", users, items, 77);
+        cfg.domains = vec![DomainSpec::new("a", first, 0.3), DomainSpec::new("b", 200, 0.4)];
         let ds = cfg.generate();
         let fc = FeatureConfig::from_dataset(&ds);
         let built = build_model(ModelKind::Mlp, &fc, &ModelConfig::tiny(), 2, 1);
@@ -509,10 +511,12 @@ mod tests {
 
     #[test]
     fn evaluate_is_bit_identical_across_thread_counts() {
-        let (ds, built) = fixture();
+        let (ds, built) = fixture_of(400, 250, 4000);
         let mut env =
             TrainEnv::new(&ds, built.model.as_ref(), built.params.clone(), TrainConfig::quick());
         let tm = TrainedModel::shared_only(env.init_flat());
+        // `evaluate` scores batches of 256; three or more split at 4 threads.
+        assert!(ds.domains[0].split(Split::Test).len() > 2 * 256);
         let restore = mamdr_tensor::pool::configured_threads();
         mamdr_tensor::pool::set_threads(1);
         let serial = env.evaluate(&tm, Split::Test);

@@ -3,13 +3,9 @@
 use crate::sparse::SparseGrad;
 use mamdr_autodiff::Grads;
 use mamdr_tensor::init::Init;
-use mamdr_tensor::{pool, Tensor};
+use mamdr_tensor::Tensor;
 use rand::Rng;
 use std::collections::HashMap;
-
-/// Minimum scalars per worker chunk when copying between tensor and flat
-/// storage; copies below this stay serial (dispatch would beat memcpy).
-const FLAT_COPY_GRAIN: usize = 1 << 16;
 
 /// Metadata for one parameter tensor.
 #[derive(Debug, Clone)]
@@ -131,67 +127,21 @@ impl ParamStore {
 
     /// Writes every tensor into a caller-owned flat buffer (registration
     /// order), letting hot loops reuse one allocation across steps.
-    ///
-    /// Large stores split the copy across the kernel worker pool; each flat
-    /// element is written by exactly one worker, so the result never depends
-    /// on the thread count.
     pub fn write_flat(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.total, "flat vector length mismatch");
-        pool::for_each_row_block(out, 1, FLAT_COPY_GRAIN, |range, block| {
-            let mut ti = self.offsets.partition_point(|&o| o <= range.start).saturating_sub(1);
-            let mut pos = range.start;
-            while pos < range.end {
-                let off = self.offsets[ti];
-                let t = &self.tensors[ti];
-                let tend = off + t.numel();
-                if tend > pos {
-                    let end = tend.min(range.end);
-                    block[pos - range.start..end - range.start]
-                        .copy_from_slice(&t.data()[pos - off..end - off]);
-                    pos = end;
-                }
-                ti += 1;
-            }
-        });
+        for (t, &off) in self.tensors.iter().zip(&self.offsets) {
+            out[off..off + t.numel()].copy_from_slice(t.data());
+        }
     }
 
     /// Overwrites every tensor from a flat vector produced by
     /// [`ParamStore::to_flat`] / [`ParamStore::write_flat`].
-    ///
-    /// Large stores split the copy across the kernel worker pool (see
-    /// [`ParamStore::write_flat`] for the determinism argument).
     pub fn load_flat(&mut self, flat: &[f32]) {
         assert_eq!(flat.len(), self.total, "flat vector length mismatch");
-        // Raw views of each tensor's storage: `(ptr, len, offset)`. The
-        // ranges are disjoint, so concurrent chunk writes never alias.
-        let parts: Vec<(pool::SendMutPtr<f32>, usize, usize)> = self
-            .tensors
-            .iter_mut()
-            .zip(&self.offsets)
-            .map(|(t, &off)| {
-                let d = t.data_mut();
-                (pool::SendMutPtr(d.as_mut_ptr()), d.len(), off)
-            })
-            .collect();
-        pool::for_each_chunk(self.total, FLAT_COPY_GRAIN, |range| {
-            let mut ti = parts.partition_point(|p| p.2 <= range.start).saturating_sub(1);
-            let mut pos = range.start;
-            while pos < range.end {
-                let (ref ptr, len, off) = parts[ti];
-                let tend = off + len;
-                if tend > pos {
-                    let end = tend.min(range.end);
-                    // SAFETY: chunk ranges are disjoint and `parts` outlives
-                    // the dispatch (`for_each_chunk` blocks until done).
-                    let dst = unsafe {
-                        std::slice::from_raw_parts_mut(ptr.get().add(pos - off), end - pos)
-                    };
-                    dst.copy_from_slice(&flat[pos..end]);
-                    pos = end;
-                }
-                ti += 1;
-            }
-        });
+        for (t, &off) in self.tensors.iter_mut().zip(&self.offsets) {
+            let d = t.data_mut();
+            d.copy_from_slice(&flat[off..off + d.len()]);
+        }
     }
 
     /// Converts a tape's gradient (as returned by `Tape::backward`) into a
@@ -377,8 +327,8 @@ mod tests {
 
     #[test]
     fn flat_roundtrip_survives_parallel_copy_threshold() {
-        // A store big enough to cross FLAT_COPY_GRAIN and take the pooled
-        // copy path; the round trip must still be exact.
+        // A large tensor followed by a short one: the round trip must be
+        // exact across the boundary.
         let mut b = ParamStoreBuilder::new();
         b.register("big", &[600, 300], Init::Constant(0.5));
         b.register("tail", &[7], Init::Zeros);

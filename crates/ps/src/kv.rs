@@ -671,10 +671,10 @@ mod tests {
         for r in 0..64 {
             ps.init_row(ParamKey::new(0, r), vec![0.0; 4]);
         }
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..4 {
                 let ps = &ps;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..200 {
                         let key = ParamKey::new(0, ((t * 53 + i) % 64) as u32);
                         let _ = ps.pull(key);
@@ -682,8 +682,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         // All pushes landed: total added mass is 4 threads * 200 pushes.
         let total: f32 = (0..64).map(|r| ps.read_silent(ParamKey::new(0, r)).unwrap()[0]).sum();
         assert_eq!(total, 800.0);

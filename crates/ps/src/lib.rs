@@ -12,7 +12,7 @@
 //! samples. Here the parameter server is an in-memory KV store holding one
 //! record per row — value, Adagrad accumulator and push version behind a
 //! single lookup — lock-striped over `parking_lot::RwLock`s; workers are
-//! `crossbeam` scoped threads, and "network traffic" is counted
+//! `std::thread::scope` threads, and "network traffic" is counted
 //! byte-accurately on every pull/push.
 //! That preserves exactly the quantities the §IV-E mechanism optimizes —
 //! number of synchronizations and bytes moved — while fitting on one

@@ -216,8 +216,9 @@ pub fn seed_sharded_servers(
 /// Mean per-domain AUC of `split` using the server's current parameters
 /// (reads are traffic-free: evaluation runs driver-side).
 ///
-/// Interactions are scored on the kernel worker pool; each one lands in
-/// its own slot, so the AUC input is bit-identical at any thread count.
+/// Interactions are split across the kernel threads in blocks of at least
+/// 512; each one lands in its own slot, so the AUC input is bit-identical at
+/// any thread count.
 pub fn evaluate_server(ps: &ParameterServer, ds: &MdrDataset, split: Split) -> f64 {
     let mut aucs = Vec::with_capacity(ds.n_domains());
     for (di, dom) in ds.domains.iter().enumerate() {
@@ -227,29 +228,23 @@ pub fn evaluate_server(ps: &ParameterServer, ds: &MdrDataset, split: Split) -> f
         }
         let labels: Vec<_> = interactions.iter().map(|it| it.label).collect();
         let mut scores = vec![0.0f32; interactions.len()];
-        {
-            let score_ptr = pool::SendMutPtr(scores.as_mut_ptr());
-            pool::for_each_chunk(interactions.len(), 512, move |range| {
-                for i in range {
-                    let it = &interactions[i];
-                    let keys = ExampleKeys::new(
-                        it.user,
-                        it.item,
-                        ds.user_group[it.user as usize],
-                        ds.item_cat[it.item as usize],
-                        di as u32,
-                    );
-                    let u = ps.read_silent(keys.user).expect("user row");
-                    let v = ps.read_silent(keys.item).expect("item row");
-                    let g = ps.read_silent(keys.ugroup).expect("group row");
-                    let c = ps.read_silent(keys.icat).expect("cat row");
-                    let b = ps.read_silent(keys.bias).expect("bias row");
-                    // SAFETY: each interaction index is scored by exactly
-                    // one chunk, so slot writes are disjoint.
-                    unsafe { *score_ptr.get().add(i) = score(&u, &v, &g, &c, &b) };
-                }
-            });
-        }
+        pool::for_each_row_block(&mut scores, 1, 512, |range, block| {
+            for (slot, it) in block.iter_mut().zip(&interactions[range]) {
+                let keys = ExampleKeys::new(
+                    it.user,
+                    it.item,
+                    ds.user_group[it.user as usize],
+                    ds.item_cat[it.item as usize],
+                    di as u32,
+                );
+                let u = ps.read_silent(keys.user).expect("user row");
+                let v = ps.read_silent(keys.item).expect("item row");
+                let g = ps.read_silent(keys.ugroup).expect("group row");
+                let c = ps.read_silent(keys.icat).expect("cat row");
+                let b = ps.read_silent(keys.bias).expect("bias row");
+                *slot = score(&u, &v, &g, &c, &b);
+            }
+        });
         aucs.push(auc(&labels, &scores));
     }
     mamdr_core::metrics::mean(&aucs)
@@ -343,17 +338,16 @@ impl RoundTransport for InProcess<'_> {
         parent: Option<SpanContext>,
     ) -> Result<Vec<CachedRoundOutput>, Infallible> {
         let (trainer, ds) = (self.trainer, self.ds);
-        let outputs = crossbeam::thread::scope(|scope| {
+        let outputs = std::thread::scope(|scope| {
             let handles: Vec<_> = partitions
                 .iter()
                 .enumerate()
                 .map(|(w, part)| {
-                    scope.spawn(move |_| trainer.run_worker_round(ds, part, epoch, w, parent))
+                    scope.spawn(move || trainer.run_worker_round(ds, part, epoch, w, parent))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-        })
-        .expect("worker scope panicked");
+        });
         Ok(outputs)
     }
 
@@ -768,6 +762,23 @@ mod tests {
     #[should_panic(expected = "n_workers must be at least 1")]
     fn zero_workers_is_rejected_at_construction() {
         DistributedMamdr::new(&dataset(), DistributedConfig { n_workers: 0, ..Default::default() });
+    }
+
+    #[test]
+    fn evaluate_server_is_bit_identical_across_thread_counts() {
+        let mut cfg = GeneratorConfig::base("ps", 800, 500, 55);
+        cfg.domains = vec![DomainSpec::new("big", 8000, 0.3), DomainSpec::new("small", 400, 0.3)];
+        let ds = cfg.generate();
+        // Scoring blocks hold at least 512 interactions: this splits three ways.
+        assert!(ds.domains[0].split(Split::Test).len() >= 3 * 512);
+        let trainer = DistributedMamdr::new(&ds, DistributedConfig::default());
+        let restore = pool::configured_threads();
+        pool::set_threads(1);
+        let serial = evaluate_server(trainer.server(), &ds, Split::Test);
+        pool::set_threads(4);
+        let parallel = evaluate_server(trainer.server(), &ds, Split::Test);
+        pool::set_threads(restore);
+        assert_eq!(serial.to_bits(), parallel.to_bits());
     }
 
     #[test]

@@ -48,21 +48,26 @@ const MR: usize = 4;
 /// Minimum multiply-accumulate count per parallel chunk; a product with
 /// fewer than two chunks' worth runs inline on the caller.
 ///
-/// Derived from two measurements (2-vCPU Xeon @ 2.1 GHz, release build):
-/// an empty [`pool::run`] round trip — channel send, worker wake-up, latch —
-/// takes a median 5.8 µs for 2 chunks, 15 µs for 4 and 28 µs for 8 when the
-/// workers were idle for 200 µs first; the AVX2 tile sustains 30 G
-/// multiply-adds/s (128×80×64 in 21.5 µs), the portable one 14 G (45.8 µs).
-/// 2²² multiply-adds is therefore ≈ 140 µs of AVX2 tile work (≈ 290 µs
-/// portable), five times the dearest round trip.
+/// Derived from two measurements (2-vCPU Xeon @ 2.1 GHz, release build),
+/// by the rule that one chunk is at least five times the dearest dispatch.
+/// An empty `std::thread::scope` that spawns `chunks − 1` threads and runs
+/// one chunk on the caller, after 200 µs idle, took a median 40 / 63 /
+/// 135 µs at 2 / 4 / 8 chunks (p90 56 / 89 / 183) in a first measurement,
+/// and 41 / 49–69 / 120–180 µs (p90 51–59 / 78–102 / 160–240) over five
+/// later runs. The AVX2 tile sustains 30 G multiply-adds/s (128×80×64 in
+/// 21.5 µs), the portable one 14 G. Five times the dearest median is
+/// 0.7–0.9 ms, 20–27 M multiply-adds, above 2²⁴ (0.56 ms of AVX2 work), so
+/// the grain is 2²⁵: ≈ 1.1 ms of AVX2 tile work (≈ 2.4 ms portable). The
+/// persistent pool this replaced took 5.8 / 15 / 28 µs for the same round
+/// trips, which is how the grain was 2²² before.
 ///
 /// Crossover: at `k × n` = 80×64 the first shape to be split has
-/// 2 × 819 = 1 638 rows (≈ 290 µs inline). There two threads measured
-/// 205–300 µs against 250–300 µs for one, and 480–770 µs against 740–800 µs
-/// at 4 096 rows — on a shared host the second vCPU's gain comes and goes
-/// with the neighbours. Every training shape (≤ 128 rows) stays in one chunk
-/// at any thread count.
-const MIN_CHUNK_FLOPS: usize = 1 << 22;
+/// 2 × 6 553 = 13 106 rows (≈ 2.2 ms inline); there two threads measured
+/// 1.2–1.9 ms against one thread's 1.9–2.3 ms, and 2.3–3.3 ms against
+/// 4.0–4.6 ms at 26 212 rows — on a shared host the second vCPU's gain
+/// comes and goes with the neighbours. Every training and serving shape
+/// stays in one chunk at any thread count.
+const MIN_CHUNK_FLOPS: usize = 1 << 25;
 
 /// Fused activation applied by [`Tensor::gemm_bias_act`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -294,9 +299,12 @@ impl Tensor {
     /// `[m,n]` where `m/k` come from `self` (swapped under `lhs_t`) and
     /// `k/n` from `rhs` (swapped under `rhs_t`); the two `k`s must agree.
     ///
-    /// Rows of the output are computed in parallel on the [`crate::pool`]
-    /// workers when the matrix is large enough to amortize dispatch; see the
-    /// module docs for the bit-identity guarantee.
+    /// A product of at least two chunks of 2²⁵ multiply-adds splits its
+    /// output rows across scoped threads
+    /// ([`crate::pool::for_each_row_block`]); anything smaller — every
+    /// training and serving shape — runs inline on the caller and never
+    /// enters a thread scope. See the module docs for the bit-identity
+    /// guarantee.
     pub fn gemm(&self, rhs: &Tensor, lhs_t: bool, rhs_t: bool) -> Tensor {
         let (r1, c1) = self.matrix_dims();
         let (r2, c2) = rhs.matrix_dims();
@@ -393,8 +401,11 @@ mod tests {
         for (m, k, n) in [(128, 16, 16), (128, 80, 64), (128, 64, 32), (128, 32, 1)] {
             assert_eq!(pool::chunk_count(m, grain_rows(k, n), 8), 1, "{m}x{k}x{n}");
         }
-        // Past the grain the rows are split, whole.
-        assert_eq!(pool::chunk_count(4096, grain_rows(80, 64), 8), 5);
+        // Past the grain the rows are split, whole: at 80×64 a chunk is
+        // 2²⁵ / 5 120 = 6 553 rows, so splitting starts at 13 106.
+        assert_eq!(pool::chunk_count(13_105, grain_rows(80, 64), 8), 1);
+        assert_eq!(pool::chunk_count(13_106, grain_rows(80, 64), 8), 2);
+        assert_eq!(pool::chunk_count(19_659, grain_rows(80, 64), 8), 3);
     }
 
     #[test]

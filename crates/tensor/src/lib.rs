@@ -12,9 +12,10 @@
 //!
 //! Everything is deterministic given a seed: all random entry points take an
 //! explicit [`rand::Rng`], and the crate exposes [`rng::seeded`] for
-//! reproducible experiment pipelines. The GEMM kernels run on a persistent
-//! worker pool ([`pool`]) with a fixed reduction order, so results are
-//! bit-identical at any thread count (`MAMDR_THREADS` / [`pool::set_threads`]).
+//! reproducible experiment pipelines. Large GEMMs split their output rows
+//! across scoped threads ([`pool`]) with a fixed reduction order per
+//! element, so results are bit-identical at any thread count
+//! (`MAMDR_THREADS` / [`pool::set_threads`]).
 //!
 //! ```
 //! use mamdr_tensor::{Tensor, rng};

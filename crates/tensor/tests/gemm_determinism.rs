@@ -2,10 +2,11 @@
 //! tiled/parallel [`Tensor::gemm`] must be **bit-identical** to a naive
 //! reference implementation for every transpose variant, across the shapes
 //! training and serving issue, every tile edge (rows and columns one short
-//! of, equal to and one past the tile, `k` of 1 and 2), and thread counts
-//! 1/2/8. The reference below fixes the accumulation order the tile promises:
-//! strictly k-increasing per output element, every term added, multiply and
-//! add rounded separately.
+//! of, equal to and one past the tile, `k` of 1 and 2), the smallest products
+//! that split into two and three row blocks, and thread counts 1/2/8. The
+//! reference below fixes the accumulation order the tile promises: strictly
+//! k-increasing per output element, every term added, multiply and add
+//! rounded separately.
 
 use mamdr_tensor::pool;
 use mamdr_tensor::rng::seeded;
@@ -56,9 +57,15 @@ fn randn_salted(seed: u64, shape: &[usize]) -> Tensor {
     t
 }
 
+/// The smallest product that splits into two row blocks (6 553 rows each at
+/// 2 threads and up), and the smallest that splits into three plus one row,
+/// so that at 8 threads the first block is a row longer than the others.
+/// Every block after the first starts off a 4-row tile boundary.
+const SPLIT_SHAPES: [(usize, usize, usize); 2] = [(13_106, 80, 64), (19_660, 80, 64)];
+
 /// The shapes training issues at batch 128 (embedding projection, the three
 /// MLP layers), the first layer at serving batch sizes, sizes well past one
-/// tile, and every combination of tile-edge extents.
+/// tile, every combination of tile-edge extents, and [`SPLIT_SHAPES`].
 fn shapes() -> Vec<(usize, usize, usize)> {
     let mut shapes = vec![
         (128, 16, 16),
@@ -80,26 +87,38 @@ fn shapes() -> Vec<(usize, usize, usize)> {
             }
         }
     }
+    shapes.extend(SPLIT_SHAPES);
     shapes
 }
 
 const LAYOUTS: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
 
-fn operands(m: usize, k: usize, n: usize, lhs_t: bool, rhs_t: bool) -> (Tensor, Tensor) {
-    let a_shape = if lhs_t { [k, m] } else { [m, k] };
-    let b_shape = if rhs_t { [n, k] } else { [k, n] };
-    let a = randn_salted(m as u64 * 31 + k as u64, &a_shape);
-    let b = randn_salted(n as u64 * 17 + k as u64, &b_shape);
+/// Salted operands of one product `[m, k] @ [k, n]`: the lhs and rhs as the
+/// NN layout stores them.
+fn operands(m: usize, k: usize, n: usize) -> (Tensor, Tensor) {
+    let a = randn_salted(m as u64 * 31 + k as u64, &[m, k]);
+    let b = randn_salted(n as u64 * 17 + k as u64, &[k, n]);
     (a, b)
+}
+
+/// `t` as a layout stores it: transposed when its flag is set, so every
+/// layout computes the same product.
+fn stored(t: &Tensor, transposed: bool) -> Tensor {
+    if transposed {
+        t.transpose()
+    } else {
+        t.clone()
+    }
 }
 
 #[test]
 fn gemm_is_bit_identical_to_reference_across_threads_and_shapes() {
     let restore = pool::configured_threads();
     for (m, k, n) in shapes() {
+        let (a, b) = operands(m, k, n);
+        let expect = reference_gemm(&a, &b, false, false, false);
         for (lhs_t, rhs_t) in LAYOUTS {
-            let (a, b) = operands(m, k, n, lhs_t, rhs_t);
-            let expect = reference_gemm(&a, &b, lhs_t, rhs_t, false);
+            let (a, b) = (stored(&a, lhs_t), stored(&b, rhs_t));
             for threads in [1usize, 2, 8] {
                 pool::set_threads(threads);
                 let got = a.gemm(&b, lhs_t, rhs_t);
@@ -123,13 +142,15 @@ fn bits(t: &Tensor) -> Vec<u32> {
 
 /// The soundness proof for dropping the old kernels' `a == 0.0` skip: on
 /// finite inputs — signed zeros and subnormals included — the reference
-/// with the skip and the reference without it produce the same bits.
+/// with the skip and the reference without it produce the same bits. The
+/// row split cannot touch a term, so [`SPLIT_SHAPES`] would only add time.
 #[test]
 fn skipping_zero_lhs_terms_never_changed_a_bit_on_finite_inputs() {
     let mut skipped_terms = 0usize;
-    for (m, k, n) in shapes() {
+    for (m, k, n) in shapes().into_iter().filter(|s| !SPLIT_SHAPES.contains(s)) {
+        let (a, b) = operands(m, k, n);
         for (lhs_t, rhs_t) in LAYOUTS {
-            let (a, b) = operands(m, k, n, lhs_t, rhs_t);
+            let (a, b) = (stored(&a, lhs_t), stored(&b, rhs_t));
             skipped_terms += a.data().iter().filter(|&&v| v == 0.0).count();
             assert_eq!(
                 bits(&reference_gemm(&a, &b, lhs_t, rhs_t, true)),
@@ -166,16 +187,22 @@ fn zero_times_infinity_is_nan_in_every_layout() {
 #[test]
 fn gemm_bias_act_is_bit_identical_across_threads() {
     let restore = pool::configured_threads();
-    let x = randn_salted(7, &[37, 19]);
-    let w = randn(8, &[19, 33]);
-    let bias = randn(9, &[33]);
-    for act in [Act::Linear, Act::Relu, Act::Sigmoid, Act::Tanh] {
-        pool::set_threads(1);
-        let serial = x.gemm_bias_act(&w, Some(&bias), act);
-        for threads in [2usize, 8] {
-            pool::set_threads(threads);
-            let parallel = x.gemm_bias_act(&w, Some(&bias), act);
-            assert_eq!(serial.data(), parallel.data(), "{act:?} differs at {threads} threads");
+    for (m, k, n) in [(37, 19, 33), SPLIT_SHAPES[0]] {
+        let x = randn_salted(7, &[m, k]);
+        let w = randn(8, &[k, n]);
+        let bias = randn(9, &[n]);
+        for act in [Act::Linear, Act::Relu, Act::Sigmoid, Act::Tanh] {
+            pool::set_threads(1);
+            let serial = x.gemm_bias_act(&w, Some(&bias), act);
+            for threads in [2usize, 8] {
+                pool::set_threads(threads);
+                let parallel = x.gemm_bias_act(&w, Some(&bias), act);
+                assert_eq!(
+                    bits(&serial),
+                    bits(&parallel),
+                    "{m}x{k}x{n} {act:?} differs at {threads} threads"
+                );
+            }
         }
     }
     pool::set_threads(restore);
@@ -184,14 +211,17 @@ fn gemm_bias_act_is_bit_identical_across_threads() {
 #[test]
 fn repeated_dispatch_stays_deterministic() {
     // A long sequence of parallel dispatches (the training loop's shape)
-    // must produce the same bytes as its first run.
+    // must produce the same bytes as the serial product.
     let restore = pool::configured_threads();
-    pool::set_threads(8);
-    let a = randn(11, &[65, 43]);
-    let b = randn(12, &[43, 29]);
-    let first = a.gemm(&b, false, false);
-    for _ in 0..50 {
-        assert_eq!(a.gemm(&b, false, false).data(), first.data());
+    for ((m, k, n), reps) in [((65, 43, 29), 50), (SPLIT_SHAPES[0], 3)] {
+        let a = randn(11, &[m, k]);
+        let b = randn(12, &[k, n]);
+        pool::set_threads(1);
+        let serial = a.gemm(&b, false, false);
+        pool::set_threads(8);
+        for _ in 0..reps {
+            assert_eq!(bits(&a.gemm(&b, false, false)), bits(&serial), "{m}x{k}x{n}");
+        }
     }
     pool::set_threads(restore);
 }

@@ -18,6 +18,12 @@
 //! single allocation of a step is as large as the user table's gradient
 //! would be, and what a DR step allocates beyond its `loss_and_grads` call
 //! stays below that size too.
+//!
+//! One more pin guards the kernel layer's inline path: a warmed 128×80×64
+//! `Tensor::gemm` (the first MLP layer at batch 128) allocates the same at
+//! 1 and 8 threads. A product that small is one chunk, and a one-chunk
+//! dispatch must never enter a `std::thread::scope`, which heap-allocates
+//! its shared state and each spawned thread.
 
 use mamdr::core::frameworks::mamdr::domain_regularization;
 use mamdr::core::{TrainConfig, TrainEnv};
@@ -28,18 +34,26 @@ use mamdr::models::{
 use mamdr::nn::ForwardCtx;
 use mamdr::tensor::pool;
 use mamdr::tensor::rng::seeded;
+use mamdr::tensor::Tensor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Mutex, PoisonError};
 
 /// `(allocations, bytes)` of one `loss_and_grads` call. The parent of the
 /// row-sparse gradient change allocated 141 / 801 764 here, its largest
 /// allocation the user table's gradient.
 const LOSS_AND_GRADS: (u64, u64) = (140, 623_464);
 /// `(lookahead steps, allocations, bytes)` of one `domain_regularization`
-/// call: 151.9 allocations and 646 450 bytes per step, 22 986 of them
-/// beyond `loss_and_grads` (parent: 14 007 and 93 759 928 in all, 240 012
-/// per step beyond `loss_and_grads`, one flat vector per step among them).
-const DR_CALL: (u64, u64, u64) = (90, 13_674, 58_180_524);
+/// call: 150.9 allocations and 646 162 bytes per step, 22 698 of them
+/// beyond `loss_and_grads` (before the sparse DR steps: 14 007 and
+/// 93 759 928 in all, 240 012 per step beyond `loss_and_grads`, one flat
+/// vector per step among them).
+const DR_CALL: (u64, u64, u64) = (90, 13_584, 58_154_604);
+/// `(allocations, bytes)` of one 128×80×64 `Tensor::gemm`: in NN the
+/// result's data (32 768 bytes) and shape (16); in NT those plus the packed
+/// transpose of the rhs (20 480 + 16).
+const GEMM_NN: (u64, u64) = (2, 32_784);
+const GEMM_NT: (u64, u64) = (4, 53_280);
 /// The gradient of the user embedding table if it were materialised:
 /// 2 378 rows × 16 floats × 4 bytes.
 const USER_TABLE_GRAD_BYTES: u64 = 2_378 * 16 * 4;
@@ -114,8 +128,14 @@ fn counted(f: impl FnOnce()) -> Counts {
     }
 }
 
+/// Held while a test sets the process-wide kernel thread count, so the
+/// 8-thread measurement below is not reset to 1 under it.
+static THREAD_KNOB: Mutex<()> = Mutex::new(());
+
 fn fixture() -> (MdrDataset, BuiltModel) {
+    let knob = THREAD_KNOB.lock().unwrap_or_else(PoisonError::into_inner);
     pool::set_threads(1);
+    drop(knob);
     let ds = presets::taobao(10, 42, 1.0);
     let fc = FeatureConfig::from_dataset(&ds);
     let built = build_model(ModelKind::Mlp, &fc, &ModelConfig::default(), ds.n_domains(), 42);
@@ -184,4 +204,26 @@ fn dr_lookahead_step_allocations_are_pinned() {
         "a DR step allocates {per_step} bytes, {model_bytes} of them in loss_and_grads"
     );
     assert_eq!((steps, got.allocs, got.bytes), DR_CALL, "allocations per DR lookahead step moved");
+}
+
+#[test]
+fn inline_gemm_allocations_are_pinned_at_any_thread_count() {
+    let _knob = THREAD_KNOB.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut rng = seeded(3);
+    let a = Tensor::randn(&mut rng, [128, 80], 0.0, 1.0);
+    let b = Tensor::randn(&mut rng, [80, 64], 0.0, 1.0);
+    let bt = b.transpose();
+    let count = |threads: usize| {
+        pool::set_threads(threads);
+        drop((a.gemm(&b, false, false), a.gemm(&bt, false, true)));
+        let nn = counted(|| drop(a.gemm(&b, false, false)));
+        let nt = counted(|| drop(a.gemm(&bt, false, true)));
+        ((nn.allocs, nn.bytes), (nt.allocs, nt.bytes))
+    };
+    let serial = count(1);
+    let parallel = count(8);
+    pool::set_threads(1);
+    eprintln!("gemm 128x80x64: NN {:?}, NT {:?}", serial.0, serial.1);
+    assert_eq!(serial, (GEMM_NN, GEMM_NT), "allocations per inline gemm moved");
+    assert_eq!(parallel, serial, "a one-chunk gemm allocates more at 8 threads");
 }
