@@ -24,14 +24,19 @@
 //! 1 and 8 threads. A product that small is one chunk, and a one-chunk
 //! dispatch must never enter a `std::thread::scope`, which heap-allocates
 //! its shared state and each spawned thread.
+//!
+//! Inference is pinned the same way, on the same fixture: one warmed
+//! `eval_logits` at batch 1 and 32, and one `ServingSnapshot::score` of a
+//! single request on a snapshot of that model.
 
 use mamdr::core::frameworks::mamdr::domain_regularization;
-use mamdr::core::{TrainConfig, TrainEnv};
+use mamdr::core::{TrainConfig, TrainEnv, TrainedModel};
 use mamdr::data::{make_batch, presets, MdrDataset};
 use mamdr::models::{
-    build_model, loss_and_grads, BuiltModel, FeatureConfig, ModelConfig, ModelKind,
+    build_model, eval_logits, loss_and_grads, BuiltModel, FeatureConfig, ModelConfig, ModelKind,
 };
 use mamdr::nn::ForwardCtx;
+use mamdr::serve::{ModelSpec, ScoreRequest, ServingSnapshot};
 use mamdr::tensor::pool;
 use mamdr::tensor::rng::seeded;
 use mamdr::tensor::Tensor;
@@ -54,6 +59,12 @@ const DR_CALL: (u64, u64, u64) = (90, 13_584, 58_154_604);
 /// transpose of the rhs (20 480 + 16).
 const GEMM_NN: (u64, u64) = (2, 32_784);
 const GEMM_NT: (u64, u64) = (4, 53_280);
+/// `(allocations, bytes)` of one `eval_logits` call at batch 1 and 32, and
+/// of one `ServingSnapshot::score` of one request. Each builds a fresh tape
+/// that copies every dense parameter (≈ 30 KB of the default MLP).
+const EVAL_B1: (u64, u64) = (60, 38_640);
+const EVAL_B32: (u64, u64) = (60, 73_236);
+const SCORE_B1: (u64, u64) = (69, 38_756);
 /// The gradient of the user embedding table if it were materialised:
 /// 2 378 rows × 16 floats × 4 bytes.
 const USER_TABLE_GRAD_BYTES: u64 = 2_378 * 16 * 4;
@@ -204,6 +215,47 @@ fn dr_lookahead_step_allocations_are_pinned() {
         "a DR step allocates {per_step} bytes, {model_bytes} of them in loss_and_grads"
     );
     assert_eq!((steps, got.allocs, got.bytes), DR_CALL, "allocations per DR lookahead step moved");
+}
+
+#[test]
+fn inference_allocations_are_pinned() {
+    let (ds, built) = fixture();
+    let (model, params) = (built.model.as_ref(), &built.params);
+    let eval = |n: usize| {
+        let dom = (0..ds.n_domains()).find(|&d| ds.domains[d].test.len() >= n).unwrap();
+        let batch = make_batch(&ds, dom, &ds.domains[dom].test[..n]);
+        drop(eval_logits(model, params, &batch));
+        let got = counted(|| drop(eval_logits(model, params, &batch)));
+        (got.allocs, got.bytes)
+    };
+    let (b1, b32) = (eval(1), eval(32));
+
+    let spec = ModelSpec {
+        kind: ModelKind::Mlp,
+        features: FeatureConfig::from_dataset(&ds),
+        config: ModelConfig::default(),
+        n_domains: ds.n_domains(),
+    };
+    let trained = TrainedModel::shared_only(params.to_flat());
+    let snapshot = ServingSnapshot::from_trained(1, spec, trained).expect("a consistent model");
+    let it = ds.domains[0].test[0];
+    let mut req = ScoreRequest::new(
+        0,
+        it.user,
+        it.item,
+        ds.user_group[it.user as usize],
+        ds.item_cat[it.item as usize],
+    );
+    let dense = |t: &Option<Tensor>, row: u32| t.as_ref().map(|t| t.row(row as usize).to_vec());
+    req.dense_user = dense(&ds.dense_user, it.user);
+    req.dense_item = dense(&ds.dense_item, it.item);
+    let reqs = [req];
+    drop(snapshot.score(0, &reqs));
+    let score = counted(|| drop(snapshot.score(0, &reqs)));
+    let score = (score.allocs, score.bytes);
+
+    eprintln!("eval_logits: b1 {b1:?}, b32 {b32:?}; score b1 {score:?}");
+    assert_eq!((b1, b32, score), (EVAL_B1, EVAL_B32, SCORE_B1), "inference allocations moved");
 }
 
 #[test]
