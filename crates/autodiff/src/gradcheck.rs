@@ -6,7 +6,7 @@
 //! substrate: an error in any rule shows up here, not as a mysteriously
 //! underperforming model three crates up.
 
-use crate::tape::{Tape, Var};
+use crate::{Recorder, Tape, Var};
 use mamdr_tensor::Tensor;
 
 /// Result of a gradient check for one parameter.
@@ -104,10 +104,10 @@ mod tests {
         let labels = Tensor::from_vec([5], vec![1., 0., 1., 0., 1.]);
         assert_gradients_match(&params, EPS, TOL, |tape, ps| {
             let xin = tape.leaf(x.clone());
-            let w1 = tape.param(0, ps[0].clone());
-            let b1 = tape.param(1, ps[1].clone());
-            let w2 = tape.param(2, ps[2].clone());
-            let b2 = tape.param(3, ps[3].clone());
+            let w1 = tape.param(0, &ps[0]);
+            let b1 = tape.param(1, &ps[1]);
+            let w2 = tape.param(2, &ps[2]);
+            let b2 = tape.param(3, &ps[3]);
             let h = tape.gemm(xin, w1, false, false);
             let h = tape.add_row(h, b1);
             let h = tape.relu(h);
@@ -122,8 +122,8 @@ mod tests {
     fn elementwise_ops_gradcheck() {
         let params = vec![randn(5, &[2, 3]), randn(6, &[2, 3])];
         assert_gradients_match(&params, EPS, TOL, |tape, ps| {
-            let a = tape.param(0, ps[0].clone());
-            let b = tape.param(1, ps[1].clone());
+            let a = tape.param(0, &ps[0]);
+            let b = tape.param(1, &ps[1]);
             let s = tape.mul(a, b);
             let t = tape.sub(s, b);
             let u = tape.tanh(t);
@@ -137,9 +137,9 @@ mod tests {
     fn broadcast_ops_gradcheck() {
         let params = vec![randn(7, &[4, 3]), randn(8, &[3]), randn(9, &[4])];
         assert_gradients_match(&params, EPS, TOL, |tape, ps| {
-            let m = tape.param(0, ps[0].clone());
-            let row = tape.param(1, ps[1].clone());
-            let col = tape.param(2, ps[2].clone());
+            let m = tape.param(0, &ps[0]);
+            let row = tape.param(1, &ps[1]);
+            let col = tape.param(2, &ps[2]);
             let a = tape.add_row(m, row);
             let b = tape.mul_col(a, col);
             let c = tape.scalar_mul(b, 0.5);
@@ -152,8 +152,8 @@ mod tests {
     fn structural_ops_gradcheck() {
         let params = vec![randn(10, &[3, 2]), randn(11, &[3, 4])];
         assert_gradients_match(&params, EPS, TOL, |tape, ps| {
-            let a = tape.param(0, ps[0].clone());
-            let b = tape.param(1, ps[1].clone());
+            let a = tape.param(0, &ps[0]);
+            let b = tape.param(1, &ps[1]);
             let cat = tape.concat_cols(&[a, b]);
             let sl = tape.slice_cols(cat, 1, 4);
             let tr = tape.transpose(sl);
@@ -169,8 +169,8 @@ mod tests {
         // A miniature attention readout: scores -> softmax -> weighted values.
         let params = vec![randn(12, &[4, 5]), randn(13, &[4, 5])];
         assert_gradients_match(&params, EPS, TOL, |tape, ps| {
-            let scores = tape.param(0, ps[0].clone());
-            let values = tape.param(1, ps[1].clone());
+            let scores = tape.param(0, &ps[0]);
+            let values = tape.param(1, &ps[1]);
             let attn = tape.softmax_rows(scores);
             let mixed = tape.mul(attn, values);
             let picked = tape.sum_cols_keep(mixed);
@@ -194,8 +194,8 @@ mod tests {
     fn matmul_chain_gradcheck() {
         let params = vec![randn(15, &[3, 4]), randn(16, &[4, 2])];
         assert_gradients_match(&params, EPS, TOL, |tape, ps| {
-            let a = tape.param(0, ps[0].clone());
-            let b = tape.param(1, ps[1].clone());
+            let a = tape.param(0, &ps[0]);
+            let b = tape.param(1, &ps[1]);
             let c = tape.gemm(a, b, false, false);
             let s = tape.sigmoid(c);
             tape.sum_all(s)
@@ -210,8 +210,8 @@ mod tests {
             let b_shape: &[usize] = if rhs_t { &[2, 4] } else { &[4, 2] };
             let params = vec![randn(17, a_shape), randn(18, b_shape)];
             assert_gradients_match(&params, EPS, TOL, |tape, ps| {
-                let a = tape.param(0, ps[0].clone());
-                let b = tape.param(1, ps[1].clone());
+                let a = tape.param(0, &ps[0]);
+                let b = tape.param(1, &ps[1]);
                 let c = tape.gemm(a, b, lhs_t, rhs_t);
                 let s = tape.tanh(c);
                 tape.mean_all(s)
@@ -227,8 +227,8 @@ mod tests {
             let params = vec![randn(20, &[3, 4]), randn(21, &[4])];
             assert_gradients_match(&params, EPS, TOL, |tape, ps| {
                 let xin = tape.leaf(x.clone());
-                let w = tape.param(0, ps[0].clone());
-                let b = tape.param(1, ps[1].clone());
+                let w = tape.param(0, &ps[0]);
+                let b = tape.param(1, &ps[1]);
                 let y = tape.dense(xin, w, Some(b), act);
                 let sq = tape.square(y);
                 tape.mean_all(sq)
@@ -237,8 +237,8 @@ mod tests {
         // Bias-less variant, and gradient flow into x through a param.
         let params = vec![randn(22, &[5, 3]), randn(23, &[3, 2])];
         assert_gradients_match(&params, EPS, TOL, |tape, ps| {
-            let xin = tape.param(0, ps[0].clone());
-            let w = tape.param(1, ps[1].clone());
+            let xin = tape.param(0, &ps[0]);
+            let w = tape.param(1, &ps[1]);
             let y = tape.dense(xin, w, None, mamdr_tensor::Act::Relu);
             tape.mean_all(y)
         });
@@ -253,16 +253,16 @@ mod tests {
 
         let mut fused = Tape::new();
         let xf = fused.leaf(x.clone());
-        let wf = fused.param(0, w.clone());
-        let bf = fused.param(1, b.clone());
+        let wf = fused.param(0, &w);
+        let bf = fused.param(1, &b);
         let yf = fused.dense(xf, wf, Some(bf), Act::Sigmoid);
         let lf = fused.sum_all(yf);
         let gf = fused.backward(lf);
 
         let mut plain = Tape::new();
         let xp = plain.leaf(x);
-        let wp = plain.param(0, w);
-        let bp = plain.param(1, b);
+        let wp = plain.param(0, &w);
+        let bp = plain.param(1, &b);
         let zp = plain.gemm(xp, wp, false, false);
         let zp = plain.add_row(zp, bp);
         let yp = plain.sigmoid(zp);

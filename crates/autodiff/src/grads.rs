@@ -7,9 +7,9 @@ use std::ops::Index;
 /// The gradient of a scalar loss with respect to every parameter the
 /// forward pass read, keyed by parameter index.
 ///
-/// A parameter read whole ([`Tape::param`](crate::Tape::param)) gets a
-/// tensor of its own shape. A table read by rows
-/// ([`Tape::gather_param`](crate::Tape::gather_param)) gets a [`RowGrad`]
+/// A parameter read whole ([`Recorder::param`](crate::Recorder::param))
+/// gets a tensor of its own shape. A table read by rows
+/// ([`Recorder::gather_param`](crate::Recorder::gather_param)) gets a [`RowGrad`]
 /// holding only the rows the batch touched, so the reverse pass never
 /// allocates a table-shaped tensor.
 #[derive(Debug, Clone, Default)]

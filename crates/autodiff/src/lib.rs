@@ -10,6 +10,12 @@
 //! into a [`Grads`]: a tensor per parameter read whole, and only the touched
 //! rows of each embedding table read by gather.
 //!
+//! A forward pass is written once, generic over the [`Recorder`] trait.
+//! Training runs it on a [`Tape`]; serving and evaluation run it on an
+//! [`Eval`], which keeps values only — no parameter copies, no recorded
+//! ops, buffers reused across passes ([`EvalScratch`]). Both recorders
+//! call one function per op, so the values are the same bits.
+//!
 //! The op set (~25 ops) is exactly what the ten CTR architectures in
 //! `mamdr-models` need: dense layers, embedding gather, attention
 //! (matmul/softmax/slice/concat), FM-style interactions
@@ -20,12 +26,12 @@
 //! (see [`gradcheck`]) in unit and property tests.
 //!
 //! ```
-//! use mamdr_autodiff::Tape;
+//! use mamdr_autodiff::{Recorder, Tape};
 //! use mamdr_tensor::Tensor;
 //!
 //! let mut tape = Tape::new();
 //! let x = tape.leaf(Tensor::from_vec([1, 2], vec![1.0, 2.0]));
-//! let w = tape.param(0, Tensor::from_vec([2, 1], vec![0.5, -0.25]));
+//! let w = tape.param(0, &Tensor::from_vec([2, 1], vec![0.5, -0.25]));
 //! let y = tape.gemm(x, w, false, false);
 //! let loss = tape.sum_all(y);
 //! let grads = tape.backward(loss);
@@ -33,9 +39,13 @@
 //! assert_eq!(grads[0].data(), &[1.0, 2.0]);
 //! ```
 
+pub mod eval;
 pub mod gradcheck;
 pub mod grads;
+pub mod recorder;
 pub mod tape;
 
+pub use eval::{Eval, EvalScratch};
 pub use grads::{Grads, RowGrad};
-pub use tape::{Tape, Var};
+pub use recorder::{Recorder, Var};
+pub use tape::Tape;

@@ -1,22 +1,12 @@
 //! The autodiff tape: op recording and the reverse pass.
 
 use crate::grads::Grads;
+use crate::recorder::{self, Recorder, Var};
 use mamdr_tensor::{Act, Tensor};
 
 /// Numerically stable logistic sigmoid (re-exported from `mamdr-tensor`,
 /// where the fused kernels need it; the old path keeps working).
 pub use mamdr_tensor::stable_sigmoid;
-
-/// Handle to a value recorded on a [`Tape`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Var(usize);
-
-impl Var {
-    /// The node index inside the tape.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
 
 /// One recorded operation. Aux tensors needed by the backward rule (dropout
 /// masks, labels, normalization scales) are stored inline.
@@ -222,11 +212,6 @@ impl Tape {
         self.values.is_empty()
     }
 
-    /// The value computed at `v`.
-    pub fn value(&self, v: Var) -> &Tensor {
-        &self.values[v.0]
-    }
-
     fn push(&mut self, value: Tensor, op: Op) -> Var {
         let mut needs_grad = matches!(op, Op::Param { .. } | Op::GatherParam { .. });
         op.for_each_input(|v| needs_grad |= self.needs_grad[v.0]);
@@ -241,106 +226,11 @@ impl Tape {
         self.push(value, Op::Leaf)
     }
 
-    /// Records a parameter copy; its adjoint becomes `grads[param]`.
-    ///
-    /// A parameter is read either whole (here) or by rows
-    /// ([`Tape::gather_param`]) on one tape, never both.
-    pub fn param(&mut self, param: usize, value: Tensor) -> Var {
-        self.push(value, Op::Param { param })
-    }
-
-    /// Records an embedding gather from parameter table `param`.
-    ///
-    /// Only the gathered rows are stored on the tape, and the backward pass
-    /// returns only the touched rows' gradients ([`crate::RowGrad`]).
-    pub fn gather_param(&mut self, param: usize, table: &Tensor, ids: &[u32]) -> Var {
-        let (rows, dim) = table.matrix_dims();
-        let value = table.gather_rows(ids);
-        self.push(value, Op::GatherParam { param, ids: ids.to_vec(), table_shape: [rows, dim] })
-    }
-
-    /// Elementwise add of same-shape values.
-    pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = self.values[a.0].add(&self.values[b.0]);
-        self.push(v, Op::Add { a, b })
-    }
-
-    /// Elementwise subtract of same-shape values.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self.values[a.0].sub(&self.values[b.0]);
-        self.push(v, Op::Sub { a, b })
-    }
-
-    /// Elementwise multiply of same-shape values.
-    pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.values[a.0].mul(&self.values[b.0]);
-        self.push(v, Op::Mul { a, b })
-    }
-
-    /// Adds a `[n]`-shaped bias row to every row of `a`.
-    pub fn add_row(&mut self, a: Var, row: Var) -> Var {
-        let v = self.values[a.0].add_row_broadcast(&self.values[row.0]);
-        self.push(v, Op::AddRow { a, row })
-    }
-
-    /// Multiplies row `i` of `a` by the scalar `col[i]`.
-    pub fn mul_col(&mut self, a: Var, col: Var) -> Var {
-        let v = self.values[a.0].mul_col_broadcast(&self.values[col.0]);
-        self.push(v, Op::MulCol { a, col })
-    }
-
     /// General matrix product `op(a) @ op(b)`, transposing either operand
     /// without materializing the transpose (see [`Tensor::gemm`]).
     pub fn gemm(&mut self, a: Var, b: Var, lhs_t: bool, rhs_t: bool) -> Var {
         let v = self.values[a.0].gemm(&self.values[b.0], lhs_t, rhs_t);
         self.push(v, Op::Gemm { a, b, lhs_t, rhs_t })
-    }
-
-    /// Fused dense layer `act(x @ w + bias)` as a single tape node.
-    ///
-    /// Produces bit-identical values and gradients to recording the
-    /// gemm, bias add and activation separately, but touches the output
-    /// once and stores one intermediate instead of three.
-    pub fn dense(&mut self, x: Var, w: Var, bias: Option<Var>, act: Act) -> Var {
-        let v =
-            self.values[x.0].gemm_bias_act(&self.values[w.0], bias.map(|b| &self.values[b.0]), act);
-        self.push(v, Op::Dense { x, w, bias, act })
-    }
-
-    /// Matrix transpose.
-    pub fn transpose(&mut self, a: Var) -> Var {
-        let v = self.values[a.0].transpose();
-        self.push(v, Op::Transpose { a })
-    }
-
-    /// Rectified linear unit.
-    pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.values[a.0].map(|x| x.max(0.0));
-        self.push(v, Op::Relu { a })
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.values[a.0].map(stable_sigmoid);
-        self.push(v, Op::Sigmoid { a })
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.values[a.0].map(f32::tanh);
-        self.push(v, Op::Tanh { a })
-    }
-
-    /// Elementwise square.
-    pub fn square(&mut self, a: Var) -> Var {
-        let v = self.values[a.0].map(|x| x * x);
-        self.push(v, Op::Square { a })
-    }
-
-    /// Multiplies every element by a constant.
-    pub fn scalar_mul(&mut self, a: Var, c: f32) -> Var {
-        let v = self.values[a.0].scale(c);
-        self.push(v, Op::ScalarMul { a, c })
     }
 
     /// Adds a constant to every element.
@@ -361,70 +251,11 @@ impl Tape {
         self.push(v, Op::MeanAll { a })
     }
 
-    /// Sums each row of `[m,n]`, producing `[m,1]`.
-    pub fn sum_cols_keep(&mut self, a: Var) -> Var {
-        let (m, _) = self.values[a.0].matrix_dims();
-        let v = self.values[a.0].sum_cols().reshape([m, 1]);
-        self.push(v, Op::SumColsKeep { a })
-    }
-
     /// Sums each column of `[m,n]`, producing `[1,n]`.
     pub fn sum_rows_keep(&mut self, a: Var) -> Var {
         let (_, n) = self.values[a.0].matrix_dims();
         let v = self.values[a.0].sum_rows().reshape([1, n]);
         self.push(v, Op::SumRowsKeep { a })
-    }
-
-    /// Concatenates matrices along the column axis.
-    pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        let tensors: Vec<&Tensor> = parts.iter().map(|p| &self.values[p.0]).collect();
-        let v = Tensor::concat_cols(&tensors);
-        self.push(v, Op::ConcatCols { parts: parts.to_vec() })
-    }
-
-    /// Extracts columns `[start, start+len)`.
-    pub fn slice_cols(&mut self, a: Var, start: usize, len: usize) -> Var {
-        let v = self.values[a.0].slice_cols(start, len);
-        self.push(v, Op::SliceCols { a, start, len })
-    }
-
-    /// Row-wise softmax.
-    pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let v = self.values[a.0].softmax_rows();
-        self.push(v, Op::SoftmaxRows { a })
-    }
-
-    /// Batch normalization over rows with stop-gradient statistics.
-    ///
-    /// Normalizes each feature (column) to zero mean / unit variance using
-    /// the batch statistics, treating those statistics as constants in the
-    /// backward pass.
-    pub fn normalize_rows(&mut self, a: Var, eps: f32) -> Var {
-        let x = &self.values[a.0];
-        let (m, n) = x.matrix_dims();
-        let mean = x.sum_rows().scale(1.0 / m as f32);
-        let mut var = vec![0.0f32; n];
-        for i in 0..m {
-            for (j, v) in var.iter_mut().enumerate() {
-                let d = x.at(i, j) - mean.data()[j];
-                *v += d * d;
-            }
-        }
-        let inv_std =
-            Tensor::from_vec([n], var.iter().map(|&v| 1.0 / (v / m as f32 + eps).sqrt()).collect());
-        let mut out = Tensor::zeros([m, n]);
-        for i in 0..m {
-            for j in 0..n {
-                *out.at_mut(i, j) = (x.at(i, j) - mean.data()[j]) * inv_std.data()[j];
-            }
-        }
-        self.push(out, Op::NormalizeRows { a, inv_std })
-    }
-
-    /// Applies a precomputed dropout mask (already scaled by `1/(1-p)`).
-    pub fn dropout(&mut self, a: Var, mask: Tensor) -> Var {
-        let v = self.values[a.0].mul(&mask);
-        self.push(v, Op::Dropout { a, mask })
     }
 
     /// Mean binary cross-entropy with logits (numerically stable).
@@ -442,12 +273,6 @@ impl Tape {
         }
         let v = Tensor::scalar(total / n);
         self.push(v, Op::BceWithLogitsMean { logits, labels })
-    }
-
-    /// Reshapes a node's value (element count preserved).
-    pub fn reshape(&mut self, a: Var, shape: &[usize]) -> Var {
-        let v = self.values[a.0].clone().reshape(shape);
-        self.push(v, Op::Reshape { a })
     }
 
     /// Runs the reverse pass from scalar node `loss`.
@@ -691,6 +516,134 @@ impl Tape {
     }
 }
 
+/// Records every value with the op that produced it. A parameter read is a
+/// copy, and a gather keeps its ids: the reverse pass needs both.
+impl Recorder for Tape {
+    fn value(&self, v: Var) -> &Tensor {
+        &self.values[v.0]
+    }
+
+    fn leaf_concat(&mut self, parts: &[&Tensor]) -> Var {
+        let v = Tensor::concat_cols(parts);
+        self.leaf(v)
+    }
+
+    /// Records a parameter copy; its adjoint becomes `grads[param]`.
+    fn param(&mut self, param: usize, value: &Tensor) -> Var {
+        self.push(value.clone(), Op::Param { param })
+    }
+
+    /// Only the gathered rows are stored on the tape, and the backward pass
+    /// returns only the touched rows' gradients ([`crate::RowGrad`]).
+    fn gather_param(&mut self, param: usize, table: &Tensor, ids: &[u32]) -> Var {
+        let (rows, dim) = table.matrix_dims();
+        let value = table.gather_rows(ids);
+        self.push(value, Op::GatherParam { param, ids: ids.to_vec(), table_shape: [rows, dim] })
+    }
+
+    fn add(&mut self, a: Var, b: Var) -> Var {
+        let v = self.values[a.0].add(&self.values[b.0]);
+        self.push(v, Op::Add { a, b })
+    }
+
+    fn sub(&mut self, a: Var, b: Var) -> Var {
+        let v = self.values[a.0].sub(&self.values[b.0]);
+        self.push(v, Op::Sub { a, b })
+    }
+
+    fn mul(&mut self, a: Var, b: Var) -> Var {
+        let v = self.values[a.0].mul(&self.values[b.0]);
+        self.push(v, Op::Mul { a, b })
+    }
+
+    fn add_row(&mut self, a: Var, row: Var) -> Var {
+        let v = self.values[a.0].add_row_broadcast(&self.values[row.0]);
+        self.push(v, Op::AddRow { a, row })
+    }
+
+    fn mul_col(&mut self, a: Var, col: Var) -> Var {
+        let v = self.values[a.0].mul_col_broadcast(&self.values[col.0]);
+        self.push(v, Op::MulCol { a, col })
+    }
+
+    /// One tape node with bit-identical values and gradients to recording
+    /// the gemm, bias add and activation separately, but one intermediate
+    /// instead of three.
+    fn dense(&mut self, x: Var, w: Var, bias: Option<Var>, act: Act) -> Var {
+        let v =
+            self.values[x.0].gemm_bias_act(&self.values[w.0], bias.map(|b| &self.values[b.0]), act);
+        self.push(v, Op::Dense { x, w, bias, act })
+    }
+
+    fn transpose(&mut self, a: Var) -> Var {
+        let v = self.values[a.0].transpose();
+        self.push(v, Op::Transpose { a })
+    }
+
+    fn relu(&mut self, a: Var) -> Var {
+        let v = self.values[a.0].map(recorder::relu);
+        self.push(v, Op::Relu { a })
+    }
+
+    fn sigmoid(&mut self, a: Var) -> Var {
+        let v = self.values[a.0].map(stable_sigmoid);
+        self.push(v, Op::Sigmoid { a })
+    }
+
+    fn tanh(&mut self, a: Var) -> Var {
+        let v = self.values[a.0].map(f32::tanh);
+        self.push(v, Op::Tanh { a })
+    }
+
+    fn square(&mut self, a: Var) -> Var {
+        let v = self.values[a.0].map(recorder::square);
+        self.push(v, Op::Square { a })
+    }
+
+    fn scalar_mul(&mut self, a: Var, c: f32) -> Var {
+        let v = self.values[a.0].scale(c);
+        self.push(v, Op::ScalarMul { a, c })
+    }
+
+    fn sum_cols_keep(&mut self, a: Var) -> Var {
+        let (m, _) = self.values[a.0].matrix_dims();
+        let v = self.values[a.0].sum_cols().reshape([m, 1]);
+        self.push(v, Op::SumColsKeep { a })
+    }
+
+    fn concat_cols(&mut self, parts: &[Var]) -> Var {
+        let tensors: Vec<&Tensor> = parts.iter().map(|p| &self.values[p.0]).collect();
+        let v = Tensor::concat_cols(&tensors);
+        self.push(v, Op::ConcatCols { parts: parts.to_vec() })
+    }
+
+    fn slice_cols(&mut self, a: Var, start: usize, len: usize) -> Var {
+        let v = self.values[a.0].slice_cols(start, len);
+        self.push(v, Op::SliceCols { a, start, len })
+    }
+
+    fn softmax_rows(&mut self, a: Var) -> Var {
+        let v = self.values[a.0].softmax_rows();
+        self.push(v, Op::SoftmaxRows { a })
+    }
+
+    /// The batch statistics are treated as constants in the backward pass.
+    fn normalize_rows(&mut self, a: Var, eps: f32) -> Var {
+        let (out, inv_std) = recorder::normalize_rows(&self.values[a.0], eps);
+        self.push(out, Op::NormalizeRows { a, inv_std })
+    }
+
+    fn dropout(&mut self, a: Var, mask: Tensor) -> Var {
+        let v = self.values[a.0].mul(&mask);
+        self.push(v, Op::Dropout { a, mask })
+    }
+
+    fn reshape(&mut self, a: Var, shape: &[usize]) -> Var {
+        let v = self.values[a.0].clone().reshape(shape);
+        self.push(v, Op::Reshape { a })
+    }
+}
+
 /// The reverse sweep's adjoint slots, beside the tape's `needs_grad` bits.
 struct Adjoints<'a> {
     slots: Vec<Option<Tensor>>,
@@ -722,8 +675,8 @@ mod tests {
         // y = x @ w + b; loss = sum(y)
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::from_vec([2, 2], vec![1., 2., 3., 4.]));
-        let w = tape.param(0, Tensor::from_vec([2, 2], vec![1., 0., 0., 1.]));
-        let b = tape.param(1, Tensor::from_vec([2], vec![0.5, -0.5]));
+        let w = tape.param(0, &Tensor::from_vec([2, 2], vec![1., 0., 0., 1.]));
+        let b = tape.param(1, &Tensor::from_vec([2], vec![0.5, -0.5]));
         let xw = tape.gemm(x, w, false, false);
         let y = tape.add_row(xw, b);
         let loss = tape.sum_all(y);
@@ -752,13 +705,13 @@ mod tests {
                 if leaves {
                     tape.leaf(t.clone())
                 } else {
-                    tape.param(param, t.clone())
+                    tape.param(param, t)
                 }
             };
             let (xv, cv) = (input(&mut tape, 8, &x), input(&mut tape, 9, &c));
-            let wv = tape.param(0, w.clone());
-            let bv = tape.param(1, b.clone());
-            let vv = tape.param(2, v.clone());
+            let wv = tape.param(0, &w);
+            let bv = tape.param(1, &b);
+            let vv = tape.param(2, &v);
             let h = tape.dense(xv, wv, Some(bv), Act::Tanh);
             let g = tape.gemm(cv, vv, false, false);
             let y = tape.mul(h, g);
@@ -793,7 +746,7 @@ mod tests {
     #[test]
     fn bce_loss_and_grad() {
         let mut tape = Tape::new();
-        let logits = tape.param(0, Tensor::from_vec([2], vec![0.0, 10.0]));
+        let logits = tape.param(0, &Tensor::from_vec([2], vec![0.0, 10.0]));
         let labels = Tensor::from_vec([2], vec![1.0, 1.0]);
         let loss = tape.bce_with_logits_mean(logits, labels);
         // loss = (ln 2 + ~0)/2
@@ -822,7 +775,7 @@ mod tests {
     fn fan_out_accumulates() {
         // loss = sum(x*x_param) + sum(x_param) touches the param twice
         let mut tape = Tape::new();
-        let w = tape.param(0, Tensor::from_vec([2], vec![3.0, 4.0]));
+        let w = tape.param(0, &Tensor::from_vec([2], vec![3.0, 4.0]));
         let sq = tape.square(w);
         let s1 = tape.sum_all(sq);
         let s2 = tape.sum_all(w);
@@ -837,7 +790,7 @@ mod tests {
         // Softmax outputs sum to 1 per row, so gradient of sum(softmax) wrt
         // input is exactly zero.
         let mut tape = Tape::new();
-        let x = tape.param(0, Tensor::from_vec([2, 3], vec![0.3, -1.0, 2.0, 0.0, 0.0, 0.0]));
+        let x = tape.param(0, &Tensor::from_vec([2, 3], vec![0.3, -1.0, 2.0, 0.0, 0.0, 0.0]));
         let s = tape.softmax_rows(x);
         let loss = tape.sum_all(s);
         let grads = tape.backward(loss);
@@ -867,7 +820,7 @@ mod tests {
     #[test]
     fn dropout_mask_routes_gradient() {
         let mut tape = Tape::new();
-        let x = tape.param(0, Tensor::from_vec([4], vec![1., 1., 1., 1.]));
+        let x = tape.param(0, &Tensor::from_vec([4], vec![1., 1., 1., 1.]));
         let mask = Tensor::from_vec([4], vec![2.0, 0.0, 2.0, 0.0]);
         let y = tape.dropout(x, mask.clone());
         let loss = tape.sum_all(y);
@@ -879,7 +832,7 @@ mod tests {
     #[should_panic(expected = "scalar loss")]
     fn backward_rejects_non_scalar() {
         let mut tape = Tape::new();
-        let x = tape.param(0, Tensor::ones([2, 2]));
+        let x = tape.param(0, &Tensor::ones([2, 2]));
         tape.backward(x);
     }
 }

@@ -2,6 +2,7 @@
 //! representative graph shapes must always match finite differences.
 
 use mamdr_autodiff::gradcheck::assert_gradients_match;
+use mamdr_autodiff::Recorder;
 use mamdr_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -21,8 +22,8 @@ proptest! {
         let b = b.reshape([2]);
         assert_gradients_match(&[w, b], EPS, TOL, |tape, ps| {
             let xin = tape.leaf(x.clone());
-            let w = tape.param(0, ps[0].clone());
-            let b = tape.param(1, ps[1].clone());
+            let w = tape.param(0, &ps[0]);
+            let b = tape.param(1, &ps[1]);
             let h = tape.gemm(xin, w, false, false);
             let h = tape.add_row(h, b);
             let h = tape.relu(h);
@@ -34,8 +35,8 @@ proptest! {
     #[test]
     fn mul_sub_sigmoid_chain(a in tensor(3, 3), b in tensor(3, 3)) {
         assert_gradients_match(&[a, b], EPS, TOL, |tape, ps| {
-            let a = tape.param(0, ps[0].clone());
-            let b = tape.param(1, ps[1].clone());
+            let a = tape.param(0, &ps[0]);
+            let b = tape.param(1, &ps[1]);
             let m = tape.mul(a, b);
             let d = tape.sub(m, a);
             let s = tape.sigmoid(d);
@@ -46,8 +47,8 @@ proptest! {
     #[test]
     fn softmax_mixture(scores in tensor(3, 4), values in tensor(3, 4)) {
         assert_gradients_match(&[scores, values], EPS, TOL, |tape, ps| {
-            let s = tape.param(0, ps[0].clone());
-            let v = tape.param(1, ps[1].clone());
+            let s = tape.param(0, &ps[0]);
+            let v = tape.param(1, &ps[1]);
             let attn = tape.softmax_rows(s);
             let mixed = tape.mul(attn, v);
             let pooled = tape.sum_cols_keep(mixed);
@@ -64,7 +65,7 @@ proptest! {
             (0..6).map(|i| f32::from((label_bits >> i) & 1)).collect::<Vec<f32>>(),
         );
         assert_gradients_match(&[logits], EPS, TOL, |tape, ps| {
-            let z = tape.param(0, ps[0].clone());
+            let z = tape.param(0, &ps[0]);
             tape.bce_with_logits_mean(z, labels.clone())
         });
     }
@@ -72,8 +73,8 @@ proptest! {
     #[test]
     fn structural_mix(a in tensor(2, 3), b in tensor(2, 2)) {
         assert_gradients_match(&[a, b], EPS, TOL, |tape, ps| {
-            let a = tape.param(0, ps[0].clone());
-            let b = tape.param(1, ps[1].clone());
+            let a = tape.param(0, &ps[0]);
+            let b = tape.param(1, &ps[1]);
             let cat = tape.concat_cols(&[a, b]);
             let sl = tape.slice_cols(cat, 1, 3);
             let t = tape.tanh(sl);

@@ -7,7 +7,7 @@
 //! receives `scatter_add_rows` of each gather's adjoint in reverse node
 //! order — the rule `Tape::backward` used when it materialised tables.
 
-use mamdr_autodiff::Tape;
+use mamdr_autodiff::{Recorder, Tape};
 use mamdr_tensor::Tensor;
 use proptest::prelude::*;
 

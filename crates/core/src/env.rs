@@ -7,10 +7,11 @@
 
 use crate::config::TrainConfig;
 use crate::metrics::auc;
+use mamdr_autodiff::EvalScratch;
 use mamdr_data::{
     batches_for_domain, first_batches_for_domain, Batch, BatchPlan, MdrDataset, Split,
 };
-use mamdr_models::{eval_logits, loss_and_grads, CtrModel};
+use mamdr_models::{eval_logits_into, loss_and_grads, CtrModel};
 use mamdr_nn::{ForwardCtx, ParamStore, SparseGrad};
 use mamdr_obs::{ConflictSummary, EpochEvent, TrainMeta, TrainObserver};
 use mamdr_tensor::pool;
@@ -213,7 +214,8 @@ impl<'a> TrainEnv<'a> {
     /// Batches within a domain are split across the kernel threads: each
     /// batch's logits land in a dedicated slot and are concatenated in batch
     /// order afterwards, so the AUC input — and therefore the reported AUC —
-    /// is bit-identical at any thread count.
+    /// is bit-identical at any thread count. Each thread runs the
+    /// values-only forward with one reused [`EvalScratch`].
     pub fn evaluate(&mut self, trained: &TrainedModel, split: Split) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.n_domains());
         for d in 0..self.n_domains() {
@@ -225,8 +227,9 @@ impl<'a> TrainEnv<'a> {
             let mut slots: Vec<Vec<f32>> = vec![Vec::new(); batches.len()];
             let (model, scratch) = (self.model, &self.scratch);
             pool::for_each_row_block(&mut slots, 1, 1, |range, block| {
+                let mut eval = EvalScratch::default();
                 for (slot, batch) in block.iter_mut().zip(&batches[range]) {
-                    *slot = eval_logits(model, scratch, batch);
+                    eval_logits_into(model, scratch, batch, &mut eval, slot);
                 }
             });
             let mut labels = Vec::new();

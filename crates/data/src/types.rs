@@ -139,7 +139,7 @@ impl MdrDataset {
 }
 
 /// A materialized minibatch from one domain, ready for a model forward pass.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Batch {
     /// Index of the domain the interactions come from.
     pub domain: usize,

@@ -2,7 +2,7 @@
 //! embeddings over the dataset's global feature storage (paper Fig. 2).
 
 use crate::config::{FeatureConfig, ModelConfig};
-use mamdr_autodiff::{Tape, Var};
+use mamdr_autodiff::{Recorder, Var};
 use mamdr_data::Batch;
 use mamdr_nn::{Activation, Dense, Embedding, ParamStore, ParamStoreBuilder};
 
@@ -62,12 +62,12 @@ impl FieldEmbeddings {
     }
 
     /// Looks up every field for a batch, each as a `[b, embed_dim]` node.
-    pub fn fields(&self, ps: &ParamStore, tape: &mut Tape, batch: &Batch) -> Vec<Var> {
+    pub fn fields<R: Recorder>(&self, ps: &ParamStore, rec: &mut R, batch: &Batch) -> Vec<Var> {
         let mut fields = vec![
-            self.user.forward(ps, tape, &batch.users),
-            self.item.forward(ps, tape, &batch.items),
-            self.user_group.forward(ps, tape, &batch.user_groups),
-            self.item_cat.forward(ps, tape, &batch.item_cats),
+            self.user.forward(ps, rec, &batch.users),
+            self.item.forward(ps, rec, &batch.items),
+            self.user_group.forward(ps, rec, &batch.user_groups),
+            self.item_cat.forward(ps, rec, &batch.item_cats),
         ];
         if let Some(proj) = &self.dense_proj {
             let du = batch
@@ -78,17 +78,16 @@ impl FieldEmbeddings {
                 .dense_item
                 .as_ref()
                 .expect("model built with dense features but batch has none");
-            let dense = mamdr_tensor::Tensor::concat_cols(&[du, di]);
-            let dense = tape.leaf(dense);
-            fields.push(proj.forward(ps, tape, dense));
+            let dense = rec.leaf_concat(&[du, di]);
+            fields.push(proj.forward(ps, rec, dense));
         }
         fields
     }
 
     /// Fields concatenated to `[b, n_fields * embed_dim]`.
-    pub fn concat(&self, ps: &ParamStore, tape: &mut Tape, batch: &Batch) -> Var {
-        let fields = self.fields(ps, tape, batch);
-        tape.concat_cols(&fields)
+    pub fn concat<R: Recorder>(&self, ps: &ParamStore, rec: &mut R, batch: &Batch) -> Var {
+        let fields = self.fields(ps, rec, batch);
+        rec.concat_cols(&fields)
     }
 }
 
@@ -119,39 +118,40 @@ impl LinearEmbeddings {
     }
 
     /// Sum of the first-order weights for a batch: `[b, 1]`.
-    pub fn forward(&self, ps: &ParamStore, tape: &mut Tape, batch: &Batch) -> Var {
-        let u = self.user.forward(ps, tape, &batch.users);
-        let v = self.item.forward(ps, tape, &batch.items);
-        let g = self.user_group.forward(ps, tape, &batch.user_groups);
-        let c = self.item_cat.forward(ps, tape, &batch.item_cats);
-        let uv = tape.add(u, v);
-        let gc = tape.add(g, c);
-        tape.add(uv, gc)
+    pub fn forward<R: Recorder>(&self, ps: &ParamStore, rec: &mut R, batch: &Batch) -> Var {
+        let u = self.user.forward(ps, rec, &batch.users);
+        let v = self.item.forward(ps, rec, &batch.items);
+        let g = self.user_group.forward(ps, rec, &batch.user_groups);
+        let c = self.item_cat.forward(ps, rec, &batch.item_cats);
+        let uv = rec.add(u, v);
+        let gc = rec.add(g, c);
+        rec.add(uv, gc)
     }
 }
 
 /// Bi-interaction pooling over field embeddings:
 /// `0.5 * ((Σᵢ eᵢ)² − Σᵢ eᵢ²)`, the FM second-order interaction in vector
 /// form (NeurFM Eq. 4 / DeepFM's FM component).
-pub fn bi_interaction(tape: &mut Tape, fields: &[Var]) -> Var {
+pub fn bi_interaction<R: Recorder>(rec: &mut R, fields: &[Var]) -> Var {
     assert!(fields.len() >= 2, "bi-interaction needs at least two fields");
     let mut sum = fields[0];
     for &f in &fields[1..] {
-        sum = tape.add(sum, f);
+        sum = rec.add(sum, f);
     }
-    let sum_sq = tape.square(sum);
-    let mut sq_sum = tape.square(fields[0]);
+    let sum_sq = rec.square(sum);
+    let mut sq_sum = rec.square(fields[0]);
     for &f in &fields[1..] {
-        let sq = tape.square(f);
-        sq_sum = tape.add(sq_sum, sq);
+        let sq = rec.square(f);
+        sq_sum = rec.add(sq_sum, sq);
     }
-    let diff = tape.sub(sum_sq, sq_sum);
-    tape.scalar_mul(diff, 0.5)
+    let diff = rec.sub(sum_sq, sq_sum);
+    rec.scalar_mul(diff, 0.5)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mamdr_autodiff::Tape;
     use mamdr_data::{make_batch, DomainSpec, GeneratorConfig};
     use mamdr_tensor::rng::seeded;
 

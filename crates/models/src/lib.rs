@@ -12,9 +12,12 @@
 //!   [`multi::SharedBottom`], [`multi::Mmoe`], [`multi::Cgc`],
 //!   [`multi::Ple`], [`multi::Star`].
 //!
-//! Every model implements [`model::CtrModel`]: it registers parameters in a
-//! [`mamdr_nn::ParamStore`] at construction and replays its forward pass
-//! onto a [`mamdr_autodiff::Tape`] per batch. Because the learning
+//! Every model implements [`model::Architecture`], and through it
+//! [`model::CtrModel`]: it registers parameters in a
+//! [`mamdr_nn::ParamStore`] at construction and replays one forward body,
+//! generic over [`mamdr_autodiff::Recorder`], per batch — onto a
+//! [`mamdr_autodiff::Tape`] to train, onto the values-only
+//! [`mamdr_autodiff::Eval`] to evaluate and serve. Because the learning
 //! frameworks in `mamdr-core` only touch the flat parameter vector, *any* of
 //! these models can be trained by *any* framework — the paper's
 //! model-agnosticism claim, exercised directly by the Table X benchmark.
@@ -26,4 +29,7 @@ pub mod multi;
 pub mod single;
 
 pub use config::{FeatureConfig, ModelConfig, ModelKind};
-pub use model::{build_model, eval_logits, loss_and_grads, predict_probs, BuiltModel, CtrModel};
+pub use model::{
+    build_model, eval_logits, eval_logits_into, loss_and_grads, predict_probs, Architecture,
+    BuiltModel, CtrModel,
+};

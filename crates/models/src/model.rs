@@ -4,7 +4,7 @@ use crate::config::{FeatureConfig, ModelConfig, ModelKind};
 use crate::multi::{Cgc, Mmoe, Ple, SharedBottom, Star};
 use crate::single::{AutoInt, DeepFm, MlpModel, NeurFm, Raw, Wdl};
 use mamdr_autodiff::tape::stable_sigmoid;
-use mamdr_autodiff::{Grads, Tape, Var};
+use mamdr_autodiff::{Eval, EvalScratch, Grads, Recorder, Tape, Var};
 use mamdr_data::Batch;
 use mamdr_nn::{ForwardCtx, ParamStore, ParamStoreBuilder};
 use mamdr_tensor::rng::seeded;
@@ -12,16 +12,69 @@ use mamdr_tensor::rng::seeded;
 /// A CTR model: registers parameters at construction, replays its forward
 /// pass per batch.
 ///
-/// The output is a `[b]`-shaped logits node. Implementations must be pure
-/// functions of `(ps, batch, ctx)` so the frameworks can swap parameter
-/// vectors underneath them.
+/// The output is a `[b]`- or `[b, 1]`-shaped logits node. Implementations
+/// must be pure functions of `(ps, batch, ctx)` so the frameworks can swap
+/// parameter vectors underneath them. Every in-tree model implements
+/// [`Architecture`] instead and gets this trait from it.
 pub trait CtrModel: Send + Sync {
     /// Architecture name (matches the paper's tables).
     fn name(&self) -> &str;
 
-    /// Builds the logits node for a batch.
+    /// Builds the logits node for a batch on the training tape.
     fn forward(&self, ps: &ParamStore, tape: &mut Tape, ctx: &mut ForwardCtx, batch: &Batch)
         -> Var;
+
+    /// The evaluation-mode forward (dropout off) on the values-only
+    /// recorder, which must be built over `ps`'s tensors.
+    ///
+    /// This default runs [`CtrModel::forward`] on a fresh tape and copies
+    /// the logits onto `rec`; an [`Architecture`] runs its one generic body
+    /// on `rec` directly.
+    fn forward_eval(&self, ps: &ParamStore, rec: &mut Eval<'_>, batch: &Batch) -> Var {
+        let mut rng = seeded(0); // eval mode never draws from it
+        let mut tape = Tape::new();
+        let logits = self.forward(ps, &mut tape, &mut ForwardCtx::eval(&mut rng), batch);
+        rec.leaf(tape.value(logits).clone())
+    }
+}
+
+/// A CTR architecture written once, generic over the [`Recorder`]: the
+/// same body builds the training tape ([`CtrModel::forward`]) and runs the
+/// tape-free evaluation forward ([`CtrModel::forward_eval`]), so serving
+/// and evaluation compute the training forward's bits by construction.
+pub trait Architecture: Send + Sync {
+    /// Architecture name (matches the paper's tables).
+    const NAME: &'static str;
+
+    /// Builds the logits node for a batch on `rec`.
+    fn logits<R: Recorder>(
+        &self,
+        ps: &ParamStore,
+        rec: &mut R,
+        ctx: &mut ForwardCtx,
+        batch: &Batch,
+    ) -> Var;
+}
+
+impl<A: Architecture> CtrModel for A {
+    fn name(&self) -> &str {
+        A::NAME
+    }
+
+    fn forward(
+        &self,
+        ps: &ParamStore,
+        tape: &mut Tape,
+        ctx: &mut ForwardCtx,
+        batch: &Batch,
+    ) -> Var {
+        self.logits(ps, tape, ctx, batch)
+    }
+
+    fn forward_eval(&self, ps: &ParamStore, rec: &mut Eval<'_>, batch: &Batch) -> Var {
+        let mut rng = seeded(0); // eval mode never draws from it
+        self.logits(ps, rec, &mut ForwardCtx::eval(&mut rng), batch)
+    }
 }
 
 /// A constructed model together with its freshly initialized parameters.
@@ -84,14 +137,35 @@ pub fn loss_and_grads(
     (loss_value, grads)
 }
 
-/// Evaluation-mode logits for a batch (no dropout, no tape retained).
+/// Evaluation-mode logits for a batch (no dropout), on the values-only
+/// recorder: the same bits as the training forward, with nothing recorded.
 pub fn eval_logits(model: &dyn CtrModel, ps: &ParamStore, batch: &Batch) -> Vec<f32> {
-    let mut rng = seeded(0); // eval path never draws from it
-    let mut ctx = ForwardCtx::eval(&mut rng);
-    let mut tape = Tape::new();
-    let logits = model.forward(ps, &mut tape, &mut ctx, batch);
-    let flat = flatten_logits(&mut tape, logits, batch.len());
-    tape.value(flat).data().to_vec()
+    let mut logits = Vec::new();
+    eval_logits_into(model, ps, batch, &mut EvalScratch::default(), &mut logits);
+    logits
+}
+
+/// [`eval_logits`] into `out` (cleared first), reusing `scratch`'s buffers:
+/// a caller that keeps both across batches allocates nothing per batch
+/// beyond what the model body itself does.
+pub fn eval_logits_into(
+    model: &dyn CtrModel,
+    ps: &ParamStore,
+    batch: &Batch,
+    scratch: &mut EvalScratch,
+    out: &mut Vec<f32>,
+) {
+    let mut rec = scratch.recorder(ps.tensors());
+    let logits = model.forward_eval(ps, &mut rec, batch);
+    let value = rec.value(logits);
+    assert!(
+        matches!(*value.shape(), [n] | [n, 1] if n == batch.len()),
+        "logits shape {:?} for a batch of {}",
+        value.shape(),
+        batch.len()
+    );
+    out.clear();
+    out.extend_from_slice(value.data());
 }
 
 /// Evaluation-mode click probabilities for a batch.

@@ -5,8 +5,8 @@
 
 use crate::config::{FeatureConfig, ModelConfig};
 use crate::features::FieldEmbeddings;
-use crate::model::CtrModel;
-use mamdr_autodiff::{Tape, Var};
+use crate::model::Architecture;
+use mamdr_autodiff::{Recorder, Var};
 use mamdr_data::Batch;
 use mamdr_nn::{Activation, Dense, Embedding, ForwardCtx, Mlp, ParamStore, ParamStoreBuilder};
 use mamdr_tensor::init::Init;
@@ -50,21 +50,19 @@ impl SharedBottom {
     }
 }
 
-impl CtrModel for SharedBottom {
-    fn name(&self) -> &str {
-        "Shared-Bottom"
-    }
+impl Architecture for SharedBottom {
+    const NAME: &'static str = "Shared-Bottom";
 
-    fn forward(
+    fn logits<R: Recorder>(
         &self,
         ps: &ParamStore,
-        tape: &mut Tape,
+        rec: &mut R,
         ctx: &mut ForwardCtx,
         batch: &Batch,
     ) -> Var {
-        let x = self.fields.concat(ps, tape, batch);
-        let h = self.bottom.forward(ps, tape, ctx, x);
-        self.towers[batch.domain].forward(ps, tape, ctx, h)
+        let x = self.fields.concat(ps, rec, batch);
+        let h = self.bottom.forward(ps, rec, ctx, x);
+        self.towers[batch.domain].forward(ps, rec, ctx, h)
     }
 }
 
@@ -130,39 +128,42 @@ impl Mmoe {
 
 /// Softmax-gated mixture of expert outputs:
 /// `Σ_e gate[:, e] ⊙ expert_e`, all `[b, h]`.
-fn gated_mixture(tape: &mut Tape, gate_logits: Var, expert_outs: &[Var], batch_len: usize) -> Var {
-    let gate = tape.softmax_rows(gate_logits);
+fn gated_mixture<R: Recorder>(
+    rec: &mut R,
+    gate_logits: Var,
+    expert_outs: &[Var],
+    batch_len: usize,
+) -> Var {
+    let gate = rec.softmax_rows(gate_logits);
     let mut acc: Option<Var> = None;
     for (e, &out) in expert_outs.iter().enumerate() {
-        let ge = tape.slice_cols(gate, e, 1);
-        let ge = tape.reshape(ge, &[batch_len]);
-        let w = tape.mul_col(out, ge);
+        let ge = rec.slice_cols(gate, e, 1);
+        let ge = rec.reshape(ge, &[batch_len]);
+        let w = rec.mul_col(out, ge);
         acc = Some(match acc {
-            Some(prev) => tape.add(prev, w),
+            Some(prev) => rec.add(prev, w),
             None => w,
         });
     }
     acc.expect("at least one expert")
 }
 
-impl CtrModel for Mmoe {
-    fn name(&self) -> &str {
-        "MMOE"
-    }
+impl Architecture for Mmoe {
+    const NAME: &'static str = "MMOE";
 
-    fn forward(
+    fn logits<R: Recorder>(
         &self,
         ps: &ParamStore,
-        tape: &mut Tape,
+        rec: &mut R,
         ctx: &mut ForwardCtx,
         batch: &Batch,
     ) -> Var {
-        let x = self.fields.concat(ps, tape, batch);
+        let x = self.fields.concat(ps, rec, batch);
         let expert_outs: Vec<Var> =
-            self.experts.iter().map(|e| e.forward(ps, tape, ctx, x)).collect();
-        let gate_logits = self.gates[batch.domain].forward(ps, tape, x);
-        let mixed = gated_mixture(tape, gate_logits, &expert_outs, batch.len());
-        self.towers[batch.domain].forward(ps, tape, ctx, mixed)
+            self.experts.iter().map(|e| e.forward(ps, rec, ctx, x)).collect();
+        let gate_logits = self.gates[batch.domain].forward(ps, rec, x);
+        let mixed = gated_mixture(rec, gate_logits, &expert_outs, batch.len());
+        self.towers[batch.domain].forward(ps, rec, ctx, mixed)
     }
 }
 
@@ -219,20 +220,20 @@ impl CgcBlock {
     }
 
     /// Fused representation for `domain` from input `x`.
-    fn forward(
+    fn forward<R: Recorder>(
         &self,
         ps: &ParamStore,
-        tape: &mut Tape,
+        rec: &mut R,
         ctx: &mut ForwardCtx,
         x: Var,
         domain: usize,
         batch_len: usize,
     ) -> Var {
         let mut outs: Vec<Var> =
-            self.shared_experts.iter().map(|e| e.forward(ps, tape, ctx, x)).collect();
-        outs.extend(self.domain_experts[domain].iter().map(|e| e.forward(ps, tape, ctx, x)));
-        let gate_logits = self.gates[domain].forward(ps, tape, x);
-        gated_mixture(tape, gate_logits, &outs, batch_len)
+            self.shared_experts.iter().map(|e| e.forward(ps, rec, ctx, x)).collect();
+        outs.extend(self.domain_experts[domain].iter().map(|e| e.forward(ps, rec, ctx, x)));
+        let gate_logits = self.gates[domain].forward(ps, rec, x);
+        gated_mixture(rec, gate_logits, &outs, batch_len)
     }
 }
 
@@ -279,21 +280,19 @@ impl Cgc {
     }
 }
 
-impl CtrModel for Cgc {
-    fn name(&self) -> &str {
-        "CGC"
-    }
+impl Architecture for Cgc {
+    const NAME: &'static str = "CGC";
 
-    fn forward(
+    fn logits<R: Recorder>(
         &self,
         ps: &ParamStore,
-        tape: &mut Tape,
+        rec: &mut R,
         ctx: &mut ForwardCtx,
         batch: &Batch,
     ) -> Var {
-        let x = self.fields.concat(ps, tape, batch);
-        let fused = self.block.forward(ps, tape, ctx, x, batch.domain, batch.len());
-        self.towers[batch.domain].forward(ps, tape, ctx, fused)
+        let x = self.fields.concat(ps, rec, batch);
+        let fused = self.block.forward(ps, rec, ctx, x, batch.domain, batch.len());
+        self.towers[batch.domain].forward(ps, rec, ctx, fused)
     }
 }
 
@@ -343,22 +342,20 @@ impl Ple {
     }
 }
 
-impl CtrModel for Ple {
-    fn name(&self) -> &str {
-        "PLE"
-    }
+impl Architecture for Ple {
+    const NAME: &'static str = "PLE";
 
-    fn forward(
+    fn logits<R: Recorder>(
         &self,
         ps: &ParamStore,
-        tape: &mut Tape,
+        rec: &mut R,
         ctx: &mut ForwardCtx,
         batch: &Batch,
     ) -> Var {
-        let x = self.fields.concat(ps, tape, batch);
-        let f1 = self.block1.forward(ps, tape, ctx, x, batch.domain, batch.len());
-        let f2 = self.block2.forward(ps, tape, ctx, f1, batch.domain, batch.len());
-        self.towers[batch.domain].forward(ps, tape, ctx, f2)
+        let x = self.fields.concat(ps, rec, batch);
+        let f1 = self.block1.forward(ps, rec, ctx, x, batch.domain, batch.len());
+        let f2 = self.block2.forward(ps, rec, ctx, f1, batch.domain, batch.len());
+        self.towers[batch.domain].forward(ps, rec, ctx, f2)
     }
 }
 
@@ -400,14 +397,14 @@ impl StarLayer {
         StarLayer { w_shared, b_shared, w_domain, b_domain, activation }
     }
 
-    fn forward(&self, ps: &ParamStore, tape: &mut Tape, x: Var, domain: usize) -> Var {
-        let ws = tape.param(self.w_shared, ps.get(self.w_shared).clone());
-        let wd = tape.param(self.w_domain[domain], ps.get(self.w_domain[domain]).clone());
-        let bs = tape.param(self.b_shared, ps.get(self.b_shared).clone());
-        let bd = tape.param(self.b_domain[domain], ps.get(self.b_domain[domain]).clone());
-        let w = tape.mul(ws, wd);
-        let b = tape.add(bs, bd);
-        tape.dense(x, w, Some(b), self.activation.into())
+    fn forward<R: Recorder>(&self, ps: &ParamStore, rec: &mut R, x: Var, domain: usize) -> Var {
+        let ws = rec.param(self.w_shared, ps.get(self.w_shared));
+        let wd = rec.param(self.w_domain[domain], ps.get(self.w_domain[domain]));
+        let bs = rec.param(self.b_shared, ps.get(self.b_shared));
+        let bd = rec.param(self.b_domain[domain], ps.get(self.b_domain[domain]));
+        let w = rec.mul(ws, wd);
+        let b = rec.add(bs, bd);
+        rec.dense(x, w, Some(b), self.activation.into())
     }
 }
 
@@ -457,50 +454,48 @@ impl Star {
     }
 }
 
-impl CtrModel for Star {
-    fn name(&self) -> &str {
-        "Star"
-    }
+impl Architecture for Star {
+    const NAME: &'static str = "Star";
 
-    fn forward(
+    fn logits<R: Recorder>(
         &self,
         ps: &ParamStore,
-        tape: &mut Tape,
+        rec: &mut R,
         ctx: &mut ForwardCtx,
         batch: &Batch,
     ) -> Var {
         let _ = ctx;
         let d = batch.domain;
-        let x = self.fields.concat(ps, tape, batch);
+        let x = self.fields.concat(ps, rec, batch);
 
         // Partitioned normalization: batch-normalize, then domain scale/bias.
-        let z = tape.normalize_rows(x, 1e-5);
-        let gamma = tape.param(self.pn_gamma[d], ps.get(self.pn_gamma[d]).clone());
-        let beta = tape.param(self.pn_beta[d], ps.get(self.pn_beta[d]).clone());
-        let gamma_rows = tape.reshape(gamma, &[1, tape.value(z).shape()[1]]);
+        let z = rec.normalize_rows(x, 1e-5);
+        let gamma = rec.param(self.pn_gamma[d], ps.get(self.pn_gamma[d]));
+        let beta = rec.param(self.pn_beta[d], ps.get(self.pn_beta[d]));
+        let gamma_rows = rec.reshape(gamma, &[1, rec.value(z).shape()[1]]);
         let z = {
             // Row-broadcast multiply via mul_row is only available on
             // tensors; emulate with an explicit broadcast through MulCol's
             // transpose-free path: z ⊙ γ per row.
-            let zt = tape.transpose(z);
-            let gcol = tape.reshape(gamma_rows, &[tape.value(zt).shape()[0]]);
-            let scaled = tape.mul_col(zt, gcol);
-            let back = tape.transpose(scaled);
-            tape.add_row(back, beta)
+            let zt = rec.transpose(z);
+            let gcol = rec.reshape(gamma_rows, &[rec.value(zt).shape()[0]]);
+            let scaled = rec.mul_col(zt, gcol);
+            let back = rec.transpose(scaled);
+            rec.add_row(back, beta)
         };
 
         // Star-topology FCN.
         let mut h = z;
         for layer in &self.layers {
-            h = layer.forward(ps, tape, h, d);
+            h = layer.forward(ps, rec, h, d);
         }
 
         // Auxiliary network: domain embedding + normalized input -> logit.
         let dom_ids = vec![d as u32; batch.len()];
-        let dom_emb = self.aux_domain_emb.forward(ps, tape, &dom_ids);
-        let aux_in = tape.concat_cols(&[dom_emb, z]);
-        let aux = self.aux_head.forward(ps, tape, aux_in);
-        tape.add(h, aux)
+        let dom_emb = self.aux_domain_emb.forward(ps, rec, &dom_ids);
+        let aux_in = rec.concat_cols(&[dom_emb, z]);
+        let aux = self.aux_head.forward(ps, rec, aux_in);
+        rec.add(h, aux)
     }
 }
 
@@ -508,6 +503,7 @@ impl CtrModel for Star {
 mod tests {
     use super::*;
     use crate::model::{eval_logits, loss_and_grads};
+    use mamdr_autodiff::Tape;
     use mamdr_data::{make_batch, DomainSpec, GeneratorConfig};
     use mamdr_tensor::rng::seeded;
 

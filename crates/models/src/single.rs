@@ -6,8 +6,8 @@
 
 use crate::config::{FeatureConfig, ModelConfig};
 use crate::features::{bi_interaction, FieldEmbeddings, LinearEmbeddings};
-use crate::model::CtrModel;
-use mamdr_autodiff::{Tape, Var};
+use crate::model::Architecture;
+use mamdr_autodiff::{Recorder, Var};
 use mamdr_data::Batch;
 use mamdr_nn::{
     layers::apply_dropout, Activation, Dense, Embedding, ForwardCtx, Mlp, ParamStore,
@@ -37,20 +37,18 @@ impl MlpModel {
     }
 }
 
-impl CtrModel for MlpModel {
-    fn name(&self) -> &str {
-        "MLP"
-    }
+impl Architecture for MlpModel {
+    const NAME: &'static str = "MLP";
 
-    fn forward(
+    fn logits<R: Recorder>(
         &self,
         ps: &ParamStore,
-        tape: &mut Tape,
+        rec: &mut R,
         ctx: &mut ForwardCtx,
         batch: &Batch,
     ) -> Var {
-        let x = self.fields.concat(ps, tape, batch);
-        self.mlp.forward(ps, tape, ctx, x)
+        let x = self.fields.concat(ps, rec, batch);
+        self.mlp.forward(ps, rec, ctx, x)
     }
 }
 
@@ -84,30 +82,28 @@ impl Wdl {
     }
 }
 
-impl CtrModel for Wdl {
-    fn name(&self) -> &str {
-        "WDL"
-    }
+impl Architecture for Wdl {
+    const NAME: &'static str = "WDL";
 
-    fn forward(
+    fn logits<R: Recorder>(
         &self,
         ps: &ParamStore,
-        tape: &mut Tape,
+        rec: &mut R,
         ctx: &mut ForwardCtx,
         batch: &Batch,
     ) -> Var {
-        let x = self.fields.concat(ps, tape, batch);
-        let deep = self.mlp.forward(ps, tape, ctx, x);
-        let wide = self.linear.forward(ps, tape, batch);
+        let x = self.fields.concat(ps, rec, batch);
+        let deep = self.mlp.forward(ps, rec, ctx, x);
+        let wide = self.linear.forward(ps, rec, batch);
         let cross_ids: Vec<u32> = batch
             .user_groups
             .iter()
             .zip(&batch.item_cats)
             .map(|(&g, &c)| g * self.n_item_cats as u32 + c)
             .collect();
-        let cross = self.cross.forward(ps, tape, &cross_ids);
-        let wide = tape.add(wide, cross);
-        tape.add(deep, wide)
+        let cross = self.cross.forward(ps, rec, &cross_ids);
+        let wide = rec.add(wide, cross);
+        rec.add(deep, wide)
     }
 }
 
@@ -137,26 +133,24 @@ impl NeurFm {
     }
 }
 
-impl CtrModel for NeurFm {
-    fn name(&self) -> &str {
-        "NeurFM"
-    }
+impl Architecture for NeurFm {
+    const NAME: &'static str = "NeurFM";
 
-    fn forward(
+    fn logits<R: Recorder>(
         &self,
         ps: &ParamStore,
-        tape: &mut Tape,
+        rec: &mut R,
         ctx: &mut ForwardCtx,
         batch: &Batch,
     ) -> Var {
-        let fields = self.fields.fields(ps, tape, batch);
-        let mut bi = bi_interaction(tape, &fields);
+        let fields = self.fields.fields(ps, rec, batch);
+        let mut bi = bi_interaction(rec, &fields);
         if self.dropout > 0.0 && ctx.training {
-            bi = apply_dropout(tape, ctx, bi, self.dropout);
+            bi = apply_dropout(rec, ctx, bi, self.dropout);
         }
-        let deep = self.mlp.forward(ps, tape, ctx, bi);
-        let lin = self.linear.forward(ps, tape, batch);
-        tape.add(deep, lin)
+        let deep = self.mlp.forward(ps, rec, ctx, bi);
+        let lin = self.linear.forward(ps, rec, batch);
+        rec.add(deep, lin)
     }
 }
 
@@ -233,10 +227,10 @@ impl InteractingLayer {
     }
 
     /// Maps per-field representations to attended per-field representations.
-    fn forward(
+    fn forward<R: Recorder>(
         &self,
         ps: &ParamStore,
-        tape: &mut Tape,
+        rec: &mut R,
         fields: &[Var],
         batch_len: usize,
     ) -> Vec<Var> {
@@ -244,27 +238,27 @@ impl InteractingLayer {
         let scale = 1.0 / (self.att_dim as f32).sqrt();
         let mut outputs: Vec<Vec<Var>> = vec![Vec::new(); nf];
         for head in &self.heads {
-            let qs: Vec<Var> = fields.iter().map(|&e| head.wq.forward(ps, tape, e)).collect();
-            let ks: Vec<Var> = fields.iter().map(|&e| head.wk.forward(ps, tape, e)).collect();
-            let vs: Vec<Var> = fields.iter().map(|&e| head.wv.forward(ps, tape, e)).collect();
+            let qs: Vec<Var> = fields.iter().map(|&e| head.wq.forward(ps, rec, e)).collect();
+            let ks: Vec<Var> = fields.iter().map(|&e| head.wk.forward(ps, rec, e)).collect();
+            let vs: Vec<Var> = fields.iter().map(|&e| head.wv.forward(ps, rec, e)).collect();
             for i in 0..nf {
                 // score_ij = <q_i, k_j> / sqrt(a), per example.
                 let mut score_cols = Vec::with_capacity(nf);
                 for k in ks.iter().take(nf) {
-                    let prod = tape.mul(qs[i], *k);
-                    let s = tape.sum_cols_keep(prod);
-                    score_cols.push(tape.scalar_mul(s, scale));
+                    let prod = rec.mul(qs[i], *k);
+                    let s = rec.sum_cols_keep(prod);
+                    score_cols.push(rec.scalar_mul(s, scale));
                 }
-                let scores = tape.concat_cols(&score_cols);
-                let attn = tape.softmax_rows(scores);
+                let scores = rec.concat_cols(&score_cols);
+                let attn = rec.softmax_rows(scores);
                 // out_i = Σ_j attn_ij · v_j
                 let mut acc: Option<Var> = None;
                 for (j, v) in vs.iter().enumerate().take(nf) {
-                    let aij = tape.slice_cols(attn, j, 1);
-                    let aij = tape.reshape(aij, &[batch_len]);
-                    let w = tape.mul_col(*v, aij);
+                    let aij = rec.slice_cols(attn, j, 1);
+                    let aij = rec.reshape(aij, &[batch_len]);
+                    let w = rec.mul_col(*v, aij);
                     acc = Some(match acc {
-                        Some(prev) => tape.add(prev, w),
+                        Some(prev) => rec.add(prev, w),
                         None => w,
                     });
                 }
@@ -276,10 +270,10 @@ impl InteractingLayer {
             .into_iter()
             .enumerate()
             .map(|(i, heads_out)| {
-                let multi = tape.concat_cols(&heads_out);
-                let res = self.residual.forward(ps, tape, fields[i]);
-                let sum = tape.add(multi, res);
-                tape.relu(sum)
+                let multi = rec.concat_cols(&heads_out);
+                let res = self.residual.forward(ps, rec, fields[i]);
+                let sum = rec.add(multi, res);
+                rec.relu(sum)
             })
             .collect()
     }
@@ -313,25 +307,23 @@ impl AutoInt {
     }
 }
 
-impl CtrModel for AutoInt {
-    fn name(&self) -> &str {
-        "AutoInt"
-    }
+impl Architecture for AutoInt {
+    const NAME: &'static str = "AutoInt";
 
-    fn forward(
+    fn logits<R: Recorder>(
         &self,
         ps: &ParamStore,
-        tape: &mut Tape,
+        rec: &mut R,
         ctx: &mut ForwardCtx,
         batch: &Batch,
     ) -> Var {
         let _ = ctx;
-        let mut fields = self.fields.fields(ps, tape, batch);
+        let mut fields = self.fields.fields(ps, rec, batch);
         for layer in &self.layers {
-            fields = layer.forward(ps, tape, &fields, batch.len());
+            fields = layer.forward(ps, rec, &fields, batch.len());
         }
-        let cat = tape.concat_cols(&fields);
-        self.head_out.forward(ps, tape, cat)
+        let cat = rec.concat_cols(&fields);
+        self.head_out.forward(ps, rec, cat)
     }
 }
 
@@ -360,26 +352,24 @@ impl DeepFm {
     }
 }
 
-impl CtrModel for DeepFm {
-    fn name(&self) -> &str {
-        "DeepFM"
-    }
+impl Architecture for DeepFm {
+    const NAME: &'static str = "DeepFM";
 
-    fn forward(
+    fn logits<R: Recorder>(
         &self,
         ps: &ParamStore,
-        tape: &mut Tape,
+        rec: &mut R,
         ctx: &mut ForwardCtx,
         batch: &Batch,
     ) -> Var {
-        let fields = self.fields.fields(ps, tape, batch);
-        let lin = self.linear.forward(ps, tape, batch);
-        let bi = bi_interaction(tape, &fields);
-        let fm2 = tape.sum_cols_keep(bi);
-        let cat = tape.concat_cols(&fields);
-        let deep = self.mlp.forward(ps, tape, ctx, cat);
-        let fm = tape.add(lin, fm2);
-        tape.add(fm, deep)
+        let fields = self.fields.fields(ps, rec, batch);
+        let lin = self.linear.forward(ps, rec, batch);
+        let bi = bi_interaction(rec, &fields);
+        let fm2 = rec.sum_cols_keep(bi);
+        let cat = rec.concat_cols(&fields);
+        let deep = self.mlp.forward(ps, rec, ctx, cat);
+        let fm = rec.add(lin, fm2);
+        rec.add(fm, deep)
     }
 }
 
@@ -409,29 +399,27 @@ impl Raw {
     }
 }
 
-impl CtrModel for Raw {
-    fn name(&self) -> &str {
-        "RAW"
-    }
+impl Architecture for Raw {
+    const NAME: &'static str = "RAW";
 
-    fn forward(
+    fn logits<R: Recorder>(
         &self,
         ps: &ParamStore,
-        tape: &mut Tape,
+        rec: &mut R,
         ctx: &mut ForwardCtx,
         batch: &Batch,
     ) -> Var {
-        let x = self.fields.concat(ps, tape, batch);
-        let deep = self.mlp.forward(ps, tape, ctx, x);
-        let lin = self.linear.forward(ps, tape, batch);
-        tape.add(deep, lin)
+        let x = self.fields.concat(ps, rec, batch);
+        let deep = self.mlp.forward(ps, rec, ctx, x);
+        let lin = self.linear.forward(ps, rec, batch);
+        rec.add(deep, lin)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::eval_logits;
+    use crate::model::{eval_logits, CtrModel};
     use mamdr_data::{make_batch, DomainSpec, GeneratorConfig};
     use mamdr_tensor::rng::seeded;
 

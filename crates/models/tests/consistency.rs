@@ -2,9 +2,11 @@
 //! accounting and train/eval mode behavior for every model in the zoo.
 
 use mamdr_autodiff::tape::stable_sigmoid;
+use mamdr_autodiff::{EvalScratch, Recorder, Tape};
 use mamdr_data::{make_batch, DomainSpec, GeneratorConfig, MdrDataset};
 use mamdr_models::{
-    build_model, eval_logits, loss_and_grads, predict_probs, FeatureConfig, ModelConfig, ModelKind,
+    build_model, eval_logits, eval_logits_into, loss_and_grads, predict_probs, FeatureConfig,
+    ModelConfig, ModelKind,
 };
 use mamdr_nn::ForwardCtx;
 use mamdr_tensor::rng::seeded;
@@ -14,6 +16,61 @@ fn dataset() -> MdrDataset {
     cfg.dense_dim = 4;
     cfg.domains = vec![DomainSpec::new("a", 260, 0.3), DomainSpec::new("b", 200, 0.4)];
     cfg.generate()
+}
+
+#[test]
+fn the_eval_recorder_computes_the_tape_bits_for_every_architecture() {
+    // Every model body is written once over the recorder; the evaluation
+    // recorder must reproduce an eval-mode tape forward bit for bit, with
+    // and without dense features, at serving and evaluation batch sizes,
+    // routed to every domain — STAR's batch-statistics normalization and
+    // the tower/gate routing of the multi-domain models included. One
+    // scratch serves every pass, so reused buffers are exercised too.
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for dense in [0usize, 6] {
+        let mut cfg = GeneratorConfig::base("bits", 300, 120, 19);
+        cfg.dense_dim = dense;
+        cfg.domains = vec![
+            DomainSpec::new("a", 500, 0.3),
+            DomainSpec::new("b", 150, 0.4),
+            DomainSpec::new("c", 100, 0.5),
+        ];
+        let ds = cfg.generate();
+        let fc = FeatureConfig::from_dataset(&ds);
+        // Dropout on in the config: evaluation mode must ignore it.
+        let mc = ModelConfig { dropout: 0.3, ..ModelConfig::tiny() };
+        let examples = &ds.domains[0].train;
+        assert!(examples.len() >= 256, "{} examples", examples.len());
+        let mut scratch = EvalScratch::default();
+        let mut logits = Vec::new();
+        for kind in ModelKind::ALL {
+            let built = build_model(kind, &fc, &mc, ds.n_domains(), 23);
+            // Off the initialization, where STAR's domain masks coincide.
+            let mut params = built.params.clone();
+            let mut flat = params.to_flat();
+            for (i, x) in flat.iter_mut().enumerate() {
+                *x += 0.01 * ((i % 17) as f32 - 8.0);
+            }
+            params.load_flat(&flat);
+            let model = built.model.as_ref();
+            for n in [1, 7, 256] {
+                for domain in 0..ds.n_domains() {
+                    let batch = make_batch(&ds, domain, &examples[..n]);
+                    let mut rng = seeded(0);
+                    let mut tape = Tape::new();
+                    let v =
+                        model.forward(&params, &mut tape, &mut ForwardCtx::eval(&mut rng), &batch);
+                    eval_logits_into(model, &params, &batch, &mut scratch, &mut logits);
+                    assert_eq!(
+                        bits(&logits),
+                        bits(tape.value(v).data()),
+                        "{} dense={dense} batch={n} domain={domain}",
+                        kind.name()
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -1,13 +1,14 @@
 //! Layer primitives assembled into the CTR model zoo.
 //!
 //! A layer registers its parameters in a [`ParamStoreBuilder`] at
-//! construction and replays its computation onto a [`Tape`] at forward time,
-//! reading current parameter values from the [`ParamStore`]. Layers hold
-//! only parameter *indices*, never the tensors themselves — the learning
-//! frameworks own and mutate the store.
+//! construction and replays its computation onto a [`Recorder`] at forward
+//! time — the training tape or the evaluation recorder, one definition for
+//! both — reading current parameter values from the [`ParamStore`]. Layers
+//! hold only parameter *indices*, never the tensors themselves — the
+//! learning frameworks own and mutate the store.
 
 use crate::store::{ParamStore, ParamStoreBuilder};
-use mamdr_autodiff::{Tape, Var};
+use mamdr_autodiff::{Recorder, Var};
 use mamdr_tensor::init::Init;
 use mamdr_tensor::{Act, Tensor};
 use rand::rngs::StdRng;
@@ -110,29 +111,22 @@ impl Dense {
 
     /// Applies the layer to `[batch, in_dim]`, producing `[batch, out_dim]`.
     ///
-    /// Records one fused `Tape::dense` node — bit-identical to the former
+    /// One fused `Recorder::dense` op — bit-identical to the former
     /// matmul → bias-add → activation chain but one pass over the output.
-    pub fn forward(&self, ps: &ParamStore, tape: &mut Tape, x: Var) -> Var {
-        let w = tape.param(self.w, ps.get(self.w).clone());
-        let b = tape.param(self.b, ps.get(self.b).clone());
-        tape.dense(x, w, Some(b), self.activation.into())
-    }
-
-    /// Like [`Dense::forward`] but with externally supplied weight/bias
-    /// nodes — used by STAR, which composes shared ⊙ specific weights before
-    /// the matmul.
-    pub fn forward_with(&self, tape: &mut Tape, x: Var, w: Var, b: Var) -> Var {
-        tape.dense(x, w, Some(b), self.activation.into())
+    pub fn forward<R: Recorder>(&self, ps: &ParamStore, rec: &mut R, x: Var) -> Var {
+        let w = rec.param(self.w, ps.get(self.w));
+        let b = rec.param(self.b, ps.get(self.b));
+        rec.dense(x, w, Some(b), self.activation.into())
     }
 }
 
-/// Applies an [`Activation`] to a tape node.
-pub fn apply_activation(tape: &mut Tape, x: Var, activation: Activation) -> Var {
+/// Applies an [`Activation`] to a recorded value.
+pub fn apply_activation<R: Recorder>(rec: &mut R, x: Var, activation: Activation) -> Var {
     match activation {
         Activation::Linear => x,
-        Activation::Relu => tape.relu(x),
-        Activation::Sigmoid => tape.sigmoid(x),
-        Activation::Tanh => tape.tanh(x),
+        Activation::Relu => rec.relu(x),
+        Activation::Sigmoid => rec.sigmoid(x),
+        Activation::Tanh => rec.tanh(x),
     }
 }
 
@@ -172,29 +166,35 @@ impl Mlp {
 
     /// Forward pass through every layer, with inverted dropout after each
     /// hidden activation during training.
-    pub fn forward(&self, ps: &ParamStore, tape: &mut Tape, ctx: &mut ForwardCtx, x: Var) -> Var {
+    pub fn forward<R: Recorder>(
+        &self,
+        ps: &ParamStore,
+        rec: &mut R,
+        ctx: &mut ForwardCtx,
+        x: Var,
+    ) -> Var {
         let mut h = x;
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(ps, tape, h);
+            h = layer.forward(ps, rec, h);
             if i != last && self.dropout > 0.0 && ctx.training {
-                h = apply_dropout(tape, ctx, h, self.dropout);
+                h = apply_dropout(rec, ctx, h, self.dropout);
             }
         }
         h
     }
 }
 
-/// Applies inverted dropout with probability `p` to a tape node.
-pub fn apply_dropout(tape: &mut Tape, ctx: &mut ForwardCtx, x: Var, p: f32) -> Var {
+/// Applies inverted dropout with probability `p` to a recorded value.
+pub fn apply_dropout<R: Recorder>(rec: &mut R, ctx: &mut ForwardCtx, x: Var, p: f32) -> Var {
     debug_assert!(ctx.training, "dropout should only run in training mode");
-    let shape = tape.value(x).shape().to_vec();
+    let shape = rec.value(x).shape().to_vec();
     let keep = 1.0 - p;
     let scale = 1.0 / keep;
     let n: usize = shape.iter().product();
     let mask_data: Vec<f32> =
         (0..n).map(|_| if ctx.rng.gen::<f32>() < keep { scale } else { 0.0 }).collect();
-    tape.dropout(x, Tensor::from_vec(shape, mask_data))
+    rec.dropout(x, Tensor::from_vec(shape, mask_data))
 }
 
 /// An embedding table with gather-based lookup.
@@ -229,14 +229,15 @@ impl Embedding {
     }
 
     /// Looks up `ids`, producing `[ids.len, dim]`.
-    pub fn forward(&self, ps: &ParamStore, tape: &mut Tape, ids: &[u32]) -> Var {
-        tape.gather_param(self.table, ps.get(self.table), ids)
+    pub fn forward<R: Recorder>(&self, ps: &ParamStore, rec: &mut R, ids: &[u32]) -> Var {
+        rec.gather_param(self.table, ps.get(self.table), ids)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mamdr_autodiff::Tape;
     use mamdr_tensor::rng::seeded;
 
     #[test]

@@ -91,6 +91,11 @@ impl ParamStore {
         &self.tensors[idx]
     }
 
+    /// Every tensor, indexed as [`ParamStore::get`] is.
+    pub fn tensors(&self) -> &[Tensor] {
+        &self.tensors
+    }
+
     /// Mutable access to the tensor at `idx`.
     pub fn get_mut(&mut self, idx: usize) -> &mut Tensor {
         &mut self.tensors[idx]
@@ -212,7 +217,7 @@ impl ParamStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mamdr_autodiff::Tape;
+    use mamdr_autodiff::{Recorder, Tape};
     use mamdr_tensor::rng::seeded;
 
     fn sample_store() -> ParamStore {
@@ -261,7 +266,7 @@ mod tests {
     /// names it. `w1` is never read.
     fn sample_grads(s: &ParamStore, ids: &[u32]) -> Grads {
         let mut tape = Tape::new();
-        let b1 = tape.param(1, s.get(1).clone());
+        let b1 = tape.param(1, s.get(1));
         let c = tape.leaf(Tensor::from_vec([3], vec![1., 2., 3.]));
         let bc = tape.mul(b1, c);
         let l1 = tape.sum_all(bc);

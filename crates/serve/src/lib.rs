@@ -47,4 +47,4 @@ pub use gate::{GateConfig, GateReject, PublishGate, GATE_REASONS};
 pub use replica::{replica_of, ReplicatedServer};
 pub use request::{Response, ScoreRequest, ServeResult, SloClass, SubmitError};
 pub use server::{Pending, ServeConfig, Server};
-pub use snapshot::{ModelSpec, ServingSnapshot, SnapshotError};
+pub use snapshot::{ModelSpec, ScoreScratch, ServingSnapshot, SnapshotError};

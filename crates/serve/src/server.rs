@@ -41,6 +41,7 @@
 
 use crate::engine::{ScoringEngine, ServeMetrics};
 use crate::request::{Envelope, Response, ScoreRequest, ServeResult, SloClass, SubmitError};
+use crate::snapshot::ScoreScratch;
 use mamdr_obs::Tracer;
 use std::ops::Range;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -290,10 +291,12 @@ struct Scratch {
     /// as ranges of `order` (see [`plan_pickup`]).
     order: Vec<usize>,
     chunks: Vec<Range<usize>>,
-    /// One forward pass: the pickup indices still live, and their
-    /// requests, moved out of the envelopes.
+    /// One forward pass: the pickup indices still live, their requests
+    /// (moved out of the envelopes), the pass's buffers and its scores.
     live: Vec<usize>,
     reqs: Vec<ScoreRequest>,
+    score: ScoreScratch,
+    scores: Vec<f32>,
 }
 
 /// Takes pickups and scores them until every sender has hung up and the
@@ -369,12 +372,12 @@ fn score_pickup(engine: &ScoringEngine, depths: &Depths, max_batch: usize, s: &m
         if s.live.is_empty() {
             continue;
         }
-        let scores = snap.score(domain, &s.reqs);
+        snap.score_into(domain, &s.reqs, &mut s.score, &mut s.scores);
         let score_end = Instant::now();
         m.batch_compute_us.record(score_end.duration_since(score_start).as_micros() as f64);
         m.batches_total.inc();
         m.batch_size.record(s.live.len() as f64);
-        for (&i, score) in s.live.iter().zip(scores) {
+        for (&i, &score) in s.live.iter().zip(&s.scores) {
             let env = &s.pickup[i];
             m.latency_seconds.record(env.enqueued.elapsed().as_secs_f64());
             let resp = Response { id: env.id, score, snapshot_version: snap.version() };

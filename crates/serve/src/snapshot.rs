@@ -29,10 +29,13 @@
 
 use crate::request::ScoreRequest;
 use mamdr_autodiff::tape::stable_sigmoid;
+use mamdr_autodiff::EvalScratch;
 use mamdr_core::env::DomainParams;
 use mamdr_core::TrainedModel;
 use mamdr_data::Batch;
-use mamdr_models::{build_model, CtrModel, FeatureConfig, ModelConfig, ModelKind};
+use mamdr_models::{
+    build_model, eval_logits_into, CtrModel, FeatureConfig, ModelConfig, ModelKind,
+};
 use mamdr_nn::ParamStore;
 use mamdr_ps::{model as ps_model, ParamKey, ParameterServer};
 use mamdr_tensor::Tensor;
@@ -114,12 +117,21 @@ enum Backend {
     Embedding { dim: usize, n_domains: usize, rows: HashMap<ParamKey, Vec<f32>> },
 }
 
+/// What a scoring worker reuses from one forward pass to the next: the
+/// request batch's feature columns and the evaluation recorder's buffers.
+#[derive(Debug, Default)]
+pub struct ScoreScratch {
+    batch: Batch,
+    eval: EvalScratch,
+}
+
 /// An immutable, versioned serving artifact.
 ///
-/// All scoring is forward-only (no tape retained beyond the call, no
-/// gradients) and bit-deterministic at any kernel thread count — the same
-/// guarantee the training-side kernels make, inherited here because serving
-/// runs through the same `Tensor::gemm` entry points.
+/// All scoring is forward-only — the model's one forward body on the
+/// values-only recorder, no parameter copied and nothing recorded — and
+/// bit-deterministic at any kernel thread count: the same guarantee the
+/// training-side kernels make, inherited here because serving runs the
+/// training forward's arithmetic.
 pub struct ServingSnapshot {
     version: u64,
     backend: Backend,
@@ -276,40 +288,53 @@ impl ServingSnapshot {
     /// (everything except STAR's partitioned normalization, which uses
     /// micro-batch statistics — see DESIGN §7).
     pub fn score(&self, domain: usize, reqs: &[ScoreRequest]) -> Vec<f32> {
+        let mut scores = Vec::new();
+        self.score_into(domain, reqs, &mut ScoreScratch::default(), &mut scores);
+        scores
+    }
+
+    /// [`score`](Self::score) into `out` (cleared first), reusing
+    /// `scratch`: a worker that keeps both across batches allocates nothing
+    /// per batch in the recorder or the batch assembly.
+    pub fn score_into(
+        &self,
+        domain: usize,
+        reqs: &[ScoreRequest],
+        scratch: &mut ScoreScratch,
+        out: &mut Vec<f32>,
+    ) {
         assert!(domain < self.n_domains(), "unvalidated domain routed to score()");
+        out.clear();
         if reqs.is_empty() {
-            return Vec::new();
+            return;
         }
         match &self.backend {
             Backend::Dense { spec, model, domains, .. } => {
-                let batch = assemble_batch(&spec.features, domain, reqs);
-                mamdr_models::eval_logits(model.as_ref(), &domains[domain], &batch)
-                    .into_iter()
-                    .map(stable_sigmoid)
-                    .collect()
+                assemble_batch(&mut scratch.batch, &spec.features, domain, reqs);
+                let ps = &domains[domain];
+                eval_logits_into(model.as_ref(), ps, &scratch.batch, &mut scratch.eval, out);
+                out.iter_mut().for_each(|z| *z = stable_sigmoid(*z));
             }
             Backend::Embedding { dim, rows, .. } => {
                 let zero = vec![0.0f32; *dim];
                 let row = |key: ParamKey| rows.get(&key).unwrap_or(&zero);
-                reqs.iter()
-                    .map(|r| {
-                        let keys = ps_model::ExampleKeys::new(
-                            r.user,
-                            r.item,
-                            r.user_group,
-                            r.item_cat,
-                            domain as u32,
-                        );
-                        let raw = ps_model::score(
-                            row(keys.user),
-                            row(keys.item),
-                            row(keys.ugroup),
-                            row(keys.icat),
-                            row(keys.bias),
-                        );
-                        ps_model::sigmoid(raw)
-                    })
-                    .collect()
+                out.extend(reqs.iter().map(|r| {
+                    let keys = ps_model::ExampleKeys::new(
+                        r.user,
+                        r.item,
+                        r.user_group,
+                        r.item_cat,
+                        domain as u32,
+                    );
+                    let raw = ps_model::score(
+                        row(keys.user),
+                        row(keys.item),
+                        row(keys.ugroup),
+                        row(keys.icat),
+                        row(keys.bias),
+                    );
+                    ps_model::sigmoid(raw)
+                }));
             }
         }
     }
@@ -547,32 +572,39 @@ impl ServingSnapshot {
     }
 }
 
-/// Gathers a same-domain request slice into a model [`Batch`].
+/// Refills `batch` with a same-domain request slice, reusing its buffers.
 ///
-/// Labels are zeros — serving never reads them; `eval_logits` only consumes
-/// the feature side.
-fn assemble_batch(features: &FeatureConfig, domain: usize, reqs: &[ScoreRequest]) -> Batch {
-    let n = reqs.len();
-    let dense = |pick: fn(&ScoreRequest) -> &Option<Vec<f32>>| -> Option<Tensor> {
-        if features.dense_dim == 0 {
-            return None;
-        }
-        let mut data = Vec::with_capacity(n * features.dense_dim);
-        for r in reqs {
-            data.extend_from_slice(pick(r).as_ref().expect("validated dense features"));
-        }
-        Some(Tensor::from_vec([n, features.dense_dim], data))
+/// The labels stay empty: serving never reads them, and a forward pass
+/// consumes only the feature side.
+fn assemble_batch(
+    batch: &mut Batch,
+    features: &FeatureConfig,
+    domain: usize,
+    reqs: &[ScoreRequest],
+) {
+    batch.domain = domain;
+    let ids = |column: &mut Vec<u32>, pick: fn(&ScoreRequest) -> u32| {
+        column.clear();
+        column.extend(reqs.iter().map(pick));
     };
-    Batch {
-        domain,
-        users: reqs.iter().map(|r| r.user).collect(),
-        items: reqs.iter().map(|r| r.item).collect(),
-        user_groups: reqs.iter().map(|r| r.user_group).collect(),
-        item_cats: reqs.iter().map(|r| r.item_cat).collect(),
-        labels: vec![0.0; n],
-        dense_user: dense(|r| &r.dense_user),
-        dense_item: dense(|r| &r.dense_item),
-    }
+    ids(&mut batch.users, |r| r.user);
+    ids(&mut batch.items, |r| r.item);
+    ids(&mut batch.user_groups, |r| r.user_group);
+    ids(&mut batch.item_cats, |r| r.item_cat);
+    let dim = features.dense_dim;
+    let dense = |side: &mut Option<Tensor>, pick: fn(&ScoreRequest) -> &Option<Vec<f32>>| {
+        if dim == 0 {
+            *side = None;
+            return;
+        }
+        let t = side.get_or_insert_with(Tensor::empty);
+        t.reset(&[reqs.len(), dim]);
+        for (row, r) in t.data_mut().chunks_exact_mut(dim).zip(reqs) {
+            row.copy_from_slice(pick(r).as_ref().expect("validated dense features"));
+        }
+    };
+    dense(&mut batch.dense_user, |r| &r.dense_user);
+    dense(&mut batch.dense_item, |r| &r.dense_item);
 }
 
 fn kind_id(kind: ModelKind) -> u8 {

@@ -257,16 +257,18 @@ unsafe fn row_block_avx2(
     row_block::<16>(a, b, k, n, rows, out);
 }
 
-/// `op(lhs) @ op(rhs)` as `[m, n]` row-major, with `finish` applied to every
-/// completed row block (the fused bias + activation epilogue).
+/// `op(lhs) @ op(rhs)` into the `[m, n]` row-major `out`, with `finish`
+/// applied to every completed row block (the fused bias + activation
+/// epilogue).
 fn gemm_into(
     lhs: &Tensor,
     rhs: &Tensor,
     lhs_t: bool,
     rhs_t: bool,
     (m, k, n): (usize, usize, usize),
+    out: &mut [f32],
     finish: impl Fn(&mut [f32]) + Sync,
-) -> Vec<f32> {
+) {
     let a = Lhs::new(lhs, lhs_t, m, k);
     let packed;
     let b = if rhs_t {
@@ -275,8 +277,7 @@ fn gemm_into(
     } else {
         rhs.data()
     };
-    let mut out = vec![0.0f32; m * n];
-    pool::for_each_row_block(&mut out, n, grain_rows(k, n), |rows, block| {
+    pool::for_each_row_block(out, n, grain_rows(k, n), |rows, block| {
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
             // SAFETY: `is_x86_feature_detected!("avx2")` on the line above.
@@ -288,7 +289,6 @@ fn gemm_into(
         row_block_portable(a, b, k, n, rows, block);
         finish(block);
     });
-    out
 }
 
 impl Tensor {
@@ -315,8 +315,10 @@ impl Tensor {
             "gemm inner dims mismatch: op(lhs)={}x{} @ op(rhs)={}x{} (lhs_t={}, rhs_t={})",
             m, k, k2, n, lhs_t, rhs_t
         );
-        let out = gemm_into(self, rhs, lhs_t, rhs_t, (m, k, n), |_| {});
-        Tensor::from_vec([m, n], out)
+        Tensor::fresh(|out| {
+            out.reset(&[m, n]);
+            gemm_into(self, rhs, lhs_t, rhs_t, (m, k, n), out.data_mut(), |_| {});
+        })
     }
 
     /// Fused dense-layer forward: `act(self @ w + bias)` in one pass over the
@@ -327,6 +329,17 @@ impl Tensor {
     /// the bias add and activation are applied per element in the same order
     /// the separate passes would.
     pub fn gemm_bias_act(&self, w: &Tensor, bias: Option<&Tensor>, act: Act) -> Tensor {
+        Tensor::fresh(|out| self.gemm_bias_act_into(w, bias, act, out))
+    }
+
+    /// [`Tensor::gemm_bias_act`] into `out`, reusing its storage.
+    pub fn gemm_bias_act_into(
+        &self,
+        w: &Tensor,
+        bias: Option<&Tensor>,
+        act: Act,
+        out: &mut Tensor,
+    ) {
         let (m, k) = self.matrix_dims();
         let (k2, n) = w.matrix_dims();
         assert_eq!(k, k2, "gemm_bias_act inner dims mismatch: {}x{} @ {}x{}", m, k, k2, n);
@@ -334,7 +347,8 @@ impl Tensor {
             assert_eq!(b.numel(), n, "gemm_bias_act bias width mismatch: {} vs {}", b.numel(), n);
         }
         let bias = bias.map(|b| b.data());
-        let out = gemm_into(self, w, false, false, (m, k, n), |block| {
+        out.reset(&[m, n]);
+        gemm_into(self, w, false, false, (m, k, n), out.data_mut(), |block| {
             for orow in block.chunks_exact_mut(n) {
                 if let Some(bias) = bias {
                     for (o, &bv) in orow.iter_mut().zip(bias) {
@@ -348,7 +362,6 @@ impl Tensor {
                 }
             }
         });
-        Tensor::from_vec([m, n], out)
     }
 }
 

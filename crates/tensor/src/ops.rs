@@ -10,9 +10,15 @@ use crate::tensor::Tensor;
 impl Tensor {
     /// Matrix transpose of a 2-D tensor.
     pub fn transpose(&self) -> Tensor {
+        Tensor::fresh(|out| self.transpose_into(out))
+    }
+
+    /// [`Tensor::transpose`] into `out`, reusing its storage.
+    pub fn transpose_into(&self, out: &mut Tensor) {
         let (m, n) = self.matrix_dims();
         let a = self.data();
-        let mut out = vec![0.0f32; m * n];
+        out.reset(&[n, m]);
+        let out = out.data_mut();
         // Four source rows per pass, so every output row receives four
         // adjacent values: a third of the time of one element at a time at
         // the sizes `gemm` packs (64×80: 1.3 µs against 3.5 µs).
@@ -30,22 +36,26 @@ impl Tensor {
                 out[j * m + i] = a[i * n + j];
             }
         }
-        Tensor::from_vec([n, m], out)
     }
 
     /// Adds a `[n]` (or `[1,n]`) row vector to every row of a `[m,n]` matrix.
     pub fn add_row_broadcast(&self, row: &Tensor) -> Tensor {
+        Tensor::fresh(|out| self.add_row_broadcast_into(row, out))
+    }
+
+    /// [`Tensor::add_row_broadcast`] into `out`, reusing its storage.
+    pub fn add_row_broadcast_into(&self, row: &Tensor, out: &mut Tensor) {
         let (m, n) = self.matrix_dims();
         let rn = row.numel();
         assert_eq!(n, rn, "row broadcast width mismatch: {} vs {}", n, rn);
-        let mut out = self.data().to_vec();
-        let r = row.data();
+        out.reset(&[m, n]);
+        let (a, r) = (self.data(), row.data());
+        let out = out.data_mut();
         for i in 0..m {
             for j in 0..n {
-                out[i * n + j] += r[j];
+                out[i * n + j] = a[i * n + j] + r[j];
             }
         }
-        Tensor::from_vec([m, n], out)
     }
 
     /// Multiplies every row of a `[m,n]` matrix elementwise by a `[n]` vector.
@@ -65,16 +75,21 @@ impl Tensor {
     /// Multiplies row `i` of a `[m,n]` matrix by scalar `col[i]` (a `[m]` or
     /// `[m,1]` tensor).
     pub fn mul_col_broadcast(&self, col: &Tensor) -> Tensor {
+        Tensor::fresh(|out| self.mul_col_broadcast_into(col, out))
+    }
+
+    /// [`Tensor::mul_col_broadcast`] into `out`, reusing its storage.
+    pub fn mul_col_broadcast_into(&self, col: &Tensor, out: &mut Tensor) {
         let (m, n) = self.matrix_dims();
         assert_eq!(m, col.numel(), "col broadcast height mismatch");
-        let mut out = self.data().to_vec();
-        let c = col.data();
+        out.reset(&[m, n]);
+        let (a, c) = (self.data(), col.data());
+        let out = out.data_mut();
         for i in 0..m {
             for j in 0..n {
-                out[i * n + j] *= c[i];
+                out[i * n + j] = a[i * n + j] * c[i];
             }
         }
-        Tensor::from_vec([m, n], out)
     }
 
     /// Sums a `[m,n]` matrix over rows, producing `[n]`.
@@ -92,9 +107,15 @@ impl Tensor {
 
     /// Sums a `[m,n]` matrix over columns, producing `[m]`.
     pub fn sum_cols(&self) -> Tensor {
+        Tensor::fresh(|out| self.sum_cols_into(out))
+    }
+
+    /// [`Tensor::sum_cols`] into `out`, reusing its storage.
+    pub fn sum_cols_into(&self, out: &mut Tensor) {
         let (m, n) = self.matrix_dims();
         let a = self.data();
-        let mut out = vec![0.0f32; m];
+        out.reset(&[m]);
+        let out = out.data_mut();
         for i in 0..m {
             let mut acc = 0.0;
             for j in 0..n {
@@ -102,14 +123,19 @@ impl Tensor {
             }
             out[i] = acc;
         }
-        Tensor::from_vec([m], out)
     }
 
     /// Row-wise softmax of a `[m,n]` matrix (numerically stabilized).
     pub fn softmax_rows(&self) -> Tensor {
+        Tensor::fresh(|out| self.softmax_rows_into(out))
+    }
+
+    /// [`Tensor::softmax_rows`] into `out`, reusing its storage.
+    pub fn softmax_rows_into(&self, out: &mut Tensor) {
         let (m, n) = self.matrix_dims();
         let a = self.data();
-        let mut out = vec![0.0f32; m * n];
+        out.reset(&[m, n]);
+        let out = out.data_mut();
         for i in 0..m {
             let row = &a[i * n..(i + 1) * n];
             let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
@@ -123,15 +149,20 @@ impl Tensor {
                 out[i * n + j] /= sum;
             }
         }
-        Tensor::from_vec([m, n], out)
     }
 
     /// Concatenates matrices along the column axis: `[m,a] ++ [m,b] -> [m,a+b]`.
     pub fn concat_cols(parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "concat_cols of nothing");
-        let m = parts[0].matrix_dims().0;
-        let total: usize = parts.iter().map(|p| p.matrix_dims().1).sum();
-        let mut out = vec![0.0f32; m * total];
+        Tensor::fresh(|out| Tensor::concat_cols_into(parts.iter().copied(), out))
+    }
+
+    /// [`Tensor::concat_cols`] into `out`, reusing its storage. `parts` is
+    /// walked twice: once for the widths, once to copy.
+    pub fn concat_cols_into<'t>(parts: impl Iterator<Item = &'t Tensor> + Clone, out: &mut Tensor) {
+        let m = parts.clone().next().expect("concat_cols of nothing").matrix_dims().0;
+        let total: usize = parts.clone().map(|p| p.matrix_dims().1).sum();
+        out.reset(&[m, total]);
+        let out = out.data_mut();
         let mut col_off = 0usize;
         for p in parts {
             let (pm, pn) = p.matrix_dims();
@@ -143,32 +174,41 @@ impl Tensor {
             }
             col_off += pn;
         }
-        Tensor::from_vec([m, total], out)
     }
 
     /// Extracts columns `[start, start+len)` of a `[m,n]` matrix.
     pub fn slice_cols(&self, start: usize, len: usize) -> Tensor {
+        Tensor::fresh(|out| self.slice_cols_into(start, len, out))
+    }
+
+    /// [`Tensor::slice_cols`] into `out`, reusing its storage.
+    pub fn slice_cols_into(&self, start: usize, len: usize, out: &mut Tensor) {
         let (m, n) = self.matrix_dims();
         assert!(start + len <= n, "slice_cols out of bounds");
         let a = self.data();
-        let mut out = vec![0.0f32; m * len];
+        out.reset(&[m, len]);
+        let out = out.data_mut();
         for i in 0..m {
             out[i * len..(i + 1) * len].copy_from_slice(&a[i * n + start..i * n + start + len]);
         }
-        Tensor::from_vec([m, len], out)
     }
 
     /// Gathers rows of an embedding table: `table[[ids]] -> [ids.len, dim]`.
     pub fn gather_rows(&self, ids: &[u32]) -> Tensor {
+        Tensor::fresh(|out| self.gather_rows_into(ids, out))
+    }
+
+    /// [`Tensor::gather_rows`] into `out`, reusing its storage.
+    pub fn gather_rows_into(&self, ids: &[u32], out: &mut Tensor) {
         let (rows, dim) = self.matrix_dims();
         let a = self.data();
-        let mut out = vec![0.0f32; ids.len() * dim];
+        out.reset(&[ids.len(), dim]);
+        let out = out.data_mut();
         for (i, &id) in ids.iter().enumerate() {
             let id = id as usize;
             assert!(id < rows, "gather id {} out of bounds ({} rows)", id, rows);
             out[i * dim..(i + 1) * dim].copy_from_slice(&a[id * dim..(id + 1) * dim]);
         }
-        Tensor::from_vec([ids.len(), dim], out)
     }
 
     /// Scatter-adds rows into `self`: for each i, `self[ids[i]] += src[i]`.

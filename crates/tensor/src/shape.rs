@@ -27,6 +27,14 @@ impl Shape {
         &self.0
     }
 
+    /// Overwrites the extents with `dims`, reusing the storage; an empty
+    /// shape allocates exactly `dims.len()` extents, as `Shape::new` does.
+    pub(crate) fn set(&mut self, dims: &[usize]) {
+        self.0.clear();
+        self.0.reserve_exact(dims.len());
+        self.0.extend_from_slice(dims);
+    }
+
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
         self.0.len()

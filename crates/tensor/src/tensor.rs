@@ -139,6 +139,46 @@ impl Tensor {
         self
     }
 
+    /// Like [`Tensor::reshape`], through a borrow: the shape's storage is
+    /// reused.
+    pub fn set_shape(&mut self, shape: &[usize]) {
+        assert_eq!(
+            shape.iter().product::<usize>(),
+            self.numel(),
+            "reshape must preserve element count"
+        );
+        self.shape.set(shape);
+    }
+
+    /// Makes this tensor an all-zeros `shape`, reusing its storage.
+    ///
+    /// This is how every `*_into` kernel sizes its output. On storage that
+    /// is already large enough nothing is allocated; on an empty tensor
+    /// the shape and the data are allocated at exactly their lengths, as
+    /// [`Tensor::zeros`] does, so an allocating kernel written as
+    /// "[`Tensor::empty`], then `*_into`" allocates what it always did.
+    pub fn reset(&mut self, shape: &[usize]) {
+        self.shape.set(shape);
+        let n = self.shape.numel();
+        self.data.clear();
+        self.data.reserve_exact(n);
+        self.data.resize(n, 0.0);
+    }
+
+    /// A tensor with no storage: not a value yet, only the output of an
+    /// `*_into` kernel (which sizes it with [`Tensor::reset`]). Allocates
+    /// nothing.
+    pub fn empty() -> Self {
+        Tensor { shape: Shape::scalar(), data: Vec::new() }
+    }
+
+    /// The output of an `*_into` kernel, as a new tensor.
+    pub(crate) fn fresh(kernel: impl FnOnce(&mut Tensor)) -> Tensor {
+        let mut out = Tensor::empty();
+        kernel(&mut out);
+        out
+    }
+
     /// Returns a copy of row `r` of a matrix.
     pub fn row(&self, r: usize) -> &[f32] {
         let (rows, cols) = self.matrix_dims();
@@ -148,7 +188,15 @@ impl Tensor {
 
     /// Applies `f` elementwise, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&x| f(x)).collect() }
+        Tensor::fresh(|out| self.map_into(f, out))
+    }
+
+    /// [`Tensor::map`] into `out`, reusing its storage.
+    pub fn map_into(&self, f: impl Fn(f32) -> f32, out: &mut Tensor) {
+        out.reset(self.shape());
+        for (o, &x) in out.data.iter_mut().zip(&self.data) {
+            *o = f(x);
+        }
     }
 
     /// Applies `f` elementwise in place.
@@ -160,36 +208,60 @@ impl Tensor {
 
     /// Elementwise combination of two same-shape tensors.
     pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+        Tensor::fresh(|out| self.zip_into(other, f, out))
+    }
+
+    fn zip_into(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32, out: &mut Tensor) {
         assert!(
             self.shape.same(&other.shape),
             "zip shape mismatch: {:?} vs {:?}",
             self.shape,
             other.shape
         );
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)).collect(),
+        out.reset(self.shape());
+        for (o, (&a, &b)) in out.data.iter_mut().zip(self.data.iter().zip(&other.data)) {
+            *o = f(a, b);
         }
     }
 
     /// Elementwise add.
     pub fn add(&self, other: &Tensor) -> Tensor {
-        self.zip(other, |a, b| a + b)
+        Tensor::fresh(|out| self.add_into(other, out))
+    }
+
+    /// [`Tensor::add`] into `out`, reusing its storage.
+    pub fn add_into(&self, other: &Tensor, out: &mut Tensor) {
+        self.zip_into(other, |a, b| a + b, out)
     }
 
     /// Elementwise subtract.
     pub fn sub(&self, other: &Tensor) -> Tensor {
-        self.zip(other, |a, b| a - b)
+        Tensor::fresh(|out| self.sub_into(other, out))
+    }
+
+    /// [`Tensor::sub`] into `out`, reusing its storage.
+    pub fn sub_into(&self, other: &Tensor, out: &mut Tensor) {
+        self.zip_into(other, |a, b| a - b, out)
     }
 
     /// Elementwise (Hadamard) product.
     pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.zip(other, |a, b| a * b)
+        Tensor::fresh(|out| self.mul_into(other, out))
+    }
+
+    /// [`Tensor::mul`] into `out`, reusing its storage.
+    pub fn mul_into(&self, other: &Tensor, out: &mut Tensor) {
+        self.zip_into(other, |a, b| a * b, out)
     }
 
     /// Scales every element by `s`.
     pub fn scale(&self, s: f32) -> Tensor {
-        self.map(|x| x * s)
+        Tensor::fresh(|out| self.scale_into(s, out))
+    }
+
+    /// [`Tensor::scale`] into `out`, reusing its storage.
+    pub fn scale_into(&self, s: f32, out: &mut Tensor) {
+        self.map_into(|x| x * s, out)
     }
 
     /// `self += alpha * other` (BLAS axpy), in place.

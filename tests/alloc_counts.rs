@@ -27,7 +27,8 @@
 //!
 //! Inference is pinned the same way, on the same fixture: one warmed
 //! `eval_logits` at batch 1 and 32, and one `ServingSnapshot::score` of a
-//! single request on a snapshot of that model.
+//! single request on a snapshot of that model, both on a fresh evaluation
+//! recorder, plus the same request through buffers a scoring worker keeps.
 
 use mamdr::core::frameworks::mamdr::domain_regularization;
 use mamdr::core::{TrainConfig, TrainEnv, TrainedModel};
@@ -36,7 +37,7 @@ use mamdr::models::{
     build_model, eval_logits, loss_and_grads, BuiltModel, FeatureConfig, ModelConfig, ModelKind,
 };
 use mamdr::nn::ForwardCtx;
-use mamdr::serve::{ModelSpec, ScoreRequest, ServingSnapshot};
+use mamdr::serve::{ModelSpec, ScoreRequest, ScoreScratch, ServingSnapshot};
 use mamdr::tensor::pool;
 use mamdr::tensor::rng::seeded;
 use mamdr::tensor::Tensor;
@@ -60,11 +61,17 @@ const DR_CALL: (u64, u64, u64) = (90, 13_584, 58_154_604);
 const GEMM_NN: (u64, u64) = (2, 32_784);
 const GEMM_NT: (u64, u64) = (4, 53_280);
 /// `(allocations, bytes)` of one `eval_logits` call at batch 1 and 32, and
-/// of one `ServingSnapshot::score` of one request. Each builds a fresh tape
-/// that copies every dense parameter (≈ 30 KB of the default MLP).
-const EVAL_B1: (u64, u64) = (60, 38_640);
-const EVAL_B32: (u64, u64) = (60, 73_236);
-const SCORE_B1: (u64, u64) = (69, 38_756);
+/// of one `ServingSnapshot::score` of one request, each on a fresh
+/// evaluation recorder: its buffers and slot lists, and nothing per
+/// parameter. Their tape-recorded parent copied every dense parameter
+/// (≈ 30 KB of the default MLP) and allocated 60 / 38 640, 60 / 73 236 and
+/// 69 / 38 756.
+const EVAL_B1: (u64, u64) = (30, 3_668);
+const EVAL_B32: (u64, u64) = (30, 37_632);
+const SCORE_B1: (u64, u64) = (38, 3_828);
+/// One request through a scoring worker's kept buffers: only the model
+/// body's own list of field handles (4, then grown to 8).
+const WORKER_B1: (u64, u64) = (2, 96);
 /// The gradient of the user embedding table if it were materialised:
 /// 2 378 rows × 16 floats × 4 bytes.
 const USER_TABLE_GRAD_BYTES: u64 = 2_378 * 16 * 4;
@@ -253,9 +260,18 @@ fn inference_allocations_are_pinned() {
     drop(snapshot.score(0, &reqs));
     let score = counted(|| drop(snapshot.score(0, &reqs)));
     let score = (score.allocs, score.bytes);
+    // A scoring worker keeps its buffers from one forward pass to the next.
+    let (mut scratch, mut scores) = (ScoreScratch::default(), Vec::new());
+    snapshot.score_into(0, &reqs, &mut scratch, &mut scores);
+    let worker = counted(|| snapshot.score_into(0, &reqs, &mut scratch, &mut scores));
+    let worker = (worker.allocs, worker.bytes);
 
-    eprintln!("eval_logits: b1 {b1:?}, b32 {b32:?}; score b1 {score:?}");
-    assert_eq!((b1, b32, score), (EVAL_B1, EVAL_B32, SCORE_B1), "inference allocations moved");
+    eprintln!("eval_logits: b1 {b1:?}, b32 {b32:?}; score b1 {score:?}, warm worker {worker:?}");
+    assert_eq!(
+        (b1, b32, score, worker),
+        (EVAL_B1, EVAL_B32, SCORE_B1, WORKER_B1),
+        "inference allocations moved"
+    );
 }
 
 #[test]
