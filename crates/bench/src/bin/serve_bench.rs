@@ -37,83 +37,26 @@
 //! `--trace-out`, `--phase-summary`, `--introspect-addr` as everywhere
 //! else.
 
+use mamdr_bench::serve::{dataset, probe_digest, train_snapshot};
 use mamdr_bench::{render_phase_table, BenchArgs, BenchTelemetry};
-use mamdr_core::{FrameworkKind, TrainConfig, TrainEnv, TrainedModel};
-use mamdr_data::{DomainSpec, GeneratorConfig, MdrDataset};
 use mamdr_load::{run_open_loop, LoadOptions, TraceConfig, TraceGen};
-use mamdr_models::{build_model, FeatureConfig, ModelConfig, ModelKind};
+use mamdr_models::FeatureConfig;
 use mamdr_obs::Value;
 use mamdr_serve::{
-    ModelSpec, ReplicatedServer, ScoreRequest, ServeConfig, ServeResult, ServingSnapshot, SloClass,
+    ReplicatedServer, ScoreRequest, ServeConfig, ServeResult, ServingSnapshot, SloClass,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-fn dataset(args: &BenchArgs) -> MdrDataset {
-    let mut gen = GeneratorConfig::base("serve-bench", 200, 120, args.seed);
-    gen.conflict = 0.3;
-    gen.domains = vec![
-        DomainSpec::new("large", 1_200, 0.3),
-        DomainSpec::new("mid", 600, 0.35),
-        DomainSpec::new("small", 200, 0.4),
-    ];
-    gen.generate()
-}
-
-fn train_snapshot(
-    ds: &MdrDataset,
-    args: &BenchArgs,
-    version: u64,
-    seed: u64,
-) -> (ModelSpec, ServingSnapshot) {
-    let fc = FeatureConfig::from_dataset(ds);
-    let mc = ModelConfig::tiny();
-    let built = build_model(ModelKind::Mlp, &fc, &mc, ds.n_domains(), seed);
-    let cfg = TrainConfig::quick().with_seed(seed).with_epochs(args.epochs_or(3));
-    let mut env = TrainEnv::new(ds, built.model.as_ref(), built.params, cfg);
-    let trained: TrainedModel = FrameworkKind::Mamdr.build().train(&mut env);
-    let spec =
-        ModelSpec { kind: ModelKind::Mlp, features: fc, config: mc, n_domains: ds.n_domains() };
-    let snap = ServingSnapshot::from_trained(version, spec.clone(), trained)
-        .expect("freshly trained model always freezes");
-    (spec, snap)
-}
-
-/// Scores a fixed probe set through the pool and digests the score bits
-/// with FNV-1a. Identical across replica and worker counts — the
-/// bit-identity evidence CI diffs.
-fn probe_digest(pool: &ReplicatedServer, fc: &FeatureConfig, n_domains: usize) -> u64 {
-    let pending: Vec<_> = (0..64u32)
-        .map(|k| {
-            let req = ScoreRequest::new(
-                (k as usize) % n_domains,
-                (k * 13) % fc.n_users as u32,
-                (k * 5) % fc.n_items as u32,
-                k % fc.n_user_groups as u32,
-                k % fc.n_item_cats as u32,
-            );
-            pool.submit(req, None).expect("probe admitted on an idle pool")
-        })
-        .collect();
-    let mut digest = mamdr_util::Checksum::new();
-    for p in pending {
-        match p.wait() {
-            ServeResult::Scored(r) => digest.update(&r.score.to_bits().to_le_bytes()),
-            other => panic!("probe request not scored: {other:?}"),
-        }
-    }
-    digest.digest()
-}
 
 fn main() {
     let args = BenchArgs::from_env();
     let telemetry = BenchTelemetry::from_args(&args);
 
     eprintln!("[serve_bench] training snapshot versions 1 and 2 ...");
-    let ds = dataset(&args);
+    let ds = dataset(args.seed);
     let fc = FeatureConfig::from_dataset(&ds);
-    let (_, v1) = train_snapshot(&ds, &args, 1, args.seed);
-    let (_, v2) = train_snapshot(&ds, &args, 2, args.seed ^ 0xBEEF);
+    let v1 = train_snapshot(&ds, args.epochs_or(3), 1, args.seed);
+    let v2 = train_snapshot(&ds, args.epochs_or(3), 2, args.seed ^ 0xBEEF);
     let n_domains = ds.n_domains();
 
     let config = ServeConfig {

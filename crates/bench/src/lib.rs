@@ -32,6 +32,7 @@
 
 pub mod args;
 pub mod runner;
+pub mod serve;
 pub mod table;
 pub mod telemetry;
 
