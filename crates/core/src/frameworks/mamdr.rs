@@ -5,7 +5,6 @@ use crate::env::{DomainParams, TrainEnv, TrainedModel};
 use crate::frameworks::alternate::alternate_epoch;
 use crate::frameworks::Framework;
 use mamdr_nn::{vecmath, Moved, SparseGrad};
-use rand::Rng;
 use std::ops::Range;
 
 /// MAMDR with independently switchable components, covering the paper's
@@ -259,15 +258,6 @@ pub fn mean_pairwise_gradient_inner_product(env: &mut TrainEnv, theta: &[f32]) -
     } else {
         total / count as f64
     }
-}
-
-/// Uniformly samples `k` distinct elements of `0..n` excluding `skip`.
-#[allow(dead_code)]
-fn sample_distinct_excluding(rng: &mut impl Rng, n: usize, k: usize, skip: usize) -> Vec<usize> {
-    let mut pool: Vec<usize> = (0..n).filter(|&d| d != skip).collect();
-    mamdr_tensor::rng::shuffle(rng, &mut pool);
-    pool.truncate(k);
-    pool
 }
 
 #[cfg(test)]
