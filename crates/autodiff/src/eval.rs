@@ -1,23 +1,26 @@
 //! The evaluation recorder: a forward pass for its values alone.
 
+use crate::arena::Arena;
 use crate::recorder::{self, Recorder, Var};
 use mamdr_tensor::{stable_sigmoid, Act, Tensor};
 
-/// Where a value lives: a borrowed parameter or one of the reused buffers.
+/// Where a value lives: a borrowed parameter or one of the arena's values.
 #[derive(Debug, Clone, Copy)]
 enum Slot {
     Param(usize),
-    Buffer(usize),
+    Value(usize),
 }
 
 /// The storage an [`Eval`] recorder reuses from one forward pass to the
-/// next: the `k`-th value a pass computes is written into the `k`-th
-/// buffer, so repeating a pass at the same or a smaller batch size
-/// allocates nothing.
+/// next, so repeating a pass at the same or a smaller batch size allocates
+/// nothing.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     slots: Vec<Slot>,
-    buffers: Vec<Tensor>,
+    values: Arena,
+    /// What an op reads beside its inputs and nothing after it: a dropout
+    /// mask, the normalization scales.
+    aux: Tensor,
 }
 
 impl EvalScratch {
@@ -25,18 +28,17 @@ impl EvalScratch {
     /// the previous pass and reuses its storage.
     pub fn recorder<'a>(&'a mut self, params: &'a [Tensor]) -> Eval<'a> {
         self.slots.clear();
-        Eval { params, scratch: self, used: 0 }
+        self.values.clear();
+        Eval { params, scratch: self }
     }
 }
 
 /// A [`Recorder`] that keeps values only: parameters are read in place,
-/// no op, id list or mask is stored, and every computed value goes into a
-/// buffer of its [`EvalScratch`]. Nothing can be differentiated.
+/// no op, id list or mask is stored, and every computed value goes into the
+/// arena of its [`EvalScratch`]. Nothing can be differentiated.
 pub struct Eval<'a> {
     params: &'a [Tensor],
     scratch: &'a mut EvalScratch,
-    /// Buffers holding a value of this pass.
-    used: usize,
 }
 
 /// The values recorded so far, beside the buffer an op is writing.
@@ -44,32 +46,35 @@ pub struct Eval<'a> {
 struct Values<'a> {
     params: &'a [Tensor],
     slots: &'a [Slot],
-    buffers: &'a [Tensor],
+    values: &'a [Tensor],
 }
 
 impl<'a> Values<'a> {
     fn get(self, v: Var) -> &'a Tensor {
         match self.slots[v.0] {
             Slot::Param(i) => &self.params[i],
-            Slot::Buffer(k) => &self.buffers[k],
+            Slot::Value(k) => &self.values[k],
         }
     }
 }
 
 impl Eval<'_> {
-    /// Appends a value backed by the next buffer and returns it with the
-    /// earlier values: an op's inputs always precede its output, so they
-    /// sit in buffers before the one being written.
-    fn output(&mut self) -> (Var, Values<'_>, &mut Tensor) {
+    /// Appends a value backed by the arena's next buffer and returns it with
+    /// the earlier values and the scratch's auxiliary buffer: an op's inputs
+    /// always precede its output.
+    fn output_and_aux(&mut self) -> (Var, Values<'_>, &mut Tensor, &mut Tensor) {
         let s = &mut *self.scratch;
-        if self.used == s.buffers.len() {
-            s.buffers.push(Tensor::empty());
-        }
-        s.slots.push(Slot::Buffer(self.used));
-        let (done, rest) = s.buffers.split_at_mut(self.used);
-        self.used += 1;
-        let values = Values { params: self.params, slots: &s.slots, buffers: done };
-        (Var(s.slots.len() - 1), values, &mut rest[0])
+        s.slots.push(Slot::Value(s.values.len()));
+        let (values, out) = s.values.push();
+        let earlier = Values { params: self.params, slots: &s.slots, values };
+        (Var(s.slots.len() - 1), earlier, out, &mut s.aux)
+    }
+
+    /// [`output_and_aux`](Self::output_and_aux) for an op that needs no
+    /// auxiliary buffer.
+    fn output(&mut self) -> (Var, Values<'_>, &mut Tensor) {
+        let (var, values, out, _) = self.output_and_aux();
+        (var, values, out)
     }
 
     /// Holds a constant input.
@@ -83,7 +88,7 @@ impl Eval<'_> {
 impl Recorder for Eval<'_> {
     fn value(&self, v: Var) -> &Tensor {
         let s = &*self.scratch;
-        Values { params: self.params, slots: &s.slots, buffers: &s.buffers }.get(v)
+        Values { params: self.params, slots: &s.slots, values: s.values.values() }.get(v)
     }
 
     fn leaf_concat(&mut self, parts: &[&Tensor]) -> Var {
@@ -207,14 +212,17 @@ impl Recorder for Eval<'_> {
     }
 
     fn normalize_rows(&mut self, a: Var, eps: f32) -> Var {
-        let (var, v, out) = self.output();
-        *out = recorder::normalize_rows(v.get(a), eps).0;
+        let (var, v, out, inv_std) = self.output_and_aux();
+        recorder::normalize_rows_into(v.get(a), eps, inv_std, out);
         var
     }
 
-    fn dropout(&mut self, a: Var, mask: Tensor) -> Var {
-        let (var, v, out) = self.output();
-        v.get(a).mul_into(&mask, out);
+    fn dropout(&mut self, a: Var, fill: impl FnOnce(&mut [f32])) -> Var {
+        let (var, v, out, mask) = self.output_and_aux();
+        let x = v.get(a);
+        mask.reset(x.shape());
+        fill(mask.data_mut());
+        x.mul_into(mask, out);
         var
     }
 
@@ -257,8 +265,7 @@ mod tests {
         let sum = rec.add(g, p);
         let k = rec.sum_cols_keep(sum);
         let cat = rec.concat_cols(&[k, sum, e]);
-        let mask = Tensor::full(rec.value(cat).shape(), 2.0);
-        rec.dropout(cat, mask)
+        rec.dropout(cat, |mask| mask.fill(2.0))
     }
 
     #[test]
@@ -299,6 +306,6 @@ mod tests {
         };
         let first = run(&mut scratch);
         assert_eq!(run(&mut scratch), first, "the output buffer moved");
-        assert_eq!(scratch.buffers.len(), 2, "a parameter read took a buffer");
+        assert_eq!(scratch.values.buffers(), 2, "a parameter read took a buffer");
     }
 }

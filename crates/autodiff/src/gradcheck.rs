@@ -114,7 +114,7 @@ mod tests {
             let z = tape.gemm(h, w2, false, false);
             let z = tape.add_row(z, b2);
             let z = tape.reshape(z, &[5]);
-            tape.bce_with_logits_mean(z, labels.clone())
+            tape.bce_with_logits_mean(z, labels.data())
         });
     }
 

@@ -13,8 +13,12 @@
 //! A forward pass is written once, generic over the [`Recorder`] trait.
 //! Training runs it on a [`Tape`]; serving and evaluation run it on an
 //! [`Eval`], which keeps values only — no parameter copies, no recorded
-//! ops, buffers reused across passes ([`EvalScratch`]). Both recorders
-//! call one function per op, so the values are the same bits.
+//! ops. Both recorders call one function per op, so the values are the
+//! same bits, and both write the `k`-th value of a pass into the `k`-th
+//! buffer of an arena they keep across passes: a [`Tape`] that is
+//! [`reset`](Tape::reset) and differentiated into a kept [`Grads`]
+//! ([`Tape::backward_into`]) repeats a training step without allocating,
+//! as an [`EvalScratch`] repeats an evaluation pass.
 //!
 //! The op set (~25 ops) is exactly what the ten CTR architectures in
 //! `mamdr-models` need: dense layers, embedding gather, attention
@@ -39,6 +43,7 @@
 //! assert_eq!(grads[0].data(), &[1.0, 2.0]);
 //! ```
 
+mod arena;
 pub mod eval;
 pub mod gradcheck;
 pub mod grads;

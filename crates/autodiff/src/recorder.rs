@@ -6,8 +6,10 @@
 //! * [`Tape`](crate::Tape) records every value *and* the op that made it,
 //!   so [`Tape::backward`](crate::Tape::backward) can replay it in reverse;
 //! * [`Eval`](crate::Eval) keeps values only: it borrows parameters instead
-//!   of copying them, records no op, and reuses its buffers from one pass
-//!   to the next.
+//!   of copying them and records no op.
+//!
+//! Both keep their values in the same kind of arena, reused from one pass
+//! to the next.
 //!
 //! Each op's forward arithmetic lives in one function that both recorders
 //! call — a `mamdr_tensor` kernel (`Tensor::add` is a fresh tensor plus
@@ -102,8 +104,9 @@ pub trait Recorder {
     /// variance under the batch's own statistics.
     fn normalize_rows(&mut self, a: Var, eps: f32) -> Var;
 
-    /// Applies a precomputed dropout mask (already scaled by `1/(1-p)`).
-    fn dropout(&mut self, a: Var, mask: Tensor) -> Var;
+    /// Multiplies `a` by a dropout mask (already scaled by `1/(1-p)`) that
+    /// `fill` writes into a kept buffer of `a`'s element count.
+    fn dropout(&mut self, a: Var, fill: impl FnOnce(&mut [f32])) -> Var;
 
     /// Reshapes a value (element count preserved).
     fn reshape(&mut self, a: Var, shape: &[usize]) -> Var;
@@ -120,25 +123,34 @@ pub(crate) fn square(x: f32) -> f32 {
 }
 
 /// The forward arithmetic of [`Recorder::normalize_rows`]: the normalized
-/// `[m,n]` matrix and the per-column `1/std` the tape keeps for the reverse
-/// pass.
-pub(crate) fn normalize_rows(x: &Tensor, eps: f32) -> (Tensor, Tensor) {
+/// `[m,n]` matrix into `out`, and into `inv_std` the per-column `1/std` the
+/// tape keeps for the reverse pass.
+///
+/// `inv_std` holds the column means first; `out` holds `x − mean` while the
+/// variances are summed from it.
+pub(crate) fn normalize_rows_into(x: &Tensor, eps: f32, inv_std: &mut Tensor, out: &mut Tensor) {
     let (m, n) = x.matrix_dims();
-    let mean = x.sum_rows().scale(1.0 / m as f32);
-    let mut var = vec![0.0f32; n];
+    x.sum_rows_into(inv_std);
+    inv_std.map_inplace(|s| s * (1.0 / m as f32));
+    out.reset(&[m, n]);
+    let (xs, stat, o) = (x.data(), inv_std.data_mut(), out.data_mut());
     for i in 0..m {
-        for (j, v) in var.iter_mut().enumerate() {
-            let d = x.at(i, j) - mean.data()[j];
+        for j in 0..n {
+            o[i * n + j] = xs[i * n + j] - stat[j];
+        }
+    }
+    stat.fill(0.0);
+    for i in 0..m {
+        for (v, &d) in stat.iter_mut().zip(&o[i * n..(i + 1) * n]) {
             *v += d * d;
         }
     }
-    let inv_std =
-        Tensor::from_vec([n], var.iter().map(|&v| 1.0 / (v / m as f32 + eps).sqrt()).collect());
-    let mut out = Tensor::zeros([m, n]);
+    for v in stat.iter_mut() {
+        *v = 1.0 / (*v / m as f32 + eps).sqrt();
+    }
     for i in 0..m {
-        for j in 0..n {
-            *out.at_mut(i, j) = (x.at(i, j) - mean.data()[j]) * inv_std.data()[j];
+        for (o, &s) in o[i * n..(i + 1) * n].iter_mut().zip(stat.iter()) {
+            *o *= s;
         }
     }
-    (out, inv_std)
 }

@@ -1,15 +1,19 @@
 //! The autodiff tape: op recording and the reverse pass.
 
+use crate::arena::Arena;
 use crate::grads::Grads;
 use crate::recorder::{self, Recorder, Var};
 use mamdr_tensor::{Act, Tensor};
+use std::ops::Range;
 
 /// Numerically stable logistic sigmoid (re-exported from `mamdr-tensor`,
 /// where the fused kernels need it; the old path keeps working).
 pub use mamdr_tensor::stable_sigmoid;
 
-/// One recorded operation. Aux tensors needed by the backward rule (dropout
-/// masks, labels, normalization scales) are stored inline.
+/// One recorded operation. What the backward rule reads beside the values
+/// lives in the tape's kept storage: ids and concat parts as ranges of its
+/// lists, dropout masks, labels and normalization scales as indices into
+/// its auxiliary arena.
 enum Op {
     /// Constant input: no gradient flows past it.
     Leaf,
@@ -21,7 +25,7 @@ enum Op {
     /// per distinct id, see [`crate::RowGrad`]).
     GatherParam {
         param: usize,
-        ids: Vec<u32>,
+        ids: Range<usize>,
         table_shape: [usize; 2],
     },
     Add {
@@ -99,7 +103,7 @@ enum Op {
         a: Var,
     },
     ConcatCols {
-        parts: Vec<Var>,
+        parts: Range<usize>,
     },
     SliceCols {
         a: Var,
@@ -115,17 +119,17 @@ enum Op {
     /// moving statistics are used at serving time).
     NormalizeRows {
         a: Var,
-        inv_std: Tensor,
+        inv_std: usize,
     },
     Dropout {
         a: Var,
-        mask: Tensor,
+        mask: usize,
     },
     /// Mean binary cross-entropy with logits; `labels` has the same number of
     /// elements as the logits node.
     BceWithLogitsMean {
         logits: Var,
-        labels: Tensor,
+        labels: usize,
     },
     Reshape {
         a: Var,
@@ -133,8 +137,9 @@ enum Op {
 }
 
 impl Op {
-    /// Calls `f` with every node this op reads.
-    fn for_each_input(&self, mut f: impl FnMut(Var)) {
+    /// Calls `f` with every node this op reads; `parts` is the tape's list
+    /// of concat parts.
+    fn for_each_input(&self, parts: &[Var], mut f: impl FnMut(Var)) {
         match self {
             Op::Leaf | Op::Param { .. } | Op::GatherParam { .. } => {}
             Op::Add { a, b } | Op::Sub { a, b } | Op::Mul { a, b } | Op::Gemm { a, b, .. } => {
@@ -156,7 +161,7 @@ impl Op {
                     f(*bias);
                 }
             }
-            Op::ConcatCols { parts } => parts.iter().copied().for_each(f),
+            Op::ConcatCols { parts: range } => parts[range.clone()].iter().copied().for_each(f),
             Op::BceWithLogitsMean { logits, .. } => f(*logits),
             Op::Transpose { a }
             | Op::Relu { a }
@@ -182,97 +187,136 @@ impl Op {
 ///
 /// Construction order is the topological order: ops may only reference
 /// earlier [`Var`]s, so the backward pass is a single reverse sweep.
+///
+/// A tape kept across passes ([`Tape::reset`]) keeps all of its storage:
+/// node `k`'s value goes into the `k`-th buffer of its value arena, and the
+/// reverse pass writes node `k`'s adjoint into the `k`-th buffer of a
+/// second one. Repeating a pass of the same shape at the same or a smaller
+/// batch allocates nothing but what its GEMMs pack.
+#[derive(Default)]
 pub struct Tape {
-    values: Vec<Tensor>,
+    /// Node `k`'s value is the arena's `k`-th.
+    values: Arena,
     ops: Vec<Op>,
     /// Per node: does any parameter feed it? The reverse pass forms no
     /// adjoint for a node without one — it could only be dropped at a leaf.
     needs_grad: Vec<bool>,
-}
-
-impl Default for Tape {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// What the reverse pass reads beside the values: dropout masks,
+    /// labels, normalization scales.
+    aux: Arena,
+    /// Every gather's ids, back to back.
+    ids: Vec<u32>,
+    /// Every concat's parts, back to back.
+    parts: Vec<Var>,
+    adjoints: Adjoints,
 }
 
 impl Tape {
     /// An empty tape.
     pub fn new() -> Self {
-        Tape { values: Vec::new(), ops: Vec::new(), needs_grad: Vec::new() }
+        Self::default()
+    }
+
+    /// Forgets every recorded node, keeping all storage for the next pass.
+    pub fn reset(&mut self) {
+        self.values.clear();
+        self.ops.clear();
+        self.needs_grad.clear();
+        self.aux.clear();
+        self.ids.clear();
+        self.parts.clear();
     }
 
     /// Number of recorded nodes.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.ops.len()
     }
 
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.ops.is_empty()
     }
 
-    fn push(&mut self, value: Tensor, op: Op) -> Var {
+    /// Records `op` as the node whose value was just written into the
+    /// value arena's next buffer.
+    fn finish(&mut self, op: Op) -> Var {
         let mut needs_grad = matches!(op, Op::Param { .. } | Op::GatherParam { .. });
-        op.for_each_input(|v| needs_grad |= self.needs_grad[v.0]);
-        self.values.push(value);
+        op.for_each_input(&self.parts, |v| needs_grad |= self.needs_grad[v.0]);
         self.ops.push(op);
         self.needs_grad.push(needs_grad);
-        Var(self.values.len() - 1)
+        debug_assert_eq!(self.ops.len(), self.values.len(), "a node without a value");
+        Var(self.ops.len() - 1)
     }
 
     /// Records a constant input (no gradient).
     pub fn leaf(&mut self, value: Tensor) -> Var {
-        self.push(value, Op::Leaf)
+        *self.values.push().1 = value;
+        self.finish(Op::Leaf)
     }
 
     /// General matrix product `op(a) @ op(b)`, transposing either operand
     /// without materializing the transpose (see [`Tensor::gemm`]).
     pub fn gemm(&mut self, a: Var, b: Var, lhs_t: bool, rhs_t: bool) -> Var {
-        let v = self.values[a.0].gemm(&self.values[b.0], lhs_t, rhs_t);
-        self.push(v, Op::Gemm { a, b, lhs_t, rhs_t })
+        let (v, out) = self.values.push();
+        v[a.0].gemm_into(&v[b.0], lhs_t, rhs_t, out);
+        self.finish(Op::Gemm { a, b, lhs_t, rhs_t })
     }
 
     /// Adds a constant to every element.
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let v = self.values[a.0].map(|x| x + c);
-        self.push(v, Op::AddScalar { a })
+        let (v, out) = self.values.push();
+        v[a.0].map_into(|x| x + c, out);
+        self.finish(Op::AddScalar { a })
     }
 
     /// Sum of all elements, producing a scalar node.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(self.values[a.0].sum());
-        self.push(v, Op::SumAll { a })
+        let (v, out) = self.values.push();
+        let sum = v[a.0].sum();
+        out.reset(&[]);
+        out.data_mut()[0] = sum;
+        self.finish(Op::SumAll { a })
     }
 
     /// Mean of all elements, producing a scalar node.
     pub fn mean_all(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(self.values[a.0].mean());
-        self.push(v, Op::MeanAll { a })
+        let (v, out) = self.values.push();
+        let mean = v[a.0].mean();
+        out.reset(&[]);
+        out.data_mut()[0] = mean;
+        self.finish(Op::MeanAll { a })
     }
 
     /// Sums each column of `[m,n]`, producing `[1,n]`.
     pub fn sum_rows_keep(&mut self, a: Var) -> Var {
-        let (_, n) = self.values[a.0].matrix_dims();
-        let v = self.values[a.0].sum_rows().reshape([1, n]);
-        self.push(v, Op::SumRowsKeep { a })
+        let (v, out) = self.values.push();
+        v[a.0].sum_rows_into(out);
+        let n = out.numel();
+        out.set_shape(&[1, n]);
+        self.finish(Op::SumRowsKeep { a })
     }
 
     /// Mean binary cross-entropy with logits (numerically stable).
     ///
-    /// `labels` must contain {0,1} values with the same element count as the
-    /// logits node. Produces a scalar node.
-    pub fn bce_with_logits_mean(&mut self, logits: Var, labels: Tensor) -> Var {
-        let z = &self.values[logits.0];
-        assert_eq!(z.numel(), labels.numel(), "labels/logits length mismatch");
+    /// `labels` must contain {0,1} values, as many as the logits node has
+    /// elements; the tape keeps a copy. Produces a scalar node.
+    pub fn bce_with_logits_mean(&mut self, logits: Var, labels: &[f32]) -> Var {
+        let kept = self.aux.len();
+        let (_, y) = self.aux.push();
+        y.reset(&[labels.len()]);
+        y.data_mut().copy_from_slice(labels);
+        let (v, out) = self.values.push();
+        let z = &v[logits.0];
+        assert_eq!(z.numel(), labels.len(), "labels/logits length mismatch");
         let n = z.numel().max(1) as f32;
         let mut total = 0.0f32;
-        for (&zi, &yi) in z.data().iter().zip(labels.data()) {
+        for (&zi, &yi) in z.data().iter().zip(labels) {
             // max(z,0) - z*y + ln(1 + exp(-|z|))
             total += zi.max(0.0) - zi * yi + (-zi.abs()).exp().ln_1p();
         }
-        let v = Tensor::scalar(total / n);
-        self.push(v, Op::BceWithLogitsMean { logits, labels })
+        out.reset(&[]);
+        out.data_mut()[0] = total / n;
+        self.finish(Op::BceWithLogitsMean { logits, labels: kept })
     }
 
     /// Runs the reverse pass from scalar node `loss`.
@@ -281,238 +325,226 @@ impl Tape {
     /// participated in the forward pass: a dense tensor for each parameter
     /// read whole, and the touched rows of each gathered table.
     pub fn backward(&mut self, loss: Var) -> Grads {
-        assert_eq!(self.values[loss.0].numel(), 1, "backward requires a scalar loss");
-        let n = self.values.len();
-        let mut adj = Adjoints { slots: vec![None; n], needs_grad: &self.needs_grad };
-        adj.slots[loss.0] = Some(Tensor::scalar(1.0));
         let mut grads = Grads::default();
+        self.backward_into(loss, &mut grads);
+        grads
+    }
 
-        for idx in (0..=loss.0).rev() {
-            let d = match adj.slots[idx].take() {
-                Some(d) => d,
-                None => continue,
+    /// [`backward`](Self::backward) into a kept `grads`, whose previous
+    /// contents are forgotten and whose buffers are reused. The adjoints go
+    /// into the tape's own kept arena.
+    pub fn backward_into(&mut self, loss: Var, grads: &mut Grads) {
+        let values = self.values.values();
+        assert_eq!(values[loss.0].numel(), 1, "backward requires a scalar loss");
+        grads.clear();
+        let adj = &mut self.adjoints;
+        let n = loss.0 + 1;
+        if adj.bufs.len() < n {
+            adj.bufs.resize_with(n, Tensor::empty);
+        }
+        adj.live.clear();
+        adj.live.resize(n, false);
+        adj.bufs[loss.0].reset(&[]);
+        adj.bufs[loss.0].data_mut()[0] = 1.0;
+        adj.live[loss.0] = true;
+
+        for idx in (0..n).rev() {
+            if !std::mem::take(&mut adj.live[idx]) {
+                continue;
+            }
+            let (before, rest) = adj.bufs.split_at_mut(idx);
+            let d = &rest[0];
+            let mut sink = Sink {
+                adjoints: before,
+                live: &mut adj.live[..idx],
+                needs_grad: &self.needs_grad,
+                tmp: &mut adj.tmp,
             };
             match &self.ops[idx] {
                 Op::Leaf => {}
                 Op::Param { param } => grads.add_dense(*param, d),
                 Op::GatherParam { param, ids, table_shape } => {
-                    grads.add_rows(*param, *table_shape, ids, &d)
+                    grads.add_rows(*param, *table_shape, &self.ids[ids.clone()], d)
                 }
-                Op::Add { a, b } => {
-                    let (a, b) = (*a, *b);
-                    accumulate(&mut adj, b, d.clone());
-                    accumulate(&mut adj, a, d);
+                &Op::Add { a, b } => {
+                    sink.add(b, |o| o.copy_from(d));
+                    sink.add(a, |o| o.copy_from(d));
                 }
-                Op::Sub { a, b } => {
-                    let (a, b) = (*a, *b);
-                    accumulate(&mut adj, b, d.scale(-1.0));
-                    accumulate(&mut adj, a, d);
+                &Op::Sub { a, b } => {
+                    sink.add(b, |o| d.scale_into(-1.0, o));
+                    sink.add(a, |o| o.copy_from(d));
                 }
-                Op::Mul { a, b } => {
-                    let (a, b) = (*a, *b);
-                    let da = d.mul(&self.values[b.0]);
-                    let db = d.mul(&self.values[a.0]);
-                    accumulate(&mut adj, a, da);
-                    accumulate(&mut adj, b, db);
+                &Op::Mul { a, b } => {
+                    sink.add(a, |o| d.mul_into(&values[b.0], o));
+                    sink.add(b, |o| d.mul_into(&values[a.0], o));
                 }
-                Op::AddRow { a, row } => {
-                    let (a, row) = (*a, *row);
-                    let drow_flat = d.sum_rows();
-                    let drow = reshape_like(drow_flat, &self.values[row.0]);
-                    accumulate(&mut adj, a, d);
-                    accumulate(&mut adj, row, drow);
+                &Op::AddRow { a, row } => {
+                    sink.add(a, |o| o.copy_from(d));
+                    sink.add(row, |o| {
+                        d.sum_rows_into(o);
+                        o.set_shape(values[row.0].shape());
+                    });
                 }
-                Op::MulCol { a, col } => {
-                    let (a, col) = (*a, *col);
-                    let da = d.mul_col_broadcast(&self.values[col.0]);
-                    let dcol_flat = d.mul(&self.values[a.0]).sum_cols();
-                    let dcol = reshape_like(dcol_flat, &self.values[col.0]);
-                    accumulate(&mut adj, a, da);
-                    accumulate(&mut adj, col, dcol);
+                &Op::MulCol { a, col } => {
+                    sink.add(a, |o| d.mul_col_broadcast_into(&values[col.0], o));
+                    sink.add(col, |o| {
+                        // Σ_j d ⊙ a per row: the products rounded, then
+                        // summed from 0.0 in column order.
+                        let (m, n_cols) = d.matrix_dims();
+                        o.reset(values[col.0].shape());
+                        let rows = d.data().chunks_exact(n_cols.max(1));
+                        let a_rows = values[a.0].data().chunks_exact(n_cols.max(1));
+                        for ((o, g), x) in o.data_mut()[..m].iter_mut().zip(rows).zip(a_rows) {
+                            let mut acc = 0.0f32;
+                            for (&g, &x) in g.iter().zip(x) {
+                                acc += g * x;
+                            }
+                            *o = acc;
+                        }
+                    });
                 }
-                Op::Gemm { a, b, lhs_t, rhs_t } => {
-                    let (a, b, lhs_t, rhs_t) = (*a, *b, *lhs_t, *rhs_t);
+                &Op::Gemm { a, b, lhs_t, rhs_t } => {
                     // With C = op(a) @ op(b): dA' = d @ op(b)ᵀ and
                     // dB' = op(a)ᵀ @ d; a transposed operand receives the
                     // transposed adjoint, which the flags express without
                     // ever materializing a transpose.
-                    if self.needs_grad[a.0] {
-                        let da = if lhs_t {
-                            self.values[b.0].gemm(&d, rhs_t, true)
+                    sink.add(a, |o| {
+                        if lhs_t {
+                            values[b.0].gemm_into(d, rhs_t, true, o)
                         } else {
-                            d.gemm(&self.values[b.0], false, !rhs_t)
-                        };
-                        accumulate(&mut adj, a, da);
-                    }
-                    if self.needs_grad[b.0] {
-                        let db = if rhs_t {
-                            d.gemm(&self.values[a.0], true, lhs_t)
+                            d.gemm_into(&values[b.0], false, !rhs_t, o)
+                        }
+                    });
+                    sink.add(b, |o| {
+                        if rhs_t {
+                            d.gemm_into(&values[a.0], true, lhs_t, o)
                         } else {
-                            self.values[a.0].gemm(&d, !lhs_t, false)
-                        };
-                        accumulate(&mut adj, b, db);
-                    }
+                            values[a.0].gemm_into(d, !lhs_t, false, o)
+                        }
+                    });
                 }
-                Op::Dense { x, w, bias, act } => {
-                    let (x, w, bias, act) = (*x, *w, *bias, *act);
+                &Op::Dense { x, w, bias, act } => {
                     // The stored output y = act(z) determines act'(z)
                     // exactly: relu's y > 0 ⟺ z > 0, and sigmoid/tanh
                     // derivatives are functions of y — so dz matches the
                     // unfused chain bit for bit.
-                    let y = &self.values[idx];
-                    let dz = match act {
+                    let y = &values[idx];
+                    let dz = &mut adj.dz;
+                    let dz: &Tensor = match act {
                         Act::Linear => d,
-                        Act::Relu => d.zip(y, |g, yv| if yv > 0.0 { g } else { 0.0 }),
-                        Act::Sigmoid => d.zip(y, |g, s| g * s * (1.0 - s)),
-                        Act::Tanh => d.zip(y, |g, t| g * (1.0 - t * t)),
+                        Act::Relu => {
+                            d.zip_into(y, |g, yv| if yv > 0.0 { g } else { 0.0 }, dz);
+                            dz
+                        }
+                        Act::Sigmoid => {
+                            d.zip_into(y, |g, s| g * s * (1.0 - s), dz);
+                            dz
+                        }
+                        Act::Tanh => {
+                            d.zip_into(y, |g, t| g * (1.0 - t * t), dz);
+                            dz
+                        }
                     };
-                    if self.needs_grad[x.0] {
-                        accumulate(&mut adj, x, dz.gemm(&self.values[w.0], false, true));
-                    }
-                    if self.needs_grad[w.0] {
-                        accumulate(&mut adj, w, self.values[x.0].gemm(&dz, true, false));
-                    }
+                    sink.add(x, |o| dz.gemm_into(&values[w.0], false, true, o));
+                    sink.add(w, |o| values[x.0].gemm_into(dz, true, false, o));
                     if let Some(bias) = bias {
-                        let db = reshape_like(dz.sum_rows(), &self.values[bias.0]);
-                        accumulate(&mut adj, bias, db);
+                        sink.add(bias, |o| {
+                            dz.sum_rows_into(o);
+                            o.set_shape(values[bias.0].shape());
+                        });
                     }
                 }
-                Op::Transpose { a } => {
-                    let a = *a;
-                    accumulate(&mut adj, a, d.transpose());
+                &Op::Transpose { a } => sink.add(a, |o| d.transpose_into(o)),
+                &Op::Relu { a } => sink
+                    .add(a, |o| d.zip_into(&values[a.0], |g, x| if x > 0.0 { g } else { 0.0 }, o)),
+                &Op::Sigmoid { a } => {
+                    sink.add(a, |o| d.zip_into(&values[idx], |g, s| g * s * (1.0 - s), o))
                 }
-                Op::Relu { a } => {
-                    let a = *a;
-                    let da = d.zip(&self.values[a.0], |g, x| if x > 0.0 { g } else { 0.0 });
-                    accumulate(&mut adj, a, da);
+                &Op::Tanh { a } => {
+                    sink.add(a, |o| d.zip_into(&values[idx], |g, t| g * (1.0 - t * t), o))
                 }
-                Op::Sigmoid { a } => {
-                    let a = *a;
-                    let da = d.zip(&self.values[idx], |g, s| g * s * (1.0 - s));
-                    accumulate(&mut adj, a, da);
+                &Op::Square { a } => {
+                    sink.add(a, |o| d.zip_into(&values[a.0], |g, x| g * 2.0 * x, o))
                 }
-                Op::Tanh { a } => {
-                    let a = *a;
-                    let da = d.zip(&self.values[idx], |g, t| g * (1.0 - t * t));
-                    accumulate(&mut adj, a, da);
-                }
-                Op::Square { a } => {
-                    let a = *a;
-                    let da = d.zip(&self.values[a.0], |g, x| g * 2.0 * x);
-                    accumulate(&mut adj, a, da);
-                }
-                Op::ScalarMul { a, c } => {
-                    let (a, c) = (*a, *c);
-                    accumulate(&mut adj, a, d.scale(c));
-                }
-                Op::AddScalar { a } => {
-                    let a = *a;
-                    accumulate(&mut adj, a, d);
-                }
-                Op::SumAll { a } => {
-                    let a = *a;
-                    let g = d.item();
-                    let da = Tensor::full(self.values[a.0].shape(), g);
-                    accumulate(&mut adj, a, da);
-                }
-                Op::MeanAll { a } => {
-                    let a = *a;
-                    let n_el = self.values[a.0].numel().max(1) as f32;
-                    let da = Tensor::full(self.values[a.0].shape(), d.item() / n_el);
-                    accumulate(&mut adj, a, da);
-                }
-                Op::SumColsKeep { a } => {
-                    let a = *a;
-                    let (m, n_cols) = self.values[a.0].matrix_dims();
-                    let mut da = Tensor::zeros([m, n_cols]);
-                    for i in 0..m {
-                        let g = d.data()[i];
-                        for j in 0..n_cols {
-                            *da.at_mut(i, j) = g;
-                        }
+                &Op::ScalarMul { a, c } => sink.add(a, |o| d.scale_into(c, o)),
+                &Op::AddScalar { a } => sink.add(a, |o| o.copy_from(d)),
+                &Op::SumAll { a } => sink.add(a, |o| {
+                    o.reset(values[a.0].shape());
+                    o.data_mut().fill(d.item());
+                }),
+                &Op::MeanAll { a } => sink.add(a, |o| {
+                    let n_el = values[a.0].numel().max(1) as f32;
+                    o.reset(values[a.0].shape());
+                    o.data_mut().fill(d.item() / n_el);
+                }),
+                &Op::SumColsKeep { a } => sink.add(a, |o| {
+                    let (m, n_cols) = values[a.0].matrix_dims();
+                    o.reset(&[m, n_cols]);
+                    for (row, &g) in o.data_mut().chunks_exact_mut(n_cols.max(1)).zip(d.data()) {
+                        row.fill(g);
                     }
-                    accumulate(&mut adj, a, da);
-                }
-                Op::SumRowsKeep { a } => {
-                    let a = *a;
-                    let (m, n_cols) = self.values[a.0].matrix_dims();
-                    let mut da = Tensor::zeros([m, n_cols]);
-                    for i in 0..m {
-                        for j in 0..n_cols {
-                            *da.at_mut(i, j) = d.data()[j];
-                        }
+                }),
+                &Op::SumRowsKeep { a } => sink.add(a, |o| {
+                    let (m, n_cols) = values[a.0].matrix_dims();
+                    o.reset(&[m, n_cols]);
+                    for row in o.data_mut().chunks_exact_mut(n_cols.max(1)) {
+                        row.copy_from_slice(&d.data()[..n_cols]);
                     }
-                    accumulate(&mut adj, a, da);
-                }
+                }),
                 Op::ConcatCols { parts } => {
-                    let parts = parts.clone();
                     let mut start = 0usize;
-                    for p in parts {
-                        let w = self.values[p.0].matrix_dims().1;
-                        let dp = d.slice_cols(start, w);
+                    for &p in &self.parts[parts.clone()] {
+                        let w = values[p.0].matrix_dims().1;
+                        sink.add(p, |o| d.slice_cols_into(start, w, o));
                         start += w;
-                        accumulate(&mut adj, p, dp);
                     }
                 }
-                Op::SliceCols { a, start, len } => {
-                    let (a, start, len) = (*a, *start, *len);
-                    let (m, n_cols) = self.values[a.0].matrix_dims();
-                    let mut da = Tensor::zeros([m, n_cols]);
-                    for i in 0..m {
-                        for j in 0..len {
-                            *da.at_mut(i, start + j) = d.at(i, j);
-                        }
+                &Op::SliceCols { a, start, len } => sink.add(a, |o| {
+                    let (m, n_cols) = values[a.0].matrix_dims();
+                    o.reset(&[m, n_cols]);
+                    let rows = o.data_mut().chunks_exact_mut(n_cols.max(1));
+                    for (row, g) in rows.zip(d.data().chunks_exact(len.max(1))) {
+                        row[start..start + len].copy_from_slice(g);
                     }
-                    accumulate(&mut adj, a, da);
-                }
-                Op::SoftmaxRows { a } => {
-                    let a = *a;
-                    let y = &self.values[idx];
+                }),
+                &Op::SoftmaxRows { a } => sink.add(a, |o| {
+                    let y = &values[idx];
                     let (m, n_cols) = y.matrix_dims();
-                    let mut da = Tensor::zeros([m, n_cols]);
-                    for i in 0..m {
+                    o.reset(&[m, n_cols]);
+                    let w = n_cols.max(1);
+                    let rows = o.data_mut().chunks_exact_mut(w);
+                    for ((row, g), y) in
+                        rows.zip(d.data().chunks_exact(w)).zip(y.data().chunks_exact(w))
+                    {
                         let mut dot = 0.0f32;
-                        for j in 0..n_cols {
-                            dot += d.at(i, j) * y.at(i, j);
+                        for (&g, &y) in g.iter().zip(y) {
+                            dot += g * y;
                         }
-                        for j in 0..n_cols {
-                            *da.at_mut(i, j) = y.at(i, j) * (d.at(i, j) - dot);
+                        for ((o, &g), &y) in row.iter_mut().zip(g).zip(y) {
+                            *o = y * (g - dot);
                         }
                     }
-                    accumulate(&mut adj, a, da);
+                }),
+                &Op::NormalizeRows { a, inv_std } => {
+                    sink.add(a, |o| d.mul_row_broadcast_into(self.aux.get(inv_std), o))
                 }
-                Op::NormalizeRows { a, inv_std } => {
-                    let a = *a;
-                    let da = d.mul_row_broadcast(inv_std);
-                    accumulate(&mut adj, a, da);
-                }
-                Op::Dropout { a, mask } => {
-                    let a = *a;
-                    let da = d.mul(mask);
-                    accumulate(&mut adj, a, da);
-                }
-                Op::BceWithLogitsMean { logits, labels } => {
-                    let logits = *logits;
-                    let n_el = self.values[logits.0].numel().max(1) as f32;
-                    let scale = d.item() / n_el;
-                    let z = &self.values[logits.0];
-                    let da_data: Vec<f32> = z
-                        .data()
-                        .iter()
-                        .zip(labels.data())
-                        .map(|(&zi, &yi)| scale * (stable_sigmoid(zi) - yi))
-                        .collect();
-                    let da = Tensor::from_vec(z.shape(), da_data);
-                    accumulate(&mut adj, logits, da);
-                }
-                Op::Reshape { a } => {
-                    let a = *a;
-                    let da = d.reshape(self.values[a.0].shape());
-                    accumulate(&mut adj, a, da);
-                }
+                &Op::Dropout { a, mask } => sink.add(a, |o| d.mul_into(self.aux.get(mask), o)),
+                &Op::BceWithLogitsMean { logits, labels } => sink.add(logits, |o| {
+                    let z = &values[logits.0];
+                    let scale = d.item() / z.numel().max(1) as f32;
+                    o.reset(z.shape());
+                    let pairs = z.data().iter().zip(self.aux.get(labels).data());
+                    for (o, (&zi, &yi)) in o.data_mut().iter_mut().zip(pairs) {
+                        *o = scale * (stable_sigmoid(zi) - yi);
+                    }
+                }),
+                &Op::Reshape { a } => sink.add(a, |o| {
+                    o.reset(values[a.0].shape());
+                    o.data_mut().copy_from_slice(d.data());
+                }),
             }
         }
-        grads
+        grads.finish();
     }
 }
 
@@ -520,149 +552,200 @@ impl Tape {
 /// copy, and a gather keeps its ids: the reverse pass needs both.
 impl Recorder for Tape {
     fn value(&self, v: Var) -> &Tensor {
-        &self.values[v.0]
+        self.values.get(v.0)
     }
 
     fn leaf_concat(&mut self, parts: &[&Tensor]) -> Var {
-        let v = Tensor::concat_cols(parts);
-        self.leaf(v)
+        Tensor::concat_cols_into(parts.iter().copied(), self.values.push().1);
+        self.finish(Op::Leaf)
     }
 
     /// Records a parameter copy; its adjoint becomes `grads[param]`.
     fn param(&mut self, param: usize, value: &Tensor) -> Var {
-        self.push(value.clone(), Op::Param { param })
+        self.values.push().1.copy_from(value);
+        self.finish(Op::Param { param })
     }
 
     /// Only the gathered rows are stored on the tape, and the backward pass
     /// returns only the touched rows' gradients ([`crate::RowGrad`]).
     fn gather_param(&mut self, param: usize, table: &Tensor, ids: &[u32]) -> Var {
         let (rows, dim) = table.matrix_dims();
-        let value = table.gather_rows(ids);
-        self.push(value, Op::GatherParam { param, ids: ids.to_vec(), table_shape: [rows, dim] })
+        table.gather_rows_into(ids, self.values.push().1);
+        let start = self.ids.len();
+        self.ids.extend_from_slice(ids);
+        self.finish(Op::GatherParam { param, ids: start..self.ids.len(), table_shape: [rows, dim] })
     }
 
     fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = self.values[a.0].add(&self.values[b.0]);
-        self.push(v, Op::Add { a, b })
+        let (v, out) = self.values.push();
+        v[a.0].add_into(&v[b.0], out);
+        self.finish(Op::Add { a, b })
     }
 
     fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self.values[a.0].sub(&self.values[b.0]);
-        self.push(v, Op::Sub { a, b })
+        let (v, out) = self.values.push();
+        v[a.0].sub_into(&v[b.0], out);
+        self.finish(Op::Sub { a, b })
     }
 
     fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.values[a.0].mul(&self.values[b.0]);
-        self.push(v, Op::Mul { a, b })
+        let (v, out) = self.values.push();
+        v[a.0].mul_into(&v[b.0], out);
+        self.finish(Op::Mul { a, b })
     }
 
     fn add_row(&mut self, a: Var, row: Var) -> Var {
-        let v = self.values[a.0].add_row_broadcast(&self.values[row.0]);
-        self.push(v, Op::AddRow { a, row })
+        let (v, out) = self.values.push();
+        v[a.0].add_row_broadcast_into(&v[row.0], out);
+        self.finish(Op::AddRow { a, row })
     }
 
     fn mul_col(&mut self, a: Var, col: Var) -> Var {
-        let v = self.values[a.0].mul_col_broadcast(&self.values[col.0]);
-        self.push(v, Op::MulCol { a, col })
+        let (v, out) = self.values.push();
+        v[a.0].mul_col_broadcast_into(&v[col.0], out);
+        self.finish(Op::MulCol { a, col })
     }
 
     /// One tape node with bit-identical values and gradients to recording
     /// the gemm, bias add and activation separately, but one intermediate
     /// instead of three.
     fn dense(&mut self, x: Var, w: Var, bias: Option<Var>, act: Act) -> Var {
-        let v =
-            self.values[x.0].gemm_bias_act(&self.values[w.0], bias.map(|b| &self.values[b.0]), act);
-        self.push(v, Op::Dense { x, w, bias, act })
+        let (v, out) = self.values.push();
+        v[x.0].gemm_bias_act_into(&v[w.0], bias.map(|b| &v[b.0]), act, out);
+        self.finish(Op::Dense { x, w, bias, act })
     }
 
     fn transpose(&mut self, a: Var) -> Var {
-        let v = self.values[a.0].transpose();
-        self.push(v, Op::Transpose { a })
+        let (v, out) = self.values.push();
+        v[a.0].transpose_into(out);
+        self.finish(Op::Transpose { a })
     }
 
     fn relu(&mut self, a: Var) -> Var {
-        let v = self.values[a.0].map(recorder::relu);
-        self.push(v, Op::Relu { a })
+        let (v, out) = self.values.push();
+        v[a.0].map_into(recorder::relu, out);
+        self.finish(Op::Relu { a })
     }
 
     fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.values[a.0].map(stable_sigmoid);
-        self.push(v, Op::Sigmoid { a })
+        let (v, out) = self.values.push();
+        v[a.0].map_into(stable_sigmoid, out);
+        self.finish(Op::Sigmoid { a })
     }
 
     fn tanh(&mut self, a: Var) -> Var {
-        let v = self.values[a.0].map(f32::tanh);
-        self.push(v, Op::Tanh { a })
+        let (v, out) = self.values.push();
+        v[a.0].map_into(f32::tanh, out);
+        self.finish(Op::Tanh { a })
     }
 
     fn square(&mut self, a: Var) -> Var {
-        let v = self.values[a.0].map(recorder::square);
-        self.push(v, Op::Square { a })
+        let (v, out) = self.values.push();
+        v[a.0].map_into(recorder::square, out);
+        self.finish(Op::Square { a })
     }
 
     fn scalar_mul(&mut self, a: Var, c: f32) -> Var {
-        let v = self.values[a.0].scale(c);
-        self.push(v, Op::ScalarMul { a, c })
+        let (v, out) = self.values.push();
+        v[a.0].scale_into(c, out);
+        self.finish(Op::ScalarMul { a, c })
     }
 
     fn sum_cols_keep(&mut self, a: Var) -> Var {
-        let (m, _) = self.values[a.0].matrix_dims();
-        let v = self.values[a.0].sum_cols().reshape([m, 1]);
-        self.push(v, Op::SumColsKeep { a })
+        let (v, out) = self.values.push();
+        v[a.0].sum_cols_into(out);
+        let m = out.numel();
+        out.set_shape(&[m, 1]);
+        self.finish(Op::SumColsKeep { a })
     }
 
     fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        let tensors: Vec<&Tensor> = parts.iter().map(|p| &self.values[p.0]).collect();
-        let v = Tensor::concat_cols(&tensors);
-        self.push(v, Op::ConcatCols { parts: parts.to_vec() })
+        let (v, out) = self.values.push();
+        Tensor::concat_cols_into(parts.iter().map(|p| &v[p.0]), out);
+        let start = self.parts.len();
+        self.parts.extend_from_slice(parts);
+        self.finish(Op::ConcatCols { parts: start..self.parts.len() })
     }
 
     fn slice_cols(&mut self, a: Var, start: usize, len: usize) -> Var {
-        let v = self.values[a.0].slice_cols(start, len);
-        self.push(v, Op::SliceCols { a, start, len })
+        let (v, out) = self.values.push();
+        v[a.0].slice_cols_into(start, len, out);
+        self.finish(Op::SliceCols { a, start, len })
     }
 
     fn softmax_rows(&mut self, a: Var) -> Var {
-        let v = self.values[a.0].softmax_rows();
-        self.push(v, Op::SoftmaxRows { a })
+        let (v, out) = self.values.push();
+        v[a.0].softmax_rows_into(out);
+        self.finish(Op::SoftmaxRows { a })
     }
 
     /// The batch statistics are treated as constants in the backward pass.
     fn normalize_rows(&mut self, a: Var, eps: f32) -> Var {
-        let (out, inv_std) = recorder::normalize_rows(&self.values[a.0], eps);
-        self.push(out, Op::NormalizeRows { a, inv_std })
+        let inv_std = self.aux.len();
+        let (_, scales) = self.aux.push();
+        let (v, out) = self.values.push();
+        recorder::normalize_rows_into(&v[a.0], eps, scales, out);
+        self.finish(Op::NormalizeRows { a, inv_std })
     }
 
-    fn dropout(&mut self, a: Var, mask: Tensor) -> Var {
-        let v = self.values[a.0].mul(&mask);
-        self.push(v, Op::Dropout { a, mask })
+    fn dropout(&mut self, a: Var, fill: impl FnOnce(&mut [f32])) -> Var {
+        let kept = self.aux.len();
+        let (_, mask) = self.aux.push();
+        let (v, out) = self.values.push();
+        mask.reset(v[a.0].shape());
+        fill(mask.data_mut());
+        v[a.0].mul_into(mask, out);
+        self.finish(Op::Dropout { a, mask: kept })
     }
 
     fn reshape(&mut self, a: Var, shape: &[usize]) -> Var {
-        let v = self.values[a.0].clone().reshape(shape);
-        self.push(v, Op::Reshape { a })
+        let (v, out) = self.values.push();
+        out.reset(shape);
+        out.data_mut().copy_from_slice(v[a.0].data());
+        self.finish(Op::Reshape { a })
     }
 }
 
-/// The reverse sweep's adjoint slots, beside the tape's `needs_grad` bits.
-struct Adjoints<'a> {
-    slots: Vec<Option<Tensor>>,
+/// The reverse pass's kept storage.
+#[derive(Default)]
+struct Adjoints {
+    /// Node `k`'s adjoint, while `live[k]`.
+    bufs: Vec<Tensor>,
+    live: Vec<bool>,
+    /// A contribution to an adjoint that already holds one.
+    tmp: Tensor,
+    /// A dense layer's pre-activation adjoint.
+    dz: Tensor,
+}
+
+/// Where a backward rule sends its contributions: the adjoints of the nodes
+/// before the one being differentiated.
+struct Sink<'a> {
+    adjoints: &'a mut [Tensor],
+    live: &'a mut [bool],
     needs_grad: &'a [bool],
+    tmp: &'a mut Tensor,
 }
 
-/// Adds `d` into the adjoint of `v`, or drops it when no parameter feeds `v`.
-fn accumulate(adj: &mut Adjoints<'_>, v: Var, d: Tensor) {
-    if !adj.needs_grad[v.0] {
-        return;
+impl Sink<'_> {
+    /// Adds the contribution `write` computes into the tensor it is handed
+    /// to the adjoint of `v`, or skips it when no parameter feeds `v`.
+    ///
+    /// The first contribution is written in place, never added to a zeroed
+    /// buffer: `0.0 + (−0.0)` is `+0.0`, so adding would change the bits a
+    /// `−0.0` adjoint carries.
+    fn add(&mut self, v: Var, write: impl FnOnce(&mut Tensor)) {
+        if !self.needs_grad[v.0] {
+            return;
+        }
+        if self.live[v.0] {
+            write(self.tmp);
+            self.adjoints[v.0].axpy(1.0, self.tmp);
+        } else {
+            write(&mut self.adjoints[v.0]);
+            self.live[v.0] = true;
+        }
     }
-    match &mut adj.slots[v.0] {
-        Some(existing) => existing.axpy(1.0, &d),
-        slot => *slot = Some(d),
-    }
-}
-
-fn reshape_like(t: Tensor, like: &Tensor) -> Tensor {
-    t.reshape(like.shape())
 }
 
 #[cfg(test)]
@@ -747,8 +830,7 @@ mod tests {
     fn bce_loss_and_grad() {
         let mut tape = Tape::new();
         let logits = tape.param(0, &Tensor::from_vec([2], vec![0.0, 10.0]));
-        let labels = Tensor::from_vec([2], vec![1.0, 1.0]);
-        let loss = tape.bce_with_logits_mean(logits, labels);
+        let loss = tape.bce_with_logits_mean(logits, &[1.0, 1.0]);
         // loss = (ln 2 + ~0)/2
         assert!((tape.value(loss).item() - 0.5 * std::f32::consts::LN_2).abs() < 1e-3);
         let grads = tape.backward(loss);
@@ -804,7 +886,9 @@ mod tests {
         let x = tape.leaf(Tensor::randn(&mut rng, [64, 4], 3.0, 2.0));
         let z = tape.normalize_rows(x, 1e-5);
         let zt = tape.value(z);
-        let col_mean = zt.sum_rows().scale(1.0 / 64.0);
+        let mut col_mean = Tensor::empty();
+        zt.sum_rows_into(&mut col_mean);
+        col_mean.map_inplace(|s| s / 64.0);
         assert!(col_mean.norm() < 1e-4, "col means {:?}", col_mean);
         let (m, n) = zt.matrix_dims();
         for j in 0..n {
@@ -822,10 +906,32 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.param(0, &Tensor::from_vec([4], vec![1., 1., 1., 1.]));
         let mask = Tensor::from_vec([4], vec![2.0, 0.0, 2.0, 0.0]);
-        let y = tape.dropout(x, mask.clone());
+        let y = tape.dropout(x, |m| m.copy_from_slice(mask.data()));
         let loss = tape.sum_all(y);
         let grads = tape.backward(loss);
         assert_eq!(grads[0].data(), mask.data());
+    }
+
+    #[test]
+    fn a_kept_tape_stores_each_first_adjoint_over_stale_buffers() {
+        // The second pass runs over buffers the first left non-zero. The
+        // parameter's adjoint is `1.0 · c`, so the gradient is `c` itself,
+        // `−0.0`s included: written in place, never added to a zero.
+        let c = Tensor::from_vec([2, 2], vec![-0.0, 2.0, -3.0, -0.0]);
+        let (mut tape, mut grads) = (Tape::new(), Grads::default());
+        for (p, w) in
+            [(Tensor::ones([3, 3]), Tensor::full([3, 3], 5.0)), (Tensor::ones([2, 2]), c.clone())]
+        {
+            tape.reset();
+            let x = tape.param(0, &p);
+            let w = tape.leaf(w);
+            let y = tape.mul(x, w);
+            let loss = tape.sum_all(y);
+            tape.backward_into(loss, &mut grads);
+        }
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&grads[0]), bits(&c), "a −0.0 gradient lost its sign");
+        assert_eq!((tape.len(), grads.len()), (4, 1));
     }
 
     #[test]

@@ -66,7 +66,7 @@ proptest! {
         );
         assert_gradients_match(&[logits], EPS, TOL, |tape, ps| {
             let z = tape.param(0, &ps[0]);
-            tape.bce_with_logits_mean(z, labels.clone())
+            tape.bce_with_logits_mean(z, labels.data())
         });
     }
 

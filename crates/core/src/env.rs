@@ -7,11 +7,11 @@
 
 use crate::config::TrainConfig;
 use crate::metrics::auc;
-use mamdr_autodiff::EvalScratch;
+use mamdr_autodiff::{EvalScratch, Grads, Tape};
 use mamdr_data::{
     batches_for_domain, first_batches_for_domain, Batch, BatchPlan, MdrDataset, Split,
 };
-use mamdr_models::{eval_logits_into, loss_and_grads, CtrModel};
+use mamdr_models::{eval_logits_into, loss_and_grads_into, CtrModel};
 use mamdr_nn::{ForwardCtx, ParamStore, SparseGrad};
 use mamdr_obs::{ConflictSummary, EpochEvent, TrainMeta, TrainObserver};
 use mamdr_tensor::pool;
@@ -56,6 +56,10 @@ pub struct TrainEnv<'a> {
     pub rng: StdRng,
     init_flat: Vec<f32>,
     scratch: ParamStore,
+    /// The training tape and gradient every step reuses, so a warm step
+    /// allocates almost nothing.
+    tape: Tape,
+    grads: Grads,
     /// The sparse gradient [`grad_into`](Self::grad_into) densifies.
     sparse_scratch: SparseGrad,
     obs: Option<Box<dyn TrainObserver>>,
@@ -82,6 +86,8 @@ impl<'a> TrainEnv<'a> {
             rng: seeded(derive_seed(cfg.seed, 0xE17)),
             init_flat,
             scratch: init,
+            tape: Tape::new(),
+            grads: Grads::default(),
             sparse_scratch: SparseGrad::default(),
             obs: None,
             probe_rng: seeded(derive_seed(cfg.seed, 0x0B5)),
@@ -150,8 +156,15 @@ impl<'a> TrainEnv<'a> {
         } else {
             ForwardCtx::eval(&mut self.rng)
         };
-        let (loss, grads) = loss_and_grads(self.model, &self.scratch, batch, &mut ctx);
-        self.scratch.grads_write_sparse(&grads, out);
+        let loss = loss_and_grads_into(
+            self.model,
+            &self.scratch,
+            batch,
+            &mut ctx,
+            &mut self.tape,
+            &mut self.grads,
+        );
+        self.scratch.grads_write_sparse(&self.grads, out);
         // Telemetry accumulation reuses values training computed anyway
         // (plus one dot product) and touches no RNG; without an observer
         // the hot path pays this single branch.

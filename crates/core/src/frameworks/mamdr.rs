@@ -4,7 +4,7 @@
 use crate::env::{DomainParams, TrainEnv, TrainedModel};
 use crate::frameworks::alternate::alternate_epoch;
 use crate::frameworks::Framework;
-use mamdr_nn::{vecmath, Moved, SparseGrad};
+use mamdr_nn::{vecmath, Moved, Optimizer, Sgd, SparseGrad};
 use std::ops::Range;
 
 /// MAMDR with independently switchable components, covering the paper's
@@ -153,10 +153,11 @@ pub fn domain_negotiation_epoch_with(
 pub fn domain_regularization(env: &mut TrainEnv, shared: &[f32], specific_i: &mut [f32], i: usize) {
     let n_domains = env.n_domains();
     let k = env.cfg.dr_samples.min(n_domains.saturating_sub(1));
+    let mut lookahead = Lookahead::new(env, shared.len());
     if k == 0 {
         // Single-domain dataset: DR degenerates to finetuning on itself.
-        let tilde = dr_lookahead(env, shared, specific_i, &[i]);
-        vecmath::lerp_toward(specific_i, &tilde, env.cfg.dr_lr);
+        lookahead.run(env, shared, specific_i, &[i]);
+        vecmath::lerp_toward(specific_i, &lookahead.tilde, env.cfg.dr_lr);
         return;
     }
     // Sample k distinct helper domains j ≠ i.
@@ -165,62 +166,88 @@ pub fn domain_regularization(env: &mut TrainEnv, shared: &[f32], specific_i: &mu
     helpers.truncate(k);
 
     for j in helpers {
-        let tilde = dr_lookahead(env, shared, specific_i, &[j, i]);
-        vecmath::lerp_toward(specific_i, &tilde, env.cfg.dr_lr);
+        lookahead.run(env, shared, specific_i, &[j, i]);
+        vecmath::lerp_toward(specific_i, &lookahead.tilde, env.cfg.dr_lr);
     }
 }
 
-/// Runs the DR lookahead: clone the specific delta and train it on each
-/// listed domain in order (capped minibatch steps each), returning θ̃.
-///
-/// Θ = θS + θ̃ is composed once. A step's gradient touches a minibatch's
-/// embedding rows plus the dense layers, and plain SGD moves exactly those
-/// coordinates of θ̃ (the optimizer reports which), so only they are
-/// re-added — the same single f32 add as a fresh θS + θ̃, on the only
-/// coordinates where it could differ.
-fn dr_lookahead(
-    env: &mut TrainEnv,
-    shared: &[f32],
-    specific: &[f32],
-    domain_order: &[usize],
-) -> Vec<f32> {
-    let mut tilde = specific.to_vec();
-    // Algorithm 2 prescribes plain gradient steps (θ̃ ← θ̃ − α∇L). An
-    // adaptive optimizer would inject dense sign-normalized perturbations
-    // into every coordinate of the delta, which measurably hurts on
-    // many-domain datasets; SGD keeps the delta proportional to the actual
-    // gradient signal. The adaptive variant remains available behind
-    // `TrainConfig::dr_use_inner_optimizer` for the `ablation` bench.
-    let mut opt: Box<dyn mamdr_nn::Optimizer> = if env.cfg.dr_use_inner_optimizer {
-        env.cfg.inner.build(tilde.len())
-    } else {
-        Box::new(mamdr_nn::Sgd::new(dr_alpha(env), 0.0, 0))
-    };
-    let cap = env.cfg.dr_lookahead_batches.max(1);
-    let mut full = vecmath::add(shared, &tilde);
-    let mut grad = SparseGrad::default();
-    let recompose = |full: &mut [f32], tilde: &[f32], range: Range<usize>| {
-        for ((f, &s), &t) in
-            full[range.clone()].iter_mut().zip(&shared[range.clone()]).zip(&tilde[range])
-        {
-            *f = s + t;
+/// The DR lookahead's state, kept across the helpers of one
+/// [`domain_regularization`] call: θ̃, the composed Θ = θS + θ̃, the step's
+/// gradient and the inner optimizer.
+struct Lookahead {
+    tilde: Vec<f32>,
+    full: Vec<f32>,
+    grad: SparseGrad,
+    opt: Box<dyn Optimizer>,
+}
+
+impl Lookahead {
+    fn new(env: &TrainEnv, n: usize) -> Self {
+        // Algorithm 2 prescribes plain gradient steps (θ̃ ← θ̃ − α∇L). An
+        // adaptive optimizer would inject dense sign-normalized
+        // perturbations into every coordinate of the delta, which
+        // measurably hurts on many-domain datasets; SGD keeps the delta
+        // proportional to the actual gradient signal. The adaptive variant
+        // remains available behind `TrainConfig::dr_use_inner_optimizer`
+        // for the `ablation` bench.
+        let opt: Box<dyn Optimizer> = if env.cfg.dr_use_inner_optimizer {
+            env.cfg.inner.build(n)
+        } else {
+            Box::new(Sgd::new(dr_alpha(env), 0.0, 0))
+        };
+        Lookahead {
+            tilde: Vec::with_capacity(n),
+            full: Vec::with_capacity(n),
+            grad: SparseGrad::default(),
+            opt,
         }
-    };
-    for &d in domain_order {
-        for batch in env.first_train_batches(d, cap) {
-            env.grad_sparse(&full, &batch, true, &mut grad);
-            // dΘ/dθ̃ = I, so the gradient applies to the delta directly.
-            match opt.step_sparse(&mut tilde, &grad) {
-                Moved::Touched => {
-                    for (start, g) in grad.spans() {
-                        recompose(&mut full, &tilde, start..start + g.len());
+    }
+
+    /// Runs one lookahead: θ̃ starts at `specific` and trains on each
+    /// listed domain in order (capped minibatch steps each), with fresh
+    /// optimizer state.
+    ///
+    /// Θ = θS + θ̃ is composed once. A step's gradient touches a
+    /// minibatch's embedding rows plus the dense layers, and plain SGD
+    /// moves exactly those coordinates of θ̃ (the optimizer reports which),
+    /// so only they are re-added — the same single f32 add as a fresh
+    /// θS + θ̃, on the only coordinates where it could differ.
+    fn run(
+        &mut self,
+        env: &mut TrainEnv,
+        shared: &[f32],
+        specific: &[f32],
+        domain_order: &[usize],
+    ) {
+        let Lookahead { tilde, full, grad, opt } = self;
+        tilde.clear();
+        tilde.extend_from_slice(specific);
+        full.clear();
+        full.extend(shared.iter().zip(tilde.iter()).map(|(&s, &t)| s + t));
+        opt.reset();
+        let recompose = |full: &mut [f32], tilde: &[f32], range: Range<usize>| {
+            for ((f, &s), &t) in
+                full[range.clone()].iter_mut().zip(&shared[range.clone()]).zip(&tilde[range])
+            {
+                *f = s + t;
+            }
+        };
+        let cap = env.cfg.dr_lookahead_batches.max(1);
+        for &d in domain_order {
+            for batch in env.first_train_batches(d, cap) {
+                env.grad_sparse(full, &batch, true, grad);
+                // dΘ/dθ̃ = I, so the gradient applies to the delta directly.
+                match opt.step_sparse(tilde, grad) {
+                    Moved::Touched => {
+                        for (start, g) in grad.spans() {
+                            recompose(full, tilde, start..start + g.len());
+                        }
                     }
+                    Moved::All => recompose(full, tilde, 0..tilde.len()),
                 }
-                Moved::All => recompose(&mut full, &tilde, 0..tilde.len()),
             }
         }
     }
-    tilde
 }
 
 /// The plain-SGD step size α used inside DR lookaheads, derived from the

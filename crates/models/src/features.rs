@@ -63,31 +63,39 @@ impl FieldEmbeddings {
 
     /// Looks up every field for a batch, each as a `[b, embed_dim]` node.
     pub fn fields<R: Recorder>(&self, ps: &ParamStore, rec: &mut R, batch: &Batch) -> Vec<Var> {
-        let mut fields = vec![
-            self.user.forward(ps, rec, &batch.users),
-            self.item.forward(ps, rec, &batch.items),
-            self.user_group.forward(ps, rec, &batch.user_groups),
-            self.item_cat.forward(ps, rec, &batch.item_cats),
-        ];
-        if let Some(proj) = &self.dense_proj {
-            let du = batch
-                .dense_user
-                .as_ref()
-                .expect("model built with dense features but batch has none");
-            let di = batch
-                .dense_item
-                .as_ref()
-                .expect("model built with dense features but batch has none");
-            let dense = rec.leaf_concat(&[du, di]);
-            fields.push(proj.forward(ps, rec, dense));
-        }
-        fields
+        let (fields, n) = self.field_array(ps, rec, batch);
+        fields[..n].to_vec()
     }
 
     /// Fields concatenated to `[b, n_fields * embed_dim]`.
     pub fn concat<R: Recorder>(&self, ps: &ParamStore, rec: &mut R, batch: &Batch) -> Var {
-        let fields = self.fields(ps, rec, batch);
-        rec.concat_cols(&fields)
+        let (fields, n) = self.field_array(ps, rec, batch);
+        rec.concat_cols(&fields[..n])
+    }
+
+    /// The fields [`fields`](Self::fields) returns, held on the stack: the
+    /// first `n` entries of the array.
+    fn field_array<R: Recorder>(
+        &self,
+        ps: &ParamStore,
+        rec: &mut R,
+        batch: &Batch,
+    ) -> ([Var; 5], usize) {
+        let user = self.user.forward(ps, rec, &batch.users);
+        let mut fields = [user; 5];
+        fields[1] = self.item.forward(ps, rec, &batch.items);
+        fields[2] = self.user_group.forward(ps, rec, &batch.user_groups);
+        fields[3] = self.item_cat.forward(ps, rec, &batch.item_cats);
+        let Some(proj) = &self.dense_proj else {
+            return (fields, 4);
+        };
+        let du =
+            batch.dense_user.as_ref().expect("model built with dense features but batch has none");
+        let di =
+            batch.dense_item.as_ref().expect("model built with dense features but batch has none");
+        let dense = rec.leaf_concat(&[du, di]);
+        fields[4] = proj.forward(ps, rec, dense);
+        (fields, 5)
     }
 }
 

@@ -30,6 +30,6 @@ pub mod single;
 
 pub use config::{FeatureConfig, ModelConfig, ModelKind};
 pub use model::{
-    build_model, eval_logits, eval_logits_into, loss_and_grads, predict_probs, Architecture,
-    BuiltModel, CtrModel,
+    build_model, eval_logits, eval_logits_into, loss_and_grads, loss_and_grads_into, predict_probs,
+    Architecture, BuiltModel, CtrModel,
 };

@@ -121,20 +121,38 @@ pub fn build_model(
 /// parameter (embedding tables as the rows the batch gathered).
 ///
 /// This is the *entire* interface the model-agnostic frameworks use — they
-/// never see the architecture.
+/// never see the architecture. It records on a fresh tape; a training loop
+/// keeps one and calls [`loss_and_grads_into`].
 pub fn loss_and_grads(
     model: &dyn CtrModel,
     ps: &ParamStore,
     batch: &Batch,
     ctx: &mut ForwardCtx,
 ) -> (f32, Grads) {
-    let mut tape = Tape::new();
-    let logits = model.forward(ps, &mut tape, ctx, batch);
-    let flat = flatten_logits(&mut tape, logits, batch.len());
-    let loss = tape.bce_with_logits_mean(flat, batch.labels_tensor());
-    let loss_value = tape.value(loss).item();
-    let grads = tape.backward(loss);
-    (loss_value, grads)
+    let mut grads = Grads::default();
+    let loss = loss_and_grads_into(model, ps, batch, ctx, &mut Tape::new(), &mut grads);
+    (loss, grads)
+}
+
+/// [`loss_and_grads`] on a kept `tape`, into a kept `grads`: the tape is
+/// reset and both reuse their storage, so a repeated step at the same or a
+/// smaller batch allocates nothing beyond what the model body and the GEMM
+/// packing do. Returns the loss; the loss and every gradient bit are those
+/// of [`loss_and_grads`].
+pub fn loss_and_grads_into(
+    model: &dyn CtrModel,
+    ps: &ParamStore,
+    batch: &Batch,
+    ctx: &mut ForwardCtx,
+    tape: &mut Tape,
+    grads: &mut Grads,
+) -> f32 {
+    tape.reset();
+    let logits = model.forward(ps, tape, ctx, batch);
+    let flat = flatten_logits(tape, logits, batch.len());
+    let loss = tape.bce_with_logits_mean(flat, &batch.labels);
+    tape.backward_into(loss, grads);
+    tape.value(loss).item()
 }
 
 /// Evaluation-mode logits for a batch (no dropout), on the values-only
@@ -176,17 +194,16 @@ pub fn predict_probs(model: &dyn CtrModel, ps: &ParamStore, batch: &Batch) -> Ve
 /// Normalizes a logits node to shape `[b]` whether the head emitted `[b]`
 /// or `[b, 1]`.
 fn flatten_logits(tape: &mut Tape, logits: Var, batch_len: usize) -> Var {
-    let shape = tape.value(logits).shape().to_vec();
-    match shape.as_slice() {
-        [n] => {
-            assert_eq!(*n, batch_len, "logit count != batch size");
-            logits
-        }
-        [n, 1] => {
-            assert_eq!(*n, batch_len, "logit count != batch size");
-            tape.reshape(logits, &[batch_len])
-        }
-        other => panic!("unexpected logits shape {:?}", other),
+    let (n, column) = match *tape.value(logits).shape() {
+        [n] => (n, false),
+        [n, 1] => (n, true),
+        ref other => panic!("unexpected logits shape {other:?}"),
+    };
+    assert_eq!(n, batch_len, "logit count != batch size");
+    if column {
+        tape.reshape(logits, &[batch_len])
+    } else {
+        logits
     }
 }
 

@@ -2,14 +2,15 @@
 //! accounting and train/eval mode behavior for every model in the zoo.
 
 use mamdr_autodiff::tape::stable_sigmoid;
-use mamdr_autodiff::{EvalScratch, Recorder, Tape};
+use mamdr_autodiff::{EvalScratch, Grads, Recorder, Tape};
 use mamdr_data::{make_batch, DomainSpec, GeneratorConfig, MdrDataset};
 use mamdr_models::{
-    build_model, eval_logits, eval_logits_into, loss_and_grads, predict_probs, FeatureConfig,
-    ModelConfig, ModelKind,
+    build_model, eval_logits, eval_logits_into, loss_and_grads, loss_and_grads_into, predict_probs,
+    FeatureConfig, ModelConfig, ModelKind,
 };
 use mamdr_nn::ForwardCtx;
 use mamdr_tensor::rng::seeded;
+use rand::Rng;
 
 fn dataset() -> MdrDataset {
     let mut cfg = GeneratorConfig::base("cons", 50, 30, 77);
@@ -68,6 +69,66 @@ fn the_eval_recorder_computes_the_tape_bits_for_every_architecture() {
                         kind.name()
                     );
                 }
+            }
+        }
+    }
+}
+
+/// Every gradient bit of `grads`: each whole-parameter gradient, then each
+/// table's ids and row sums, by parameter.
+fn gradient_bits(grads: &Grads) -> Vec<(usize, Vec<u32>)> {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let dense = grads.dense_iter().map(|(p, g)| (p, bits(g.data())));
+    let rows = grads.rows_iter().map(|(p, r)| {
+        let ids = r.ids().iter().copied();
+        (p, ids.chain(r.iter().flat_map(|(_, row)| bits(row))).collect())
+    });
+    dense.chain(rows).collect()
+}
+
+#[test]
+fn a_kept_training_scratch_reproduces_the_fresh_tape_bits_for_every_architecture() {
+    // One tape and one gradient serve every step of every architecture, so
+    // each step runs over buffers an earlier step left behind — larger,
+    // smaller or of another shape — while a fresh tape starts from nothing.
+    // Train mode with dropout on: both sides draw their masks from
+    // identically seeded streams and must leave them at the same position.
+    let (mut tape, mut grads) = (Tape::new(), Grads::default());
+    for dense in [0usize, 6] {
+        let mut cfg = GeneratorConfig::base("kept", 300, 120, 29);
+        cfg.dense_dim = dense;
+        cfg.domains = vec![DomainSpec::new("a", 500, 0.3), DomainSpec::new("b", 150, 0.4)];
+        let ds = cfg.generate();
+        let fc = FeatureConfig::from_dataset(&ds);
+        let mc = ModelConfig { dropout: 0.3, ..ModelConfig::tiny() };
+        let examples = &ds.domains[0].train;
+        assert!(examples.len() >= 256, "{} examples", examples.len());
+        for kind in ModelKind::ALL {
+            let built = build_model(kind, &fc, &mc, ds.n_domains(), 31);
+            let model = built.model.as_ref();
+            for (step, n) in [1, 7, 256, 7].into_iter().enumerate() {
+                let domain = step % ds.n_domains();
+                let batch = make_batch(&ds, domain, &examples[..n]);
+                let seed = (dense * 100 + step) as u64;
+                let (mut fresh_rng, mut kept_rng) = (seeded(seed), seeded(seed));
+                let (want_loss, want) = loss_and_grads(
+                    model,
+                    &built.params,
+                    &batch,
+                    &mut ForwardCtx::train(&mut fresh_rng),
+                );
+                let got_loss = loss_and_grads_into(
+                    model,
+                    &built.params,
+                    &batch,
+                    &mut ForwardCtx::train(&mut kept_rng),
+                    &mut tape,
+                    &mut grads,
+                );
+                let at = format!("{} dense={dense} batch={n}", kind.name());
+                assert_eq!(got_loss.to_bits(), want_loss.to_bits(), "{at}: loss");
+                assert_eq!(gradient_bits(&grads), gradient_bits(&want), "{at}: gradients");
+                assert_eq!(kept_rng.gen::<u64>(), fresh_rng.gen::<u64>(), "{at}: rng position");
             }
         }
     }

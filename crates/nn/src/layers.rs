@@ -10,7 +10,7 @@
 use crate::store::{ParamStore, ParamStoreBuilder};
 use mamdr_autodiff::{Recorder, Var};
 use mamdr_tensor::init::Init;
-use mamdr_tensor::{Act, Tensor};
+use mamdr_tensor::Act;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -188,13 +188,28 @@ impl Mlp {
 /// Applies inverted dropout with probability `p` to a recorded value.
 pub fn apply_dropout<R: Recorder>(rec: &mut R, ctx: &mut ForwardCtx, x: Var, p: f32) -> Var {
     debug_assert!(ctx.training, "dropout should only run in training mode");
-    let shape = rec.value(x).shape().to_vec();
-    let keep = 1.0 - p;
-    let scale = 1.0 / keep;
-    let n: usize = shape.iter().product();
-    let mask_data: Vec<f32> =
-        (0..n).map(|_| if ctx.rng.gen::<f32>() < keep { scale } else { 0.0 }).collect();
-    rec.dropout(x, Tensor::from_vec(shape, mask_data))
+    let rng = &mut *ctx.rng;
+    rec.dropout(x, |mask| dropout_mask(rng, 1.0 - p, mask))
+}
+
+/// Fills `mask` with an inverted-dropout mask: entry `i` is `1/keep` when
+/// the `i`-th `f32` drawn from `rng` is below `keep`, and `+0.0` otherwise.
+///
+/// The draws are made first, then each is turned into the bits of `1/keep`
+/// or of `+0.0` by a mask rather than a branch, which mispredicted about
+/// one draw in five: written as one loop, the compiler turns the select
+/// back into that branch, while the separate pass compiles to vector
+/// compares. The function is not generic and never inlined, so this code
+/// does not depend on the crate that instantiates [`apply_dropout`].
+#[inline(never)]
+pub fn dropout_mask(rng: &mut StdRng, keep: f32, mask: &mut [f32]) {
+    for m in mask.iter_mut() {
+        *m = rng.gen::<f32>();
+    }
+    let scale = (1.0 / keep).to_bits();
+    for m in mask {
+        *m = f32::from_bits(scale & u32::from(*m < keep).wrapping_neg());
+    }
 }
 
 /// An embedding table with gather-based lookup.
@@ -239,6 +254,7 @@ mod tests {
     use super::*;
     use mamdr_autodiff::Tape;
     use mamdr_tensor::rng::seeded;
+    use mamdr_tensor::Tensor;
 
     #[test]
     fn dense_shapes_and_activation() {
@@ -299,6 +315,24 @@ mod tests {
         let mut ctx4 = ForwardCtx::train(&mut rng_b);
         let y4 = mlp.forward(&ps, &mut tape4, &mut ctx4, x4);
         assert_ne!(tape3.value(y3), tape4.value(y4));
+    }
+
+    #[test]
+    fn the_mask_fill_matches_the_branchy_draw_bit_for_bit() {
+        for keep in [0.5f32, 0.8, 0.9] {
+            let (mut old_rng, mut new_rng) = (seeded(11), seeded(11));
+            let scale = 1.0 / keep;
+            let want: Vec<u32> = (0..4099)
+                .map(|_| if old_rng.gen::<f32>() < keep { scale } else { 0.0 })
+                .map(f32::to_bits)
+                .collect();
+            let mut mask = vec![f32::NAN; want.len()];
+            dropout_mask(&mut new_rng, keep, &mut mask);
+            let got: Vec<u32> = mask.iter().map(|m| m.to_bits()).collect();
+            assert_eq!(got, want, "keep {keep}");
+            assert!(got.contains(&0) && got.contains(&scale.to_bits()), "keep {keep}");
+            assert_eq!(new_rng.gen::<u64>(), old_rng.gen::<u64>(), "keep {keep}: rng position");
+        }
     }
 
     #[test]

@@ -29,12 +29,6 @@ pub fn sub(a: &[f32], b: &[f32]) -> Vec<f32> {
     a.iter().zip(b).map(|(&x, &y)| x - y).collect()
 }
 
-/// `out = a + b` into a fresh vector.
-pub fn add(a: &[f32], b: &[f32]) -> Vec<f32> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(&x, &y)| x + y).collect()
-}
-
 /// Scales in place.
 pub fn scale(a: &mut [f32], s: f32) {
     for x in a.iter_mut() {
@@ -135,7 +129,6 @@ mod tests {
 
     #[test]
     fn add_sub_scale() {
-        assert_eq!(add(&[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
         assert_eq!(sub(&[1.0, 2.0], &[3.0, 4.0]), vec![-2.0, -2.0]);
         let mut v = vec![2.0, -4.0];
         scale(&mut v, 0.5);

@@ -260,7 +260,7 @@ unsafe fn row_block_avx2(
 /// `op(lhs) @ op(rhs)` into the `[m, n]` row-major `out`, with `finish`
 /// applied to every completed row block (the fused bias + activation
 /// epilogue).
-fn gemm_into(
+fn gemm_rows(
     lhs: &Tensor,
     rhs: &Tensor,
     lhs_t: bool,
@@ -306,6 +306,12 @@ impl Tensor {
     /// enters a thread scope. See the module docs for the bit-identity
     /// guarantee.
     pub fn gemm(&self, rhs: &Tensor, lhs_t: bool, rhs_t: bool) -> Tensor {
+        Tensor::fresh(|out| self.gemm_into(rhs, lhs_t, rhs_t, out))
+    }
+
+    /// [`Tensor::gemm`] into `out`, reusing its storage. A transposed rhs
+    /// is still packed into a fresh tensor.
+    pub fn gemm_into(&self, rhs: &Tensor, lhs_t: bool, rhs_t: bool, out: &mut Tensor) {
         let (r1, c1) = self.matrix_dims();
         let (r2, c2) = rhs.matrix_dims();
         let (m, k) = if lhs_t { (c1, r1) } else { (r1, c1) };
@@ -315,10 +321,8 @@ impl Tensor {
             "gemm inner dims mismatch: op(lhs)={}x{} @ op(rhs)={}x{} (lhs_t={}, rhs_t={})",
             m, k, k2, n, lhs_t, rhs_t
         );
-        Tensor::fresh(|out| {
-            out.reset(&[m, n]);
-            gemm_into(self, rhs, lhs_t, rhs_t, (m, k, n), out.data_mut(), |_| {});
-        })
+        out.reset(&[m, n]);
+        gemm_rows(self, rhs, lhs_t, rhs_t, (m, k, n), out.data_mut(), |_| {});
     }
 
     /// Fused dense-layer forward: `act(self @ w + bias)` in one pass over the
@@ -348,7 +352,7 @@ impl Tensor {
         }
         let bias = bias.map(|b| b.data());
         out.reset(&[m, n]);
-        gemm_into(self, w, false, false, (m, k, n), out.data_mut(), |block| {
+        gemm_rows(self, w, false, false, (m, k, n), out.data_mut(), |block| {
             for orow in block.chunks_exact_mut(n) {
                 if let Some(bias) = bias {
                     for (o, &bv) in orow.iter_mut().zip(bias) {
@@ -441,11 +445,14 @@ mod tests {
         let b = Tensor::randn(&mut rng, [4], 0.0, 1.0);
         for act in [Act::Linear, Act::Relu, Act::Sigmoid, Act::Tanh] {
             let fused = x.gemm_bias_act(&w, Some(&b), act);
-            let unfused = x.gemm(&w, false, false).add_row_broadcast(&b).map(|v| act.apply(v));
+            let xw = x.gemm(&w, false, false);
+            let mut unfused = Tensor::fresh(|out| xw.add_row_broadcast_into(&b, out));
+            unfused.map_inplace(|v| act.apply(v));
             assert_eq!(fused, unfused, "fusion changed results for {:?}", act);
         }
         let no_bias = x.gemm_bias_act(&w, None, Act::Relu);
-        let unfused = x.gemm(&w, false, false).map(|v| Act::Relu.apply(v));
+        let mut unfused = x.gemm(&w, false, false);
+        unfused.map_inplace(|v| Act::Relu.apply(v));
         assert_eq!(no_bias, unfused);
     }
 

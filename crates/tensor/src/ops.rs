@@ -38,12 +38,8 @@ impl Tensor {
         }
     }
 
-    /// Adds a `[n]` (or `[1,n]`) row vector to every row of a `[m,n]` matrix.
-    pub fn add_row_broadcast(&self, row: &Tensor) -> Tensor {
-        Tensor::fresh(|out| self.add_row_broadcast_into(row, out))
-    }
-
-    /// [`Tensor::add_row_broadcast`] into `out`, reusing its storage.
+    /// Adds a `[n]` (or `[1,n]`) row vector to every row of a `[m,n]`
+    /// matrix, into `out`, reusing its storage.
     pub fn add_row_broadcast_into(&self, row: &Tensor, out: &mut Tensor) {
         let (m, n) = self.matrix_dims();
         let rn = row.numel();
@@ -58,27 +54,23 @@ impl Tensor {
         }
     }
 
-    /// Multiplies every row of a `[m,n]` matrix elementwise by a `[n]` vector.
-    pub fn mul_row_broadcast(&self, row: &Tensor) -> Tensor {
+    /// Multiplies every row of a `[m,n]` matrix elementwise by a `[n]`
+    /// vector, into `out`, reusing its storage.
+    pub fn mul_row_broadcast_into(&self, row: &Tensor, out: &mut Tensor) {
         let (m, n) = self.matrix_dims();
         assert_eq!(n, row.numel(), "row broadcast width mismatch");
-        let mut out = self.data().to_vec();
-        let r = row.data();
+        out.reset(&[m, n]);
+        let (a, r) = (self.data(), row.data());
+        let out = out.data_mut();
         for i in 0..m {
             for j in 0..n {
-                out[i * n + j] *= r[j];
+                out[i * n + j] = a[i * n + j] * r[j];
             }
         }
-        Tensor::from_vec([m, n], out)
     }
 
     /// Multiplies row `i` of a `[m,n]` matrix by scalar `col[i]` (a `[m]` or
-    /// `[m,1]` tensor).
-    pub fn mul_col_broadcast(&self, col: &Tensor) -> Tensor {
-        Tensor::fresh(|out| self.mul_col_broadcast_into(col, out))
-    }
-
-    /// [`Tensor::mul_col_broadcast`] into `out`, reusing its storage.
+    /// `[m,1]` tensor), into `out`, reusing its storage.
     pub fn mul_col_broadcast_into(&self, col: &Tensor, out: &mut Tensor) {
         let (m, n) = self.matrix_dims();
         assert_eq!(m, col.numel(), "col broadcast height mismatch");
@@ -92,25 +84,22 @@ impl Tensor {
         }
     }
 
-    /// Sums a `[m,n]` matrix over rows, producing `[n]`.
-    pub fn sum_rows(&self) -> Tensor {
+    /// Sums a `[m,n]` matrix over rows, producing `[n]` in `out`, reusing
+    /// its storage.
+    pub fn sum_rows_into(&self, out: &mut Tensor) {
         let (m, n) = self.matrix_dims();
         let a = self.data();
-        let mut out = vec![0.0f32; n];
+        out.reset(&[n]);
+        let out = out.data_mut();
         for i in 0..m {
             for j in 0..n {
                 out[j] += a[i * n + j];
             }
         }
-        Tensor::from_vec([n], out)
     }
 
-    /// Sums a `[m,n]` matrix over columns, producing `[m]`.
-    pub fn sum_cols(&self) -> Tensor {
-        Tensor::fresh(|out| self.sum_cols_into(out))
-    }
-
-    /// [`Tensor::sum_cols`] into `out`, reusing its storage.
+    /// Sums a `[m,n]` matrix over columns, producing `[m]` in `out`, reusing
+    /// its storage.
     pub fn sum_cols_into(&self, out: &mut Tensor) {
         let (m, n) = self.matrix_dims();
         let a = self.data();
@@ -151,12 +140,8 @@ impl Tensor {
         }
     }
 
-    /// Concatenates matrices along the column axis: `[m,a] ++ [m,b] -> [m,a+b]`.
-    pub fn concat_cols(parts: &[&Tensor]) -> Tensor {
-        Tensor::fresh(|out| Tensor::concat_cols_into(parts.iter().copied(), out))
-    }
-
-    /// [`Tensor::concat_cols`] into `out`, reusing its storage. `parts` is
+    /// Concatenates matrices along the column axis, `[m,a] ++ [m,b] ->
+    /// [m,a+b]`, into `out`, reusing its storage. `parts` is
     /// walked twice: once for the widths, once to copy.
     pub fn concat_cols_into<'t>(parts: impl Iterator<Item = &'t Tensor> + Clone, out: &mut Tensor) {
         let m = parts.clone().next().expect("concat_cols of nothing").matrix_dims().0;
@@ -176,12 +161,8 @@ impl Tensor {
         }
     }
 
-    /// Extracts columns `[start, start+len)` of a `[m,n]` matrix.
-    pub fn slice_cols(&self, start: usize, len: usize) -> Tensor {
-        Tensor::fresh(|out| self.slice_cols_into(start, len, out))
-    }
-
-    /// [`Tensor::slice_cols`] into `out`, reusing its storage.
+    /// Extracts columns `[start, start+len)` of a `[m,n]` matrix into `out`,
+    /// reusing its storage.
     pub fn slice_cols_into(&self, start: usize, len: usize, out: &mut Tensor) {
         let (m, n) = self.matrix_dims();
         assert!(start + len <= n, "slice_cols out of bounds");
@@ -333,17 +314,20 @@ mod tests {
     fn broadcasting_rows_and_cols() {
         let m = Tensor::from_vec([2, 3], vec![1., 2., 3., 4., 5., 6.]);
         let row = Tensor::from_vec([3], vec![10., 20., 30.]);
-        assert_eq!(m.add_row_broadcast(&row).data(), &[11., 22., 33., 14., 25., 36.]);
-        assert_eq!(m.mul_row_broadcast(&row).data(), &[10., 40., 90., 40., 100., 180.]);
+        let added = Tensor::fresh(|o| m.add_row_broadcast_into(&row, o));
+        assert_eq!(added.data(), &[11., 22., 33., 14., 25., 36.]);
+        let scaled = Tensor::fresh(|o| m.mul_row_broadcast_into(&row, o));
+        assert_eq!(scaled.data(), &[10., 40., 90., 40., 100., 180.]);
         let col = Tensor::from_vec([2], vec![2., 3.]);
-        assert_eq!(m.mul_col_broadcast(&col).data(), &[2., 4., 6., 12., 15., 18.]);
+        let scaled = Tensor::fresh(|o| m.mul_col_broadcast_into(&col, o));
+        assert_eq!(scaled.data(), &[2., 4., 6., 12., 15., 18.]);
     }
 
     #[test]
     fn row_col_sums() {
         let m = Tensor::from_vec([2, 3], vec![1., 2., 3., 4., 5., 6.]);
-        assert_eq!(m.sum_rows().data(), &[5., 7., 9.]);
-        assert_eq!(m.sum_cols().data(), &[6., 15.]);
+        assert_eq!(Tensor::fresh(|o| m.sum_rows_into(o)).data(), &[5., 7., 9.]);
+        assert_eq!(Tensor::fresh(|o| m.sum_cols_into(o)).data(), &[6., 15.]);
     }
 
     #[test]
@@ -363,11 +347,11 @@ mod tests {
     fn concat_and_slice_roundtrip() {
         let a = Tensor::from_vec([2, 2], vec![1., 2., 3., 4.]);
         let b = Tensor::from_vec([2, 1], vec![9., 8.]);
-        let c = Tensor::concat_cols(&[&a, &b]);
+        let c = Tensor::fresh(|o| Tensor::concat_cols_into([&a, &b].into_iter(), o));
         assert_eq!(c.shape(), &[2, 3]);
         assert_eq!(c.data(), &[1., 2., 9., 3., 4., 8.]);
-        assert_eq!(c.slice_cols(0, 2), a);
-        assert_eq!(c.slice_cols(2, 1), b);
+        assert_eq!(Tensor::fresh(|o| c.slice_cols_into(0, 2, o)), a);
+        assert_eq!(Tensor::fresh(|o| c.slice_cols_into(2, 1, o)), b);
     }
 
     #[test]
@@ -388,7 +372,8 @@ mod tests {
         let m = Tensor::randn(&mut rng, [3, 4], 0.0, 1.0);
         let row = Tensor::randn(&mut rng, [4], 0.0, 1.0);
         let via_generic = m.broadcast_zip(&row, |a, b| a + b);
-        assert!(via_generic.max_abs_diff(&m.add_row_broadcast(&row)) < 1e-6);
+        let added = Tensor::fresh(|o| m.add_row_broadcast_into(&row, o));
+        assert!(via_generic.max_abs_diff(&added) < 1e-6);
         let scalar = Tensor::scalar(2.5);
         let scaled = m.broadcast_zip(&scalar, |a, b| a * b);
         assert!(scaled.max_abs_diff(&m.scale(2.5)) < 1e-6);

@@ -165,6 +165,15 @@ impl Tensor {
         self.data.resize(n, 0.0);
     }
 
+    /// Makes this tensor a copy of `src`, reusing its storage (allocating
+    /// exactly `src`'s lengths where it has too little).
+    pub fn copy_from(&mut self, src: &Tensor) {
+        self.shape.set(src.shape());
+        self.data.clear();
+        self.data.reserve_exact(src.data.len());
+        self.data.extend_from_slice(&src.data);
+    }
+
     /// A tensor with no storage: not a value yet, only the output of an
     /// `*_into` kernel (which sizes it with [`Tensor::reset`]). Allocates
     /// nothing.
@@ -186,12 +195,7 @@ impl Tensor {
         &self.data[r * cols..(r + 1) * cols]
     }
 
-    /// Applies `f` elementwise, returning a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor::fresh(|out| self.map_into(f, out))
-    }
-
-    /// [`Tensor::map`] into `out`, reusing its storage.
+    /// Applies `f` elementwise into `out`, reusing its storage.
     pub fn map_into(&self, f: impl Fn(f32) -> f32, out: &mut Tensor) {
         out.reset(self.shape());
         for (o, &x) in out.data.iter_mut().zip(&self.data) {
@@ -206,12 +210,9 @@ impl Tensor {
         }
     }
 
-    /// Elementwise combination of two same-shape tensors.
-    pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
-        Tensor::fresh(|out| self.zip_into(other, f, out))
-    }
-
-    fn zip_into(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32, out: &mut Tensor) {
+    /// Elementwise combination `f(self, other)` of two same-shape tensors,
+    /// into `out`, reusing its storage.
+    pub fn zip_into(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32, out: &mut Tensor) {
         assert!(
             self.shape.same(&other.shape),
             "zip shape mismatch: {:?} vs {:?}",
@@ -234,22 +235,12 @@ impl Tensor {
         self.zip_into(other, |a, b| a + b, out)
     }
 
-    /// Elementwise subtract.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
-        Tensor::fresh(|out| self.sub_into(other, out))
-    }
-
-    /// [`Tensor::sub`] into `out`, reusing its storage.
+    /// Elementwise subtract into `out`, reusing its storage.
     pub fn sub_into(&self, other: &Tensor, out: &mut Tensor) {
         self.zip_into(other, |a, b| a - b, out)
     }
 
-    /// Elementwise (Hadamard) product.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        Tensor::fresh(|out| self.mul_into(other, out))
-    }
-
-    /// [`Tensor::mul`] into `out`, reusing its storage.
+    /// Elementwise (Hadamard) product into `out`, reusing its storage.
     pub fn mul_into(&self, other: &Tensor, out: &mut Tensor) {
         self.zip_into(other, |a, b| a * b, out)
     }
@@ -319,6 +310,13 @@ impl Tensor {
     }
 }
 
+/// [`Tensor::empty`]: a buffer for an `*_into` kernel.
+impl Default for Tensor {
+    fn default() -> Self {
+        Tensor::empty()
+    }
+}
+
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor({:?}, ", self.shape)?;
@@ -361,8 +359,8 @@ mod tests {
         let a = Tensor::from_vec([2, 2], vec![1., 2., 3., 4.]);
         let b = Tensor::from_vec([2, 2], vec![4., 3., 2., 1.]);
         assert_eq!(a.add(&b).data(), &[5., 5., 5., 5.]);
-        assert_eq!(a.sub(&b).data(), &[-3., -1., 1., 3.]);
-        assert_eq!(a.mul(&b).data(), &[4., 6., 6., 4.]);
+        assert_eq!(Tensor::fresh(|o| a.sub_into(&b, o)).data(), &[-3., -1., 1., 3.]);
+        assert_eq!(Tensor::fresh(|o| a.mul_into(&b, o)).data(), &[4., 6., 6., 4.]);
         assert_eq!(a.scale(2.0).data(), &[2., 4., 6., 8.]);
         assert_eq!(a.dot(&b), 4. + 6. + 6. + 4.);
     }

@@ -15,6 +15,13 @@ fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..6, 1usize..6, 1usize..6)
 }
 
+/// The output of an `*_into` kernel, as a new tensor.
+fn out(kernel: impl FnOnce(&mut Tensor)) -> Tensor {
+    let mut t = Tensor::empty();
+    kernel(&mut t);
+    t
+}
+
 proptest! {
     #[test]
     fn matmul_is_associative((m, k, n) in dims(), p in 1usize..5, seed in 0u64..1000) {
@@ -51,9 +58,9 @@ proptest! {
 
     #[test]
     fn concat_slice_roundtrip(a in matrix(3, 4), b in matrix(3, 2)) {
-        let cat = Tensor::concat_cols(&[&a, &b]);
-        prop_assert_eq!(cat.slice_cols(0, 4), a);
-        prop_assert_eq!(cat.slice_cols(4, 2), b);
+        let cat = out(|o| Tensor::concat_cols_into([&a, &b].into_iter(), o));
+        prop_assert_eq!(out(|o| cat.slice_cols_into(0, 4, o)), a);
+        prop_assert_eq!(out(|o| cat.slice_cols_into(4, 2, o)), b);
     }
 
     #[test]
@@ -85,14 +92,14 @@ proptest! {
 
     #[test]
     fn softmax_is_shift_invariant(m in matrix(3, 4), shift in -5.0f32..5.0) {
-        let shifted = m.map(|x| x + shift);
+        let shifted = out(|o| m.map_into(|x| x + shift, o));
         prop_assert!(m.softmax_rows().max_abs_diff(&shifted.softmax_rows()) < 1e-4);
     }
 
     #[test]
     fn row_broadcasts_match_manual(m in matrix(3, 4), row in matrix(1, 4)) {
         let row_flat = row.clone().reshape([4]);
-        let added = m.add_row_broadcast(&row_flat);
+        let added = out(|o| m.add_row_broadcast_into(&row_flat, o));
         for i in 0..3 {
             for j in 0..4 {
                 prop_assert!((added.at(i, j) - (m.at(i, j) + row.at(0, j))).abs() < 1e-5);
@@ -103,8 +110,8 @@ proptest! {
     #[test]
     fn sum_rows_and_cols_agree_with_total(m in matrix(4, 3)) {
         let total = m.sum();
-        prop_assert!((m.sum_rows().sum() - total).abs() < 1e-3);
-        prop_assert!((m.sum_cols().sum() - total).abs() < 1e-3);
+        prop_assert!((out(|o| m.sum_rows_into(o)).sum() - total).abs() < 1e-3);
+        prop_assert!((out(|o| m.sum_cols_into(o)).sum() - total).abs() < 1e-3);
     }
 
     #[test]

@@ -5,19 +5,22 @@
 //! binary (every `tests/*.rs` file is its own binary, so nothing else pays
 //! for it) and counts, per thread, the allocations and requested bytes of:
 //!
-//! * one `loss_and_grads` call, and
+//! * one `loss_and_grads` call on a fresh tape (the cold path), and one
+//!   `loss_and_grads_into` on a tape and gradient kept from an earlier step
+//!   (the warm path every training loop runs);
 //! * one `domain_regularization` call — Algorithm 2 as `Mamdr::train` runs
-//!   it — divided by the lookahead steps it takes,
+//!   it — on a fresh environment and then on the same, warm, one, each
+//!   divided by the lookahead steps it takes,
 //!
 //! at the `dense_train` benchmark shape: taobao(10), the default MLP,
-//! batch 128, DR capped at 8 batches per domain, 1 kernel thread. A change
-//! that adds an allocation to either path fails here; a change that removes
-//! some re-pins the constants in the same commit and says why.
+//! batch 128, DR capped at 8 batches per domain, 1 kernel thread; and a
+//! warm step of every architecture at `ModelConfig::tiny()`. A change that
+//! adds an allocation to any of these paths fails here; a change that
+//! removes some re-pins the constants in the same commit and says why.
 //!
 //! Beyond the exact pins, two bounds say what "O(batch)" means here: no
 //! single allocation of a step is as large as the user table's gradient
-//! would be, and what a DR step allocates beyond its `loss_and_grads` call
-//! stays below that size too.
+//! would be, and a DR call allocates less than that size per step.
 //!
 //! One more pin guards the kernel layer's inline path: a warmed 128×80×64
 //! `Tensor::gemm` (the first MLP layer at batch 128) allocates the same at
@@ -30,13 +33,15 @@
 //! single request on a snapshot of that model, both on a fresh evaluation
 //! recorder, plus the same request through buffers a scoring worker keeps.
 
+use mamdr::autodiff::{Grads, Tape};
 use mamdr::core::frameworks::mamdr::domain_regularization;
 use mamdr::core::{TrainConfig, TrainEnv, TrainedModel};
-use mamdr::data::{make_batch, presets, MdrDataset};
+use mamdr::data::{make_batch, presets, Batch, MdrDataset};
 use mamdr::models::{
-    build_model, eval_logits, loss_and_grads, BuiltModel, FeatureConfig, ModelConfig, ModelKind,
+    build_model, eval_logits, loss_and_grads, loss_and_grads_into, BuiltModel, CtrModel,
+    FeatureConfig, ModelConfig, ModelKind,
 };
-use mamdr::nn::ForwardCtx;
+use mamdr::nn::{ForwardCtx, ParamStore};
 use mamdr::serve::{ModelSpec, ScoreRequest, ScoreScratch, ServingSnapshot};
 use mamdr::tensor::pool;
 use mamdr::tensor::rng::seeded;
@@ -45,16 +50,51 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Mutex, PoisonError};
 
-/// `(allocations, bytes)` of one `loss_and_grads` call. The parent of the
-/// row-sparse gradient change allocated 141 / 801 764 here, its largest
-/// allocation the user table's gradient.
-const LOSS_AND_GRADS: (u64, u64) = (140, 623_464);
+/// `(allocations, bytes)` of one `loss_and_grads` call on a fresh tape:
+/// the cold path, which builds every arena buffer, adjoint buffer, list
+/// and per-table slot index from nothing. Before the arenas it allocated
+/// 140 / 623 464 (and 141 / 801 764 before the row-sparse gradients, its
+/// largest allocation the user table's gradient).
+const LOSS_AND_GRADS: (u64, u64) = (149, 649_774);
+/// The same step on a kept tape and gradient (`loss_and_grads_into`): only
+/// the packed transpose each NT product in the backward pass makes of its
+/// rhs, data plus shape, for the three dense layers' input gradients
+/// (`dz · wᵀ`: 20 480 + 8 192 + 128 bytes and 3 × 16). Everything else —
+/// values, parameter copies, ids, dropout masks, labels, adjoints and the
+/// gradient — lives in kept storage.
+const LOSS_AND_GRADS_WARM: (u64, u64) = (6, 28_848);
 /// `(lookahead steps, allocations, bytes)` of one `domain_regularization`
-/// call: 150.9 allocations and 646 162 bytes per step, 22 698 of them
-/// beyond `loss_and_grads` (before the sparse DR steps: 14 007 and
-/// 93 759 928 in all, 240 012 per step beyond `loss_and_grads`, one flat
-/// vector per step among them).
-const DR_CALL: (u64, u64, u64) = (90, 13_584, 58_154_604);
+/// call on a fresh environment, and of the next call on the same one. A
+/// warm step makes the six allocations of [`LOSS_AND_GRADS_WARM`] plus
+/// `make_batch`'s nine (the id, group, category and label lists, and the
+/// two gathered dense-feature tensors): 15 × 90 = 1 350. The other 54 are
+/// per lookahead (the batch plan and batch list of each of its two
+/// domains) and per call (the helper list, θ̃, Θ = θS + θ̃, the optimizer
+/// and the growth of the sparse gradient's lists). Before the kept tape and
+/// lookahead buffers a call made 13 584 allocations and 58 154 604 bytes
+/// (150.9 and 646 162 per step).
+const DR_CALL: (u64, u64, u64) = (90, 1_547, 4_901_626);
+const DR_CALL_WARM: (u64, u64, u64) = (90, 1_404, 4_280_700);
+/// A warm training step of every architecture at `ModelConfig::tiny()`
+/// (batch 128, no dropout): each op — softmax, normalization, slices,
+/// attention — records into the arenas, so what remains is two allocations
+/// per NT product's packed rhs (one per dense layer whose input needs a
+/// gradient) and the model body's own lists: WDL's cross ids, STAR's domain
+/// ids, the field list of NeurFM, DeepFM and AutoInt, the expert-output
+/// lists of MMoE, CGC and PLE, AutoInt's per-head and per-field lists.
+const WARM_STEP_BY_KIND: [(ModelKind, u64, u64); 11] = [
+    (ModelKind::Mlp, 4, 704),
+    (ModelKind::Wdl, 5, 1_216),
+    (ModelKind::NeurFm, 5, 232),
+    (ModelKind::AutoInt, 57, 2_336),
+    (ModelKind::DeepFm, 5, 744),
+    (ModelKind::SharedBottom, 6, 1_264),
+    (ModelKind::Mmoe, 11, 2_112),
+    (ModelKind::Cgc, 16, 3_616),
+    (ModelKind::Ple, 28, 4_896),
+    (ModelKind::Star, 7, 1_328),
+    (ModelKind::Raw, 4, 704),
+];
 /// `(allocations, bytes)` of one 128×80×64 `Tensor::gemm`: in NN the
 /// result's data (32 768 bytes) and shape (16); in NT those plus the packed
 /// transpose of the rhs (20 480 + 16).
@@ -62,16 +102,17 @@ const GEMM_NN: (u64, u64) = (2, 32_784);
 const GEMM_NT: (u64, u64) = (4, 53_280);
 /// `(allocations, bytes)` of one `eval_logits` call at batch 1 and 32, and
 /// of one `ServingSnapshot::score` of one request, each on a fresh
-/// evaluation recorder: its buffers and slot lists, and nothing per
-/// parameter. Their tape-recorded parent copied every dense parameter
-/// (≈ 30 KB of the default MLP) and allocated 60 / 38 640, 60 / 73 236 and
-/// 69 / 38 756.
-const EVAL_B1: (u64, u64) = (30, 3_668);
-const EVAL_B32: (u64, u64) = (30, 37_632);
-const SCORE_B1: (u64, u64) = (38, 3_828);
-/// One request through a scoring worker's kept buffers: only the model
-/// body's own list of field handles (4, then grown to 8).
-const WORKER_B1: (u64, u64) = (2, 96);
+/// evaluation recorder: its arena and slot list, and nothing per parameter.
+/// Their tape-recorded parent copied every dense parameter (≈ 30 KB of the
+/// default MLP) and allocated 60 / 38 640, 60 / 73 236 and 69 / 38 756;
+/// before the model body held its field list on the stack they were
+/// 30 / 3 668, 30 / 37 632 and 38 / 3 828.
+const EVAL_B1: (u64, u64) = (28, 3_572);
+const EVAL_B32: (u64, u64) = (28, 37_536);
+const SCORE_B1: (u64, u64) = (36, 3_732);
+/// One request through a scoring worker's kept buffers: nothing (the model
+/// body's list of field handles, 2 / 96 before, is on the stack).
+const WORKER_B1: (u64, u64) = (0, 0);
 /// The gradient of the user embedding table if it were materialised:
 /// 2 378 rows × 16 floats × 4 bytes.
 const USER_TABLE_GRAD_BYTES: u64 = 2_378 * 16 * 4;
@@ -160,10 +201,15 @@ fn fixture() -> (MdrDataset, BuiltModel) {
     (ds, built)
 }
 
-/// One warmed-up `loss_and_grads` call on a full training batch.
-fn loss_and_grads_counts(ds: &MdrDataset, built: &BuiltModel) -> Counts {
+/// A full training batch of the fixture.
+fn train_batch(ds: &MdrDataset) -> Batch {
     let dom = (0..ds.n_domains()).find(|&d| ds.domains[d].train.len() >= 128).unwrap();
-    let batch = make_batch(ds, dom, &ds.domains[dom].train[..128]);
+    make_batch(ds, dom, &ds.domains[dom].train[..128])
+}
+
+/// One `loss_and_grads` call on a fresh tape, after a first one.
+fn loss_and_grads_counts(ds: &MdrDataset, built: &BuiltModel) -> Counts {
+    let batch = train_batch(ds);
     let mut rng = seeded(7);
     let mut step = || {
         let mut ctx = ForwardCtx::train(&mut rng);
@@ -173,16 +219,52 @@ fn loss_and_grads_counts(ds: &MdrDataset, built: &BuiltModel) -> Counts {
     counted(step)
 }
 
+/// One `loss_and_grads_into` call on a tape and gradient kept from a first
+/// one.
+fn warm_step_counts(model: &dyn CtrModel, params: &ParamStore, batch: &Batch) -> Counts {
+    let (mut tape, mut grads) = (Tape::new(), Grads::default());
+    let mut rng = seeded(7);
+    let mut step = || {
+        let mut ctx = ForwardCtx::train(&mut rng);
+        loss_and_grads_into(model, params, batch, &mut ctx, &mut tape, &mut grads);
+    };
+    step();
+    counted(step)
+}
+
 #[test]
 fn loss_and_grads_allocations_are_pinned() {
     let (ds, built) = fixture();
-    let got = loss_and_grads_counts(&ds, &built);
+    let cold = loss_and_grads_counts(&ds, &built);
+    let warm = warm_step_counts(built.model.as_ref(), &built.params, &train_batch(&ds));
     eprintln!(
-        "loss_and_grads: {} allocations, {} bytes, largest {}",
-        got.allocs, got.bytes, got.largest
+        "loss_and_grads: {} allocations, {} bytes, largest {}; warm {} allocations, {} bytes",
+        cold.allocs, cold.bytes, cold.largest, warm.allocs, warm.bytes
     );
-    assert!(got.largest < USER_TABLE_GRAD_BYTES, "a {}-byte allocation per step", got.largest);
-    assert_eq!((got.allocs, got.bytes), LOSS_AND_GRADS, "allocations per loss_and_grads moved");
+    assert!(cold.largest < USER_TABLE_GRAD_BYTES, "a {}-byte allocation per step", cold.largest);
+    assert_eq!((cold.allocs, cold.bytes), LOSS_AND_GRADS, "allocations per loss_and_grads moved");
+    assert_eq!(
+        (warm.allocs, warm.bytes),
+        LOSS_AND_GRADS_WARM,
+        "allocations per warm loss_and_grads_into moved"
+    );
+}
+
+#[test]
+fn every_architecture_trains_out_of_the_arena() {
+    let (ds, _) = fixture();
+    let fc = FeatureConfig::from_dataset(&ds);
+    let batch = train_batch(&ds);
+    let got: Vec<(ModelKind, u64, u64)> = ModelKind::ALL
+        .iter()
+        .map(|&kind| {
+            let built = build_model(kind, &fc, &ModelConfig::tiny(), ds.n_domains(), 42);
+            let warm = warm_step_counts(built.model.as_ref(), &built.params, &batch);
+            (kind, warm.allocs, warm.bytes)
+        })
+        .collect();
+    eprintln!("warm loss_and_grads_into at ModelConfig::tiny(): {got:?}");
+    assert_eq!(got, WARM_STEP_BY_KIND, "allocations per warm training step moved");
 }
 
 #[test]
@@ -202,26 +284,33 @@ fn dr_lookahead_step_allocations_are_pinned() {
     let target = 1;
     let steps: u64 =
         (0..n_domains).filter(|&j| j != target).map(|j| capped(j) + capped(target)).sum();
-    let model_bytes = loss_and_grads_counts(&ds, &built).bytes;
 
     let mut env = TrainEnv::new(&ds, built.model.as_ref(), built.params.clone(), cfg);
     let shared = env.init_flat();
     let mut specific = vec![0.0f32; shared.len()];
-    let got = counted(|| domain_regularization(&mut env, &shared, &mut specific, target));
-    let per_step = got.bytes / steps;
-    eprintln!(
-        "domain_regularization: {steps} steps, {} allocations, {} bytes \
-         ({:.1} allocations and {per_step} bytes per step, {} beyond loss_and_grads)",
-        got.allocs,
-        got.bytes,
-        got.allocs as f64 / steps as f64,
-        per_step.saturating_sub(model_bytes),
+    let mut call = || counted(|| domain_regularization(&mut env, &shared, &mut specific, target));
+    let (cold, warm) = (call(), call());
+    for (name, got) in [("first", cold), ("warm", warm)] {
+        eprintln!(
+            "domain_regularization ({name}): {steps} steps, {} allocations, {} bytes \
+             ({:.1} allocations and {} bytes per step)",
+            got.allocs,
+            got.bytes,
+            got.allocs as f64 / steps as f64,
+            got.bytes / steps,
+        );
+        assert!(
+            got.bytes / steps < USER_TABLE_GRAD_BYTES,
+            "a {name} DR call allocates {} bytes per step",
+            got.bytes / steps
+        );
+    }
+    assert_eq!((steps, cold.allocs, cold.bytes), DR_CALL, "allocations per DR call moved");
+    assert_eq!(
+        (steps, warm.allocs, warm.bytes),
+        DR_CALL_WARM,
+        "allocations per warm DR lookahead step moved"
     );
-    assert!(
-        per_step.saturating_sub(model_bytes) < USER_TABLE_GRAD_BYTES,
-        "a DR step allocates {per_step} bytes, {model_bytes} of them in loss_and_grads"
-    );
-    assert_eq!((steps, got.allocs, got.bytes), DR_CALL, "allocations per DR lookahead step moved");
 }
 
 #[test]
