@@ -25,22 +25,17 @@ pub struct Grads {
     touched: Vec<usize>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Entry {
     kind: Kind,
     dense: Tensor,
     rows: RowGrad,
 }
 
-impl Default for Entry {
-    fn default() -> Self {
-        Entry { kind: Kind::None, dense: Tensor::empty(), rows: RowGrad::default() }
-    }
-}
-
 /// What one parameter received in the current pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Kind {
+    #[default]
     None,
     Dense,
     Rows,
