@@ -46,10 +46,6 @@ pub struct BenchArgs {
     /// `/spans`) on this address for the duration of the run,
     /// e.g. `127.0.0.1:9115`. `None` disables it.
     pub introspect_addr: Option<String>,
-    /// In-flight request window per RPC client connection (0 = keep the
-    /// retry policy's default). Depth 1 serializes requests; results are
-    /// bit-identical at any depth.
-    pub pipeline_depth: usize,
     /// Parameter-server shard count for the distributed binaries. `1`
     /// (the default) runs the classic single-server loopback; higher
     /// values split the key space across that many servers by consistent
@@ -60,28 +56,8 @@ pub struct BenchArgs {
     /// simulation; `longtail` is the 2048-domain Zipf key-space stress
     /// preset for sharding runs.
     pub preset: Option<String>,
-    /// Serve-bench mode: drive a trace-scheduled open-loop load (arrivals
-    /// on the trace clock, overload sheds) instead of closed-loop clients.
-    pub open_loop: bool,
-    /// Open-loop offered rate, requests per second (0 = the binary's
-    /// default).
-    pub rate: f64,
-    /// Open-loop trace duration, seconds (0 = the binary's default).
-    pub duration: f64,
     /// Serving replica count behind the deterministic user router.
     pub replicas: usize,
-    /// Continual publishing: commit a serving snapshot every this many
-    /// training rounds (0 disables). Snapshots land under the checkpoint
-    /// directory, so `--publish-every` requires `--checkpoint-dir`.
-    pub publish_every: usize,
-    /// Canary slice size as a percentage of the replica pool, in (0, 50]
-    /// (0 disables the canary phase of the publish gate).
-    pub canary_pct: f64,
-    /// Live continual-serving mode for `dist_bench`: stand up a gated
-    /// replica pool next to the trainer, publish through the gate every
-    /// `--publish-every` rounds, and drive closed-loop traffic across the
-    /// swaps. Requires `--publish-every`.
-    pub serve_live: bool,
 }
 
 impl Default for BenchArgs {
@@ -101,16 +77,9 @@ impl Default for BenchArgs {
             trace_out: None,
             phase_summary: false,
             introspect_addr: None,
-            pipeline_depth: 0,
             shards: 1,
             preset: None,
-            open_loop: false,
-            rate: 0.0,
-            duration: 0.0,
             replicas: 1,
-            publish_every: 0,
-            canary_pct: 0.0,
-            serve_live: false,
         }
     }
 }
@@ -135,60 +104,47 @@ fn check_out_path(flag: &str, path: &str) -> Result<(), String> {
 }
 
 impl BenchArgs {
-    /// Parses `--scale`, `--epochs`, `--threads`, `--seed`, `--quick`,
-    /// `--metrics-out`, `--workers` and `--fault-plan` from an argument
-    /// iterator (unknown flags abort with a usage message).
-    pub fn parse(args: impl Iterator<Item = String>) -> Self {
-        fn num(name: &str, v: String) -> f64 {
-            v.parse::<f64>().unwrap_or_else(|e| panic!("bad value for {name}: {e}"))
+    /// Parses the flags from an argument iterator. An unknown flag, a
+    /// missing value, or a value that is not a number of the flag's type
+    /// is an error naming the flag: integer flags take decimal integers
+    /// only, so `--seed -1` or `--threads 2.5` never round to a different
+    /// run.
+    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
+        fn num<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, String>
+        where
+            T::Err: std::fmt::Display,
+        {
+            v.parse().map_err(|e| format!("bad value for {flag}: {v:?} ({e})"))
         }
         let mut out = BenchArgs::default();
-        let mut args = args.peekable();
         while let Some(flag) = args.next() {
-            let mut take = |name: &str| -> String {
-                args.next().unwrap_or_else(|| panic!("{name} requires a value"))
-            };
+            let mut take = || args.next().ok_or_else(|| format!("{flag} requires a value"));
             match flag.as_str() {
-                "--scale" => out.scale = num("--scale", take("--scale")),
-                "--epochs" => out.epochs = num("--epochs", take("--epochs")) as usize,
-                "--threads" => out.threads = num("--threads", take("--threads")) as usize,
-                "--seed" => out.seed = num("--seed", take("--seed")) as u64,
+                "--scale" => out.scale = num(&flag, take()?)?,
+                "--epochs" => out.epochs = num(&flag, take()?)?,
+                "--threads" => out.threads = num(&flag, take()?)?,
+                "--seed" => out.seed = num(&flag, take()?)?,
                 "--quick" => out.quick = true,
-                "--metrics-out" => out.metrics_out = Some(take("--metrics-out")),
-                "--workers" => out.workers = num("--workers", take("--workers")) as usize,
-                "--fault-plan" => out.fault_plan = Some(take("--fault-plan")),
-                "--checkpoint-every" => {
-                    out.checkpoint_every =
-                        num("--checkpoint-every", take("--checkpoint-every")) as usize;
-                }
-                "--checkpoint-dir" => out.checkpoint_dir = Some(take("--checkpoint-dir")),
-                "--resume" => out.resume = Some(take("--resume")),
-                "--trace-out" => out.trace_out = Some(take("--trace-out")),
+                "--metrics-out" => out.metrics_out = Some(take()?),
+                "--workers" => out.workers = num(&flag, take()?)?,
+                "--fault-plan" => out.fault_plan = Some(take()?),
+                "--checkpoint-every" => out.checkpoint_every = num(&flag, take()?)?,
+                "--checkpoint-dir" => out.checkpoint_dir = Some(take()?),
+                "--resume" => out.resume = Some(take()?),
+                "--trace-out" => out.trace_out = Some(take()?),
                 "--phase-summary" => out.phase_summary = true,
-                "--introspect-addr" => out.introspect_addr = Some(take("--introspect-addr")),
-                "--pipeline-depth" => {
-                    out.pipeline_depth = num("--pipeline-depth", take("--pipeline-depth")) as usize;
-                }
-                "--shards" => out.shards = num("--shards", take("--shards")) as usize,
-                "--preset" => out.preset = Some(take("--preset")),
-                "--open-loop" => out.open_loop = true,
-                "--rate" => out.rate = num("--rate", take("--rate")),
-                "--duration" => out.duration = num("--duration", take("--duration")),
-                "--replicas" => out.replicas = num("--replicas", take("--replicas")) as usize,
-                "--publish-every" => {
-                    out.publish_every = num("--publish-every", take("--publish-every")) as usize;
-                }
-                "--canary-pct" => out.canary_pct = num("--canary-pct", take("--canary-pct")),
-                "--serve-live" => out.serve_live = true,
+                "--introspect-addr" => out.introspect_addr = Some(take()?),
+                "--shards" => out.shards = num(&flag, take()?)?,
+                "--preset" => out.preset = Some(take()?),
+                "--replicas" => out.replicas = num(&flag, take()?)?,
                 other => {
-                    eprintln!(
-                        "unknown flag {other}; supported: --scale <f> --epochs <n> --threads <n> --seed <n> --quick --metrics-out <path> --workers <n> --fault-plan <spec> --checkpoint-every <n> --checkpoint-dir <dir> --resume <dir> --trace-out <path> --phase-summary --introspect-addr <addr> --pipeline-depth <n> --shards <n> --preset <industry|longtail> --open-loop --rate <rps> --duration <s> --replicas <n> --publish-every <n> --canary-pct <p> --serve-live"
-                    );
-                    std::process::exit(2);
+                    return Err(format!(
+                        "unknown flag {other}; supported: --scale <f> --epochs <n> --threads <n> --seed <n> --quick --metrics-out <path> --workers <n> --fault-plan <spec> --checkpoint-every <n> --checkpoint-dir <dir> --resume <dir> --trace-out <path> --phase-summary --introspect-addr <addr> --shards <n> --preset <industry|longtail> --replicas <n>"
+                    ));
                 }
             }
         }
-        out
+        Ok(out)
     }
 
     /// Parses the process arguments, validates them up front (a bad
@@ -197,11 +153,11 @@ impl BenchArgs {
     /// to the kernel pool so every binary honors the knob without its own
     /// wiring.
     pub fn from_env() -> Self {
-        let args = Self::parse(std::env::args().skip(1));
-        if let Err(msg) = args.validate() {
+        let args = Self::parse(std::env::args().skip(1)).and_then(|a| a.validate().map(|()| a));
+        let args = args.unwrap_or_else(|msg| {
             eprintln!("invalid arguments: {msg}");
             std::process::exit(2);
-        }
+        });
         args.apply_kernel_threads();
         args
     }
@@ -269,12 +225,6 @@ impl BenchArgs {
                 ));
             }
         }
-        if self.pipeline_depth > MAX_PIPELINE_DEPTH {
-            return Err(format!(
-                "--pipeline-depth {} exceeds the supported maximum of {MAX_PIPELINE_DEPTH}",
-                self.pipeline_depth
-            ));
-        }
         if self.shards == 0 {
             return Err("--shards must be at least 1".into());
         }
@@ -297,30 +247,6 @@ impl BenchArgs {
                 "--replicas {} exceeds the supported maximum of {MAX_REPLICAS}",
                 self.replicas
             ));
-        }
-        if !(self.rate.is_finite() && self.rate >= 0.0) {
-            return Err(format!("--rate must be a non-negative number, got {}", self.rate));
-        }
-        if !(self.duration.is_finite() && self.duration >= 0.0) {
-            return Err(format!("--duration must be a non-negative number, got {}", self.duration));
-        }
-        if self.publish_every > 0 && self.checkpoint_dir.is_none() {
-            return Err("--publish-every requires --checkpoint-dir <dir> (snapshots are \
-                        committed next to the checkpoints)"
-                .into());
-        }
-        // NaN-safe: a NaN --canary-pct fails the range check too.
-        if self.canary_pct != 0.0 && !(self.canary_pct > 0.0 && self.canary_pct <= 50.0) {
-            return Err(format!(
-                "--canary-pct must be in (0, 50] (a canary larger than half the pool is a \
-                 cutover, not a canary), got {}",
-                self.canary_pct
-            ));
-        }
-        if self.serve_live && self.publish_every == 0 {
-            return Err("--serve-live requires --publish-every <n> (live serving without \
-                        publication has nothing to swap)"
-                .into());
         }
         Ok(())
     }
@@ -356,10 +282,6 @@ impl BenchArgs {
 /// it are always typos, and spawning that many OS threads would thrash.
 pub const MAX_THREADS: usize = 1024;
 
-/// Upper bound [`BenchArgs::validate`] accepts for `--pipeline-depth`;
-/// a deeper window than this buys nothing and risks absurd batching.
-pub const MAX_PIPELINE_DEPTH: usize = 4096;
-
 /// Upper bound [`BenchArgs::validate`] accepts for `--shards`; one
 /// loopback process cannot usefully host more servers than this, and the
 /// manifest format itself caps a deployment at 4096 shards.
@@ -380,6 +302,10 @@ mod tests {
     use super::*;
 
     fn parse(words: &[&str]) -> BenchArgs {
+        try_parse(words).unwrap()
+    }
+
+    fn try_parse(words: &[&str]) -> Result<BenchArgs, String> {
         BenchArgs::parse(words.iter().map(|s| s.to_string()))
     }
 
@@ -515,19 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_depth_parses_and_validates() {
-        let a = parse(&[]);
-        assert_eq!(a.pipeline_depth, 0);
-        assert!(a.validate().is_ok());
-        let a = parse(&["--pipeline-depth", "8"]);
-        assert_eq!(a.pipeline_depth, 8);
-        assert!(a.validate().is_ok());
-        assert!(parse(&["--pipeline-depth", "1"]).validate().is_ok());
-        let err = parse(&["--pipeline-depth", "100000"]).validate().unwrap_err();
-        assert!(err.contains("--pipeline-depth"), "{err}");
-    }
-
-    #[test]
     fn shards_parse_and_validate() {
         let a = parse(&[]);
         assert_eq!(a.shards, 1);
@@ -559,18 +472,11 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_flags_parse_and_validate() {
+    fn replicas_parse_and_validate() {
         let a = parse(&[]);
-        assert!(!a.open_loop);
-        assert_eq!(a.rate, 0.0);
-        assert_eq!(a.duration, 0.0);
         assert_eq!(a.replicas, 1);
         assert!(a.validate().is_ok());
-
-        let a = parse(&["--open-loop", "--rate", "50000", "--duration", "20", "--replicas", "4"]);
-        assert!(a.open_loop);
-        assert_eq!(a.rate, 50_000.0);
-        assert_eq!(a.duration, 20.0);
+        let a = parse(&["--replicas", "4"]);
         assert_eq!(a.replicas, 4);
         assert!(a.validate().is_ok());
 
@@ -578,54 +484,24 @@ mod tests {
         assert!(err.contains("--replicas"), "{err}");
         let err = parse(&["--replicas", "65"]).validate().unwrap_err();
         assert!(err.contains("maximum"), "{err}");
-        let err = parse(&["--rate", "-5"]).validate().unwrap_err();
-        assert!(err.contains("--rate"), "{err}");
-        let err = parse(&["--duration", "-1"]).validate().unwrap_err();
-        assert!(err.contains("--duration"), "{err}");
     }
 
     #[test]
-    fn publish_flags_parse_and_validate() {
-        let a = parse(&[]);
-        assert_eq!(a.publish_every, 0);
-        assert_eq!(a.canary_pct, 0.0);
-        assert!(!a.serve_live);
-        assert!(a.validate().is_ok());
-
-        let a = parse(&[
-            "--publish-every",
-            "2",
-            "--checkpoint-dir",
-            "/tmp/ckpts",
-            "--canary-pct",
-            "25",
-            "--serve-live",
-        ]);
-        assert_eq!(a.publish_every, 2);
-        assert_eq!(a.canary_pct, 25.0);
-        assert!(a.serve_live);
-        assert!(a.validate().is_ok());
-
-        // Snapshots are committed under the checkpoint directory.
-        let err = parse(&["--publish-every", "2"]).validate().unwrap_err();
-        assert!(err.contains("--checkpoint-dir"), "{err}");
-
-        // Live serving without publication has nothing to swap.
-        let err = parse(&["--serve-live"]).validate().unwrap_err();
-        assert!(err.contains("--publish-every"), "{err}");
-
-        // The canary slice must stay a minority of the pool.
-        for bad in ["-1", "0.0000001", "50.5", "100", "NaN"] {
-            let words = ["--canary-pct", bad];
-            let a = parse(&words);
-            if bad == "0.0000001" {
-                assert!(a.validate().is_ok(), "tiny positive pct is valid");
-            } else {
-                let err = a.validate().unwrap_err();
-                assert!(err.contains("--canary-pct"), "{bad}: {err}");
-            }
+    fn integer_flags_parse_as_integers_or_fail_naming_the_flag() {
+        // 2^53 + 1 has no f64: read through a float it ran seed ...992.
+        assert_eq!(parse(&["--seed", "9007199254740993"]).seed, 9_007_199_254_740_993);
+        for (flag, bad) in [("--seed", "-1"), ("--workers", "-1"), ("--threads", "2.5")] {
+            let err = try_parse(&[flag, bad]).unwrap_err();
+            assert!(err.contains(flag), "{flag} {bad}: {err}");
         }
-        assert!(parse(&["--canary-pct", "50"]).validate().is_ok());
+    }
+
+    #[test]
+    fn unknown_flags_and_missing_values_are_errors() {
+        let err = try_parse(&["--open-loop"]).unwrap_err();
+        assert!(err.contains("unknown flag --open-loop"), "{err}");
+        let err = try_parse(&["--seed"]).unwrap_err();
+        assert!(err.contains("--seed requires a value"), "{err}");
     }
 
     #[test]

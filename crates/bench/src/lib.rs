@@ -15,7 +15,8 @@
 //! | `fig9`      | Fig. 9 — AUC vs inner/outer learning rates |
 //! | `conflict`  | Fig. 3 motivation — gradient-conflict measurements |
 //! | `pscache`   | §IV-E — embedding-cache traffic ablation |
-//! | `dist_bench`| §IV-E over real TCP — networked-trainer loopback drill (`--workers`, `--fault-plan`) |
+//! | `dist_bench`| §IV-E over real TCP — a networked-trainer loopback run (`--workers`, `--shards`, `--fault-plan`) |
+//! | `serve_bench`| online serving — closed-loop clients through a replica pool with a mid-run hot swap |
 //!
 //! Criterion micro-benches (`cargo bench`) cover tensor/autodiff kernel
 //! throughput, O(n)-vs-O(n²) framework scaling, and PS cache overhead.

@@ -4,8 +4,7 @@
 
 use crate::args::BenchArgs;
 use mamdr_obs::{
-    EventLog, IntrospectServer, MetricsRegistry, PublishState, TelemetryObserver, Tracer,
-    TrainObserver, Value,
+    EventLog, IntrospectServer, MetricsRegistry, TelemetryObserver, Tracer, TrainObserver, Value,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -29,10 +28,6 @@ pub struct BenchTelemetry {
     /// Held for the process lifetime; stops serving when the telemetry
     /// sink (and with it the process's run) ends.
     introspect: Option<IntrospectServer>,
-    /// Shared publish-gate health state (`--serve-live`): the gate records
-    /// verdicts here and the introspection endpoint reflects them in
-    /// `/healthz` and `/publish`.
-    publish_state: Option<Arc<PublishState>>,
 }
 
 impl BenchTelemetry {
@@ -51,20 +46,10 @@ impl BenchTelemetry {
         let tracer =
             (args.trace_out.is_some() || args.phase_summary || args.introspect_addr.is_some())
                 .then(|| Arc::new(Tracer::new()));
-        let publish_state = args.serve_live.then(|| Arc::new(PublishState::new(0)));
         let introspect = args.introspect_addr.as_deref().map(|addr| {
-            let server = IntrospectServer::start_with_publish(
-                addr,
-                Arc::clone(&registry),
-                tracer.clone(),
-                publish_state.clone(),
-            )
-            .unwrap_or_else(|e| panic!("cannot bind --introspect-addr {addr}: {e}"));
-            eprintln!(
-                "[introspect] serving /healthz /metrics /spans{} on http://{}",
-                if publish_state.is_some() { " /publish" } else { "" },
-                server.addr()
-            );
+            let server = IntrospectServer::start(addr, Arc::clone(&registry), tracer.clone())
+                .unwrap_or_else(|e| panic!("cannot bind --introspect-addr {addr}: {e}"));
+            eprintln!("[introspect] serving /healthz /metrics /spans on http://{}", server.addr());
             server
         });
         BenchTelemetry {
@@ -74,7 +59,6 @@ impl BenchTelemetry {
             tracer,
             trace_out: args.trace_out.as_ref().map(PathBuf::from),
             introspect,
-            publish_state,
         }
     }
 
@@ -135,12 +119,6 @@ impl BenchTelemetry {
     /// The live introspection endpoint, when `--introspect-addr` bound one.
     pub fn introspect_addr(&self) -> Option<std::net::SocketAddr> {
         self.introspect.as_ref().map(|s| s.addr())
-    }
-
-    /// The shared publish-gate health state, present under `--serve-live`
-    /// (hand it to the gate; `/healthz` and `/publish` read it live).
-    pub fn publish_state(&self) -> Option<Arc<PublishState>> {
-        self.publish_state.clone()
     }
 
     /// Appends the registry dump to the JSONL stream, flushes it, writes

@@ -1,29 +1,21 @@
-//! Trace-driven open-loop load generation for the MAMDR serving tier.
+//! Seeded arrival traces for driving the MAMDR serving tier in open loop.
 //!
 //! Closed-loop benchmarks hide overload: they only submit when the server
 //! answers, so the offered rate silently adapts to capacity (coordinated
-//! omission). This crate generates load the way production does —
-//! arrivals scheduled by an external clock, indifferent to how the server
-//! is coping:
+//! omission). An open-loop driver schedules arrivals by an external clock,
+//! indifferent to how the server is coping; this crate supplies the
+//! schedule:
 //!
 //! * [`TraceConfig`] / [`TraceGen`] — a seeded, streaming arrival trace:
 //!   Zipf-popular users and domains, Poisson inter-arrivals whose rate
 //!   follows a diurnal sinusoid (exact, via thinning), and a configurable
 //!   interactive/bulk [`SloClass`](mamdr_serve::SloClass) split. Same
-//!   seed, same trace — byte for byte — so CI can pin exact per-class
+//!   seed, same trace — byte for byte — so a test can pin exact per-class
 //!   request counts and replica-count sweeps replay identical traffic.
-//! * [`run_open_loop`] — drives a trace through a
-//!   [`ReplicatedServer`](mamdr_serve::ReplicatedServer) on the trace
-//!   clock, with per-class deadlines and an optional mid-run hook (e.g. a
-//!   hot snapshot swap at a chosen trace instant).
-//! * [`LoadReport`] — per-class terminal accounting
-//!   (`submitted = admitted + shed + rejected + closed`,
-//!   `admitted = scored + deadline_expired + invalid`) plus
-//!   client-observed latency histograms. [`LoadReport::accounting_ok`]
-//!   is the zero-silent-drops check CI greps for.
+//!
+//! The driver that submits a trace on its clock and accounts for every
+//! outcome is the benchmark's (`benchmark/src/openloop.rs`).
 
-mod driver;
 mod trace;
 
-pub use driver::{run_open_loop, ClassReport, LoadOptions, LoadReport};
 pub use trace::{Arrival, TraceConfig, TraceGen, ZipfSampler};

@@ -2,7 +2,7 @@
 //!
 //! A trace is a deterministic function of its [`TraceConfig`] — the same
 //! seed always produces the same arrival sequence, byte for byte, which
-//! is what lets CI pin exact per-class request counts and lets two bench
+//! is what lets a test pin exact per-class request counts and lets two bench
 //! runs at different replica counts serve the *same* million requests.
 //!
 //! Three statistical properties model real multi-domain traffic:

@@ -18,8 +18,8 @@
 //! * [`serve`] — online inference: frozen serving snapshots, per-domain
 //!   routing, multi-domain batched scoring, replicated engines and hot
 //!   model swap.
-//! * [`load`] — trace-driven open-loop load generation: Zipf users and
-//!   domains, diurnal Poisson arrivals, per-SLO-class overload accounting.
+//! * [`load`] — seeded arrival traces for open-loop load: Zipf users and
+//!   domains, diurnal Poisson arrivals, an interactive/bulk SLO split.
 //! * [`rpc`] — the networked PS–worker runtime: checksummed TCP wire
 //!   protocol, retrying clients, deterministic fault injection, and a
 //!   loopback distributed trainer.

@@ -7,9 +7,10 @@
 //! last-good version with zero dropped requests, every verdict must land
 //! in the exact typed counter, and the final served snapshot must be
 //! byte-identical to one built offline from a clean run of the same
-//! length as the last accepted round.
+//! length as the last accepted round. `dist_bench --quick --seed 7`'s
+//! continual-publish drill runs here too, on its dataset and pool size.
 
-use mamdr::data::{DomainSpec, GeneratorConfig, MdrDataset};
+use mamdr::data::{presets, DomainSpec, GeneratorConfig, MdrDataset};
 use mamdr::obs::{MetricsRegistry, PublishState};
 use mamdr::ps::{DistributedConfig, DistributedMamdr, GuardConfig};
 use mamdr::rpc::{DistributedTrainer, FaultPlan, LoopbackConfig, PublishHook};
@@ -75,13 +76,14 @@ fn rejected(run: &GatedRun, reason: &str) -> u64 {
     counter(run, &format!("publish_rejected_total{{reason=\"{reason}\"}}"))
 }
 
-/// Runs the full loop: a seeded v0 snapshot, a replica pool behind a
+/// Runs the full loop: a seeded v0 snapshot, a `replicas` pool behind a
 /// gate, a loopback trainer with a publish hook, and a closed-loop load
 /// thread scoring the fixed probe set across every swap.
 fn run_gated(
     ds: &MdrDataset,
     cfg: DistributedConfig,
     plan: Option<FaultPlan>,
+    replicas: usize,
     canary_pct: f64,
     dir: &Path,
 ) -> GatedRun {
@@ -93,7 +95,8 @@ fn run_gated(
 
     let registry = Arc::new(MetricsRegistry::new());
     let state = Arc::new(PublishState::new(0));
-    let pool = Arc::new(ReplicatedServer::start(snap0, 2, ServeConfig::default(), &registry, None));
+    let pool =
+        Arc::new(ReplicatedServer::start(snap0, replicas, ServeConfig::default(), &registry, None));
     let gate_cfg =
         GateConfig { max_divergence: 1.0, canary_pct, max_canary_drift: 1.0, ..Default::default() };
     let gate = Arc::new(PublishGate::new(
@@ -189,7 +192,7 @@ fn chaos_run_never_swaps_a_bad_version_and_drops_nothing() {
     // v5/v6 non-finite (epoch 4 poisons every worker and the NaN persists
     // in the store).
     let plan = FaultPlan::parse("kill_publish=2,corrupt_snapshot=3,poison_round=4").unwrap();
-    let run = run_gated(&ds, train_config(6), Some(plan), 0.0, &dir);
+    let run = run_gated(&ds, train_config(6), Some(plan), 2, 0.0, &dir);
 
     // Exact publisher counters: 6 attempts, one killed (never offered),
     // the rest committed.
@@ -256,7 +259,7 @@ fn chaos_run_never_swaps_a_bad_version_and_drops_nothing() {
 fn fault_free_gated_run_is_bit_identical_to_direct_serving() {
     let ds = dataset();
     let dir = scratch_dir("clean");
-    let run = run_gated(&ds, train_config(3), None, 50.0, &dir);
+    let run = run_gated(&ds, train_config(3), None, 2, 50.0, &dir);
 
     assert_eq!(counter(&run, "publish_offered_total"), 3);
     assert_eq!(counter(&run, "publish_accepted_total"), 3);
@@ -299,7 +302,7 @@ fn armed_guard_intercepts_poisoned_round_before_the_gate() {
     cfg.guard = GuardConfig::enabled();
     // Epoch 1 (publishing as v2) is poisoned on every worker.
     let plan = FaultPlan::parse("poison_round=1").unwrap();
-    let run = run_gated(&ds, cfg, Some(plan), 0.0, &dir);
+    let run = run_gated(&ds, cfg, Some(plan), 2, 0.0, &dir);
 
     assert!(run.report.guard_trips > 0, "guard never fired on the poisoned round");
     assert_eq!(rejected(&run, "nonfinite"), 0, "NaN leaked past the armed guard");
@@ -309,4 +312,42 @@ fn armed_guard_intercepts_poisoned_round_before_the_gate() {
     run.final_snapshot.check_finite().expect("served parameters must be finite");
     assert_eq!(run.dropped, 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The drill: 4 rounds publishing every round into 4 replicas behind a 25 %
+/// canary, once fault-free and once with the publisher killed mid-write in
+/// round 2 and round 3's committed snapshot corrupted on disk. The gate
+/// absorbs both faults — one digest rejection, one rollback, no dropped
+/// request — and the chaos run ends serving the clean run's bytes.
+#[test]
+fn the_publish_drill_absorbs_a_kill_and_a_corruption_into_the_clean_final_bytes() {
+    let ds = presets::industry(4, 300, 7);
+    let cfg = DistributedConfig { seed: 7, ..train_config(4) };
+
+    let ground_dir = scratch_dir("drill-ground");
+    let ground = run_gated(&ds, cfg, None, 4, 25.0, &ground_dir);
+    assert_eq!(ground.dropped, 0);
+    assert_eq!(counter(&ground, "publish_accepted_total"), 4);
+    assert_eq!(counter(&ground, "publish_rollbacks_total"), 0);
+
+    let chaos_dir = scratch_dir("drill-chaos");
+    let plan = FaultPlan::parse("kill_publish=2,corrupt_snapshot=3").unwrap();
+    let chaos = run_gated(&ds, cfg, Some(plan), 4, 25.0, &chaos_dir);
+    assert_eq!(counter(&chaos, "publish_kills_total"), 1);
+    assert_eq!(counter(&chaos, "publish_corruptions_total"), 1);
+    assert_eq!(rejected(&chaos, "digest"), 1);
+    assert_eq!(counter(&chaos, "publish_rollbacks_total"), 1);
+    assert_eq!(chaos.dropped, 0);
+    // Rename-or-nothing: the killed round left only its staging file.
+    let publish_dir = chaos_dir.join("publish");
+    assert!(publish_dir.join("snapshot-0000000002.mamdrsv.tmp").exists());
+    assert!(!publish_dir.join("snapshot-0000000002.mamdrsv").exists());
+
+    assert_eq!(chaos.final_snapshot.version(), 4);
+    assert!(
+        snapshot_bytes(&chaos.final_snapshot) == snapshot_bytes(&ground.final_snapshot),
+        "the chaos run's final served snapshot differs from the clean run's"
+    );
+    let _ = std::fs::remove_dir_all(&ground_dir);
+    let _ = std::fs::remove_dir_all(&chaos_dir);
 }

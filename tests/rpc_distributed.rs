@@ -2,12 +2,16 @@
 //! loopback training must be bit-identical to the in-process synchronous
 //! trainer, and training under an aggressive fault plan must still apply
 //! every outer update exactly once — same final parameters, all rounds
-//! completed, with the chaos fully visible in the `rpc_*` counters.
+//! completed, with the chaos fully visible in the `rpc_*` counters. The
+//! seeded fault streams make those counters exact, so `dist_bench --quick
+//! --seed 7`'s run pins them: its fault ledger, and the same ledger with
+//! two workers killed or the pipeline window narrowed to one frame.
 
-use mamdr::data::{DomainSpec, GeneratorConfig, MdrDataset};
+use mamdr::data::{presets, DomainSpec, GeneratorConfig, MdrDataset};
 use mamdr::obs::MetricsRegistry;
-use mamdr::ps::{checkpoint, DistributedConfig, DistributedMamdr};
+use mamdr::ps::{checkpoint, DistributedConfig, DistributedMamdr, DistributedReport};
 use mamdr::rpc::{DistributedTrainer, FaultPlan, LoopbackConfig, RetryPolicy};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn dataset() -> MdrDataset {
@@ -25,6 +29,11 @@ fn train_config() -> DistributedConfig {
         ..Default::default()
     }
 }
+
+/// `rpc_frames_total` of a fault-free run of [`train_config`] on
+/// [`dataset`]: 3 rounds × 2 workers × (one prefetch pull, one staleness
+/// probe, one push batch, one barrier).
+const FAULT_FREE_FRAMES: u64 = 24;
 
 /// Byte-exact snapshot of a store (checkpoint::save sorts rows, so equal
 /// parameters mean equal bytes).
@@ -64,8 +73,9 @@ fn fault_free_loopback_training_is_bit_identical_to_in_process() {
         "loopback and in-process parameters diverged"
     );
 
-    // A clean network: frames flowed, nothing retried, nothing deduped.
-    assert!(metrics.counter("rpc_frames_total").get() > 0);
+    // A clean network: the batched protocol's exact frame count, nothing
+    // retried, nothing deduped.
+    assert_eq!(metrics.counter("rpc_frames_total").get(), FAULT_FREE_FRAMES);
     assert_eq!(metrics.counter("rpc_retries_total").get(), 0);
     assert_eq!(metrics.counter("rpc_push_deduped_total").get(), 0);
     assert_eq!(metrics.counter("rpc_push_applied_total").get(), local.pushes);
@@ -144,7 +154,113 @@ fn identical_fault_plans_produce_identical_fault_counters() {
         trainer.shutdown();
         metrics.counter_values()
     };
-    // Determinism down to every counter: this is what lets CI grep exact
-    // values out of the dist-smoke run.
+    // Determinism down to every counter: this is what lets the drill
+    // tests below pin exact values.
     assert_eq!(run(), run());
+}
+
+/// `rpc_frames_total` of the fault-free drill run.
+const DRILL_FAULT_FREE_FRAMES: u64 = 25;
+
+/// `dist_bench --quick --seed 7`'s dataset: `industry` at a quarter of
+/// the binary's default scale.
+fn drill_dataset() -> MdrDataset {
+    presets::industry(4, 300, 7)
+}
+
+/// The drill's schedule: this file's 2 workers and 3 rounds, seeded 7.
+fn drill_config() -> DistributedConfig {
+    DistributedConfig { seed: 7, ..train_config() }
+}
+
+/// The seeded wire faults of the drill: drops both ways, duplicates, and
+/// a disconnect on every client's fourth attempt.
+const DRILL_FAULTS: &str = "seed=7,drop_send=0.05,drop_recv=0.1,dup=0.4,disconnect=3";
+
+struct DrillRun {
+    report: DistributedReport,
+    store_bytes: Vec<u8>,
+    counters: BTreeMap<String, u64>,
+}
+
+/// One drill run over loopback TCP at the given fault plan and pipeline
+/// window depth.
+fn run_drill(ds: &MdrDataset, plan: Option<&str>, pipeline_depth: usize) -> DrillRun {
+    let cfg = drill_config();
+    let metrics = Arc::new(MetricsRegistry::new());
+    let loopback = LoopbackConfig {
+        fault: plan.map(|p| FaultPlan::parse(p).unwrap()),
+        retry: RetryPolicy { base_backoff_micros: 20, pipeline_depth, ..Default::default() },
+        ..LoopbackConfig::new(cfg)
+    };
+    let mut trainer = DistributedTrainer::new(ds, loopback, Arc::clone(&metrics)).unwrap();
+    let report = trainer.train(ds).unwrap();
+    let store_bytes = snapshot_bytes(trainer.store(), cfg.dim);
+    trainer.shutdown();
+    DrillRun { report, store_bytes, counters: metrics.counter_values().into_iter().collect() }
+}
+
+fn counter(run: &DrillRun, name: &str) -> u64 {
+    run.counters.get(name).copied().unwrap_or(0)
+}
+
+/// The wire ledger of the faulted drill run, exact.
+fn assert_drill_ledger(run: &DrillRun) {
+    assert_eq!(counter(run, "rpc_frames_total"), 42);
+    assert_eq!(counter(run, "rpc_retries_total"), 6);
+    assert_eq!(counter(run, "rpc_push_applied_total"), 2397);
+    assert_eq!(counter(run, "rpc_push_deduped_total"), 1067);
+    assert_eq!(counter(run, "rpc_faults_disconnects_total"), 3);
+}
+
+#[test]
+fn the_faulted_drill_run_reproduces_its_exact_fault_ledger() {
+    let ds = drill_dataset();
+    let run = run_drill(&ds, Some(DRILL_FAULTS), 8);
+    assert_drill_ledger(&run);
+
+    // Every one of the 2397 outer updates applied exactly once: the run is
+    // the in-process trainer's, bit for bit.
+    let cfg = drill_config();
+    let local_trainer = DistributedMamdr::new(&ds, cfg);
+    let local = local_trainer.train(&ds);
+    assert_eq!(local.pushes, 2397);
+    assert_eq!(run.report.round_losses, local.round_losses);
+    assert_eq!(run.report.mean_auc.to_bits(), local.mean_auc.to_bits());
+    assert_eq!(run.store_bytes, snapshot_bytes(local_trainer.server(), cfg.dim));
+}
+
+#[test]
+fn killed_workers_leave_the_drill_fault_ledger_unchanged() {
+    // Worker 1 dies in round 0 and worker 0 in round 2, before their first
+    // read; each replacement re-runs the partition with the same client id
+    // and fault stream, so the wire ledger is the kill-free one.
+    let ds = drill_dataset();
+    let plan = format!("{DRILL_FAULTS},kill=0:1+2:0");
+    let killed = run_drill(&ds, Some(&plan), 8);
+    assert_drill_ledger(&killed);
+    assert_eq!(counter(&killed, "rpc_faults_worker_kills_total"), 2);
+    assert_eq!(counter(&killed, "rpc_worker_restarts_total"), 2);
+
+    let clean = run_drill(&ds, Some(DRILL_FAULTS), 8);
+    assert_eq!(killed.report.round_losses, clean.report.round_losses);
+    assert_eq!(killed.store_bytes, clean.store_bytes);
+}
+
+#[test]
+fn the_pipeline_window_depth_is_invisible_to_the_drill_run() {
+    // Depth 1 serializes every request; depth 8 is the default window.
+    // Same frames, same counters, same report — only the wire scheduling
+    // differs.
+    let ds = drill_dataset();
+    let serial = run_drill(&ds, None, 1);
+    let windowed = run_drill(&ds, None, 8);
+    assert_eq!(serial.report.mean_auc.to_bits(), windowed.report.mean_auc.to_bits());
+    assert_eq!(serial.report.round_losses, windowed.report.round_losses);
+    assert_eq!(serial.report.pulls, windowed.report.pulls);
+    assert_eq!(serial.report.pushes, windowed.report.pushes);
+    assert_eq!(serial.report.total_bytes, windowed.report.total_bytes);
+    assert_eq!(serial.counters, windowed.counters);
+    assert_eq!(serial.store_bytes, windowed.store_bytes);
+    assert_eq!(counter(&serial, "rpc_frames_total"), DRILL_FAULT_FREE_FRAMES);
 }

@@ -5,8 +5,10 @@
 //! and the round replayed without divergence; and a sharded checkpoint
 //! must resume bit-identically at the same shard count *and* across a
 //! topology change (4 shards or 1 shard committed, 2 shards resumed).
+//! `dist_bench --quick --seed 7`'s shard drill runs here too: 4 shards with
+//! one killed mid-schedule end byte-identical to the single store.
 
-use mamdr::data::{DomainSpec, GeneratorConfig, MdrDataset};
+use mamdr::data::{presets, DomainSpec, GeneratorConfig, MdrDataset};
 use mamdr::obs::MetricsRegistry;
 use mamdr::ps::{checkpoint, DistributedConfig, DistributedMamdr};
 use mamdr::rpc::{DistributedTrainer, FaultPlan, LoopbackConfig, RetryPolicy, TrainerError};
@@ -143,48 +145,60 @@ fn faulted_sharded_training_applies_every_update_exactly_once() {
 
 #[test]
 fn a_killed_shard_is_restarted_from_the_manifest_and_the_round_replays_bit_identically() {
-    let ds = dataset();
-    let cfg = train_config(3, 2);
-    let dir = scratch_dir("shard-kill");
+    // Shard 1 of 2 on this file's dataset, and `dist_bench --quick --seed
+    // 7`'s drill (shard 2 of 4), each torn down at the top of round 1.
+    // The doomed attempt fails once worker retries exhaust, nothing is
+    // applied, and the supervisor reseeds the shard from the round-1
+    // manifest and replays the round.
+    let runs = [
+        (dataset(), train_config(3, 2), "kill_shard=1:1"),
+        (
+            presets::industry(4, 300, 7),
+            DistributedConfig { seed: 7, ..train_config(3, 4) },
+            "kill_shard=1:2",
+        ),
+    ];
+    for (ds, cfg, plan) in runs {
+        let shards = cfg.route_shards;
+        let dir = scratch_dir(&format!("shard-kill-{shards}"));
+        let local_trainer = DistributedMamdr::new(&ds, cfg);
+        let local = local_trainer.train(&ds);
 
-    let local_trainer = DistributedMamdr::new(&ds, cfg);
-    let local = local_trainer.train(&ds);
+        let metrics = Arc::new(MetricsRegistry::new());
+        let loopback = LoopbackConfig {
+            shards,
+            fault: Some(FaultPlan::parse(plan).unwrap()),
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 1,
+            max_worker_retries: 0,
+            retry: RetryPolicy { base_backoff_micros: 20, ..Default::default() },
+            ..LoopbackConfig::new(cfg)
+        };
+        let mut trainer = DistributedTrainer::new(&ds, loopback, Arc::clone(&metrics)).unwrap();
+        let report = trainer.train(&ds).unwrap();
 
-    // Shard 1 is torn down at the top of round 1. The doomed attempt fails
-    // once worker retries exhaust, nothing is applied, and the supervisor
-    // reseeds the shard from the round-1 manifest and replays the round.
-    let plan = FaultPlan::parse("kill_shard=1:1").unwrap();
-    let metrics = Arc::new(MetricsRegistry::new());
-    let loopback = LoopbackConfig {
-        shards: 2,
-        fault: Some(plan),
-        checkpoint_dir: Some(dir.clone()),
-        checkpoint_every: 1,
-        max_worker_retries: 0,
-        retry: RetryPolicy { base_backoff_micros: 20, ..Default::default() },
-        ..LoopbackConfig::new(cfg)
-    };
-    let mut trainer = DistributedTrainer::new(&ds, loopback, Arc::clone(&metrics)).unwrap();
-    let report = trainer.train(&ds).unwrap();
+        assert_eq!(metrics.counter("rpc_faults_shard_kills_total").get(), 1, "{plan}");
+        assert_eq!(metrics.counter("rpc_shard_restarts_total").get(), 1, "{plan}");
 
-    assert_eq!(metrics.counter("rpc_faults_shard_kills_total").get(), 1);
-    assert_eq!(metrics.counter("rpc_shard_restarts_total").get(), 1);
-
-    // Zero divergence: the replayed round is indistinguishable from an
-    // undisturbed one. (Pull traffic is not compared — the doomed
-    // attempt's reads against the surviving shard are real wire traffic.)
-    assert_eq!(report.round_losses, local.round_losses);
-    assert_eq!(report.mean_auc.to_bits(), local.mean_auc.to_bits());
-    assert_eq!(report.pushes, local.pushes);
-    assert_eq!(report.max_staleness, 0);
-    assert_eq!(metrics.counter("rpc_push_applied_total").get(), local.pushes);
-    assert_eq!(
-        snapshot_bytes(&trainer.merged_store(), cfg.dim),
-        snapshot_bytes(local_trainer.server(), cfg.dim),
-        "shard recovery changed the parameters"
-    );
-    trainer.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
+        // Zero divergence: the replayed round is indistinguishable from an
+        // undisturbed one. (Pull traffic is not compared — the doomed
+        // attempt's reads against the surviving shards are real wire
+        // traffic.)
+        assert_eq!(report.round_losses, local.round_losses, "{plan}");
+        assert_eq!(report.mean_auc.to_bits(), local.mean_auc.to_bits(), "{plan}");
+        assert_eq!(report.pushes, local.pushes, "{plan}");
+        assert_eq!(report.max_staleness, 0);
+        assert_eq!(metrics.counter("rpc_push_applied_total").get(), local.pushes, "{plan}");
+        // The merged final state is the single in-process store's, byte
+        // for byte.
+        assert!(
+            snapshot_bytes(&trainer.merged_store(), cfg.dim)
+                == snapshot_bytes(local_trainer.server(), cfg.dim),
+            "{plan}: shard recovery changed the parameters"
+        );
+        trainer.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -5,12 +5,12 @@
 //! children under one logical span, and serve requests leaving complete
 //! lifecycle chains.
 
-use mamdr::data::{DomainSpec, GeneratorConfig, MdrDataset};
+use mamdr::data::{presets, DomainSpec, GeneratorConfig, MdrDataset};
 use mamdr::obs::{MetricsRegistry, SpanRecord, Tracer};
 use mamdr::ps::{checkpoint, DistributedConfig, DistributedMamdr};
 use mamdr::rpc::{DistributedTrainer, FaultPlan, LoopbackConfig, RetryPolicy};
 use mamdr::serve::{ScoreRequest, ScoringEngine, ServeConfig, ServeResult, Server};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 fn dataset() -> MdrDataset {
@@ -44,7 +44,15 @@ struct LoopbackRun {
 }
 
 fn run_loopback(ds: &MdrDataset, plan: Option<&str>, tracer: Option<Arc<Tracer>>) -> LoopbackRun {
-    let cfg = train_config();
+    run_loopback_with(ds, train_config(), plan, tracer)
+}
+
+fn run_loopback_with(
+    ds: &MdrDataset,
+    cfg: DistributedConfig,
+    plan: Option<&str>,
+    tracer: Option<Arc<Tracer>>,
+) -> LoopbackRun {
     let metrics = Arc::new(MetricsRegistry::new());
     let loopback = LoopbackConfig {
         fault: plan.map(|s| FaultPlan::parse(s).unwrap()),
@@ -187,6 +195,42 @@ fn faulted_tracing_is_neutral_and_groups_retries_under_one_logical_span() {
         }
     }
     assert!(deduped_seen > 0, "no server.apply span marked deduped under a dup/retry plan");
+}
+
+/// `dist_bench --quick --seed 7` under its fault plan, traced: the span
+/// tree has the exact shape the seeded run produces, and the wire ledger
+/// is the untraced one (`tests/rpc_distributed.rs` pins the same values).
+#[test]
+fn the_traced_drill_run_has_an_exact_span_tree_and_the_untraced_ledger() {
+    let ds = presets::industry(4, 300, 7);
+    let cfg = DistributedConfig { n_workers: 2, epochs: 3, seed: 7, ..train_config() };
+    let plan = "seed=7,drop_send=0.05,drop_recv=0.1,dup=0.4,disconnect=3";
+    let tracer = Arc::new(Tracer::new());
+    let run = run_loopback_with(&ds, cfg, Some(plan), Some(Arc::clone(&tracer)));
+    assert_eq!(run.counters["rpc_frames_total"], 42);
+    assert_eq!(run.counters["rpc_retries_total"], 6);
+    assert_eq!(run.counters["rpc_push_applied_total"], 2397);
+
+    let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+    for span in tracer.recent_spans(usize::MAX) {
+        *counts.entry(span.name).or_default() += 1;
+    }
+    let expected = BTreeMap::from([
+        ("round", 3), // one per epoch
+        ("round.partition", 3),
+        ("round.workers", 3),
+        ("round.apply", 3),
+        ("round.evaluate", 1),
+        ("worker.round", 6),    // epochs x workers
+        ("rpc.pull", 12),       // one prefetch + one staleness probe per (epoch, worker)
+        ("rpc.push", 6),        // one gradient batch per accepted worker
+        ("rpc.attempt", 30),    // wire attempts, the 6 retries included
+        ("server.pull", 20),    // pulls re-served after dropped or duplicated frames
+        ("server.apply", 9),    // 6 applies + 3 batch dedups
+        ("rpc.barrier", 6),     // one per (epoch, worker)
+        ("server.barrier", 12), // duplicated barrier frames re-enter the handler
+    ]);
+    assert_eq!(counts, expected);
 }
 
 #[test]
