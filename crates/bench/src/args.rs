@@ -1,4 +1,4 @@
-//! Minimal command-line parsing shared by the table binaries.
+//! Minimal command-line parsing shared by the bench binaries.
 
 /// Common knobs for every benchmark binary.
 #[derive(Debug, Clone)]
@@ -103,13 +103,40 @@ fn check_out_path(flag: &str, path: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Rejects a count flag outside `min..=max`.
+fn check_count(flag: &str, value: usize, min: usize, max: usize) -> Result<(), String> {
+    if value < min {
+        return Err(format!("{flag} must be at least {min}"));
+    }
+    if value > max {
+        return Err(format!("{flag} {value} exceeds the supported maximum of {max}"));
+    }
+    Ok(())
+}
+
+/// The flags `paper` reads, as `BenchArgs::parse` takes them.
+pub const PAPER_FLAGS: &str = "--scale --epochs --threads --seed --quick --metrics-out";
+
+/// The flags `dist_bench` reads.
+pub const DIST_BENCH_FLAGS: &str = "--scale --epochs --threads --seed --quick --metrics-out \
+    --workers --fault-plan --checkpoint-every --checkpoint-dir --resume --trace-out \
+    --phase-summary --introspect-addr --shards --preset";
+
+/// The flags `serve_bench` reads.
+pub const SERVE_BENCH_FLAGS: &str = "--scale --epochs --threads --seed --quick --metrics-out \
+    --trace-out --phase-summary --introspect-addr --replicas";
+
 impl BenchArgs {
-    /// Parses the flags from an argument iterator. An unknown flag, a
-    /// missing value, or a value that is not a number of the flag's type
-    /// is an error naming the flag: integer flags take decimal integers
-    /// only, so `--seed -1` or `--threads 2.5` never round to a different
-    /// run.
-    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
+    /// Parses the flags of binary `bin` from an argument iterator. A flag
+    /// not in `reads` (the space-separated flags `bin` acts on), a missing
+    /// value, or a value that is not a number of the flag's type is an
+    /// error naming the flag: integer flags take decimal integers only, so
+    /// `--seed -1` or `--threads 2.5` never round to a different run.
+    pub fn parse(
+        bin: &str,
+        reads: &str,
+        mut args: impl Iterator<Item = String>,
+    ) -> Result<Self, String> {
         fn num<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, String>
         where
             T::Err: std::fmt::Display,
@@ -118,6 +145,9 @@ impl BenchArgs {
         }
         let mut out = BenchArgs::default();
         while let Some(flag) = args.next() {
+            if !reads.split(' ').any(|f| f == flag) {
+                return Err(format!("unknown flag {flag} for {bin}; {bin} reads {reads}"));
+            }
             let mut take = || args.next().ok_or_else(|| format!("{flag} requires a value"));
             match flag.as_str() {
                 "--scale" => out.scale = num(&flag, take()?)?,
@@ -137,23 +167,19 @@ impl BenchArgs {
                 "--shards" => out.shards = num(&flag, take()?)?,
                 "--preset" => out.preset = Some(take()?),
                 "--replicas" => out.replicas = num(&flag, take()?)?,
-                other => {
-                    return Err(format!(
-                        "unknown flag {other}; supported: --scale <f> --epochs <n> --threads <n> --seed <n> --quick --metrics-out <path> --workers <n> --fault-plan <spec> --checkpoint-every <n> --checkpoint-dir <dir> --resume <dir> --trace-out <path> --phase-summary --introspect-addr <addr> --shards <n> --preset <industry|longtail> --replicas <n>"
-                    ));
-                }
+                other => unreachable!("{bin} lists {other}, which no arm parses"),
             }
         }
         Ok(out)
     }
 
-    /// Parses the process arguments, validates them up front (a bad
-    /// `--threads` or `--metrics-out` aborts with a clear message *before*
-    /// any dataset generation or training starts), and applies `--threads`
-    /// to the kernel pool so every binary honors the knob without its own
-    /// wiring.
-    pub fn from_env() -> Self {
-        let args = Self::parse(std::env::args().skip(1)).and_then(|a| a.validate().map(|()| a));
+    /// Parses `args` as [`parse`](Self::parse) does, validates them up
+    /// front (a bad `--threads` or `--metrics-out` aborts with a clear
+    /// message *before* any dataset generation or training starts), and
+    /// applies `--threads` to the kernel pool so every binary honors the
+    /// knob without its own wiring. Any error exits 2.
+    pub fn from_args(bin: &str, reads: &str, args: impl Iterator<Item = String>) -> Self {
+        let args = Self::parse(bin, reads, args).and_then(|a| a.validate().map(|()| a));
         let args = args.unwrap_or_else(|msg| {
             eprintln!("invalid arguments: {msg}");
             std::process::exit(2);
@@ -163,27 +189,17 @@ impl BenchArgs {
     }
 
     /// Checks flag values for problems that would otherwise only surface
-    /// minutes into a run: a zero or absurd `--threads`, a non-positive
+    /// minutes into a run: a zero or absurd count (`--threads`,
+    /// `--workers`, `--shards`, `--replicas`), a non-positive
     /// `--scale`, or a `--metrics-out` path that cannot possibly be written
     /// (missing parent directory, or an existing directory).
     pub fn validate(&self) -> Result<(), String> {
-        if self.threads == 0 {
-            return Err("--threads must be at least 1".into());
-        }
-        if self.threads > MAX_THREADS {
-            return Err(format!(
-                "--threads {} exceeds the supported maximum of {MAX_THREADS}",
-                self.threads
-            ));
-        }
+        check_count("--threads", self.threads, 1, MAX_THREADS)?;
+        check_count("--workers", self.workers, 0, MAX_THREADS)?;
+        check_count("--shards", self.shards, 1, MAX_SHARDS)?;
+        check_count("--replicas", self.replicas, 1, MAX_REPLICAS)?;
         if !(self.scale.is_finite() && self.scale > 0.0) {
             return Err(format!("--scale must be a positive number, got {}", self.scale));
-        }
-        if self.workers > MAX_THREADS {
-            return Err(format!(
-                "--workers {} exceeds the supported maximum of {MAX_THREADS}",
-                self.workers
-            ));
         }
         if let Some(spec) = &self.fault_plan {
             if let Err(e) = mamdr_rpc::FaultPlan::parse(spec) {
@@ -225,28 +241,10 @@ impl BenchArgs {
                 ));
             }
         }
-        if self.shards == 0 {
-            return Err("--shards must be at least 1".into());
-        }
-        if self.shards > MAX_SHARDS {
-            return Err(format!(
-                "--shards {} exceeds the supported maximum of {MAX_SHARDS}",
-                self.shards
-            ));
-        }
         if let Some(p) = &self.preset {
             if !matches!(p.as_str(), "industry" | "longtail") {
                 return Err(format!("--preset {p} is unknown (expected industry or longtail)"));
             }
-        }
-        if self.replicas == 0 {
-            return Err("--replicas must be at least 1".into());
-        }
-        if self.replicas > MAX_REPLICAS {
-            return Err(format!(
-                "--replicas {} exceeds the supported maximum of {MAX_REPLICAS}",
-                self.replicas
-            ));
         }
         Ok(())
     }
@@ -305,8 +303,24 @@ mod tests {
         try_parse(words).unwrap()
     }
 
+    /// Parses as a binary that reads every flag some binary reads.
     fn try_parse(words: &[&str]) -> Result<BenchArgs, String> {
-        BenchArgs::parse(words.iter().map(|s| s.to_string()))
+        let all = format!("{DIST_BENCH_FLAGS} --replicas");
+        BenchArgs::parse("test", &all, words.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn a_flag_the_binary_does_not_read_is_rejected_naming_flag_and_binary() {
+        for (bin, reads, words) in [
+            ("paper", PAPER_FLAGS, ["--workers", "4"]),
+            ("paper", PAPER_FLAGS, ["--fault-plan", "seed=1"]),
+            ("serve_bench", SERVE_BENCH_FLAGS, ["--shards", "4"]),
+            ("dist_bench", DIST_BENCH_FLAGS, ["--replicas", "2"]),
+        ] {
+            let err = BenchArgs::parse(bin, reads, words.iter().map(|s| s.to_string()))
+                .expect_err(&format!("{bin} {words:?} must be rejected"));
+            assert!(err.contains(words[0]) && err.contains(bin), "{bin} {words:?}: {err}");
+        }
     }
 
     #[test]

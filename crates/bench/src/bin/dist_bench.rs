@@ -37,6 +37,7 @@
 //! committed manifest, at any shard count, and runs only the remaining
 //! rounds.
 
+use mamdr_bench::args::DIST_BENCH_FLAGS;
 use mamdr_bench::{render_phase_table, BenchArgs, BenchTelemetry, QUICK_SCALE_FACTOR};
 use mamdr_data::presets;
 use mamdr_obs::Value;
@@ -46,7 +47,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 fn main() {
-    let args = BenchArgs::from_env();
+    let args = BenchArgs::from_args("dist_bench", DIST_BENCH_FLAGS, std::env::args().skip(1));
     let telemetry = BenchTelemetry::from_args(&args);
     let scale = if args.quick { args.scale * QUICK_SCALE_FACTOR } else { args.scale };
     let preset = args.preset.as_deref().unwrap_or("industry");

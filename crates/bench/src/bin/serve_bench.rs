@@ -24,6 +24,7 @@
 //! `--quick` caps training epochs. `--metrics-out`, `--trace-out`,
 //! `--phase-summary`, `--introspect-addr` as everywhere else.
 
+use mamdr_bench::args::SERVE_BENCH_FLAGS;
 use mamdr_bench::serve::{
     closed_loop, dataset, pool_config, probe_digest, train_snapshot, ClosedLoop,
 };
@@ -33,7 +34,7 @@ use mamdr_obs::Value;
 use mamdr_serve::ReplicatedServer;
 
 fn main() {
-    let args = BenchArgs::from_env();
+    let args = BenchArgs::from_args("serve_bench", SERVE_BENCH_FLAGS, std::env::args().skip(1));
     let telemetry = BenchTelemetry::from_args(&args);
 
     eprintln!("[serve_bench] training snapshot versions 1 and 2 ...");

@@ -1,12 +1,11 @@
-//! Shared experiment plumbing for the table binaries.
+//! Shared experiment plumbing for the `paper` binary's experiments.
 
 use crate::args::BenchArgs;
-use mamdr_core::experiment::{run_many, JobError, RunResult};
-use mamdr_core::{FrameworkKind, TrainConfig};
+use mamdr_core::experiment::{JobError, RunResult};
+use mamdr_core::TrainConfig;
 use mamdr_data::{presets, MdrDataset};
-use mamdr_models::{ModelConfig, ModelKind};
 
-/// Default dataset scale for the table binaries: the presets are already
+/// Default dataset scale for the `paper` experiments: the presets are already
 /// scaled from the paper's sizes (Amazon 1/200, Taobao 1/10); this factor
 /// trades another ~2.5× so a full table regenerates in minutes. Override
 /// with `--scale`.
@@ -49,30 +48,21 @@ pub fn table_config(args: &BenchArgs, default_epochs: usize) -> TrainConfig {
         .with_threads(args.threads)
 }
 
-/// Runs one model under several frameworks on one dataset, in parallel.
-pub fn run_frameworks(
-    ds: &MdrDataset,
-    model: ModelKind,
-    frameworks: &[FrameworkKind],
-    model_cfg: &ModelConfig,
-    cfg: TrainConfig,
-    threads: usize,
-) -> Vec<RunResult> {
-    let jobs: Vec<(ModelKind, FrameworkKind)> = frameworks.iter().map(|&f| (model, f)).collect();
-    expect_jobs(run_many(ds, &jobs, model_cfg, cfg, threads))
-}
-
-/// Unwraps a [`run_many`] result set for table rendering. A table with
+/// Unwraps a `run_many` result set for table rendering. A table with
 /// holes is not worth printing, so every failed job is reported on stderr
-/// and the process exits non-zero if any slot failed.
-pub fn expect_jobs(results: Vec<Result<RunResult, JobError>>) -> Vec<RunResult> {
+/// under its `labels` entry (its row in the table) and the process exits
+/// non-zero if any slot failed.
+pub fn expect_jobs<'a>(
+    labels: impl IntoIterator<Item = &'a str>,
+    results: Vec<Result<RunResult, JobError>>,
+) -> Vec<RunResult> {
     let mut out = Vec::with_capacity(results.len());
     let mut failed = false;
-    for r in results {
+    for (label, r) in labels.into_iter().zip(results) {
         match r {
             Ok(r) => out.push(r),
             Err(e) => {
-                eprintln!("[bench] {e}");
+                eprintln!("[bench] {label}: {e}");
                 failed = true;
             }
         }

@@ -12,8 +12,8 @@ pub struct TableBuilder {
 
 impl TableBuilder {
     /// A table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
-        let header: Vec<String> = header.iter().map(|s| s.to_string()).collect();
+    pub fn new<S: AsRef<str>>(header: &[S]) -> Self {
+        let header: Vec<String> = header.iter().map(|s| s.as_ref().to_string()).collect();
         let widths = header.iter().map(|h| h.len()).collect();
         TableBuilder { header, widths, rows: Vec::new() }
     }

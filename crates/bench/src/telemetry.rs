@@ -27,7 +27,7 @@ pub struct BenchTelemetry {
     trace_out: Option<PathBuf>,
     /// Held for the process lifetime; stops serving when the telemetry
     /// sink (and with it the process's run) ends.
-    introspect: Option<IntrospectServer>,
+    _introspect: Option<IntrospectServer>,
 }
 
 impl BenchTelemetry {
@@ -58,7 +58,7 @@ impl BenchTelemetry {
             out,
             tracer,
             trace_out: args.trace_out.as_ref().map(PathBuf::from),
-            introspect,
+            _introspect: introspect,
         }
     }
 
@@ -93,8 +93,9 @@ impl BenchTelemetry {
         })
     }
 
-    /// Records one finished run's headline quality as a `result` event.
-    pub fn emit_result(&self, dataset: &str, r: &mamdr_core::experiment::RunResult) {
+    /// Records one finished run's headline quality as a `result` event;
+    /// `label` is the run's row in the experiment's table.
+    pub fn emit_result(&self, dataset: &str, label: &str, r: &mamdr_core::experiment::RunResult) {
         if !self.enabled() {
             return;
         }
@@ -102,6 +103,7 @@ impl BenchTelemetry {
             "result",
             &[
                 ("dataset", Value::from(dataset)),
+                ("label", Value::from(label)),
                 ("model", Value::from(r.model.as_str())),
                 ("framework", Value::from(r.framework.as_str())),
                 ("mean_auc", Value::from(r.mean_auc)),
@@ -114,11 +116,6 @@ impl BenchTelemetry {
     /// or `--introspect-addr` asked for one.
     pub fn tracer(&self) -> Option<Arc<Tracer>> {
         self.tracer.clone()
-    }
-
-    /// The live introspection endpoint, when `--introspect-addr` bound one.
-    pub fn introspect_addr(&self) -> Option<std::net::SocketAddr> {
-        self.introspect.as_ref().map(|s| s.addr())
     }
 
     /// Appends the registry dump to the JSONL stream, flushes it, writes
@@ -181,7 +178,6 @@ mod tests {
         assert!(!t.enabled());
         assert!(t.observer().is_none());
         assert!(t.tracer().is_none());
-        assert!(t.introspect_addr().is_none());
         t.finish(); // must not panic or write anywhere
         assert!(t.log().is_empty());
     }

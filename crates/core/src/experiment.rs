@@ -1,6 +1,6 @@
 //! Experiment orchestration: train a (model, framework) pair on a dataset
-//! and collect per-domain AUCs — the unit of work every table binary in
-//! `mamdr-bench` is built from.
+//! and collect per-domain AUCs — the unit of work every experiment of
+//! `mamdr-bench`'s `paper` binary is built from.
 
 use crate::config::TrainConfig;
 use crate::env::TrainEnv;
@@ -99,20 +99,21 @@ pub fn run_observed(
     }
 }
 
-/// Runs several (model, framework) combinations in parallel threads.
+/// Runs several (model, framework, config) jobs in parallel threads.
 ///
 /// The work items are independent; each gets its own model instance and
-/// environment. Order of results matches order of requests. A panic inside
-/// one job is caught and surfaced as a [`JobError`] on that job's slot —
-/// sibling jobs run to completion regardless.
+/// environment and trains under its own [`TrainConfig`], so a sweep over a
+/// hyper-parameter or a seed is one call. Order of results matches order of
+/// requests. A panic inside one job is caught and surfaced as a
+/// [`JobError`] on that job's slot — sibling jobs run to completion
+/// regardless.
 pub fn run_many(
     ds: &MdrDataset,
-    jobs: &[(ModelKind, FrameworkKind)],
+    jobs: &[(ModelKind, FrameworkKind, TrainConfig)],
     model_cfg: &ModelConfig,
-    cfg: TrainConfig,
     max_threads: usize,
 ) -> Vec<Result<RunResult, JobError>> {
-    run_many_observed(ds, jobs, model_cfg, cfg, max_threads, &|_| None)
+    run_many_observed(ds, jobs, model_cfg, max_threads, &|_| None)
 }
 
 /// [`run_many`] with a per-job observer factory: `make_observer(i)` runs on
@@ -123,9 +124,8 @@ pub fn run_many(
 /// [`TelemetryObserver`]: mamdr_obs::TelemetryObserver
 pub fn run_many_observed(
     ds: &MdrDataset,
-    jobs: &[(ModelKind, FrameworkKind)],
+    jobs: &[(ModelKind, FrameworkKind, TrainConfig)],
     model_cfg: &ModelConfig,
-    cfg: TrainConfig,
     max_threads: usize,
     make_observer: &(dyn Fn(usize) -> Option<Box<dyn TrainObserver>> + Sync),
 ) -> Vec<Result<RunResult, JobError>> {
@@ -133,11 +133,11 @@ pub fn run_many_observed(
         jobs.len(),
         max_threads,
         |i| {
-            let (mk, fk) = jobs[i];
+            let (mk, fk, _) = jobs[i];
             (mk.name().to_string(), fk.name().to_string())
         },
         |i| {
-            let (mk, fk) = jobs[i];
+            let (mk, fk, cfg) = jobs[i];
             run_observed(ds, mk, model_cfg, fk, cfg, make_observer(i))
         },
     )
@@ -261,13 +261,17 @@ mod tests {
     #[test]
     fn run_many_matches_run() {
         let ds = dataset();
-        let jobs =
-            [(ModelKind::Mlp, FrameworkKind::Alternate), (ModelKind::Mlp, FrameworkKind::Dn)];
-        let parallel = run_many(&ds, &jobs, &ModelConfig::tiny(), TrainConfig::quick(), 2);
-        let serial: Vec<_> = jobs
-            .iter()
-            .map(|&(mk, fk)| run(&ds, mk, &ModelConfig::tiny(), fk, TrainConfig::quick()))
-            .collect();
+        // Each job trains under its own config: a job that ran under its
+        // sibling's config would show.
+        let jobs = [
+            (ModelKind::Mlp, FrameworkKind::Alternate, TrainConfig::quick()),
+            (ModelKind::Mlp, FrameworkKind::Dn, TrainConfig::quick().with_seed(7).with_epochs(3)),
+        ];
+        let parallel = run_many(&ds, &jobs, &ModelConfig::tiny(), 2);
+        let serial: Vec<_> =
+            jobs.iter().map(|&(mk, fk, cfg)| run(&ds, mk, &ModelConfig::tiny(), fk, cfg)).collect();
+        let swapped = run(&ds, ModelKind::Mlp, &ModelConfig::tiny(), FrameworkKind::Dn, jobs[0].2);
+        assert_ne!(swapped.domain_auc, serial[1].domain_auc, "the two configs must differ");
         for (p, s) in parallel.iter().zip(&serial) {
             let p = p.as_ref().expect("job succeeded");
             assert_eq!(p.domain_auc, s.domain_auc, "{}", p.framework);
@@ -330,79 +334,5 @@ mod tests {
         cfg.epochs = 20;
         let r = run(&ds, ModelKind::Mlp, &ModelConfig::tiny(), FrameworkKind::Alternate, cfg);
         assert!(r.mean_auc > 0.6, "mean AUC {} not above chance", r.mean_auc);
-    }
-}
-
-/// Runs the same experiment under several seeds and averages per-domain
-/// AUCs — the cheap way to get figure-quality curves out of the scaled
-/// benchmarks, whose single-seed variance is around ±0.01 AUC.
-pub fn run_averaged(
-    ds: &MdrDataset,
-    model_kind: ModelKind,
-    model_cfg: &ModelConfig,
-    framework_kind: FrameworkKind,
-    cfg: TrainConfig,
-    seeds: &[u64],
-) -> RunResult {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let mut acc: Option<Vec<f64>> = None;
-    let mut wall_secs = 0.0;
-    for &seed in seeds {
-        let mut c = cfg;
-        c.seed = seed;
-        let r = run(ds, model_kind, model_cfg, framework_kind, c);
-        wall_secs += r.wall_secs;
-        match &mut acc {
-            Some(a) => {
-                for (x, y) in a.iter_mut().zip(&r.domain_auc) {
-                    *x += y;
-                }
-            }
-            None => acc = Some(r.domain_auc),
-        }
-    }
-    let mut domain_auc = acc.expect("at least one run");
-    for x in &mut domain_auc {
-        *x /= seeds.len() as f64;
-    }
-    let mean_auc = crate::metrics::mean(&domain_auc);
-    RunResult {
-        model: model_kind.name().to_string(),
-        framework: framework_kind.name().to_string(),
-        domain_auc,
-        mean_auc,
-        wall_secs,
-    }
-}
-
-#[cfg(test)]
-mod averaged_tests {
-    use super::*;
-    use mamdr_data::{DomainSpec, GeneratorConfig};
-
-    #[test]
-    fn averaged_run_is_mean_of_singles() {
-        let mut gen = GeneratorConfig::base("avg", 60, 40, 5);
-        gen.domains = vec![DomainSpec::new("a", 300, 0.3)];
-        let ds = gen.generate();
-        let cfg = TrainConfig::quick();
-        let seeds = [3u64, 9];
-        let avg = run_averaged(
-            &ds,
-            ModelKind::Mlp,
-            &ModelConfig::tiny(),
-            FrameworkKind::Alternate,
-            cfg,
-            &seeds,
-        );
-        let mut expect = 0.0;
-        for &s in &seeds {
-            let mut c = cfg;
-            c.seed = s;
-            expect += run(&ds, ModelKind::Mlp, &ModelConfig::tiny(), FrameworkKind::Alternate, c)
-                .mean_auc;
-        }
-        expect /= seeds.len() as f64;
-        assert!((avg.mean_auc - expect).abs() < 1e-12);
     }
 }

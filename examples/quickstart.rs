@@ -30,8 +30,11 @@ fn main() {
 
     // 3. Train the same architecture under two frameworks.
     println!("\ntraining MLP under Alternate and MAMDR (takes a few minutes)...");
-    let jobs = [(ModelKind::Mlp, FrameworkKind::Alternate), (ModelKind::Mlp, FrameworkKind::Mamdr)];
-    let results: Vec<_> = run_many(&ds, &jobs, &model_cfg, train_cfg, 2)
+    let jobs = [
+        (ModelKind::Mlp, FrameworkKind::Alternate, train_cfg),
+        (ModelKind::Mlp, FrameworkKind::Mamdr, train_cfg),
+    ];
+    let results: Vec<_> = run_many(&ds, &jobs, &model_cfg, 2)
         .into_iter()
         .map(|r| r.expect("training job panicked"))
         .collect();
