@@ -60,6 +60,17 @@ impl HistogramSnapshot {
     }
 }
 
+impl State {
+    fn add(&mut self, v: f64) {
+        let v = if v.is_finite() { v.max(0.0) } else { 0.0 };
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+}
+
 fn bucket_index(v: f64) -> usize {
     if v <= MIN_VALUE {
         return 0;
@@ -101,13 +112,16 @@ impl Histogram {
     /// the underflow bucket (durations and losses are non-negative; a NaN
     /// must not poison the aggregates).
     pub fn record(&self, v: f64) {
-        let v = if v.is_finite() { v.max(0.0) } else { 0.0 };
+        self.state.lock().expect("histogram lock").add(v);
+    }
+
+    /// Records every value of `vs`, in order, under one lock: the same
+    /// aggregates as one [`record`](Self::record) per value.
+    pub fn record_all(&self, vs: &[f64]) {
         let mut s = self.state.lock().expect("histogram lock");
-        s.buckets[bucket_index(v)] += 1;
-        s.count += 1;
-        s.sum += v;
-        s.min = s.min.min(v);
-        s.max = s.max.max(v);
+        for &v in vs {
+            s.add(v);
+        }
     }
 
     /// Number of recorded values.
@@ -213,6 +227,23 @@ mod tests {
         h.record(7.0);
         assert_eq!(h.quantile(0.0).clamp(3.0, 7.0), h.quantile(0.0));
         assert_eq!(h.quantile(1.0).clamp(3.0, 7.0), h.quantile(1.0));
+    }
+
+    #[test]
+    fn record_all_equals_one_record_per_value() {
+        let values = [3.5, 0.0, 1e-12, 42.0, f64::NAN, -1.0, 7e5, 0.9];
+        let (one_by_one, batched) = (Histogram::new(), Histogram::new());
+        for &v in &values {
+            one_by_one.record(v);
+        }
+        batched.record_all(&values[..3]);
+        batched.record_all(&[]);
+        batched.record_all(&values[3..]);
+        let s = one_by_one.state.lock().unwrap();
+        let b = batched.state.lock().unwrap();
+        assert_eq!(s.buckets, b.buckets);
+        assert_eq!((s.count, s.sum.to_bits()), (b.count, b.sum.to_bits()));
+        assert_eq!((s.min, s.max), (b.min, b.max));
     }
 
     #[test]

@@ -40,6 +40,14 @@ impl Gauge {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
+    /// Adds `dv` in one read-modify-write, so concurrent adds are never
+    /// lost: a running float total, such as seconds spent, which a
+    /// [`Counter`]'s integers cannot hold.
+    pub fn add(&self, dv: f64) {
+        let add = |bits| Some((f64::from_bits(bits) + dv).to_bits());
+        let _ = self.0.fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
+    }
+
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
@@ -247,6 +255,21 @@ mod tests {
         assert_eq!(reg.gauge("cache_hit_ratio").get(), 0.75);
         g.set(-1.5);
         assert_eq!(g.get(), -1.5);
+    }
+
+    #[test]
+    fn gauge_adds_from_many_threads_are_not_lost() {
+        let reg = MetricsRegistry::new();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..1000 {
+                        reg.gauge("busy_seconds_total").add(0.5);
+                    }
+                });
+            }
+        });
+        assert_eq!(reg.gauge("busy_seconds_total").get(), 2000.0);
     }
 
     #[test]

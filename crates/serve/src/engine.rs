@@ -51,13 +51,21 @@ pub struct ServeMetrics {
     pub queue_depth: Gauge,
     /// Requests per forward pass.
     pub batch_size: Arc<Histogram>,
-    /// Per-request latency, submit → response, in seconds.
+    /// Per-request latency, submit → end of its forward pass (stamped once
+    /// per pass, just before the replies; an unscored request is not
+    /// recorded), in seconds.
     pub latency_seconds: Arc<Histogram>,
     /// Per-request wait from admission to the start of its batch's forward
     /// pass, in microseconds — the queueing share of the latency.
     pub queue_wait_us: Arc<Histogram>,
     /// Per-batch forward-pass duration, in microseconds — the compute share.
     pub batch_compute_us: Arc<Histogram>,
+    /// Pickups taken: one per worker drain of the admission queue.
+    pub pickups_total: Counter,
+    /// Seconds workers spent on pickups, from the end of the drain to the
+    /// last reply sent; over wall time, the workers' busy share. A float
+    /// running total, so a [`Gauge`] that only ever grows.
+    pub worker_busy_seconds_total: Gauge,
 }
 
 impl ServeMetrics {
@@ -86,14 +94,21 @@ impl ServeMetrics {
         registry.describe("serve_swaps_total", "Snapshot hot swaps performed.");
         registry.describe("serve_queue_depth", "Current depth of the admission queue.");
         registry.describe("serve_batch_size", "Coalesced micro-batch sizes.");
-        registry
-            .describe("serve_latency_seconds", "Per-request latency, submit to response, seconds.");
+        registry.describe(
+            "serve_latency_seconds",
+            "Per-request latency, submit to the end of its forward pass, seconds.",
+        );
         registry.describe(
             "serve_queue_wait_us",
             "Per-request wait from admission to forward-pass start, microseconds.",
         );
         registry
             .describe("serve_batch_compute_us", "Per-batch forward-pass duration, microseconds.");
+        registry.describe("serve_pickups_total", "Worker pickups: drains of the admission queue.");
+        registry.describe(
+            "serve_worker_busy_seconds_total",
+            "Seconds workers spent on pickups, from the end of the drain to the last reply.",
+        );
         ServeMetrics {
             requests_total: registry.counter("serve_requests_total"),
             responses_total: registry.counter("serve_responses_total"),
@@ -109,6 +124,8 @@ impl ServeMetrics {
             latency_seconds: registry.histogram("serve_latency_seconds"),
             queue_wait_us: registry.histogram("serve_queue_wait_us"),
             batch_compute_us: registry.histogram("serve_batch_compute_us"),
+            pickups_total: registry.counter("serve_pickups_total"),
+            worker_busy_seconds_total: registry.gauge("serve_worker_busy_seconds_total"),
         }
     }
 }

@@ -45,6 +45,6 @@ mod snapshot;
 pub use engine::{ScoringEngine, ServeMetrics};
 pub use gate::{GateConfig, GateReject, PublishGate, GATE_REASONS};
 pub use replica::{replica_of, ReplicatedServer};
-pub use request::{Response, ScoreRequest, ServeResult, SloClass, SubmitError};
-pub use server::{Pending, ServeConfig, Server};
+pub use request::{Pending, Response, ScoreRequest, ServeResult, SloClass, SubmitError};
+pub use server::{ServeConfig, Server};
 pub use snapshot::{ModelSpec, ScoreScratch, ServingSnapshot, SnapshotError};

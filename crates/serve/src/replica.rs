@@ -26,8 +26,8 @@
 //! `admitted = scored + shed + expired + invalid` holds pool-wide.
 
 use crate::engine::ScoringEngine;
-use crate::request::{ScoreRequest, SloClass, SubmitError};
-use crate::server::{Pending, ServeConfig, Server};
+use crate::request::{Pending, ScoreRequest, SloClass, SubmitError};
+use crate::server::{ServeConfig, Server};
 use crate::snapshot::ServingSnapshot;
 use mamdr_obs::{MetricsRegistry, Tracer};
 use mamdr_util::Checksum;

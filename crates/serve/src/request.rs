@@ -1,5 +1,9 @@
-//! Request and response types of the serving layer.
+//! Request and response types of the serving layer, and the one-shot slot
+//! a worker answers each admitted request through.
 
+use std::marker::PhantomData;
+use std::sync::{Arc, Mutex};
+use std::thread::{self, Thread};
 use std::time::Instant;
 
 /// One scoring request: the features of a single (user, item) candidate in
@@ -158,5 +162,223 @@ pub(crate) struct Envelope {
     pub class: SloClass,
     pub deadline: Option<Instant>,
     pub enqueued: Instant,
-    pub reply: std::sync::mpsc::Sender<ServeResult>,
+    pub reply: Reply,
+}
+
+/// Where one request's result travels from its worker to its client.
+#[derive(Debug)]
+enum Slot {
+    /// No result yet and nobody waiting.
+    Empty,
+    /// No result yet; this thread is parked in [`Pending::wait`].
+    Waiting(Thread),
+    /// The result, not yet taken.
+    Ready(ServeResult),
+    /// The client took the result.
+    Taken,
+    /// The worker's end was dropped without a result.
+    HungUp,
+}
+
+/// A one-shot reply slot for request `id`: the worker's [`Reply`] and the
+/// client's [`Pending`]. One allocation, one uncontended lock per side,
+/// and a wake-up only when the client is already parked.
+pub(crate) fn reply_slot(id: u64) -> (Reply, Pending) {
+    let slot = Arc::new(Mutex::new(Slot::Empty));
+    (Reply(Some(Arc::clone(&slot))), Pending { id, slot, not_sync: PhantomData })
+}
+
+/// The worker's end of a reply slot. Dropping it unsent hangs the slot up,
+/// so a waiting client panics instead of sleeping forever.
+#[derive(Debug)]
+pub(crate) struct Reply(Option<Arc<Mutex<Slot>>>);
+
+impl Reply {
+    /// Delivers `result`, waking the client if it is parked on it. Only
+    /// the first call delivers; a client that already hung up (dropped its
+    /// `Pending`) is ignored.
+    pub fn send(&mut self, result: ServeResult) {
+        if let Some(slot) = self.0.take() {
+            settle(&slot, Slot::Ready(result));
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(slot) = self.0.take() {
+            settle(&slot, Slot::HungUp);
+        }
+    }
+}
+
+/// The worker's one transition, to `Ready` or `HungUp`: set it under the
+/// lock, then unpark the client only if one is parked.
+fn settle(slot: &Mutex<Slot>, end: Slot) {
+    let previous = std::mem::replace(&mut *lock(slot), end);
+    if let Slot::Waiting(client) = previous {
+        client.unpark();
+    }
+}
+
+/// Handle for one admitted request; resolves to its [`ServeResult`].
+///
+/// The result is delivered once, through a one-shot slot the worker fills.
+/// A `Pending` is `Send` but not `Sync`: it may be moved to, and waited on
+/// from, any thread — not only the one that submitted it — but by one
+/// thread at a time, since a slot wakes exactly one parked waiter.
+pub struct Pending {
+    id: u64,
+    slot: Arc<Mutex<Slot>>,
+    not_sync: PhantomData<std::cell::Cell<()>>,
+}
+
+impl Pending {
+    /// The request id (matches the eventual result's id).
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Blocks until the result arrives and returns it. Admitted requests
+    /// always get exactly one result, even across server shutdown. The
+    /// result is handed out once: `wait` after a `poll` that returned it
+    /// (or a second `wait`) panics, as it does if the server dropped the
+    /// request unanswered.
+    pub fn wait(&self) -> ServeResult {
+        loop {
+            {
+                let mut s = lock(&self.slot);
+                match std::mem::replace(&mut *s, Slot::Taken) {
+                    Slot::Ready(result) => return result,
+                    Slot::Empty | Slot::Waiting(_) => *s = Slot::Waiting(thread::current()),
+                    gone @ (Slot::Taken | Slot::HungUp) => {
+                        *s = gone;
+                        drop(s);
+                        panic!("server replies to every admitted request");
+                    }
+                }
+            }
+            // An unpark that lands before this park makes it return at
+            // once; a spurious wake-up re-checks the slot.
+            thread::park();
+        }
+    }
+
+    /// Non-blocking check; `None` while the request is still in flight and
+    /// after its result was taken.
+    pub fn poll(&self) -> Option<ServeResult> {
+        let mut s = lock(&self.slot);
+        match std::mem::replace(&mut *s, Slot::Taken) {
+            Slot::Ready(result) => Some(result),
+            other => {
+                *s = other;
+                None
+            }
+        }
+    }
+}
+
+/// The slot's lock. Every critical section is one `mem::replace`, so even
+/// a poisoned lock holds a consistent state — and `Reply`'s `Drop` must
+/// not panic.
+fn lock(slot: &Mutex<Slot>) -> std::sync::MutexGuard<'_, Slot> {
+    slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Runs `f` on a thread of its own and returns its outcome, panic
+    /// included. A run that has not finished within ten seconds fails the
+    /// test instead of hanging it (its thread is left parked).
+    fn on_thread<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> impl FnOnce() -> thread::Result<T> {
+        let (tx, rx) = mpsc::channel();
+        let handle = thread::spawn(move || {
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
+        });
+        move || {
+            let outcome = rx.recv_timeout(Duration::from_secs(10)).expect("the thread hung");
+            handle.join().expect("the outcome was sent");
+            outcome
+        }
+    }
+
+    fn assert_hung_up(outcome: thread::Result<ServeResult>) {
+        let payload = outcome.expect_err("wait returned without a result");
+        let message = payload.downcast_ref::<&str>().copied();
+        assert_eq!(message, Some("server replies to every admitted request"));
+    }
+
+    fn scored(id: u64) -> ServeResult {
+        ServeResult::Scored(crate::Response { id, score: 0.5, snapshot_version: 1 })
+    }
+
+    /// Spins until a thread is parked (or about to park) on `slot`.
+    fn until_waiting(slot: &Mutex<Slot>) {
+        while !matches!(*lock(slot), Slot::Waiting(_)) {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_result_that_lands_before_wait_is_returned_without_parking() {
+        // Nothing else holds the slot: a `wait` that parked would never
+        // be woken, and the bounded run would fail.
+        let finished = on_thread(|| {
+            let (mut reply, rx) = reply_slot(1);
+            reply.send(scored(3));
+            rx.wait()
+        });
+        assert_eq!(finished().expect("wait returned"), scored(3));
+    }
+
+    #[test]
+    fn a_parked_waiter_is_woken_by_the_result() {
+        let (mut reply, rx) = reply_slot(1);
+        let slot = Arc::clone(&rx.slot);
+        let finished = on_thread(move || rx.wait());
+        until_waiting(&slot);
+        reply.send(scored(4));
+        assert_eq!(finished().expect("wait returned"), scored(4));
+    }
+
+    #[test]
+    fn poll_is_none_in_flight_then_the_result_then_none() {
+        let (mut reply, rx) = reply_slot(1);
+        assert_eq!(rx.poll(), None);
+        reply.send(scored(5));
+        assert_eq!(rx.poll(), Some(scored(5)));
+        assert_eq!(rx.poll(), None);
+        // The result was handed out once: a later `wait` panics at once.
+        assert_hung_up(catch_unwind(AssertUnwindSafe(|| rx.wait())));
+    }
+
+    #[test]
+    fn a_reply_dropped_unsent_fails_wait_and_poll_instead_of_hanging() {
+        // The worker's end drops while the client is parked on it.
+        let (reply, rx) = reply_slot(1);
+        let slot = Arc::clone(&rx.slot);
+        let finished = on_thread(move || rx.wait());
+        until_waiting(&slot);
+        drop(reply);
+        assert_hung_up(finished());
+        // The worker's end drops before anyone waits.
+        let (reply, rx) = reply_slot(1);
+        drop(reply);
+        assert_eq!(rx.poll(), None);
+        assert_hung_up(on_thread(move || rx.wait())());
+    }
+
+    #[test]
+    fn a_result_sent_to_a_client_that_hung_up_is_dropped() {
+        let (mut reply, rx) = reply_slot(1);
+        drop(rx);
+        reply.send(scored(6));
+    }
 }

@@ -40,7 +40,9 @@
 //!   partitioned normalization is the documented exception, see DESIGN §7).
 
 use crate::engine::{ScoringEngine, ServeMetrics};
-use crate::request::{Envelope, Response, ScoreRequest, ServeResult, SloClass, SubmitError};
+use crate::request::{
+    reply_slot, Envelope, Pending, Response, ScoreRequest, ServeResult, SloClass, SubmitError,
+};
 use crate::snapshot::ScoreScratch;
 use mamdr_obs::Tracer;
 use std::ops::Range;
@@ -87,30 +89,6 @@ impl ServeConfig {
             0 => self.queue_cap,
             n => n,
         }
-    }
-}
-
-/// Handle for one admitted request; resolves to its [`ServeResult`].
-pub struct Pending {
-    id: u64,
-    rx: mpsc::Receiver<ServeResult>,
-}
-
-impl Pending {
-    /// The request id (matches the eventual result's id).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Blocks until the result arrives. Admitted requests always get exactly
-    /// one result, even across server shutdown.
-    pub fn wait(&self) -> ServeResult {
-        self.rx.recv().expect("server replies to every admitted request")
-    }
-
-    /// Non-blocking check; `None` while the request is still in flight.
-    pub fn poll(&self) -> Option<ServeResult> {
-        self.rx.try_recv().ok()
     }
 }
 
@@ -230,7 +208,7 @@ impl Server {
             return Err(SubmitError::ShedOverload(class));
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (reply, rx) = mpsc::channel();
+        let (reply, pending) = reply_slot(id);
         let now = Instant::now();
         let env =
             Envelope { id, req, class, deadline: deadline.map(|d| now + d), enqueued: now, reply };
@@ -238,7 +216,7 @@ impl Server {
             Ok(()) => {
                 m.requests_total.inc();
                 m.queue_depth.set(d as f64);
-                Ok(Pending { id, rx })
+                Ok(pending)
             }
             Err(TrySendError::Full(_)) => {
                 self.depths.release(class);
@@ -285,6 +263,10 @@ impl Drop for Server {
 /// A worker's buffers, reused from one pickup to the next.
 #[derive(Default)]
 struct Scratch {
+    /// One forward pass's `serve_queue_wait_us` and `serve_latency_seconds`
+    /// samples, recorded with one histogram lock each.
+    waits: Vec<f64>,
+    latencies: Vec<f64>,
     /// The pickup, in arrival order.
     pickup: Vec<Envelope>,
     /// Pickup indices grouped by domain, and the forward passes over them
@@ -326,7 +308,7 @@ fn score_pickup(engine: &ScoringEngine, depths: &Depths, max_batch: usize, s: &m
     // submitted before this pin, so a request submitted after a swap is
     // never scored by the retired version.
     let snap = engine.snapshot();
-    s.pickup.retain(|env| {
+    s.pickup.retain_mut(|env| {
         let outcome = if env.deadline.is_some_and(|d| picked >= d) {
             m.deadline_expired_total.inc();
             ServeResult::DeadlineExceeded { id: env.id }
@@ -356,15 +338,10 @@ fn score_pickup(engine: &ScoringEngine, depths: &Depths, max_batch: usize, s: &m
             let env = &mut s.pickup[i];
             if env.deadline.is_some_and(|d| score_start >= d) {
                 m.deadline_exceeded_total.inc();
-                finish_unscored(
-                    m,
-                    depths,
-                    tracer,
-                    env,
-                    ServeResult::DeadlineExceeded { id: env.id },
-                );
+                let expired = ServeResult::DeadlineExceeded { id: env.id };
+                finish_unscored(m, depths, tracer, env, expired);
             } else {
-                m.queue_wait_us.record(score_start.duration_since(env.enqueued).as_micros() as f64);
+                s.waits.push(micros(score_start.duration_since(env.enqueued)));
                 s.reqs.push(std::mem::replace(&mut env.req, ScoreRequest::new(domain, 0, 0, 0, 0)));
                 s.live.push(i);
             }
@@ -373,13 +350,18 @@ fn score_pickup(engine: &ScoringEngine, depths: &Depths, max_batch: usize, s: &m
             continue;
         }
         snap.score_into(domain, &s.reqs, &mut s.score, &mut s.scores);
+        // The pass's one clock read after scoring: every request's latency
+        // ends here, before the replies.
         let score_end = Instant::now();
-        m.batch_compute_us.record(score_end.duration_since(score_start).as_micros() as f64);
+        m.batch_compute_us.record(micros(score_end.duration_since(score_start)));
         m.batches_total.inc();
         m.batch_size.record(s.live.len() as f64);
+        let latency = |&i: &usize| score_end.duration_since(s.pickup[i].enqueued).as_secs_f64();
+        s.latencies.extend(s.live.iter().map(latency));
+        m.queue_wait_us.record_all(&s.waits);
+        m.latency_seconds.record_all(&s.latencies);
         for (&i, &score) in s.live.iter().zip(&s.scores) {
-            let env = &s.pickup[i];
-            m.latency_seconds.record(env.enqueued.elapsed().as_secs_f64());
+            let env = &mut s.pickup[i];
             let resp = Response { id: env.id, score, snapshot_version: snap.version() };
             finish(m, depths, env, ServeResult::Scored(resp));
             if let Some(t) = tracer {
@@ -388,8 +370,18 @@ fn score_pickup(engine: &ScoringEngine, depths: &Depths, max_batch: usize, s: &m
         }
         s.reqs.clear();
         s.live.clear();
+        s.waits.clear();
+        s.latencies.clear();
     }
     s.pickup.clear();
+    m.pickups_total.inc();
+    m.worker_busy_seconds_total.add(picked.elapsed().as_secs_f64());
+}
+
+/// A duration in microseconds, fractions kept: a sub-µs forward pass is
+/// not recorded as 0.
+fn micros(d: Duration) -> f64 {
+    d.as_secs() as f64 * 1e6 + f64::from(d.subsec_nanos()) / 1e3
 }
 
 /// Plans one pickup's forward passes. `key(i)` is the (domain, class) of
@@ -464,7 +456,7 @@ fn finish_unscored(
     m: &ServeMetrics,
     depths: &Depths,
     tracer: Option<&Tracer>,
-    env: &Envelope,
+    env: &mut Envelope,
     result: ServeResult,
 ) {
     let code = match result {
@@ -490,11 +482,11 @@ fn finish_unscored(
 /// (ignoring a hung-up client). Counting happens *before* the reply so a
 /// client that reads the metrics right after `Pending::wait` returns sees
 /// its own response counted.
-fn finish(m: &ServeMetrics, depths: &Depths, env: &Envelope, result: ServeResult) {
+fn finish(m: &ServeMetrics, depths: &Depths, env: &mut Envelope, result: ServeResult) {
     m.responses_total.inc();
     let d = depths.release(env.class);
     m.queue_depth.set(d as f64);
-    let _ = env.reply.send(result);
+    env.reply.send(result);
 }
 
 #[cfg(test)]
@@ -503,6 +495,12 @@ mod tests {
     use crate::snapshot::tests_support::{tiny_dense_snapshot, tiny_dense_snapshot_over};
     use mamdr_obs::MetricsRegistry;
     use std::sync::Barrier;
+
+    /// A `Pending` may be moved to another thread and waited on there.
+    const _: fn() = || {
+        fn send<T: Send>() {}
+        send::<Pending>();
+    };
 
     fn request(domain: usize, i: u32) -> ScoreRequest {
         ScoreRequest::new(domain, i % 30, i % 20, i % 4, i % 5)
@@ -815,5 +813,97 @@ mod tests {
         });
         server.shutdown();
         assert_eq!(registry.counter("serve_responses_total").get(), 200);
+    }
+
+    #[test]
+    fn micros_keeps_fractions_of_a_microsecond() {
+        assert_eq!(micros(Duration::from_nanos(900)), 0.9);
+        assert_eq!(micros(Duration::from_nanos(1_500)), 1.5);
+        assert_eq!(micros(Duration::new(2, 500)), 2_000_000.5);
+    }
+
+    #[test]
+    fn wait_works_on_a_thread_other_than_the_submitters() {
+        let registry = MetricsRegistry::new();
+        let engine = Arc::new(ScoringEngine::new(tiny_dense_snapshot(1), &registry));
+        let config = ServeConfig { n_workers: 1, ..ServeConfig::default() };
+        // The waiter starts while the worker is stalled, so the result
+        // lands on a slot the submitter no longer holds.
+        let (server, waiter) = start_stalled(engine, config, |server| {
+            let p = server.submit(request(0, 1), None).expect("admitted");
+            std::thread::spawn(move || (p.id(), p.wait()))
+        });
+        let (id, result) = waiter.join().expect("waiter");
+        assert!(matches!(result, ServeResult::Scored(r) if r.id == id));
+        server.shutdown();
+    }
+
+    #[test]
+    fn poll_is_none_while_stalled_then_the_result_then_none() {
+        let registry = MetricsRegistry::new();
+        let engine = Arc::new(ScoringEngine::new(tiny_dense_snapshot(1), &registry));
+        let config = ServeConfig { n_workers: 1, ..ServeConfig::default() };
+        let (server, p) = start_stalled(engine, config, |server| {
+            let p = server.submit(request(0, 2), None).expect("admitted");
+            assert_eq!(p.poll(), None, "answered while every worker was stalled");
+            p
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let result = loop {
+            if let Some(r) = p.poll() {
+                break r;
+            }
+            assert!(Instant::now() < deadline, "no result within ten seconds");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert!(matches!(result, ServeResult::Scored(r) if r.id == p.id()));
+        assert_eq!(p.poll(), None);
+        server.shutdown();
+    }
+
+    #[test]
+    fn four_submitters_and_two_workers_see_every_id_exactly_once() {
+        const SUBMITTERS: usize = 4;
+        const PER_SUBMITTER: u32 = 200;
+        let registry = MetricsRegistry::new();
+        let engine = Arc::new(ScoringEngine::new(tiny_dense_snapshot_over(1, 4), &registry));
+        let config = ServeConfig { n_workers: 2, ..ServeConfig::default() };
+        let server = Server::start(engine, config);
+        // Submitter t hands half its requests to submitter t + 1.
+        let (handoff_tx, handoff_rx): (Vec<_>, Vec<_>) =
+            (0..SUBMITTERS).map(|_| mpsc::channel::<Vec<Pending>>()).unzip();
+        let mut seen: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = handoff_rx
+                .into_iter()
+                .enumerate()
+                .map(|(t, mine)| {
+                    let (server, next) = (&server, handoff_tx[(t + 1) % SUBMITTERS].clone());
+                    scope.spawn(move || {
+                        let base = t as u32 * PER_SUBMITTER;
+                        let mut pending: Vec<Pending> = (0..PER_SUBMITTER)
+                            .map(|i| {
+                                let req = request(((base + i) % 4) as usize, base + i);
+                                server.submit(req, None).expect("under the cap")
+                            })
+                            .collect();
+                        // A shuffled order, different per submitter.
+                        pending.sort_by_key(|p| (p.id() * 7919 + t as u64 * 31) % 1009);
+                        next.send(pending.split_off(pending.len() / 2)).expect("handoff");
+                        let theirs = mine.recv().expect("a neighbour's half");
+                        let ids = |p: &Pending| match p.wait() {
+                            ServeResult::Scored(r) if r.id == p.id() => r.id,
+                            other => panic!("request {} answered {other:?}", p.id()),
+                        };
+                        pending.iter().chain(&theirs).map(ids).collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().expect("submitter")).collect()
+        });
+        server.shutdown();
+        seen.sort_unstable();
+        let n = (SUBMITTERS as u32 * PER_SUBMITTER) as u64;
+        assert_eq!(seen, (0..n).collect::<Vec<_>>(), "an id was lost or answered twice");
+        assert_eq!(registry.counter("serve_responses_total").get(), n);
     }
 }

@@ -32,6 +32,8 @@
 //! `eval_logits` at batch 1 and 32, and one `ServingSnapshot::score` of a
 //! single request on a snapshot of that model, both on a fresh evaluation
 //! recorder, plus the same request through buffers a scoring worker keeps.
+//! And one warm `ReplicatedServer::submit` + `Pending::wait` round trip,
+//! seen from the client's thread.
 
 use mamdr::autodiff::{Grads, Tape};
 use mamdr::core::frameworks::mamdr::domain_regularization;
@@ -42,7 +44,11 @@ use mamdr::models::{
     FeatureConfig, ModelConfig, ModelKind,
 };
 use mamdr::nn::{ForwardCtx, ParamStore};
-use mamdr::serve::{ModelSpec, ScoreRequest, ScoreScratch, ServingSnapshot};
+use mamdr::obs::MetricsRegistry;
+use mamdr::serve::{
+    ModelSpec, ReplicatedServer, ScoreRequest, ScoreScratch, ServeConfig, ServeResult,
+    ServingSnapshot,
+};
 use mamdr::tensor::pool;
 use mamdr::tensor::rng::seeded;
 use mamdr::tensor::Tensor;
@@ -113,6 +119,12 @@ const SCORE_B1: (u64, u64) = (36, 3_732);
 /// One request through a scoring worker's kept buffers: nothing (the model
 /// body's list of field handles, 2 / 96 before, is on the stack).
 const WORKER_B1: (u64, u64) = (0, 0);
+/// One warm `submit` + `wait` of a single request on the client's thread:
+/// the request's reply slot (its `Arc`ed lock and state). With a reply
+/// `mpsc::channel` per request it was 2 / 608. The counter is per thread,
+/// so what the worker allocates is not seen here — with that channel, its
+/// first `send` also allocated a list block of about 1.5 KiB.
+const SUBMIT_WAIT: (u64, u64) = (1, 56);
 /// The gradient of the user embedding table if it were materialised:
 /// 2 378 rows × 16 floats × 4 bytes.
 const USER_TABLE_GRAD_BYTES: u64 = 2_378 * 16 * 4;
@@ -313,6 +325,31 @@ fn dr_lookahead_step_allocations_are_pinned() {
     );
 }
 
+/// A snapshot of the fixture's model, and one test request of domain 0
+/// with its dense side features.
+fn snapshot_and_request(ds: &MdrDataset, built: &BuiltModel) -> (ServingSnapshot, ScoreRequest) {
+    let spec = ModelSpec {
+        kind: ModelKind::Mlp,
+        features: FeatureConfig::from_dataset(ds),
+        config: ModelConfig::default(),
+        n_domains: ds.n_domains(),
+    };
+    let trained = TrainedModel::shared_only(built.params.to_flat());
+    let snapshot = ServingSnapshot::from_trained(1, spec, trained).expect("a consistent model");
+    let it = ds.domains[0].test[0];
+    let mut req = ScoreRequest::new(
+        0,
+        it.user,
+        it.item,
+        ds.user_group[it.user as usize],
+        ds.item_cat[it.item as usize],
+    );
+    let dense = |t: &Option<Tensor>, row: u32| t.as_ref().map(|t| t.row(row as usize).to_vec());
+    req.dense_user = dense(&ds.dense_user, it.user);
+    req.dense_item = dense(&ds.dense_item, it.item);
+    (snapshot, req)
+}
+
 #[test]
 fn inference_allocations_are_pinned() {
     let (ds, built) = fixture();
@@ -326,25 +363,7 @@ fn inference_allocations_are_pinned() {
     };
     let (b1, b32) = (eval(1), eval(32));
 
-    let spec = ModelSpec {
-        kind: ModelKind::Mlp,
-        features: FeatureConfig::from_dataset(&ds),
-        config: ModelConfig::default(),
-        n_domains: ds.n_domains(),
-    };
-    let trained = TrainedModel::shared_only(params.to_flat());
-    let snapshot = ServingSnapshot::from_trained(1, spec, trained).expect("a consistent model");
-    let it = ds.domains[0].test[0];
-    let mut req = ScoreRequest::new(
-        0,
-        it.user,
-        it.item,
-        ds.user_group[it.user as usize],
-        ds.item_cat[it.item as usize],
-    );
-    let dense = |t: &Option<Tensor>, row: u32| t.as_ref().map(|t| t.row(row as usize).to_vec());
-    req.dense_user = dense(&ds.dense_user, it.user);
-    req.dense_item = dense(&ds.dense_item, it.item);
+    let (snapshot, req) = snapshot_and_request(&ds, &built);
     let reqs = [req];
     drop(snapshot.score(0, &reqs));
     let score = counted(|| drop(snapshot.score(0, &reqs)));
@@ -361,6 +380,28 @@ fn inference_allocations_are_pinned() {
         (EVAL_B1, EVAL_B32, SCORE_B1, WORKER_B1),
         "inference allocations moved"
     );
+}
+
+#[test]
+fn submit_wait_allocations_are_pinned() {
+    let (ds, built) = fixture();
+    let (snapshot, req) = snapshot_and_request(&ds, &built);
+    let config = ServeConfig { n_workers: 1, ..ServeConfig::default() };
+    let pool = ReplicatedServer::start(snapshot, 1, config, &MetricsRegistry::new(), None);
+    let round_trip = |req: ScoreRequest| {
+        let pending = pool.submit(req, None).expect("admitted");
+        assert!(matches!(pending.wait(), ServeResult::Scored(_)));
+    };
+    for _ in 0..8 {
+        round_trip(req.clone());
+    }
+    // The request is built outside the count: its dense feature lists are
+    // the client's, not the round trip's.
+    let req = req.clone();
+    let got = counted(|| round_trip(req));
+    pool.shutdown();
+    eprintln!("submit + wait: {} allocations, {} bytes", got.allocs, got.bytes);
+    assert_eq!((got.allocs, got.bytes), SUBMIT_WAIT, "allocations per submit + wait moved");
 }
 
 #[test]
