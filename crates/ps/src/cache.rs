@@ -1,11 +1,11 @@
 //! The worker-side embedding cache (paper Fig. 7).
 //!
 //! The paper draws a static cache and a dynamic cache; they always hold
-//! the same key set, so here they are the two halves of one record per
-//! row — one map, one lookup per read or update.
+//! the same key set, so here they are two parallel slabs of one slot per
+//! row, and a dense per-table index turns a key into its slot with two
+//! array loads — no hashing and no allocation per read or update.
 
 use crate::kv::{ParamKey, RowSource};
-use std::collections::HashMap;
 
 /// Hit/miss counters for one worker's cache.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -37,30 +37,72 @@ pub struct StalenessStats {
     pub mean: f64,
 }
 
-/// One cached row: the paper's static/dynamic pair plus the version it
-/// was pulled at.
-#[derive(Debug)]
-struct CachedRow {
-    /// `pulled ‖ local` in one allocation. The first half is the static
-    /// cache — the value the row had when this worker first pulled it
-    /// during the current outer round, the Θ reference point of Eq. 3 —
-    /// and the second half the dynamic cache, the worker's locally updated
-    /// value Θ̃. One allocation and a 32-byte record keep the round-lived
-    /// map's table small; a table twice the size is retained by the
-    /// allocator's per-thread arenas and is visible in peak RSS.
-    buf: Vec<f32>,
-    /// Server version of the row at the moment it was pulled.
-    version: u64,
+/// A worker round's outer gradients (Θ̃ − Θ per touched row, Eq. 3) as one
+/// flat batch: `keys` strictly `(table, row)`-sorted, and
+/// `values[i * dim..(i + 1) * dim]` the gradient of `keys[i]`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct OuterGrads {
+    /// The touched rows, strictly `(table, row)`-ascending.
+    pub keys: Vec<ParamKey>,
+    /// Concatenated per-row gradients in key order.
+    pub values: Vec<f32>,
 }
 
-/// The static/dynamic cache of one worker: one record per touched row.
+impl OuterGrads {
+    /// Row width (0 for an empty batch).
+    pub fn dim(&self) -> usize {
+        self.values.len().checked_div(self.keys.len()).unwrap_or(0)
+    }
+
+    /// Every `(key, gradient row)` in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (ParamKey, &[f32])> {
+        self.keys.iter().copied().zip(self.values.chunks_exact(self.dim().max(1)))
+    }
+}
+
+/// The static/dynamic cache of one worker: one slot per touched row.
+///
+/// Slot `s` holds `keys[s]`, the version it was pulled at, and the row's
+/// two halves at `s * dim` in `pulled` — the static cache, the value the
+/// row had when this worker first pulled it during the current outer
+/// round, the Θ reference point of Eq. 3 — and in `local`, the dynamic
+/// cache, the worker's locally updated value Θ̃. `index` maps each table's
+/// row id to `slot + 1` (0 = not cached): one `u32` per row id up to the
+/// largest the round read, which is bounded by the table's seeded rows
+/// because the store's row ids are dense from 0.
 ///
 /// Emptied by [`WorkerCache::drain_outer_grads`] at the end of the round,
 /// so the next round re-pulls fresh values (bounded staleness).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct WorkerCache {
-    rows: HashMap<ParamKey, CachedRow>,
+    keys: Vec<ParamKey>,
+    versions: Vec<u64>,
+    pulled: Vec<f32>,
+    local: Vec<f32>,
+    /// Row width, learned from the first pull.
+    dim: usize,
+    /// `(table id, row id → slot + 1)` per table seen; a round touches a
+    /// handful of tables, so a scan beats any map.
+    index: Vec<(u32, Vec<u32>)>,
+    /// True while `keys` is strictly `(table, row)`-ascending, which a
+    /// prefetch of sorted keys keeps and only a lazy miss can break.
+    sorted: bool,
     stats: CacheStats,
+}
+
+impl Default for WorkerCache {
+    fn default() -> Self {
+        WorkerCache {
+            keys: Vec::new(),
+            versions: Vec::new(),
+            pulled: Vec::new(),
+            local: Vec::new(),
+            dim: 0,
+            index: Vec::new(),
+            sorted: true,
+            stats: CacheStats::default(),
+        }
+    }
 }
 
 impl WorkerCache {
@@ -69,17 +111,63 @@ impl WorkerCache {
         Self::default()
     }
 
-    /// Pulls `missing` (distinct, uncached keys) in one batched read and
-    /// seeds a record for each, counting one miss per key.
-    fn fill<S: RowSource + ?Sized>(&mut self, src: &S, missing: &[ParamKey]) {
-        let pulled = src.pull_rows(missing);
-        debug_assert_eq!(pulled.len(), missing.len(), "pull_rows preserves key order");
-        for (&key, (latest, version)) in missing.iter().zip(pulled) {
-            let mut buf = latest;
-            buf.extend_from_within(..);
-            self.rows.insert(key, CachedRow { buf, version });
-            self.stats.misses += 1;
+    /// The slot caching `key`, if any.
+    #[inline]
+    fn slot(&self, key: ParamKey) -> Option<usize> {
+        let (_, rows) = self.index.iter().find(|(table, _)| *table == key.table)?;
+        match rows.get(key.row as usize) {
+            Some(&slot) if slot > 0 => Some(slot as usize - 1),
+            _ => None,
         }
+    }
+
+    /// Gives `key` the next slot unless it already has one. Values arrive
+    /// with the next [`WorkerCache::fill_from`].
+    fn assign(&mut self, key: ParamKey) {
+        if self.slot(key).is_some() {
+            return;
+        }
+        let next = u32::try_from(self.keys.len() + 1).expect("fewer than 2^32 cached rows");
+        let pos = match self.index.iter().position(|(table, _)| *table == key.table) {
+            Some(pos) => pos,
+            None => {
+                self.index.push((key.table, Vec::new()));
+                self.index.len() - 1
+            }
+        };
+        let rows = &mut self.index[pos].1;
+        let row = key.row as usize;
+        if row >= rows.len() {
+            rows.resize(row + 1, 0);
+        }
+        rows[row] = next;
+        self.sorted &= self.keys.last().is_none_or(|last| *last < key);
+        self.keys.push(key);
+    }
+
+    /// Pulls the keys of slots `start..` (distinct, just assigned) in one
+    /// batched read and seeds both halves of each, counting one miss per
+    /// key.
+    fn fill_from<S: RowSource + ?Sized>(&mut self, src: &S, start: usize) {
+        let n = self.keys.len() - start;
+        if n == 0 {
+            return;
+        }
+        let (versions, values) = src.pull_rows(&self.keys[start..]);
+        debug_assert_eq!(versions.len(), n, "pull_rows preserves key order");
+        let dim = values.len() / n;
+        if start == 0 {
+            self.dim = dim;
+        }
+        assert_eq!(dim, self.dim, "every cached row has one width");
+        self.versions.extend_from_slice(&versions);
+        self.local.extend_from_slice(&values);
+        if self.pulled.is_empty() {
+            self.pulled = values;
+        } else {
+            self.pulled.extend_from_slice(&values);
+        }
+        self.stats.misses += n as u64;
     }
 
     /// Reads the current (locally updated) value of a row.
@@ -87,38 +175,55 @@ impl WorkerCache {
     /// Hit → no traffic. Miss → a one-key batched pull of the latest value
     /// from the row source (the in-process PS or an RPC client).
     pub fn get<S: RowSource + ?Sized>(&mut self, src: &S, key: ParamKey) -> &[f32] {
-        if self.rows.contains_key(&key) {
-            self.stats.hits += 1;
-        } else {
-            self.fill(src, &[key]);
-        }
-        let buf = &self.rows[&key].buf;
-        &buf[buf.len() / 2..]
+        let slot = match self.slot(key) {
+            Some(slot) => {
+                self.stats.hits += 1;
+                slot
+            }
+            None => {
+                let slot = self.keys.len();
+                self.assign(key);
+                self.fill_from(src, slot);
+                slot
+            }
+        };
+        &self.local[slot * self.dim..(slot + 1) * self.dim]
     }
 
     /// Warms the cache for a round's whole working set in one batched
     /// pull: every key not already cached is fetched through a single
     /// [`RowSource::pull_rows`] call (one RPC per wire chunk over the
     /// network), exactly as a lazy miss would fetch it. Duplicate and
-    /// already-cached keys are skipped, so prefetching the keys a round
-    /// will touch makes every subsequent [`WorkerCache::get`] a hit while
-    /// leaving values, versions, and miss accounting identical to the lazy
-    /// path.
+    /// already-cached keys are skipped — the index sees a key's slot as
+    /// soon as it is assigned, so no separate dedup set is built — and
+    /// prefetching the keys a round will touch makes every subsequent
+    /// [`WorkerCache::get`] a hit while leaving values, versions, and miss
+    /// accounting identical to the lazy path. Strictly sorted keys keep
+    /// the slots in key order, so the drain needs no sort.
     pub fn prefetch<S: RowSource + ?Sized>(&mut self, src: &S, keys: &[ParamKey]) {
-        let mut seen = std::collections::HashSet::new();
-        let missing: Vec<ParamKey> = keys
-            .iter()
-            .copied()
-            .filter(|key| !self.rows.contains_key(key) && seen.insert(*key))
-            .collect();
-        self.fill(src, &missing);
+        let start = self.keys.len();
+        self.keys.reserve(keys.len());
+        for &key in keys {
+            self.assign(key);
+        }
+        self.fill_from(src, start);
     }
 
     /// Applies a local update to a cached row (must have been read first).
     pub fn update(&mut self, key: ParamKey, f: impl FnOnce(&mut [f32])) {
-        let row = self.rows.get_mut(&key).expect("update of a row that was never read");
-        let half = row.buf.len() / 2;
-        f(&mut row.buf[half..]);
+        let slot = self.slot(key).expect("update of a row that was never read");
+        f(&mut self.local[slot * self.dim..(slot + 1) * self.dim]);
+    }
+
+    /// The slots in `(table, row)` order of their keys: `None` when the
+    /// slots already are (the cache was filled from sorted prefetches).
+    fn key_order(&self) -> Option<Vec<usize>> {
+        if self.sorted {
+            return None;
+        }
+        let mut order: Vec<usize> = (0..self.keys.len()).collect();
+        order.sort_unstable_by_key(|&slot| self.keys[slot]);
+        Some(order)
     }
 
     /// Measures how stale the cached rows are right now: for each cached
@@ -126,47 +231,64 @@ impl WorkerCache {
     /// worker pulled it. This is the inconsistency the §IV-E protocol
     /// bounds — it resets to zero at every round boundary because the
     /// cache is drained and re-pulled.
-    /// One batched version probe covers every cached row (a single
-    /// version-only request per wire chunk over the network, instead of
-    /// one per key).
+    /// One batched version probe covers every cached row, in key order (a
+    /// single version-only request per wire chunk over the network,
+    /// instead of one per key).
     pub fn staleness<S: RowSource + ?Sized>(&self, src: &S) -> StalenessStats {
-        if self.rows.is_empty() {
+        if self.keys.is_empty() {
             return StalenessStats::default();
         }
-        let mut keys: Vec<ParamKey> = self.rows.keys().copied().collect();
-        keys.sort_by_key(|k| (k.table, k.row));
-        let current = src.versions_of(&keys);
+        let order = self.key_order();
+        let current = match &order {
+            None => src.versions_of(&self.keys),
+            Some(order) => {
+                src.versions_of(&order.iter().map(|&s| self.keys[s]).collect::<Vec<_>>())
+            }
+        };
         let mut max = 0u64;
         let mut total = 0u64;
-        for (key, now) in keys.iter().zip(current) {
-            let lag = now.saturating_sub(self.rows[key].version);
+        for (i, now) in current.into_iter().enumerate() {
+            let slot = order.as_ref().map_or(i, |order| order[i]);
+            let lag = now.saturating_sub(self.versions[slot]);
             max = max.max(lag);
             total += lag;
         }
-        let n = keys.len() as u64;
+        let n = self.keys.len() as u64;
         StalenessStats { max, mean: total as f64 / n as f64 }
     }
 
-    /// Ends the round: returns `(key, local − pulled)` for every touched
-    /// row and empties the cache.
-    pub fn drain_outer_grads(&mut self) -> Vec<(ParamKey, Vec<f32>)> {
-        self.rows
-            .drain()
-            .map(|(key, row)| {
-                let (pulled, local) = row.buf.split_at(row.buf.len() / 2);
-                (key, local.iter().zip(pulled).map(|(&d, &s)| d - s).collect())
-            })
-            .collect()
+    /// Ends the round: returns `local − pulled` for every touched row in
+    /// `(table, row)` order, and empties the cache. The gradient is
+    /// computed in place in the dynamic half, which becomes the batch.
+    pub fn drain_outer_grads(&mut self) -> OuterGrads {
+        let order = self.key_order();
+        let mut keys = std::mem::take(&mut self.keys);
+        let mut values = std::mem::take(&mut self.local);
+        for (d, &s) in values.iter_mut().zip(&self.pulled) {
+            *d -= s;
+        }
+        if let Some(order) = order {
+            let dim = self.dim;
+            keys = order.iter().map(|&s| keys[s]).collect();
+            values = order.iter().flat_map(|&s| &values[s * dim..(s + 1) * dim]).copied().collect();
+        }
+        self.versions.clear();
+        self.pulled.clear();
+        for (_, rows) in &mut self.index {
+            rows.clear();
+        }
+        self.sorted = true;
+        OuterGrads { keys, values }
     }
 
     /// Number of rows currently cached.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.keys.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.keys.is_empty()
     }
 
     /// Hit/miss counters.
@@ -222,10 +344,8 @@ mod tests {
         assert_eq!(ps.traffic().snapshot().0, 1);
         // Drains behave exactly as with lazy population.
         cache.update(k0, |row| row[0] += 0.5);
-        let mut grads = cache.drain_outer_grads();
-        grads.sort_by_key(|(k, _)| k.row);
-        assert_eq!(grads[0].1, vec![0.5, 0.0]);
-        assert_eq!(grads[1].1, vec![0.0, 0.0]);
+        let grads = cache.drain_outer_grads();
+        assert_eq!(grads, OuterGrads { keys: vec![k0, k1], values: vec![0.5, 0.0, 0.0, 0.0] });
     }
 
     #[test]
@@ -253,11 +373,8 @@ mod tests {
             row[0] += 0.5;
             row[1] -= 0.25;
         });
-        let mut grads = cache.drain_outer_grads();
-        grads.sort_by_key(|(k, _)| k.row);
-        assert_eq!(grads.len(), 2);
-        assert_eq!(grads[0].1, vec![0.5, -0.25]);
-        assert_eq!(grads[1].1, vec![0.0, 0.0]);
+        let grads = cache.drain_outer_grads();
+        assert_eq!(grads.iter().collect::<Vec<_>>(), [(k0, &[0.5, -0.25][..]), (k1, &[0.0, 0.0])]);
         assert!(cache.is_empty());
     }
 

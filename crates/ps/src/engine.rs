@@ -14,9 +14,8 @@
 //! recovery, journaling and publication are layers inside the transport's
 //! methods rather than branches in this loop.
 
-use crate::cache::CacheStats;
+use crate::cache::{CacheStats, OuterGrads};
 use crate::guard::{outer_grad_norm, GuardRail, GuardVerdict};
-use crate::kv::ParamKey;
 use crate::trainer::{CachedRoundOutput, DistributedConfig, DistributedReport};
 use mamdr_obs::{maybe_child, maybe_span, SpanContext, Tracer};
 use mamdr_tensor::pool;
@@ -61,7 +60,7 @@ pub trait RoundTransport {
 
     /// Queues one accepted worker's key-sorted outer gradients. Calls
     /// arrive in worker order; delivery must preserve it.
-    fn queue_grads(&mut self, grads: Vec<(ParamKey, Vec<f32>)>);
+    fn queue_grads(&mut self, grads: OuterGrads);
 
     /// Delivers everything queued; on return the stores hold it.
     fn flush(&mut self, parent: Option<SpanContext>) -> Result<(), Self::Error>;
@@ -167,7 +166,7 @@ pub fn run_rounds<T: RoundTransport>(
             state.max_staleness = state.max_staleness.max(out.staleness.max);
             if guard_active {
                 let worker_loss = mean_loss(out.loss_sum, out.n_examples);
-                match guard.check(worker_loss, outer_grad_norm(&out.grads)).0 {
+                match guard.check(worker_loss, outer_grad_norm(&out.grads.values)).0 {
                     GuardVerdict::Accept => {}
                     GuardVerdict::Skip => {
                         // Drop the update *and* its loss contribution: a
@@ -234,6 +233,7 @@ mod tests {
     use super::*;
     use crate::cache::StalenessStats;
     use crate::guard::GuardConfig;
+    use crate::kv::ParamKey;
     use std::convert::Infallible;
 
     /// A one-number "store": applying a gradient adds its first component.
@@ -261,13 +261,13 @@ mod tests {
                 staleness: StalenessStats::default(),
                 loss_sum,
                 n_examples: 1,
-                grads: vec![(ParamKey::new(0, 0), vec![grad])],
+                grads: OuterGrads { keys: vec![ParamKey::new(0, 0)], values: vec![grad] },
             };
             Ok(self.rounds[epoch].iter().map(output).collect())
         }
 
-        fn queue_grads(&mut self, grads: Vec<(ParamKey, Vec<f32>)>) {
-            self.queued.extend(grads.into_iter().map(|(_, g)| g[0]));
+        fn queue_grads(&mut self, grads: OuterGrads) {
+            self.queued.extend(grads.iter().map(|(_, g)| g[0]));
         }
 
         fn flush(&mut self, _parent: Option<SpanContext>) -> Result<(), Infallible> {

@@ -178,15 +178,14 @@ impl GuardRail {
     }
 }
 
-/// L2 norm over a worker round's outer gradients — the `grad_norm` input
-/// to [`GuardRail::check`]. NaN/Inf anywhere propagates to the result, so
-/// a single poisoned component is caught.
-pub fn outer_grad_norm(grads: &[(crate::ParamKey, Vec<f32>)]) -> f64 {
+/// L2 norm over a worker round's outer gradients (the flat
+/// [`crate::OuterGrads::values`], summed in row order) — the `grad_norm`
+/// input to [`GuardRail::check`]. NaN/Inf anywhere propagates to the
+/// result, so a single poisoned component is caught.
+pub fn outer_grad_norm(values: &[f32]) -> f64 {
     let mut sum = 0.0f64;
-    for (_, g) in grads {
-        for &v in g {
-            sum += (v as f64) * (v as f64);
-        }
+    for &v in values {
+        sum += (v as f64) * (v as f64);
     }
     sum.sqrt()
 }
@@ -194,7 +193,6 @@ pub fn outer_grad_norm(grads: &[(crate::ParamKey, Vec<f32>)]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ParamKey;
 
     fn armed(k: u32) -> GuardRail {
         GuardRail::new(GuardConfig {
@@ -265,10 +263,8 @@ mod tests {
 
     #[test]
     fn grad_norm_helper_propagates_poison() {
-        let clean = vec![(ParamKey::new(0, 0), vec![3.0, 4.0])];
-        assert!((outer_grad_norm(&clean) - 5.0).abs() < 1e-12);
-        let poisoned = vec![(ParamKey::new(0, 0), vec![1.0, f32::NAN])];
-        assert!(outer_grad_norm(&poisoned).is_nan());
+        assert!((outer_grad_norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
+        assert!(outer_grad_norm(&[1.0, f32::NAN]).is_nan());
         assert_eq!(outer_grad_norm(&[]), 0.0);
     }
 }

@@ -15,8 +15,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Addresses one parameter row: an embedding table id plus a row index.
 ///
-/// Dense (non-embedding) parameters use row 0 of their own table id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Dense (non-embedding) parameters use row 0 of their own table id. Keys
+/// order by `(table, row)`, the order every batch travels in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ParamKey {
     /// Table identifier.
     pub table: u32,
@@ -62,9 +63,11 @@ pub const WIRE_BATCH_KEYS: usize = 4096;
 /// its exactly-once semantics over the wire) remains explicit.
 pub trait RowSource {
     /// Pulls the latest values of many rows together with their push
-    /// versions, in input-key order. Counted as one RPC per
-    /// [`WIRE_BATCH_KEYS`] chunk (zero for an empty key set).
-    fn pull_rows(&self, keys: &[ParamKey]) -> Vec<(Vec<f32>, u64)>;
+    /// versions as one flat batch `(versions, values)` in input-key order:
+    /// `versions[i]` and `values[i * dim..(i + 1) * dim]` belong to
+    /// `keys[i]`. Counted as one RPC per [`WIRE_BATCH_KEYS`] chunk (zero
+    /// for an empty key set).
+    fn pull_rows(&self, keys: &[ParamKey]) -> (Vec<u64>, Vec<f32>);
 
     /// Reads many rows' push versions without pulling values, in
     /// input-key order (silent — an observability probe, not counted
@@ -171,7 +174,7 @@ impl ParameterServer {
     }
 
     /// Models this store's pull accounting as if key batches were routed
-    /// over `n` server shards: [`ParameterServer::pull_batch`] then counts
+    /// over `n` server shards: [`ParameterServer::pull_flat`] then counts
     /// one RPC per [`WIRE_BATCH_KEYS`] chunk *per owning shard* (the
     /// frames a sharded client spends on the same key set). The default of
     /// 1 is exactly the single-server `div_ceil` accounting. Byte counters
@@ -217,29 +220,41 @@ impl ParameterServer {
         v
     }
 
-    /// Pulls many rows in input-key order, counting one RPC per
+    /// Pulls many rows as one flat batch `(versions, values)` in input-key
+    /// order — the store's one batched read, behind [`RowSource::pull_rows`]
+    /// and the wire's `PullMany` handler. Counts one RPC per
     /// [`WIRE_BATCH_KEYS`] chunk — exactly the frames the batched wire
     /// protocol would spend on the same key set, so in-process and
     /// loopback runs report identical pull counters.
     ///
     /// Panics, before any traffic is counted, if any row was never
-    /// initialized — workers may only touch rows the driver placed.
-    pub fn pull_batch(&self, keys: &[ParamKey]) -> Vec<(Vec<f32>, u64)> {
-        let rows: Vec<(Vec<f32>, u64)> = keys
-            .iter()
-            .map(|&key| {
-                let stripe = self.stripe(key).read();
-                let row =
-                    stripe.get(&key).unwrap_or_else(|| panic!("pull of uninitialized key {key:?}"));
-                (row.value.clone(), row.version)
-            })
-            .collect();
+    /// initialized — workers may only touch rows the driver placed — or is
+    /// not [`ParameterServer::value_dim`] wide.
+    pub fn pull_flat(&self, keys: &[ParamKey]) -> (Vec<u64>, Vec<f32>) {
+        let dim = self.value_dim();
+        let mut versions = Vec::with_capacity(keys.len());
+        let mut values = Vec::with_capacity(keys.len() * dim);
+        for &key in keys {
+            let stripe = self.stripe(key).read();
+            let row =
+                stripe.get(&key).unwrap_or_else(|| panic!("pull of uninitialized key {key:?}"));
+            assert_eq!(row.value.len(), dim, "row width mismatch: {key:?}");
+            versions.push(row.version);
+            values.extend_from_slice(&row.value);
+        }
         let chunks = crate::shard::route_chunks(keys, self.route_shards.load(Ordering::Relaxed));
         self.traffic.pulls.fetch_add(chunks, Ordering::Relaxed);
         self.traffic
             .bytes_pulled
             .fetch_add((self.dim_bytes * keys.len()) as u64, Ordering::Relaxed);
-        rows
+        (versions, values)
+    }
+
+    /// [`ParameterServer::pull_flat`] as one `(value, version)` pair per
+    /// key — the per-row view probes and model tests compare against.
+    pub fn pull_batch(&self, keys: &[ParamKey]) -> Vec<(Vec<f32>, u64)> {
+        let (versions, values) = self.pull_flat(keys);
+        values.chunks_exact(self.value_dim().max(1)).map(<[f32]>::to_vec).zip(versions).collect()
     }
 
     /// Reads a row without traffic accounting (driver-side evaluation).
@@ -447,8 +462,8 @@ impl ParameterServer {
 }
 
 impl RowSource for ParameterServer {
-    fn pull_rows(&self, keys: &[ParamKey]) -> Vec<(Vec<f32>, u64)> {
-        self.pull_batch(keys)
+    fn pull_rows(&self, keys: &[ParamKey]) -> (Vec<u64>, Vec<f32>) {
+        self.pull_flat(keys)
     }
 
     fn versions_of(&self, keys: &[ParamKey]) -> Vec<u64> {
@@ -457,11 +472,11 @@ impl RowSource for ParameterServer {
 }
 
 /// A [`RowSource`] decorator that accumulates the wall-clock its inner
-/// source spends serving reads. Tracing-only: a worker wraps its source
-/// for one round, then attributes the accumulated time to the round's
-/// "pull" phase and the remainder to "compute". `Cell` because each
-/// worker's round is single-threaded; the values never feed back into
-/// training.
+/// source spends serving reads, one clock read per call (never per row): a
+/// worker wraps its source for one round, then attributes the accumulated
+/// time to the round's "pull" and the remainder to "compute". `Cell`
+/// because each worker's round is single-threaded; the values never feed
+/// back into training.
 pub struct TimedRowSource<'a, S: RowSource + ?Sized> {
     inner: &'a S,
     nanos: std::cell::Cell<u64>,
@@ -487,7 +502,7 @@ impl<'a, S: RowSource + ?Sized> TimedRowSource<'a, S> {
 }
 
 impl<S: RowSource + ?Sized> RowSource for TimedRowSource<'_, S> {
-    fn pull_rows(&self, keys: &[ParamKey]) -> Vec<(Vec<f32>, u64)> {
+    fn pull_rows(&self, keys: &[ParamKey]) -> (Vec<u64>, Vec<f32>) {
         self.time(|| self.inner.pull_rows(keys))
     }
 
@@ -563,7 +578,7 @@ mod tests {
         let src: &dyn RowSource = &ps;
         // A single-row read is a one-key batch: one counted RPC.
         let before = ps.traffic().snapshot().0;
-        assert_eq!(src.pull_rows(&[key]), vec![(vec![2.0, -1.0], 1)]);
+        assert_eq!(src.pull_rows(&[key]), (vec![1], vec![2.0, -1.0]));
         assert_eq!(ps.traffic().snapshot().0, before + 1);
         // The version probe is silent.
         assert_eq!(src.versions_of(&[key, ParamKey::new(9, 9)]), vec![1, 0]);

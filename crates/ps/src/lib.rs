@@ -35,7 +35,8 @@
 //!   row (the Reptile-style outer gradient of Eq. 3) and clears both caches.
 //!
 //! The two caches always hold the same key set, so [`WorkerCache`] keeps
-//! them as the two halves of one record per row. Reads are batch-only
+//! them as two parallel slabs of one slot per row, found through a dense
+//! per-table index. Reads are batch-only
 //! ([`RowSource`] is `pull_rows` + `versions_of`): a round prefetches its
 //! whole key set in one batched pull, and a lazy miss is a one-key batch.
 //!
@@ -53,7 +54,7 @@ pub mod publish;
 pub mod shard;
 pub mod trainer;
 
-pub use cache::{CacheStats, StalenessStats, WorkerCache};
+pub use cache::{CacheStats, OuterGrads, StalenessStats, WorkerCache};
 pub use engine::{partition_domains, run_rounds, ResumeBase, RoundTransport};
 pub use guard::{outer_grad_norm, GuardConfig, GuardRail, GuardVerdict};
 pub use journal::RoundJournal;
@@ -70,7 +71,7 @@ pub use shard::{
     ShardFiles, ShardManifest, ShardMap, MANIFEST_EXT,
 };
 pub use trainer::{
-    evaluate_server, partition_keys, run_cached_round, run_cached_round_traced, seed_server,
+    evaluate_server, partition_keys, run_cached_round, run_cached_round_timed, seed_server,
     worker_round_seed, CachedRoundOutput, DistributedConfig, DistributedMamdr, DistributedReport,
-    StoreSnapshot, SyncMode,
+    RoundTime, StoreSnapshot, SyncMode,
 };

@@ -9,7 +9,7 @@
 //! are scoped threads reading one shared [`ParameterServer`] and whose
 //! "wire" is a direct `push_outer_grad` call that cannot fail.
 
-use crate::cache::{CacheStats, StalenessStats, WorkerCache};
+use crate::cache::{CacheStats, OuterGrads, StalenessStats, WorkerCache};
 use crate::engine::{self, ResumeBase, RoundTransport};
 use crate::guard::GuardConfig;
 use crate::kv::{ParamKey, ParameterServer, RowSource, TimedRowSource, LOCK_STRIPES};
@@ -23,6 +23,7 @@ use mamdr_tensor::rng::{derive_seed, normal, seeded, shuffle};
 use rand::Rng;
 use std::convert::Infallible;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// How workers synchronize with the parameter server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,7 +167,26 @@ pub struct CachedRoundOutput {
     pub n_examples: u64,
     /// Outer gradients (Θ̃ − Θ per touched row), sorted by
     /// `(table, row)`. The caller applies them (directly or over RPC).
-    pub grads: Vec<(ParamKey, Vec<f32>)>,
+    pub grads: OuterGrads,
+}
+
+/// Where one worker's round wall-clock went: inside [`RowSource`] calls
+/// (`pull`) and everywhere else (`compute`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RoundTime {
+    /// Time spent in the row source's reads.
+    pub pull: Duration,
+    /// The rest of the round.
+    pub compute: Duration,
+}
+
+impl RoundTime {
+    /// Records the split as the tracer's `round.pull` and `round.compute`
+    /// phases.
+    pub fn record(&self, tracer: &Tracer) {
+        tracer.record_phase("round.pull", self.pull);
+        tracer.record_phase("round.compute", self.compute);
+    }
 }
 
 /// The per-worker round seed (derived from the master seed, the epoch and
@@ -351,9 +371,9 @@ impl RoundTransport for InProcess<'_> {
         Ok(outputs)
     }
 
-    fn queue_grads(&mut self, grads: Vec<(ParamKey, Vec<f32>)>) {
-        for (key, delta) in grads {
-            self.trainer.ps.push_outer_grad(key, &delta, self.trainer.cfg.outer_lr);
+    fn queue_grads(&mut self, grads: OuterGrads) {
+        for (key, delta) in grads.iter() {
+            self.trainer.ps.push_outer_grad(key, delta, self.trainer.cfg.outer_lr);
         }
     }
 
@@ -404,12 +424,14 @@ pub fn run_cached_round<S: RowSource + ?Sized>(
     // per-key miss — over the wire, one request per key chunk instead of
     // one per key. Values are identical either way: the server is
     // quiescent during a synchronous round, and a lazy miss would have
-    // pulled the same bytes one example later.
+    // pulled the same bytes one example later. The keys arrive sorted, so
+    // the drain below hands them back in order without a sort.
     cache.prefetch(src, &partition_keys(ds, domains));
+    let mut rows = Vec::new();
     let mut loss_sum = 0.0f64;
     let mut n_examples = 0u64;
     for &d in domains {
-        let (l, n) = train_domain_cached(src, &mut cache, ds, d, inner_lr, &mut rng);
+        let (l, n) = train_domain_cached(src, &mut cache, &mut rows, ds, d, inner_lr, &mut rng);
         loss_sum += l;
         n_examples += n;
     }
@@ -417,35 +439,28 @@ pub fn run_cached_round<S: RowSource + ?Sized>(
     // hand back Θ̃ − Θ per touched row (Eq. 3's outer gradient).
     let staleness = cache.staleness(src);
     let stats = cache.stats();
-    let mut grads = cache.drain_outer_grads();
-    grads.sort_by_key(|(k, _)| (k.table, k.row));
+    let grads = cache.drain_outer_grads();
     CachedRoundOutput { cache: stats, staleness, loss_sum, n_examples, grads }
 }
 
-/// [`run_cached_round`] with the worker's wall-clock attributed: under a
-/// tracer the time spent in store reads (in-process here, an RPC over the
-/// wire) is recorded as the `round.pull` phase and the remainder as
-/// `round.compute`. The timing decorator only times calls; the training
-/// math it forwards is byte-for-byte the untraced path.
-pub fn run_cached_round_traced<S: RowSource + ?Sized>(
+/// [`run_cached_round`] with the worker's wall-clock split: reads go
+/// through a [`TimedRowSource`] — one clock read per [`RowSource`] call,
+/// never per row — and the rest of the round is compute. The timing only
+/// times calls; the training math it forwards is byte-for-byte the untimed
+/// path.
+pub fn run_cached_round_timed<S: RowSource + ?Sized>(
     src: &S,
     ds: &MdrDataset,
     domains: &[usize],
     inner_lr: f32,
     seed: u64,
-    tracer: Option<&Tracer>,
-) -> CachedRoundOutput {
-    let Some(tracer) = tracer else {
-        return run_cached_round(src, ds, domains, inner_lr, seed);
-    };
+) -> (CachedRoundOutput, RoundTime) {
     let timed = TimedRowSource::new(src);
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let out = run_cached_round(&timed, ds, domains, inner_lr, seed);
     let total = t0.elapsed();
     let pull = timed.elapsed();
-    tracer.record_phase("round.pull", pull);
-    tracer.record_phase("round.compute", total.saturating_sub(pull));
-    out
+    (out, RoundTime { pull, compute: total.saturating_sub(pull) })
 }
 
 /// The distinct parameter rows a cached round over `domains` will touch,
@@ -454,8 +469,8 @@ pub fn run_cached_round_traced<S: RowSource + ?Sized>(
 /// [`run_cached_round`] — exact, not a heuristic, because the cached
 /// inner loop reads precisely the [`ExampleKeys`] of its examples.
 pub fn partition_keys(ds: &MdrDataset, domains: &[usize]) -> Vec<ParamKey> {
-    let mut seen = std::collections::HashSet::new();
-    let mut keys = Vec::new();
+    let examples: usize = domains.iter().map(|&d| ds.domains[d].train.len()).sum();
+    let mut keys = Vec::with_capacity(5 * examples);
     for &d in domains {
         for it in &ds.domains[d].train {
             let ek = ExampleKeys::new(
@@ -465,14 +480,11 @@ pub fn partition_keys(ds: &MdrDataset, domains: &[usize]) -> Vec<ParamKey> {
                 ds.item_cat[it.item as usize],
                 d as u32,
             );
-            for key in ek.all() {
-                if seen.insert(key) {
-                    keys.push(key);
-                }
-            }
+            keys.extend(ek.all());
         }
     }
-    keys.sort_by_key(|k| (k.table, k.row));
+    keys.sort_unstable();
+    keys.dedup();
     keys
 }
 
@@ -497,22 +509,18 @@ impl DistributedMamdr {
         }
         match cfg.mode {
             SyncMode::Cached => {
-                let mut out = run_cached_round_traced(
-                    ps,
-                    ds,
-                    domains,
-                    cfg.inner_lr,
-                    seed,
-                    self.tracer.as_deref(),
-                );
+                let (mut out, time) = run_cached_round_timed(ps, ds, domains, cfg.inner_lr, seed);
+                if let Some(tracer) = self.tracer.as_deref() {
+                    time.record(tracer);
+                }
                 if !cfg.sync_rounds {
                     // Asynchronous protocol: push now, racing other workers;
                     // the server applies with Adagrad (Eq. 3 with a
                     // server-side optimizer). Otherwise the gradients go to
                     // the driver and the server stays read-only until every
                     // worker has joined.
-                    for (key, delta) in out.grads.drain(..) {
-                        ps.push_outer_grad(key, &delta, cfg.outer_lr);
+                    for (key, delta) in std::mem::take(&mut out.grads).iter() {
+                        ps.push_outer_grad(key, delta, cfg.outer_lr);
                     }
                 }
                 out
@@ -531,7 +539,7 @@ impl DistributedMamdr {
                     staleness: StalenessStats::default(),
                     loss_sum,
                     n_examples,
-                    grads: Vec::new(),
+                    grads: OuterGrads::default(),
                 }
             }
         }
@@ -540,9 +548,14 @@ impl DistributedMamdr {
 
 /// Inner-loop SGD over one domain through the cache. Returns the summed
 /// log-loss and example count for round-level loss reporting.
+///
+/// Each example copies its five rows into `rows`, a buffer kept across the
+/// round, before it updates any of them: every update reads the partner
+/// rows' pre-update values.
 fn train_domain_cached<S: RowSource + ?Sized>(
     src: &S,
     cache: &mut WorkerCache,
+    rows: &mut Vec<f32>,
     ds: &MdrDataset,
     domain: usize,
     inner_lr: f32,
@@ -561,19 +574,23 @@ fn train_domain_cached<S: RowSource + ?Sized>(
             ds.item_cat[it.item as usize],
             domain as u32,
         );
-        let u = cache.get(src, keys.user).to_vec();
-        let v = cache.get(src, keys.item).to_vec();
-        let g = cache.get(src, keys.ugroup).to_vec();
-        let c = cache.get(src, keys.icat).to_vec();
-        let b = cache.get(src, keys.bias).to_vec();
-        let s = score(&u, &v, &g, &c, &b);
+        rows.clear();
+        for key in keys.all() {
+            rows.extend_from_slice(cache.get(src, key));
+        }
+        let dim = rows.len() / 5;
+        let (u, rest) = rows.split_at(dim);
+        let (v, rest) = rest.split_at(dim);
+        let (g, rest) = rest.split_at(dim);
+        let (c, b) = rest.split_at(dim);
+        let s = score(u, v, g, c, b);
         loss_sum += log_loss(s, it.label) as f64;
         let e = error_signal(s, it.label);
         let lr = inner_lr;
-        cache.update(keys.user, |row| axpy_rows(row, -lr * e, &v));
-        cache.update(keys.item, |row| axpy_rows(row, -lr * e, &u));
-        cache.update(keys.ugroup, |row| axpy_rows(row, -lr * e, &c));
-        cache.update(keys.icat, |row| axpy_rows(row, -lr * e, &g));
+        cache.update(keys.user, |row| axpy_rows(row, -lr * e, v));
+        cache.update(keys.item, |row| axpy_rows(row, -lr * e, u));
+        cache.update(keys.ugroup, |row| axpy_rows(row, -lr * e, c));
+        cache.update(keys.icat, |row| axpy_rows(row, -lr * e, g));
         cache.update(keys.bias, |row| row[0] -= lr * e);
     }
     (loss_sum, n)

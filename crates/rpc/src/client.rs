@@ -866,71 +866,84 @@ impl ShardedRowSource {
     }
 
     /// The one batched read path: scatters `keys` over the shard fleet as
-    /// `make_req` requests (one per [`WIRE_BATCH_KEYS`] chunk per shard),
-    /// turns each chunk's response into its per-key items with `unpack`,
-    /// and gathers them back into input-key order. Any failure poisons the
-    /// source, and a poisoned source answers `zero` for every key without
-    /// touching the network.
-    fn gather<T: Clone + Default>(
+    /// `make_req` requests (one per [`WIRE_BATCH_KEYS`] chunk per shard)
+    /// and hands each chunk's response to `unpack` with the input
+    /// positions of its keys, which writes the items straight into the
+    /// caller's output. Any failure poisons the source; returns false when
+    /// the source is poisoned (the output must then be zero-filled), and a
+    /// poisoned source never touches the network.
+    fn scatter(
         &self,
         keys: &[ParamKey],
-        zero: T,
         make_req: impl Fn(Vec<ParamKey>) -> Request + Sync,
-        unpack: impl Fn(Response, usize) -> Result<Vec<T>, RpcError>,
-    ) -> Vec<T> {
+        mut unpack: impl FnMut(&[usize], Response) -> Result<(), RpcError>,
+    ) -> bool {
         if self.poisoned() {
-            return vec![zero; keys.len()];
+            return false;
         }
         let parts = self.map.partition_indices(keys);
         let results = call_shards(&mut self.clients.borrow_mut(), &parts, keys, make_req);
-        let mut out = vec![T::default(); keys.len()];
         for (idxs, result) in parts.iter().zip(results) {
             let Some(result) = result else { continue };
             let gathered = result.and_then(|resps| {
-                for (chunk, resp) in idxs.chunks(WIRE_BATCH_KEYS).zip(resps) {
-                    for (&i, item) in chunk.iter().zip(unpack(resp, chunk.len())?) {
-                        out[i] = item;
-                    }
-                }
-                Ok(())
+                idxs.chunks(WIRE_BATCH_KEYS)
+                    .zip(resps)
+                    .try_for_each(|(chunk, resp)| unpack(chunk, resp))
             });
             if let Err(e) = gathered {
                 self.record(e);
             }
         }
-        if self.poisoned() {
-            return vec![zero; keys.len()];
-        }
-        out
+        !self.poisoned()
     }
 }
 
 impl RowSource for ShardedRowSource {
-    fn pull_rows(&self, keys: &[ParamKey]) -> Vec<(Vec<f32>, u64)> {
+    fn pull_rows(&self, keys: &[ParamKey]) -> (Vec<u64>, Vec<f32>) {
         let dim = self.dim;
+        let mut versions = vec![0u64; keys.len()];
+        let mut values = vec![0.0f32; keys.len() * dim];
         let pull = |keys| Request::PullMany { keys };
-        self.gather(keys, (vec![0.0; dim], 0), pull, |resp, n_rows| {
-            let Response::PullMany { versions, values } = resp else {
+        let ok = self.scatter(keys, pull, |idxs, resp| {
+            let Response::PullMany { versions: got, values: vals } = resp else {
                 unreachable!("PullMany answered with a different variant")
             };
-            if values.len() != n_rows * dim {
+            let n_rows = idxs.len();
+            if vals.len() != n_rows * dim {
                 return Err(RpcError::Frame(FrameError::Malformed(format!(
                     "expected {} values for {n_rows} rows of width {dim}, got {}",
                     n_rows * dim,
-                    values.len()
+                    vals.len()
                 ))));
             }
-            Ok(values.chunks(dim).map(<[f32]>::to_vec).zip(versions).collect())
-        })
+            for ((&i, version), row) in idxs.iter().zip(got).zip(vals.chunks_exact(dim.max(1))) {
+                versions[i] = version;
+                values[i * dim..(i + 1) * dim].copy_from_slice(row);
+            }
+            Ok(())
+        });
+        if !ok {
+            versions.fill(0);
+            values.fill(0.0);
+        }
+        (versions, values)
     }
 
     fn versions_of(&self, keys: &[ParamKey]) -> Vec<u64> {
+        let mut versions = vec![0u64; keys.len()];
         let probe = |keys| Request::PullVersions { keys };
-        self.gather(keys, 0, probe, |resp, _| {
-            let Response::PullVersions { versions } = resp else {
+        let ok = self.scatter(keys, probe, |idxs, resp| {
+            let Response::PullVersions { versions: got } = resp else {
                 unreachable!("PullVersions answered with a different variant")
             };
-            Ok(versions)
-        })
+            for (&i, version) in idxs.iter().zip(got) {
+                versions[i] = version;
+            }
+            Ok(())
+        });
+        if !ok {
+            versions.fill(0);
+        }
+        versions
     }
 }

@@ -320,16 +320,10 @@ fn handle(req: &Frame, inner: &Inner) -> Frame {
                 if let Some(key) = inner.ps.first_missing(&pull.keys) {
                     return error(format!("pull of uninitialized key {key:?}"));
                 }
-                // One batched store read: counts a single pull per wire
-                // chunk, keeping the traffic counter identical to the
-                // in-process trainer's.
-                let rows = inner.ps.pull_batch(&pull.keys);
-                let mut versions = Vec::with_capacity(rows.len());
-                let mut values = Vec::with_capacity(rows.len() * inner.dim);
-                for (value, version) in rows {
-                    versions.push(version);
-                    values.extend_from_slice(&value);
-                }
+                // One batched store read, already in the response's flat
+                // layout: counts a single pull per wire chunk, keeping the
+                // traffic counter identical to the in-process trainer's.
+                let (versions, values) = inner.ps.pull_flat(&pull.keys);
                 Frame::new(OpCode::PullManyOk, seq, PullManyResp { versions, values }.encode())
             }
             Err(e) => error(format!("bad pull-many payload: {e}")),

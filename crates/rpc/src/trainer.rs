@@ -86,12 +86,12 @@ use mamdr_data::{MdrDataset, Split};
 use mamdr_obs::{maybe_child, MetricsRegistry, SpanContext, Tracer};
 use mamdr_ps::engine::{self, ResumeBase, RoundTransport};
 use mamdr_ps::trainer::{
-    evaluate_server, run_cached_round_traced, seed_sharded_servers, worker_round_seed,
+    evaluate_server, run_cached_round_timed, seed_sharded_servers, worker_round_seed,
     CachedRoundOutput,
 };
 use mamdr_ps::{
     checkpoint, latest_manifest, load_manifest_state, merge_stores, shard_dir, ContinualPublisher,
-    DistributedConfig, DistributedReport, ParamKey, ParameterServer, PublishOutcome,
+    DistributedConfig, DistributedReport, OuterGrads, ParamKey, ParameterServer, PublishOutcome,
     PublisherFaults, RoundJournal, ShardFiles, ShardManifest, ShardMap, StoreSnapshot, SyncMode,
     LOCK_STRIPES, WIRE_BATCH_KEYS,
 };
@@ -103,6 +103,12 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Float total of the seconds workers spent inside row reads (pulls and
+/// version probes over the wire), summed over workers and rounds.
+const WORKER_PULL_SECONDS: &str = "ps_worker_pull_seconds_total";
+/// Float total of the rest of the workers' cached rounds.
+const WORKER_COMPUTE_SECONDS: &str = "ps_worker_compute_seconds_total";
 
 /// One worker's typed failure, as observed by the supervisor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -427,6 +433,15 @@ impl DistributedTrainer {
                 Ok(ShardRt { ps, server: Some(server), addr })
             })
             .collect::<Result<Vec<_>, _>>()?;
+        metrics.describe(
+            WORKER_PULL_SECONDS,
+            "Seconds workers spent in row reads over the wire, summed over workers and rounds.",
+        );
+        metrics.describe(
+            WORKER_COMPUTE_SECONDS,
+            "Seconds workers spent in their cached rounds outside row reads, summed over \
+             workers and rounds.",
+        );
         let trainer = DistributedTrainer { shards, map, cfg, metrics, resume_base };
         if trainer.cfg.checkpoint_every > 0 && !trainer.cfg.resume {
             // Commit the seeded round-0 state up front so a shard killed in
@@ -539,14 +554,20 @@ impl DistributedTrainer {
             client.set_trace_parent(worker_span.as_ref().map(|s| s.ctx()));
         }
         let src = ShardedRowSource::new(clients, self.map, cfg.dim);
-        let mut out = run_cached_round_traced(
+        // Always timed — one clock read per row-source call, never per row
+        // — so the pull/compute split is exported untraced too.
+        let (mut out, time) = run_cached_round_timed(
             &src,
             ds,
             part,
             cfg.inner_lr,
             worker_round_seed(cfg.seed, epoch, w),
-            tracer.as_deref(),
         );
+        if let Some(t) = tracer.as_deref() {
+            time.record(t);
+        }
+        self.metrics.gauge(WORKER_PULL_SECONDS).add(time.pull.as_secs_f64());
+        self.metrics.gauge(WORKER_COMPUTE_SECONDS).add(time.compute.as_secs_f64());
         if let Some(e) = src.take_error() {
             // The round trained against zero-filled fallback rows after the
             // first failure; its output is garbage and must be re-run.
@@ -555,7 +576,7 @@ impl DistributedTrainer {
         if self.cfg.fault.as_ref().is_some_and(|p| p.should_poison(epoch as u64, w as u32)) {
             // Divergent-data injection: one NaN component is enough for the
             // guard's norm check to catch the whole update.
-            if let Some(first) = out.grads.first_mut().and_then(|(_, g)| g.first_mut()) {
+            if let Some(first) = out.grads.values.first_mut() {
                 *first = f32::NAN;
             }
         }
@@ -984,7 +1005,7 @@ impl RoundTransport for Loopback<'_> {
         t.run_round(self.ds, epoch, partitions, parent)
     }
 
-    fn queue_grads(&mut self, grads: Vec<(ParamKey, Vec<f32>)>) {
+    fn queue_grads(&mut self, grads: OuterGrads) {
         // Each shard receives its key-sorted sub-sequence — Adagrad updates
         // on distinct keys commute, so per-shard order is all that
         // bit-identity needs.
@@ -1092,22 +1113,18 @@ fn file_name_of(path: &str) -> String {
 /// Partitions one worker's key-sorted gradients over the shard map and
 /// packs each shard's (still key-sorted) sub-sequence into `PushMany`
 /// requests, one per [`WIRE_BATCH_KEYS`] chunk.
-fn sharded_push_requests(
-    grads: &[(ParamKey, Vec<f32>)],
-    lr: f32,
-    map: &ShardMap,
-) -> Vec<Vec<Request>> {
-    let keys: Vec<ParamKey> = grads.iter().map(|(k, _)| *k).collect();
-    map.partition_indices(&keys)
+fn sharded_push_requests(grads: &OuterGrads, lr: f32, map: &ShardMap) -> Vec<Vec<Request>> {
+    let dim = grads.dim();
+    map.partition_indices(&grads.keys)
         .into_iter()
         .map(|idxs| {
             idxs.chunks(WIRE_BATCH_KEYS)
                 .map(|chunk| {
                     let mut keys = Vec::with_capacity(chunk.len());
-                    let mut flat = Vec::new();
+                    let mut flat = Vec::with_capacity(chunk.len() * dim);
                     for &i in chunk {
-                        keys.push(grads[i].0);
-                        flat.extend_from_slice(&grads[i].1);
+                        keys.push(grads.keys[i]);
+                        flat.extend_from_slice(&grads.values[i * dim..(i + 1) * dim]);
                     }
                     Request::PushMany { lr, keys, grads: flat }
                 })

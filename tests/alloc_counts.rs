@@ -33,7 +33,8 @@
 //! single request on a snapshot of that model, both on a fresh evaluation
 //! recorder, plus the same request through buffers a scoring worker keeps.
 //! And one warm `ReplicatedServer::submit` + `Pending::wait` round trip,
-//! seen from the client's thread.
+//! seen from the client's thread, and one cached PS worker round over an
+//! in-process store.
 
 use mamdr::autodiff::{Grads, Tape};
 use mamdr::core::frameworks::mamdr::domain_regularization;
@@ -45,6 +46,8 @@ use mamdr::models::{
 };
 use mamdr::nn::{ForwardCtx, ParamStore};
 use mamdr::obs::MetricsRegistry;
+use mamdr::ps::trainer::{run_cached_round, seed_server, worker_round_seed};
+use mamdr::ps::{partition_domains, ParameterServer, LOCK_STRIPES};
 use mamdr::serve::{
     ModelSpec, ReplicatedServer, ScoreRequest, ScoreScratch, ServeConfig, ServeResult,
     ServingSnapshot,
@@ -125,6 +128,19 @@ const WORKER_B1: (u64, u64) = (0, 0);
 /// so what the worker allocates is not seen here — with that channel, its
 /// first `send` also allocated a list block of about 1.5 KiB.
 const SUBMIT_WAIT: (u64, u64) = (1, 56);
+/// One cached worker round (`run_cached_round`) over an in-process store:
+/// worker 0's partition of round 0 on `industry(8, 300, 42)` at width 8 of
+/// 2 workers — 4 domains, 497 rows. What is left is per round or per
+/// domain, none per row or per example: the sorted key list (1); the
+/// slab's key list and dynamic half, plus the pulled batch's two buffers,
+/// which become its versions and static half (4); the dense index — its
+/// table list and each table's doubling growth up to the largest row id
+/// read (33); each domain's example order (4); the kept five-row buffer's
+/// growth (4); and the staleness probe's versions (1). The drain hands the
+/// dynamic half back as the gradient batch. With a hash-map record per
+/// row, five row copies per example and a vector per row from the pull to
+/// the drain it was 2 833 / 299 972.
+const CACHED_ROUND: (u64, u64) = (47, 167_748);
 /// The gradient of the user embedding table if it were materialised:
 /// 2 378 rows × 16 floats × 4 bytes.
 const USER_TABLE_GRAD_BYTES: u64 = 2_378 * 16 * 4;
@@ -424,4 +440,22 @@ fn inline_gemm_allocations_are_pinned_at_any_thread_count() {
     eprintln!("gemm 128x80x64: NN {:?}, NT {:?}", serial.0, serial.1);
     assert_eq!(serial, (GEMM_NN, GEMM_NT), "allocations per inline gemm moved");
     assert_eq!(parallel, serial, "a one-chunk gemm allocates more at 8 threads");
+}
+
+#[test]
+fn cached_round_allocations_are_pinned() {
+    let knob = THREAD_KNOB.lock().unwrap_or_else(PoisonError::into_inner);
+    pool::set_threads(1);
+    drop(knob);
+    let (dim, seed) = (8, 42);
+    let ds = presets::industry(8, 300, seed);
+    let ps = ParameterServer::new(LOCK_STRIPES, dim);
+    seed_server(&ps, &ds, dim, seed);
+    let part = &partition_domains(ds.n_domains(), seed, 0, 2)[0];
+    let round = || drop(run_cached_round(&ps, &ds, part, 0.1, worker_round_seed(seed, 0, 0)));
+    // The round only reads the store, so the second one repeats the first.
+    round();
+    let got = counted(round);
+    eprintln!("cached round: {} allocations, {} bytes", got.allocs, got.bytes);
+    assert_eq!((got.allocs, got.bytes), CACHED_ROUND, "allocations per cached round moved");
 }

@@ -13,6 +13,7 @@ use mamdr::ps::{checkpoint, DistributedConfig, DistributedMamdr, DistributedRepo
 use mamdr::rpc::{DistributedTrainer, FaultPlan, LoopbackConfig, RetryPolicy};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn dataset() -> MdrDataset {
     let mut cfg = GeneratorConfig::base("rpc", 80, 50, 55);
@@ -80,6 +81,36 @@ fn fault_free_loopback_training_is_bit_identical_to_in_process() {
     assert_eq!(metrics.counter("rpc_push_deduped_total").get(), 0);
     assert_eq!(metrics.counter("rpc_push_applied_total").get(), local.pushes);
     net_trainer.shutdown();
+}
+
+#[test]
+fn workers_account_for_their_pull_and_compute_time_untraced() {
+    let ds = dataset();
+    let cfg = train_config();
+    let metrics = Arc::new(MetricsRegistry::new());
+    let mut trainer =
+        DistributedTrainer::new(&ds, LoopbackConfig::new(cfg), Arc::clone(&metrics)).unwrap();
+    let t0 = Instant::now();
+    trainer.train(&ds).unwrap();
+    let wall = t0.elapsed().as_secs_f64();
+    trainer.shutdown();
+
+    let prom = metrics.render_prometheus();
+    let names = ["ps_worker_pull_seconds_total", "ps_worker_compute_seconds_total"];
+    for name in names {
+        let help = prom
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("# HELP {name} ")))
+            .unwrap_or_else(|| panic!("{name} is not exposed"));
+        assert!(!help.starts_with("mamdr "), "{name} has only the generated description");
+    }
+    let [pull, compute] = names.map(|name| metrics.gauge(name).get());
+    assert!(pull > 0.0, "no pull time counted");
+    assert!(compute > 0.0, "no compute time counted");
+    // Each worker's rounds lie inside the run, so together they cannot
+    // outlast every worker busy for the whole wall.
+    let bound = cfg.n_workers as f64 * wall;
+    assert!(pull + compute <= bound, "{pull} s + {compute} s over {bound} s of worker wall");
 }
 
 #[test]
