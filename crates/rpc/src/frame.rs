@@ -10,14 +10,16 @@
 //! seq     u64                    request id, echoed by the response
 //! len     u32                    payload length, <= MAX_PAYLOAD
 //! payload len bytes
-//! crc     u64                    FNV-1a over version..payload (not magic)
+//! digest  u64                    XXH64 over version..payload (not magic)
 //! ```
 //!
 //! Design points:
 //!
-//! * **Checksummed.** The trailing FNV-1a digest covers the header (after
-//!   the magic) and the payload, so a flipped bit anywhere in a frame is a
+//! * **Checksummed.** The trailing [`digest`] covers the header (after the
+//!   magic) and the payload, so a flipped bit anywhere in a frame is a
 //!   typed [`FrameError::Checksum`] — never a silently corrupted update.
+//!   It is XXH64, word-at-a-time: every byte on the wire is hashed twice
+//!   (send and receive), so the digest runs at memory speed.
 //! * **Length-capped.** `len` is validated against [`MAX_PAYLOAD`] *before*
 //!   any payload allocation; attacker-controlled declared lengths cannot
 //!   make the decoder over-allocate.
@@ -31,19 +33,22 @@
 
 use mamdr_ps::ParamKey;
 use mamdr_util::codec::{CodecError, Reader, Writer};
-use mamdr_util::Checksum;
+use mamdr_util::xxh64;
 use std::io::{Read, Write};
 
 /// The 9-byte frame magic.
 pub const MAGIC: &[u8; 9] = b"MAMDRRPC1";
 
-/// Wire-protocol version. Bumped whenever op-codes or payload layouts
-/// change; a server rejects frames from a different version with a typed
-/// error instead of misparsing them. Version 2 is the vectorized
-/// `PullMany`/`PushMany` family (multi-row payloads, one frame per key
-/// batch instead of one per key). Retiring the single-row op-codes did not
-/// bump it: no byte of any frame a version-2 peer sends today changed.
-pub const WIRE_VERSION: u8 = 2;
+/// Wire-protocol version. Bumped whenever op-codes, payload layouts or the
+/// frame digest change; a peer rejects frames from a different version
+/// with a typed [`FrameError::UnsupportedVersion`] instead of misparsing
+/// them. Version 2 is the vectorized `PullMany`/`PushMany` family
+/// (multi-row payloads, one frame per key batch instead of one per key).
+/// Version 3 keeps version 2's layout, op-codes and lengths byte for byte
+/// and changes only the trailing digest, from byte-serial FNV-1a to XXH64
+/// ([`digest`]). No frame outlives its process, so there is no dual-digest
+/// decoder: a version-2 frame is refused.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Hard cap on a frame's declared payload length (16 MiB). Validated
 /// before allocation: a malicious or corrupt length field cannot force an
@@ -51,8 +56,15 @@ pub const WIRE_VERSION: u8 = 2;
 pub const MAX_PAYLOAD: u32 = 16 << 20;
 
 /// Bytes of framing around the payload: 9 magic + 1 version + 1 opcode +
-/// 1 flags + 8 seq + 4 len + 8 crc.
+/// 1 flags + 8 seq + 4 len + 8 digest.
 pub const FRAME_OVERHEAD: usize = 32;
+
+/// The frame digest: XXH64 of the 15 header bytes after the magic, which
+/// seeds XXH64 of the payload. The one definition both directions — and
+/// every test that forges a well-formed frame — call.
+pub fn digest(head: &[u8; 15], payload: &[u8]) -> u64 {
+    xxh64(payload, xxh64(head, 0))
+}
 
 /// Pull flag: respond with the rows' versions only (no value section, no
 /// traffic accounting server-side) — used by staleness probes.
@@ -110,10 +122,10 @@ impl TraceContext {
     }
 }
 
-/// Operation codes of wire version 2. Bytes 1–4 belonged to the retired
-/// single-row `Pull`/`PullOk`/`Push`/`PushOk` and stay unassigned — they
-/// decode to [`FrameError::UnknownOpcode`] like any other undefined byte,
-/// and the surviving op-codes keep their values.
+/// Operation codes, unchanged since wire version 2. Bytes 1–4 belonged to
+/// the retired single-row `Pull`/`PullOk`/`Push`/`PushOk` and stay
+/// unassigned — they decode to [`FrameError::UnknownOpcode`] like any other
+/// undefined byte, and the surviving op-codes keep their values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum OpCode {
@@ -183,7 +195,7 @@ pub enum FrameError {
     UnknownOpcode(u8),
     /// The declared payload length exceeds [`MAX_PAYLOAD`].
     TooLarge(u32),
-    /// The FNV-1a digest does not match the received bytes.
+    /// The frame [`digest`] does not match the received bytes.
     Checksum { stored: u64, computed: u64 },
     /// A payload body is shorter/longer than its op-code requires.
     Malformed(String),
@@ -293,13 +305,10 @@ impl Frame {
         head[2] = self.flags;
         head[3..11].copy_from_slice(&self.seq.to_le_bytes());
         head[11..15].copy_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        let mut crc = Checksum::new();
-        crc.update(&head);
-        crc.update(&self.payload);
         w.write_all(MAGIC)?;
         w.write_all(&head)?;
         w.write_all(&self.payload)?;
-        w.write_all(&crc.digest().to_le_bytes())?;
+        w.write_all(&digest(&head, &self.payload).to_le_bytes())?;
         Ok(())
     }
 
@@ -314,8 +323,8 @@ impl Frame {
     ///
     /// Validation order matters for robustness against untrusted bytes:
     /// magic, version and the length cap are all checked *before* the
-    /// payload allocation, and the checksum is verified before the frame is
-    /// handed to any payload parser.
+    /// payload allocation, and the digest is verified before the op-code
+    /// is read and before the frame is handed to any payload parser.
     pub fn decode(mut r: impl Read) -> Result<Self, FrameError> {
         Self::read_magic(&mut r)?;
         Self::decode_after_magic(&mut r)
@@ -358,13 +367,10 @@ impl Frame {
         }
         let mut payload = vec![0u8; len as usize];
         r.read_exact(&mut payload)?;
-        let mut crc_bytes = [0u8; 8];
-        r.read_exact(&mut crc_bytes)?;
-        let stored = u64::from_le_bytes(crc_bytes);
-        let mut crc = Checksum::new();
-        crc.update(&head);
-        crc.update(&payload);
-        let computed = crc.digest();
+        let mut digest_bytes = [0u8; 8];
+        r.read_exact(&mut digest_bytes)?;
+        let stored = u64::from_le_bytes(digest_bytes);
+        let computed = digest(&head, &payload);
         if stored != computed {
             return Err(FrameError::Checksum { stored, computed });
         }
@@ -490,7 +496,7 @@ pub struct PullManyReq {
 impl PullManyReq {
     /// Encodes into a payload buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::default();
+        let mut w = Writer::with_capacity(4 + 8 * self.keys.len());
         write_keys(&mut w, &self.keys);
         w.into_bytes()
     }
@@ -520,7 +526,7 @@ pub struct PullManyResp {
 impl PullManyResp {
     /// Encodes into a payload buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::default();
+        let mut w = Writer::with_capacity(8 + 8 * self.versions.len() + 4 * self.values.len());
         w.u32(self.versions.len() as u32);
         for &v in &self.versions {
             w.u64(v);
@@ -567,7 +573,7 @@ pub struct PushManyReq {
 impl PushManyReq {
     /// Encodes into a payload buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::default();
+        let mut w = Writer::with_capacity(16 + 8 * self.keys.len() + 4 * self.grads.len());
         w.u32(self.client_id).f32(self.lr);
         write_keys(&mut w, &self.keys);
         write_counted_f32s(&mut w, &self.grads);
@@ -626,12 +632,43 @@ mod tests {
 
     #[test]
     fn every_flipped_bit_is_detected() {
-        let buf = Frame::new(OpCode::PullMany, 7, one_key_pull(1, 9)).to_bytes();
-        for pos in 0..buf.len() {
-            let mut bad = buf.clone();
-            bad[pos] ^= 0x10;
-            assert!(Frame::decode(bad.as_slice()).is_err(), "flip at byte {pos} went undetected");
+        // Payload lengths that end the digest in each of its tail branches
+        // (bytes, a 4-byte word, 8-byte words, whole 32-byte stripes).
+        for len in [0usize, 1, 3, 4, 7, 8, 31, 32, 33, 64, 100] {
+            let payload = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let buf = Frame::new(OpCode::PullMany, 7, payload).to_bytes();
+            for pos in 0..buf.len() {
+                for bit in 0..8 {
+                    let mut bad = buf.clone();
+                    bad[pos] ^= 1 << bit;
+                    assert!(
+                        Frame::decode(bad.as_slice()).is_err(),
+                        "payload {len}: flip of bit {bit} at byte {pos} went undetected"
+                    );
+                }
+            }
         }
+    }
+
+    #[test]
+    fn a_version_2_frame_is_refused_by_its_version_byte() {
+        // `Frame::new(OpCode::BarrierOk, 7, vec![])` as a version-2 peer
+        // encodes it: the same layout, sealed with FNV-1a.
+        let v2 = [
+            0x4d, 0x41, 0x4d, 0x44, 0x52, 0x52, 0x50, 0x43, 0x31, // magic
+            0x02, 0x06, 0x00, // version, op-code, flags
+            0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // seq
+            0x00, 0x00, 0x00, 0x00, // len
+            0xfc, 0x27, 0x11, 0xcd, 0x3f, 0x93, 0xdb, 0x64, // FNV-1a of the 15 header bytes
+        ];
+        assert!(matches!(Frame::decode(v2.as_slice()), Err(FrameError::UnsupportedVersion(2))));
+        // The same frame from this version differs only in the version
+        // byte and the digest.
+        let v3 = Frame::new(OpCode::BarrierOk, 7, vec![]).to_bytes();
+        assert_eq!(v3.len(), v2.len());
+        assert_eq!(v3[9], WIRE_VERSION);
+        assert_eq!(v3[..9], v2[..9]);
+        assert_eq!(v3[10..24], v2[10..24]);
     }
 
     #[test]
@@ -659,14 +696,14 @@ mod tests {
         assert!(matches!(Frame::decode(buf.as_slice()), Err(FrameError::TooLarge(_))));
     }
 
-    /// `frame`'s bytes with the op-code byte overwritten and the checksum
+    /// `frame`'s bytes with the op-code byte overwritten and the digest
     /// recomputed to match — a well-formed frame of an arbitrary op-code.
     fn with_opcode_byte(frame: &Frame, byte: u8) -> Vec<u8> {
         let mut buf = frame.to_bytes();
         buf[10] = byte;
         let n = buf.len();
-        let crc = Checksum::of(&buf[9..n - 8]).to_le_bytes();
-        buf[n - 8..].copy_from_slice(&crc);
+        let sealed = digest(buf[9..24].try_into().unwrap(), &buf[24..n - 8]).to_le_bytes();
+        buf[n - 8..].copy_from_slice(&sealed);
         buf
     }
 
@@ -742,6 +779,11 @@ mod tests {
             grads: vec![0.25, -0.125, 1.0, 2.0],
         };
         assert_eq!(PushManyReq::decode(&push.encode()).unwrap(), push);
+
+        // The multi-row encoders size their buffer exactly, once.
+        for bytes in [pull.encode(), resp.encode(), probe.encode(), push.encode()] {
+            assert_eq!(bytes.capacity(), bytes.len());
+        }
     }
 
     #[test]

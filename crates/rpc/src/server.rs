@@ -287,16 +287,18 @@ fn serve_conn(mut stream: TcpStream, inner: &Inner) {
             span.finish();
         }
         m.counter("rpc_bytes_out_total").add(resp.wire_len() as u64);
-        let write_ok = match &inner.tracer {
+        // One buffer, one `write_all`: on a `TCP_NODELAY` socket a frame
+        // written field by field would be four sends.
+        let buf = match &inner.tracer {
             Some(t) => {
                 let t0 = std::time::Instant::now();
                 let buf = resp.to_bytes();
                 t.record_phase("wire.encode", t0.elapsed());
-                stream.write_all(&buf).is_ok()
+                buf
             }
-            None => resp.encode(&mut stream).is_ok(),
+            None => resp.to_bytes(),
         };
-        if !write_ok || stream.flush().is_err() {
+        if stream.write_all(&buf).is_err() || stream.flush().is_err() {
             return;
         }
     }

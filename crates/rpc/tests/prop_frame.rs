@@ -8,10 +8,9 @@
 
 use mamdr_ps::ParamKey;
 use mamdr_rpc::frame::{
-    BarrierReq, CheckpointReq, Frame, FrameError, OpCode, PullManyReq, PullManyResp, PushManyReq,
-    PushResp, FRAME_OVERHEAD, MAX_PAYLOAD,
+    digest, BarrierReq, CheckpointReq, Frame, FrameError, OpCode, PullManyReq, PullManyResp,
+    PushManyReq, PushResp, FRAME_OVERHEAD, MAX_PAYLOAD,
 };
-use mamdr_util::Checksum;
 use proptest::prelude::*;
 
 fn opcode_from(byte: u8) -> OpCode {
@@ -102,15 +101,15 @@ proptest! {
         seq in 0u64..u64::MAX,
         payload in proptest::collection::vec(0u8..=255, 0..64),
     ) {
-        // A well-formed, correctly checksummed frame of any op-code byte:
+        // A well-formed, correctly digested frame of any op-code byte:
         // the eleven table entries decode, everything else — byte 0, the
         // retired single-row bytes 1..=4, every byte above 15 — is a typed
         // `UnknownOpcode`.
         let mut bytes = Frame::new(OpCode::Error, seq, payload).to_bytes();
         bytes[10] = byte;
         let n = bytes.len();
-        let crc = Checksum::of(&bytes[9..n - 8]).to_le_bytes();
-        bytes[n - 8..].copy_from_slice(&crc);
+        let sealed = digest(bytes[9..24].try_into().unwrap(), &bytes[24..n - 8]).to_le_bytes();
+        bytes[n - 8..].copy_from_slice(&sealed);
         match Frame::decode(bytes.as_slice()) {
             Ok(frame) => {
                 prop_assert!((5..=15).contains(&byte));

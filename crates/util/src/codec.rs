@@ -67,6 +67,12 @@ pub struct Writer {
 }
 
 impl Writer {
+    /// An empty writer with room for `bytes` before it reallocates — for a
+    /// payload whose encoded size is known up front.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Writer { buf: Vec::with_capacity(bytes) }
+    }
+
     /// Appends raw bytes (no length prefix).
     #[inline]
     pub fn bytes(&mut self, bytes: &[u8]) -> &mut Self {

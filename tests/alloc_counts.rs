@@ -33,8 +33,8 @@
 //! single request on a snapshot of that model, both on a fresh evaluation
 //! recorder, plus the same request through buffers a scoring worker keeps.
 //! And one warm `ReplicatedServer::submit` + `Pending::wait` round trip,
-//! seen from the client's thread, and one cached PS worker round over an
-//! in-process store.
+//! seen from the client's thread, one cached PS worker round over an
+//! in-process store, and one pull-response frame encoded and decoded.
 
 use mamdr::autodiff::{Grads, Tape};
 use mamdr::core::frameworks::mamdr::domain_regularization;
@@ -48,6 +48,8 @@ use mamdr::nn::{ForwardCtx, ParamStore};
 use mamdr::obs::MetricsRegistry;
 use mamdr::ps::trainer::{run_cached_round, seed_server, worker_round_seed};
 use mamdr::ps::{partition_domains, ParameterServer, LOCK_STRIPES};
+use mamdr::rpc::frame::PullManyResp;
+use mamdr::rpc::{Frame, OpCode};
 use mamdr::serve::{
     ModelSpec, ReplicatedServer, ScoreRequest, ScoreScratch, ServeConfig, ServeResult,
     ServingSnapshot,
@@ -141,6 +143,13 @@ const SUBMIT_WAIT: (u64, u64) = (1, 56);
 /// row, five row copies per example and a vector per row from the pull to
 /// the drain it was 2 833 / 299 972.
 const CACHED_ROUND: (u64, u64) = (47, 167_748);
+/// One `PullManyOk` frame of 497 rows at width 8 (the `CACHED_ROUND`
+/// working set), there and back: the payload encode, `Frame::to_bytes`,
+/// `Frame::decode` and `PullManyResp::decode`. One exactly sized buffer
+/// each: the payload, the frame bytes, the received payload, and the
+/// decoded versions and values (5). With a payload writer that grew by
+/// doubling it was 15 / 87 760.
+const FRAME_ROUNDTRIP: (u64, u64) = (5, 79_576);
 /// The gradient of the user embedding table if it were materialised:
 /// 2 378 rows × 16 floats × 4 bytes.
 const USER_TABLE_GRAD_BYTES: u64 = 2_378 * 16 * 4;
@@ -458,4 +467,24 @@ fn cached_round_allocations_are_pinned() {
     let got = counted(round);
     eprintln!("cached round: {} allocations, {} bytes", got.allocs, got.bytes);
     assert_eq!((got.allocs, got.bytes), CACHED_ROUND, "allocations per cached round moved");
+}
+
+#[test]
+fn frame_roundtrip_allocations_are_pinned() {
+    let (rows, dim) = (497, 8);
+    let resp = PullManyResp {
+        versions: (0..rows as u64).collect(),
+        values: (0..rows * dim).map(|i| i as f32 * 0.25).collect(),
+    };
+    let roundtrip = || {
+        let frame = Frame::new(OpCode::PullManyOk, 1, resp.encode());
+        let bytes = frame.to_bytes();
+        let back = Frame::decode(bytes.as_slice()).expect("a well-formed frame");
+        let decoded = PullManyResp::decode(&back.payload).expect("a well-formed payload");
+        assert!(decoded == resp);
+    };
+    roundtrip();
+    let got = counted(roundtrip);
+    eprintln!("frame roundtrip: {} allocations, {} bytes", got.allocs, got.bytes);
+    assert_eq!((got.allocs, got.bytes), FRAME_ROUNDTRIP, "allocations per frame roundtrip moved");
 }

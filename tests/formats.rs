@@ -6,9 +6,13 @@
 //! **Goldens.** The FNV-1a digest of each fixed fixture's bytes is pinned.
 //! The constants were captured on the commit before the formats moved onto
 //! `mamdr_util::codec` and must never be re-captured: a failure here means a
-//! byte on disk or on the wire changed. (`tests/ps_golden.rs` pins the
-//! checkpoint bytes of a trained store; this file pins the other four
-//! formats and a hand-built checkpoint.)
+//! byte on disk or on the wire changed. The one exception is the 22 `frame`
+//! rows, re-captured once at the wire-version-3 bump: it replaced the
+//! frame's trailing FNV-1a digest with XXH64 and bumped the version byte,
+//! so those nine bytes of every frame moved on purpose while the layout and
+//! every length stayed. The 7 persisted-format rows were not touched.
+//! (`tests/ps_golden.rs` pins the checkpoint bytes of a trained store; this
+//! file pins the other four formats and a hand-built checkpoint.)
 //!
 //! **Corruption table.** Every decoder is fed every truncation of its
 //! fixture, every single-byte flip, and forged count and length fields with
@@ -30,8 +34,8 @@ use mamdr::ps::{
     checkpoint, CacheStats, ParamKey, ParameterServer, RoundJournal, ShardFiles, ShardManifest,
 };
 use mamdr::rpc::frame::{
-    decode_error, encode_error, BarrierReq, CheckpointReq, PullManyReq, PullManyResp, PushManyReq,
-    PushResp, TraceContext, MAX_PAYLOAD,
+    self, decode_error, encode_error, BarrierReq, CheckpointReq, PullManyReq, PullManyResp,
+    PushManyReq, PushResp, TraceContext, MAX_PAYLOAD,
 };
 use mamdr::rpc::{Frame, OpCode};
 use mamdr::serve::{ModelSpec, ServingSnapshot, SnapshotError};
@@ -44,7 +48,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// FNV-1a of each fixture's bytes, captured before the formats moved onto
-/// `mamdr_util::codec`. Never re-capture these.
+/// `mamdr_util::codec`. Never re-capture these; the `frame` rows were
+/// re-captured once, at the wire-version-3 digest change.
 const GOLDEN: &[(&str, u64)] = &[
     ("checkpoint", 0x4c92_92c2_67b6_be0c),
     ("journal", 0xd569_763f_d6c8_0cf1),
@@ -53,28 +58,28 @@ const GOLDEN: &[(&str, u64)] = &[
     ("snapshot deltas", 0xc665_d5a9_a0bf_d428),
     ("snapshot full", 0x4d2a_5ede_ee07_5d5d),
     ("snapshot embedding", 0xb00b_e881_6e7d_3dd5),
-    ("frame BarrierSync", 0xec03_d63d_d2cd_2348),
-    ("frame BarrierOk", 0x10d6_ee93_b2f2_2320),
-    ("frame Checkpoint", 0xfbb8_8137_6e7a_127c),
-    ("frame CheckpointOk", 0xd655_dff7_7508_641d),
-    ("frame Shutdown", 0x9049_3244_e69d_7552),
-    ("frame ShutdownOk", 0xeba9_2fc4_387f_0675),
-    ("frame Error", 0x18f0_5c37_55b7_dfe2),
-    ("frame PullMany", 0x7c8a_2bae_5314_40a8),
-    ("frame PullManyOk", 0x11e0_eeac_9200_db89),
-    ("frame PushMany", 0xbebb_1348_6ed6_7523),
-    ("frame PushManyOk", 0x9815_5d48_e825_a193),
-    ("frame BarrierSync traced", 0xf9f4_ab05_182e_0dae),
-    ("frame BarrierOk traced", 0x27d7_f031_1353_2634),
-    ("frame Checkpoint traced", 0x9269_3490_ac97_3cc5),
-    ("frame CheckpointOk traced", 0xa089_68b9_aa91_4b04),
-    ("frame Shutdown traced", 0xa354_710c_f224_40ed),
-    ("frame ShutdownOk traced", 0x9c07_028b_8b97_6cd3),
-    ("frame Error traced", 0x8a8c_42b7_5b08_8c53),
-    ("frame PullMany traced", 0x8cbf_24ad_f672_c8f9),
-    ("frame PullManyOk traced", 0xd987_6279_ef6f_415c),
-    ("frame PushMany traced", 0x98aa_e736_cbc8_3197),
-    ("frame PushManyOk traced", 0xe759_f36d_47b2_9fc8),
+    ("frame BarrierSync", 0x94b7_8032_ca75_54d7),
+    ("frame BarrierOk", 0xc7c8_7eca_61f0_3a4f),
+    ("frame Checkpoint", 0x2a73_283e_e54f_00f4),
+    ("frame CheckpointOk", 0x46b5_b861_2403_fbbc),
+    ("frame Shutdown", 0xc053_2830_697f_f99c),
+    ("frame ShutdownOk", 0xdc52_fb48_13ff_5a1c),
+    ("frame Error", 0xe9cb_8513_5b11_d967),
+    ("frame PullMany", 0x3e98_026f_cf11_90c8),
+    ("frame PullManyOk", 0xf5cc_2191_9844_951d),
+    ("frame PushMany", 0xee2a_29b0_42f4_a34b),
+    ("frame PushManyOk", 0x0fd2_1895_d34b_2bd9),
+    ("frame BarrierSync traced", 0xde7c_d9f9_b0b4_96a4),
+    ("frame BarrierOk traced", 0x8a7b_34c5_6358_518e),
+    ("frame Checkpoint traced", 0x7563_c004_1cf3_649a),
+    ("frame CheckpointOk traced", 0x3a9c_0e7c_6ee3_7116),
+    ("frame Shutdown traced", 0x2553_eba8_795a_bfe0),
+    ("frame ShutdownOk traced", 0xee5b_74a0_8503_0f9f),
+    ("frame Error traced", 0xb57f_0060_d9e2_1385),
+    ("frame PullMany traced", 0x67cf_bdab_26c3_90c9),
+    ("frame PullManyOk traced", 0xae64_ac86_ed62_e330),
+    ("frame PushMany traced", 0x7295_1337_f8e9_e617),
+    ("frame PushManyOk traced", 0x6fa3_6715_a11c_73e8),
 ];
 
 /// Slack above the input length that a decode may allocate in one piece.
@@ -365,11 +370,12 @@ fn reseal_envelope(bytes: &mut [u8]) {
     bytes[n - 8..].copy_from_slice(&digest.to_le_bytes());
 }
 
-/// A frame's digest covers everything between the 9-byte magic and itself.
+/// A frame's digest covers everything between the 9-byte magic and itself:
+/// the 15 header bytes, then the payload.
 fn reseal_frame(bytes: &mut [u8]) {
     let n = bytes.len();
-    let digest = Checksum::of(&bytes[9..n - 8]);
-    bytes[n - 8..].copy_from_slice(&digest.to_le_bytes());
+    let sealed = frame::digest(bytes[9..24].try_into().unwrap(), &bytes[24..n - 8]);
+    bytes[n - 8..].copy_from_slice(&sealed.to_le_bytes());
 }
 
 /// Journals and manifests are read from files: each input is written to a
