@@ -42,6 +42,16 @@ impl ParamKey {
     pub fn read_from(r: &mut Reader) -> Result<Self, CodecError> {
         Ok(ParamKey::new(r.u32()?, r.u32()?))
     }
+
+    /// Fibonacci hash of the packed key `table ‖ row`: its high bits are
+    /// well mixed, so a table of `2^b` buckets takes the top `b` of them.
+    /// The store's lock stripes and the serving snapshot's row index both
+    /// hash keys this way.
+    #[inline]
+    pub fn fib_hash(self) -> u64 {
+        let packed = ((self.table as u64) << 32) | self.row as u64;
+        packed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
 }
 
 /// Number of rows a single pull/push request may carry. Both sides of the
@@ -190,9 +200,7 @@ impl ParameterServer {
     }
 
     fn stripe(&self, key: ParamKey) -> &RwLock<HashMap<ParamKey, Row>> {
-        // Fibonacci hashing over the packed key.
-        let packed = ((key.table as u64) << 32) | key.row as u64;
-        &self.stripes[(packed.wrapping_mul(0x9E3779B97F4A7C15) >> 33) as usize % self.stripes.len()]
+        &self.stripes[(key.fib_hash() >> 33) as usize % self.stripes.len()]
     }
 
     /// Seeds a row without counting traffic (initial placement). Re-seeding
@@ -391,6 +399,29 @@ impl ParameterServer {
     /// order is unspecified — callers sort).
     pub fn dump_rows(&self) -> Vec<(ParamKey, Vec<f32>)> {
         self.dump(|row| Some(row.value.clone()))
+    }
+
+    /// Copies every row's value out of the store as one flat batch
+    /// `(keys, values)`: keys strictly `(table, row)`-ascending, row `i`'s
+    /// value at `values[i * dim..(i + 1) * dim]`. Every stripe's read lock
+    /// is held for the copy, so the batch is one consistent cut, and each
+    /// value is copied exactly once — the whole-store read a serving
+    /// snapshot is built from. Silent: no traffic is counted.
+    ///
+    /// Panics if a row is not [`ParameterServer::value_dim`] wide.
+    pub fn dump_flat(&self) -> (Vec<ParamKey>, Vec<f32>) {
+        let dim = self.value_dim();
+        let stripes: Vec<_> = self.stripes.iter().map(|s| s.read()).collect();
+        let mut rows: Vec<(ParamKey, &Row)> =
+            Vec::with_capacity(stripes.iter().map(|s| s.len()).sum());
+        rows.extend(stripes.iter().flat_map(|s| s.iter().map(|(k, row)| (*k, row))));
+        rows.sort_unstable_by_key(|(k, _)| *k);
+        let mut values = Vec::with_capacity(rows.len() * dim);
+        for (key, row) in &rows {
+            assert_eq!(row.value.len(), dim, "row width mismatch: {key:?}");
+            values.extend_from_slice(&row.value);
+        }
+        (rows.into_iter().map(|(k, _)| k).collect(), values)
     }
 
     /// Copies every materialized Adagrad accumulator row out of the store
@@ -678,6 +709,23 @@ mod tests {
         ps.init_row(key, vec![1.0, 1.0]);
         ps.push_delta(key, &[0.25, -0.5]);
         assert_eq!(ps.read_silent(key).unwrap(), vec![1.25, 0.5]);
+    }
+
+    #[test]
+    fn dump_flat_is_the_sorted_silent_dump() {
+        let ps = ParameterServer::new(LOCK_STRIPES, 2);
+        for (t, r) in [(3, 0), (0, u32::MAX), (0, 5), (1, 2), (0, 0)] {
+            ps.init_row(ParamKey::new(t, r), vec![t as f32, r as f32]);
+        }
+        ps.push_delta(ParamKey::new(1, 2), &[0.5, 0.5]);
+        let before = ps.traffic().snapshot();
+        let (keys, values) = ps.dump_flat();
+        assert_eq!(ps.traffic().snapshot(), before, "a dump is not traffic");
+        let mut rows = ps.dump_rows();
+        rows.sort_by_key(|(k, _)| *k);
+        assert_eq!(keys, rows.iter().map(|(k, _)| *k).collect::<Vec<_>>());
+        assert_eq!(values, rows.iter().flat_map(|(_, v)| v.clone()).collect::<Vec<f32>>());
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
     }
 
     #[test]

@@ -15,6 +15,14 @@
 //! * **Graceful drain.** `Shutdown` stops the accept loop; existing
 //!   connections keep being served until their clients hang up, then
 //!   [`PsServer::join`] returns.
+//! * **Bounded descriptors.** A connection is forgotten the moment its
+//!   client hangs up: its registry entry (the stream clone a kill tears
+//!   down) is removed and its thread handle reaped, so a long run holds
+//!   descriptors for the connections that are open, not for every one it
+//!   ever accepted. Running out of descriptors anyway (EMFILE, ENFILE) or a
+//!   connection aborted before it was accepted (ECONNABORTED) is counted in
+//!   `rpc_accept_errors_total`, and the accept loop backs off and keeps
+//!   accepting; `rpc_open_connections` is the live count.
 //!
 //! Every frame in or out is counted (`rpc_frames_total`,
 //! `rpc_bytes_in_total`, `rpc_bytes_out_total`), and push dedup is visible
@@ -35,6 +43,21 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Accept errors that say "not now" rather than "never": out of
+/// descriptors, per process (EMFILE) or system-wide (ENFILE), or a peer
+/// that gave up while queued (ECONNABORTED). The errno values are the
+/// same on Linux, macOS and the BSDs.
+fn accept_error_is_transient(e: &std::io::Error) -> bool {
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    e.kind() == std::io::ErrorKind::ConnectionAborted
+        || matches!(e.raw_os_error(), Some(ENFILE | EMFILE))
+}
+
+/// How long the accept loop waits after a transient accept error — long
+/// enough for hung-up connections to hand their descriptors back.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
 struct Inner {
     ps: Arc<ParameterServer>,
     dim: usize,
@@ -48,9 +71,10 @@ struct Inner {
     /// Set by [`PsServer::kill`]: the shard died hard. Barrier waiters
     /// abort instead of waiting for arrivals that can never come.
     killed: AtomicBool,
-    /// Every accepted connection's stream, cloned so a kill can tear the
-    /// sockets down under the blocked connection threads.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Every open connection's stream, by connection id, cloned so a kill
+    /// can tear the sockets down under the blocked connection threads. A
+    /// connection's entry is removed when its thread finishes serving it.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     /// Server-shard id when this front end is one of several; frames it
     /// serves are additionally counted as `rpc_frames_total{shard="i"}`.
     shard_label: Option<usize>,
@@ -109,28 +133,58 @@ impl PsServer {
             barrier_cv: Condvar::new(),
             draining: AtomicBool::new(false),
             killed: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             shard_label,
             checkpoint_dir,
             tracer,
         });
+        let m = &inner.metrics;
+        m.describe(
+            "rpc_accept_errors_total",
+            "Accept failures the loop backed off from (EMFILE, ENFILE, ECONNABORTED).",
+        );
+        m.describe("rpc_open_connections", "Client connections the PS front ends are serving now.");
+        m.counter("rpc_accept_errors_total");
         let accept_inner = Arc::clone(&inner);
         let accept = std::thread::spawn(move || {
             let mut conns: Vec<JoinHandle<()>> = Vec::new();
+            let open = accept_inner.metrics.gauge("rpc_open_connections");
+            let mut next_id = 0u64;
             loop {
                 if accept_inner.draining.load(Ordering::SeqCst) {
                     break;
                 }
                 match listener.accept() {
                     Ok((stream, _)) => {
-                        if let Ok(clone) = stream.try_clone() {
-                            accept_inner.conns.lock().expect("conn registry lock").push(clone);
+                        // Reap the threads of connections that hung up, so
+                        // the list holds only open ones (a finished thread's
+                        // result is ignored, as in the drain below).
+                        for done in conns.extract_if(.., |c| c.is_finished()) {
+                            let _ = done.join();
                         }
-                        let conn_inner = Arc::clone(&accept_inner);
-                        conns.push(std::thread::spawn(move || serve_conn(stream, &conn_inner)));
+                        let id = next_id;
+                        next_id += 1;
+                        if let Ok(clone) = stream.try_clone() {
+                            accept_inner
+                                .conns
+                                .lock()
+                                .expect("conn registry lock")
+                                .insert(id, clone);
+                        }
+                        open.add(1.0);
+                        let (conn_inner, open) = (Arc::clone(&accept_inner), open.clone());
+                        conns.push(std::thread::spawn(move || {
+                            serve_conn(stream, &conn_inner);
+                            conn_inner.conns.lock().expect("conn registry lock").remove(&id);
+                            open.add(-1.0);
+                        }));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_micros(500));
+                    }
+                    Err(e) if accept_error_is_transient(&e) => {
+                        accept_inner.metrics.counter("rpc_accept_errors_total").inc();
+                        std::thread::sleep(ACCEPT_BACKOFF);
                     }
                     Err(_) => break,
                 }
@@ -192,7 +246,7 @@ impl PsServer {
             let _rounds = self.inner.barrier.lock().expect("barrier lock");
             self.inner.barrier_cv.notify_all();
         }
-        for conn in self.inner.conns.lock().expect("conn registry lock").drain(..) {
+        for (_, conn) in self.inner.conns.lock().expect("conn registry lock").drain() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
         if let Some(h) = self.accept.take() {

@@ -266,13 +266,14 @@ pub struct LoopbackConfig {
     /// Training results are bit-identical with or without it.
     pub tracer: Option<Arc<Tracer>>,
     /// Continual publication: when present, every
-    /// [`PublishHook::every`] rounds the merged store is encoded and
-    /// committed as a serving snapshot (atomic rename, faultable via the
-    /// plan's `kill_publish`/`corrupt_snapshot` schedules), and the
-    /// committed path is offered to the hook's callback — typically a
-    /// serve-side publish gate. Publication reads the stores *after* the
-    /// round's pushes flushed and never writes them, so training results
-    /// stay bit-identical with or without it.
+    /// [`PublishHook::every`] rounds the store is encoded and committed as
+    /// a serving snapshot (atomic rename, faultable via the plan's
+    /// `kill_publish`/`corrupt_snapshot` schedules), and the committed path
+    /// is offered to the hook's callback — typically a serve-side publish
+    /// gate. Publication reads the stores *after* the round's pushes
+    /// flushed and never writes them, so training results stay
+    /// bit-identical with or without it. At one shard the encoder is handed
+    /// the live store itself (no copy); beyond one, a fresh merged store.
     pub publish: Option<PublishHook>,
 }
 
@@ -301,20 +302,26 @@ impl LoopbackConfig {
 /// to publish, where the snapshot files go, and what to do with a
 /// committed file.
 ///
-/// The hook is format-agnostic on purpose: the trainer hands the merged
-/// [`ParameterServer`] to `encode` and moves the returned bytes through
-/// [`mamdr_ps::ContinualPublisher`]; what those bytes *are* (a
-/// `ServingSnapshot`, in the standard wiring) is the caller's business, so
-/// this crate never depends on the serving stack.
+/// The hook is format-agnostic on purpose: the trainer hands the store —
+/// the live one at one shard, a merged copy beyond — to `encode` and moves
+/// the returned bytes through [`mamdr_ps::ContinualPublisher`]; what those
+/// bytes *are* (a `ServingSnapshot`, in the standard wiring) is the
+/// caller's business, so this crate never depends on the serving stack.
 #[derive(Clone)]
 pub struct PublishHook {
     /// Publish after every this many completed rounds (0 disables).
     pub every: usize,
     /// Directory the snapshot files are committed into.
     pub dir: PathBuf,
-    /// Encodes the merged store of round `round` into snapshot bytes.
+    /// Encodes the store of round `round` into snapshot bytes.
     /// An `Err` fails training — a snapshot that cannot even be encoded
     /// means the store is in a state the caller never expected.
+    ///
+    /// At one shard the store is the *live* training store, lent for the
+    /// call: the encoder must only read it (`dump_flat`, `dump_rows`,
+    /// `read_silent`, …). A write — a push, an `init_row`, a restore —
+    /// would change training, and a counted read (`pull_flat`) would move
+    /// the traffic counters the run reports.
     #[allow(clippy::type_complexity)]
     pub encode: Arc<dyn Fn(u64, &ParameterServer) -> Result<Vec<u8>, String> + Send + Sync>,
     /// Called with each *committed* snapshot file (never a killed,
@@ -1055,10 +1062,16 @@ impl RoundTransport for Loopback<'_> {
         if rounds_done.is_multiple_of(hook.every) {
             let mut span = maybe_child(&t.cfg.tracer, "publish.build", parent);
             let round = rounds_done as u64;
-            // Reads only: the merged view is a fresh store, so encoding
-            // can never perturb training state.
-            let merged = t.merged_store();
-            let bytes = (hook.encode)(round, &merged).map_err(TrainerError::Driver)?;
+            // Reads only. One shard is the whole store and is handed over
+            // live — the round's pushes have flushed and the next round's
+            // workers have not started, so nothing writes it meanwhile;
+            // beyond one shard the encoder reads a fresh merged copy.
+            let encoded = if let [only] = t.shards.as_slice() {
+                (hook.encode)(round, &only.ps)
+            } else {
+                (hook.encode)(round, &t.merged_store())
+            };
+            let bytes = encoded.map_err(TrainerError::Driver)?;
             if let Some(s) = &mut span {
                 s.attr("round", round);
                 s.attr("bytes", bytes.len() as u64);

@@ -16,6 +16,22 @@
 //!   distributed trainer, loaded from a parameter server (or a checkpoint
 //!   via [`mamdr_ps::checkpoint`]).
 //!
+//! The embedding backend is one flat slab, in the file's own order:
+//!
+//! ```text
+//! keys    [k0 < k1 < … < k(n-1)]            (table, row)-ascending
+//! values  [v0 ‖ v1 ‖ … ‖ v(n-1)]            dim floats per row
+//! index   [slot+1 or 0; 2^b ≥ 4n/3 entries] open addressing
+//! ```
+//!
+//! A key's home bucket is the top `b` bits of its Fibonacci hash
+//! ([`ParamKey::fib_hash`], the hash the store's lock stripes use) and a
+//! lookup probes linearly until it meets the key's slot or an empty
+//! bucket; the index is never more than three-quarters full, so a miss —
+//! a cold row, which scores as zeros — ends at a short run. Building the
+//! slab copies each value once ([`ParameterServer::dump_flat`]); encoding
+//! writes straight from it and decoding reads straight into it.
+//!
 //! On-disk format (little-endian), the workspace's digest envelope from
 //! `mamdr_util::codec`, so a flipped bit anywhere in the file is a load
 //! error and every count is checked against the bytes before it sizes an
@@ -26,6 +42,10 @@
 //! payload (backend-tagged, see `encode`)
 //! u64 fnv1a-64 digest of the payload
 //! ```
+//!
+//! An embedding payload's rows are strictly key-ascending; a file whose
+//! rows are not (a duplicated or reordered row, even under a valid digest)
+//! is [`SnapshotError::Corrupt`].
 
 use crate::request::ScoreRequest;
 use mamdr_autodiff::tape::stable_sigmoid;
@@ -41,7 +61,6 @@ use mamdr_ps::{model as ps_model, ParamKey, ParameterServer};
 use mamdr_tensor::Tensor;
 use mamdr_util::codec::{self, CodecError};
 use mamdr_util::Checksum;
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -113,8 +132,16 @@ enum Backend {
         /// Kept in training form (θS + per-domain θi) for re-serialization.
         trained: TrainedModel,
     },
-    /// The RAW embedding scorer of the distributed PS trainer.
-    Embedding { dim: usize, n_domains: usize, rows: HashMap<ParamKey, Vec<f32>> },
+    /// The RAW embedding scorer of the distributed PS trainer, as one flat
+    /// slab: row `i` is `keys[i]` with value `values[i * dim..][..dim]`,
+    /// found through `index` (see the module docs and [`build_index`]).
+    Embedding {
+        dim: usize,
+        n_domains: usize,
+        keys: Vec<ParamKey>,
+        values: Vec<f32>,
+        index: Vec<u32>,
+    },
 }
 
 /// What a scoring worker reuses from one forward pass to the next: the
@@ -187,15 +214,21 @@ impl ServingSnapshot {
         })
     }
 
-    /// Builds an embedding snapshot from a live parameter server.
+    /// Builds an embedding snapshot from a live parameter server: one
+    /// silent, key-sorted copy of every row ([`ParameterServer::dump_flat`])
+    /// plus its index. The store is only read.
     ///
     /// `n_domains` bounds the domain-bias table; rows a cold row lookup
     /// misses score as zeros, matching the PS trainer's cold-start behavior.
+    ///
+    /// Panics if a stored row is not [`ParameterServer::value_dim`] wide.
     pub fn from_ps(version: u64, ps: &ParameterServer, n_domains: usize) -> Self {
-        let rows = ps.dump_rows().into_iter().collect();
+        let (keys, values) = ps.dump_flat();
+        let index = build_index(&keys);
+        let dim = ps.value_dim();
         ServingSnapshot {
             version,
-            backend: Backend::Embedding { dim: ps.value_dim(), n_domains, rows },
+            backend: Backend::Embedding { dim, n_domains, keys, values, index },
         }
     }
 
@@ -239,11 +272,11 @@ impl ServingSnapshot {
                 spec.n_domains,
                 domains[0].n_scalars()
             ),
-            Backend::Embedding { dim, n_domains, rows } => format!(
+            Backend::Embedding { dim, n_domains, keys, .. } => format!(
                 "RAW-embedding v{} ({} domains, {} rows × {})",
                 self.version,
                 n_domains,
-                rows.len(),
+                keys.len(),
                 dim
             ),
         }
@@ -315,9 +348,12 @@ impl ServingSnapshot {
                 eval_logits_into(model.as_ref(), ps, &scratch.batch, &mut scratch.eval, out);
                 out.iter_mut().for_each(|z| *z = stable_sigmoid(*z));
             }
-            Backend::Embedding { dim, rows, .. } => {
+            Backend::Embedding { dim, keys, values, index, .. } => {
                 let zero = vec![0.0f32; *dim];
-                let row = |key: ParamKey| rows.get(&key).unwrap_or(&zero);
+                let row = |key: ParamKey| match find(keys, index, key) {
+                    Some(slot) => row_at(values, *dim, slot),
+                    None => &zero,
+                };
                 out.extend(reqs.iter().map(|r| {
                     let keys = ps_model::ExampleKeys::new(
                         r.user,
@@ -381,14 +417,15 @@ impl ServingSnapshot {
                     }
                 }
             }
-            Backend::Embedding { rows, .. } => {
-                for (k, v) in rows {
-                    if v.iter().any(|x| !x.is_finite()) {
-                        return Err(format!(
-                            "row (table {}, row {}) has non-finite values",
-                            k.table, k.row
-                        ));
-                    }
+            Backend::Embedding { dim, keys, values, .. } => {
+                let poisoned = (0..keys.len())
+                    .find(|&slot| row_at(values, *dim, slot).iter().any(|x| !x.is_finite()));
+                if let Some(slot) = poisoned {
+                    let k = keys[slot];
+                    return Err(format!(
+                        "row (table {}, row {}) has non-finite values",
+                        k.table, k.row
+                    ));
                 }
             }
         }
@@ -485,22 +522,17 @@ impl ServingSnapshot {
                     }
                 }))
             }
-            Backend::Embedding { dim, n_domains, rows } => {
-                // Sorted rows: identical states produce byte-identical files.
-                let mut sorted: Vec<(&ParamKey, &Vec<f32>)> = rows.iter().collect();
-                sorted.sort_by_key(|(k, _)| (k.table, k.row));
-                if let Some((key, value)) = sorted.iter().find(|(_, v)| v.len() != *dim) {
-                    return Err(SnapshotError::Invalid(format!(
-                        "row {key:?} has width {} (expected {dim})",
-                        value.len()
-                    )));
-                }
-                Ok(codec::seal(MAGIC, |w| {
+            Backend::Embedding { dim, n_domains, keys, values, .. } => {
+                // The slab is key-sorted: identical states produce
+                // byte-identical files.
+                // Tag, version, dim, domain count and row count, then rows.
+                let body_len = 25 + keys.len() * (8 + 4 * dim);
+                Ok(codec::seal_sized(MAGIC, body_len, |w| {
                     w.u8(1).u64(self.version).u32(*dim as u32).u32(*n_domains as u32);
-                    w.u64(sorted.len() as u64);
-                    for (key, value) in sorted {
+                    w.u64(keys.len() as u64);
+                    for (slot, key) in keys.iter().enumerate() {
                         key.write_to(w);
-                        w.f32s(value);
+                        w.f32s(row_at(values, *dim, slot));
                     }
                 }))
             }
@@ -559,12 +591,22 @@ impl ServingSnapshot {
                 let n_domains = r.u32()? as usize;
                 let n_rows = r.u64()?;
                 let n_rows = r.count(n_rows, 8 + 4 * dim as u64)?;
-                let mut rows = HashMap::with_capacity(n_rows);
+                let mut keys: Vec<ParamKey> = Vec::with_capacity(n_rows);
+                let mut values = Vec::with_capacity(n_rows * dim as usize);
                 for _ in 0..n_rows {
-                    rows.insert(ParamKey::read_from(&mut r)?, r.f32s(dim as u64)?);
+                    let key = ParamKey::read_from(&mut r)?;
+                    if let Some(&prev) = keys.last().filter(|&&prev| prev >= key) {
+                        return Err(r
+                            .corrupt(format!("row {key:?} does not follow row {prev:?}"))
+                            .into());
+                    }
+                    keys.push(key);
+                    r.f32s_into(dim as u64, &mut values)?;
                 }
                 r.finish()?;
-                let backend = Backend::Embedding { dim: dim as usize, n_domains, rows };
+                let index = build_index(&keys);
+                let backend =
+                    Backend::Embedding { dim: dim as usize, n_domains, keys, values, index };
                 Ok(ServingSnapshot { version, backend })
             }
             t => Err(r.corrupt(format!("unknown backend tag {t}")).into()),
@@ -605,6 +647,47 @@ fn assemble_batch(
     };
     dense(&mut batch.dense_user, |r| &r.dense_user);
     dense(&mut batch.dense_item, |r| &r.dense_item);
+}
+
+/// Row `slot` of a flat `dim`-wide slab.
+fn row_at(values: &[f32], dim: usize, slot: usize) -> &[f32] {
+    &values[slot * dim..(slot + 1) * dim]
+}
+
+/// The home bucket of `key` in an index of `len` (a power of two)
+/// buckets: the top bits of its Fibonacci hash.
+fn home(key: ParamKey, len: usize) -> usize {
+    key.fib_hash().checked_shr(64 - len.trailing_zeros()).unwrap_or(0) as usize
+}
+
+/// The open-addressed index over a slab's keys: a power-of-two table of at
+/// least `4n/3` buckets (so at least one is always empty), each holding
+/// slot + 1 of the key homed there or linearly probed past it, 0 if empty.
+fn build_index(keys: &[ParamKey]) -> Vec<u32> {
+    assert!(keys.len() < u32::MAX as usize, "a slab indexes fewer than 2^32 - 1 rows");
+    let len = (keys.len() + keys.len() / 3 + 1).next_power_of_two();
+    let mut index = vec![0u32; len];
+    for (slot, &key) in keys.iter().enumerate() {
+        let mut b = home(key, len);
+        while index[b] != 0 {
+            b = (b + 1) & (len - 1);
+        }
+        index[b] = slot as u32 + 1;
+    }
+    index
+}
+
+/// The slot of `key` in a slab indexed by [`build_index`], if present.
+#[inline]
+fn find(keys: &[ParamKey], index: &[u32], key: ParamKey) -> Option<usize> {
+    let mut b = home(key, index.len());
+    loop {
+        let slot = (index[b] as usize).checked_sub(1)?;
+        if keys[slot] == key {
+            return Some(slot);
+        }
+        b = (b + 1) & (index.len() - 1);
+    }
 }
 
 fn kind_id(kind: ModelKind) -> u8 {
@@ -796,6 +879,36 @@ mod tests {
     }
 
     #[test]
+    fn rows_out_of_key_order_are_corrupt_even_under_a_valid_digest() {
+        // magic 8 | tag 1 | version 8 | dim 4 | n_domains 4 | n_rows 8, then
+        // rows of key 8 ‖ 2 floats.
+        let (rows_at, row_len) = (33, 16);
+        let mut clean = Vec::new();
+        tiny_embedding_snapshot(4).write_to(&mut clean).unwrap();
+        let reseal = |bytes: &mut Vec<u8>| {
+            let n = bytes.len();
+            let digest = Checksum::of(&bytes[8..n - 8]);
+            bytes[n - 8..].copy_from_slice(&digest.to_le_bytes());
+        };
+        let row = |i: usize| rows_at + i * row_len..rows_at + (i + 1) * row_len;
+        let mut swapped = clean.clone();
+        swapped[row(0).start..row(1).end].rotate_left(row_len);
+        let mut duplicated = clean.clone();
+        duplicated.copy_within(row(2), row(3).start);
+        for (what, mut bytes) in [("swapped", swapped), ("duplicated", duplicated)] {
+            reseal(&mut bytes);
+            match ServingSnapshot::read_from(bytes.as_slice()) {
+                Err(SnapshotError::Corrupt(m)) => assert!(m.contains("does not follow"), "{m}"),
+                other => panic!("{what} rows: {other:?}"),
+            }
+        }
+        // The reseal itself is sound: the untouched file still loads.
+        let mut same = clean.clone();
+        reseal(&mut same);
+        assert!(ServingSnapshot::read_from(same.as_slice()).is_ok());
+    }
+
+    #[test]
     fn write_atomic_commits_and_leaves_no_temp_file() {
         let dir = std::env::temp_dir().join("mamdr-serve-write-atomic-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -845,10 +958,14 @@ mod tests {
         let bad = ServingSnapshot::from_trained(2, spec2, tm).unwrap();
         assert!(bad.check_finite().is_err(), "NaN in shared params must be flagged");
 
-        let ps = ParameterServer::new(1, 2);
-        ps.init_row(ParamKey::new(0, 0), vec![0.5, f32::INFINITY]);
-        let bad = ServingSnapshot::from_ps(3, &ps, 1);
-        assert!(bad.check_finite().is_err(), "Inf in an embedding row must be flagged");
+        let ps = ParameterServer::new(4, 2);
+        for row in 0..50 {
+            ps.init_row(ParamKey::new(1, row), vec![0.5, -0.5]);
+        }
+        ServingSnapshot::from_ps(3, &ps, 1).check_finite().expect("a finite store");
+        ps.init_row(ParamKey::new(1, 37), vec![0.5, f32::INFINITY]);
+        let err = ServingSnapshot::from_ps(3, &ps, 1).check_finite().unwrap_err();
+        assert_eq!(err, "row (table 1, row 37) has non-finite values");
     }
 
     #[test]

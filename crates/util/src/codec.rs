@@ -140,7 +140,14 @@ impl Writer {
 /// Encodes an envelope: `magic ‖ body ‖ FNV-1a(body)`, the body being
 /// whatever `body` writes.
 pub fn seal(magic: &[u8], body: impl FnOnce(&mut Writer)) -> Vec<u8> {
-    let mut w = Writer { buf: magic.to_vec() };
+    seal_sized(magic, 0, body)
+}
+
+/// [`seal`] into one buffer sized up front for a body of `body_len`
+/// bytes: a body of exactly that length is written with no reallocation.
+pub fn seal_sized(magic: &[u8], body_len: usize, body: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::with_capacity(magic.len() + body_len + 8);
+    w.bytes(magic);
     body(&mut w);
     let digest = Checksum::of(&w.buf[magic.len()..]);
     w.u64(digest);
@@ -295,12 +302,21 @@ impl<'a> Reader<'a> {
     /// against the bytes left before the vector is sized.
     #[inline]
     pub fn f32s(&mut self, n: u64) -> Result<Vec<f32>, CodecError> {
+        let mut out = Vec::with_capacity(self.count(n, 4)?);
+        self.f32s_into(n, &mut out)?;
+        Ok(out)
+    }
+
+    /// `n` little-endian f32 values, checked against the bytes left,
+    /// appended to `out` — no allocation when `out` already has room.
+    #[inline]
+    pub fn f32s_into(&mut self, n: u64, out: &mut Vec<f32>) -> Result<(), CodecError> {
         let n = self.count(n, 4)?;
         let bytes = self.take(4 * n)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|le| f32::from_le_bytes(le.try_into().expect("4 bytes")))
-            .collect())
+        out.extend(
+            bytes.chunks_exact(4).map(|le| f32::from_le_bytes(le.try_into().expect("4 bytes"))),
+        );
+        Ok(())
     }
 
     /// Ends the decode: every byte must have been read.
@@ -361,6 +377,12 @@ mod tests {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&r.f32s(n as u64).unwrap()), bits(&values));
         r.finish().unwrap();
+        // `f32s_into` appends the same values after what `out` holds.
+        let mut r = Reader::new(MAGIC, &bytes[bytes.len() - 4 * values.len()..]);
+        let mut out = vec![9.0f32];
+        r.f32s_into(values.len() as u64, &mut out).unwrap();
+        assert_eq!(bits(&out[1..]), bits(&values));
+        assert!(r.f32s_into(1, &mut out).is_err(), "past the end");
     }
 
     #[test]
@@ -399,6 +421,11 @@ mod tests {
         assert_eq!(r.string().unwrap(), "body");
         r.finish().unwrap();
         assert!(open(b"MAMDRXX1", &sealed).is_err());
+        let sized = seal_sized(MAGIC, 12, |w| {
+            w.u32(5).string("body");
+        });
+        assert_eq!(sized, sealed, "the size hint changes no byte");
+        assert_eq!(sized.capacity(), sized.len(), "an exact hint is one buffer");
         for keep in 0..sealed.len() {
             assert!(open(MAGIC, &sealed[..keep]).is_err(), "truncated to {keep}");
         }

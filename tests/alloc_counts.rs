@@ -34,7 +34,9 @@
 //! recorder, plus the same request through buffers a scoring worker keeps.
 //! And one warm `ReplicatedServer::submit` + `Pending::wait` round trip,
 //! seen from the client's thread, one cached PS worker round over an
-//! in-process store, and one pull-response frame encoded and decoded.
+//! in-process store, one pull-response frame encoded and decoded, and one
+//! embedding snapshot published: built from a store, written and read
+//! back.
 
 use mamdr::autodiff::{Grads, Tape};
 use mamdr::core::frameworks::mamdr::domain_regularization;
@@ -47,7 +49,7 @@ use mamdr::models::{
 use mamdr::nn::{ForwardCtx, ParamStore};
 use mamdr::obs::MetricsRegistry;
 use mamdr::ps::trainer::{run_cached_round, seed_server, worker_round_seed};
-use mamdr::ps::{partition_domains, ParameterServer, LOCK_STRIPES};
+use mamdr::ps::{partition_domains, ParamKey, ParameterServer, LOCK_STRIPES};
 use mamdr::rpc::frame::PullManyResp;
 use mamdr::rpc::{Frame, OpCode};
 use mamdr::serve::{
@@ -150,6 +152,15 @@ const CACHED_ROUND: (u64, u64) = (47, 167_748);
 /// decoded versions and values (5). With a payload writer that grew by
 /// doubling it was 15 / 87 760.
 const FRAME_ROUNDTRIP: (u64, u64) = (5, 79_576);
+/// One embedding publish — `ServingSnapshot::from_ps`, `write_to` into a
+/// fresh buffer, `read_from` — of a fixed store of 300 rows × 8 in two
+/// tables (the [`publish_store`] fixture). Nothing per row: the dump's
+/// stripe guards, sorted row list, values and keys (4); the index (1); the
+/// encoded file and the buffer it is written into (2); the bytes read back
+/// (1); the decoded keys, values and index (3). With a vector per row
+/// through a hash map on both sides, a sorted copy for the encode and a
+/// doubling file buffer it was 619 / 129 066.
+const EMBEDDING_PUBLISH: (u64, u64) = (11, 69_147);
 /// The gradient of the user embedding table if it were materialised:
 /// 2 378 rows × 16 floats × 4 bytes.
 const USER_TABLE_GRAD_BYTES: u64 = 2_378 * 16 * 4;
@@ -487,4 +498,32 @@ fn frame_roundtrip_allocations_are_pinned() {
     let got = counted(roundtrip);
     eprintln!("frame roundtrip: {} allocations, {} bytes", got.allocs, got.bytes);
     assert_eq!((got.allocs, got.bytes), FRAME_ROUNDTRIP, "allocations per frame roundtrip moved");
+}
+
+/// Two tables: 200 user rows and 100 item rows at width 8, values a pure
+/// function of the key.
+fn publish_store() -> ParameterServer {
+    let ps = ParameterServer::new(LOCK_STRIPES, 8);
+    for (table, rows) in [(0u32, 200u32), (1, 100)] {
+        for row in 0..rows {
+            let value = (0..8).map(|j| (table * 1000 + row * 8 + j) as f32 * 1e-3).collect();
+            ps.init_row(ParamKey::new(table, row), value);
+        }
+    }
+    ps
+}
+
+#[test]
+fn embedding_publish_allocations_are_pinned() {
+    let ps = publish_store();
+    let publish = || {
+        let mut buf = Vec::new();
+        ServingSnapshot::from_ps(1, &ps, 2).write_to(&mut buf).expect("encode into memory");
+        let back = ServingSnapshot::read_from(buf.as_slice()).expect("a well-formed snapshot");
+        assert_eq!(back.version(), 1);
+    };
+    publish();
+    let got = counted(publish);
+    eprintln!("embedding publish: {} allocations, {} bytes", got.allocs, got.bytes);
+    assert_eq!((got.allocs, got.bytes), EMBEDDING_PUBLISH, "allocations per publish moved");
 }
