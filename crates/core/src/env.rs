@@ -274,7 +274,7 @@ impl<'a> TrainEnv<'a> {
     }
 
     /// Reports the start of a training run to the observer (no-op without
-    /// one). Called by `experiment::run`; callers driving a [`Framework`]
+    /// one). Called by `experiment::run`; callers driving a [`Framework`](crate::Framework)
     /// directly may call it themselves.
     pub fn observe_train_start(&mut self, framework: &str) {
         self.telemetry =

@@ -1,5 +1,5 @@
 //! Conflict-Averse Gradient descent (CAGrad, Liu et al. 2021) — the
-//! convergence-guaranteed gradient-surgery method the paper cites as [43]
+//! convergence-guaranteed gradient-surgery method the paper cites as \[43\]
 //! when discussing why manipulated gradients "stay at a sub-optimal point".
 //!
 //! CAGrad replaces the average gradient `g₀` with the solution of

@@ -35,7 +35,7 @@ pub enum FrameworkKind {
     WeightedLoss,
     /// PCGrad gradient surgery (Yu et al.).
     PcGrad,
-    /// Conflict-Averse Gradient descent (Liu et al., the paper's [43]).
+    /// Conflict-Averse Gradient descent (Liu et al., the paper's \[43\]).
     CaGrad,
     /// First-order MAML (Finn et al.).
     Maml,

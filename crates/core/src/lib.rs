@@ -4,7 +4,7 @@
 //! framework for multi-domain recommendation, together with every baseline
 //! framework it is compared against.
 //!
-//! * [`frameworks::mamdr::DomainNegotiation`] — Algorithm 1: a cross-domain
+//! * [`frameworks::mamdr::domain_negotiation_epoch`] — Algorithm 1: a cross-domain
 //!   Reptile that mitigates *domain conflict* by implicitly maximizing
 //!   gradient inner products between domains.
 //! * [`frameworks::mamdr::Mamdr`] — Algorithm 3: DN for the shared
@@ -19,7 +19,7 @@
 //! `mamdr-models` (the paper's Table X claim).
 //!
 //! Supporting machinery: AUC / average-RANK / logloss [`metrics`], the
-//! training environment and trained-model evaluation [`env`], experiment
+//! training environment and trained-model evaluation [`env`](mod@env), experiment
 //! orchestration [`experiment`], and the gradient-conflict probe
 //! [`conflict`] behind Figure 3.
 

@@ -5,7 +5,7 @@
 //! row, and a dense per-table index turns a key into its slot with two
 //! array loads — no hashing and no allocation per read or update.
 
-use crate::kv::{ParamKey, RowSource};
+use crate::kv::{ParamKey, ParameterServer, RowSource};
 
 /// Hit/miss counters for one worker's cache.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -26,15 +26,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-}
-
-/// Staleness of a worker's cached rows relative to the server.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub struct StalenessStats {
-    /// Largest per-row lag (server pushes since this worker's pull).
-    pub max: u64,
-    /// Mean per-row lag.
-    pub mean: f64,
 }
 
 /// A worker round's outer gradients (Θ̃ − Θ per touched row, Eq. 3) as one
@@ -226,35 +217,21 @@ impl WorkerCache {
         Some(order)
     }
 
-    /// Measures how stale the cached rows are right now: for each cached
-    /// row, the number of server-side pushes that happened after this
-    /// worker pulled it. This is the inconsistency the §IV-E protocol
-    /// bounds — it resets to zero at every round boundary because the
-    /// cache is drained and re-pulled.
-    /// One batched version probe covers every cached row, in key order (a
-    /// single version-only request per wire chunk over the network,
-    /// instead of one per key).
-    pub fn staleness<S: RowSource + ?Sized>(&self, src: &S) -> StalenessStats {
-        if self.keys.is_empty() {
-            return StalenessStats::default();
-        }
-        let order = self.key_order();
-        let current = match &order {
-            None => src.versions_of(&self.keys),
-            Some(order) => {
-                src.versions_of(&order.iter().map(|&s| self.keys[s]).collect::<Vec<_>>())
-            }
-        };
-        let mut max = 0u64;
-        let mut total = 0u64;
-        for (i, now) in current.into_iter().enumerate() {
-            let slot = order.as_ref().map_or(i, |order| order[i]);
-            let lag = now.saturating_sub(self.versions[slot]);
-            max = max.max(lag);
-            total += lag;
-        }
-        let n = self.keys.len() as u64;
-        StalenessStats { max, mean: total as f64 / n as f64 }
+    /// Measures how stale the cached rows are right now: the largest
+    /// number of pushes any cached row received after this worker pulled
+    /// it. This is the inconsistency the §IV-E protocol bounds — it resets
+    /// to zero at every round boundary because the cache is drained and
+    /// re-pulled. Only a worker racing others on a store it shares can see
+    /// a lag, so the lag is read from that store directly (silently, one
+    /// [`ParameterServer::version`] per row); a synchronous round cannot
+    /// be stale and never asks.
+    pub fn staleness(&self, ps: &ParameterServer) -> u64 {
+        self.keys
+            .iter()
+            .zip(&self.versions)
+            .map(|(&key, &pulled)| ps.version(key).saturating_sub(pulled))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Ends the round: returns `local − pulled` for every touched row in
@@ -405,23 +382,23 @@ mod tests {
         ps.init_row(key, vec![0.0, 0.0]);
         let mut mine = WorkerCache::new();
         mine.get(&ps, key);
-        assert_eq!(mine.staleness(&ps), StalenessStats { max: 0, mean: 0.0 });
+        assert_eq!(mine.staleness(&ps), 0);
         // Another worker pushes twice after my pull.
         ps.push_delta(key, &[1.0, 0.0]);
         ps.push_delta(key, &[1.0, 0.0]);
-        let s = mine.staleness(&ps);
-        assert_eq!(s.max, 2);
-        assert!((s.mean - 2.0).abs() < 1e-12);
+        assert_eq!(mine.staleness(&ps), 2);
+        // Reading the lag is silent: only the one pull was counted.
+        assert_eq!(ps.traffic().snapshot().0, 1);
         // Draining re-pulls on the next read, resetting the lag.
         mine.drain_outer_grads();
         mine.get(&ps, key);
-        assert_eq!(mine.staleness(&ps).max, 0);
+        assert_eq!(mine.staleness(&ps), 0);
     }
 
     #[test]
     fn staleness_of_empty_cache_is_zero() {
         let ps = ParameterServer::new(1, 1);
         let cache = WorkerCache::new();
-        assert_eq!(cache.staleness(&ps), StalenessStats::default());
+        assert_eq!(cache.staleness(&ps), 0);
     }
 }

@@ -59,7 +59,7 @@ fn encode(ps: &ParameterServer, dim: usize) -> Result<Vec<u8>, CodecError> {
 
 /// Restores a checkpoint into a fresh server.
 ///
-/// The header is untrusted: a declared width above [`MAX_DIM`], or a row
+/// The header is untrusted: a declared width above `MAX_DIM`, or a row
 /// count the remaining bytes cannot hold, is [`CodecError::Corrupt`] before
 /// any buffer is sized from it, and so is a stream with bytes left over.
 pub fn load(mut r: impl Read) -> Result<ParameterServer, CodecError> {

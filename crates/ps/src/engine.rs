@@ -163,7 +163,7 @@ pub fn run_rounds<T: RoundTransport>(
         for out in outputs {
             state.cache.hits += out.cache.hits;
             state.cache.misses += out.cache.misses;
-            state.max_staleness = state.max_staleness.max(out.staleness.max);
+            state.max_staleness = state.max_staleness.max(out.staleness);
             if guard_active {
                 let worker_loss = mean_loss(out.loss_sum, out.n_examples);
                 match guard.check(worker_loss, outer_grad_norm(&out.grads.values)).0 {
@@ -231,7 +231,6 @@ pub fn run_rounds<T: RoundTransport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::StalenessStats;
     use crate::guard::GuardConfig;
     use crate::kv::ParamKey;
     use std::convert::Infallible;
@@ -258,7 +257,7 @@ mod tests {
             assert_eq!(partitions.len(), self.rounds[epoch].len());
             let output = |&(loss_sum, grad): &(f64, f32)| CachedRoundOutput {
                 cache: CacheStats::default(),
-                staleness: StalenessStats::default(),
+                staleness: 0,
                 loss_sum,
                 n_examples: 1,
                 grads: OuterGrads { keys: vec![ParamKey::new(0, 0)], values: vec![grad] },

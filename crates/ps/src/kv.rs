@@ -4,8 +4,8 @@
 //! record, so every data-plane operation costs one lock and one
 //! hash lookup per key, and a write validates the row before it mutates or
 //! counts anything. The same file defines the read-side contract workers
-//! program against ([`RowSource`]: two batch methods, no single-row
-//! variants) and the traffic counters the §IV-E cache exists to shrink.
+//! program against ([`RowSource`]: one batch read, no single-row
+//! variant) and the traffic counters the §IV-E cache exists to shrink.
 
 use mamdr_obs::MetricsRegistry;
 use mamdr_util::codec::{CodecError, Reader, Writer};
@@ -66,11 +66,11 @@ pub const WIRE_BATCH_KEYS: usize = 4096;
 /// Where a worker's reads come from: the in-process [`ParameterServer`] or
 /// a remote stand-in (e.g. an RPC client in `mamdr-rpc`).
 ///
-/// The contract is batch-only: one cache miss set (or one staleness probe)
-/// costs one request per [`WIRE_BATCH_KEYS`] chunk rather than one per
-/// key, and a single-row read is simply a one-key batch. Everything that
-/// mutates the store stays on the concrete server so the write path (and
-/// its exactly-once semantics over the wire) remains explicit.
+/// The contract is one batch read: a cache miss set costs one request per
+/// [`WIRE_BATCH_KEYS`] chunk rather than one per key, and a single-row read
+/// is simply a one-key batch. Everything else — writes, with their
+/// exactly-once semantics over the wire, and the silent version reads
+/// behind staleness — stays on the concrete server.
 pub trait RowSource {
     /// Pulls the latest values of many rows together with their push
     /// versions as one flat batch `(versions, values)` in input-key order:
@@ -78,11 +78,6 @@ pub trait RowSource {
     /// `keys[i]`. Counted as one RPC per [`WIRE_BATCH_KEYS`] chunk (zero
     /// for an empty key set).
     fn pull_rows(&self, keys: &[ParamKey]) -> (Vec<u64>, Vec<f32>);
-
-    /// Reads many rows' push versions without pulling values, in
-    /// input-key order (silent — an observability probe, not counted
-    /// traffic).
-    fn versions_of(&self, keys: &[ParamKey]) -> Vec<u64>;
 }
 
 /// Byte-accurate synchronization counters.
@@ -496,10 +491,6 @@ impl RowSource for ParameterServer {
     fn pull_rows(&self, keys: &[ParamKey]) -> (Vec<u64>, Vec<f32>) {
         self.pull_flat(keys)
     }
-
-    fn versions_of(&self, keys: &[ParamKey]) -> Vec<u64> {
-        keys.iter().map(|&k| self.version(k)).collect()
-    }
 }
 
 /// A [`RowSource`] decorator that accumulates the wall-clock its inner
@@ -535,10 +526,6 @@ impl<'a, S: RowSource + ?Sized> TimedRowSource<'a, S> {
 impl<S: RowSource + ?Sized> RowSource for TimedRowSource<'_, S> {
     fn pull_rows(&self, keys: &[ParamKey]) -> (Vec<u64>, Vec<f32>) {
         self.time(|| self.inner.pull_rows(keys))
-    }
-
-    fn versions_of(&self, keys: &[ParamKey]) -> Vec<u64> {
-        self.time(|| self.inner.versions_of(keys))
     }
 }
 
@@ -610,9 +597,6 @@ mod tests {
         // A single-row read is a one-key batch: one counted RPC.
         let before = ps.traffic().snapshot().0;
         assert_eq!(src.pull_rows(&[key]), (vec![1], vec![2.0, -1.0]));
-        assert_eq!(ps.traffic().snapshot().0, before + 1);
-        // The version probe is silent.
-        assert_eq!(src.versions_of(&[key, ParamKey::new(9, 9)]), vec![1, 0]);
         assert_eq!(ps.traffic().snapshot().0, before + 1);
     }
 

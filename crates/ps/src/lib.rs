@@ -37,8 +37,11 @@
 //! The two caches always hold the same key set, so [`WorkerCache`] keeps
 //! them as two parallel slabs of one slot per row, found through a dense
 //! per-table index. Reads are batch-only
-//! ([`RowSource`] is `pull_rows` + `versions_of`): a round prefetches its
-//! whole key set in one batched pull, and a lazy miss is a one-key batch.
+//! ([`RowSource`] is `pull_rows` alone): a round prefetches its whole key
+//! set in one batched pull, and a lazy miss is a one-key batch. Staleness
+//! is reported by whoever orders the applies: a synchronous round reports
+//! 0, and only the asynchronous in-process trainer, which owns its store,
+//! reads it there.
 //!
 //! The `NoCache` mode pulls every row on every read and pushes every update
 //! immediately — the baseline the `pscache` benchmark compares against.
@@ -54,7 +57,7 @@ pub mod publish;
 pub mod shard;
 pub mod trainer;
 
-pub use cache::{CacheStats, OuterGrads, StalenessStats, WorkerCache};
+pub use cache::{CacheStats, OuterGrads, WorkerCache};
 pub use engine::{partition_domains, run_rounds, ResumeBase, RoundTransport};
 pub use guard::{outer_grad_norm, GuardConfig, GuardRail, GuardVerdict};
 pub use journal::RoundJournal;

@@ -9,7 +9,7 @@
 //! are scoped threads reading one shared [`ParameterServer`] and whose
 //! "wire" is a direct `push_outer_grad` call that cannot fail.
 
-use crate::cache::{CacheStats, OuterGrads, StalenessStats, WorkerCache};
+use crate::cache::{CacheStats, OuterGrads, WorkerCache};
 use crate::engine::{self, ResumeBase, RoundTransport};
 use crate::guard::GuardConfig;
 use crate::kv::{ParamKey, ParameterServer, RowSource, TimedRowSource, LOCK_STRIPES};
@@ -159,8 +159,11 @@ impl DistributedReport {
 pub struct CachedRoundOutput {
     /// Hit/miss counters of the worker's cache for this round.
     pub cache: CacheStats,
-    /// End-of-round staleness of the worker's cached rows.
-    pub staleness: StalenessStats,
+    /// End-of-round staleness of the worker's cached rows: the largest
+    /// number of foreign pushes a row received after this worker pulled it.
+    /// Always 0 in a synchronous round, where the store is read-only until
+    /// every worker has joined.
+    pub staleness: u64,
     /// Summed training log-loss over the worker's examples.
     pub loss_sum: f64,
     /// Number of training examples the worker saw.
@@ -400,15 +403,16 @@ impl RoundTransport for InProcess<'_> {
 
 /// One cached worker round, generic over where reads come from: the MAMDR
 /// inner loop over `domains` through a fresh [`WorkerCache`], ending with
-/// the staleness measurement and the outer-gradient drain.
+/// the outer-gradient drain. The round is synchronous — the store does not
+/// change while it runs — so its staleness is 0 and nothing asks the
+/// source for it.
 ///
 /// The gradients are *returned* (key-sorted), not pushed — the caller
-/// decides how to deliver them: the asynchronous in-process trainer pushes
-/// them from the worker thread, the synchronous one defers them to the
-/// driver, and the networked trainer ships them over RPC. This is the
-/// exact function the `mamdr-rpc` loopback workers execute, which is why
-/// fault-free networked training is bit-identical to [`DistributedMamdr`]
-/// with `sync_rounds`.
+/// decides how to deliver them: the synchronous in-process trainer defers
+/// them to the driver, and the networked trainer ships them over RPC. This
+/// is the exact function the `mamdr-rpc` loopback workers execute, which
+/// is why fault-free networked training is bit-identical to
+/// [`DistributedMamdr`] with `sync_rounds`.
 pub fn run_cached_round<S: RowSource + ?Sized>(
     src: &S,
     ds: &MdrDataset,
@@ -416,31 +420,8 @@ pub fn run_cached_round<S: RowSource + ?Sized>(
     inner_lr: f32,
     seed: u64,
 ) -> CachedRoundOutput {
-    let mut rng = seeded(seed);
-    let mut cache = WorkerCache::new();
-    // Warm the cache with the round's entire working set up front: the
-    // key set of a round is known from the partition alone (it does not
-    // depend on example order), so one batched pull replaces every lazy
-    // per-key miss — over the wire, one request per key chunk instead of
-    // one per key. Values are identical either way: the server is
-    // quiescent during a synchronous round, and a lazy miss would have
-    // pulled the same bytes one example later. The keys arrive sorted, so
-    // the drain below hands them back in order without a sort.
-    cache.prefetch(src, &partition_keys(ds, domains));
-    let mut rows = Vec::new();
-    let mut loss_sum = 0.0f64;
-    let mut n_examples = 0u64;
-    for &d in domains {
-        let (l, n) = train_domain_cached(src, &mut cache, &mut rows, ds, d, inner_lr, &mut rng);
-        loss_sum += l;
-        n_examples += n;
-    }
-    // Measure how far the world moved while this worker trained, then
-    // hand back Θ̃ − Θ per touched row (Eq. 3's outer gradient).
-    let staleness = cache.staleness(src);
-    let stats = cache.stats();
-    let grads = cache.drain_outer_grads();
-    CachedRoundOutput { cache: stats, staleness, loss_sum, n_examples, grads }
+    let (cache, loss_sum, n_examples) = train_cached(src, ds, domains, inner_lr, seed);
+    CachedRoundOutput::drain(cache, loss_sum, n_examples)
 }
 
 /// [`run_cached_round`] with the worker's wall-clock split: reads go
@@ -455,12 +436,64 @@ pub fn run_cached_round_timed<S: RowSource + ?Sized>(
     inner_lr: f32,
     seed: u64,
 ) -> (CachedRoundOutput, RoundTime) {
+    timed(src, |src| run_cached_round(src, ds, domains, inner_lr, seed))
+}
+
+/// Runs `round` against `src` wrapped in a [`TimedRowSource`], splitting
+/// its wall-clock into time inside reads and the rest.
+fn timed<S: RowSource + ?Sized, T>(
+    src: &S,
+    round: impl FnOnce(&TimedRowSource<'_, S>) -> T,
+) -> (T, RoundTime) {
     let timed = TimedRowSource::new(src);
     let t0 = Instant::now();
-    let out = run_cached_round(&timed, ds, domains, inner_lr, seed);
+    let out = round(&timed);
     let total = t0.elapsed();
     let pull = timed.elapsed();
     (out, RoundTime { pull, compute: total.saturating_sub(pull) })
+}
+
+/// The body of a cached round: the prefetch and the MAMDR inner loop over
+/// `domains`. Returns the filled cache, before its drain, with the summed
+/// training log-loss and the example count.
+fn train_cached<S: RowSource + ?Sized>(
+    src: &S,
+    ds: &MdrDataset,
+    domains: &[usize],
+    inner_lr: f32,
+    seed: u64,
+) -> (WorkerCache, f64, u64) {
+    let mut rng = seeded(seed);
+    let mut cache = WorkerCache::new();
+    // Warm the cache with the round's entire working set up front: the
+    // key set of a round is known from the partition alone (it does not
+    // depend on example order), so one batched pull replaces every lazy
+    // per-key miss — over the wire, one request per key chunk instead of
+    // one per key. Values are identical either way: the server is
+    // quiescent during a synchronous round, and a lazy miss would have
+    // pulled the same bytes one example later. The keys arrive sorted, so
+    // the drain hands them back in order without a sort.
+    cache.prefetch(src, &partition_keys(ds, domains));
+    let mut rows = Vec::new();
+    let mut loss_sum = 0.0f64;
+    let mut n_examples = 0u64;
+    for &d in domains {
+        let (l, n) = train_domain_cached(src, &mut cache, &mut rows, ds, d, inner_lr, &mut rng);
+        loss_sum += l;
+        n_examples += n;
+    }
+    (cache, loss_sum, n_examples)
+}
+
+impl CachedRoundOutput {
+    /// Ends a trained round: hands back Θ̃ − Θ per touched row (Eq. 3's
+    /// outer gradient) and empties the cache. Staleness is 0; only the
+    /// asynchronous in-process trainer overwrites it.
+    fn drain(mut cache: WorkerCache, loss_sum: f64, n_examples: u64) -> Self {
+        let stats = cache.stats();
+        let grads = cache.drain_outer_grads();
+        CachedRoundOutput { cache: stats, staleness: 0, loss_sum, n_examples, grads }
+    }
 }
 
 /// The distinct parameter rows a cached round over `domains` will touch,
@@ -509,21 +542,26 @@ impl DistributedMamdr {
         }
         match cfg.mode {
             SyncMode::Cached => {
-                let (mut out, time) = run_cached_round_timed(ps, ds, domains, cfg.inner_lr, seed);
+                let ((cache, loss_sum, n_examples), time) =
+                    timed(ps, |src| train_cached(src, ds, domains, cfg.inner_lr, seed));
                 if let Some(tracer) = self.tracer.as_deref() {
                     time.record(tracer);
                 }
-                if !cfg.sync_rounds {
-                    // Asynchronous protocol: push now, racing other workers;
-                    // the server applies with Adagrad (Eq. 3 with a
-                    // server-side optimizer). Otherwise the gradients go to
-                    // the driver and the server stays read-only until every
-                    // worker has joined.
-                    for (key, delta) in std::mem::take(&mut out.grads).iter() {
-                        ps.push_outer_grad(key, delta, cfg.outer_lr);
-                    }
+                if cfg.sync_rounds {
+                    // The gradients go to the driver and the server stays
+                    // read-only until every worker has joined: nothing the
+                    // worker read can have moved.
+                    return CachedRoundOutput::drain(cache, loss_sum, n_examples);
                 }
-                out
+                // Asynchronous protocol: read how far the racing workers
+                // moved this worker's rows, then push now; the server
+                // applies with Adagrad (Eq. 3 with a server-side optimizer).
+                let staleness = cache.staleness(ps);
+                let out = CachedRoundOutput::drain(cache, loss_sum, n_examples);
+                for (key, delta) in out.grads.iter() {
+                    ps.push_outer_grad(key, delta, cfg.outer_lr);
+                }
+                CachedRoundOutput { staleness, grads: OuterGrads::default(), ..out }
             }
             SyncMode::NoCache => {
                 let mut rng = seeded(seed);
@@ -536,7 +574,7 @@ impl DistributedMamdr {
                 }
                 CachedRoundOutput {
                     cache: CacheStats::default(),
-                    staleness: StalenessStats::default(),
+                    staleness: 0,
                     loss_sum,
                     n_examples,
                     grads: OuterGrads::default(),

@@ -8,7 +8,7 @@
 //! however the cache was filled. Sequences span several rounds, so a drain
 //! that leaves anything behind shows up in the next round's reads.
 
-use mamdr_ps::{CacheStats, OuterGrads, ParamKey, ParameterServer, StalenessStats, WorkerCache};
+use mamdr_ps::{CacheStats, OuterGrads, ParamKey, ParameterServer, WorkerCache};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -74,17 +74,9 @@ impl Model {
         self.rows[&key].1.clone()
     }
 
-    fn staleness(&self, ps: &ParameterServer) -> StalenessStats {
-        if self.rows.is_empty() {
-            return StalenessStats::default();
-        }
-        let lags: Vec<u64> =
-            self.rows.iter().map(|(k, (_, _, v))| ps.version(*k).saturating_sub(*v)).collect();
-        let total: u64 = lags.iter().sum();
-        StalenessStats {
-            max: lags.iter().copied().max().unwrap_or(0),
-            mean: total as f64 / lags.len() as f64,
-        }
+    /// The largest lag of any cached row behind the concrete store.
+    fn staleness(&self, ps: &ParameterServer) -> u64 {
+        self.rows.iter().map(|(k, (_, _, v))| ps.version(*k).saturating_sub(*v)).max().unwrap_or(0)
     }
 
     fn drain(&mut self) -> OuterGrads {

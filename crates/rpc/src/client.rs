@@ -21,7 +21,7 @@
 use crate::fault::{FaultDecision, FaultState};
 use crate::frame::{
     decode_error, BarrierReq, CheckpointReq, Frame, FrameError, OpCode, PullManyReq, PullManyResp,
-    PushManyReq, PushResp, TraceContext, FLAG_VERSION_ONLY,
+    PushManyReq, PushResp, TraceContext,
 };
 use mamdr_obs::{MetricsRegistry, SpanContext, SpanGuard, Tracer};
 use mamdr_ps::{ParamKey, RowSource, ShardMap, WIRE_BATCH_KEYS};
@@ -77,11 +77,6 @@ pub enum Request {
         /// The rows to read.
         keys: Vec<ParamKey>,
     },
-    /// Read many rows' push versions in one frame (silent server-side).
-    PullVersions {
-        /// The rows to probe.
-        keys: Vec<ParamKey>,
-    },
     /// Apply many outer-gradient rows atomically under one sequence
     /// number. Keys should be `(table, row)`-sorted; `grads` holds the
     /// concatenated per-row gradients in key order.
@@ -113,9 +108,7 @@ impl Request {
     /// The request's op-code and the op-code of its success response.
     fn opcodes(&self) -> (OpCode, OpCode) {
         match self {
-            Request::PullMany { .. } | Request::PullVersions { .. } => {
-                (OpCode::PullMany, OpCode::PullManyOk)
-            }
+            Request::PullMany { .. } => (OpCode::PullMany, OpCode::PullManyOk),
             Request::PushMany { .. } => (OpCode::PushMany, OpCode::PushManyOk),
             Request::Barrier { .. } => (OpCode::BarrierSync, OpCode::BarrierOk),
             Request::Checkpoint { .. } => (OpCode::Checkpoint, OpCode::CheckpointOk),
@@ -123,18 +116,9 @@ impl Request {
         }
     }
 
-    fn flags(&self) -> u8 {
-        match self {
-            Request::PullVersions { .. } => FLAG_VERSION_ONLY,
-            _ => 0,
-        }
-    }
-
     fn payload(&self, client_id: u32) -> Vec<u8> {
         match self {
-            Request::PullMany { keys } | Request::PullVersions { keys } => {
-                PullManyReq { keys: keys.clone() }.encode()
-            }
+            Request::PullMany { keys } => PullManyReq { keys: keys.clone() }.encode(),
             Request::PushMany { lr, keys, grads } => {
                 PushManyReq { client_id, lr: *lr, keys: keys.clone(), grads: grads.clone() }
                     .encode()
@@ -155,7 +139,7 @@ impl Request {
     /// vs push, not about the frame-level batching.
     fn span_name(&self) -> &'static str {
         match self {
-            Request::PullMany { .. } | Request::PullVersions { .. } => "rpc.pull",
+            Request::PullMany { .. } => "rpc.pull",
             Request::PushMany { .. } => "rpc.push",
             Request::Barrier { .. } => "rpc.barrier",
             Request::Checkpoint { .. } => "rpc.checkpoint",
@@ -186,18 +170,6 @@ impl Request {
                 }
                 Response::PullMany { versions: r.versions, values: r.values }
             }
-            Request::PullVersions { keys } => {
-                let r = PullManyResp::decode(&resp.payload)?;
-                if r.versions.len() != keys.len() || !r.values.is_empty() {
-                    return Err(RpcError::Frame(FrameError::Malformed(format!(
-                        "version probe of {} rows answered with {} versions, {} values",
-                        keys.len(),
-                        r.versions.len(),
-                        r.values.len()
-                    ))));
-                }
-                Response::PullVersions { versions: r.versions }
-            }
             Request::PushMany { .. } => {
                 Response::PushMany { applied: PushResp::decode(&resp.payload)?.applied }
             }
@@ -219,11 +191,6 @@ pub enum Response {
         versions: Vec<u64>,
         /// Concatenated values, `keys.len() * dim` floats.
         values: Vec<f32>,
-    },
-    /// Batched version probe result.
-    PullVersions {
-        /// Per-key versions.
-        versions: Vec<u64>,
     },
     /// Batch push acknowledged (the whole batch applied or deduplicated).
     PushMany {
@@ -379,12 +346,7 @@ impl WorkerClient {
     ) -> (Frame, Option<SpanGuard<'t>>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let mut frame = Frame {
-            opcode: req.opcodes().0,
-            flags: req.flags(),
-            seq,
-            payload: req.payload(self.client_id),
-        };
+        let mut frame = Frame::new(req.opcodes().0, seq, req.payload(self.client_id));
         let logical = tracer.map(|t| {
             let mut span = match self.trace_parent {
                 Some(p) => t.child(req.span_name(), p),
@@ -428,7 +390,7 @@ impl WorkerClient {
     /// sequential [`WorkerClient::call`]s — including under injected
     /// faults, where any request the window could not complete falls back
     /// to the sequential retry path *in request order* (see
-    /// [`WorkerClient::attempt_window`] for why ordering is load-bearing).
+    /// `WorkerClient::attempt_window` for why ordering is load-bearing).
     ///
     /// Responses are returned in request order. A server `Error` response
     /// is authoritative and fails the whole call. Barrier requests are
@@ -750,14 +712,12 @@ impl WorkerClient {
     }
 }
 
-/// Builds one request per [`WIRE_BATCH_KEYS`] chunk of a shard's sub-batch
-/// (`idxs` indexes into the caller's key slice, input order preserved).
-fn shard_requests<F>(idxs: &[usize], keys: &[ParamKey], make_req: &F) -> Vec<Request>
-where
-    F: Fn(Vec<ParamKey>) -> Request,
-{
+/// Builds one `PullMany` per [`WIRE_BATCH_KEYS`] chunk of a shard's
+/// sub-batch (`idxs` indexes into the caller's key slice, input order
+/// preserved).
+fn shard_pulls(idxs: &[usize], keys: &[ParamKey]) -> Vec<Request> {
     idxs.chunks(WIRE_BATCH_KEYS)
-        .map(|chunk| make_req(chunk.iter().map(|&i| keys[i]).collect()))
+        .map(|chunk| Request::PullMany { keys: chunk.iter().map(|&i| keys[i]).collect() })
         .collect()
 }
 
@@ -768,21 +728,17 @@ where
 /// per shard. Concurrency cannot perturb determinism: each client owns its
 /// socket, sequence space, and fault RNG, so nothing is shared across
 /// threads.
-fn call_shards<F>(
+fn call_shards(
     clients: &mut [WorkerClient],
     parts: &[Vec<usize>],
     keys: &[ParamKey],
-    make_req: F,
-) -> Vec<Option<Result<Vec<Response>, RpcError>>>
-where
-    F: Fn(Vec<ParamKey>) -> Request + Sync,
-{
+) -> Vec<Option<Result<Vec<Response>, RpcError>>> {
     let mut results: Vec<Option<Result<Vec<Response>, RpcError>>> =
         (0..parts.len()).map(|_| None).collect();
     let live = parts.iter().filter(|p| !p.is_empty()).count();
     if live <= 1 {
         if let Some((s, idxs)) = parts.iter().enumerate().find(|(_, p)| !p.is_empty()) {
-            let reqs = shard_requests(idxs, keys, &make_req);
+            let reqs = shard_pulls(idxs, keys);
             results[s] = Some(clients[s].call_many(reqs));
         }
         return results;
@@ -793,7 +749,7 @@ where
             .enumerate()
             .filter(|(s, _)| !parts[*s].is_empty())
             .map(|(s, client)| {
-                let reqs = shard_requests(&parts[s], keys, &make_req);
+                let reqs = shard_pulls(&parts[s], keys);
                 scope.spawn(move || (s, client.call_many(reqs)))
             })
             .collect();
@@ -864,47 +820,22 @@ impl ShardedRowSource {
             *slot = Some(e);
         }
     }
-
-    /// The one batched read path: scatters `keys` over the shard fleet as
-    /// `make_req` requests (one per [`WIRE_BATCH_KEYS`] chunk per shard)
-    /// and hands each chunk's response to `unpack` with the input
-    /// positions of its keys, which writes the items straight into the
-    /// caller's output. Any failure poisons the source; returns false when
-    /// the source is poisoned (the output must then be zero-filled), and a
-    /// poisoned source never touches the network.
-    fn scatter(
-        &self,
-        keys: &[ParamKey],
-        make_req: impl Fn(Vec<ParamKey>) -> Request + Sync,
-        mut unpack: impl FnMut(&[usize], Response) -> Result<(), RpcError>,
-    ) -> bool {
-        if self.poisoned() {
-            return false;
-        }
-        let parts = self.map.partition_indices(keys);
-        let results = call_shards(&mut self.clients.borrow_mut(), &parts, keys, make_req);
-        for (idxs, result) in parts.iter().zip(results) {
-            let Some(result) = result else { continue };
-            let gathered = result.and_then(|resps| {
-                idxs.chunks(WIRE_BATCH_KEYS)
-                    .zip(resps)
-                    .try_for_each(|(chunk, resp)| unpack(chunk, resp))
-            });
-            if let Err(e) = gathered {
-                self.record(e);
-            }
-        }
-        !self.poisoned()
-    }
 }
 
 impl RowSource for ShardedRowSource {
+    /// The one read path: scatters `keys` over the shard fleet (one
+    /// `PullMany` per [`WIRE_BATCH_KEYS`] chunk per shard) and writes each
+    /// chunk's rows straight to their input positions. Any failure poisons
+    /// the source and the whole result is zero-filled; a poisoned source
+    /// never touches the network.
     fn pull_rows(&self, keys: &[ParamKey]) -> (Vec<u64>, Vec<f32>) {
         let dim = self.dim;
         let mut versions = vec![0u64; keys.len()];
         let mut values = vec![0.0f32; keys.len() * dim];
-        let pull = |keys| Request::PullMany { keys };
-        let ok = self.scatter(keys, pull, |idxs, resp| {
+        if self.poisoned() {
+            return (versions, values);
+        }
+        let mut unpack = |idxs: &[usize], resp: Response| {
             let Response::PullMany { versions: got, values: vals } = resp else {
                 unreachable!("PullMany answered with a different variant")
             };
@@ -921,29 +852,24 @@ impl RowSource for ShardedRowSource {
                 values[i * dim..(i + 1) * dim].copy_from_slice(row);
             }
             Ok(())
-        });
-        if !ok {
+        };
+        let parts = self.map.partition_indices(keys);
+        let results = call_shards(&mut self.clients.borrow_mut(), &parts, keys);
+        for (idxs, result) in parts.iter().zip(results) {
+            let Some(result) = result else { continue };
+            let gathered = result.and_then(|resps| {
+                idxs.chunks(WIRE_BATCH_KEYS)
+                    .zip(resps)
+                    .try_for_each(|(chunk, resp)| unpack(chunk, resp))
+            });
+            if let Err(e) = gathered {
+                self.record(e);
+            }
+        }
+        if self.poisoned() {
             versions.fill(0);
             values.fill(0.0);
         }
         (versions, values)
-    }
-
-    fn versions_of(&self, keys: &[ParamKey]) -> Vec<u64> {
-        let mut versions = vec![0u64; keys.len()];
-        let probe = |keys| Request::PullVersions { keys };
-        let ok = self.scatter(keys, probe, |idxs, resp| {
-            let Response::PullVersions { versions: got } = resp else {
-                unreachable!("PullVersions answered with a different variant")
-            };
-            for (&i, version) in idxs.iter().zip(got) {
-                versions[i] = version;
-            }
-            Ok(())
-        });
-        if !ok {
-            versions.fill(0);
-        }
-        versions
     }
 }

@@ -66,13 +66,11 @@ pub fn digest(head: &[u8; 15], payload: &[u8]) -> u64 {
     xxh64(payload, xxh64(head, 0))
 }
 
-/// Pull flag: respond with the rows' versions only (no value section, no
-/// traffic accounting server-side) — used by staleness probes.
-pub const FLAG_VERSION_ONLY: u8 = 0b0000_0001;
-
-/// Trace flag: the payload is prefixed by a [`TraceContext`] extension
-/// ([`TRACE_EXT_LEN`] bytes) carrying the sender's trace/span ids, so a
-/// server-side span can parent to the worker-side span that caused it.
+/// Trace flag, the one flag a frame may carry (bit 0 belonged to the
+/// retired version-only pull probe and is never reused): the payload is
+/// prefixed by a [`TraceContext`] extension ([`TRACE_EXT_LEN`] bytes)
+/// carrying the sender's trace/span ids, so a server-side span can parent
+/// to the worker-side span that caused it.
 /// The extension is stripped (and the flag cleared) by
 /// [`Frame::take_trace_context`] before any payload codec runs; frames
 /// without the flag are byte-identical to the untraced protocol.
@@ -143,7 +141,7 @@ pub enum OpCode {
     ShutdownOk = 10,
     /// PS → worker: request-level failure (message payload).
     Error = 11,
-    /// Worker → PS: read many rows in one frame (optionally version-only).
+    /// Worker → PS: read many rows in one frame.
     PullMany = 12,
     /// PS → worker: versions + concatenated values for a `PullMany`.
     PullManyOk = 13,
@@ -244,7 +242,8 @@ impl std::error::Error for FrameError {}
 pub struct Frame {
     /// Operation code.
     pub opcode: OpCode,
-    /// Op-specific flags (e.g. [`FLAG_VERSION_ONLY`]).
+    /// Frame flags: [`FLAG_TRACE`] or nothing. A server refuses a request
+    /// with any other bit set.
     pub flags: u8,
     /// Request id; responses echo the request's `seq`.
     pub seq: u64,
@@ -484,9 +483,7 @@ impl CheckpointReq {
 }
 
 /// `PullMany` request payload: a key-sorted batch of rows to read in one
-/// round trip. [`FLAG_VERSION_ONLY`] turns the whole batch into a silent
-/// version probe (no value section in the response, no traffic
-/// accounting server-side).
+/// round trip.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PullManyReq {
     /// The rows to read, sorted by `(table, row)` by the caller.
@@ -511,15 +508,15 @@ impl PullManyReq {
 }
 
 /// `PullManyOk` response payload: per-key versions in request order, plus
-/// one contiguous f32 section holding every row's values back to back
-/// (empty for a version-only probe) — a single zero-copy block on
-/// little-endian hosts, not one length-prefixed vector per row.
+/// one contiguous f32 section holding every row's values back to back — a
+/// single zero-copy block on little-endian hosts, not one length-prefixed
+/// vector per row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PullManyResp {
     /// Per-key push versions, in request-key order.
     pub versions: Vec<u64>,
     /// Concatenated row values in request-key order; the row width is
-    /// `values.len() / versions.len()`. Empty for version-only probes.
+    /// `values.len() / versions.len()`.
     pub values: Vec<f32>,
 }
 
@@ -536,17 +533,16 @@ impl PullManyResp {
     }
 
     /// Decodes from a payload buffer, rejecting value sections that are
-    /// not an exact multiple of the key count.
+    /// not a non-zero multiple of the key count (an empty response to an
+    /// empty request is the one row-less shape).
     pub fn decode(payload: &[u8]) -> Result<Self, FrameError> {
         let mut r = Reader::new(MAGIC, payload);
         let n = r.u32()?;
         let versions = r.counted(n.into(), 8, Reader::u64)?;
         let values = read_counted_f32s(&mut r)?;
         r.finish()?;
-        // Empty values with rows present is the version-only probe shape;
-        // otherwise the value section must divide evenly across the rows.
         let n = versions.len();
-        if values.is_empty() || (n > 0 && values.len() % n == 0) {
+        if values.len() % n.max(1) == 0 && values.is_empty() == (n == 0) {
             return Ok(PullManyResp { versions, values });
         }
         Err(FrameError::Malformed(format!("{} values do not divide across {n} rows", values.len())))
@@ -768,9 +764,8 @@ mod tests {
 
         let resp = PullManyResp { versions: vec![4, 9], values: vec![1.5, -2.25, 0.0, 7.0] };
         assert_eq!(PullManyResp::decode(&resp.encode()).unwrap(), resp);
-        // Version-only probe: versions without values.
-        let probe = PullManyResp { versions: vec![4, 9], values: vec![] };
-        assert_eq!(PullManyResp::decode(&probe.encode()).unwrap(), probe);
+        let none = PullManyResp { versions: vec![], values: vec![] };
+        assert_eq!(PullManyResp::decode(&none.encode()).unwrap(), none);
 
         let push = PushManyReq {
             client_id: 2,
@@ -781,7 +776,7 @@ mod tests {
         assert_eq!(PushManyReq::decode(&push.encode()).unwrap(), push);
 
         // The multi-row encoders size their buffer exactly, once.
-        for bytes in [pull.encode(), resp.encode(), probe.encode(), push.encode()] {
+        for bytes in [pull.encode(), resp.encode(), none.encode(), push.encode()] {
             assert_eq!(bytes.capacity(), bytes.len());
         }
     }
@@ -805,6 +800,9 @@ mod tests {
         // Values without any rows to attach them to.
         let resp = PullManyResp { versions: vec![], values: vec![1.0] };
         assert!(matches!(PullManyResp::decode(&resp.encode()), Err(FrameError::Malformed(_))));
+        // Rows without values: the retired version-only probe's shape.
+        let probe = PullManyResp { versions: vec![4, 9], values: vec![] };
+        assert!(matches!(PullManyResp::decode(&probe.encode()), Err(FrameError::Malformed(_))));
 
         // PushMany: gradient section must divide across the keys, and an
         // empty batch is meaningless on the wire.
@@ -864,12 +862,14 @@ mod tests {
     #[test]
     fn trace_context_other_flags_survive_strip() {
         let ctx = TraceContext { trace_id: 1, span_id: 2 };
+        // Bit 0 (retired; a server refuses it) stands for any other flag:
+        // the frame layer carries it through untouched.
         let mut frame = Frame::new(OpCode::PullMany, 1, one_key_pull(0, 0));
-        frame.flags |= FLAG_VERSION_ONLY;
+        frame.flags |= 0b0000_0001;
         let mut traced = frame.clone().with_trace_context(ctx);
-        assert_eq!(traced.flags, FLAG_VERSION_ONLY | FLAG_TRACE);
+        assert_eq!(traced.flags, 0b0000_0001 | FLAG_TRACE);
         traced.take_trace_context().unwrap();
-        assert_eq!(traced.flags, FLAG_VERSION_ONLY);
+        assert_eq!(traced.flags, 0b0000_0001);
     }
 
     #[test]

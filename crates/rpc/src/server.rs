@@ -30,7 +30,7 @@
 
 use crate::frame::{
     encode_error, BarrierReq, CheckpointReq, Frame, FrameError, OpCode, PullManyReq, PullManyResp,
-    PushManyReq, PushResp, TraceContext, FLAG_VERSION_ONLY, TRACE_EXT_LEN,
+    PushManyReq, PushResp, TraceContext, TRACE_EXT_LEN,
 };
 use mamdr_obs::{MetricsRegistry, SpanContext, Tracer};
 use mamdr_ps::{checkpoint, ParameterServer};
@@ -359,20 +359,19 @@ fn serve_conn(mut stream: TcpStream, inner: &Inner) {
 }
 
 /// Dispatches one request frame to the store. The response echoes the
-/// request's sequence number.
+/// request's sequence number. The frame arrives with its trace extension
+/// stripped, so any flag bit still set is one no request defines (bit 0 is
+/// the retired version-only probe): the frame is refused with an `Error`
+/// before anything is read, applied or counted.
 fn handle(req: &Frame, inner: &Inner) -> Frame {
     let seq = req.seq;
     let error = |msg: String| Frame::new(OpCode::Error, seq, encode_error(&msg));
+    if req.flags != 0 {
+        return error(format!("unsupported frame flags {:#010b}", req.flags));
+    }
     match req.opcode {
         OpCode::PullMany => match PullManyReq::decode(&req.payload) {
             Ok(pull) => {
-                if req.flags & FLAG_VERSION_ONLY != 0 {
-                    // Silent observability probe, batched: one frame carries
-                    // every version, no value bytes, no traffic accounting.
-                    let versions = pull.keys.iter().map(|&k| inner.ps.version(k)).collect();
-                    let payload = PullManyResp { versions, values: Vec::new() }.encode();
-                    return Frame::new(OpCode::PullManyOk, seq, payload);
-                }
                 if let Some(key) = inner.ps.first_missing(&pull.keys) {
                     return error(format!("pull of uninitialized key {key:?}"));
                 }

@@ -104,8 +104,8 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Float total of the seconds workers spent inside row reads (pulls and
-/// version probes over the wire), summed over workers and rounds.
+/// Float total of the seconds workers spent inside row reads (pulls over
+/// the wire), summed over workers and rounds.
 const WORKER_PULL_SECONDS: &str = "ps_worker_pull_seconds_total";
 /// Float total of the rest of the workers' cached rounds.
 const WORKER_COMPUTE_SECONDS: &str = "ps_worker_compute_seconds_total";

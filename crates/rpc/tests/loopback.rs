@@ -5,9 +5,13 @@
 
 use mamdr_obs::MetricsRegistry;
 use mamdr_ps::{ParamKey, ParameterServer};
+use mamdr_rpc::frame::{decode_error, PullManyReq, PullManyResp};
 use mamdr_rpc::{
-    FaultPlan, FaultState, PsServer, Request, Response, RetryPolicy, RpcError, WorkerClient,
+    FaultPlan, FaultState, Frame, OpCode, PsServer, Request, Response, RetryPolicy, RpcError,
+    WorkerClient,
 };
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
 
 fn harness(dim: usize) -> (PsServer, Arc<ParameterServer>, Arc<MetricsRegistry>) {
@@ -71,13 +75,7 @@ fn pull_and_push_roundtrip_with_traffic_accounting() {
     // in-process path: two pulls, one push.
     let (pulls, pushes, _, _) = ps.traffic().snapshot();
     assert_eq!((pulls, pushes), (2, 1));
-    // A version-only probe is silent.
-    match c.call(Request::PullVersions { keys: vec![key] }).unwrap() {
-        Response::PullVersions { versions } => assert_eq!(versions, vec![1]),
-        other => panic!("PullVersions answered with {other:?}"),
-    }
-    assert_eq!(ps.traffic().snapshot().0, 2);
-    assert!(metrics.counter("rpc_frames_total").get() >= 4);
+    assert!(metrics.counter("rpc_frames_total").get() >= 3);
 }
 
 #[test]
@@ -237,13 +235,37 @@ fn batched_pull_and_push_roundtrip_with_chunked_accounting() {
     }
     assert_eq!(ps.traffic().snapshot().1, 5, "one per-row application per batch row");
     assert_eq!(metrics.counter("rpc_push_applied_total").get(), 5);
+    assert!(keys.iter().all(|&k| ps.version(k) == 1), "every row bumped once");
+}
 
-    // A batched version probe sees every bump and stays silent.
-    match c.call(Request::PullVersions { keys }).unwrap() {
-        Response::PullVersions { versions } => assert_eq!(versions, vec![1; 5]),
-        other => panic!("unexpected response {other:?}"),
-    }
-    assert_eq!(ps.traffic().snapshot().0, 1, "version probes are unaccounted");
+#[test]
+fn a_frame_with_the_retired_probe_bit_is_refused_untouched() {
+    let (server, ps, metrics) = harness(2);
+    let key = ParamKey::new(0, 3);
+    ps.init_row(key, vec![1.0, -1.0]);
+    ps.push_delta(key, &[1.0, 0.0]);
+    let before = ps.traffic().snapshot();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut send = |flags: u8, seq: u64| {
+        let payload = PullManyReq { keys: vec![key] }.encode();
+        let frame = Frame { opcode: OpCode::PullMany, flags, seq, payload };
+        stream.write_all(&frame.to_bytes()).unwrap();
+        Frame::decode(&mut stream).unwrap()
+    };
+    // Bit 0 was the version-only probe: its frame layout is still a valid
+    // `PullMany`, but the server answers it with a typed error.
+    let refused = send(0b0000_0001, 7);
+    assert_eq!((refused.opcode, refused.seq), (OpCode::Error, 7));
+    assert!(decode_error(&refused.payload).contains("flags"), "{}", decode_error(&refused.payload));
+    assert_eq!(ps.traffic().snapshot(), before, "a refused frame reads nothing");
+    assert_eq!(ps.version(key), 1);
+    assert_eq!(metrics.counter("rpc_push_applied_total").get(), 0);
+    // The connection survives and answers the next, well-formed request.
+    let ok = send(0, 8);
+    assert_eq!((ok.opcode, ok.seq), (OpCode::PullManyOk, 8));
+    let rows = PullManyResp::decode(&ok.payload).unwrap();
+    assert_eq!((rows.versions, rows.values), (vec![1], vec![2.0, -1.0]));
+    assert_eq!(ps.traffic().snapshot().0, before.0 + 1);
 }
 
 #[test]

@@ -151,9 +151,10 @@ proptest! {
         let values: Vec<f32> = (0..keys.len() * dim).map(|i| seed + i as f32).collect();
         let resp = PullManyResp { versions: versions.clone(), values: values.clone() };
         prop_assert_eq!(PullManyResp::decode(&resp.encode()).unwrap(), resp);
-        // The version-only probe shape: rows without value bytes.
+        // Rows without value bytes (the retired version-only probe's
+        // shape) are malformed.
         let probe = PullManyResp { versions, values: Vec::new() };
-        prop_assert_eq!(PullManyResp::decode(&probe.encode()).unwrap(), probe);
+        prop_assert!(matches!(PullManyResp::decode(&probe.encode()), Err(FrameError::Malformed(_))));
 
         let push = PushManyReq { client_id: client, lr, keys, grads: values };
         prop_assert_eq!(PushManyReq::decode(&push.encode()).unwrap(), push);

@@ -61,7 +61,6 @@ use mamdr_ps::{model as ps_model, ParamKey, ParameterServer};
 use mamdr_tensor::Tensor;
 use mamdr_util::codec::{self, CodecError};
 use mamdr_util::Checksum;
-use std::io::{Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"MAMDRSV1";
@@ -375,30 +374,19 @@ impl ServingSnapshot {
         }
     }
 
-    /// Serializes the snapshot (payload + trailing checksum).
-    pub fn write_to(&self, mut w: impl Write) -> Result<(), SnapshotError> {
-        w.write_all(&self.encode()?)?;
-        Ok(())
-    }
-
-    /// Deserializes a snapshot, verifying the checksum before parsing.
-    pub fn read_from(mut r: impl Read) -> Result<Self, SnapshotError> {
-        let mut bytes = Vec::new();
-        r.read_to_end(&mut bytes)?;
-        Self::decode(&bytes)
-    }
-
     /// Commits the snapshot to a file through [`codec::write_atomic`]
     /// (staging file, fsync, rename): a crash at any earlier byte leaves
     /// only the staging file, which no loader or watcher opens.
     pub fn save_to_path(&self, path: &Path) -> Result<(), SnapshotError> {
-        codec::write_atomic(path, &self.encode()?)?;
+        let mut bytes = Vec::new();
+        self.write_to(&mut bytes)?;
+        codec::write_atomic(path, &bytes)?;
         Ok(())
     }
 
     /// Reads a snapshot file written by [`save_to_path`](Self::save_to_path).
     pub fn load_from_path(path: &Path) -> Result<Self, SnapshotError> {
-        Self::decode(&std::fs::read(path)?)
+        Self::read_from(&std::fs::read(path)?)
     }
 
     /// Verifies every served parameter is finite. This is the gate-side
@@ -488,7 +476,10 @@ impl ServingSnapshot {
         out
     }
 
-    fn encode(&self) -> Result<Vec<u8>, SnapshotError> {
+    /// Serializes the snapshot (payload + trailing checksum), appending it
+    /// to `out` in place: no buffer of its own and no copy, and nothing is
+    /// written on error.
+    pub fn write_to(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
         match &self.backend {
             Backend::Dense { spec, trained, .. } => {
                 let (mode, per_domain): (u8, &[Vec<f32>]) = match &trained.domains {
@@ -503,7 +494,7 @@ impl ServingSnapshot {
                     ));
                 }
                 let (f, c) = (&spec.features, &spec.config);
-                Ok(codec::seal(MAGIC, |w| {
+                codec::seal_sized(out, MAGIC, 0, |w| {
                     w.u8(0).u64(self.version).u8(kind_id(spec.kind));
                     for v in [f.n_users, f.n_items, f.n_user_groups, f.n_item_cats, f.dense_dim] {
                         w.u32(v as u32);
@@ -520,26 +511,29 @@ impl ServingSnapshot {
                     for v in per_domain {
                         w.f32s(v);
                     }
-                }))
+                });
             }
             Backend::Embedding { dim, n_domains, keys, values, .. } => {
                 // The slab is key-sorted: identical states produce
                 // byte-identical files.
                 // Tag, version, dim, domain count and row count, then rows.
                 let body_len = 25 + keys.len() * (8 + 4 * dim);
-                Ok(codec::seal_sized(MAGIC, body_len, |w| {
+                codec::seal_sized(out, MAGIC, body_len, |w| {
                     w.u8(1).u64(self.version).u32(*dim as u32).u32(*n_domains as u32);
                     w.u64(keys.len() as u64);
                     for (slot, key) in keys.iter().enumerate() {
                         key.write_to(w);
                         w.f32s(row_at(values, *dim, slot));
                     }
-                }))
+                });
             }
         }
+        Ok(())
     }
 
-    fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
+    /// Deserializes a snapshot from its bytes in place, verifying the
+    /// checksum before parsing.
+    pub fn read_from(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = codec::open(MAGIC, bytes)?;
         let tag = r.u8()?;
         let version = r.u64()?;

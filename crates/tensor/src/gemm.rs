@@ -4,9 +4,9 @@
 //!
 //! # One tile
 //!
-//! [`tile`] holds an `MR × NR` block of the output in registers for the whole
+//! `tile` holds an `MR × NR` block of the output in registers for the whole
 //! `k` loop and stores it once. The left operand is read through a
-//! `(row stride, k stride)` pair ([`Lhs`]), so `a` and `aᵀ` are the same
+//! `(row stride, k stride)` pair (`Lhs`), so `a` and `aᵀ` are the same
 //! code; the right operand is always `[k, n]` row-major, so its `NR` values
 //! for one `kk` are one contiguous load. A transposed rhs is therefore
 //! packed ([`Tensor::transpose`], O(k·n) moves against O(m·k·n)

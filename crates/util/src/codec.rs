@@ -140,18 +140,28 @@ impl Writer {
 /// Encodes an envelope: `magic ‖ body ‖ FNV-1a(body)`, the body being
 /// whatever `body` writes.
 pub fn seal(magic: &[u8], body: impl FnOnce(&mut Writer)) -> Vec<u8> {
-    seal_sized(magic, 0, body)
+    let mut out = Vec::new();
+    seal_sized(&mut out, magic, 0, body);
+    out
 }
 
-/// [`seal`] into one buffer sized up front for a body of `body_len`
-/// bytes: a body of exactly that length is written with no reallocation.
-pub fn seal_sized(magic: &[u8], body_len: usize, body: impl FnOnce(&mut Writer)) -> Vec<u8> {
-    let mut w = Writer::with_capacity(magic.len() + body_len + 8);
+/// [`seal`] appended to `out`, which first grows (if it must) to hold a
+/// body of `body_len` bytes: a body of exactly that length is written with
+/// at most one allocation, and none into a buffer that already has room.
+pub fn seal_sized(
+    out: &mut Vec<u8>,
+    magic: &[u8],
+    body_len: usize,
+    body: impl FnOnce(&mut Writer),
+) {
+    out.reserve_exact(magic.len() + body_len + 8);
+    let start = out.len() + magic.len();
+    let mut w = Writer { buf: std::mem::take(out) };
     w.bytes(magic);
     body(&mut w);
-    let digest = Checksum::of(&w.buf[magic.len()..]);
+    let digest = Checksum::of(&w.buf[start..]);
     w.u64(digest);
-    w.buf
+    *out = w.buf;
 }
 
 /// Verifies an envelope written by [`seal`] — magic, then the digest over
@@ -421,11 +431,22 @@ mod tests {
         assert_eq!(r.string().unwrap(), "body");
         r.finish().unwrap();
         assert!(open(b"MAMDRXX1", &sealed).is_err());
-        let sized = seal_sized(MAGIC, 12, |w| {
+        let mut sized = Vec::new();
+        seal_sized(&mut sized, MAGIC, 12, |w| {
             w.u32(5).string("body");
         });
         assert_eq!(sized, sealed, "the size hint changes no byte");
         assert_eq!(sized.capacity(), sized.len(), "an exact hint is one buffer");
+        // Appended after what the buffer held, digesting only its own body;
+        // a buffer with room is written in place.
+        let mut after = b"head".to_vec();
+        after.reserve(sealed.len());
+        let room = after.as_ptr();
+        seal_sized(&mut after, MAGIC, 0, |w| {
+            w.u32(5).string("body");
+        });
+        assert_eq!((&after[..4], &after[4..]), (&b"head"[..], &sealed[..]));
+        assert_eq!(after.as_ptr(), room, "no reallocation into a buffer with room");
         for keep in 0..sealed.len() {
             assert!(open(MAGIC, &sealed[..keep]).is_err(), "truncated to {keep}");
         }

@@ -140,11 +140,13 @@ const SUBMIT_WAIT: (u64, u64) = (1, 56);
 /// which become its versions and static half (4); the dense index — its
 /// table list and each table's doubling growth up to the largest row id
 /// read (33); each domain's example order (4); the kept five-row buffer's
-/// growth (4); and the staleness probe's versions (1). The drain hands the
-/// dynamic half back as the gradient batch. With a hash-map record per
-/// row, five row copies per example and a vector per row from the pull to
-/// the drain it was 2 833 / 299 972.
-const CACHED_ROUND: (u64, u64) = (47, 167_748);
+/// growth (4). The drain hands the dynamic half back as the gradient
+/// batch. A synchronous round cannot be stale, so nothing reads the rows'
+/// versions back; while the round probed them, the probe's versions vector
+/// (497 × 8 B) made it 47 / 167 748. With a hash-map record per row, five
+/// row copies per example and a vector per row from the pull to the drain
+/// it was 2 833 / 299 972.
+const CACHED_ROUND: (u64, u64) = (46, 163_772);
 /// One `PullManyOk` frame of 497 rows at width 8 (the `CACHED_ROUND`
 /// working set), there and back: the payload encode, `Frame::to_bytes`,
 /// `Frame::decode` and `PullManyResp::decode`. One exactly sized buffer
@@ -156,11 +158,14 @@ const FRAME_ROUNDTRIP: (u64, u64) = (5, 79_576);
 /// fresh buffer, `read_from` — of a fixed store of 300 rows × 8 in two
 /// tables (the [`publish_store`] fixture). Nothing per row: the dump's
 /// stripe guards, sorted row list, values and keys (4); the index (1); the
-/// encoded file and the buffer it is written into (2); the bytes read back
-/// (1); the decoded keys, values and index (3). With a vector per row
-/// through a hash map on both sides, a sorted copy for the encode and a
-/// doubling file buffer it was 619 / 129 066.
-const EMBEDDING_PUBLISH: (u64, u64) = (11, 69_147);
+/// encoded file, written straight into the caller's buffer (1); the
+/// decoded keys, values and index (3), read from that buffer in place.
+/// While `write_to` encoded into a buffer of its own and copied it over,
+/// and `read_from` copied the bytes before decoding, two more 12 041-byte
+/// buffers made it 11 / 69 147. With a vector per row through a hash map
+/// on both sides, a sorted copy for the encode and a doubling file buffer
+/// it was 619 / 129 066.
+const EMBEDDING_PUBLISH: (u64, u64) = (9, 45_065);
 /// The gradient of the user embedding table if it were materialised:
 /// 2 378 rows × 16 floats × 4 bytes.
 const USER_TABLE_GRAD_BYTES: u64 = 2_378 * 16 * 4;
