@@ -119,21 +119,25 @@ impl WorkerCache {
             return;
         }
         let next = u32::try_from(self.keys.len() + 1).expect("fewer than 2^32 cached rows");
-        let pos = match self.index.iter().position(|(table, _)| *table == key.table) {
+        self.table_index(key.table, key.row)[key.row as usize] = next;
+        self.sorted &= self.keys.last().is_none_or(|last| *last < key);
+        self.keys.push(key);
+    }
+
+    /// The index of `table`, grown to cover row id `row`.
+    fn table_index(&mut self, table: u32, row: u32) -> &mut Vec<u32> {
+        let pos = match self.index.iter().position(|(t, _)| *t == table) {
             Some(pos) => pos,
             None => {
-                self.index.push((key.table, Vec::new()));
+                self.index.push((table, Vec::new()));
                 self.index.len() - 1
             }
         };
         let rows = &mut self.index[pos].1;
-        let row = key.row as usize;
-        if row >= rows.len() {
-            rows.resize(row + 1, 0);
+        if row as usize >= rows.len() {
+            rows.resize(row as usize + 1, 0);
         }
-        rows[row] = next;
-        self.sorted &= self.keys.last().is_none_or(|last| *last < key);
-        self.keys.push(key);
+        rows
     }
 
     /// Pulls the keys of slots `start..` (distinct, just assigned) in one
@@ -190,12 +194,18 @@ impl WorkerCache {
     /// prefetching the keys a round will touch makes every subsequent
     /// [`WorkerCache::get`] a hit while leaving values, versions, and miss
     /// accounting identical to the lazy path. Strictly sorted keys keep
-    /// the slots in key order, so the drain needs no sort.
+    /// the slots in key order, so the drain needs no sort. Each table's
+    /// index is sized once per run of same-table keys, to the run's
+    /// largest row id — for sorted keys, its last.
     pub fn prefetch<S: RowSource + ?Sized>(&mut self, src: &S, keys: &[ParamKey]) {
         let start = self.keys.len();
         self.keys.reserve(keys.len());
-        for &key in keys {
-            self.assign(key);
+        for run in keys.chunk_by(|a, b| a.table == b.table) {
+            let largest = run.iter().map(|key| key.row).max().expect("a run is never empty");
+            self.table_index(run[0].table, largest);
+            for &key in run {
+                self.assign(key);
+            }
         }
         self.fill_from(src, start);
     }
@@ -271,6 +281,12 @@ impl WorkerCache {
     /// Hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
+    }
+
+    /// True while the slots are in strictly ascending key order.
+    #[cfg(test)]
+    pub(crate) fn is_sorted(&self) -> bool {
+        self.sorted
     }
 }
 

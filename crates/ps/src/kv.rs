@@ -6,12 +6,25 @@
 //! counts anything. The same file defines the read-side contract workers
 //! program against ([`RowSource`]: one batch read, no single-row
 //! variant) and the traffic counters the §IV-E cache exists to shrink.
+//!
+//! The stripes' maps hash a key by folding its [`ParamKey::fib_hash`]
+//! (`h ^ (h >> 32)`), not with std's SipHash: the map takes its buckets
+//! from the low bits, which the fold mixes with the high ones. SipHash's
+//! resistance to hash flooding buys nothing here — only the driver inserts
+//! keys (`init_row`, `restore_state`); a client can only probe, and a
+//! probe's length depends on the stored set, not on the probe. The stripe
+//! choice (`fib_hash() >> 33`) and the serving snapshot's index use the
+//! unfolded `fib_hash`.
 
 use mamdr_obs::MetricsRegistry;
 use mamdr_util::codec::{CodecError, Reader, Writer};
 use parking_lot::RwLock;
 use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+/// 2^64 / φ, the multiplier of [`ParamKey::fib_hash`].
+const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Addresses one parameter row: an embedding table id plus a row index.
 ///
@@ -50,7 +63,7 @@ impl ParamKey {
     #[inline]
     pub fn fib_hash(self) -> u64 {
         let packed = ((self.table as u64) << 32) | self.row as u64;
-        packed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        packed.wrapping_mul(FIB)
     }
 }
 
@@ -135,6 +148,39 @@ impl TrafficStats {
 /// locks at every worker count the repo runs.
 pub const LOCK_STRIPES: usize = 8;
 
+/// The stripes' key hash: a [`ParamKey`] hashes as its two `u32` halves,
+/// which this packs back into `table ‖ row` and finishes as the folded
+/// [`ParamKey::fib_hash`]. Plain `fib_hash` would leave the low bits — the
+/// map's buckets — a function of the row alone, so keys that differ only in
+/// table would share buckets; the fold puts the well-mixed high half on top
+/// of them without the stripe-selection bits lining up with the bucket
+/// bits (a `rotate_left(32)` would make each stripe use one bucket in
+/// eight).
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write_u32(&mut self, half: u32) {
+        self.0 = (self.0 << 32) | half as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 << 8) | b as u64;
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let h = self.0.wrapping_mul(FIB);
+        h ^ (h >> 32)
+    }
+}
+
+/// One stripe's rows.
+type RowMap = HashMap<ParamKey, Row, BuildHasherDefault<KeyHasher>>;
+
 /// Everything the store knows about one parameter row, behind one lookup.
 #[derive(Clone)]
 struct Row {
@@ -155,7 +201,7 @@ struct Row {
 /// takes one lock and one lookup per key, and validates before it mutates
 /// or counts anything.
 pub struct ParameterServer {
-    stripes: Vec<RwLock<HashMap<ParamKey, Row>>>,
+    stripes: Vec<RwLock<RowMap>>,
     traffic: TrafficStats,
     dim_bytes: usize,
     /// Number of *server* shards pull batches are modeled as routed over
@@ -171,7 +217,7 @@ impl ParameterServer {
     pub fn new(n_stripes: usize, value_dim: usize) -> Self {
         assert!(n_stripes >= 1);
         ParameterServer {
-            stripes: (0..n_stripes).map(|_| RwLock::new(HashMap::new())).collect(),
+            stripes: (0..n_stripes).map(|_| RwLock::default()).collect(),
             traffic: TrafficStats::default(),
             dim_bytes: value_dim * std::mem::size_of::<f32>(),
             route_shards: AtomicUsize::new(1),
@@ -194,7 +240,7 @@ impl ParameterServer {
         self.dim_bytes / std::mem::size_of::<f32>()
     }
 
-    fn stripe(&self, key: ParamKey) -> &RwLock<HashMap<ParamKey, Row>> {
+    fn stripe(&self, key: ParamKey) -> &RwLock<RowMap> {
         &self.stripes[(key.fib_hash() >> 33) as usize % self.stripes.len()]
     }
 
@@ -225,22 +271,22 @@ impl ParameterServer {
 
     /// Pulls many rows as one flat batch `(versions, values)` in input-key
     /// order — the store's one batched read, behind [`RowSource::pull_rows`]
-    /// and the wire's `PullMany` handler. Counts one RPC per
-    /// [`WIRE_BATCH_KEYS`] chunk — exactly the frames the batched wire
-    /// protocol would spend on the same key set, so in-process and
+    /// and the wire's `PullMany` handler, one lookup per key. Counts one
+    /// RPC per [`WIRE_BATCH_KEYS`] chunk — exactly the frames the batched
+    /// wire protocol would spend on the same key set, so in-process and
     /// loopback runs report identical pull counters.
     ///
-    /// Panics, before any traffic is counted, if any row was never
-    /// initialized — workers may only touch rows the driver placed — or is
-    /// not [`ParameterServer::value_dim`] wide.
-    pub fn pull_flat(&self, keys: &[ParamKey]) -> (Vec<u64>, Vec<f32>) {
+    /// Returns the first key the store holds no row for as the error,
+    /// before any traffic is counted: workers may only touch rows the
+    /// driver placed. Panics if a row is not
+    /// [`ParameterServer::value_dim`] wide.
+    pub fn pull_flat(&self, keys: &[ParamKey]) -> Result<(Vec<u64>, Vec<f32>), ParamKey> {
         let dim = self.value_dim();
         let mut versions = Vec::with_capacity(keys.len());
         let mut values = Vec::with_capacity(keys.len() * dim);
         for &key in keys {
             let stripe = self.stripe(key).read();
-            let row =
-                stripe.get(&key).unwrap_or_else(|| panic!("pull of uninitialized key {key:?}"));
+            let row = stripe.get(&key).ok_or(key)?;
             assert_eq!(row.value.len(), dim, "row width mismatch: {key:?}");
             versions.push(row.version);
             values.extend_from_slice(&row.value);
@@ -250,13 +296,16 @@ impl ParameterServer {
         self.traffic
             .bytes_pulled
             .fetch_add((self.dim_bytes * keys.len()) as u64, Ordering::Relaxed);
-        (versions, values)
+        Ok((versions, values))
     }
 
     /// [`ParameterServer::pull_flat`] as one `(value, version)` pair per
     /// key — the per-row view probes and model tests compare against.
+    ///
+    /// Panics, before any traffic is counted, on a key the store holds no
+    /// row for.
     pub fn pull_batch(&self, keys: &[ParamKey]) -> Vec<(Vec<f32>, u64)> {
-        let (versions, values) = self.pull_flat(keys);
+        let (versions, values) = self.pull_rows(keys);
         values.chunks_exact(self.value_dim().max(1)).map(<[f32]>::to_vec).zip(versions).collect()
     }
 
@@ -266,8 +315,8 @@ impl ParameterServer {
     }
 
     /// The first of `keys` the store holds no row for, if any — the
-    /// non-cloning existence check a front end runs over a whole request
-    /// batch before it reads or applies any of it.
+    /// non-cloning existence check a front end runs over a whole push
+    /// batch before it applies any of it.
     pub fn first_missing(&self, keys: &[ParamKey]) -> Option<ParamKey> {
         keys.iter().copied().find(|key| !self.stripe(*key).read().contains_key(key))
     }
@@ -464,7 +513,7 @@ impl ParameterServer {
     /// Panics, with the store untouched, if `adagrad` names a key `rows`
     /// does not.
     pub fn restore_state(&self, rows: &[(ParamKey, Vec<f32>)], adagrad: &[(ParamKey, Vec<f32>)]) {
-        let mut fresh: HashMap<ParamKey, Row> = rows
+        let mut fresh: RowMap = rows
             .iter()
             .map(|(k, v)| (*k, Row { value: v.clone(), accum: Vec::new(), version: 0 }))
             .collect();
@@ -487,9 +536,11 @@ impl ParameterServer {
     }
 }
 
+/// The in-process read path: a missing key panics, before any traffic is
+/// counted.
 impl RowSource for ParameterServer {
     fn pull_rows(&self, keys: &[ParamKey]) -> (Vec<u64>, Vec<f32>) {
-        self.pull_flat(keys)
+        self.pull_flat(keys).unwrap_or_else(|key| panic!("pull of uninitialized key {key:?}"))
     }
 }
 
@@ -645,6 +696,7 @@ mod tests {
         panics_with("uninitialized key", || ps.push_outer_grad(missing, &[1.0, 1.0], 0.5));
         panics_with("uninitialized key", || ps.push_delta(missing, &[1.0, 1.0]));
         panics_with("uninitialized key", || drop(ps.pull_batch(&[present, missing])));
+        assert_eq!(ps.pull_flat(&[present, missing, ParamKey::new(8, 8)]), Err(missing));
         // So is a push of the wrong width to a row that does exist.
         panics_with("width mismatch", || ps.push_outer_grad(present, &[1.0], 0.5));
         panics_with("width mismatch", || ps.push_delta(present, &[1.0, 1.0, 1.0]));
@@ -710,6 +762,39 @@ mod tests {
         assert_eq!(keys, rows.iter().map(|(k, _)| *k).collect::<Vec<_>>());
         assert_eq!(values, rows.iter().flat_map(|(_, v)| v.clone()).collect::<Vec<f32>>());
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
+    }
+
+    /// The map's hash over 5 tables × 4 096 dense rows: its low 16 bits —
+    /// the bucket bits of any stripe up to 2^16 buckets — tell apart keys
+    /// that differ only in table, and none of them is constant over the
+    /// keys of one stripe. Plain `fib_hash` fails the first (its low bits
+    /// are the row's alone); `fib_hash().rotate_left(32)` fails the second
+    /// (the stripe-selection bits become bucket bits).
+    #[test]
+    fn store_hash_spreads_keys_over_buckets() {
+        use std::hash::BuildHasher;
+        let ps = ParameterServer::new(LOCK_STRIPES, 1);
+        let map = ps.stripes[0].read();
+        let low16 = |key: ParamKey| map.hasher().hash_one(key) as u16;
+        for row in 0..4096 {
+            let mut buckets: Vec<u16> = (0..5).map(|t| low16(ParamKey::new(t, row))).collect();
+            buckets.sort_unstable();
+            buckets.dedup();
+            assert_eq!(buckets.len(), 5, "row {row}: keys of different tables share low bits");
+        }
+        // Per stripe: the OR of the low bits and the OR of their complements.
+        let mut seen = [(0u16, 0u16); LOCK_STRIPES];
+        for table in 0..5 {
+            for row in 0..4096 {
+                let key = ParamKey::new(table, row);
+                let (ones, zeros) = &mut seen[(key.fib_hash() >> 33) as usize % LOCK_STRIPES];
+                *ones |= low16(key);
+                *zeros |= !low16(key);
+            }
+        }
+        for (stripe, &(ones, zeros)) in seen.iter().enumerate() {
+            assert_eq!(ones & zeros, u16::MAX, "stripe {stripe}: a bucket bit never varies");
+        }
     }
 
     #[test]

@@ -222,18 +222,25 @@ pub fn seed_sharded_servers(
 ) {
     assert_eq!(stores.len(), map.n_shards(), "one store per shard");
     let mut rng = seeded(derive_seed(seed, 0xF5));
-    let mut seed_table = |table: u32, rows: usize| {
+    for (table, rows) in table_rows(ds) {
         for r in 0..rows {
             let v: Vec<f32> = (0..dim).map(|_| 0.05 * normal(&mut rng)).collect();
             let key = ParamKey::new(table, r as u32);
             stores[map.owner(key)].init_row(key, v);
         }
-    };
-    seed_table(tables::USER, ds.n_users);
-    seed_table(tables::ITEM, ds.n_items);
-    seed_table(tables::UGROUP, ds.n_user_groups);
-    seed_table(tables::ICAT, ds.n_item_cats);
-    seed_table(tables::DOMAIN_BIAS, ds.n_domains());
+    }
+}
+
+/// Every table with the number of rows [`seed_server`] places in it, in
+/// ascending table id — entry `t` is table `t` — and row ids dense from 0.
+fn table_rows(ds: &MdrDataset) -> [(u32, usize); 5] {
+    [
+        (tables::USER, ds.n_users),
+        (tables::ITEM, ds.n_items),
+        (tables::UGROUP, ds.n_user_groups),
+        (tables::ICAT, ds.n_item_cats),
+        (tables::DOMAIN_BIAS, ds.n_domains()),
+    ]
 }
 
 /// Mean per-domain AUC of `split` using the server's current parameters
@@ -501,9 +508,15 @@ impl CachedRoundOutput {
 /// the partition's training examples. This is the prefetch set of
 /// [`run_cached_round`] — exact, not a heuristic, because the cached
 /// inner loop reads precisely the [`ExampleKeys`] of its examples.
+///
+/// Each example marks its five rows in a per-table occupancy bitset,
+/// sized once from the table's seeded rows (one bit per row id); the set
+/// bits are then read out table by table, in ascending order. That is
+/// O(examples + rows / 64) and yields exactly what sorting and
+/// deduplicating the examples' keys would.
 pub fn partition_keys(ds: &MdrDataset, domains: &[usize]) -> Vec<ParamKey> {
-    let examples: usize = domains.iter().map(|&d| ds.domains[d].train.len()).sum();
-    let mut keys = Vec::with_capacity(5 * examples);
+    let tables = table_rows(ds);
+    let mut bits = tables.map(|(_, rows)| vec![0u64; rows.div_ceil(64)]);
     for &d in domains {
         for it in &ds.domains[d].train {
             let ek = ExampleKeys::new(
@@ -513,11 +526,26 @@ pub fn partition_keys(ds: &MdrDataset, domains: &[usize]) -> Vec<ParamKey> {
                 ds.item_cat[it.item as usize],
                 d as u32,
             );
-            keys.extend(ek.all());
+            for key in ek.all() {
+                let (table, word) = (&mut bits[key.table as usize], key.row as usize / 64);
+                // Only a row id beyond its table's seeded rows grows a set.
+                if word >= table.len() {
+                    table.resize(word + 1, 0);
+                }
+                table[word] |= 1 << (key.row % 64);
+            }
         }
     }
-    keys.sort_unstable();
-    keys.dedup();
+    let mut keys = Vec::with_capacity(bits.iter().flatten().map(|w| w.count_ones() as usize).sum());
+    for ((table, _), words) in tables.into_iter().zip(&bits) {
+        for (i, &word) in words.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                keys.push(ParamKey::new(table, 64 * i as u32 + rest.trailing_zeros()));
+                rest &= rest - 1;
+            }
+        }
+    }
     keys
 }
 
@@ -689,7 +717,8 @@ fn scaled(alpha: f32, x: &[f32]) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mamdr_data::{DomainSpec, GeneratorConfig};
+    use mamdr_data::{DomainData, DomainSpec, GeneratorConfig, Interaction};
+    use proptest::collection::vec;
 
     fn dataset() -> MdrDataset {
         let mut cfg = GeneratorConfig::base("ps", 80, 50, 55);
@@ -843,6 +872,88 @@ mod tests {
             let cfg = DistributedConfig { n_workers: workers, epochs: 3, ..Default::default() };
             let report = DistributedMamdr::new(&ds, cfg).train(&ds);
             assert!(report.mean_auc > 0.53, "{} workers: AUC {}", workers, report.mean_auc);
+        }
+    }
+
+    /// Maps a drawn number to a row id below `n`, half the time onto the
+    /// bitset's word edges (63/64 and 127/128).
+    fn row_id(raw: u32, n: usize) -> u32 {
+        const EDGES: [u32; 5] = [0, 63, 64, 127, 128];
+        let id = if raw & 1 == 0 { EDGES[(raw >> 1) as usize % EDGES.len()] } else { raw >> 1 };
+        id % n as u32
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// The bitset key set is exactly the examples' keys sorted and
+        /// deduplicated — over empty partitions, domains without training
+        /// examples and row ids on word edges — and prefetching it leaves
+        /// the worker cache's slots in key order.
+        #[test]
+        fn partition_keys_is_sort_and_dedup(
+            (n_users, n_items) in (1usize..=200, 1usize..=200),
+            (n_groups, n_cats) in (1usize..=140, 1usize..=140),
+            n_domains in 1usize..=6,
+            starved in 0usize..8,
+            side in vec(0u32..1 << 16, 400),
+            examples in vec((0u32..1 << 16, 0u32..1 << 16, 0usize..6), 0..300),
+            picks in vec(0usize..6, 0..7),
+        ) {
+            let mut domains: Vec<DomainData> = (0..n_domains)
+                .map(|d| DomainData {
+                    name: format!("d{d}"),
+                    train: Vec::new(),
+                    val: Vec::new(),
+                    test: Vec::new(),
+                    ctr_ratio: 0.3,
+                })
+                .collect();
+            for &(user, item, d) in &examples {
+                let d = d % n_domains;
+                if d != starved {
+                    let (user, item) = (row_id(user, n_users), row_id(item, n_items));
+                    domains[d].train.push(Interaction { user, item, label: 1.0 });
+                }
+            }
+            let ds = MdrDataset {
+                name: "prop".into(),
+                n_users,
+                n_items,
+                n_user_groups: n_groups,
+                n_item_cats: n_cats,
+                user_group: side[..n_users].iter().map(|&g| row_id(g, n_groups)).collect(),
+                item_cat: side[200..200 + n_items].iter().map(|&c| row_id(c, n_cats)).collect(),
+                dense_user: None,
+                dense_item: None,
+                domains,
+            };
+            let mut part: Vec<usize> = Vec::new();
+            for d in picks.into_iter().map(|d| d % n_domains) {
+                if !part.contains(&d) {
+                    part.push(d);
+                }
+            }
+
+            let mut reference: Vec<ParamKey> = part
+                .iter()
+                .flat_map(|&d| ds.domains[d].train.iter().map(move |it| (d, it)))
+                .flat_map(|(d, it)| {
+                    let (g, c) = (ds.user_group[it.user as usize], ds.item_cat[it.item as usize]);
+                    ExampleKeys::new(it.user, it.item, g, c, d as u32).all()
+                })
+                .collect();
+            reference.sort_unstable();
+            reference.dedup();
+            let keys = partition_keys(&ds, &part);
+            proptest::prop_assert_eq!(&keys, &reference);
+
+            let ps = ParameterServer::new(LOCK_STRIPES, 2);
+            seed_server(&ps, &ds, 2, 7);
+            let mut cache = WorkerCache::new();
+            cache.prefetch(&ps, &keys);
+            proptest::prop_assert_eq!(cache.len(), keys.len());
+            proptest::prop_assert!(cache.is_sorted(), "the prefetch left slots out of key order");
         }
     }
 }

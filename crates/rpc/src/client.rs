@@ -118,10 +118,9 @@ impl Request {
 
     fn payload(&self, client_id: u32) -> Vec<u8> {
         match self {
-            Request::PullMany { keys } => PullManyReq { keys: keys.clone() }.encode(),
+            Request::PullMany { keys } => PullManyReq::encode_from(keys),
             Request::PushMany { lr, keys, grads } => {
-                PushManyReq { client_id, lr: *lr, keys: keys.clone(), grads: grads.clone() }
-                    .encode()
+                PushManyReq::encode_from(client_id, *lr, keys, grads)
             }
             Request::Barrier { round, expected } => {
                 BarrierReq { client_id, round: *round, expected: *expected }.encode()

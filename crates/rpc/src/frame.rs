@@ -493,8 +493,15 @@ pub struct PullManyReq {
 impl PullManyReq {
     /// Encodes into a payload buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(4 + 8 * self.keys.len());
-        write_keys(&mut w, &self.keys);
+        Self::encode_from(&self.keys)
+    }
+
+    /// Encodes the payload of a request for `keys` straight from the
+    /// caller's slice: the bytes of [`PullManyReq::encode`], no copy of the
+    /// keys.
+    pub fn encode_from(keys: &[ParamKey]) -> Vec<u8> {
+        let mut w = Writer::with_capacity(4 + 8 * keys.len());
+        write_keys(&mut w, keys);
         w.into_bytes()
     }
 
@@ -569,10 +576,17 @@ pub struct PushManyReq {
 impl PushManyReq {
     /// Encodes into a payload buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(16 + 8 * self.keys.len() + 4 * self.grads.len());
-        w.u32(self.client_id).f32(self.lr);
-        write_keys(&mut w, &self.keys);
-        write_counted_f32s(&mut w, &self.grads);
+        Self::encode_from(self.client_id, self.lr, &self.keys, &self.grads)
+    }
+
+    /// Encodes the payload of a request from its parts, straight from the
+    /// caller's slices: the bytes of [`PushManyReq::encode`], no copy of
+    /// the keys or gradients.
+    pub fn encode_from(client_id: u32, lr: f32, keys: &[ParamKey], grads: &[f32]) -> Vec<u8> {
+        let mut w = Writer::with_capacity(16 + 8 * keys.len() + 4 * grads.len());
+        w.u32(client_id).f32(lr);
+        write_keys(&mut w, keys);
+        write_counted_f32s(&mut w, grads);
         w.into_bytes()
     }
 

@@ -371,16 +371,16 @@ fn handle(req: &Frame, inner: &Inner) -> Frame {
     }
     match req.opcode {
         OpCode::PullMany => match PullManyReq::decode(&req.payload) {
-            Ok(pull) => {
-                if let Some(key) = inner.ps.first_missing(&pull.keys) {
-                    return error(format!("pull of uninitialized key {key:?}"));
+            // One batched store read, one lookup per key, already in the
+            // response's flat layout: counts a single pull per wire chunk,
+            // keeping the traffic counter identical to the in-process
+            // trainer's, and nothing at all when a key is missing.
+            Ok(pull) => match inner.ps.pull_flat(&pull.keys) {
+                Ok((versions, values)) => {
+                    Frame::new(OpCode::PullManyOk, seq, PullManyResp { versions, values }.encode())
                 }
-                // One batched store read, already in the response's flat
-                // layout: counts a single pull per wire chunk, keeping the
-                // traffic counter identical to the in-process trainer's.
-                let (versions, values) = inner.ps.pull_flat(&pull.keys);
-                Frame::new(OpCode::PullManyOk, seq, PullManyResp { versions, values }.encode())
-            }
+                Err(key) => error(format!("pull of uninitialized key {key:?}")),
+            },
             Err(e) => error(format!("bad pull-many payload: {e}")),
         },
         OpCode::PushMany => match PushManyReq::decode(&req.payload) {

@@ -134,19 +134,27 @@ const WORKER_B1: (u64, u64) = (0, 0);
 const SUBMIT_WAIT: (u64, u64) = (1, 56);
 /// One cached worker round (`run_cached_round`) over an in-process store:
 /// worker 0's partition of round 0 on `industry(8, 300, 42)` at width 8 of
-/// 2 workers — 4 domains, 497 rows. What is left is per round or per
-/// domain, none per row or per example: the sorted key list (1); the
-/// slab's key list and dynamic half, plus the pulled batch's two buffers,
-/// which become its versions and static half (4); the dense index — its
-/// table list and each table's doubling growth up to the largest row id
-/// read (33); each domain's example order (4); the kept five-row buffer's
-/// growth (4). The drain hands the dynamic half back as the gradient
-/// batch. A synchronous round cannot be stale, so nothing reads the rows'
-/// versions back; while the round probed them, the probe's versions vector
-/// (497 × 8 B) made it 47 / 167 748. With a hash-map record per row, five
-/// row copies per example and a vector per row from the pull to the drain
-/// it was 2 833 / 299 972.
-const CACHED_ROUND: (u64, u64) = (46, 163_772);
+/// 2 workers — 4 domains, 258 examples, 497 rows. What is left is per
+/// round, per table or per domain, none per row or per example:
+/// - the key set (6): one occupancy bitset per table, sized from its
+///   seeded rows (8 000, 3 000, 16, 32 and 8 bits: 1 400 B), and the
+///   exactly sized key list (497 × 8 B);
+/// - the slab (5): its key list, its versions and dynamic half, and the
+///   pulled batch's two buffers, whose values become the static half
+///   (43 736 B);
+/// - the dense index (7): its table list (two growths, 384 B) and each
+///   table's `u32` per row id, sized once to the largest row id of the
+///   table's run of sorted keys (7 924, 2 983, 15, 31, 4: 43 848 B);
+/// - each domain's example order (4, 2 064 B) and the kept five-row
+///   buffer's growth (4, 480 B).
+///
+/// The drain hands the dynamic half back as the gradient batch. While the
+/// key set was 5 keys per example sorted and deduplicated (10 320 B) and
+/// each table's index grew by doubling (30 allocations, 106 788 B), it was
+/// 46 / 163 772; while the round probed the rows' versions, 47 / 167 748.
+/// With a hash-map record per row, five row copies per example and a
+/// vector per row from the pull to the drain it was 2 833 / 299 972.
+const CACHED_ROUND: (u64, u64) = (26, 95_888);
 /// One `PullManyOk` frame of 497 rows at width 8 (the `CACHED_ROUND`
 /// working set), there and back: the payload encode, `Frame::to_bytes`,
 /// `Frame::decode` and `PullManyResp::decode`. One exactly sized buffer
