@@ -155,11 +155,13 @@ impl WorkerCache {
             self.dim = dim;
         }
         assert_eq!(dim, self.dim, "every cached row has one width");
-        self.versions.extend_from_slice(&versions);
+        // A round's first fill moves the batch in; later ones append.
         self.local.extend_from_slice(&values);
-        if self.pulled.is_empty() {
+        if self.versions.is_empty() {
+            self.versions = versions;
             self.pulled = values;
         } else {
+            self.versions.extend_from_slice(&versions);
             self.pulled.extend_from_slice(&values);
         }
         self.stats.misses += n as u64;

@@ -12,16 +12,16 @@
 //!
 //! All requests flow through one code path: [`WorkerClient::call`] for a
 //! single request, [`WorkerClient::call_many`] to pipeline a batch with a
-//! bounded in-flight window. The named wrappers (`barrier`, `checkpoint`,
-//! `shutdown`) are thin conveniences over [`Request`] values, so
+//! bounded in-flight window. The named wrappers (`checkpoint`, `shutdown`)
+//! are thin conveniences over [`Request`] values, so
 //! pipelining, retry, tracing, and fault injection live in exactly one
 //! place. Reads and writes are batch-only: a single row is a one-key
 //! `PullMany`/`PushMany`.
 
 use crate::fault::{FaultDecision, FaultState};
 use crate::frame::{
-    decode_error, BarrierReq, CheckpointReq, Frame, FrameError, OpCode, PullManyReq, PullManyResp,
-    PushManyReq, PushResp, TraceContext,
+    decode_error, CheckpointReq, Frame, FrameError, OpCode, PullManyReq, PullManyResp, PushManyReq,
+    PushResp, TraceContext,
 };
 use mamdr_obs::{MetricsRegistry, SpanContext, SpanGuard, Tracer};
 use mamdr_ps::{ParamKey, RowSource, ShardMap, WIRE_BATCH_KEYS};
@@ -44,11 +44,8 @@ pub struct RetryPolicy {
     pub base_backoff_micros: u64,
     /// Backoff ceiling.
     pub max_backoff_micros: u64,
-    /// Read/write deadline of ordinary requests.
+    /// Read/write deadline of every request.
     pub timeout: Duration,
-    /// Read deadline of barrier waits, which legitimately block until the
-    /// slowest worker arrives — far longer than any ordinary round trip.
-    pub barrier_timeout: Duration,
     /// In-flight window of [`WorkerClient::call_many`]: how many requests
     /// may be on the wire before the client starts reading responses.
     /// Depth 1 degenerates to strictly sequential request/response.
@@ -62,7 +59,6 @@ impl Default for RetryPolicy {
             base_backoff_micros: 100,
             max_backoff_micros: 50_000,
             timeout: Duration::from_secs(5),
-            barrier_timeout: Duration::from_secs(300),
             pipeline_depth: 8,
         }
     }
@@ -88,13 +84,6 @@ pub enum Request {
         /// Concatenated gradients, `keys.len() * dim` values.
         grads: Vec<f32>,
     },
-    /// Block until `expected` distinct clients reached `round`.
-    Barrier {
-        /// The round boundary.
-        round: u64,
-        /// Distinct clients required for release.
-        expected: u32,
-    },
     /// Ask the server to write a checkpoint labelled `round`.
     Checkpoint {
         /// Round label.
@@ -110,7 +99,6 @@ impl Request {
         match self {
             Request::PullMany { .. } => (OpCode::PullMany, OpCode::PullManyOk),
             Request::PushMany { .. } => (OpCode::PushMany, OpCode::PushManyOk),
-            Request::Barrier { .. } => (OpCode::BarrierSync, OpCode::BarrierOk),
             Request::Checkpoint { .. } => (OpCode::Checkpoint, OpCode::CheckpointOk),
             Request::Shutdown => (OpCode::Shutdown, OpCode::ShutdownOk),
         }
@@ -122,16 +110,9 @@ impl Request {
             Request::PushMany { lr, keys, grads } => {
                 PushManyReq::encode_from(client_id, *lr, keys, grads)
             }
-            Request::Barrier { round, expected } => {
-                BarrierReq { client_id, round: *round, expected: *expected }.encode()
-            }
             Request::Checkpoint { round } => CheckpointReq { round: *round }.encode(),
             Request::Shutdown => Vec::new(),
         }
-    }
-
-    fn is_barrier(&self) -> bool {
-        matches!(self, Request::Barrier { .. })
     }
 
     /// Span name of the logical request: a span consumer cares about pull
@@ -140,7 +121,6 @@ impl Request {
         match self {
             Request::PullMany { .. } => "rpc.pull",
             Request::PushMany { .. } => "rpc.push",
-            Request::Barrier { .. } => "rpc.barrier",
             Request::Checkpoint { .. } => "rpc.checkpoint",
             Request::Shutdown => "rpc.shutdown",
         }
@@ -172,7 +152,6 @@ impl Request {
             Request::PushMany { .. } => {
                 Response::PushMany { applied: PushResp::decode(&resp.payload)?.applied }
             }
-            Request::Barrier { .. } => Response::Barrier,
             Request::Checkpoint { .. } => {
                 Response::Checkpoint { path: String::from_utf8_lossy(&resp.payload).into_owned() }
             }
@@ -196,8 +175,6 @@ pub enum Response {
         /// False when the server recognized a duplicate and skipped it.
         applied: bool,
     },
-    /// Barrier released.
-    Barrier,
     /// Checkpoint written.
     Checkpoint {
         /// Path of the checkpoint file on the server.
@@ -265,9 +242,8 @@ pub struct WorkerClient {
 
 impl WorkerClient {
     /// A client for `addr`. `client_id` must be unique among concurrent
-    /// clients of the same server (it namespaces push deduplication and
-    /// barrier arrival). The connection itself is opened lazily on the
-    /// first request.
+    /// clients of the same server (it namespaces push deduplication). The
+    /// connection itself is opened lazily on the first request.
     pub fn new(
         addr: SocketAddr,
         client_id: u32,
@@ -313,12 +289,6 @@ impl WorkerClient {
     /// This client's id.
     pub fn client_id(&self) -> u32 {
         self.client_id
-    }
-
-    /// Blocks until `expected` distinct clients have arrived at `round`.
-    pub fn barrier(&mut self, round: u64, expected: u32) -> Result<(), RpcError> {
-        self.call(Request::Barrier { round, expected })?;
-        Ok(())
     }
 
     /// Asks the server to write a checkpoint; returns its path.
@@ -376,7 +346,7 @@ impl WorkerClient {
         let tracer = self.tracer.clone();
         let (frame, logical) = self.prepare(&req, tracer.as_deref());
         let trace_ctx = logical.as_ref().map(|s| s.ctx());
-        let resp = self.finish_with_retries(&frame, req.is_barrier(), trace_ctx, None)?;
+        let resp = self.finish_with_retries(&frame, trace_ctx, None)?;
         req.decode_response(&resp)
     }
 
@@ -392,11 +362,8 @@ impl WorkerClient {
     /// `WorkerClient::attempt_window` for why ordering is load-bearing).
     ///
     /// Responses are returned in request order. A server `Error` response
-    /// is authoritative and fails the whole call. Barrier requests are
-    /// not supported here (their read deadline differs) — use
-    /// [`WorkerClient::call`].
+    /// is authoritative and fails the whole call.
     pub fn call_many(&mut self, reqs: Vec<Request>) -> Result<Vec<Response>, RpcError> {
-        debug_assert!(!reqs.iter().any(Request::is_barrier), "barriers are not pipelined");
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
@@ -424,14 +391,13 @@ impl WorkerClient {
                 &mut resolved[start..end],
                 &mut failures[start..end],
                 1,
-                false,
             );
             // Sequential completion of whatever the window could not
             // finish, in request order.
             for i in start..end {
                 if resolved[i].is_none() {
                     let first_err = failures[i].take();
-                    let resp = self.finish_with_retries(&frames[i], false, ctxs[i], first_err)?;
+                    let resp = self.finish_with_retries(&frames[i], ctxs[i], first_err)?;
                     resolved[i] = Some(resp);
                 }
             }
@@ -458,7 +424,6 @@ impl WorkerClient {
     fn finish_with_retries(
         &mut self,
         frame: &Frame,
-        barrier: bool,
         trace_ctx: Option<SpanContext>,
         window_failure: Option<RpcError>,
     ) -> Result<Frame, RpcError> {
@@ -485,7 +450,6 @@ impl WorkerClient {
                 &mut resolved,
                 &mut failed,
                 attempt,
-                barrier,
             );
             match (resolved, failed) {
                 // An application-level refusal is authoritative: the server
@@ -506,8 +470,7 @@ impl WorkerClient {
     /// responses until every sent frame is resolved or the connection
     /// fails. A slot that was attempted but not resolved keeps its error in
     /// `failures` for the caller's sequential retry path; a sequential
-    /// retry is itself a window of one, numbered `attempt_no`. `barrier`
-    /// selects the long read deadline barrier waits need.
+    /// retry is itself a window of one, numbered `attempt_no`.
     ///
     /// Ordering is load-bearing: the server's exactly-once dedup keeps
     /// only the *highest* applied sequence number per client, so a
@@ -527,11 +490,9 @@ impl WorkerClient {
         resolved: &mut [Option<Frame>],
         failures: &mut [Option<RpcError>],
         attempt_no: u32,
-        barrier: bool,
     ) {
         let tracer = self.tracer.clone();
         let t = tracer.as_deref();
-        let timeout = if barrier { self.policy.barrier_timeout } else { self.policy.timeout };
         let mut attempt_spans: Vec<Option<SpanGuard<'_>>> = Vec::with_capacity(frames.len());
         let mut outstanding: HashMap<u64, usize> = HashMap::new();
         let mut drop_recv = vec![false; frames.len()];
@@ -592,18 +553,9 @@ impl WorkerClient {
                 self.metrics.counter("rpc_faults_duplicated_total").inc();
                 buf.extend_from_slice(&frame.to_bytes());
             }
-            let sent: Result<(), RpcError> = match self.ensure_connected() {
-                Ok(stream) => {
-                    if let Err(e) = stream.set_read_timeout(Some(timeout)) {
-                        Err(RpcError::Frame(FrameError::Io(e)))
-                    } else if let Err(e) = stream.write_all(&buf) {
-                        Err(RpcError::ConnectionLost(e.to_string()))
-                    } else {
-                        Ok(())
-                    }
-                }
-                Err(e) => Err(e),
-            };
+            let sent = self.ensure_connected().and_then(|stream| {
+                stream.write_all(&buf).map_err(|e| RpcError::ConnectionLost(e.to_string()))
+            });
             match sent {
                 Ok(()) => {
                     drop_recv[i] = decision.drop_recv;
@@ -699,6 +651,7 @@ impl WorkerClient {
             let stream = TcpStream::connect_timeout(&self.addr, self.policy.timeout)
                 .map_err(|e| RpcError::ConnectionLost(e.to_string()))?;
             stream.set_nodelay(true).map_err(FrameError::Io)?;
+            stream.set_read_timeout(Some(self.policy.timeout)).map_err(FrameError::Io)?;
             stream.set_write_timeout(Some(self.policy.timeout)).map_err(FrameError::Io)?;
             self.metrics.counter("rpc_connects_total").inc();
             self.stream = Some(stream);
@@ -794,12 +747,6 @@ impl ShardedRowSource {
     pub fn new(clients: Vec<WorkerClient>, map: ShardMap, dim: usize) -> Self {
         assert_eq!(clients.len(), map.n_shards(), "one client per shard");
         ShardedRowSource { clients: RefCell::new(clients), map, dim, error: RefCell::new(None) }
-    }
-
-    /// Unwraps the per-shard clients (e.g. to run the end-of-round
-    /// barrier, which goes through shard 0 only).
-    pub fn into_clients(self) -> Vec<WorkerClient> {
-        self.clients.into_inner()
     }
 
     /// Takes the first RPC failure, if any read failed. Once set, every

@@ -120,17 +120,16 @@ impl TraceContext {
     }
 }
 
-/// Operation codes, unchanged since wire version 2. Bytes 1–4 belonged to
-/// the retired single-row `Pull`/`PullOk`/`Push`/`PushOk` and stay
-/// unassigned — they decode to [`FrameError::UnknownOpcode`] like any other
-/// undefined byte, and the surviving op-codes keep their values.
+/// Operation codes, unchanged since wire version 2 but for retirements.
+/// Bytes 1–4 belonged to the retired single-row `Pull`/`PullOk`/`Push`/
+/// `PushOk`, and bytes 5 and 6 to the retired round barrier
+/// (`BarrierSync`/`BarrierOk`, whose rendezvous the driver's supervisor
+/// is). They stay unassigned — they decode to [`FrameError::UnknownOpcode`]
+/// like any other undefined byte, and the surviving op-codes keep their
+/// values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum OpCode {
-    /// Worker → PS: block until every worker reached this round boundary.
-    BarrierSync = 5,
-    /// PS → worker: barrier released.
-    BarrierOk = 6,
     /// Worker → PS: snapshot the store to the server's checkpoint dir.
     Checkpoint = 7,
     /// PS → worker: checkpoint written (payload carries the path).
@@ -158,9 +157,7 @@ impl OpCode {
     /// variant (`as u8`), decode scans this table — adding a variant here
     /// makes it decodable, and a variant missing from the table fails the
     /// exhaustive roundtrip test, so the two directions cannot drift.
-    pub const ALL: [OpCode; 11] = [
-        OpCode::BarrierSync,
-        OpCode::BarrierOk,
+    pub const ALL: [OpCode; 9] = [
         OpCode::Checkpoint,
         OpCode::CheckpointOk,
         OpCode::Shutdown,
@@ -431,35 +428,6 @@ impl PushResp {
     }
 }
 
-/// `BarrierSync` request payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BarrierReq {
-    /// The worker arriving at the barrier (dedup: a retried arrival does
-    /// not count twice).
-    pub client_id: u32,
-    /// The round boundary being synchronized.
-    pub round: u64,
-    /// Number of distinct workers that must arrive before release.
-    pub expected: u32,
-}
-
-impl BarrierReq {
-    /// Encodes into a payload buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::default();
-        w.u32(self.client_id).u64(self.round).u32(self.expected);
-        w.into_bytes()
-    }
-
-    /// Decodes from a payload buffer.
-    pub fn decode(payload: &[u8]) -> Result<Self, FrameError> {
-        let mut r = Reader::new(MAGIC, payload);
-        let req = BarrierReq { client_id: r.u32()?, round: r.u64()?, expected: r.u32()? };
-        r.finish()?;
-        Ok(req)
-    }
-}
-
 /// `Checkpoint` request payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointReq {
@@ -662,19 +630,19 @@ mod tests {
 
     #[test]
     fn a_version_2_frame_is_refused_by_its_version_byte() {
-        // `Frame::new(OpCode::BarrierOk, 7, vec![])` as a version-2 peer
+        // `Frame::new(OpCode::ShutdownOk, 7, vec![])` as a version-2 peer
         // encodes it: the same layout, sealed with FNV-1a.
         let v2 = [
             0x4d, 0x41, 0x4d, 0x44, 0x52, 0x52, 0x50, 0x43, 0x31, // magic
-            0x02, 0x06, 0x00, // version, op-code, flags
+            0x02, 0x0a, 0x00, // version, op-code, flags
             0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // seq
             0x00, 0x00, 0x00, 0x00, // len
-            0xfc, 0x27, 0x11, 0xcd, 0x3f, 0x93, 0xdb, 0x64, // FNV-1a of the 15 header bytes
+            0xa0, 0xba, 0xc7, 0x1e, 0xfb, 0x7f, 0x11, 0xcc, // FNV-1a of the 15 header bytes
         ];
         assert!(matches!(Frame::decode(v2.as_slice()), Err(FrameError::UnsupportedVersion(2))));
         // The same frame from this version differs only in the version
         // byte and the digest.
-        let v3 = Frame::new(OpCode::BarrierOk, 7, vec![]).to_bytes();
+        let v3 = Frame::new(OpCode::ShutdownOk, 7, vec![]).to_bytes();
         assert_eq!(v3.len(), v2.len());
         assert_eq!(v3[9], WIRE_VERSION);
         assert_eq!(v3[..9], v2[..9]);
@@ -726,8 +694,9 @@ mod tests {
         assert!(matches!(Frame::decode(buf.as_slice()), Err(FrameError::UnsupportedVersion(1))));
 
         // A valid checksum over an op-code byte that was never assigned,
-        // and over each retired single-row op-code (bytes 1–4).
-        for byte in [200u8, 0, 1, 2, 3, 4, 16] {
+        // over each retired single-row op-code (bytes 1–4) and over each
+        // retired barrier op-code (bytes 5 and 6).
+        for byte in [200u8, 0, 1, 2, 3, 4, 5, 6, 16] {
             let buf = with_opcode_byte(&frame, byte);
             assert!(
                 matches!(Frame::decode(buf.as_slice()), Err(FrameError::UnknownOpcode(b)) if b == byte),
@@ -738,8 +707,6 @@ mod tests {
 
     #[test]
     fn payload_codecs_roundtrip() {
-        let bar = BarrierReq { client_id: 1, round: 9, expected: 4 };
-        assert_eq!(BarrierReq::decode(&bar.encode()).unwrap(), bar);
         let ck = CheckpointReq { round: 3 };
         assert_eq!(CheckpointReq::decode(&ck.encode()).unwrap(), ck);
         assert!(PushResp::decode(&PushResp { applied: true }.encode()).unwrap().applied);
@@ -766,7 +733,7 @@ mod tests {
             }
         }
         assert_eq!(known.len(), OpCode::ALL.len());
-        assert_eq!(OpCode::ALL.len(), 11);
+        assert_eq!(OpCode::ALL.len(), 9);
     }
 
     #[test]

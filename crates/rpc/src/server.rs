@@ -9,9 +9,6 @@
 //!   A retried or duplicated push frame is acknowledged (`applied: false`)
 //!   without touching the store. The check-and-apply holds one lock, so
 //!   the guarantee survives concurrent connections.
-//! * **Round barriers.** `BarrierSync` blocks its connection thread until
-//!   the expected number of *distinct* clients has arrived at the round —
-//!   arrival is a set insert, so a retried arrival cannot double-count.
 //! * **Graceful drain.** `Shutdown` stops the accept loop; existing
 //!   connections keep being served until their clients hang up, then
 //!   [`PsServer::join`] returns.
@@ -29,17 +26,17 @@
 //! as `rpc_push_applied_total` / `rpc_push_deduped_total`.
 
 use crate::frame::{
-    encode_error, BarrierReq, CheckpointReq, Frame, FrameError, OpCode, PullManyReq, PullManyResp,
-    PushManyReq, PushResp, TraceContext, TRACE_EXT_LEN,
+    encode_error, CheckpointReq, Frame, FrameError, OpCode, PullManyReq, PullManyResp, PushManyReq,
+    PushResp, TraceContext, TRACE_EXT_LEN,
 };
 use mamdr_obs::{MetricsRegistry, SpanContext, Tracer};
 use mamdr_ps::{checkpoint, ParameterServer};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -64,13 +61,7 @@ struct Inner {
     metrics: Arc<MetricsRegistry>,
     /// Highest applied push sequence per client id.
     last_push_seq: Mutex<HashMap<u32, u64>>,
-    /// Distinct clients arrived at each barrier round.
-    barrier: Mutex<HashMap<u64, HashSet<u32>>>,
-    barrier_cv: Condvar,
     draining: AtomicBool,
-    /// Set by [`PsServer::kill`]: the shard died hard. Barrier waiters
-    /// abort instead of waiting for arrivals that can never come.
-    killed: AtomicBool,
     /// Every open connection's stream, by connection id, cloned so a kill
     /// can tear the sockets down under the blocked connection threads. A
     /// connection's entry is removed when its thread finishes serving it.
@@ -129,10 +120,7 @@ impl PsServer {
             dim,
             metrics,
             last_push_seq: Mutex::new(HashMap::new()),
-            barrier: Mutex::new(HashMap::new()),
-            barrier_cv: Condvar::new(),
             draining: AtomicBool::new(false),
-            killed: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             shard_label,
             checkpoint_dir,
@@ -230,22 +218,13 @@ impl PsServer {
 
     /// Kills the shard *hard*, simulating a server-machine death: every
     /// open connection's socket is shut down under its thread (in-flight
-    /// requests fail mid-read or mid-write, nothing is drained), barrier
-    /// waiters are woken to abort, the accept loop stops, and the call
-    /// returns once every server thread has exited. Unlike the graceful
-    /// drain there is no goodbye on the wire — clients observe exactly
-    /// what a crashed machine looks like: connection reset.
+    /// requests fail mid-read or mid-write, nothing is drained), the accept
+    /// loop stops, and the call returns once every server thread has
+    /// exited. Unlike the graceful drain there is no goodbye on the wire —
+    /// clients observe exactly what a crashed machine looks like:
+    /// connection reset.
     pub fn kill(mut self) {
-        self.inner.killed.store(true, Ordering::SeqCst);
-        self.inner.draining.store(true, Ordering::SeqCst);
-        // Take the barrier lock before notifying: a waiter is either
-        // holding it (it will re-check `killed` before waiting again) or
-        // blocked in `wait` (the notification reaches it) — the flag can
-        // never slip between a waiter's check and its sleep.
-        {
-            let _rounds = self.inner.barrier.lock().expect("barrier lock");
-            self.inner.barrier_cv.notify_all();
-        }
+        self.begin_drain();
         for (_, conn) in self.inner.conns.lock().expect("conn registry lock").drain() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
@@ -263,7 +242,6 @@ fn server_span_name(op: OpCode) -> &'static str {
         // this is the span the issue's "worker pull/push parents server
         // apply" contract names.
         OpCode::PushMany => "server.apply",
-        OpCode::BarrierSync => "server.barrier",
         OpCode::Checkpoint => "server.checkpoint",
         OpCode::Shutdown => "server.shutdown",
         _ => "server.request",
@@ -418,24 +396,6 @@ fn handle(req: &Frame, inner: &Inner) -> Frame {
                 Frame::new(OpCode::PushManyOk, seq, PushResp { applied }.encode())
             }
             Err(e) => error(format!("bad push-many payload: {e}")),
-        },
-        OpCode::BarrierSync => match BarrierReq::decode(&req.payload) {
-            Ok(bar) => {
-                let mut rounds = inner.barrier.lock().expect("barrier lock");
-                rounds.entry(bar.round).or_default().insert(bar.client_id);
-                inner.barrier_cv.notify_all();
-                while rounds.get(&bar.round).map_or(0, HashSet::len) < bar.expected as usize {
-                    if inner.killed.load(Ordering::SeqCst) {
-                        // The shard died under us: the remaining arrivals
-                        // can never come. (The response rarely reaches the
-                        // client — the kill shut the socket down too.)
-                        return error("server shard killed".into());
-                    }
-                    rounds = inner.barrier_cv.wait(rounds).expect("barrier wait");
-                }
-                Frame::new(OpCode::BarrierOk, seq, Vec::new())
-            }
-            Err(e) => error(format!("bad barrier payload: {e}")),
         },
         OpCode::Checkpoint => match CheckpointReq::decode(&req.payload) {
             Ok(ck) => match &inner.checkpoint_dir {

@@ -31,8 +31,10 @@
 //! ## Supervision
 //!
 //! Workers are supervised, not trusted: each one reports its round result
-//! (or a typed [`WorkerFailure`]) to the driver over a channel *before*
-//! entering the round barrier. A worker that crashes ([`FaultPlan`]
+//! (or a typed [`WorkerFailure`]) to the driver over a channel. That
+//! channel and the join of the round's thread scope are the round's only
+//! rendezvous: nothing is applied until every worker thread has joined, so
+//! no frame synchronises the workers. A worker that crashes ([`FaultPlan`]
 //! `kill`), hangs past [`LoopbackConfig::worker_deadline`], or exhausts
 //! its RPC retries is restarted: the supervisor re-runs its domain
 //! partition on a fresh thread with the *same* client id and round seed.
@@ -131,14 +133,6 @@ pub enum WorkerFailure {
         /// The first RPC failure.
         error: String,
     },
-    /// The worker finished its round but could not register at the
-    /// barrier.
-    Barrier {
-        /// Worker index within the round.
-        worker: usize,
-        /// The barrier failure.
-        error: String,
-    },
     /// The worker thread panicked.
     Panicked {
         /// Worker index within the round.
@@ -153,7 +147,6 @@ impl WorkerFailure {
             WorkerFailure::Killed { worker }
             | WorkerFailure::Hung { worker }
             | WorkerFailure::Rpc { worker, .. }
-            | WorkerFailure::Barrier { worker, .. }
             | WorkerFailure::Panicked { worker } => *worker,
         }
     }
@@ -165,9 +158,6 @@ impl std::fmt::Display for WorkerFailure {
             WorkerFailure::Killed { worker } => write!(f, "worker {worker} killed"),
             WorkerFailure::Hung { worker } => write!(f, "worker {worker} missed its deadline"),
             WorkerFailure::Rpc { worker, error } => write!(f, "worker {worker} rpc: {error}"),
-            WorkerFailure::Barrier { worker, error } => {
-                write!(f, "worker {worker} barrier: {error}")
-            }
             WorkerFailure::Panicked { worker } => write!(f, "worker {worker} panicked"),
         }
     }
@@ -518,9 +508,7 @@ impl DistributedTrainer {
     }
 
     /// One worker's round: scheduled-fault checks, the cached inner loop
-    /// over sharded RPC reads, and the poison injection. Returns the round
-    /// output plus the per-shard clients so the caller can run the barrier
-    /// *after* reporting the result to the supervisor.
+    /// over sharded RPC reads, and the poison injection.
     fn worker_round(
         &self,
         ds: &MdrDataset,
@@ -529,12 +517,12 @@ impl DistributedTrainer {
         part: &[usize],
         is_replacement: bool,
         parent: Option<SpanContext>,
-    ) -> Result<(CachedRoundOutput, Vec<WorkerClient>), WorkerFailure> {
+    ) -> Result<CachedRoundOutput, WorkerFailure> {
         let cfg = self.cfg.train;
         if !is_replacement {
             if let Some(plan) = &self.cfg.fault {
                 if plan.should_kill(epoch as u64, w as u32) {
-                    // Simulated crash: no client, no reads, no barrier.
+                    // Simulated crash: no client, no reads.
                     self.metrics.counter("rpc_faults_worker_kills_total").inc();
                     return Err(WorkerFailure::Killed { worker: w });
                 }
@@ -587,14 +575,13 @@ impl DistributedTrainer {
                 *first = f32::NAN;
             }
         }
-        Ok((out, src.into_clients()))
+        Ok(out)
     }
 
     /// Runs one supervised round: spawns every worker, collects results
-    /// (or typed failures) over a channel, restarts failed or hung
-    /// partitions with the same client id and seed, and releases the
-    /// barrier for workers the supervisor gave up on. Returns the round
-    /// outputs in worker order.
+    /// (or typed failures) over a channel, and restarts failed or hung
+    /// partitions with the same client id and seed. Returns the round
+    /// outputs in worker order once every worker thread has joined.
     fn run_round(
         &self,
         ds: &MdrDataset,
@@ -612,42 +599,8 @@ impl DistributedTrainer {
                     let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
                         self.worker_round(ds, epoch, w, part, is_replacement, parent)
                     }));
-                    match ran {
-                        Err(_) => {
-                            let _ = tx.send((w, Err(WorkerFailure::Panicked { worker: w })));
-                        }
-                        Ok(Err(fail)) => {
-                            let _ = tx.send((w, Err(fail)));
-                        }
-                        Ok(Ok((out, mut clients))) => {
-                            // Result first, barrier second: the supervisor
-                            // learns the outcome even while slower workers
-                            // hold the barrier open. The barrier lives on
-                            // shard 0 only — one rendezvous per round.
-                            let _ = tx.send((w, Ok(out)));
-                            if let Err(e) = clients[0].barrier(epoch as u64, n as u32) {
-                                let fail =
-                                    WorkerFailure::Barrier { worker: w, error: e.to_string() };
-                                let _ = tx.send((w, Err(fail)));
-                            }
-                        }
-                    }
-                });
-            };
-            // Barrier arrival is a set insert keyed by client id, so a
-            // stand-in arriving with a dead worker's id releases everyone
-            // else. Rescue clients carry no fault plan: the recovery path
-            // must be reliable even under an adversarial schedule.
-            let release_barrier = |w: usize| {
-                let mut client = WorkerClient::new(
-                    self.shards[0].addr,
-                    w as u32 + 1,
-                    self.cfg.retry,
-                    None,
-                    Arc::clone(&self.metrics),
-                );
-                scope.spawn(move || {
-                    let _ = client.barrier(epoch as u64, n as u32);
+                    let result = ran.unwrap_or(Err(WorkerFailure::Panicked { worker: w }));
+                    let _ = tx.send((w, result));
                 });
             };
             for w in 0..n {
@@ -659,8 +612,7 @@ impl DistributedTrainer {
             let mut failures: Vec<WorkerFailure> = Vec::new();
             let mut outstanding = n;
             // One shared handler for "worker w failed with `fail`":
-            // restart while the budget lasts, otherwise record the failure
-            // and unblock the barrier in its place.
+            // restart while the budget lasts, otherwise record the failure.
             let on_failure = |w: usize,
                               fail: WorkerFailure,
                               retries: &mut Vec<u32>,
@@ -676,7 +628,6 @@ impl DistributedTrainer {
                     given_up[w] = true;
                     *outstanding -= 1;
                     failures.push(fail);
-                    release_barrier(w);
                 }
             };
             while outstanding > 0 {
@@ -691,13 +642,7 @@ impl DistributedTrainer {
                         }
                     }
                     Ok((w, Err(fail))) => {
-                        if matches!(fail, WorkerFailure::Barrier { .. }) && outputs[w].is_some() {
-                            // The work is done but the arrival never
-                            // registered; arrive in its place so the other
-                            // workers are not held hostage.
-                            self.metrics.counter("rpc_barrier_rescues_total").inc();
-                            release_barrier(w);
-                        } else if outputs[w].is_none() && !given_up[w] {
+                        if outputs[w].is_none() && !given_up[w] {
                             on_failure(
                                 w,
                                 fail,
@@ -732,7 +677,6 @@ impl DistributedTrainer {
                                 given_up[w] = true;
                                 outstanding -= 1;
                                 failures.push(WorkerFailure::Panicked { worker: w });
-                                release_barrier(w);
                             }
                         }
                     }

@@ -8,14 +8,15 @@
 
 use mamdr_ps::ParamKey;
 use mamdr_rpc::frame::{
-    digest, BarrierReq, CheckpointReq, Frame, FrameError, OpCode, PullManyReq, PullManyResp,
-    PushManyReq, PushResp, FRAME_OVERHEAD, MAX_PAYLOAD,
+    digest, CheckpointReq, Frame, FrameError, OpCode, PullManyReq, PullManyResp, PushManyReq,
+    PushResp, FRAME_OVERHEAD, MAX_PAYLOAD,
 };
 use proptest::prelude::*;
 
 fn opcode_from(byte: u8) -> OpCode {
-    // Map an arbitrary byte onto the op-code table (11 entries at bytes
-    // 5..=15; bytes 1..=4 are the retired single-row op-codes).
+    // Map an arbitrary byte onto the op-code table (9 entries at bytes
+    // 7..=15; bytes 1..=4 are the retired single-row op-codes, 5 and 6 the
+    // retired barrier).
     OpCode::ALL[byte as usize % OpCode::ALL.len()]
 }
 
@@ -71,7 +72,6 @@ proptest! {
         let _ = Frame::decode(junk.as_slice());
         // The same junk fed to every payload parser.
         let _ = PushResp::decode(&junk);
-        let _ = BarrierReq::decode(&junk);
         let _ = CheckpointReq::decode(&junk);
         let _ = PullManyReq::decode(&junk);
         let _ = PullManyResp::decode(&junk);
@@ -102,8 +102,8 @@ proptest! {
         payload in proptest::collection::vec(0u8..=255, 0..64),
     ) {
         // A well-formed, correctly digested frame of any op-code byte:
-        // the eleven table entries decode, everything else — byte 0, the
-        // retired single-row bytes 1..=4, every byte above 15 — is a typed
+        // the nine table entries decode, everything else — byte 0, the
+        // retired bytes 1..=6, every byte above 15 — is a typed
         // `UnknownOpcode`.
         let mut bytes = Frame::new(OpCode::Error, seq, payload).to_bytes();
         bytes[10] = byte;
@@ -112,25 +112,19 @@ proptest! {
         bytes[n - 8..].copy_from_slice(&sealed);
         match Frame::decode(bytes.as_slice()) {
             Ok(frame) => {
-                prop_assert!((5..=15).contains(&byte));
+                prop_assert!((7..=15).contains(&byte));
                 prop_assert_eq!(frame.opcode as u8, byte);
             }
             Err(FrameError::UnknownOpcode(b)) => {
                 prop_assert_eq!(b, byte);
-                prop_assert!(byte <= 4 || byte > 15);
+                prop_assert!(byte <= 6 || byte > 15);
             }
             Err(other) => prop_assert!(false, "byte {}: unexpected {:?}", byte, other),
         }
     }
 
     #[test]
-    fn barrier_and_checkpoint_payloads_roundtrip(
-        client in 0u32..64,
-        round in 0u64..u64::MAX,
-        expected in 0u32..16,
-    ) {
-        let bar = BarrierReq { client_id: client, round, expected };
-        prop_assert_eq!(BarrierReq::decode(&bar.encode()).unwrap(), bar);
+    fn checkpoint_payloads_roundtrip(round in 0u64..u64::MAX) {
         let ck = CheckpointReq { round };
         prop_assert_eq!(CheckpointReq::decode(&ck.encode()).unwrap(), ck);
     }

@@ -139,9 +139,8 @@ const SUBMIT_WAIT: (u64, u64) = (1, 56);
 /// - the key set (6): one occupancy bitset per table, sized from its
 ///   seeded rows (8 000, 3 000, 16, 32 and 8 bits: 1 400 B), and the
 ///   exactly sized key list (497 × 8 B);
-/// - the slab (5): its key list, its versions and dynamic half, and the
-///   pulled batch's two buffers, whose values become the static half
-///   (43 736 B);
+/// - the slab (4): its key list and dynamic half, and the pulled batch's
+///   two buffers, which become its versions and static half (39 760 B);
 /// - the dense index (7): its table list (two growths, 384 B) and each
 ///   table's `u32` per row id, sized once to the largest row id of the
 ///   table's run of sorted keys (7 924, 2 983, 15, 31, 4: 43 848 B);
@@ -151,10 +150,11 @@ const SUBMIT_WAIT: (u64, u64) = (1, 56);
 /// The drain hands the dynamic half back as the gradient batch. While the
 /// key set was 5 keys per example sorted and deduplicated (10 320 B) and
 /// each table's index grew by doubling (30 allocations, 106 788 B), it was
-/// 46 / 163 772; while the round probed the rows' versions, 47 / 167 748.
-/// With a hash-map record per row, five row copies per example and a
-/// vector per row from the pull to the drain it was 2 833 / 299 972.
-const CACHED_ROUND: (u64, u64) = (26, 95_888);
+/// 46 / 163 772; while the round probed the rows' versions, 47 / 167 748;
+/// while the first fill copied the batch's versions (497 × 8 B), 26 /
+/// 95 888. With a hash-map record per row, five row copies per example and
+/// a vector per row from the pull to the drain it was 2 833 / 299 972.
+const CACHED_ROUND: (u64, u64) = (25, 91_912);
 /// One `PullManyOk` frame of 497 rows at width 8 (the `CACHED_ROUND`
 /// working set), there and back: the payload encode, `Frame::to_bytes`,
 /// `Frame::decode` and `PullManyResp::decode`. One exactly sized buffer

@@ -246,8 +246,8 @@ fn a_worker_killed_every_round_exhausts_its_retry_budget_into_a_typed_error() {
         }
         other => panic!("expected RoundFailed, got {other:?}"),
     }
-    // The failed round released the barrier for the surviving worker and
-    // the server is still healthy: shutdown drains cleanly.
+    // The failed round joined the surviving worker and the server is still
+    // healthy: shutdown drains cleanly.
     trainer.shutdown();
     assert!(matches!(trainer.addr(), Err(TrainerError::ServerStopped)));
 }

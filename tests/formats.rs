@@ -6,11 +6,13 @@
 //! **Goldens.** The FNV-1a digest of each fixed fixture's bytes is pinned.
 //! The constants were captured on the commit before the formats moved onto
 //! `mamdr_util::codec` and must never be re-captured: a failure here means a
-//! byte on disk or on the wire changed. The one exception is the 22 `frame`
+//! byte on disk or on the wire changed. The one exception is the `frame`
 //! rows, re-captured once at the wire-version-3 bump: it replaced the
 //! frame's trailing FNV-1a digest with XXH64 and bumped the version byte,
 //! so those nine bytes of every frame moved on purpose while the layout and
-//! every length stayed. The 7 persisted-format rows were not touched.
+//! every length stayed. The 7 persisted-format rows were not touched. The
+//! four rows of the retired barrier op-codes were deleted with them; the
+//! other 18 frame rows keep their captured values.
 //! (`tests/ps_golden.rs` pins the checkpoint bytes of a trained store; this
 //! file pins the other four formats and a hand-built checkpoint.)
 //!
@@ -34,8 +36,8 @@ use mamdr::ps::{
     checkpoint, CacheStats, ParamKey, ParameterServer, RoundJournal, ShardFiles, ShardManifest,
 };
 use mamdr::rpc::frame::{
-    self, decode_error, encode_error, BarrierReq, CheckpointReq, PullManyReq, PullManyResp,
-    PushManyReq, PushResp, TraceContext, MAX_PAYLOAD,
+    self, decode_error, encode_error, CheckpointReq, PullManyReq, PullManyResp, PushManyReq,
+    PushResp, TraceContext, MAX_PAYLOAD,
 };
 use mamdr::rpc::{Frame, OpCode};
 use mamdr::serve::{ModelSpec, ServingSnapshot, SnapshotError};
@@ -58,8 +60,6 @@ const GOLDEN: &[(&str, u64)] = &[
     ("snapshot deltas", 0xc665_d5a9_a0bf_d428),
     ("snapshot full", 0x4d2a_5ede_ee07_5d5d),
     ("snapshot embedding", 0xb00b_e881_6e7d_3dd5),
-    ("frame BarrierSync", 0x94b7_8032_ca75_54d7),
-    ("frame BarrierOk", 0xc7c8_7eca_61f0_3a4f),
     ("frame Checkpoint", 0x2a73_283e_e54f_00f4),
     ("frame CheckpointOk", 0x46b5_b861_2403_fbbc),
     ("frame Shutdown", 0xc053_2830_697f_f99c),
@@ -69,8 +69,6 @@ const GOLDEN: &[(&str, u64)] = &[
     ("frame PullManyOk", 0xf5cc_2191_9844_951d),
     ("frame PushMany", 0xee2a_29b0_42f4_a34b),
     ("frame PushManyOk", 0x0fd2_1895_d34b_2bd9),
-    ("frame BarrierSync traced", 0xde7c_d9f9_b0b4_96a4),
-    ("frame BarrierOk traced", 0x8a7b_34c5_6358_518e),
     ("frame Checkpoint traced", 0x7563_c004_1cf3_649a),
     ("frame CheckpointOk traced", 0x3a9c_0e7c_6ee3_7116),
     ("frame Shutdown traced", 0x2553_eba8_795a_bfe0),
@@ -263,7 +261,6 @@ fn keys() -> Vec<ParamKey> {
 fn payload(op: OpCode) -> Vec<u8> {
     let values: Vec<f32> = (0..9).map(|i| i as f32 * 0.25 - 1.0).collect();
     match op {
-        OpCode::BarrierSync => BarrierReq { client_id: 1, round: 9, expected: 2 }.encode(),
         OpCode::Checkpoint => CheckpointReq { round: 3 }.encode(),
         OpCode::CheckpointOk => b"shard-0/ckpt-0000000003.mamdrps".to_vec(),
         OpCode::Error => encode_error("unknown row"),
@@ -273,7 +270,7 @@ fn payload(op: OpCode) -> Vec<u8> {
             PushManyReq { client_id: 1, lr: 0.5, keys: keys(), grads: values }.encode()
         }
         OpCode::PushManyOk => PushResp { applied: true }.encode(),
-        OpCode::BarrierOk | OpCode::Shutdown | OpCode::ShutdownOk => Vec::new(),
+        OpCode::Shutdown | OpCode::ShutdownOk => Vec::new(),
     }
 }
 
@@ -402,7 +399,6 @@ fn decode_frame(bytes: &[u8]) -> Result<(), String> {
     frame.take_trace_context().map_err(text)?;
     let p = frame.payload.as_slice();
     match frame.opcode {
-        OpCode::BarrierSync => BarrierReq::decode(p).map(drop),
         OpCode::Checkpoint => CheckpointReq::decode(p).map(drop),
         OpCode::PullMany => PullManyReq::decode(p).map(drop),
         OpCode::PullManyOk => PullManyResp::decode(p).map(drop),
@@ -412,7 +408,7 @@ fn decode_frame(bytes: &[u8]) -> Result<(), String> {
             decode_error(p);
             Ok(())
         }
-        OpCode::BarrierOk | OpCode::Shutdown | OpCode::ShutdownOk => Ok(()),
+        OpCode::Shutdown | OpCode::ShutdownOk => Ok(()),
     }
     .map_err(text)
 }
