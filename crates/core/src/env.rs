@@ -263,16 +263,6 @@ impl<'a> TrainEnv<'a> {
         self.obs = Some(obs);
     }
 
-    /// Detaches and returns the observer, if any.
-    pub fn take_observer(&mut self) -> Option<Box<dyn TrainObserver>> {
-        self.obs.take()
-    }
-
-    /// Whether an observer is attached.
-    pub fn has_observer(&self) -> bool {
-        self.obs.is_some()
-    }
-
     /// Reports the start of a training run to the observer (no-op without
     /// one). Called by `experiment::run`; callers driving a [`Framework`](crate::Framework)
     /// directly may call it themselves.

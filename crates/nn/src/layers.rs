@@ -120,16 +120,6 @@ impl Dense {
     }
 }
 
-/// Applies an [`Activation`] to a recorded value.
-pub fn apply_activation<R: Recorder>(rec: &mut R, x: Var, activation: Activation) -> Var {
-    match activation {
-        Activation::Linear => x,
-        Activation::Relu => rec.relu(x),
-        Activation::Sigmoid => rec.sigmoid(x),
-        Activation::Tanh => rec.tanh(x),
-    }
-}
-
 /// A stack of dense layers with optional inverted dropout between them.
 #[derive(Debug, Clone)]
 pub struct Mlp {

@@ -203,11 +203,6 @@ impl ParamStore {
         );
     }
 
-    /// A zero vector with the flat length of this store.
-    pub fn zeros_flat(&self) -> Vec<f32> {
-        vec![0.0f32; self.total]
-    }
-
     /// Iterates over `(index, spec, tensor)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &ParamSpec, &Tensor)> {
         self.specs.iter().zip(&self.tensors).enumerate().map(|(i, (s, t))| (i, s, t))

@@ -15,7 +15,7 @@
 //! The format predates the workspace's digest envelope and carries none;
 //! its bytes are pinned (`tests/ps_golden.rs`), so it uses the
 //! `mamdr_util::codec` reader and writer without `seal`. On disk, integrity
-//! comes from the shard manifest, which records each checkpoint's FNV-1a.
+//! comes from the shard manifest, which records each checkpoint's XXH64.
 
 use crate::kv::{ParamKey, ParameterServer, LOCK_STRIPES};
 use mamdr_obs::{EventLog, Value};

@@ -21,7 +21,7 @@
 //! * the shard's complete Adagrad accumulator state,
 //!
 //! all inside the workspace's digest envelope (`magic ‖ body ‖
-//! FNV-1a(body)`, [`mamdr_util::codec::seal`]), so a torn write surfaces
+//! XXH64(body)`, [`mamdr_util::codec::seal`]), so a torn write surfaces
 //! as [`CodecError::Corrupt`]. A journal is recovery *data*, never a commit
 //! point by itself: the boundary is committed by the
 //! [`crate::ShardManifest`] written after every shard's files, which
@@ -32,9 +32,11 @@
 use crate::cache::CacheStats;
 use crate::kv::ParamKey;
 use mamdr_util::codec::{self, CodecError, Reader};
-use std::path::{Path, PathBuf};
+use mamdr_util::xxh64;
+use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"MAMDRJN1";
+/// Version 2: the envelope digest is XXH64 (version 1, FNV-1a, is refused).
+const MAGIC: &[u8; 8] = b"MAMDRJN2";
 
 /// File extension of on-disk round journals.
 pub const JOURNAL_EXT: &str = "mamdrj";
@@ -104,13 +106,14 @@ impl RoundJournal {
     }
 
     /// Commits the journal to `dir/<file_name()>` through
-    /// [`codec::write_atomic`]: a crash mid-write can tear only the staging
-    /// file, never a committed journal.
-    pub fn write_to_dir(&self, dir: &Path) -> Result<PathBuf, CodecError> {
+    /// [`codec::write_atomic`] — a crash mid-write can tear only the
+    /// staging file, never a committed journal — and returns the XXH64 of
+    /// the file's bytes, the digest a manifest records for it.
+    pub fn write_to_dir(&self, dir: &Path) -> Result<u64, CodecError> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(self.file_name());
-        codec::write_atomic(&path, &self.encode()?)?;
-        Ok(path)
+        let bytes = self.encode()?;
+        codec::write_atomic(&dir.join(self.file_name()), &bytes)?;
+        Ok(xxh64(&bytes, 0))
     }
 
     /// Reads and verifies a journal file.
@@ -145,6 +148,7 @@ impl RoundJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn sample(round: u64) -> RoundJournal {
         RoundJournal {
@@ -174,8 +178,9 @@ mod tests {
     fn roundtrip_is_exact() {
         let dir = tmp_dir("roundtrip");
         let j = sample(3);
-        let path = j.write_to_dir(&dir).unwrap();
-        assert!(path.ends_with("journal-0000000003.mamdrj"));
+        let digest = j.write_to_dir(&dir).unwrap();
+        let path = dir.join("journal-0000000003.mamdrj");
+        assert_eq!(digest, xxh64(&std::fs::read(&path).unwrap(), 0), "the committed bytes' digest");
         let back = RoundJournal::read(&path).unwrap();
         assert_eq!(back, j);
         // No temp file left behind.
@@ -186,7 +191,8 @@ mod tests {
     #[test]
     fn every_truncation_is_detected() {
         let dir = tmp_dir("trunc");
-        let path = sample(1).write_to_dir(&dir).unwrap();
+        sample(1).write_to_dir(&dir).unwrap();
+        let path = dir.join(sample(1).file_name());
         let bytes = std::fs::read(&path).unwrap();
         for keep in 0..bytes.len() {
             std::fs::write(&path, &bytes[..keep]).unwrap();
@@ -202,7 +208,8 @@ mod tests {
     #[test]
     fn every_bit_flip_is_detected() {
         let dir = tmp_dir("flip");
-        let path = sample(1).write_to_dir(&dir).unwrap();
+        sample(1).write_to_dir(&dir).unwrap();
+        let path = dir.join(sample(1).file_name());
         let clean = std::fs::read(&path).unwrap();
         for byte in 0..clean.len() {
             let mut bad = clean.clone();

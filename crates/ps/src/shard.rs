@@ -17,9 +17,9 @@
 //! Persistence is shard-parallel with a single commit point: each shard
 //! commits its own checkpoint and journal under `dir/shard-<i>/` using the
 //! unchanged single-server formats, and only after every shard file is
-//! durable does the trainer commit `manifest-<round>.mamdrmf` (FNV-1a
+//! durable does the trainer commit `manifest-<round>.mamdrmf` (XXH64
 //! envelope, staging file + fsync + rename) naming each file and its
-//! digest.
+//! XXH64 digest.
 //! A crash before the manifest leaves orphaned shard files and the
 //! previous manifest wins; a torn manifest fails its checksum and
 //! discovery falls back — exactly the journal's crash contract, lifted one
@@ -30,7 +30,7 @@ use crate::journal::RoundJournal;
 use crate::kv::{ParamKey, ParameterServer, LOCK_STRIPES, WIRE_BATCH_KEYS};
 use mamdr_obs::{EventLog, Value};
 use mamdr_util::codec::{self, CodecError};
-use mamdr_util::Checksum;
+use mamdr_util::{xxh64, Checksum};
 use std::path::{Path, PathBuf};
 
 /// Assigns every parameter row to one of `n_shards` servers.
@@ -120,20 +120,22 @@ pub fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
 /// File extension of on-disk shard manifests.
 pub const MANIFEST_EXT: &str = "mamdrmf";
 
-const MAGIC: &[u8; 8] = b"MAMDRMF1";
+/// Version 2: the envelope and the file digests are XXH64 (version 1,
+/// FNV-1a, is refused).
+const MAGIC: &[u8; 8] = b"MAMDRMF2";
 
 /// One shard's committed files at a round boundary: paths relative to the
-/// checkpoint directory plus the FNV-1a digest of each file's bytes.
+/// checkpoint directory plus the XXH64 (seed 0) of each file's bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardFiles {
     /// Relative path of the shard's parameter checkpoint.
     pub checkpoint: String,
-    /// FNV-1a 64 digest of the checkpoint file's bytes.
-    pub checkpoint_fnv: u64,
+    /// XXH64 digest of the checkpoint file's bytes.
+    pub checkpoint_digest: u64,
     /// Relative path of the shard's round journal.
     pub journal: String,
-    /// FNV-1a 64 digest of the journal file's bytes.
-    pub journal_fnv: u64,
+    /// XXH64 digest of the journal file's bytes.
+    pub journal_digest: u64,
 }
 
 /// The commit point of a sharded round boundary: which shard files, under
@@ -167,8 +169,8 @@ impl ShardManifest {
         codec::seal(MAGIC, |w| {
             w.u64(self.rounds_done).u64(self.map_version).u32(self.shards.len() as u32);
             for files in &self.shards {
-                w.string(&files.checkpoint).u64(files.checkpoint_fnv);
-                w.string(&files.journal).u64(files.journal_fnv);
+                w.string(&files.checkpoint).u64(files.checkpoint_digest);
+                w.string(&files.journal).u64(files.journal_digest);
             }
         })
     }
@@ -198,9 +200,9 @@ impl ShardManifest {
         let shards = r.counted(n_shards as u64, 24, |r| {
             Ok(ShardFiles {
                 checkpoint: r.string()?,
-                checkpoint_fnv: r.u64()?,
+                checkpoint_digest: r.u64()?,
                 journal: r.string()?,
-                journal_fnv: r.u64()?,
+                journal_digest: r.u64()?,
             })
         })?;
         r.finish()?;
@@ -212,13 +214,14 @@ impl ShardManifest {
     /// not a commit point — discovery skips it.
     pub fn verify_files(&self, dir: &Path) -> Result<(), CodecError> {
         for (i, files) in self.shards.iter().enumerate() {
-            for (path, fnv) in
-                [(&files.checkpoint, files.checkpoint_fnv), (&files.journal, files.journal_fnv)]
-            {
+            for (path, digest) in [
+                (&files.checkpoint, files.checkpoint_digest),
+                (&files.journal, files.journal_digest),
+            ] {
                 let bytes = std::fs::read(dir.join(path)).map_err(|e| {
                     CodecError::corrupt(MAGIC, format!("shard {i} file '{path}' unreadable: {e}"))
                 })?;
-                if Checksum::of(&bytes) != fnv {
+                if xxh64(&bytes, 0) != digest {
                     return Err(CodecError::corrupt(
                         MAGIC,
                         format!("shard {i} file '{path}' fails its recorded digest"),
@@ -479,15 +482,15 @@ mod tests {
             shards: vec![
                 ShardFiles {
                     checkpoint: format!("shard-0/ckpt-{round:010}.mamdrps"),
-                    checkpoint_fnv: 0xDEAD,
+                    checkpoint_digest: 0xDEAD,
                     journal: format!("shard-0/journal-{round:010}.mamdrj"),
-                    journal_fnv: 0xBEEF,
+                    journal_digest: 0xBEEF,
                 },
                 ShardFiles {
                     checkpoint: format!("shard-1/ckpt-{round:010}.mamdrps"),
-                    checkpoint_fnv: 0xF00D,
+                    checkpoint_digest: 0xF00D,
                     journal: format!("shard-1/journal-{round:010}.mamdrj"),
-                    journal_fnv: 0xCAFE,
+                    journal_digest: 0xCAFE,
                 },
             ],
         }
@@ -558,12 +561,11 @@ mod tests {
                     .map(|(k, _)| (k, vec![0.1 + round as f32; dim]))
                     .collect(),
             };
-            let jpath = journal.write_to_dir(&sdir).unwrap();
             shards.push(ShardFiles {
                 checkpoint: format!("shard-{i}/ckpt-{round:010}.mamdrps"),
-                checkpoint_fnv: Checksum::of(&std::fs::read(&ckpt).unwrap()),
+                checkpoint_digest: xxh64(&std::fs::read(&ckpt).unwrap(), 0),
                 journal: format!("shard-{i}/journal-{round:010}.mamdrj"),
-                journal_fnv: Checksum::of(&std::fs::read(&jpath).unwrap()),
+                journal_digest: journal.write_to_dir(&sdir).unwrap(),
             });
         }
         let manifest = ShardManifest { rounds_done: round, map_version: 1, shards };

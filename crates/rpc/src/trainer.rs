@@ -98,7 +98,7 @@ use mamdr_ps::{
     LOCK_STRIPES, WIRE_BATCH_KEYS,
 };
 use mamdr_tensor::rng::derive_seed;
-use mamdr_util::Checksum;
+use mamdr_util::xxh64;
 use std::net::SocketAddr;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
@@ -776,22 +776,21 @@ impl DistributedTrainer {
                             dim: self.cfg.train.dim as u32,
                             adagrad: rt.ps.dump_adagrad(),
                         };
-                        journal.write_to_dir(&shard_dir(dir, s)).map_err(|e| {
-                            TrainerError::Driver(format!("shard {s} journal write: {e}"))
-                        })?;
-                        let digest = |rel: &str| -> Result<u64, TrainerError> {
-                            let bytes = std::fs::read(dir.join(rel)).map_err(|e| {
-                                TrainerError::Driver(format!("digest of {rel}: {e}"))
+                        let journal_digest =
+                            journal.write_to_dir(&shard_dir(dir, s)).map_err(|e| {
+                                TrainerError::Driver(format!("shard {s} journal write: {e}"))
                             })?;
-                            Ok(Checksum::of(&bytes))
-                        };
+                        // The shard server wrote the checkpoint, so its
+                        // digest is the one read back from disk.
                         let checkpoint = format!("shard-{s}/{checkpoint_file}");
-                        let journal_rel = format!("shard-{s}/{}", journal.file_name());
+                        let bytes = std::fs::read(dir.join(&checkpoint)).map_err(|e| {
+                            TrainerError::Driver(format!("digest of {checkpoint}: {e}"))
+                        })?;
                         Ok(ShardFiles {
-                            checkpoint_fnv: digest(&checkpoint)?,
+                            checkpoint_digest: xxh64(&bytes, 0),
                             checkpoint,
-                            journal_fnv: digest(&journal_rel)?,
-                            journal: journal_rel,
+                            journal: format!("shard-{s}/{}", journal.file_name()),
+                            journal_digest,
                         })
                     })
                 })

@@ -6,9 +6,10 @@
 //! probe divergence → (optional) canary** in that fixed order, cheapest
 //! and most-certain checks first:
 //!
-//! 1. **digest** — the snapshot file's trailing FNV-1a checksum must
+//! 1. **digest** — the snapshot file's trailing XXH64 digest must
 //!    verify ([`ServingSnapshot::load_from_path`] enforces it), so torn
-//!    or bit-rotted artifacts never even decode.
+//!    or bit-rotted artifacts — and files of a retired format version —
+//!    never even decode.
 //! 2. **version** — candidates must move the version forward; a replayed
 //!    or duplicate artifact is rejected, keeping the serving version
 //!    monotonic.

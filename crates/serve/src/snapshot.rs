@@ -38,9 +38,9 @@
 //! allocation:
 //!
 //! ```text
-//! magic "MAMDRSV1"
+//! magic "MAMDRSV2"
 //! payload (backend-tagged, see `encode`)
-//! u64 fnv1a-64 digest of the payload
+//! u64 XXH64 (seed 0) digest of the payload
 //! ```
 //!
 //! An embedding payload's rows are strictly key-ascending; a file whose
@@ -63,7 +63,9 @@ use mamdr_util::codec::{self, CodecError};
 use mamdr_util::Checksum;
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"MAMDRSV1";
+/// Version 2: the envelope digest is XXH64 (version 1, FNV-1a, is
+/// refused). The payload bytes are version 1's.
+const MAGIC: &[u8; 8] = b"MAMDRSV2";
 
 /// Parameter-store init seed when rebuilding a model whose values are then
 /// overwritten from the snapshot; any constant works, it never leaks into
@@ -881,7 +883,7 @@ mod tests {
         tiny_embedding_snapshot(4).write_to(&mut clean).unwrap();
         let reseal = |bytes: &mut Vec<u8>| {
             let n = bytes.len();
-            let digest = Checksum::of(&bytes[8..n - 8]);
+            let digest = mamdr_util::xxh64(&bytes[8..n - 8], 0);
             bytes[n - 8..].copy_from_slice(&digest.to_le_bytes());
         };
         let row = |i: usize| rows_at + i * row_len..rows_at + (i + 1) * row_len;

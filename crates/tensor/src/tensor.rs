@@ -103,11 +103,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its backing data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// The single element of a scalar or one-element tensor.
     pub fn item(&self) -> f32 {
         assert_eq!(self.numel(), 1, "item() requires a one-element tensor");

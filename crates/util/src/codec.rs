@@ -9,8 +9,11 @@
 //!   anything, [`Reader::count`] checks `count × entry width` (with
 //!   `checked_mul`) against the bytes that are left, so a forged header can
 //!   never ask for more memory than the input could fill.
-//! * **The envelope** `magic ‖ body ‖ FNV-1a(body)` is written by [`seal`]
-//!   and verified by [`open`] before a single body field is parsed.
+//! * **The envelope** `magic ‖ body ‖ XXH64(body)` is written by [`seal`]
+//!   and verified by [`open`] before a single body field is parsed. The
+//!   magic's last byte is the format's version digit; a file under an
+//!   earlier version of the same magic (the version-1 envelopes digested
+//!   with FNV-1a) is refused by name, never decoded.
 //! * **Commit** is [`write_atomic`]: a same-directory `<name>.tmp`, fsync,
 //!   rename, then a sync of the directory, so a crash leaves either the old
 //!   file or the complete new one under the committed name, never a torn
@@ -19,7 +22,7 @@
 //! Every decode failure is one [`CodecError`]; a `Corrupt` message starts
 //! with the magic of the format it came from.
 
-use crate::Checksum;
+use crate::xxh64;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Write};
@@ -137,8 +140,8 @@ impl Writer {
     }
 }
 
-/// Encodes an envelope: `magic ‖ body ‖ FNV-1a(body)`, the body being
-/// whatever `body` writes.
+/// Encodes an envelope: `magic ‖ body ‖ XXH64(body, seed 0)`, the body
+/// being whatever `body` writes.
 pub fn seal(magic: &[u8], body: impl FnOnce(&mut Writer)) -> Vec<u8> {
     let mut out = Vec::new();
     seal_sized(&mut out, magic, 0, body);
@@ -159,26 +162,49 @@ pub fn seal_sized(
     let mut w = Writer { buf: std::mem::take(out) };
     w.bytes(magic);
     body(&mut w);
-    let digest = Checksum::of(&w.buf[start..]);
+    let digest = xxh64(&w.buf[start..], 0);
     w.u64(digest);
     *out = w.buf;
 }
 
 /// Verifies an envelope written by [`seal`] — magic, then the digest over
-/// the body — and returns a reader over the body.
+/// the body — and returns a reader over the body. A file under a retired
+/// version of `magic` is a `Corrupt` error that names that version.
 pub fn open<'a>(magic: &'static [u8], bytes: &'a [u8]) -> Result<Reader<'a>, CodecError> {
+    if let Some(found) = retired_magic(magic, bytes) {
+        return Err(CodecError::corrupt(
+            magic,
+            format!(
+                "retired format version {} ({}); this build reads only {}",
+                found[found.len() - 1] as char,
+                String::from_utf8_lossy(found),
+                String::from_utf8_lossy(magic)
+            ),
+        ));
+    }
     let mut r = Reader::new(magic, bytes);
     r.magic()?;
     let body_len = r.remaining().checked_sub(8).ok_or_else(|| r.corrupt("no digest"))?;
     let body = r.take(body_len)?;
     let stored = r.u64()?;
-    let computed = Checksum::of(body);
+    let computed = xxh64(body, 0);
     if stored != computed {
         return Err(r.corrupt(format!(
             "digest mismatch: stored {stored:#018x}, computed {computed:#018x}"
         )));
     }
     Ok(Reader::new(magic, body))
+}
+
+/// The magic `bytes` start with when it is an earlier version of `magic`:
+/// the same name, and a version digit (the last byte) from `1` up to, but
+/// not including, `magic`'s own.
+fn retired_magic<'a>(magic: &[u8], bytes: &'a [u8]) -> Option<&'a [u8]> {
+    let (&current, name) = magic.split_last()?;
+    let found = bytes.get(..magic.len())?;
+    let (&version, found_name) = found.split_last()?;
+    (found_name == name && version.is_ascii_digit() && (b'1'..current).contains(&version))
+        .then_some(found)
 }
 
 /// A bounds-checked cursor over one encoded value.
@@ -424,13 +450,29 @@ mod tests {
         assert_eq!(&sealed[..8], MAGIC);
         assert_eq!(
             u64::from_le_bytes(sealed[sealed.len() - 8..].try_into().unwrap()),
-            Checksum::of(&sealed[8..sealed.len() - 8])
+            xxh64(&sealed[8..sealed.len() - 8], 0)
         );
         let mut r = open(MAGIC, &sealed).unwrap();
         assert_eq!(r.u32().unwrap(), 5);
         assert_eq!(r.string().unwrap(), "body");
         r.finish().unwrap();
         assert!(open(b"MAMDRXX1", &sealed).is_err());
+        // An earlier version of the magic is refused by name, a later one
+        // is only a bad magic.
+        let v1 = seal(b"MAMDRTS1", |w| {
+            w.u32(5);
+        });
+        match open(b"MAMDRTS2", &v1) {
+            Err(CodecError::Corrupt(m)) => assert_eq!(
+                m,
+                "MAMDRTS2: retired format version 1 (MAMDRTS1); this build reads only MAMDRTS2"
+            ),
+            other => panic!("a version-1 file opened as version 2: {other:?}"),
+        }
+        match open(b"MAMDRTS2", &seal(b"MAMDRTS3", |_| {})) {
+            Err(CodecError::Corrupt(m)) => assert_eq!(m, "MAMDRTS2: bad magic"),
+            other => panic!("a version-3 file opened as version 2: {other:?}"),
+        }
         let mut sized = Vec::new();
         seal_sized(&mut sized, MAGIC, 12, |w| {
             w.u32(5).string("body");

@@ -1,15 +1,18 @@
 //! # mamdr-util
 //!
 //! The one home of the workspace's binary-format primitives. Five formats
-//! — `MAMDRPS1` parameter checkpoints, `MAMDRJN1` round journals,
-//! `MAMDRMF1` shard manifests, `MAMDRSV1` serving snapshots and the
+//! — `MAMDRPS1` parameter checkpoints, `MAMDRJN2` round journals,
+//! `MAMDRMF2` shard manifests, `MAMDRSV2` serving snapshots and the
 //! `MAMDRRPC1` wire frames — are field lists over one codec, so bounds
 //! checks, the digest envelope and the commit discipline exist once.
 //!
-//! * [`Checksum`] — incremental FNV-1a 64-bit digest: the persisted
-//!   formats' envelope, shard routing, manifest and probe digests.
-//! * [`xxh64`] — the XXH64 digest, word-at-a-time: the `MAMDRRPC1` frame
-//!   digest (wire version 3), where every byte sent is hashed twice.
+//! * [`xxh64`] — the XXH64 digest, word-at-a-time, of every byte the
+//!   workspace persists or sends: the [`codec::seal`] envelope, the
+//!   manifest's file digests and the `MAMDRRPC1` frame digest (wire
+//!   version 3).
+//! * [`Checksum`] — incremental FNV-1a 64-bit digest of small keys whose
+//!   values are pinned: shard and replica routing, and the seeded probe
+//!   requests and test digests built on it.
 //! * [`codec`] — [`codec::Writer`] / [`codec::Reader`] (every count checked
 //!   against the bytes left before it sizes an allocation), the
 //!   [`codec::seal`] / [`codec::open`] envelope, [`codec::CodecError`], and
@@ -17,12 +20,12 @@
 
 pub mod codec;
 
-/// Incremental FNV-1a 64-bit hasher over serialized bytes.
+/// Incremental FNV-1a 64-bit hasher.
 ///
-/// Snapshot and frame formats append the digest after their payload so a
-/// flipped bit anywhere surfaces as a load/decode error instead of silently
-/// corrupted parameters. FNV-1a is not cryptographic — it guards against
-/// storage/transfer corruption, not adversaries.
+/// One `xor`+`imul` chain per byte: fine for the 8-byte keys it routes
+/// on, and kept there because changing it would re-route every row and
+/// move every digest pinned on it. Bulk bytes are digested by [`xxh64`].
+/// FNV-1a is not cryptographic.
 #[derive(Debug, Clone)]
 pub struct Checksum(u64);
 

@@ -1,20 +1,29 @@
 //! Byte goldens and one corruption table for every binary format the
-//! system persists or sends: `MAMDRPS1` parameter checkpoints, `MAMDRJN1`
-//! round journals, `MAMDRMF1` shard manifests, `MAMDRSV1` serving snapshots
+//! system persists or sends: `MAMDRPS1` parameter checkpoints, `MAMDRJN2`
+//! round journals, `MAMDRMF2` shard manifests, `MAMDRSV2` serving snapshots
 //! and `MAMDRRPC1` wire frames.
 //!
 //! **Goldens.** The FNV-1a digest of each fixed fixture's bytes is pinned.
-//! The constants were captured on the commit before the formats moved onto
-//! `mamdr_util::codec` and must never be re-captured: a failure here means a
-//! byte on disk or on the wire changed. The one exception is the `frame`
-//! rows, re-captured once at the wire-version-3 bump: it replaced the
-//! frame's trailing FNV-1a digest with XXH64 and bumped the version byte,
-//! so those nine bytes of every frame moved on purpose while the layout and
-//! every length stayed. The 7 persisted-format rows were not touched. The
-//! four rows of the retired barrier op-codes were deleted with them; the
-//! other 18 frame rows keep their captured values.
-//! (`tests/ps_golden.rs` pins the checkpoint bytes of a trained store; this
-//! file pins the other four formats and a hand-built checkpoint.)
+//! The `GOLDEN` constants were captured on the commit before the formats
+//! moved onto `mamdr_util::codec` and must never be re-captured: a failure
+//! here means a byte on disk or on the wire changed. The one exception is
+//! the `frame` rows, re-captured once at the wire-version-3 bump: it
+//! replaced the frame's trailing FNV-1a digest with XXH64 and bumped the
+//! version byte, so those nine bytes of every frame moved on purpose while
+//! the layout and every length stayed. The four rows of the retired barrier
+//! op-codes were deleted with them; the other 18 frame rows keep their
+//! captured values. (`tests/ps_golden.rs` pins the checkpoint bytes of a
+//! trained store; this file pins the other four formats and a hand-built
+//! checkpoint.)
+//!
+//! **The sealed formats' version 2.** Journals, manifests and snapshots
+//! moved their envelope digest from FNV-1a to XXH64 and their magic's
+//! version byte from `1` to `2`; no body byte moved. Their `GOLDEN` rows
+//! still hold: each v2 fixture, turned back into the v1 file it would have
+//! been (the `1` magic and an FNV-1a trailer over the unchanged body),
+//! must hash to its original constant. `GOLDEN_V2` pins the v2 files
+//! themselves — the one declared capture, taken at the digest change and
+//! never re-captured. A v1 file is refused by every reader, by name.
 //!
 //! **Corruption table.** Every decoder is fed every truncation of its
 //! fixture, every single-byte flip, and forged count and length fields with
@@ -31,23 +40,28 @@
 
 use mamdr::core::env::DomainParams;
 use mamdr::core::TrainedModel;
+use mamdr::data::{DomainSpec, GeneratorConfig};
 use mamdr::models::{build_model, FeatureConfig, ModelConfig, ModelKind};
+use mamdr::obs::{EventLog, MetricsRegistry};
 use mamdr::ps::{
-    checkpoint, CacheStats, ParamKey, ParameterServer, RoundJournal, ShardFiles, ShardManifest,
+    checkpoint, latest_manifest, CacheStats, DistributedConfig, ParamKey, ParameterServer,
+    RoundJournal, ShardFiles, ShardManifest,
 };
 use mamdr::rpc::frame::{
     self, decode_error, encode_error, CheckpointReq, PullManyReq, PullManyResp, PushManyReq,
     PushResp, TraceContext, MAX_PAYLOAD,
 };
-use mamdr::rpc::{Frame, OpCode};
+use mamdr::rpc::{DistributedTrainer, Frame, LoopbackConfig, OpCode, TrainerError};
 use mamdr::serve::{ModelSpec, ServingSnapshot, SnapshotError};
 use mamdr::tensor::rng::seeded;
-use mamdr_util::Checksum;
+use mamdr_util::codec::CodecError;
+use mamdr_util::{xxh64, Checksum};
 use rand::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// FNV-1a of each fixture's bytes, captured before the formats moved onto
 /// `mamdr_util::codec`. Never re-capture these; the `frame` rows were
@@ -78,6 +92,17 @@ const GOLDEN: &[(&str, u64)] = &[
     ("frame PullManyOk traced", 0xae64_ac86_ed62_e330),
     ("frame PushMany traced", 0x7295_1337_f8e9_e617),
     ("frame PushManyOk traced", 0x6fa3_6715_a11c_73e8),
+];
+
+/// FNV-1a of each sealed fixture's version-2 file (XXH64 envelope),
+/// captured once at the envelope's digest change. Never re-capture these.
+const GOLDEN_V2: &[(&str, u64)] = &[
+    ("journal", 0x1546_2b01_ae7d_27ea),
+    ("manifest", 0x4a6f_4360_52cd_75b3),
+    ("snapshot shared-only", 0x7f2e_f574_eff3_f43a),
+    ("snapshot deltas", 0xeb79_f468_061b_b885),
+    ("snapshot full", 0x56d4_aa80_60e4_d39d),
+    ("snapshot embedding", 0xf48b_a94e_ea51_19bc),
 ];
 
 /// Slack above the input length that a decode may allocate in one piece.
@@ -184,17 +209,20 @@ fn journal() -> RoundJournal {
 
 fn journal_bytes() -> Vec<u8> {
     let dir = fresh_dir("journal-golden");
-    let bytes = std::fs::read(journal().write_to_dir(&dir).unwrap()).unwrap();
+    let journal = journal();
+    let digest = journal.write_to_dir(&dir).unwrap();
+    let bytes = std::fs::read(dir.join(journal.file_name())).unwrap();
+    assert_eq!(digest, xxh64(&bytes, 0), "the digest of the committed bytes");
     std::fs::remove_dir_all(&dir).ok();
     bytes
 }
 
 fn manifest() -> ShardManifest {
-    let files = |shard: usize, checkpoint_fnv: u64, journal_fnv: u64| ShardFiles {
+    let files = |shard: usize, checkpoint_digest: u64, journal_digest: u64| ShardFiles {
         checkpoint: format!("shard-{shard}/ckpt-0000000007.mamdrps"),
-        checkpoint_fnv,
+        checkpoint_digest,
         journal: format!("shard-{shard}/journal-0000000007.mamdrj"),
-        journal_fnv,
+        journal_digest,
     };
     ShardManifest {
         rounds_done: 7,
@@ -309,18 +337,143 @@ fn fixtures() -> Vec<(String, Vec<u8>)> {
     out
 }
 
-#[test]
-fn every_format_keeps_its_bytes() {
-    let got: Vec<(String, u64)> =
-        fixtures().into_iter().map(|(name, bytes)| (name, Checksum::of(&bytes))).collect();
+/// Whether `bytes` are a sealed version-2 file: journal, manifest or
+/// snapshot.
+fn sealed(bytes: &[u8]) -> bool {
+    matches!(&bytes[..8], b"MAMDRJN2" | b"MAMDRMF2" | b"MAMDRSV2")
+}
+
+/// The version-1 file a sealed v2 file would have been: the same body
+/// under the `1` magic, sealed with FNV-1a.
+fn v1_of(bytes: &[u8]) -> Vec<u8> {
+    assert!(sealed(bytes), "not a sealed v2 file");
+    let mut v1 = bytes.to_vec();
+    v1[7] = b'1';
+    let n = v1.len();
+    let digest = Checksum::of(&v1[8..n - 8]);
+    v1[n - 8..].copy_from_slice(&digest.to_le_bytes());
+    v1
+}
+
+/// Compares `(name, FNV-1a)` pairs with a pinned table, printing the
+/// computed table on a mismatch.
+fn assert_pinned(got: &[(String, u64)], pinned: &[(&str, u64)]) {
     let table: String =
         got.iter().map(|(name, fnv)| format!("    ({name:?}, {fnv:#018x}),\n")).collect();
     let names: Vec<&str> = got.iter().map(|(n, _)| n.as_str()).collect();
-    let pinned: Vec<&str> = GOLDEN.iter().map(|(n, _)| *n).collect();
-    assert_eq!(names, pinned, "fixture set changed; computed table:\n{table}");
-    for ((name, fnv), (_, want)) in got.iter().zip(GOLDEN) {
+    let want: Vec<&str> = pinned.iter().map(|(n, _)| *n).collect();
+    assert_eq!(names, want, "fixture set changed; computed table:\n{table}");
+    for ((name, fnv), (_, want)) in got.iter().zip(pinned) {
         assert_eq!(fnv, want, "{name} bytes moved; computed table:\n{table}");
     }
+}
+
+/// Every fixture hashes to its original constant — a sealed one through
+/// the v1 file it stands for, so its body bytes are proven unmoved — and
+/// every sealed v2 file to its one-time capture.
+#[test]
+fn every_format_keeps_its_bytes() {
+    let fixtures = fixtures();
+    let as_v1 = |bytes: &[u8]| if sealed(bytes) { v1_of(bytes) } else { bytes.to_vec() };
+    let got: Vec<(String, u64)> =
+        fixtures.iter().map(|(name, bytes)| (name.clone(), Checksum::of(&as_v1(bytes)))).collect();
+    assert_pinned(&got, GOLDEN);
+    let got: Vec<(String, u64)> = fixtures
+        .iter()
+        .filter(|(_, bytes)| sealed(bytes))
+        .map(|(name, bytes)| (name.clone(), Checksum::of(bytes)))
+        .collect();
+    assert_pinned(&got, GOLDEN_V2);
+}
+
+/// Every sealed reader refuses the v1 file of its fixture — an unchanged
+/// body under a valid FNV-1a trailer — with a typed `Corrupt` naming the
+/// retired version.
+#[test]
+fn every_reader_refuses_a_version_1_file_by_name() {
+    let dir = fresh_dir("v1");
+    let retired = "retired format version 1";
+    let mut refused = 0;
+    for (name, bytes) in fixtures().into_iter().filter(|(_, b)| sealed(b)) {
+        let v1 = v1_of(&bytes);
+        let message = match name.as_str() {
+            "journal" | "manifest" => {
+                let path = dir.join(&name);
+                std::fs::write(&path, &v1).unwrap();
+                let read = if name == "journal" {
+                    RoundJournal::read(&path).map(drop)
+                } else {
+                    ShardManifest::read(&path).map(drop)
+                };
+                match read {
+                    Err(CodecError::Corrupt(m)) => m,
+                    other => panic!("{name}: a v1 file read as {other:?}"),
+                }
+            }
+            _ => match ServingSnapshot::read_from(v1.as_slice()) {
+                Err(SnapshotError::Corrupt(m)) => m,
+                other => panic!("{name}: a v1 file read as {other:?}"),
+            },
+        };
+        assert!(message.contains(retired), "{name}: {message}");
+        assert!(message.contains(std::str::from_utf8(&v1[..8]).unwrap()), "{name}: {message}");
+        refused += 1;
+    }
+    assert_eq!(refused, 6);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint directory whose only manifest is version 1 — its body and
+/// every file it names intact, its FNV-1a trailer valid — commits nothing:
+/// discovery logs the skip, and resume ends in "no committed manifest"
+/// rather than resuming from it.
+#[test]
+fn resume_over_only_a_version_1_manifest_finds_no_commit_point() {
+    let mut gen = GeneratorConfig::base("formats-resume", 40, 30, 9);
+    gen.domains = (0..2).map(|i| DomainSpec::new(format!("d{i}"), 120, 0.3)).collect();
+    let ds = gen.generate();
+    let dir = fresh_dir("v1-resume");
+    let train = DistributedConfig {
+        n_workers: 1,
+        epochs: 1,
+        sync_rounds: true,
+        kernel_threads: 1,
+        ..Default::default()
+    };
+    let cfg = |resume: bool| LoopbackConfig {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 1,
+        resume,
+        ..LoopbackConfig::new(train)
+    };
+    let mut run =
+        DistributedTrainer::new(&ds, cfg(false), Arc::new(MetricsRegistry::new())).unwrap();
+    run.train(&ds).unwrap();
+    run.shutdown();
+
+    // Keep the newest manifest only, and check that it is a commit point.
+    let (newest, _) = latest_manifest(&dir, None).unwrap().expect("the run committed a boundary");
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "mamdrmf") && path != newest {
+            std::fs::remove_file(path).unwrap();
+        }
+    }
+    assert!(latest_manifest(&dir, None).unwrap().is_some());
+
+    std::fs::write(&newest, v1_of(&std::fs::read(&newest).unwrap())).unwrap();
+    let log = EventLog::in_memory();
+    assert!(latest_manifest(&dir, Some(&log)).unwrap().is_none());
+    let lines = log.lines();
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(lines[0].contains("manifest_skipped"), "{}", lines[0]);
+    assert!(lines[0].contains("retired format version 1 (MAMDRMF1)"), "{}", lines[0]);
+    match DistributedTrainer::new(&ds, cfg(true), Arc::new(MetricsRegistry::new())) {
+        Err(TrainerError::Resume(m)) => assert!(m.contains("no committed manifest"), "{m}"),
+        Err(other) => panic!("expected TrainerError::Resume, got {other}"),
+        Ok(_) => panic!("resumed from a version-1 manifest"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -360,10 +513,10 @@ fn within_declared_payload(bytes: &[u8]) -> usize {
 
 fn no_digest(_: &mut [u8]) {}
 
-/// `magic(8) ‖ body ‖ FNV-1a(body)`: journals, manifests and snapshots.
+/// `magic(8) ‖ body ‖ XXH64(body)`: journals, manifests and snapshots.
 fn reseal_envelope(bytes: &mut [u8]) {
     let n = bytes.len();
-    let digest = Checksum::of(&bytes[8..n - 8]);
+    let digest = xxh64(&bytes[8..n - 8], 0);
     bytes[n - 8..].copy_from_slice(&digest.to_le_bytes());
 }
 
@@ -451,7 +604,7 @@ fn table(dir: &Path) -> Vec<Row> {
             bound: within_input,
         },
         Row {
-            name: "MAMDRJN1 journal".into(),
+            name: "MAMDRJN2 journal".into(),
             bytes: journal_bytes(),
             decode: from_file(dir.join("journal-0000000003.mamdrj"), RoundJournal::read),
             flips_rejected: true,
@@ -460,7 +613,7 @@ fn table(dir: &Path) -> Vec<Row> {
             bound: within_input,
         },
         Row {
-            name: "MAMDRMF1 manifest".into(),
+            name: "MAMDRMF2 manifest".into(),
             bytes: manifest_bytes(),
             decode: from_file(dir.join("manifest-0000000007.mamdrmf"), ShardManifest::read),
             flips_rejected: true,
@@ -469,7 +622,7 @@ fn table(dir: &Path) -> Vec<Row> {
             bound: within_input,
         },
         Row {
-            name: "MAMDRSV1 embedding snapshot".into(),
+            name: "MAMDRSV2 embedding snapshot".into(),
             bytes: snapshot_bytes(&embedding()),
             decode: Box::new(decode_snapshot),
             flips_rejected: true,
@@ -486,7 +639,7 @@ fn table(dir: &Path) -> Vec<Row> {
             counts.push((snapshot_n_domains_at(), 4));
         }
         rows.push(Row {
-            name: format!("MAMDRSV1 dense snapshot, mode {mode}"),
+            name: format!("MAMDRSV2 dense snapshot, mode {mode}"),
             bytes: snapshot_bytes(&dense(mode)),
             decode: Box::new(decode_snapshot),
             flips_rejected: true,
