@@ -7,8 +7,8 @@
 //! as the single writer in worker order, record the round loss, commit the
 //! boundary, and after the last round evaluate and report. What differs
 //! between deployments is only *where* reads and writes go, and that is
-//! what a [`RoundTransport`] supplies: the write-side twin of
-//! [`crate::RowSource`]. The in-process [`crate::DistributedMamdr`] is the
+//! what a [`RoundTransport`] supplies; a worker's reads are its round's
+//! one batched pull, inside `run_workers`. The in-process [`crate::DistributedMamdr`] is the
 //! trivial transport (direct store calls, no failure mode); the networked
 //! trainer in `mamdr-rpc` is the loopback one, where supervision, shard
 //! recovery, journaling and publication are layers inside the transport's

@@ -3,9 +3,10 @@
 //! A row's value, its Adagrad accumulator and its push version live in one
 //! record, so every data-plane operation costs one lock and one
 //! hash lookup per key, and a write validates the row before it mutates or
-//! counts anything. The same file defines the read-side contract workers
-//! program against ([`RowSource`]: one batch read, no single-row
-//! variant) and the traffic counters the §IV-E cache exists to shrink.
+//! counts anything. A worker reads through one batch call
+//! ([`ParameterServer::pull_flat`], no single-row variant on the cached
+//! path), and the same file defines the traffic counters the §IV-E cache
+//! exists to shrink.
 //!
 //! The stripes' maps hash a key by folding its [`ParamKey::fib_hash`]
 //! (`h ^ (h >> 32)`), not with std's SipHash: the map takes its buckets
@@ -75,23 +76,6 @@ impl ParamKey {
 /// traveled over shared memory or over the wire. (At the default row width
 /// a full chunk is ~128 KiB of values, far under the 16 MiB frame cap.)
 pub const WIRE_BATCH_KEYS: usize = 4096;
-
-/// Where a worker's reads come from: the in-process [`ParameterServer`] or
-/// a remote stand-in (e.g. an RPC client in `mamdr-rpc`).
-///
-/// The contract is one batch read: a cache miss set costs one request per
-/// [`WIRE_BATCH_KEYS`] chunk rather than one per key, and a single-row read
-/// is simply a one-key batch. Everything else — writes, with their
-/// exactly-once semantics over the wire, and the silent version reads
-/// behind staleness — stays on the concrete server.
-pub trait RowSource {
-    /// Pulls the latest values of many rows together with their push
-    /// versions as one flat batch `(versions, values)` in input-key order:
-    /// `versions[i]` and `values[i * dim..(i + 1) * dim]` belong to
-    /// `keys[i]`. Counted as one RPC per [`WIRE_BATCH_KEYS`] chunk (zero
-    /// for an empty key set).
-    fn pull_rows(&self, keys: &[ParamKey]) -> (Vec<u64>, Vec<f32>);
-}
 
 /// Byte-accurate synchronization counters.
 ///
@@ -270,8 +254,8 @@ impl ParameterServer {
     }
 
     /// Pulls many rows as one flat batch `(versions, values)` in input-key
-    /// order — the store's one batched read, behind [`RowSource::pull_rows`]
-    /// and the wire's `PullMany` handler, one lookup per key. Counts one
+    /// order — the store's one batched read, behind a cached worker round's
+    /// pull and the wire's `PullMany` handler, one lookup per key. Counts one
     /// RPC per [`WIRE_BATCH_KEYS`] chunk — exactly the frames the batched
     /// wire protocol would spend on the same key set, so in-process and
     /// loopback runs report identical pull counters.
@@ -305,7 +289,8 @@ impl ParameterServer {
     /// Panics, before any traffic is counted, on a key the store holds no
     /// row for.
     pub fn pull_batch(&self, keys: &[ParamKey]) -> Vec<(Vec<f32>, u64)> {
-        let (versions, values) = self.pull_rows(keys);
+        let (versions, values) =
+            self.pull_flat(keys).unwrap_or_else(|key| panic!("pull of uninitialized key {key:?}"));
         values.chunks_exact(self.value_dim().max(1)).map(<[f32]>::to_vec).zip(versions).collect()
     }
 
@@ -536,50 +521,6 @@ impl ParameterServer {
     }
 }
 
-/// The in-process read path: a missing key panics, before any traffic is
-/// counted.
-impl RowSource for ParameterServer {
-    fn pull_rows(&self, keys: &[ParamKey]) -> (Vec<u64>, Vec<f32>) {
-        self.pull_flat(keys).unwrap_or_else(|key| panic!("pull of uninitialized key {key:?}"))
-    }
-}
-
-/// A [`RowSource`] decorator that accumulates the wall-clock its inner
-/// source spends serving reads, one clock read per call (never per row): a
-/// worker wraps its source for one round, then attributes the accumulated
-/// time to the round's "pull" and the remainder to "compute". `Cell`
-/// because each worker's round is single-threaded; the values never feed
-/// back into training.
-pub struct TimedRowSource<'a, S: RowSource + ?Sized> {
-    inner: &'a S,
-    nanos: std::cell::Cell<u64>,
-}
-
-impl<'a, S: RowSource + ?Sized> TimedRowSource<'a, S> {
-    /// Wraps `inner`, starting from zero accumulated time.
-    pub fn new(inner: &'a S) -> Self {
-        TimedRowSource { inner, nanos: std::cell::Cell::new(0) }
-    }
-
-    /// Total wall-clock the inner source spent in reads so far.
-    pub fn elapsed(&self) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.nanos.get())
-    }
-
-    fn time<T>(&self, f: impl FnOnce() -> T) -> T {
-        let t0 = std::time::Instant::now();
-        let out = f();
-        self.nanos.set(self.nanos.get() + t0.elapsed().as_nanos() as u64);
-        out
-    }
-}
-
-impl<S: RowSource + ?Sized> RowSource for TimedRowSource<'_, S> {
-    fn pull_rows(&self, keys: &[ParamKey]) -> (Vec<u64>, Vec<f32>) {
-        self.time(|| self.inner.pull_rows(keys))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,15 +580,14 @@ mod tests {
     }
 
     #[test]
-    fn row_source_reads_are_the_batch_path() {
+    fn a_one_key_pull_is_one_counted_batch() {
         let ps = ParameterServer::new(2, 2);
         let key = ParamKey::new(1, 3);
         ps.init_row(key, vec![1.0, -1.0]);
         ps.push_delta(key, &[1.0, 0.0]);
-        let src: &dyn RowSource = &ps;
         // A single-row read is a one-key batch: one counted RPC.
         let before = ps.traffic().snapshot().0;
-        assert_eq!(src.pull_rows(&[key]), (vec![1], vec![2.0, -1.0]));
+        assert_eq!(ps.pull_flat(&[key]), Ok((vec![1], vec![2.0, -1.0])));
         assert_eq!(ps.traffic().snapshot().0, before + 1);
     }
 

@@ -26,22 +26,27 @@
 //!
 //! ## Cache protocol (paper Fig. 7)
 //!
-//! * At the start of an outer round a worker's **static-cache** snapshots
-//!   every parameter row it first touches; it stays frozen for the round.
-//! * During the inner loop, reads hit the **dynamic-cache**; a miss pulls
-//!   the *latest* row from the PS (bounding staleness), seeds both caches
-//!   and counts traffic once.
-//! * After the inner loop the worker pushes `dynamic − static` per touched
-//!   row (the Reptile-style outer gradient of Eq. 3) and clears both caches.
+//! A worker's round is three calls:
+//!
+//! 1. [`partition_keys`] — every row its partition's examples touch, in
+//!    `(table, row)` order;
+//! 2. one batched pull of those keys, the round's only I/O: in process
+//!    [`ParameterServer::pull_flat`], over the wire one `PullMany` per
+//!    shard chunk;
+//! 3. [`run_cached_round`], a compute on the pulled rows that takes no
+//!    store and reads no clock. The pulled values seed the **static-cache**
+//!    (frozen for the round) and the **dynamic-cache** (the inner loop's
+//!    reads and SGD updates); the round ends by returning
+//!    `dynamic − static` per pulled row (the Reptile-style outer gradient
+//!    of Eq. 3).
 //!
 //! The two caches always hold the same key set, so [`WorkerCache`] keeps
 //! them as two parallel slabs of one slot per row, found through a dense
-//! per-table index. Reads are batch-only
-//! ([`RowSource`] is `pull_rows` alone): a round prefetches its whole key
-//! set in one batched pull, and a lazy miss is a one-key batch. Staleness
-//! is reported by whoever orders the applies: a synchronous round reports
-//! 0, and only the asynchronous in-process trainer, which owns its store,
-//! reads it there.
+//! per-table index. The key set is exact, so every read is a hit and a
+//! read outside the batch panics naming its key. Staleness is reported by
+//! whoever orders the applies: a synchronous round reports 0, and only the
+//! asynchronous in-process trainer, which owns its store, reads it there
+//! from the versions it pulled.
 //!
 //! The `NoCache` mode pulls every row on every read and pushes every update
 //! immediately — the baseline the `pscache` benchmark compares against.
@@ -61,10 +66,7 @@ pub use cache::{CacheStats, OuterGrads, WorkerCache};
 pub use engine::{partition_domains, run_rounds, ResumeBase, RoundTransport};
 pub use guard::{outer_grad_norm, GuardConfig, GuardRail, GuardVerdict};
 pub use journal::RoundJournal;
-pub use kv::{
-    ParamKey, ParameterServer, RowSource, TimedRowSource, TrafficStats, LOCK_STRIPES,
-    WIRE_BATCH_KEYS,
-};
+pub use kv::{ParamKey, ParameterServer, TrafficStats, LOCK_STRIPES, WIRE_BATCH_KEYS};
 pub use publish::{
     latest_snapshot, snapshot_path, ContinualPublisher, PublishOutcome, PublisherFaults,
     SNAPSHOT_EXT,
@@ -74,7 +76,7 @@ pub use shard::{
     ShardFiles, ShardManifest, ShardMap, MANIFEST_EXT,
 };
 pub use trainer::{
-    evaluate_server, partition_keys, run_cached_round, run_cached_round_timed, seed_server,
-    worker_round_seed, CachedRoundOutput, DistributedConfig, DistributedMamdr, DistributedReport,
-    RoundTime, StoreSnapshot, SyncMode,
+    evaluate_server, partition_keys, run_cached_round, seed_server, worker_round_seed,
+    CachedRoundOutput, DistributedConfig, DistributedMamdr, DistributedReport, RoundTime,
+    StoreSnapshot, SyncMode,
 };

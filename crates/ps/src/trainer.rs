@@ -3,16 +3,17 @@
 //!
 //! The outer loop itself lives in [`crate::engine`]. This module holds
 //! what the loop is generic over: the configuration and report types, the
-//! cached worker round ([`run_cached_round`]) that the in-process and the
-//! networked workers both execute, server seeding and evaluation, and
+//! compute of a cached worker round ([`run_cached_round`]) that the
+//! in-process and the networked workers both execute between their own
+//! pulls and pushes, server seeding and evaluation, and
 //! [`DistributedMamdr`] — the trivial [`RoundTransport`], whose workers
 //! are scoped threads reading one shared [`ParameterServer`] and whose
 //! "wire" is a direct `push_outer_grad` call that cannot fail.
 
-use crate::cache::{CacheStats, OuterGrads, WorkerCache};
+use crate::cache::{staleness, CacheStats, OuterGrads, WorkerCache};
 use crate::engine::{self, ResumeBase, RoundTransport};
 use crate::guard::GuardConfig;
-use crate::kv::{ParamKey, ParameterServer, RowSource, TimedRowSource, LOCK_STRIPES};
+use crate::kv::{ParamKey, ParameterServer, LOCK_STRIPES};
 use crate::model::{error_signal, log_loss, score, tables, ExampleKeys};
 use crate::shard::ShardMap;
 use mamdr_core::metrics::auc;
@@ -153,7 +154,7 @@ impl DistributedReport {
 /// gradients, key-sorted for a deterministic application order.
 ///
 /// Public because the networked trainer in `mamdr-rpc` runs the same
-/// round logic against an RPC-backed [`RowSource`] and must aggregate
+/// round compute on rows it pulled over the wire and must aggregate
 /// identically.
 #[derive(Debug)]
 pub struct CachedRoundOutput {
@@ -173,11 +174,12 @@ pub struct CachedRoundOutput {
     pub grads: OuterGrads,
 }
 
-/// Where one worker's round wall-clock went: inside [`RowSource`] calls
-/// (`pull`) and everywhere else (`compute`).
+/// Where one worker's round wall-clock went: in the round's one batched
+/// pull (`pull`), and in building its key set and the compute
+/// (`compute`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundTime {
-    /// Time spent in the row source's reads.
+    /// Time spent in the pull.
     pub pull: Duration,
     /// The rest of the round.
     pub compute: Duration,
@@ -408,106 +410,52 @@ impl RoundTransport for InProcess<'_> {
     }
 }
 
-/// One cached worker round, generic over where reads come from: the MAMDR
-/// inner loop over `domains` through a fresh [`WorkerCache`], ending with
-/// the outer-gradient drain. The round is synchronous — the store does not
-/// change while it runs — so its staleness is 0 and nothing asks the
-/// source for it.
+/// The compute of one cached worker round: the MAMDR inner loop over
+/// `domains` on a [`WorkerCache`] built from the round's pulled batch —
+/// `keys` as [`partition_keys`] returns them for `domains`, `values` their
+/// rows in key order — ending with the outer-gradient drain. It reads no
+/// store and no clock: the round's one pull comes before it, so its result
+/// is a function of its arguments alone. Staleness is 0; only the
+/// asynchronous in-process trainer overwrites it.
 ///
 /// The gradients are *returned* (key-sorted), not pushed — the caller
 /// decides how to deliver them: the synchronous in-process trainer defers
-/// them to the driver, and the networked trainer ships them over RPC. This
-/// is the exact function the `mamdr-rpc` loopback workers execute, which
-/// is why fault-free networked training is bit-identical to
-/// [`DistributedMamdr`] with `sync_rounds`.
-pub fn run_cached_round<S: RowSource + ?Sized>(
-    src: &S,
+/// them to the driver, and the networked trainer ships them over RPC. Both
+/// trainers call this one function on the rows they pulled, which is why
+/// fault-free networked training is bit-identical to [`DistributedMamdr`]
+/// with `sync_rounds`.
+///
+/// # Panics
+///
+/// Panics when an example reads a row outside `keys`.
+pub fn run_cached_round(
+    keys: Vec<ParamKey>,
+    values: Vec<f32>,
     ds: &MdrDataset,
     domains: &[usize],
     inner_lr: f32,
     seed: u64,
 ) -> CachedRoundOutput {
-    let (cache, loss_sum, n_examples) = train_cached(src, ds, domains, inner_lr, seed);
-    CachedRoundOutput::drain(cache, loss_sum, n_examples)
-}
-
-/// [`run_cached_round`] with the worker's wall-clock split: reads go
-/// through a [`TimedRowSource`] — one clock read per [`RowSource`] call,
-/// never per row — and the rest of the round is compute. The timing only
-/// times calls; the training math it forwards is byte-for-byte the untimed
-/// path.
-pub fn run_cached_round_timed<S: RowSource + ?Sized>(
-    src: &S,
-    ds: &MdrDataset,
-    domains: &[usize],
-    inner_lr: f32,
-    seed: u64,
-) -> (CachedRoundOutput, RoundTime) {
-    timed(src, |src| run_cached_round(src, ds, domains, inner_lr, seed))
-}
-
-/// Runs `round` against `src` wrapped in a [`TimedRowSource`], splitting
-/// its wall-clock into time inside reads and the rest.
-fn timed<S: RowSource + ?Sized, T>(
-    src: &S,
-    round: impl FnOnce(&TimedRowSource<'_, S>) -> T,
-) -> (T, RoundTime) {
-    let timed = TimedRowSource::new(src);
-    let t0 = Instant::now();
-    let out = round(&timed);
-    let total = t0.elapsed();
-    let pull = timed.elapsed();
-    (out, RoundTime { pull, compute: total.saturating_sub(pull) })
-}
-
-/// The body of a cached round: the prefetch and the MAMDR inner loop over
-/// `domains`. Returns the filled cache, before its drain, with the summed
-/// training log-loss and the example count.
-fn train_cached<S: RowSource + ?Sized>(
-    src: &S,
-    ds: &MdrDataset,
-    domains: &[usize],
-    inner_lr: f32,
-    seed: u64,
-) -> (WorkerCache, f64, u64) {
     let mut rng = seeded(seed);
-    let mut cache = WorkerCache::new();
-    // Warm the cache with the round's entire working set up front: the
-    // key set of a round is known from the partition alone (it does not
-    // depend on example order), so one batched pull replaces every lazy
-    // per-key miss — over the wire, one request per key chunk instead of
-    // one per key. Values are identical either way: the server is
-    // quiescent during a synchronous round, and a lazy miss would have
-    // pulled the same bytes one example later. The keys arrive sorted, so
-    // the drain hands them back in order without a sort.
-    cache.prefetch(src, &partition_keys(ds, domains));
+    let mut cache = WorkerCache::new(keys, values);
     let mut rows = Vec::new();
     let mut loss_sum = 0.0f64;
     let mut n_examples = 0u64;
     for &d in domains {
-        let (l, n) = train_domain_cached(src, &mut cache, &mut rows, ds, d, inner_lr, &mut rng);
+        let (l, n) = train_domain_cached(&mut cache, &mut rows, ds, d, inner_lr, &mut rng);
         loss_sum += l;
         n_examples += n;
     }
-    (cache, loss_sum, n_examples)
-}
-
-impl CachedRoundOutput {
-    /// Ends a trained round: hands back Θ̃ − Θ per touched row (Eq. 3's
-    /// outer gradient) and empties the cache. Staleness is 0; only the
-    /// asynchronous in-process trainer overwrites it.
-    fn drain(mut cache: WorkerCache, loss_sum: f64, n_examples: u64) -> Self {
-        let stats = cache.stats();
-        let grads = cache.drain_outer_grads();
-        CachedRoundOutput { cache: stats, staleness: 0, loss_sum, n_examples, grads }
-    }
+    let stats = cache.stats();
+    let grads = cache.drain_outer_grads();
+    CachedRoundOutput { cache: stats, staleness: 0, loss_sum, n_examples, grads }
 }
 
 /// The distinct parameter rows a cached round over `domains` will touch,
 /// sorted by `(table, row)`: every embedding and bias row reachable from
-/// the partition's training examples. This is the prefetch set of
-/// [`run_cached_round`] — exact, not a heuristic, because the cached
-/// inner loop reads precisely the [`ExampleKeys`] of its examples.
+/// the partition's training examples. This is the pull set of a cached
+/// round ([`run_cached_round`]) — exact, not a heuristic, because the
+/// cached inner loop reads precisely the [`ExampleKeys`] of its examples.
 ///
 /// Each example marks its five rows in a per-table occupancy bitset,
 /// sized once from the table's seeded rows (one bit per row id); the set
@@ -570,22 +518,31 @@ impl DistributedMamdr {
         }
         match cfg.mode {
             SyncMode::Cached => {
-                let ((cache, loss_sum, n_examples), time) =
-                    timed(ps, |src| train_cached(src, ds, domains, cfg.inner_lr, seed));
+                // Keys, one batched pull — the round's only read — and the
+                // compute.
+                let start = Instant::now();
+                let keys = partition_keys(ds, domains);
+                let pull_start = Instant::now();
+                let (versions, values) = ps
+                    .pull_flat(&keys)
+                    .unwrap_or_else(|key| panic!("pull of uninitialized key {key:?}"));
+                let pull = pull_start.elapsed();
+                let out = run_cached_round(keys, values, ds, domains, cfg.inner_lr, seed);
                 if let Some(tracer) = self.tracer.as_deref() {
-                    time.record(tracer);
+                    RoundTime { pull, compute: start.elapsed().saturating_sub(pull) }
+                        .record(tracer);
                 }
                 if cfg.sync_rounds {
                     // The gradients go to the driver and the server stays
                     // read-only until every worker has joined: nothing the
                     // worker read can have moved.
-                    return CachedRoundOutput::drain(cache, loss_sum, n_examples);
+                    return out;
                 }
                 // Asynchronous protocol: read how far the racing workers
-                // moved this worker's rows, then push now; the server
-                // applies with Adagrad (Eq. 3 with a server-side optimizer).
-                let staleness = cache.staleness(ps);
-                let out = CachedRoundOutput::drain(cache, loss_sum, n_examples);
+                // moved this worker's rows — the drained keys are the
+                // pulled ones — then push now; the server applies with
+                // Adagrad (Eq. 3 with a server-side optimizer).
+                let staleness = staleness(ps, &out.grads.keys, &versions);
                 for (key, delta) in out.grads.iter() {
                     ps.push_outer_grad(key, delta, cfg.outer_lr);
                 }
@@ -618,8 +575,7 @@ impl DistributedMamdr {
 /// Each example copies its five rows into `rows`, a buffer kept across the
 /// round, before it updates any of them: every update reads the partner
 /// rows' pre-update values.
-fn train_domain_cached<S: RowSource + ?Sized>(
-    src: &S,
+fn train_domain_cached(
     cache: &mut WorkerCache,
     rows: &mut Vec<f32>,
     ds: &MdrDataset,
@@ -642,7 +598,7 @@ fn train_domain_cached<S: RowSource + ?Sized>(
         );
         rows.clear();
         for key in keys.all() {
-            rows.extend_from_slice(cache.get(src, key));
+            rows.extend_from_slice(cache.get(key));
         }
         let dim = rows.len() / 5;
         let (u, rest) = rows.split_at(dim);
@@ -888,8 +844,7 @@ mod tests {
 
         /// The bitset key set is exactly the examples' keys sorted and
         /// deduplicated — over empty partitions, domains without training
-        /// examples and row ids on word edges — and prefetching it leaves
-        /// the worker cache's slots in key order.
+        /// examples and row ids on word edges.
         #[test]
         fn partition_keys_is_sort_and_dedup(
             (n_users, n_items) in (1usize..=200, 1usize..=200),
@@ -947,13 +902,6 @@ mod tests {
             reference.dedup();
             let keys = partition_keys(&ds, &part);
             proptest::prop_assert_eq!(&keys, &reference);
-
-            let ps = ParameterServer::new(LOCK_STRIPES, 2);
-            seed_server(&ps, &ds, 2, 7);
-            let mut cache = WorkerCache::new();
-            cache.prefetch(&ps, &keys);
-            proptest::prop_assert_eq!(cache.len(), keys.len());
-            proptest::prop_assert!(cache.is_sorted(), "the prefetch left slots out of key order");
         }
     }
 }

@@ -1,16 +1,18 @@
 //! Model-based test of the slot-slab worker cache: random operation
 //! sequences run against [`WorkerCache`] and against a reference model
-//! that keeps what the cache used to keep — one hash map from key to its
-//! pulled row, its locally updated row and its pull version — over one
-//! shared store, and every observable is compared after every step:
-//! values read, hit/miss counts, pull traffic, staleness, and the drained
-//! outer gradients, whose keys must come back strictly `(table, row)`-sorted
-//! however the cache was filled. Sequences span several rounds, so a drain
-//! that leaves anything behind shows up in the next round's reads.
+//! that keeps one hash map from key to its pulled row, its locally updated
+//! row and its pull version, over one shared store. Every observable is
+//! compared after every step: values read, hit/miss counts, pull traffic,
+//! staleness, and the drained outer gradients, whose keys must come back
+//! strictly `(table, row)`-sorted. Sequences span several rounds, each
+//! built from a fresh pull of a strictly sorted key batch — the shape
+//! `partition_keys` returns — so a drain that leaves anything behind shows
+//! up in the next round.
 
+use mamdr_ps::cache::staleness;
 use mamdr_ps::{CacheStats, OuterGrads, ParamKey, ParameterServer, WorkerCache};
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 const DIM: usize = 3;
 const TABLES: u32 = 3;
@@ -34,53 +36,37 @@ fn store() -> ParameterServer {
     ps
 }
 
-/// The hash-map cache: `(pulled, local, version)` per key, read straight
-/// from the store without traffic, with the pull count the cache should
-/// have spent.
+/// The hash-map cache of one round: `(pulled, local, version)` per key,
+/// read straight from the store without traffic.
 #[derive(Default)]
 struct Model {
     rows: HashMap<ParamKey, (Vec<f32>, Vec<f32>, u64)>,
     stats: CacheStats,
-    pulls: u64,
 }
 
 impl Model {
-    fn seed(&mut self, ps: &ParameterServer, key: ParamKey) {
-        let value = ps.read_silent(key).expect("seeded row");
-        self.rows.insert(key, (value.clone(), value, ps.version(key)));
-        self.stats.misses += 1;
+    fn pull(ps: &ParameterServer, keys: &[ParamKey]) -> Self {
+        let mut model = Model::default();
+        for &key in keys {
+            let value = ps.read_silent(key).expect("seeded row");
+            model.rows.insert(key, (value.clone(), value, ps.version(key)));
+            model.stats.misses += 1;
+        }
+        model
     }
 
-    fn prefetch(&mut self, ps: &ParameterServer, keys: &[ParamKey]) {
-        let mut seen = HashSet::new();
-        let missing: Vec<ParamKey> = keys
-            .iter()
-            .copied()
-            .filter(|k| !self.rows.contains_key(k) && seen.insert(*k))
-            .collect();
-        self.pulls += u64::from(!missing.is_empty());
-        for key in missing {
-            self.seed(ps, key);
-        }
-    }
-
-    fn get(&mut self, ps: &ParameterServer, key: ParamKey) -> Vec<f32> {
-        if self.rows.contains_key(&key) {
-            self.stats.hits += 1;
-        } else {
-            self.pulls += 1;
-            self.seed(ps, key);
-        }
+    fn get(&mut self, key: ParamKey) -> Vec<f32> {
+        self.stats.hits += 1;
         self.rows[&key].1.clone()
     }
 
-    /// The largest lag of any cached row behind the concrete store.
+    /// The largest lag of any pulled row behind the concrete store.
     fn staleness(&self, ps: &ParameterServer) -> u64 {
         self.rows.iter().map(|(k, (_, _, v))| ps.version(*k).saturating_sub(*v)).max().unwrap_or(0)
     }
 
-    fn drain(&mut self) -> OuterGrads {
-        let mut rows: Vec<_> = self.rows.drain().collect();
+    fn drain(self) -> OuterGrads {
+        let mut rows: Vec<_> = self.rows.into_iter().collect();
         rows.sort_by_key(|(k, _)| *k);
         let mut grads = OuterGrads::default();
         for (key, (pulled, local, _)) in rows {
@@ -91,20 +77,37 @@ impl Model {
     }
 }
 
-/// How a prefetch's key list is shaped.
-fn shaped(mut keys: Vec<ParamKey>, shape: u8) -> Vec<ParamKey> {
-    match shape {
-        // Strictly sorted: the shape `run_cached_round` passes.
-        0 => {
-            keys.sort_unstable();
-            keys.dedup();
-        }
-        // Sorted with duplicates.
-        1 => keys.sort_unstable(),
-        // As drawn: unsorted, duplicates likely.
-        _ => {}
+/// One round under test: the cache, the batch's keys and versions (what
+/// the asynchronous trainer reads staleness from), and the model.
+struct Round {
+    cache: WorkerCache,
+    keys: Vec<ParamKey>,
+    versions: Vec<u64>,
+    model: Model,
+}
+
+impl Round {
+    /// Pulls the strictly sorted set of `idxs`' keys and builds both caches.
+    fn pull(ps: &ParameterServer, idxs: &[u32]) -> Self {
+        let mut keys: Vec<ParamKey> = idxs.iter().map(|&i| nth_key(i)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let (versions, values) = ps.pull_flat(&keys).expect("seeded rows");
+        let model = Model::pull(ps, &keys);
+        Round { cache: WorkerCache::new(keys.clone(), values), keys, versions, model }
     }
-    keys
+
+    /// Drains both caches; the cache's keys must be strictly sorted.
+    fn drain(self) -> Result<(), TestCaseError> {
+        let grads = self.cache.drain_outer_grads();
+        prop_assert!(
+            grads.keys.windows(2).all(|w| w[0] < w[1]),
+            "drained keys not strictly sorted: {:?}",
+            grads.keys
+        );
+        prop_assert_eq!(grads, self.model.drain());
+        Ok(())
+    }
 }
 
 proptest! {
@@ -112,52 +115,48 @@ proptest! {
     #[test]
     fn slot_cache_matches_the_hash_map_model(
         ops in proptest::collection::vec(
-            (0u8..7, proptest::collection::vec(0u32..TABLES * ROWS, 0..10), 0u8..3,
+            (0u8..5, proptest::collection::vec(0u32..TABLES * ROWS, 0..10), 0usize..1 << 16,
              proptest::collection::vec(-1.0f32..1.0, DIM)),
             1..60,
         ),
     ) {
         let ps = store();
-        let mut cache = WorkerCache::new();
-        let mut model = Model::default();
-        for (kind, idxs, shape, vals) in ops {
-            let key = nth_key(idxs.first().copied().unwrap_or(0));
-            match kind {
-                0 => {
-                    let keys = shaped(idxs.iter().map(|&i| nth_key(i)).collect(), shape);
-                    cache.prefetch(&ps, &keys);
-                    model.prefetch(&ps, &keys);
+        let mut round = Round::pull(&ps, &[]);
+        let mut pulls = 0;
+        for (kind, idxs, pick, vals) in ops {
+            // A key of the current batch (none when it is empty).
+            let key = (!round.keys.is_empty())
+                .then(|| round.keys[pick % round.keys.len()]);
+            match (kind, key) {
+                // End the round and pull the next one.
+                (0, _) => {
+                    round.drain()?;
+                    round = Round::pull(&ps, &idxs);
+                    pulls += u64::from(!round.keys.is_empty());
                 }
-                1 | 2 => prop_assert_eq!(cache.get(&ps, key), &model.get(&ps, key)[..]),
-                3 if model.rows.contains_key(&key) => {
+                (1, Some(key)) => prop_assert_eq!(round.cache.get(key), &round.model.get(key)[..]),
+                (2, Some(key)) => {
                     let add = |row: &mut [f32]| {
                         for (r, &v) in row.iter_mut().zip(&vals) {
                             *r += v;
                         }
                     };
-                    cache.update(key, add);
-                    add(&mut model.rows.get_mut(&key).unwrap().1);
+                    round.cache.update(key, add);
+                    add(&mut round.model.rows.get_mut(&key).unwrap().1);
                 }
                 // Another worker's push: the row moves on the server, so
-                // staleness grows and a later miss must see the new value.
-                4 => ps.push_delta(key, &vals),
-                5 => prop_assert_eq!(cache.staleness(&ps), model.staleness(&ps)),
-                6 => {
-                    let grads = cache.drain_outer_grads();
-                    prop_assert!(
-                        grads.keys.windows(2).all(|w| w[0] < w[1]),
-                        "drained keys not strictly sorted: {:?}", grads.keys
-                    );
-                    prop_assert_eq!(grads, model.drain());
-                }
+                // staleness grows and the next round must see the new value.
+                (3, _) => ps.push_delta(nth_key(idxs.first().copied().unwrap_or(0)), &vals),
+                (4, _) => prop_assert_eq!(
+                    staleness(&ps, &round.keys, &round.versions),
+                    round.model.staleness(&ps)
+                ),
                 _ => {}
             }
-            prop_assert_eq!(cache.stats(), model.stats);
-            prop_assert_eq!(cache.len(), model.rows.len());
-            prop_assert_eq!(ps.traffic().snapshot().0, model.pulls);
+            prop_assert_eq!(round.cache.stats(), round.model.stats);
+            prop_assert_eq!(ps.traffic().snapshot().0, pulls);
         }
         // Whatever is left drains the same too.
-        prop_assert_eq!(cache.drain_outer_grads(), model.drain());
-        prop_assert!(cache.is_empty());
+        round.drain()?;
     }
 }

@@ -24,11 +24,10 @@ use crate::frame::{
     PushResp, TraceContext,
 };
 use mamdr_obs::{MetricsRegistry, SpanContext, SpanGuard, Tracer};
-use mamdr_ps::{ParamKey, RowSource, ShardMap, WIRE_BATCH_KEYS};
+use mamdr_ps::{ParamKey, ShardMap, WIRE_BATCH_KEYS};
 use mamdr_tensor::rng::{derive_seed, seeded};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -713,109 +712,111 @@ fn call_shards(
     results
 }
 
-/// A [`RowSource`] over a *fleet* of per-shard [`WorkerClient`]s, letting
-/// the generic cached training round ([`mamdr_ps::run_cached_round`]) read
-/// rows over the wire exactly as it reads the in-process server. Every
-/// batched read is partitioned by the [`ShardMap`], the per-shard
-/// sub-batches are pulled concurrently (pipelined within each connection,
-/// parallel across shards), and the responses are re-assembled into the
-/// caller's key order. A single-server deployment is the one-client fleet:
-/// one `PullMany` frame per [`WIRE_BATCH_KEYS`] chunk, no extra threads.
+/// Pulls `keys` over a *fleet* of per-shard [`WorkerClient`]s, one per
+/// shard of `map`: the loopback worker round's one batched read. The batch
+/// is partitioned by the [`ShardMap`], the per-shard sub-batches are
+/// pulled concurrently (pipelined within each connection, one `PullMany`
+/// per [`WIRE_BATCH_KEYS`] chunk, parallel across shards), and the rows
+/// come back as one flat batch `(versions, values)` in `keys` order, each
+/// row `dim` wide. A single-server deployment is the one-client fleet: no
+/// extra threads.
 ///
-/// Interior mutability because the socket clients need `&mut` for I/O
-/// while `RowSource` reads take `&self`; single-threaded per worker, so a
-/// `RefCell` suffices.
+/// Returns the first failure in shard order — deterministic whichever
+/// shard's thread failed first — and no batch: the caller ends the round's
+/// attempt there, before any compute runs.
 ///
-/// The `RowSource` trait is infallible (the in-process store cannot fail)
-/// but the wire can. Instead of panicking — which would abort the whole
-/// training process on one worker's bad connection — the source records
-/// the *first* RPC failure (in shard order, so the record is
-/// deterministic), stops touching the network, and serves zero-filled rows
-/// for the remainder of the round. The worker loop then finds the poisoned
-/// flag via [`ShardedRowSource::take_error`] and reports a typed failure
-/// to the supervisor, which discards the round's output and re-runs the
-/// partition.
-pub struct ShardedRowSource {
-    clients: RefCell<Vec<WorkerClient>>,
+/// # Panics
+///
+/// Panics when `clients` does not hold one client per shard of `map`.
+pub fn pull_sharded(
+    clients: &mut [WorkerClient],
     map: ShardMap,
     dim: usize,
-    error: RefCell<Option<RpcError>>,
-}
-
-impl ShardedRowSource {
-    /// Wraps one client per shard of `map` (panics on a count mismatch).
-    pub fn new(clients: Vec<WorkerClient>, map: ShardMap, dim: usize) -> Self {
-        assert_eq!(clients.len(), map.n_shards(), "one client per shard");
-        ShardedRowSource { clients: RefCell::new(clients), map, dim, error: RefCell::new(None) }
-    }
-
-    /// Takes the first RPC failure, if any read failed. Once set, every
-    /// subsequent read was served locally as zeros — the round's output is
-    /// garbage and must be discarded.
-    pub fn take_error(&self) -> Option<RpcError> {
-        self.error.borrow_mut().take()
-    }
-
-    fn poisoned(&self) -> bool {
-        self.error.borrow().is_some()
-    }
-
-    fn record(&self, e: RpcError) {
-        let mut slot = self.error.borrow_mut();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-    }
-}
-
-impl RowSource for ShardedRowSource {
-    /// The one read path: scatters `keys` over the shard fleet (one
-    /// `PullMany` per [`WIRE_BATCH_KEYS`] chunk per shard) and writes each
-    /// chunk's rows straight to their input positions. Any failure poisons
-    /// the source and the whole result is zero-filled; a poisoned source
-    /// never touches the network.
-    fn pull_rows(&self, keys: &[ParamKey]) -> (Vec<u64>, Vec<f32>) {
-        let dim = self.dim;
-        let mut versions = vec![0u64; keys.len()];
-        let mut values = vec![0.0f32; keys.len() * dim];
-        if self.poisoned() {
-            return (versions, values);
-        }
-        let mut unpack = |idxs: &[usize], resp: Response| {
-            let Response::PullMany { versions: got, values: vals } = resp else {
-                unreachable!("PullMany answered with a different variant")
-            };
-            let n_rows = idxs.len();
-            if vals.len() != n_rows * dim {
-                return Err(RpcError::Frame(FrameError::Malformed(format!(
-                    "expected {} values for {n_rows} rows of width {dim}, got {}",
-                    n_rows * dim,
-                    vals.len()
-                ))));
-            }
-            for ((&i, version), row) in idxs.iter().zip(got).zip(vals.chunks_exact(dim.max(1))) {
-                versions[i] = version;
-                values[i * dim..(i + 1) * dim].copy_from_slice(row);
-            }
-            Ok(())
+    keys: &[ParamKey],
+) -> Result<(Vec<u64>, Vec<f32>), RpcError> {
+    assert_eq!(clients.len(), map.n_shards(), "one client per shard");
+    let mut versions = vec![0u64; keys.len()];
+    let mut values = vec![0.0f32; keys.len() * dim];
+    let mut unpack = |idxs: &[usize], resp: Response| {
+        let Response::PullMany { versions: got, values: vals } = resp else {
+            unreachable!("PullMany answered with a different variant")
         };
-        let parts = self.map.partition_indices(keys);
-        let results = call_shards(&mut self.clients.borrow_mut(), &parts, keys);
-        for (idxs, result) in parts.iter().zip(results) {
-            let Some(result) = result else { continue };
-            let gathered = result.and_then(|resps| {
-                idxs.chunks(WIRE_BATCH_KEYS)
-                    .zip(resps)
-                    .try_for_each(|(chunk, resp)| unpack(chunk, resp))
-            });
-            if let Err(e) = gathered {
-                self.record(e);
-            }
+        let n_rows = idxs.len();
+        if vals.len() != n_rows * dim {
+            return Err(RpcError::Frame(FrameError::Malformed(format!(
+                "expected {} values for {n_rows} rows of width {dim}, got {}",
+                n_rows * dim,
+                vals.len()
+            ))));
         }
-        if self.poisoned() {
-            versions.fill(0);
-            values.fill(0.0);
+        for ((&i, version), row) in idxs.iter().zip(got).zip(vals.chunks_exact(dim.max(1))) {
+            versions[i] = version;
+            values[i * dim..(i + 1) * dim].copy_from_slice(row);
         }
-        (versions, values)
+        Ok(())
+    };
+    let parts = map.partition_indices(keys);
+    let results = call_shards(clients, &parts, keys);
+    for (idxs, result) in parts.iter().zip(results) {
+        let Some(result) = result else { continue };
+        idxs.chunks(WIRE_BATCH_KEYS)
+            .zip(result?)
+            .try_for_each(|(chunk, resp)| unpack(chunk, resp))?;
+    }
+    Ok((versions, values))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::PsServer;
+    use mamdr_ps::ParameterServer;
+
+    #[test]
+    fn a_fleet_pull_with_a_killed_shard_is_a_typed_error_not_zeros() {
+        let (dim, map) = (2, ShardMap::new(2));
+        let keys: Vec<ParamKey> = (0..64).map(|r| ParamKey::new(0, r)).collect();
+        let metrics = Arc::new(MetricsRegistry::new());
+        let servers: Vec<PsServer> = (0..2)
+            .map(|_| {
+                let ps = Arc::new(ParameterServer::new(2, dim));
+                PsServer::bind("127.0.0.1:0", ps, dim, Arc::clone(&metrics), None, None).unwrap()
+            })
+            .collect();
+        for &key in &keys {
+            servers[map.owner(key)].store().init_row(key, vec![key.row as f32, 1.0]);
+        }
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            base_backoff_micros: 100,
+            max_backoff_micros: 1_000,
+            timeout: Duration::from_secs(2),
+            pipeline_depth: 8,
+        };
+        let fleet = || -> Vec<WorkerClient> {
+            (0..2)
+                .map(|s| {
+                    WorkerClient::new(servers[s].addr(), 1, policy, None, Arc::clone(&metrics))
+                })
+                .collect()
+        };
+        // Both shards own some of the keys, and a live fleet returns them.
+        assert!((0..2).all(|s| keys.iter().any(|&k| map.owner(k) == s)));
+        let (versions, values) = pull_sharded(&mut fleet(), map, dim, &keys).unwrap();
+        assert_eq!(versions, vec![0; keys.len()]);
+        assert!(keys.iter().zip(values.chunks_exact(dim)).all(|(k, row)| row[0] == k.row as f32));
+
+        let mut clients = fleet();
+        let mut servers = servers;
+        servers.pop().expect("two shards").kill();
+        let start = Instant::now();
+        let pulled = pull_sharded(&mut clients, map, dim, &keys);
+        let budget = policy.timeout + Duration::from_micros(policy.max_backoff_micros);
+        assert!(start.elapsed() < budget * policy.max_attempts, "took {:?}", start.elapsed());
+        match pulled {
+            Err(RpcError::Exhausted { attempts, .. }) => assert_eq!(attempts, policy.max_attempts),
+            other => panic!("expected the killed shard's exhausted retries, got {other:?}"),
+        }
+        servers.pop().expect("the live shard").kill();
     }
 }

@@ -21,7 +21,7 @@ pub mod frame;
 pub mod server;
 pub mod trainer;
 
-pub use client::{Request, Response, RetryPolicy, RpcError, ShardedRowSource, WorkerClient};
+pub use client::{Request, Response, RetryPolicy, RpcError, WorkerClient};
 pub use fault::{FaultDecision, FaultPlan, FaultState};
 pub use frame::{Frame, FrameError, OpCode, MAX_PAYLOAD, WIRE_VERSION};
 pub use server::PsServer;

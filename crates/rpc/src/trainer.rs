@@ -81,15 +81,15 @@
 //! trips the stores are rolled back in place to the last clean round
 //! boundary — values *and* optimizer state.
 
-use crate::client::{Request, RetryPolicy, ShardedRowSource, WorkerClient};
+use crate::client::{pull_sharded, Request, RetryPolicy, WorkerClient};
 use crate::fault::{FaultPlan, FaultState};
 use crate::server::PsServer;
 use mamdr_data::{MdrDataset, Split};
 use mamdr_obs::{maybe_child, MetricsRegistry, SpanContext, Tracer};
 use mamdr_ps::engine::{self, ResumeBase, RoundTransport};
 use mamdr_ps::trainer::{
-    evaluate_server, run_cached_round_timed, seed_sharded_servers, worker_round_seed,
-    CachedRoundOutput,
+    evaluate_server, partition_keys, run_cached_round, seed_sharded_servers, worker_round_seed,
+    CachedRoundOutput, RoundTime,
 };
 use mamdr_ps::{
     checkpoint, latest_manifest, load_manifest_state, merge_stores, shard_dir, ContinualPublisher,
@@ -104,10 +104,10 @@ use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Float total of the seconds workers spent inside row reads (pulls over
-/// the wire), summed over workers and rounds.
+/// Float total of the seconds workers spent in their rounds' pulls over
+/// the wire, summed over workers and rounds.
 const WORKER_PULL_SECONDS: &str = "ps_worker_pull_seconds_total";
 /// Float total of the rest of the workers' cached rounds.
 const WORKER_COMPUTE_SECONDS: &str = "ps_worker_compute_seconds_total";
@@ -126,7 +126,8 @@ pub enum WorkerFailure {
         /// Worker index within the round.
         worker: usize,
     },
-    /// The worker's row reads failed past the client's retry budget.
+    /// The worker's pull failed past the client's retry budget, before
+    /// its compute ran.
     Rpc {
         /// Worker index within the round.
         worker: usize,
@@ -507,8 +508,10 @@ impl DistributedTrainer {
         .with_tracer(self.cfg.tracer.clone())
     }
 
-    /// One worker's round: scheduled-fault checks, the cached inner loop
-    /// over sharded RPC reads, and the poison injection.
+    /// One worker's round: scheduled-fault checks, then the round's three
+    /// calls — its key set, one sharded pull and the cached compute — and
+    /// the poison injection. A failed pull ends the attempt before the
+    /// compute.
     fn worker_round(
         &self,
         ds: &MdrDataset,
@@ -548,26 +551,23 @@ impl DistributedTrainer {
         for client in &mut clients {
             client.set_trace_parent(worker_span.as_ref().map(|s| s.ctx()));
         }
-        let src = ShardedRowSource::new(clients, self.map, cfg.dim);
-        // Always timed — one clock read per row-source call, never per row
-        // — so the pull/compute split is exported untraced too.
-        let (mut out, time) = run_cached_round_timed(
-            &src,
-            ds,
-            part,
-            cfg.inner_lr,
-            worker_round_seed(cfg.seed, epoch, w),
-        );
+        // Always timed — a few clock reads per round, never per row — so
+        // the pull/compute split is exported untraced too.
+        let start = Instant::now();
+        let keys = partition_keys(ds, part);
+        let pull_start = Instant::now();
+        let pulled = pull_sharded(&mut clients, self.map, cfg.dim, &keys);
+        let pull = pull_start.elapsed();
+        let seed = worker_round_seed(cfg.seed, epoch, w);
+        let out =
+            pulled.map(|(_, values)| run_cached_round(keys, values, ds, part, cfg.inner_lr, seed));
+        let time = RoundTime { pull, compute: start.elapsed().saturating_sub(pull) };
         if let Some(t) = tracer.as_deref() {
             time.record(t);
         }
         self.metrics.gauge(WORKER_PULL_SECONDS).add(time.pull.as_secs_f64());
         self.metrics.gauge(WORKER_COMPUTE_SECONDS).add(time.compute.as_secs_f64());
-        if let Some(e) = src.take_error() {
-            // The round trained against zero-filled fallback rows after the
-            // first failure; its output is garbage and must be re-run.
-            return Err(WorkerFailure::Rpc { worker: w, error: e.to_string() });
-        }
+        let mut out = out.map_err(|e| WorkerFailure::Rpc { worker: w, error: e.to_string() })?;
         if self.cfg.fault.as_ref().is_some_and(|p| p.should_poison(epoch as u64, w as u32)) {
             // Divergent-data injection: one NaN component is enough for the
             // guard's norm check to catch the whole update.

@@ -48,7 +48,7 @@ use mamdr::models::{
 };
 use mamdr::nn::{ForwardCtx, ParamStore};
 use mamdr::obs::MetricsRegistry;
-use mamdr::ps::trainer::{run_cached_round, seed_server, worker_round_seed};
+use mamdr::ps::trainer::{partition_keys, run_cached_round, seed_server, worker_round_seed};
 use mamdr::ps::{partition_domains, ParamKey, ParameterServer, LOCK_STRIPES};
 use mamdr::rpc::frame::PullManyResp;
 use mamdr::rpc::{Frame, OpCode};
@@ -132,15 +132,18 @@ const WORKER_B1: (u64, u64) = (0, 0);
 /// so what the worker allocates is not seen here — with that channel, its
 /// first `send` also allocated a list block of about 1.5 KiB.
 const SUBMIT_WAIT: (u64, u64) = (1, 56);
-/// One cached worker round (`run_cached_round`) over an in-process store:
-/// worker 0's partition of round 0 on `industry(8, 300, 42)` at width 8 of
-/// 2 workers — 4 domains, 258 examples, 497 rows. What is left is per
-/// round, per table or per domain, none per row or per example:
+/// One cached worker round over an in-process store — its key set
+/// (`partition_keys`), its pull (`pull_flat`) and its compute
+/// (`run_cached_round`): worker 0's partition of round 0 on
+/// `industry(8, 300, 42)` at width 8 of 2 workers — 4 domains, 258
+/// examples, 497 rows. What is left is per round, per table or per domain,
+/// none per row or per example:
 /// - the key set (6): one occupancy bitset per table, sized from its
 ///   seeded rows (8 000, 3 000, 16, 32 and 8 bits: 1 400 B), and the
-///   exactly sized key list (497 × 8 B);
-/// - the slab (4): its key list and dynamic half, and the pulled batch's
-///   two buffers, which become its versions and static half (39 760 B);
+///   exactly sized key list (497 × 8 B), which the slab takes over;
+/// - the pull and the slab (3): the pulled batch's two buffers — its
+///   versions and the values that become the static half — and the
+///   dynamic half (35 784 B);
 /// - the dense index (7): its table list (two growths, 384 B) and each
 ///   table's `u32` per row id, sized once to the largest row id of the
 ///   table's run of sorted keys (7 924, 2 983, 15, 31, 4: 43 848 B);
@@ -152,9 +155,10 @@ const SUBMIT_WAIT: (u64, u64) = (1, 56);
 /// each table's index grew by doubling (30 allocations, 106 788 B), it was
 /// 46 / 163 772; while the round probed the rows' versions, 47 / 167 748;
 /// while the first fill copied the batch's versions (497 × 8 B), 26 /
-/// 95 888. With a hash-map record per row, five row copies per example and
+/// 95 888; while the slab copied the key list (497 × 8 B), 25 / 91 912.
+/// With a hash-map record per row, five row copies per example and
 /// a vector per row from the pull to the drain it was 2 833 / 299 972.
-const CACHED_ROUND: (u64, u64) = (25, 91_912);
+const CACHED_ROUND: (u64, u64) = (24, 87_936);
 /// One `PullManyOk` frame of 497 rows at width 8 (the `CACHED_ROUND`
 /// working set), there and back: the payload encode, `Frame::to_bytes`,
 /// `Frame::decode` and `PullManyResp::decode`. One exactly sized buffer
@@ -485,7 +489,11 @@ fn cached_round_allocations_are_pinned() {
     let ps = ParameterServer::new(LOCK_STRIPES, dim);
     seed_server(&ps, &ds, dim, seed);
     let part = &partition_domains(ds.n_domains(), seed, 0, 2)[0];
-    let round = || drop(run_cached_round(&ps, &ds, part, 0.1, worker_round_seed(seed, 0, 0)));
+    let round = || {
+        let keys = partition_keys(&ds, part);
+        let (_, values) = ps.pull_flat(&keys).expect("seeded rows");
+        drop(run_cached_round(keys, values, &ds, part, 0.1, worker_round_seed(seed, 0, 0)));
+    };
     // The round only reads the store, so the second one repeats the first.
     round();
     let got = counted(round);
