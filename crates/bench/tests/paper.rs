@@ -1,8 +1,9 @@
 //! The `paper` binary run as a person runs it: the experiment listing, and
-//! the stdout of its two cheapest experiments pinned byte for byte. The
-//! pins were captured from the separate `ablation` and `fig9` binaries
+//! the stdout of three cheap experiments pinned byte for byte. The
+//! `ablation` and `fig9` pins were captured from the separate binaries
 //! `paper` replaced, at the same flags; every experiment's full check is
 //! a comparison of its `--quick` stdout against those binaries' (CHANGES.md).
+//! `pscache` was pinned once its multi-worker rows became seeded.
 
 use std::process::{Command, Output};
 
@@ -80,5 +81,31 @@ fn ablation_prints_the_pinned_table() {
 fn fig9_prints_the_pinned_grid_at_one_and_two_threads() {
     for threads in ["1", "2"] {
         assert_eq!(pinned_run("fig9", &["--threads", threads]), FIG9, "--threads {threads}");
+    }
+}
+
+const PSCACHE: &str = r#"
+=== Paper §IV-E: embedding PS-Worker cache ablation ===
+(8 domains, 1 outer rounds, seed 42)
+
+workers      mode  pulls  pushes  MB moved  hit rate  max stale  test AUC
+-------------------------------------------------------------------------
+1          cached      2    4255      0.27      0.81          0    0.5771
+1        no-cache  17735   17735      1.14      0.00          0    0.5732
+4          cached      4    5156      0.33      0.77          3    0.5686
+4        no-cache  17735   17735      1.14      0.00          0    0.5613
+8          cached      8    5435      0.35      0.77          7    0.5571
+8        no-cache  17735   17735      1.14      0.00          0    0.5603
+
+traffic reduction (no-cache / cached): ["4.2x", "3.4x", "3.3x"]
+expected shape: an order-of-magnitude fewer bytes and RPCs with the
+cache, at equal or better AUC (bounded staleness).
+"#;
+
+/// Updates land in a seeded order: no cell depends on thread scheduling.
+#[test]
+fn pscache_prints_the_pinned_table_at_one_and_two_threads() {
+    for threads in ["1", "2"] {
+        assert_eq!(pinned_run("pscache", &["--threads", threads]), PSCACHE, "--threads {threads}");
     }
 }

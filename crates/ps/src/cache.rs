@@ -6,7 +6,7 @@
 //! index turns a key into its slot with two array loads — no hashing and
 //! no allocation per read or update.
 
-use crate::kv::{ParamKey, ParameterServer};
+use crate::kv::ParamKey;
 
 /// Hit/miss counters for one worker's cache.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -167,25 +167,10 @@ impl WorkerCache {
     }
 }
 
-/// How stale a round's pulled rows are right now: the largest number of
-/// pushes any of `keys` received since it was pulled at `versions` (the
-/// batch's versions, in key order). This is the inconsistency the §IV-E
-/// protocol bounds — it resets at every round boundary because each round
-/// pulls afresh. Only a worker racing others on a store it shares can see
-/// a lag, so the lag is read from that store directly (silently, one
-/// [`ParameterServer::version`] per row); a synchronous round cannot be
-/// stale and never asks.
-pub fn staleness(ps: &ParameterServer, keys: &[ParamKey], versions: &[u64]) -> u64 {
-    keys.iter()
-        .zip(versions)
-        .map(|(&key, &pulled)| ps.version(key).saturating_sub(pulled))
-        .max()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::ParameterServer;
 
     fn server() -> ParameterServer {
         let ps = ParameterServer::new(2, 2);
@@ -256,29 +241,5 @@ mod tests {
     fn an_unsorted_batch_is_refused() {
         let ps = server();
         pulled(&ps, &[ParamKey::new(0, 1), ParamKey::new(0, 0)]);
-    }
-
-    #[test]
-    fn staleness_counts_foreign_pushes() {
-        let ps = ParameterServer::new(2, 2);
-        let key = ParamKey::new(0, 0);
-        ps.init_row(key, vec![0.0, 0.0]);
-        let (versions, _) = ps.pull_flat(&[key]).unwrap();
-        assert_eq!(staleness(&ps, &[key], &versions), 0);
-        // Another worker pushes twice after my pull.
-        ps.push_delta(key, &[1.0, 0.0]);
-        ps.push_delta(key, &[1.0, 0.0]);
-        assert_eq!(staleness(&ps, &[key], &versions), 2);
-        // Reading the lag is silent: only the one pull was counted.
-        assert_eq!(ps.traffic().snapshot().0, 1);
-        // The next round pulls afresh, resetting the lag.
-        let (versions, _) = ps.pull_flat(&[key]).unwrap();
-        assert_eq!(staleness(&ps, &[key], &versions), 0);
-    }
-
-    #[test]
-    fn staleness_of_empty_cache_is_zero() {
-        let ps = ParameterServer::new(1, 1);
-        assert_eq!(staleness(&ps, &[], &[]), 0);
     }
 }

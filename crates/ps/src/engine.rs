@@ -4,8 +4,8 @@
 //! Every distributed run is the same policy — partition the shuffled
 //! domains over the workers, run the cached inner loop per worker, vet each
 //! worker's outer gradients with the [`GuardRail`], apply the accepted ones
-//! as the single writer in worker order, record the round loss, commit the
-//! boundary, and after the last round evaluate and report. What differs
+//! as the single writer in [`apply_order`], record the round loss, commit
+//! the boundary, and after the last round evaluate and report. What differs
 //! between deployments is only *where* reads and writes go, and that is
 //! what a [`RoundTransport`] supplies; a worker's reads are its round's
 //! one batched pull, inside `run_workers`. The in-process [`crate::DistributedMamdr`] is the
@@ -16,11 +16,19 @@
 
 use crate::cache::{CacheStats, OuterGrads};
 use crate::guard::{outer_grad_norm, GuardRail, GuardVerdict};
+use crate::kv::ParamKey;
 use crate::trainer::{CachedRoundOutput, DistributedConfig, DistributedReport};
 use mamdr_obs::{maybe_child, maybe_span, SpanContext, Tracer};
 use mamdr_tensor::pool;
 use mamdr_tensor::rng::{derive_seed, seeded, shuffle};
+use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The parent of every round's apply-order stream. Each epoch's order is
+/// derived from it, keyed by the epoch, so the order shares no draws with
+/// the partition streams (`0xA0 + epoch`), the row seeding (`0xF5`) or a
+/// worker's round seed at any epoch.
+const APPLY_ORDER_STREAM: u64 = u64::MAX;
 
 /// The report aggregates at a round boundary — both what a resumed run
 /// starts from (all zero for a fresh run) and what the engine hands to
@@ -50,7 +58,9 @@ pub trait RoundTransport {
     type Snapshot;
 
     /// Runs round `epoch`'s workers, one per partition, and hands back
-    /// their outputs in worker order. Worker spans parent under `parent`.
+    /// their outputs in worker order. Workers only read: the stores hold
+    /// the previous round's state until the engine applies this round's
+    /// outputs. Worker spans parent under `parent`.
     fn run_workers(
         &mut self,
         epoch: usize,
@@ -59,7 +69,7 @@ pub trait RoundTransport {
     ) -> Result<Vec<CachedRoundOutput>, Self::Error>;
 
     /// Queues one accepted worker's key-sorted outer gradients. Calls
-    /// arrive in worker order; delivery must preserve it.
+    /// arrive in [`apply_order`]; delivery must preserve it.
     fn queue_grads(&mut self, grads: OuterGrads);
 
     /// Delivers everything queued; on return the stores hold it.
@@ -112,6 +122,19 @@ pub fn partition_domains(
     (0..n_workers).map(|w| domains.iter().copied().skip(w).step_by(n_workers).collect()).collect()
 }
 
+/// Puts round `epoch`'s per-worker items, given in worker order, into the
+/// order the round applies them. A synchronous round
+/// ([`DistributedConfig::sync_rounds`]) keeps worker order. Otherwise the
+/// round stands for the asynchronous deployment, whose workers push in the
+/// order they finish; here that order is a permutation of the workers
+/// drawn from the seed, one fixed interleaving per `(seed, epoch)`.
+pub fn apply_order<T>(cfg: &DistributedConfig, epoch: usize, by_worker: &mut [T]) {
+    if !cfg.sync_rounds {
+        let stream = derive_seed(cfg.seed, APPLY_ORDER_STREAM);
+        shuffle(&mut seeded(derive_seed(stream, epoch as u64)), by_worker);
+    }
+}
+
 fn mean_loss(loss_sum: f64, n_examples: u64) -> f64 {
     if n_examples == 0 {
         0.0
@@ -121,9 +144,14 @@ fn mean_loss(loss_sum: f64, n_examples: u64) -> f64 {
 }
 
 /// Runs rounds `base.rounds_done..cfg.epochs` over `transport` and reports
-/// traffic and final quality. The guard is consulted whenever
-/// `cfg.guard.enabled`: the caller must only enable it when the engine is
-/// the sole writer.
+/// traffic and final quality. The engine is the only writer: it vets every
+/// output with the guard whenever `cfg.guard.enabled` and applies the
+/// accepted ones in [`apply_order`].
+///
+/// Every worker pulled at round start, so an output's staleness is the
+/// largest number of updates queued earlier in its round that touched any
+/// of its rows; a rollback discards those updates and clears the count. A
+/// synchronous round is one lock-step update and reports 0.
 pub fn run_rounds<T: RoundTransport>(
     transport: &mut T,
     cfg: &DistributedConfig,
@@ -151,19 +179,23 @@ pub fn run_rounds<T: RoundTransport>(
             let _span = maybe_child(tracer, "round.partition", round_ctx);
             partition_domains(n_domains, cfg.seed, epoch, cfg.n_workers)
         };
-        let outputs = {
+        let mut outputs = {
             let span = maybe_child(tracer, "round.workers", round_ctx);
             transport.run_workers(epoch, &partitions, span.as_ref().map(|s| s.ctx()))?
         };
+        apply_order(cfg, epoch, &mut outputs);
         let apply_span = maybe_child(tracer, "round.apply", round_ctx);
         let apply_ctx = apply_span.as_ref().map(|s| s.ctx());
         let mut loss_sum = 0.0f64;
         let mut n_examples = 0u64;
         let mut round_tripped = false;
+        // Updates queued so far this round, per row (none when lock-step).
+        let mut queued: HashMap<ParamKey, u64> = HashMap::new();
         for out in outputs {
             state.cache.hits += out.cache.hits;
             state.cache.misses += out.cache.misses;
-            state.max_staleness = state.max_staleness.max(out.staleness);
+            let lag = out.grads.keys.iter().filter_map(|k| queued.get(k)).max();
+            state.max_staleness = state.max_staleness.max(lag.copied().unwrap_or(0));
             if guard_active {
                 let worker_loss = mean_loss(out.loss_sum, out.n_examples);
                 match guard.check(worker_loss, outer_grad_norm(&out.grads.values)).0 {
@@ -182,13 +214,19 @@ pub fn run_rounds<T: RoundTransport>(
                         if let Some(snapshot) = &last_good {
                             transport.restore(snapshot);
                         }
+                        queued.clear();
                         continue;
                     }
                 }
             }
             loss_sum += out.loss_sum;
             n_examples += out.n_examples;
-            // Single writer, worker order, keys pre-sorted: the one total
+            if !cfg.sync_rounds {
+                for &key in &out.grads.keys {
+                    *queued.entry(key).or_default() += 1;
+                }
+            }
+            // Single writer, apply order, keys pre-sorted: the one total
             // order every transport reproduces.
             transport.queue_grads(out.grads);
             if guard_active {
@@ -257,7 +295,6 @@ mod tests {
             assert_eq!(partitions.len(), self.rounds[epoch].len());
             let output = |&(loss_sum, grad): &(f64, f32)| CachedRoundOutput {
                 cache: CacheStats::default(),
-                staleness: 0,
                 loss_sum,
                 n_examples: 1,
                 grads: OuterGrads { keys: vec![ParamKey::new(0, 0)], values: vec![grad] },
@@ -313,6 +350,7 @@ mod tests {
         let cfg = DistributedConfig {
             n_workers: 2,
             epochs: 3,
+            sync_rounds: true,
             guard: GuardConfig { max_consecutive_trips: 2, ..GuardConfig::enabled() },
             ..Default::default()
         };
@@ -322,5 +360,51 @@ mod tests {
         assert_eq!((report.guard_trips, report.guard_rollbacks), (2, 1));
         assert_eq!(report.mean_auc, 11.0, "rollback target was 3.0, not round 1's 7.0");
         assert_eq!(report.pushes, 4);
+    }
+
+    /// Runs `rounds` over a [`Scripted`] store; returns what it applied.
+    fn run_scripted(
+        cfg: &DistributedConfig,
+        rounds: Vec<Vec<(f64, f32)>>,
+    ) -> (Vec<f32>, DistributedReport) {
+        let mut t = Scripted { rounds, queued: Vec::new(), store: 0.0, applied: Vec::new() };
+        let Ok(report) = run_rounds(&mut t, cfg, 8, &None, ResumeBase::default());
+        (t.applied, report)
+    }
+
+    #[test]
+    fn asynchronous_rounds_apply_in_a_seeded_order_and_count_what_each_update_missed() {
+        // Worker w's gradient is w + 1, so `applied` spells out the order.
+        // Every update touches the one row: the k-th of a round missed k - 1.
+        let cfg = DistributedConfig { n_workers: 4, epochs: 2, ..Default::default() };
+        let by_worker = [1.0f32, 2.0, 3.0, 4.0];
+        let mut orders = [by_worker; 2];
+        for (epoch, order) in orders.iter_mut().enumerate() {
+            apply_order(&cfg, epoch, order);
+        }
+        assert!(orders[0] != orders[1] && !orders.contains(&by_worker), "{orders:?}");
+        let rounds = vec![by_worker.map(|g| (0.5, g)).to_vec(); 2];
+        let (applied, report) = run_scripted(&cfg, rounds.clone());
+        assert_eq!((applied, report.max_staleness), (orders.concat(), 3));
+        let sync = DistributedConfig { sync_rounds: true, ..cfg };
+        let (applied, report) = run_scripted(&sync, rounds);
+        assert_eq!((applied, report.max_staleness), (by_worker.repeat(2), 0));
+
+        // A skipped update is not counted: poisoned first, the three
+        // healthy updates missed 0, 1 and 2 queued ones, not 1, 2 and 3.
+        let guarded = DistributedConfig { epochs: 1, guard: GuardConfig::enabled(), ..cfg };
+        let poisoned = |k: usize| {
+            let mut round = vec![(0.5, 1.0); 4];
+            round[orders[0][k] as usize - 1] = (f64::NAN, f32::NAN);
+            vec![round]
+        };
+        let (applied, report) = run_scripted(&guarded, poisoned(0));
+        assert_eq!((applied.len(), report.guard_trips, report.max_staleness), (3, 1, 2));
+        // A rollback clears the count: poisoned second under a one-trip
+        // budget, the first update is rolled back and the last two missed
+        // 0 and 1, not 1 and 2.
+        let guard = GuardConfig { max_consecutive_trips: 1, ..guarded.guard };
+        let (_, report) = run_scripted(&DistributedConfig { guard, ..guarded }, poisoned(1));
+        assert_eq!((report.guard_rollbacks, report.mean_auc, report.max_staleness), (1, 2.0, 1));
     }
 }

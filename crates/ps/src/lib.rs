@@ -43,13 +43,18 @@
 //! The two caches always hold the same key set, so [`WorkerCache`] keeps
 //! them as two parallel slabs of one slot per row, found through a dense
 //! per-table index. The key set is exact, so every read is a hit and a
-//! read outside the batch panics naming its key. Staleness is reported by
-//! whoever orders the applies: a synchronous round reports 0, and only the
-//! asynchronous in-process trainer, which owns its store, reads it there
-//! from the versions it pulled.
+//! read outside the batch panics naming its key.
+//!
+//! Workers only read. The driver is the one writer in every mode: after
+//! the round joins it applies every worker's gradients, in worker order
+//! for a synchronous round and in a seeded permutation of the workers
+//! otherwise, so every run is a function of its seed. Staleness is counted
+//! where the applies are ordered, in [`engine::run_rounds`]: an update's
+//! staleness is how many earlier updates of its round touched its rows.
 //!
 //! The `NoCache` mode pulls every row on every read and pushes every update
-//! immediately — the baseline the `pscache` benchmark compares against.
+//! immediately — the baseline the `pscache` benchmark compares against. Its
+//! workers run one after another on the driver's thread.
 
 pub mod cache;
 pub mod checkpoint;

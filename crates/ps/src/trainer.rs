@@ -4,20 +4,20 @@
 //! The outer loop itself lives in [`crate::engine`]. This module holds
 //! what the loop is generic over: the configuration and report types, the
 //! compute of a cached worker round ([`run_cached_round`]) that the
-//! in-process and the networked workers both execute between their own
-//! pulls and pushes, server seeding and evaluation, and
-//! [`DistributedMamdr`] — the trivial [`RoundTransport`], whose workers
-//! are scoped threads reading one shared [`ParameterServer`] and whose
-//! "wire" is a direct `push_outer_grad` call that cannot fail.
+//! in-process and the networked workers both execute after their one pull,
+//! server seeding and evaluation, and [`DistributedMamdr`] — the trivial
+//! [`RoundTransport`], whose workers are scoped threads reading one shared
+//! [`ParameterServer`] and whose "wire" is a direct `push_outer_grad` call
+//! that cannot fail.
 
-use crate::cache::{staleness, CacheStats, OuterGrads, WorkerCache};
+use crate::cache::{CacheStats, OuterGrads, WorkerCache};
 use crate::engine::{self, ResumeBase, RoundTransport};
 use crate::guard::GuardConfig;
 use crate::kv::{ParamKey, ParameterServer, LOCK_STRIPES};
 use crate::model::{error_signal, log_loss, score, tables, ExampleKeys};
 use crate::shard::ShardMap;
 use mamdr_core::metrics::auc;
-use mamdr_data::{MdrDataset, Split};
+use mamdr_data::{Interaction, MdrDataset, Split};
 use mamdr_obs::{maybe_child, MetricsRegistry, SpanContext, Tracer};
 use mamdr_tensor::pool;
 use mamdr_tensor::rng::{derive_seed, normal, seeded, shuffle};
@@ -33,7 +33,9 @@ pub enum SyncMode {
     /// touched row per round.
     Cached,
     /// Baseline: pull every row on every read, push every update
-    /// immediately (classic fully synchronous PS training).
+    /// immediately (classic fully synchronous PS training). The workers
+    /// run one after another on the driver's thread: one legal
+    /// interleaving of their per-read traffic, the same at every run.
     NoCache,
 }
 
@@ -52,16 +54,16 @@ pub struct DistributedConfig {
     pub epochs: usize,
     /// Synchronization protocol.
     pub mode: SyncMode,
-    /// When true (and the mode is [`SyncMode::Cached`]), workers train
-    /// read-only against the server and the driver applies every worker's
-    /// key-sorted outer gradients *after* the round joins, in worker
-    /// order. The server is quiescent while workers read, so the run is
-    /// bit-reproducible at any worker count — this is the protocol the
-    /// networked trainer (`mamdr-rpc`) mirrors over TCP, and what makes
-    /// "loopback training equals in-process training" testable at all.
-    /// When false (the default), workers push their own gradients as they
-    /// finish, racing each other exactly like the asynchronous real
-    /// deployment.
+    /// How the driver orders a round's updates. Workers always train
+    /// read-only against the server, and the driver applies every worker's
+    /// key-sorted outer gradients after the round joins, so a run is a
+    /// function of its seed at any worker count, in both trainers. When
+    /// true, the round is one lock-step update: the driver applies in
+    /// worker order and reports staleness 0. When false (the default), the
+    /// round stands for the asynchronous deployment, whose workers push as
+    /// they finish: the driver applies in a seeded permutation of the
+    /// workers, and each update's staleness is how many earlier updates of
+    /// the round touched its rows (see [`crate::engine::apply_order`]).
     pub sync_rounds: bool,
     /// Master seed.
     pub seed: u64,
@@ -69,9 +71,9 @@ pub struct DistributedConfig {
     /// `0` (the default) inherits the process-wide setting. Results are
     /// bit-identical at any value.
     pub kernel_threads: usize,
-    /// Divergence guard over the synchronous apply path (disabled by
-    /// default; only consulted when [`DistributedConfig::sync_rounds`] is
-    /// set, because only then does the driver see every update).
+    /// Divergence guard over the driver's apply path (disabled by
+    /// default). The driver applies every update in every mode, so an
+    /// enabled guard vets each one before it lands.
     pub guard: GuardConfig,
     /// Number of *cross-server* shards the pull accounting should model
     /// (see [`ParameterServer::set_route_shards`]). `1` (the default)
@@ -112,8 +114,9 @@ pub struct DistributedReport {
     pub total_bytes: u64,
     /// Combined worker cache statistics (zero for [`SyncMode::NoCache`]).
     pub cache: CacheStats,
-    /// Worst observed end-of-round staleness across all workers and rounds
-    /// (how many foreign pushes a cached row missed before the drain).
+    /// Worst staleness across all workers and rounds: how many updates of
+    /// the same round reached a cached row before the worker's own (0 when
+    /// [`DistributedConfig::sync_rounds`] is set).
     pub max_staleness: u64,
     /// Mean training log-loss of each outer round, in round order.
     pub round_losses: Vec<f64>,
@@ -150,8 +153,8 @@ impl DistributedReport {
 }
 
 /// One worker's result for one outer round of cached training: the
-/// accounting plus — in synchronous modes — the undelivered outer
-/// gradients, key-sorted for a deterministic application order.
+/// accounting plus the undelivered outer gradients, key-sorted for a
+/// deterministic application order.
 ///
 /// Public because the networked trainer in `mamdr-rpc` runs the same
 /// round compute on rows it pulled over the wire and must aggregate
@@ -160,11 +163,6 @@ impl DistributedReport {
 pub struct CachedRoundOutput {
     /// Hit/miss counters of the worker's cache for this round.
     pub cache: CacheStats,
-    /// End-of-round staleness of the worker's cached rows: the largest
-    /// number of foreign pushes a row received after this worker pulled it.
-    /// Always 0 in a synchronous round, where the store is read-only until
-    /// every worker has joined.
-    pub staleness: u64,
     /// Summed training log-loss over the worker's examples.
     pub loss_sum: f64,
     /// Number of training examples the worker saw.
@@ -262,13 +260,7 @@ pub fn evaluate_server(ps: &ParameterServer, ds: &MdrDataset, split: Split) -> f
         let mut scores = vec![0.0f32; interactions.len()];
         pool::for_each_row_block(&mut scores, 1, 512, |range, block| {
             for (slot, it) in block.iter_mut().zip(&interactions[range]) {
-                let keys = ExampleKeys::new(
-                    it.user,
-                    it.item,
-                    ds.user_group[it.user as usize],
-                    ds.item_cat[it.item as usize],
-                    di as u32,
-                );
+                let keys = example_keys(ds, it, di);
                 let u = ps.read_silent(keys.user).expect("user row");
                 let v = ps.read_silent(keys.item).expect("item row");
                 let g = ps.read_silent(keys.ugroup).expect("group row");
@@ -321,15 +313,10 @@ impl DistributedMamdr {
     /// Runs the configured number of outer rounds and reports traffic and
     /// final quality.
     pub fn train(&self, ds: &MdrDataset) -> DistributedReport {
-        let mut cfg = self.cfg;
-        // The guard only makes sense when the driver is the sole writer:
-        // asynchronous workers apply their own pushes before the driver
-        // could vet them.
-        cfg.guard.enabled &= cfg.sync_rounds;
         let mut transport = InProcess { trainer: self, ds };
         let Ok(report) = engine::run_rounds(
             &mut transport,
-            &cfg,
+            &self.cfg,
             ds.n_domains(),
             &self.tracer,
             ResumeBase::default(),
@@ -352,8 +339,9 @@ impl DistributedMamdr {
     }
 }
 
-/// The in-process transport: workers are scoped threads on the trainer's
-/// own store, and the driver's writes are direct calls.
+/// The in-process transport: cached workers are scoped threads reading the
+/// trainer's own store, `NoCache` workers run in turn on the driver's
+/// thread, and the driver's writes are direct calls.
 struct InProcess<'a> {
     trainer: &'a DistributedMamdr,
     ds: &'a MdrDataset,
@@ -370,13 +358,16 @@ impl RoundTransport for InProcess<'_> {
         parent: Option<SpanContext>,
     ) -> Result<Vec<CachedRoundOutput>, Infallible> {
         let (trainer, ds) = (self.trainer, self.ds);
+        let round =
+            |(w, part): (usize, &Vec<usize>)| trainer.run_worker_round(ds, part, epoch, w, parent);
+        if trainer.cfg.mode == SyncMode::NoCache {
+            return Ok(partitions.iter().enumerate().map(round).collect());
+        }
         let outputs = std::thread::scope(|scope| {
             let handles: Vec<_> = partitions
                 .iter()
                 .enumerate()
-                .map(|(w, part)| {
-                    scope.spawn(move || trainer.run_worker_round(ds, part, epoch, w, parent))
-                })
+                .map(|w_part| scope.spawn(move || round(w_part)))
                 .collect();
             handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
         });
@@ -415,15 +406,13 @@ impl RoundTransport for InProcess<'_> {
 /// `keys` as [`partition_keys`] returns them for `domains`, `values` their
 /// rows in key order — ending with the outer-gradient drain. It reads no
 /// store and no clock: the round's one pull comes before it, so its result
-/// is a function of its arguments alone. Staleness is 0; only the
-/// asynchronous in-process trainer overwrites it.
+/// is a function of its arguments alone.
 ///
-/// The gradients are *returned* (key-sorted), not pushed — the caller
-/// decides how to deliver them: the synchronous in-process trainer defers
-/// them to the driver, and the networked trainer ships them over RPC. Both
-/// trainers call this one function on the rows they pulled, which is why
-/// fault-free networked training is bit-identical to [`DistributedMamdr`]
-/// with `sync_rounds`.
+/// The gradients are *returned* (key-sorted), not pushed — the driver
+/// applies them: directly in process, over RPC in the networked trainer.
+/// Both trainers call this one function on the rows they pulled, which is
+/// why fault-free networked training is bit-identical to
+/// [`DistributedMamdr`].
 ///
 /// # Panics
 ///
@@ -448,7 +437,7 @@ pub fn run_cached_round(
     }
     let stats = cache.stats();
     let grads = cache.drain_outer_grads();
-    CachedRoundOutput { cache: stats, staleness: 0, loss_sum, n_examples, grads }
+    CachedRoundOutput { cache: stats, loss_sum, n_examples, grads }
 }
 
 /// The distinct parameter rows a cached round over `domains` will touch,
@@ -467,14 +456,7 @@ pub fn partition_keys(ds: &MdrDataset, domains: &[usize]) -> Vec<ParamKey> {
     let mut bits = tables.map(|(_, rows)| vec![0u64; rows.div_ceil(64)]);
     for &d in domains {
         for it in &ds.domains[d].train {
-            let ek = ExampleKeys::new(
-                it.user,
-                it.item,
-                ds.user_group[it.user as usize],
-                ds.item_cat[it.item as usize],
-                d as u32,
-            );
-            for key in ek.all() {
+            for key in example_keys(ds, it, d).all() {
                 let (table, word) = (&mut bits[key.table as usize], key.row as usize / 64);
                 // Only a row id beyond its table's seeded rows grows a set.
                 if word >= table.len() {
@@ -499,9 +481,8 @@ pub fn partition_keys(ds: &MdrDataset, domains: &[usize]) -> Vec<ParamKey> {
 
 impl DistributedMamdr {
     /// One worker's round: the MAMDR inner loop over its domain partition.
-    /// The returned `grads` are the ones deferred to the driver
-    /// ([`DistributedConfig::sync_rounds`]) — empty when the worker already
-    /// pushed them itself.
+    /// A cached round returns its gradients for the driver to apply; a
+    /// `NoCache` round pushed every update itself and returns none.
     fn run_worker_round(
         &self,
         ds: &MdrDataset,
@@ -523,7 +504,7 @@ impl DistributedMamdr {
                 let start = Instant::now();
                 let keys = partition_keys(ds, domains);
                 let pull_start = Instant::now();
-                let (versions, values) = ps
+                let (_, values) = ps
                     .pull_flat(&keys)
                     .unwrap_or_else(|key| panic!("pull of uninitialized key {key:?}"));
                 let pull = pull_start.elapsed();
@@ -532,21 +513,7 @@ impl DistributedMamdr {
                     RoundTime { pull, compute: start.elapsed().saturating_sub(pull) }
                         .record(tracer);
                 }
-                if cfg.sync_rounds {
-                    // The gradients go to the driver and the server stays
-                    // read-only until every worker has joined: nothing the
-                    // worker read can have moved.
-                    return out;
-                }
-                // Asynchronous protocol: read how far the racing workers
-                // moved this worker's rows — the drained keys are the
-                // pulled ones — then push now; the server applies with
-                // Adagrad (Eq. 3 with a server-side optimizer).
-                let staleness = staleness(ps, &out.grads.keys, &versions);
-                for (key, delta) in out.grads.iter() {
-                    ps.push_outer_grad(key, delta, cfg.outer_lr);
-                }
-                CachedRoundOutput { staleness, grads: OuterGrads::default(), ..out }
+                out
             }
             SyncMode::NoCache => {
                 let mut rng = seeded(seed);
@@ -559,7 +526,6 @@ impl DistributedMamdr {
                 }
                 CachedRoundOutput {
                     cache: CacheStats::default(),
-                    staleness: 0,
                     loss_sum,
                     n_examples,
                     grads: OuterGrads::default(),
@@ -567,6 +533,12 @@ impl DistributedMamdr {
             }
         }
     }
+}
+
+/// The five rows example `it` of `domain` reads.
+fn example_keys(ds: &MdrDataset, it: &Interaction, domain: usize) -> ExampleKeys {
+    let (group, cat) = (ds.user_group[it.user as usize], ds.item_cat[it.item as usize]);
+    ExampleKeys::new(it.user, it.item, group, cat, domain as u32)
 }
 
 /// Inner-loop SGD over one domain through the cache. Returns the summed
@@ -589,13 +561,7 @@ fn train_domain_cached(
     let n = order.len() as u64;
     for idx in order {
         let it = ds.domains[domain].train[idx];
-        let keys = ExampleKeys::new(
-            it.user,
-            it.item,
-            ds.user_group[it.user as usize],
-            ds.item_cat[it.item as usize],
-            domain as u32,
-        );
+        let keys = example_keys(ds, &it, domain);
         rows.clear();
         for key in keys.all() {
             rows.extend_from_slice(cache.get(key));
@@ -633,13 +599,7 @@ fn train_domain_no_cache(
     let n = order.len() as u64;
     for idx in order {
         let it = ds.domains[domain].train[idx];
-        let keys = ExampleKeys::new(
-            it.user,
-            it.item,
-            ds.user_group[it.user as usize],
-            ds.item_cat[it.item as usize],
-            domain as u32,
-        );
+        let keys = example_keys(ds, &it, domain);
         let u = ps.pull(keys.user);
         let v = ps.pull(keys.item);
         let g = ps.pull(keys.ugroup);
@@ -717,8 +677,8 @@ mod tests {
 
     #[test]
     fn cache_preserves_quality_single_worker() {
-        // Quality comparison needs determinism: multi-worker interleaving
-        // adds run-to-run noise, so pin one worker and more rounds.
+        // One worker and more rounds: both modes train the same examples
+        // in the same order, so only the cache differs.
         let ds = dataset();
         let base = DistributedConfig { n_workers: 1, epochs: 6, ..Default::default() };
         let cached = DistributedMamdr::new(&ds, base).train(&ds);
@@ -731,18 +691,6 @@ mod tests {
             cached.mean_auc,
             uncached.mean_auc
         );
-    }
-
-    #[test]
-    fn deterministic_given_seed_with_one_worker() {
-        // Multi-worker runs interleave nondeterministically (as in the real
-        // system); a single worker must be exactly reproducible.
-        let ds = dataset();
-        let cfg = DistributedConfig { n_workers: 1, epochs: 2, ..Default::default() };
-        let a = DistributedMamdr::new(&ds, cfg).train(&ds);
-        let b = DistributedMamdr::new(&ds, cfg).train(&ds);
-        assert_eq!(a.mean_auc, b.mean_auc);
-        assert_eq!(a.total_bytes, b.total_bytes);
     }
 
     #[test]

@@ -663,67 +663,56 @@ impl WorkerClient {
     }
 }
 
-/// Builds one `PullMany` per [`WIRE_BATCH_KEYS`] chunk of a shard's
-/// sub-batch (`idxs` indexes into the caller's key slice, input order
-/// preserved).
-fn shard_pulls(idxs: &[usize], keys: &[ParamKey]) -> Vec<Request> {
-    idxs.chunks(WIRE_BATCH_KEYS)
-        .map(|chunk| Request::PullMany { keys: chunk.iter().map(|&i| keys[i]).collect() })
-        .collect()
-}
-
-/// Issues one pipelined [`WorkerClient::call_many`] per non-empty shard and
-/// returns the per-shard results (`None` for shards the batch never
-/// touches). A single live shard is called inline on the caller's thread,
-/// while two or more live shards run concurrently on scoped threads, one
-/// per shard. Concurrency cannot perturb determinism: each client owns its
-/// socket, sequence space, and fault RNG, so nothing is shared across
-/// threads.
-fn call_shards(
+/// Sends `reqs[s]` through `clients[s]` as one pipelined
+/// [`WorkerClient::call_many`] per shard and returns each shard's
+/// responses in request order (none for a shard with no requests). A
+/// single shard with work is called inline on the caller's thread; two or
+/// more run concurrently on scoped threads, one per shard. Concurrency
+/// cannot perturb determinism: each client owns its socket, sequence
+/// space, and fault RNG, so nothing is shared across threads.
+///
+/// Returns the first failure in shard order — deterministic whichever
+/// shard's thread failed first.
+pub(crate) fn call_shards(
     clients: &mut [WorkerClient],
-    parts: &[Vec<usize>],
-    keys: &[ParamKey],
-) -> Vec<Option<Result<Vec<Response>, RpcError>>> {
-    let mut results: Vec<Option<Result<Vec<Response>, RpcError>>> =
-        (0..parts.len()).map(|_| None).collect();
-    let live = parts.iter().filter(|p| !p.is_empty()).count();
-    if live <= 1 {
-        if let Some((s, idxs)) = parts.iter().enumerate().find(|(_, p)| !p.is_empty()) {
-            let reqs = shard_pulls(idxs, keys);
-            results[s] = Some(clients[s].call_many(reqs));
-        }
-        return results;
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .enumerate()
-            .filter(|(s, _)| !parts[*s].is_empty())
-            .map(|(s, client)| {
-                let reqs = shard_pulls(&parts[s], keys);
-                scope.spawn(move || (s, client.call_many(reqs)))
-            })
-            .collect();
-        for h in handles {
-            let (s, r) = h.join().expect("shard rpc thread never panics");
-            results[s] = Some(r);
-        }
-    });
-    results
+    reqs: Vec<Vec<Request>>,
+) -> Result<Vec<Vec<Response>>, RpcError> {
+    assert_eq!(clients.len(), reqs.len(), "one request list per shard");
+    let live = reqs.iter().filter(|r| !r.is_empty()).count();
+    let pairs = clients.iter_mut().zip(reqs);
+    let results: Vec<Result<Vec<Response>, RpcError>> = if live <= 1 {
+        pairs.map(|(client, reqs)| client.call_many(reqs)).collect()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = pairs
+                .map(|(client, reqs)| {
+                    (!reqs.is_empty()).then(|| scope.spawn(move || client.call_many(reqs)))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.map_or(Ok(Vec::new()), |h| {
+                        let died = || RpcError::ConnectionLost("shard thread panicked".into());
+                        h.join().unwrap_or_else(|_| Err(died()))
+                    })
+                })
+                .collect()
+        })
+    };
+    results.into_iter().collect()
 }
 
 /// Pulls `keys` over a *fleet* of per-shard [`WorkerClient`]s, one per
 /// shard of `map`: the loopback worker round's one batched read. The batch
 /// is partitioned by the [`ShardMap`], the per-shard sub-batches are
-/// pulled concurrently (pipelined within each connection, one `PullMany`
-/// per [`WIRE_BATCH_KEYS`] chunk, parallel across shards), and the rows
-/// come back as one flat batch `(versions, values)` in `keys` order, each
-/// row `dim` wide. A single-server deployment is the one-client fleet: no
-/// extra threads.
+/// pulled through `call_shards` (one `PullMany` per [`WIRE_BATCH_KEYS`]
+/// chunk), and the rows come back as one flat batch of values in `keys`
+/// order, each row `dim` wide. A single-server deployment is the
+/// one-client fleet: no extra threads.
 ///
-/// Returns the first failure in shard order — deterministic whichever
-/// shard's thread failed first — and no batch: the caller ends the round's
-/// attempt there, before any compute runs.
+/// Returns the first failure in shard order and no batch: the caller ends
+/// the round's attempt there, before any compute runs.
 ///
 /// # Panics
 ///
@@ -733,37 +722,32 @@ pub fn pull_sharded(
     map: ShardMap,
     dim: usize,
     keys: &[ParamKey],
-) -> Result<(Vec<u64>, Vec<f32>), RpcError> {
+) -> Result<Vec<f32>, RpcError> {
     assert_eq!(clients.len(), map.n_shards(), "one client per shard");
-    let mut versions = vec![0u64; keys.len()];
-    let mut values = vec![0.0f32; keys.len() * dim];
-    let mut unpack = |idxs: &[usize], resp: Response| {
-        let Response::PullMany { versions: got, values: vals } = resp else {
-            unreachable!("PullMany answered with a different variant")
-        };
-        let n_rows = idxs.len();
-        if vals.len() != n_rows * dim {
-            return Err(RpcError::Frame(FrameError::Malformed(format!(
-                "expected {} values for {n_rows} rows of width {dim}, got {}",
-                n_rows * dim,
-                vals.len()
-            ))));
-        }
-        for ((&i, version), row) in idxs.iter().zip(got).zip(vals.chunks_exact(dim.max(1))) {
-            versions[i] = version;
-            values[i * dim..(i + 1) * dim].copy_from_slice(row);
-        }
-        Ok(())
-    };
     let parts = map.partition_indices(keys);
-    let results = call_shards(clients, &parts, keys);
-    for (idxs, result) in parts.iter().zip(results) {
-        let Some(result) = result else { continue };
-        idxs.chunks(WIRE_BATCH_KEYS)
-            .zip(result?)
-            .try_for_each(|(chunk, resp)| unpack(chunk, resp))?;
+    let pull =
+        |chunk: &[usize]| Request::PullMany { keys: chunk.iter().map(|&i| keys[i]).collect() };
+    let reqs = parts.iter().map(|idxs| idxs.chunks(WIRE_BATCH_KEYS).map(pull).collect()).collect();
+    let mut values = vec![0.0f32; keys.len() * dim];
+    for (idxs, resps) in parts.iter().zip(call_shards(clients, reqs)?) {
+        for (chunk, resp) in idxs.chunks(WIRE_BATCH_KEYS).zip(resps) {
+            let Response::PullMany { values: vals, .. } = resp else {
+                unreachable!("PullMany answered with a different variant")
+            };
+            if vals.len() != chunk.len() * dim {
+                return Err(RpcError::Frame(FrameError::Malformed(format!(
+                    "expected {} values for {} rows of width {dim}, got {}",
+                    chunk.len() * dim,
+                    chunk.len(),
+                    vals.len()
+                ))));
+            }
+            for (&i, row) in chunk.iter().zip(vals.chunks_exact(dim.max(1))) {
+                values[i * dim..(i + 1) * dim].copy_from_slice(row);
+            }
+        }
     }
-    Ok((versions, values))
+    Ok(values)
 }
 
 #[cfg(test)]
@@ -802,8 +786,7 @@ mod tests {
         };
         // Both shards own some of the keys, and a live fleet returns them.
         assert!((0..2).all(|s| keys.iter().any(|&k| map.owner(k) == s)));
-        let (versions, values) = pull_sharded(&mut fleet(), map, dim, &keys).unwrap();
-        assert_eq!(versions, vec![0; keys.len()]);
+        let values = pull_sharded(&mut fleet(), map, dim, &keys).unwrap();
         assert!(keys.iter().zip(values.chunks_exact(dim)).all(|(k, row)| row[0] == k.row as f32));
 
         let mut clients = fleet();

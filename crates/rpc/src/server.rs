@@ -11,7 +11,8 @@
 //!   the guarantee survives concurrent connections.
 //! * **Graceful drain.** `Shutdown` stops the accept loop; existing
 //!   connections keep being served until their clients hang up, then
-//!   [`PsServer::join`] returns.
+//!   [`PsServer::join`] returns. The loop blocks in `accept`, so a drain
+//!   wakes it with one connection of its own, which the loop drops.
 //! * **Bounded descriptors.** A connection is forgotten the moment its
 //!   client hangs up: its registry entry (the stream clone a kill tears
 //!   down) is removed and its thread handle reaped, so a long run holds
@@ -33,7 +34,7 @@ use mamdr_obs::{MetricsRegistry, SpanContext, Tracer};
 use mamdr_ps::{checkpoint, ParameterServer};
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -56,6 +57,9 @@ fn accept_error_is_transient(e: &std::io::Error) -> bool {
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 struct Inner {
+    /// The bound address, which a drain connects to so that the accept
+    /// loop wakes.
+    addr: SocketAddr,
     ps: Arc<ParameterServer>,
     dim: usize,
     metrics: Arc<MetricsRegistry>,
@@ -113,9 +117,8 @@ impl PsServer {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // Non-blocking so the accept loop can observe the drain flag.
-        listener.set_nonblocking(true)?;
         let inner = Arc::new(Inner {
+            addr,
             ps,
             dim,
             metrics,
@@ -139,10 +142,11 @@ impl PsServer {
             let open = accept_inner.metrics.gauge("rpc_open_connections");
             let mut next_id = 0u64;
             loop {
-                if accept_inner.draining.load(Ordering::SeqCst) {
-                    break;
-                }
                 match listener.accept() {
+                    // The drain's wake-up (or a client that came with it),
+                    // or an accept that failed once draining — out of
+                    // descriptors, the wake-up may never be accepted.
+                    _ if accept_inner.draining.load(Ordering::SeqCst) => break,
                     Ok((stream, _)) => {
                         // Reap the threads of connections that hung up, so
                         // the list holds only open ones (a finished thread's
@@ -166,9 +170,6 @@ impl PsServer {
                             conn_inner.conns.lock().expect("conn registry lock").remove(&id);
                             open.add(-1.0);
                         }));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_micros(500));
                     }
                     Err(e) if accept_error_is_transient(&e) => {
                         accept_inner.metrics.counter("rpc_accept_errors_total").inc();
@@ -213,7 +214,7 @@ impl PsServer {
     /// fallback the trainer uses when the drain request itself fails, so a
     /// dead wire can never wedge [`PsServer::join`].
     pub fn begin_drain(&self) {
-        self.inner.draining.store(true, Ordering::SeqCst);
+        self.inner.begin_drain();
     }
 
     /// Kills the shard *hard*, simulating a server-machine death: every
@@ -231,6 +232,22 @@ impl PsServer {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
+    }
+}
+
+impl Inner {
+    /// Sets the drain flag and wakes the accept loop blocked in `accept`
+    /// by connecting to it — over loopback when the bound address is
+    /// unspecified. A loop that already exited refuses the connection,
+    /// which is as good.
+    fn begin_drain(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            let v4 = wake.is_ipv4();
+            wake.set_ip(if v4 { Ipv4Addr::LOCALHOST.into() } else { Ipv6Addr::LOCALHOST.into() });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
     }
 }
 
@@ -412,7 +429,7 @@ fn handle(req: &Frame, inner: &Inner) -> Frame {
             Err(e) => error(format!("bad checkpoint payload: {e}")),
         },
         OpCode::Shutdown => {
-            inner.draining.store(true, Ordering::SeqCst);
+            inner.begin_drain();
             Frame::new(OpCode::ShutdownOk, seq, Vec::new())
         }
         // Response op-codes arriving as requests are protocol violations.

@@ -4,19 +4,19 @@
 //!
 //! The outer loop is not written here: [`DistributedTrainer::train`] runs
 //! [`mamdr_ps::engine::run_rounds`] — the same loop the in-process
-//! synchronous trainer (`DistributedConfig::sync_rounds`) runs — over the
-//! loopback [`RoundTransport`] this module implements. Partitions,
-//! per-worker seeds, aggregation, guard verdicts and the single-writer
-//! gradient application (worker order, keys sorted) are therefore shared
-//! by construction. The only difference is *where* reads and writes go:
-//! worker threads pull rows through [`WorkerClient`]s over TCP, and the
-//! driver delivers the outer gradients as sequence-numbered `PushMany`
-//! RPCs. Supervision, shard recovery, the boundary commit and publication
-//! are layers inside the transport's methods. With fault injection
-//! off, a loopback run therefore produces bit-identical parameters,
-//! traffic counters and report to the in-process trainer; with faults on,
-//! retries and deduplication keep the *parameters* identical while the
-//! `rpc_*` counters record exactly what the fault plan injected.
+//! trainer runs — over the loopback [`RoundTransport`] this module
+//! implements. Partitions, per-worker seeds, aggregation, guard verdicts,
+//! staleness and the single-writer gradient application (apply order,
+//! keys sorted) are therefore shared by construction, in both settings of
+//! `DistributedConfig::sync_rounds`. The only difference is *where* reads
+//! and writes go: worker threads pull rows through [`WorkerClient`]s over
+//! TCP, and the driver delivers the outer gradients as sequence-numbered
+//! `PushMany` RPCs. Supervision, shard recovery, the boundary commit and
+//! publication are layers inside the transport's methods. With fault
+//! injection off, a loopback run therefore produces bit-identical
+//! parameters, traffic counters and report to the in-process trainer; with
+//! faults on, retries and deduplication keep the *parameters* identical
+//! while the `rpc_*` counters record exactly what the fault plan injected.
 //!
 //! ## Sharding
 //!
@@ -81,7 +81,7 @@
 //! trips the stores are rolled back in place to the last clean round
 //! boundary — values *and* optimizer state.
 
-use crate::client::{pull_sharded, Request, RetryPolicy, WorkerClient};
+use crate::client::{call_shards, pull_sharded, Request, RetryPolicy, WorkerClient};
 use crate::fault::{FaultPlan, FaultState};
 use crate::server::PsServer;
 use mamdr_data::{MdrDataset, Split};
@@ -559,8 +559,7 @@ impl DistributedTrainer {
         let pulled = pull_sharded(&mut clients, self.map, cfg.dim, &keys);
         let pull = pull_start.elapsed();
         let seed = worker_round_seed(cfg.seed, epoch, w);
-        let out =
-            pulled.map(|(_, values)| run_cached_round(keys, values, ds, part, cfg.inner_lr, seed));
+        let out = pulled.map(|values| run_cached_round(keys, values, ds, part, cfg.inner_lr, seed));
         let time = RoundTime { pull, compute: start.elapsed().saturating_sub(pull) };
         if let Some(t) = tracer.as_deref() {
             time.record(t);
@@ -606,90 +605,49 @@ impl DistributedTrainer {
             for w in 0..n {
                 launch(w, false);
             }
-            let mut outputs: Vec<Option<CachedRoundOutput>> = (0..n).map(|_| None).collect();
+            // Per worker: its output, or the failure it was given up on.
+            let mut outcomes: Vec<Option<Result<CachedRoundOutput, WorkerFailure>>> =
+                (0..n).map(|_| None).collect();
             let mut retries = vec![0u32; n];
-            let mut given_up = vec![false; n];
-            let mut failures: Vec<WorkerFailure> = Vec::new();
-            let mut outstanding = n;
-            // One shared handler for "worker w failed with `fail`":
-            // restart while the budget lasts, otherwise record the failure.
-            let on_failure = |w: usize,
-                              fail: WorkerFailure,
-                              retries: &mut Vec<u32>,
-                              given_up: &mut Vec<bool>,
-                              failures: &mut Vec<WorkerFailure>,
-                              outstanding: &mut usize| {
-                self.metrics.counter("rpc_worker_failures_total").inc();
-                if retries[w] < self.cfg.max_worker_retries {
-                    retries[w] += 1;
-                    self.metrics.counter("rpc_worker_restarts_total").inc();
-                    launch(w, true);
-                } else {
-                    given_up[w] = true;
-                    *outstanding -= 1;
-                    failures.push(fail);
-                }
-            };
-            while outstanding > 0 {
-                match rx.recv_timeout(self.cfg.worker_deadline) {
-                    Ok((w, Ok(out))) => {
+            while outcomes.iter().any(Option::is_none) {
+                let failed: Vec<(usize, WorkerFailure)> =
+                    match rx.recv_timeout(self.cfg.worker_deadline) {
                         // A revived hung worker can race its replacement;
                         // both computed identical output (same seed,
                         // read-only server), so first-in wins safely.
-                        if outputs[w].is_none() && !given_up[w] {
-                            outputs[w] = Some(out);
-                            outstanding -= 1;
+                        Ok((w, Ok(out))) => {
+                            outcomes[w].get_or_insert(Ok(out));
+                            continue;
                         }
-                    }
-                    Ok((w, Err(fail))) => {
-                        if outputs[w].is_none() && !given_up[w] {
-                            on_failure(
-                                w,
-                                fail,
-                                &mut retries,
-                                &mut given_up,
-                                &mut failures,
-                                &mut outstanding,
-                            );
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
+                        Ok((w, Err(fail))) => vec![(w, fail)],
                         // Nobody reported for a full deadline: every
-                        // partition still outstanding is presumed hung.
-                        for w in 0..n {
-                            if outputs[w].is_none() && !given_up[w] {
-                                on_failure(
-                                    w,
-                                    WorkerFailure::Hung { worker: w },
-                                    &mut retries,
-                                    &mut given_up,
-                                    &mut failures,
-                                    &mut outstanding,
-                                );
-                            }
-                        }
+                        // partition still outstanding is presumed hung. (The
+                        // channel cannot disconnect while the supervisor
+                        // holds `tx`; if it did, the budgets still end this.)
+                        Err(_) => (0..n).map(|w| (w, WorkerFailure::Hung { worker: w })).collect(),
+                    };
+                // Restart a failed worker while its budget lasts, otherwise
+                // give it up.
+                for (w, fail) in failed {
+                    if outcomes[w].is_some() {
+                        continue;
                     }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        // Unreachable while the supervisor holds `tx`, but
-                        // never hang on it: fail what is left.
-                        for w in 0..n {
-                            if outputs[w].is_none() && !given_up[w] {
-                                given_up[w] = true;
-                                outstanding -= 1;
-                                failures.push(WorkerFailure::Panicked { worker: w });
-                            }
-                        }
+                    self.metrics.counter("rpc_worker_failures_total").inc();
+                    if retries[w] < self.cfg.max_worker_retries {
+                        retries[w] += 1;
+                        self.metrics.counter("rpc_worker_restarts_total").inc();
+                        launch(w, true);
+                    } else {
+                        outcomes[w] = Some(Err(fail));
                     }
                 }
             }
+            let (outputs, failures): (Vec<_>, Vec<_>) =
+                outcomes.into_iter().flatten().partition(Result::is_ok);
             if failures.is_empty() {
-                let collected: Vec<CachedRoundOutput> = outputs.into_iter().flatten().collect();
-                if collected.len() == n {
-                    Ok(collected)
-                } else {
-                    Err(TrainerError::RoundFailed { epoch, failures: Vec::new() })
-                }
+                Ok(outputs.into_iter().flatten().collect())
             } else {
+                let failures = failures.into_iter().filter_map(Result::err).collect();
                 Err(TrainerError::RoundFailed { epoch, failures })
             }
         })
@@ -727,8 +685,6 @@ impl DistributedTrainer {
             }
             _ => None,
         };
-        // The networked protocol is always synchronous (the driver is the
-        // only writer), so the guard is active whenever it is enabled.
         let train = self.cfg.train;
         let tracer = self.cfg.tracer.clone();
         let base = self.resume_base.clone();
@@ -974,8 +930,12 @@ impl RoundTransport for Loopback<'_> {
         // shards concurrently. Flushing per worker or per round sends the
         // same requests in the same per-shard order under the same
         // sequence numbers — only the wire scheduling differs.
+        // The first push batch to exhaust its retries fails the round, first
+        // shard in shard order.
         let reqs = self.pending.iter_mut().map(std::mem::take).collect();
-        flush_sharded(&mut self.drivers, reqs)
+        call_shards(&mut self.drivers, reqs)
+            .map(drop)
+            .map_err(|e| TrainerError::Driver(format!("gradient push batch: {e}")))
     }
 
     fn snapshot(&self) -> Vec<StoreSnapshot> {
@@ -1087,57 +1047,6 @@ fn sharded_push_requests(grads: &OuterGrads, lr: f32, map: &ShardMap) -> Vec<Vec
                 .collect()
         })
         .collect()
-}
-
-/// Sends each shard's push batch through its own pipelined window — all
-/// shards concurrently when more than one has work — and fails the round
-/// on the first request that exhausts its retries (first shard in shard
-/// order wins, so the error is deterministic).
-fn flush_sharded(
-    drivers: &mut [WorkerClient],
-    mut reqs: Vec<Vec<Request>>,
-) -> Result<(), TrainerError> {
-    let push_err =
-        |e: crate::client::RpcError| TrainerError::Driver(format!("gradient push batch: {e}"));
-    let live = reqs.iter().filter(|r| !r.is_empty()).count();
-    if live == 0 {
-        return Ok(());
-    }
-    if live == 1 {
-        for (driver, shard_reqs) in drivers.iter_mut().zip(reqs) {
-            if !shard_reqs.is_empty() {
-                driver.call_many(shard_reqs).map_err(push_err)?;
-            }
-        }
-        return Ok(());
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = drivers
-            .iter_mut()
-            .zip(reqs.drain(..))
-            .enumerate()
-            .filter(|(_, (_, r))| !r.is_empty())
-            .map(|(s, (driver, shard_reqs))| {
-                (s, scope.spawn(move || driver.call_many(shard_reqs).map(|_| ())))
-            })
-            .collect();
-        let mut first_err: Option<TrainerError> = None;
-        for (_, h) in handles {
-            let joined = match h.join() {
-                Ok(r) => r.map_err(push_err),
-                Err(_) => Err(TrainerError::Driver("shard push thread panicked".into())),
-            };
-            if let Err(e) = joined {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    })
 }
 
 /// Restores a resumed run from the newest committed manifest in `dir`:
