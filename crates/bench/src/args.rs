@@ -1,11 +1,11 @@
-//! Minimal command-line parsing shared by the bench binaries.
+//! Minimal command-line parsing shared by the `paper` experiments.
 
-/// Common knobs for every benchmark binary.
+/// Common knobs for every `paper` experiment.
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
     /// Dataset size multiplier relative to the preset defaults.
     pub scale: f64,
-    /// Training epochs (0 = keep the binary's default).
+    /// Training epochs (0 = keep the experiment's default).
     pub epochs: usize,
     /// Worker threads, both for independent runs and for the deterministic
     /// kernel pool (results are bit-identical at any value).
@@ -18,9 +18,8 @@ pub struct BenchArgs {
     /// Telemetry sink: JSONL event/metric dump path (plus a sibling
     /// `.prom` Prometheus-style snapshot). `None` disables telemetry.
     pub metrics_out: Option<String>,
-    /// PS–worker count for the distributed binaries (0 = keep the
-    /// binary's default). Distinct from `--threads`, which sizes the
-    /// kernel pool inside each worker.
+    /// PS–worker count for `paper dist` (0 = keep its default). Distinct
+    /// from `--threads`, which sizes the kernel pool inside each worker.
     pub workers: usize,
     /// Deterministic fault-injection spec for the networked runtime,
     /// e.g. `seed=7,drop_send=0.05,dup=0.05,disconnect=3`. `None` runs a
@@ -30,7 +29,7 @@ pub struct BenchArgs {
     /// rounds (0 disables journaling). Requires `--checkpoint-dir` or
     /// `--resume`.
     pub checkpoint_every: usize,
-    /// Directory the distributed binaries write checkpoints/journals to.
+    /// Directory `paper dist` writes checkpoints/journals to.
     pub checkpoint_dir: Option<String>,
     /// Resume a distributed run from the newest committed manifest in this
     /// directory (also used as the checkpoint destination).
@@ -46,15 +45,15 @@ pub struct BenchArgs {
     /// `/spans`) on this address for the duration of the run,
     /// e.g. `127.0.0.1:9115`. `None` disables it.
     pub introspect_addr: Option<String>,
-    /// Parameter-server shard count for the distributed binaries. `1`
-    /// (the default) runs the classic single-server loopback; higher
-    /// values split the key space across that many servers by consistent
-    /// hash. Results are bit-identical at any shard count.
+    /// Parameter-server shard count for `paper dist`. `1` (the default)
+    /// runs the classic single-server loopback; higher values split the
+    /// key space across that many servers by consistent hash. Results are
+    /// bit-identical at any shard count.
     pub shards: usize,
-    /// Dataset preset for the distributed binaries (`None` keeps the
-    /// binary's default). `industry` is the 64-domain learning-dynamics
-    /// simulation; `longtail` is the 2048-domain Zipf key-space stress
-    /// preset for sharding runs.
+    /// Dataset preset for `paper dist` (`None` keeps its default).
+    /// `industry` is the 64-domain learning-dynamics simulation;
+    /// `longtail` is the 2048-domain Zipf key-space stress preset for
+    /// sharding runs.
     pub preset: Option<String>,
     /// Serving replica count behind the deterministic user router.
     pub replicas: usize,
@@ -114,21 +113,10 @@ fn check_count(flag: &str, value: usize, min: usize, max: usize) -> Result<(), S
     Ok(())
 }
 
-/// The flags `paper` reads, as `BenchArgs::parse` takes them.
-pub const PAPER_FLAGS: &str = "--scale --epochs --threads --seed --quick --metrics-out";
-
-/// The flags `dist_bench` reads.
-pub const DIST_BENCH_FLAGS: &str = "--scale --epochs --threads --seed --quick --metrics-out \
-    --workers --fault-plan --checkpoint-every --checkpoint-dir --resume --trace-out \
-    --phase-summary --introspect-addr --shards --preset";
-
-/// The flags `serve_bench` reads.
-pub const SERVE_BENCH_FLAGS: &str = "--scale --epochs --threads --seed --quick --metrics-out \
-    --trace-out --phase-summary --introspect-addr --replicas";
-
 impl BenchArgs {
-    /// Parses the flags of binary `bin` from an argument iterator. A flag
-    /// not in `reads` (the space-separated flags `bin` acts on), a missing
+    /// Parses the flags of command `bin` (`paper <name>`) from an argument
+    /// iterator. A flag not in `reads` (the space-separated flags the
+    /// experiment's row names), a missing
     /// value, or a value that is not a number of the flag's type is an
     /// error naming the flag: integer flags take decimal integers only, so
     /// `--seed -1` or `--threads 2.5` never round to a different run.
@@ -176,7 +164,7 @@ impl BenchArgs {
     /// Parses `args` as [`parse`](Self::parse) does, validates them up
     /// front (a bad `--threads` or `--metrics-out` aborts with a clear
     /// message *before* any dataset generation or training starts), and
-    /// applies `--threads` to the kernel pool so every binary honors the
+    /// applies `--threads` to the kernel pool so every experiment honors the
     /// knob without its own wiring. Any error exits 2.
     pub fn from_args(bin: &str, reads: &str, args: impl Iterator<Item = String>) -> Self {
         let args = Self::parse(bin, reads, args).and_then(|a| a.validate().map(|()| a));
@@ -249,7 +237,7 @@ impl BenchArgs {
         Ok(())
     }
 
-    /// Epochs to use given a binary default, after the `--quick` cap.
+    /// Epochs to use given an experiment default, after the `--quick` cap.
     pub fn epochs_or(&self, default: usize) -> usize {
         let d = if self.quick { default.min(QUICK_EPOCH_CAP) } else { default };
         if self.epochs == 0 {
@@ -259,7 +247,7 @@ impl BenchArgs {
         }
     }
 
-    /// Workers to use given a binary default (`--workers 0` keeps it).
+    /// Workers to use given an experiment default (`--workers 0` keeps it).
     pub fn workers_or(&self, default: usize) -> usize {
         if self.workers == 0 {
             default
@@ -269,7 +257,7 @@ impl BenchArgs {
     }
 
     /// Applies `--threads` to the process-wide deterministic kernel pool.
-    /// Binaries call this once at startup; runs driven through
+    /// `paper` calls this once at startup; runs driven through
     /// `TrainConfig::threads` re-apply the same value.
     pub fn apply_kernel_threads(&self) {
         mamdr_tensor::pool::set_threads(self.threads);
@@ -289,7 +277,7 @@ pub const MAX_SHARDS: usize = 64;
 /// process cannot usefully host more complete serving stacks than this.
 pub const MAX_REPLICAS: usize = 64;
 
-/// `--quick` caps per-binary default epochs at this many.
+/// `--quick` caps per-experiment default epochs at this many.
 pub const QUICK_EPOCH_CAP: usize = 3;
 
 /// `--quick` multiplies the dataset scale by this factor.
@@ -298,28 +286,33 @@ pub const QUICK_SCALE_FACTOR: f64 = 0.25;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper::EXPERIMENTS;
 
     fn parse(words: &[&str]) -> BenchArgs {
         try_parse(words).unwrap()
     }
 
-    /// Parses as a binary that reads every flag some binary reads.
+    /// Parses as an experiment that reads every flag some experiment reads.
     fn try_parse(words: &[&str]) -> Result<BenchArgs, String> {
-        let all = format!("{DIST_BENCH_FLAGS} --replicas");
-        BenchArgs::parse("test", &all, words.iter().map(|s| s.to_string()))
+        let mut all: Vec<&str> = EXPERIMENTS.iter().flat_map(|e| e.reads.split(' ')).collect();
+        all.sort_unstable();
+        all.dedup();
+        BenchArgs::parse("test", &all.join(" "), words.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn a_flag_the_binary_does_not_read_is_rejected_naming_flag_and_binary() {
-        for (bin, reads, words) in [
-            ("paper", PAPER_FLAGS, ["--workers", "4"]),
-            ("paper", PAPER_FLAGS, ["--fault-plan", "seed=1"]),
-            ("serve_bench", SERVE_BENCH_FLAGS, ["--shards", "4"]),
-            ("dist_bench", DIST_BENCH_FLAGS, ["--replicas", "2"]),
+        for (name, words) in [
+            ("table5", ["--workers", "4"]),
+            ("pscache", ["--fault-plan", "seed=1"]),
+            ("serve", ["--shards", "4"]),
+            ("dist", ["--replicas", "2"]),
         ] {
-            let err = BenchArgs::parse(bin, reads, words.iter().map(|s| s.to_string()))
+            let reads = EXPERIMENTS.iter().find(|e| e.name == name).unwrap().reads;
+            let bin = format!("paper {name}");
+            let err = BenchArgs::parse(&bin, reads, words.iter().map(|s| s.to_string()))
                 .expect_err(&format!("{bin} {words:?} must be rejected"));
-            assert!(err.contains(words[0]) && err.contains(bin), "{bin} {words:?}: {err}");
+            assert!(err.contains(words[0]) && err.contains(&bin), "{bin} {words:?}: {err}");
         }
     }
 

@@ -1,4 +1,4 @@
-//! `dist_bench` — loopback run of the `mamdr-rpc` networked PS–worker
+//! `paper dist` — loopback run of the `mamdr-rpc` networked PS–worker
 //! runtime.
 //!
 //! Trains the MAMDR outer loop with `--workers` clients against a real
@@ -10,8 +10,8 @@
 //! the run cannot start or complete. The contracts — bit-identity with
 //! the in-process trainer, exactly-once applies, the exact seeded fault
 //! ledger — are tier-1 tests (`tests/rpc_distributed.rs`, `sharded.rs`,
-//! `fault_recovery.rs`, `tracing.rs`), run with this binary's `--quick`
-//! seed-7 configuration among others.
+//! `fault_recovery.rs`, `tracing.rs`), run with this experiment's
+//! `--quick` seed-7 configuration among others.
 //!
 //! Knobs: `--workers` sets the client count (default 2), `--fault-plan`
 //! injects seeded drops/delays/duplicates/disconnects plus scheduled
@@ -37,8 +37,8 @@
 //! committed manifest, at any shard count, and runs only the remaining
 //! rounds.
 
-use mamdr_bench::args::DIST_BENCH_FLAGS;
-use mamdr_bench::{render_phase_table, BenchArgs, BenchTelemetry, QUICK_SCALE_FACTOR};
+use crate::paper::Ctx;
+use crate::{render_phase_table, QUICK_SCALE_FACTOR};
 use mamdr_data::presets;
 use mamdr_obs::Value;
 use mamdr_ps::DistributedConfig;
@@ -46,9 +46,8 @@ use mamdr_rpc::{DistributedTrainer, FaultPlan, LoopbackConfig, RetryPolicy};
 use std::path::PathBuf;
 use std::time::Instant;
 
-fn main() {
-    let args = BenchArgs::from_args("dist_bench", DIST_BENCH_FLAGS, std::env::args().skip(1));
-    let telemetry = BenchTelemetry::from_args(&args);
+pub(crate) fn dist(x: &Ctx) -> String {
+    let (args, telemetry) = (x.args, x.telemetry);
     let scale = if args.quick { args.scale * QUICK_SCALE_FACTOR } else { args.scale };
     let preset = args.preset.as_deref().unwrap_or("industry");
     let ds = match preset {
@@ -65,14 +64,14 @@ fn main() {
         }
     };
     eprintln!(
-        "[dist_bench] {preset} simulation: {} domains, {} train interactions",
+        "[paper dist] {preset} simulation: {} domains, {} train interactions",
         ds.n_domains(),
         ds.domains.iter().map(|d| d.train.len()).sum::<usize>()
     );
 
     let cfg = DistributedConfig {
         n_workers: args.workers_or(2),
-        epochs: args.epochs_or(3),
+        epochs: x.cfg.epochs,
         sync_rounds: true,
         seed: args.seed,
         kernel_threads: args.threads,
@@ -88,7 +87,7 @@ fn main() {
     let checkpoint_dir: Option<PathBuf> =
         args.resume.as_deref().or(args.checkpoint_dir.as_deref()).map(PathBuf::from);
     eprintln!(
-        "[dist_bench] loopback TCP run ({} workers, {} shards, faults: {}, journal every {} rounds{}) ...",
+        "[paper dist] loopback TCP run ({} workers, {} shards, faults: {}, journal every {} rounds{}) ...",
         cfg.n_workers,
         args.shards,
         args.fault_plan.as_deref().unwrap_or("none"),
@@ -106,19 +105,24 @@ fn main() {
         ..LoopbackConfig::new(cfg)
     };
     let t0 = Instant::now();
-    let mut net_trainer = DistributedTrainer::new(&ds, loopback, telemetry.registry_arc())
-        .unwrap_or_else(|e| {
-            eprintln!("[dist_bench] FAILED to start the loopback trainer: {e}");
-            std::process::exit(1);
-        });
+    let mut net_trainer = match DistributedTrainer::new(&ds, loopback, telemetry.registry_arc()) {
+        Ok(t) => t,
+        Err(e) => {
+            x.fail(format!("could not start the loopback trainer: {e}"));
+            return String::new();
+        }
+    };
     let start_epoch = net_trainer.start_epoch();
     if resuming {
-        eprintln!("[dist_bench] resumed at round {start_epoch}");
+        eprintln!("[paper dist] resumed at round {start_epoch}");
     }
-    let remote = net_trainer.train(&ds).unwrap_or_else(|e| {
-        eprintln!("[dist_bench] FAILED: distributed run did not complete: {e}");
-        std::process::exit(1);
-    });
+    let remote = match net_trainer.train(&ds) {
+        Ok(r) => r,
+        Err(e) => {
+            x.fail(format!("distributed run did not complete: {e}"));
+            return String::new();
+        }
+    };
     let remote_secs = t0.elapsed().as_secs_f64();
     net_trainer.shutdown();
 
@@ -135,33 +139,38 @@ fn main() {
     let shard_restarts = reg.counter("rpc_shard_restarts_total").get();
     let rounds_run = cfg.epochs.saturating_sub(start_epoch);
 
-    println!(
-        "dist_bench: {} workers, {} rounds, {} shards, {} domains, threads={}",
-        cfg.n_workers,
-        cfg.epochs,
-        args.shards,
-        ds.n_domains(),
-        args.threads
-    );
-    println!("  loopback     {remote_secs:.3} s");
-    println!("  rounds_per_s {:.3}", rounds_run as f64 / remote_secs.max(1e-9));
-    println!("  test_auc     {:.6}", remote.mean_auc);
-    println!("  pulls        {}", remote.pulls);
-    println!("  pushes       {}", remote.pushes);
-    println!("  MB_moved     {:.2}", remote.total_bytes as f64 / 1e6);
-    println!("  frames       {frames}");
-    println!("  retries      {retries}");
-    println!("  applied      {applied}  deduped {deduped}");
-    println!("  faults       dropped={dropped} duplicated={duplicated} disconnects={disconnects}");
-    println!("  shards       rpc_faults_shard_kills_total={shard_kills} rpc_shard_restarts_total={shard_restarts}");
+    let mut out = [
+        format!(
+            "paper dist: {} workers, {} rounds, {} shards, {} domains, threads={}",
+            cfg.n_workers,
+            cfg.epochs,
+            args.shards,
+            ds.n_domains(),
+            args.threads
+        ),
+        format!("  loopback     {remote_secs:.3} s"),
+        format!("  rounds_per_s {:.3}", rounds_run as f64 / remote_secs.max(1e-9)),
+        format!("  test_auc     {:.6}", remote.mean_auc),
+        format!("  pulls        {}", remote.pulls),
+        format!("  pushes       {}", remote.pushes),
+        format!("  MB_moved     {:.2}", remote.total_bytes as f64 / 1e6),
+        format!("  frames       {frames}"),
+        format!("  retries      {retries}"),
+        format!("  applied      {applied}  deduped {deduped}"),
+        format!("  faults       dropped={dropped} duplicated={duplicated} disconnects={disconnects}"),
+        format!("  shards       rpc_faults_shard_kills_total={shard_kills} rpc_shard_restarts_total={shard_restarts}\n"),
+    ]
+    .join("\n");
 
     if args.phase_summary && args.shards > 1 {
-        println!("  per-shard occupancy and wire traffic:");
+        out += "  per-shard occupancy and wire traffic:\n";
         for s in 0..args.shards {
             let entries = reg.gauge(&format!("ps_kv_entries{{shard=\"{s}\"}}")).get();
             let bytes = reg.gauge(&format!("ps_kv_bytes{{shard=\"{s}\"}}")).get();
             let shard_frames = reg.counter(&format!("rpc_frames_total{{shard=\"{s}\"}}")).get();
-            println!("    shard {s}: entries={entries:.0} bytes={bytes:.0} frames={shard_frames}");
+            out += &format!(
+                "    shard {s}: entries={entries:.0} bytes={bytes:.0} frames={shard_frames}\n"
+            );
         }
     }
 
@@ -173,11 +182,11 @@ fn main() {
         let decode = tracer.phase("wire.decode");
         let wire_secs = encode.total_secs + decode.total_secs;
         if args.phase_summary {
-            println!("  phase attribution (loopback wall {remote_secs:.3} s):");
-            print!("{}", render_phase_table(&tracer, remote_secs));
+            out += &format!("  phase attribution (loopback wall {remote_secs:.3} s):\n");
+            out += &render_phase_table(&tracer, remote_secs);
         }
-        println!(
-            "  wire_overhead {:.4} s  (encode {} frames {:.4} s, decode {} frames {:.4} s)",
+        out += &format!(
+            "  wire_overhead {:.4} s  (encode {} frames {:.4} s, decode {} frames {:.4} s)\n",
             wire_secs, encode.count, encode.total_secs, decode.count, decode.total_secs
         );
         if telemetry.enabled() {
@@ -218,5 +227,5 @@ fn main() {
         );
         remote.export(telemetry.registry());
     }
-    telemetry.finish();
+    out
 }

@@ -1,8 +1,8 @@
 //! # mamdr-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the
-//! MAMDR paper's evaluation (§V). `paper <experiment>` prints one artifact
-//! (`paper` alone lists them):
+//! The harness that regenerates every table and figure of the MAMDR
+//! paper's evaluation (§V) and measures its systems claims. Its one binary,
+//! `paper <experiment>`, prints one artifact (`paper` alone lists them):
 //!
 //! | command              | paper artifact |
 //! |----------------------|----------------|
@@ -18,23 +18,24 @@
 //! | `paper pscache`      | §IV-E — embedding-cache traffic ablation |
 //! | `paper ablation`     | DESIGN.md §6 — the reproduction's own design choices |
 //! | `paper tune`         | a DR-strength sweep behind the table defaults (not a paper artifact) |
-//! | `dist_bench`         | §IV-E over real TCP — a networked-trainer loopback run (`--workers`, `--shards`, `--fault-plan`) |
-//! | `serve_bench`        | online serving — closed-loop clients through a replica pool with a mid-run hot swap |
+//! | `paper scaling`      | §III-C — one DN epoch vs one PCGrad round at 4, 8 and 16 domains |
+//! | `paper dist`         | §IV-E over real TCP — a networked-trainer loopback run (`--workers`, `--shards`, `--fault-plan`) |
+//! | `paper serve`        | online serving — closed-loop clients through a replica pool with a mid-run hot swap |
 //!
-//! Criterion micro-benches (`cargo bench`) cover tensor/autodiff kernel
-//! throughput, O(n)-vs-O(n²) framework scaling, and PS cache overhead.
-//!
-//! All binaries accept `--scale <f64>` (dataset size multiplier),
-//! `--epochs <usize>` and `--quick` (smoke mode: smaller scale, capped
-//! epochs) so a fast smoke run and a full reproduction use the same code
-//! path. `--threads <n>` sets both the independent-run worker count and
-//! the deterministic kernel pool size — results are bit-identical at any
-//! value. `--metrics-out <path>` runs training with telemetry observers
-//! attached and dumps a JSONL event/metric stream to `<path>` plus a
-//! Prometheus-style text snapshot to `<path>.prom` at exit. Each binary
-//! rejects a flag it does not read ([`args`] lists them per binary).
+//! The training experiments accept `--scale <f64>` (dataset size
+//! multiplier), `--epochs <usize>` and `--quick` (smoke mode: smaller
+//! scale, capped epochs) so a fast smoke run and a full reproduction use
+//! the same code path. `--threads <n>` sets both the independent-run
+//! worker count and the deterministic kernel pool size — results are
+//! bit-identical at any value. `--metrics-out <path>` runs training with
+//! telemetry observers attached and dumps a JSONL event/metric stream to
+//! `<path>` plus a Prometheus-style text snapshot to `<path>.prom` at
+//! exit. Each experiment's row in [`paper`]'s table names the flags it
+//! reads, and `paper <name>` rejects any other.
 
 pub mod args;
+mod dist;
+pub mod paper;
 pub mod runner;
 pub mod serve;
 pub mod table;

@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the benchmark binaries.
+//! Plain-text table rendering for the `paper` experiments.
 
 use std::fmt::Write as _;
 

@@ -1,4 +1,4 @@
-//! `--metrics-out` plumbing shared by the benchmark binaries: one
+//! `--metrics-out` plumbing shared by the `paper` experiments: one
 //! process-wide [`MetricsRegistry`] + [`EventLog`] pair, observer handout
 //! for training jobs, and the exit-time dump.
 
@@ -78,7 +78,7 @@ impl BenchTelemetry {
         Arc::clone(&self.registry)
     }
 
-    /// The event log, for binaries emitting events outside training runs.
+    /// The event log, for experiments emitting events outside training runs.
     pub fn log(&self) -> &EventLog {
         &self.log
     }

@@ -1,9 +1,11 @@
-//! The `paper` binary run as a person runs it: the experiment listing, and
-//! the stdout of three cheap experiments pinned byte for byte. The
+//! The `paper` binary run as a person runs it: the experiment listing, the
+//! stdout of every training experiment pinned byte for byte, the ledger
+//! lines of `dist` and `serve`, and the flags each experiment rejects. The
 //! `ablation` and `fig9` pins were captured from the separate binaries
-//! `paper` replaced, at the same flags; every experiment's full check is
-//! a comparison of its `--quick` stdout against those binaries' (CHANGES.md).
-//! `pscache` was pinned once its multi-worker rows became seeded.
+//! `paper` replaced, at the same flags; `pscache` was pinned once its
+//! multi-worker rows became seeded; the other nine (`pins/*.stdout`) were
+//! captured from `paper` itself at the same flags, identical at one and two
+//! threads. Timing lines are never pinned.
 
 use std::process::{Command, Output};
 
@@ -20,13 +22,13 @@ fn pinned_run(name: &str, extra: &[&str]) -> String {
     String::from_utf8(out.stdout).unwrap()
 }
 
-const NAMES: [&str; 12] = [
+const NAMES: [&str; 15] = [
     "table5", "table6", "table7", "table8", "table9", "table10", "fig8", "fig9", "conflict",
-    "pscache", "ablation", "tune",
+    "pscache", "ablation", "tune", "scaling", "dist", "serve",
 ];
 
 #[test]
-fn no_name_or_an_unknown_one_lists_the_twelve_and_exits_2() {
+fn no_name_or_an_unknown_one_lists_the_fifteen_and_exits_2() {
     for args in [&[][..], &["table11"]] {
         let out = paper(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -107,5 +109,86 @@ cache, at equal or better AUC (bounded staleness).
 fn pscache_prints_the_pinned_table_at_one_and_two_threads() {
     for threads in ["1", "2"] {
         assert_eq!(pinned_run("pscache", &["--threads", threads]), PSCACHE, "--threads {threads}");
+    }
+}
+
+/// The training experiments not pinned above, each against its stdout in
+/// `pins/<name>.stdout`.
+macro_rules! pinned {
+    ($($name:ident)*) => {$(
+        #[test]
+        fn $name() {
+            let name = stringify!($name);
+            let want = include_str!(concat!("pins/", stringify!($name), ".stdout"));
+            assert_eq!(pinned_run(name, &[]), want, "paper {name}");
+        }
+    )*};
+}
+
+mod prints_the_pinned_stdout {
+    use super::pinned_run;
+    pinned!(table5 table6 table7 table8 table9 table10 fig8 conflict tune);
+}
+
+/// `paper <args>`'s stdout, which must exit 0.
+fn stdout_of(args: &[&str]) -> String {
+    let out = paper(args);
+    assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// Asserts that `stdout` holds each of `lines` as a whole line.
+fn assert_lines(stdout: &str, lines: &[&str]) {
+    for want in lines {
+        assert!(stdout.lines().any(|l| l == *want), "no {want:?} in\n{stdout}");
+    }
+}
+
+/// The seeded fault drill over loopback TCP prints the ledger
+/// `tests/rpc_distributed.rs` pins.
+#[test]
+fn dist_prints_the_drill_ledger() {
+    let mut args: Vec<&str> =
+        "dist --quick --workers 2 --threads 1 --seed 7 --fault-plan".split(' ').collect();
+    args.push("seed=7,drop_send=0.05,drop_recv=0.1,dup=0.4,disconnect=3");
+    let out = stdout_of(&args);
+    assert_lines(
+        &out,
+        &[
+            "paper dist: 2 workers, 3 rounds, 1 shards, 4 domains, threads=1",
+            "  pulls        10",
+            "  pushes       2397",
+            "  frames       20",
+            "  retries      2",
+            "  applied      2397  deduped 1067",
+            "  faults       dropped=1 duplicated=7 disconnects=1",
+        ],
+    );
+}
+
+/// The closed-loop run answers every request, and its probe digest is the
+/// one `serve_probe_digest.rs` pins.
+#[test]
+fn serve_prints_the_probe_digest_and_drops_nothing() {
+    let out = stdout_of(&["serve", "--quick", "--threads", "4"]);
+    assert_lines(&out, &["  probe_digest 0x389adc4abf403b95", "  dropped      0"]);
+}
+
+/// A flag the experiment does not read exits 2 before any work, naming
+/// the flag and `paper <name>`.
+#[test]
+fn a_flag_the_experiment_does_not_read_exits_2_naming_it() {
+    for args in [
+        ["table5", "--workers", "4"],
+        ["pscache", "--fault-plan", "seed=1"],
+        ["serve", "--shards", "4"],
+        ["dist", "--replicas", "2"],
+    ] {
+        let out = paper(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        let bin = format!("paper {}", args[0]);
+        assert!(err.contains(args[1]) && err.contains(&bin), "{args:?}: {err}");
     }
 }

@@ -1,4 +1,4 @@
-//! `serve_bench --quick --threads 4`'s run, pinned through the library: 64
+//! `paper serve --quick --threads 4`'s run, pinned through the library: 64
 //! probe requests plus 1 000 closed-loop requests from 4 clients, with one
 //! hot swap mid-run, all answered and all visible in the pool's metrics.
 //! And the per-class split of the seeded overload trace the serving tier
@@ -10,7 +10,7 @@ use mamdr_models::FeatureConfig;
 use mamdr_obs::MetricsRegistry;
 use mamdr_serve::{ReplicatedServer, SloClass};
 
-/// `serve_bench`'s default seed and `--quick` training epochs.
+/// `paper serve`'s default seed and `--quick` training epochs.
 const SEED: u64 = 42;
 const EPOCHS: usize = 3;
 const CLIENTS: usize = 4;
@@ -47,7 +47,7 @@ fn the_closed_loop_run_answers_every_request_across_one_swap() {
 
 #[test]
 fn the_overload_trace_splits_its_classes_exactly() {
-    // 600 000 rps for one trace-second at seed 7, over serve_bench's
+    // 600 000 rps for one trace-second at seed 7, over `paper serve`'s
     // feature sizes.
     let ds = dataset(7);
     let fc = FeatureConfig::from_dataset(&ds);

@@ -1,6 +1,6 @@
-//! `serve_bench`'s probe digest, pinned: the scores of its 64-request probe
+//! `paper serve`'s probe digest, pinned: the scores of its 64-request probe
 //! set, served through 1 and 4 replicas with 1 and 4 scoring workers each,
-//! digest to the same value, and that value is the one `serve_bench
+//! digest to the same value, and that value is the one `paper serve
 //! --quick --scale 0.1` prints at the default seed. Replication, worker
 //! count and batching never change a served bit, and neither may a change
 //! to the forward pass.
@@ -10,7 +10,7 @@ use mamdr_models::FeatureConfig;
 use mamdr_obs::MetricsRegistry;
 use mamdr_serve::{ReplicatedServer, ServeConfig, ServingSnapshot};
 
-/// `serve_bench`'s default seed and training epochs.
+/// `paper serve`'s default seed and training epochs.
 const SEED: u64 = 42;
 const EPOCHS: usize = 3;
 const PROBE_DIGEST: u64 = 0x389a_dc4a_bf40_3b95;

@@ -46,8 +46,7 @@ impl Framework for WeightedLoss {
 /// projected gradients are summed into one update.
 ///
 /// Note the O(n²) pairwise projections per round — the scalability problem
-/// the paper contrasts with DN's O(n), measured by the
-/// `framework_scaling` bench.
+/// the paper contrasts with DN's O(n), measured by `paper scaling`.
 pub struct PcGrad;
 
 impl Framework for PcGrad {

@@ -15,18 +15,19 @@
 //! * `GET /publish` — the publish gate's verdict history as JSON (`404`
 //!   when no gate is attached).
 //!
-//! The server is deliberately minimal: one accept thread, one connection
-//! handled at a time, request line parsed and the rest of the request
-//! discarded, connection closed after each response. It runs entirely off
-//! the training/serving hot path — handlers only *read* shared state
-//! (atomic counters, the span ring) — so attaching it never perturbs
-//! results.
+//! The server is deliberately minimal: one accept thread blocked in
+//! `accept`, one connection handled at a time, request line parsed and the
+//! rest of the request discarded, connection closed after each response.
+//! Stopping it sets a flag and wakes the thread with one connection of its
+//! own, which the loop drops. It runs entirely off the training/serving
+//! hot path — handlers only *read* shared state (atomic counters, the span
+//! ring) — so attaching it never perturbs results.
 
 use crate::health::PublishState;
 use crate::metrics::MetricsRegistry;
 use crate::trace::Tracer;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -64,7 +65,6 @@ impl IntrospectServer {
         publish: Option<Arc<PublishState>>,
     ) -> std::io::Result<IntrospectServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let bound = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
@@ -85,11 +85,19 @@ impl IntrospectServer {
         self.shutdown();
     }
 
+    /// Sets the stop flag, wakes the accept loop blocked in `accept` by
+    /// connecting to it — over loopback when the bound address is
+    /// unspecified — and joins it.
     fn shutdown(&mut self) {
+        let Some(handle) = self.handle.take() else { return };
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            let v4 = wake.is_ipv4();
+            wake.set_ip(if v4 { Ipv4Addr::LOCALHOST.into() } else { Ipv6Addr::LOCALHOST.into() });
         }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        let _ = handle.join();
     }
 }
 
@@ -106,16 +114,17 @@ fn accept_loop(
     publish: Option<Arc<PublishState>>,
     stop: Arc<AtomicBool>,
 ) {
-    while !stop.load(Ordering::SeqCst) {
+    loop {
         match listener.accept() {
+            // The stop's wake-up, or a client that came with it.
+            _ if stop.load(Ordering::SeqCst) => break,
             Ok((stream, _)) => {
                 // Introspection is best-effort: a misbehaving client is
                 // dropped, never propagated into the host process.
                 let _ = handle_conn(stream, &registry, tracer.as_deref(), publish.as_deref());
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // Backs off, so a persistent failure (out of descriptors)
+            // cannot spin.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -275,6 +284,22 @@ mod tests {
         let server = IntrospectServer::start("127.0.0.1:0", registry, None).expect("start");
         let body = get(server.addr(), "/spans");
         assert!(body.starts_with("HTTP/1.0 404"), "{body}");
+    }
+
+    /// A loop blocked in `accept` is woken by the stop itself, on a
+    /// loopback and on an unspecified bind.
+    #[test]
+    fn stop_returns_on_a_server_that_never_accepted_a_request() {
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server =
+                IntrospectServer::start(addr, Arc::new(MetricsRegistry::new()), None).expect(addr);
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                server.stop();
+                tx.send(()).unwrap();
+            });
+            rx.recv_timeout(Duration::from_secs(10)).unwrap_or_else(|_| panic!("{addr}: hung"));
+        }
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Parses the `dist_bench --fault-plan` spec string: comma-separated
+    /// Parses the `paper dist --fault-plan` spec string: comma-separated
     /// `key=value` fields. Keys: `seed`, `drop_send`, `drop_recv`,
     /// `dup`, `delay` (as `prob:micros`), `disconnect` (as `+`-separated
     /// attempt indices), the scheduled worker faults `kill`, `hang`

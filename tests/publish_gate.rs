@@ -7,7 +7,7 @@
 //! last-good version with zero dropped requests, every verdict must land
 //! in the exact typed counter, and the final served snapshot must be
 //! byte-identical to one built offline from a clean run of the same
-//! length as the last accepted round. `dist_bench --quick --seed 7`'s
+//! length as the last accepted round. `paper dist --quick --seed 7`'s
 //! continual-publish drill runs here too, on its dataset and pool size.
 
 use mamdr::data::{presets, DomainSpec, GeneratorConfig, MdrDataset};

@@ -3,7 +3,7 @@
 //! trainer, and training under an aggressive fault plan must still apply
 //! every outer update exactly once — same final parameters, all rounds
 //! completed, with the chaos fully visible in the `rpc_*` counters. The
-//! seeded fault streams make those counters exact, so `dist_bench --quick
+//! seeded fault streams make those counters exact, so `paper dist --quick
 //! --seed 7`'s run pins them: its fault ledger, and the same ledger with
 //! two workers killed or the pipeline window narrowed to one frame.
 
@@ -195,8 +195,8 @@ fn identical_fault_plans_produce_identical_fault_counters() {
 /// `rpc_frames_total` of the fault-free drill run.
 const DRILL_FAULT_FREE_FRAMES: u64 = 13;
 
-/// `dist_bench --quick --seed 7`'s dataset: `industry` at a quarter of
-/// the binary's default scale.
+/// `paper dist --quick --seed 7`'s dataset: `industry` at a quarter of
+/// its default scale.
 fn drill_dataset() -> MdrDataset {
     presets::industry(4, 300, 7)
 }

@@ -5,7 +5,7 @@
 //! and the round replayed without divergence; and a sharded checkpoint
 //! must resume bit-identically at the same shard count *and* across a
 //! topology change (4 shards or 1 shard committed, 2 shards resumed).
-//! `dist_bench --quick --seed 7`'s shard drill runs here too: 4 shards with
+//! `paper dist --quick --seed 7`'s shard drill runs here too: 4 shards with
 //! one killed mid-schedule end byte-identical to the single store.
 
 use mamdr::data::{presets, DomainSpec, GeneratorConfig, MdrDataset};
@@ -145,7 +145,7 @@ fn faulted_sharded_training_applies_every_update_exactly_once() {
 
 #[test]
 fn a_killed_shard_is_restarted_from_the_manifest_and_the_round_replays_bit_identically() {
-    // Shard 1 of 2 on this file's dataset, and `dist_bench --quick --seed
+    // Shard 1 of 2 on this file's dataset, and `paper dist --quick --seed
     // 7`'s drill (shard 2 of 4), each torn down at the top of round 1.
     // The doomed attempt fails once worker retries exhaust, nothing is
     // applied, and the supervisor reseeds the shard from the round-1

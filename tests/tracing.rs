@@ -196,7 +196,7 @@ fn faulted_tracing_is_neutral_and_groups_retries_under_one_logical_span() {
     assert!(deduped_seen > 0, "no server.apply span marked deduped under a dup/retry plan");
 }
 
-/// `dist_bench --quick --seed 7` under its fault plan, traced: the span
+/// `paper dist --quick --seed 7` under its fault plan, traced: the span
 /// tree has the exact shape the seeded run produces, and the wire ledger
 /// is the untraced one (`tests/rpc_distributed.rs` pins the same values).
 #[test]
