@@ -215,7 +215,7 @@ pub(crate) fn dist(x: &Ctx) -> String {
             );
         }
         telemetry.log().emit(
-            "dist_bench",
+            "paper_dist",
             &[
                 ("workers", Value::from(cfg.n_workers as u64)),
                 ("rounds", Value::from(cfg.epochs as u64)),

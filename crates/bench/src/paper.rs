@@ -572,14 +572,16 @@ fn pscache(x: &Ctx) -> String {
 /// domain count n, one PCGrad round O(n²) — n gradients plus n(n − 1)
 /// pairwise projections. One batch per domain, so a DN epoch is n inner
 /// steps; each cell is the median of a fixed number of timed repetitions.
+/// A repetition's environment and θ are built before its clock starts.
 fn scaling(_: &Ctx) -> String {
     const REPS: usize = 101;
-    fn median_ms(mut f: impl FnMut() -> f32) -> f64 {
-        black_box(f()); // warm-up
+    fn median_ms<S>(mut setup: impl FnMut() -> S, mut f: impl FnMut(S) -> f32) -> f64 {
+        black_box(f(setup())); // warm-up
         let mut ms: Vec<f64> = (0..REPS)
             .map(|_| {
+                let state = setup();
                 let t0 = Instant::now();
-                black_box(f());
+                black_box(f(state));
                 t0.elapsed().as_secs_f64() * 1e3
             })
             .collect();
@@ -596,16 +598,16 @@ fn scaling(_: &Ctx) -> String {
         let built = build_model(ModelKind::Mlp, &fc, &ModelConfig::tiny(), n, 1);
         let mut cfg = TrainConfig::quick();
         cfg.batch_size = 256; // one batch per domain
-        let env = || TrainEnv::new(&ds, built.model.as_ref(), built.params.clone(), cfg);
-        let dn = median_ms(|| {
-            let mut env = env();
-            let mut shared = env.init_flat();
+        let setup = || {
+            let env = TrainEnv::new(&ds, built.model.as_ref(), built.params.clone(), cfg);
+            let theta = env.init_flat();
+            (env, theta)
+        };
+        let dn = median_ms(setup, |(mut env, mut shared)| {
             domain_negotiation_epoch(&mut env, &mut shared);
             shared[0]
         });
-        let pcgrad = median_ms(|| {
-            let mut env = env();
-            let theta = env.init_flat();
+        let pcgrad = median_ms(setup, |(mut env, theta)| {
             let grads: Vec<Vec<f32>> = (0..n)
                 .map(|d| {
                     let batch = env.sample_train_batch(d);

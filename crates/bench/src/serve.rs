@@ -261,7 +261,7 @@ pub(crate) fn serve(x: &Ctx) -> String {
     }
 
     telemetry.log().emit(
-        "serve_bench",
+        "paper_serve",
         &[
             ("requests", Value::from(served)),
             ("clients", Value::from(clients as u64)),

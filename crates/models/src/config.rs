@@ -153,6 +153,14 @@ impl ModelKind {
                 | ModelKind::Star
         )
     }
+
+    /// True when an example's logit does not depend on the other examples
+    /// of its batch, so scoring it alone or inside any batch gives the
+    /// same bits. False only for STAR, whose partitioned normalization
+    /// takes column statistics over the batch.
+    pub fn scores_rows_independently(self) -> bool {
+        self != ModelKind::Star
+    }
 }
 
 #[cfg(test)]

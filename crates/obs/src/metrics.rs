@@ -160,13 +160,28 @@ impl MetricsRegistry {
             header(&mut out, &mut last_family, &name, "gauge");
             out.push_str(&format!("{name} {}\n", fmt_f64(v)));
         }
+        last_family.clear();
         for (name, s) in self.histogram_values() {
-            out.push_str(&self.help_line(&name, "summary"));
-            out.push_str(&format!("# TYPE {name} summary\n"));
+            header(&mut out, &mut last_family, &name, "summary");
+            // A labelled series puts its labels beside `quantile` and after
+            // the `_sum` / `_count` suffixes.
+            let (family, labels) = match name.split_once('{') {
+                Some((f, rest)) => (f, rest.trim_end_matches('}')),
+                None => (name.as_str(), ""),
+            };
+            let sep = if labels.is_empty() { "" } else { "," };
+            let braced = if labels.is_empty() { String::new() } else { format!("{{{labels}}}") };
             for (q, v) in [(0.5, s.p50), (0.9, s.p90), (0.99, s.p99)] {
-                out.push_str(&format!("{name}{{quantile=\"{q}\"}} {}\n", fmt_f64(v)));
+                out.push_str(&format!(
+                    "{family}{{{labels}{sep}quantile=\"{q}\"}} {}\n",
+                    fmt_f64(v)
+                ));
             }
-            out.push_str(&format!("{name}_sum {}\n{name}_count {}\n", fmt_f64(s.sum), s.count));
+            out.push_str(&format!(
+                "{family}_sum{braced} {}\n{family}_count{braced} {}\n",
+                fmt_f64(s.sum),
+                s.count
+            ));
         }
         out
     }
@@ -360,6 +375,21 @@ mod tests {
         assert!(text.contains("# TYPE rpc_frames_total counter\n"), "{text}");
         assert!(text.contains("rpc_frames_total{shard=\"0\"} 7\n"), "{text}");
         assert!(!text.contains("# TYPE rpc_frames_total{"), "{text}");
+    }
+
+    #[test]
+    fn prometheus_rendering_merges_histogram_labels() {
+        let reg = MetricsRegistry::new();
+        reg.histogram("g_seconds{phase=\"a\"}").record(0.5);
+        reg.histogram("g_seconds{phase=\"b\"}").record(0.25);
+        reg.describe("g_seconds", "Per-phase time.");
+        let text = reg.render_prometheus();
+        assert_eq!(text.matches("# HELP g_seconds Per-phase time.\n").count(), 1, "{text}");
+        assert_eq!(text.matches("# TYPE g_seconds summary\n").count(), 1, "{text}");
+        assert!(text.contains("g_seconds{phase=\"a\",quantile=\"0.5\"} 0.5\n"), "{text}");
+        assert!(text.contains("g_seconds_sum{phase=\"b\"} 0.25\n"), "{text}");
+        assert!(text.contains("g_seconds_count{phase=\"b\"} 1\n"), "{text}");
+        assert!(!text.contains("}{"), "{text}");
     }
 
     #[test]

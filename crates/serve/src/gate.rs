@@ -32,7 +32,10 @@
 //!    live requests through the pool must come back scored (zero drops),
 //!    attributed to the right version, bit-identical to direct scoring,
 //!    and with bounded score drift against the incumbent — then the gate
-//!    cuts the remaining replicas over.
+//!    cuts the remaining replicas over. The probes travel as one *wave*:
+//!    all submitted, then checked in probe order, so the canary pays one
+//!    cross-thread hand-off rather than one per probe (see
+//!    [`PublishGate::run_canary`]).
 //!
 //! Any failure leaves traffic on the **last-good** snapshot. The gate
 //! holds it as an `Arc<ServingSnapshot>`: for failures before the canary
@@ -50,20 +53,31 @@
 //! (`publish_rejected_total{reason=...}`, `publish_rollbacks_total`, …),
 //! lands in the shared [`PublishState`] (surfacing in `/healthz` and
 //! `/publish`), and is recorded as a `publish.gate` span chain with one
-//! child span per executed check.
+//! child span per executed check. Each check's time also lands, untraced,
+//! in `publish_gate_seconds{phase="structural|probe|canary"}`.
 
 use crate::replica::{replica_of, ReplicatedServer};
-use crate::request::{ServeResult, SloClass};
+use crate::request::{Pending, ScoreRequest, ServeResult, SloClass, SubmitError};
 use crate::snapshot::ServingSnapshot;
-use mamdr_obs::{Counter, MetricsRegistry, PublishState, Tracer};
+use mamdr_obs::{Counter, Histogram, MetricsRegistry, PublishState, SpanContext, Tracer};
+use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Every typed rejection reason, in gate-chain order. The gate registers
 /// one `publish_rejected_total{reason="..."}` counter per entry up front,
 /// so a clean run renders them all as 0 (CI greps exact values).
 pub const GATE_REASONS: [&str; 6] =
     ["digest", "version", "structure", "nonfinite", "divergence", "canary"];
+
+/// The timed checks after the file load, in chain order: each one's span
+/// name and its `phase` label in `publish_gate_seconds`.
+const GATE_PHASES: [(&str, &str); 3] =
+    [("gate.structural", "structural"), ("gate.probe", "probe"), ("gate.canary", "canary")];
+const STRUCTURAL: usize = 0;
+const PROBE: usize = 1;
+const CANARY: usize = 2;
 
 /// Tuning of the validation chain.
 #[derive(Debug, Clone)]
@@ -161,7 +175,7 @@ impl std::fmt::Display for GateReject {
 
 impl std::error::Error for GateReject {}
 
-/// `publish_*` gate counters.
+/// `publish_*` gate counters and per-check times.
 #[derive(Clone)]
 struct GateMetrics {
     offered_total: Counter,
@@ -169,6 +183,8 @@ struct GateMetrics {
     rollbacks_total: Counter,
     canary_phases_total: Counter,
     rejected_total: [Counter; GATE_REASONS.len()],
+    /// One `publish_gate_seconds{phase=...}` per entry of [`GATE_PHASES`].
+    phase_seconds: [Arc<Histogram>; GATE_PHASES.len()],
 }
 
 impl GateMetrics {
@@ -185,6 +201,12 @@ impl GateMetrics {
             "publish_rejected_total",
             "Candidates rejected by the gate, by typed reason.",
         );
+        registry.describe(
+            "publish_gate_seconds",
+            "Seconds per gate check, one sample per offer that reaches it: structural \
+             (version, domains, finite), probe (divergence set) and canary (slice publish, \
+             probe wave, rollback).",
+        );
         GateMetrics {
             offered_total: registry.counter("publish_offered_total"),
             accepted_total: registry.counter("publish_accepted_total"),
@@ -192,6 +214,9 @@ impl GateMetrics {
             canary_phases_total: registry.counter("publish_canary_phases_total"),
             rejected_total: GATE_REASONS
                 .map(|r| registry.counter(&format!("publish_rejected_total{{reason=\"{r}\"}}"))),
+            phase_seconds: GATE_PHASES.map(|(_, phase)| {
+                registry.histogram(&format!("publish_gate_seconds{{phase=\"{phase}\"}}"))
+            }),
         }
     }
 }
@@ -304,14 +329,9 @@ impl PublishGate {
         candidate: &Arc<ServingSnapshot>,
         incumbent: &Arc<ServingSnapshot>,
         pool: &ReplicatedServer,
-        parent: Option<mamdr_obs::SpanContext>,
+        parent: Option<SpanContext>,
     ) -> Result<(), GateReject> {
-        let child = |name: &'static str| {
-            self.tracer.as_deref().zip(parent).map(|(t, ctx)| t.child(name, ctx))
-        };
-
-        {
-            let _s = child("gate.structural");
+        self.timed(STRUCTURAL, parent, || {
             if candidate.version() <= incumbent.version() {
                 return Err(GateReject::Version {
                     candidate: candidate.version(),
@@ -325,26 +345,41 @@ impl PublishGate {
                     incumbent.n_domains()
                 )));
             }
-            candidate.check_finite().map_err(GateReject::NonFinite)?;
-        }
+            candidate.check_finite().map_err(GateReject::NonFinite)
+        })?;
 
         if self.config.probes_per_domain > 0 {
-            let _s = child("gate.probe");
-            self.check_probe_divergence(candidate, incumbent)?;
+            self.timed(PROBE, parent, || self.check_probe_divergence(candidate, incumbent))?;
         }
 
         if self.config.canary_pct > 0.0 && pool.n_replicas() >= 2 {
-            let _s = child("gate.canary");
-            self.metrics.canary_phases_total.inc();
-            if let Err(rej) = self.run_canary(candidate, incumbent, pool) {
-                // The canary slice saw the candidate: roll those replicas
-                // back to the exact last-good allocation before failing.
-                let n_canary = self.canary_replicas(pool.n_replicas());
-                pool.publish_canary(Arc::clone(incumbent), n_canary);
-                return Err(rej);
-            }
+            self.timed(CANARY, parent, || {
+                self.metrics.canary_phases_total.inc();
+                self.run_canary(candidate, incumbent, pool).inspect_err(|_| {
+                    // The canary slice saw the candidate: roll those replicas
+                    // back to the exact last-good allocation before failing.
+                    let n_canary = self.canary_replicas(pool.n_replicas());
+                    pool.publish_canary(Arc::clone(incumbent), n_canary);
+                })
+            })?;
         }
         Ok(())
+    }
+
+    /// Runs one check of the chain under its child span and records its
+    /// time in `publish_gate_seconds{phase=...}`, pass or fail.
+    fn timed(
+        &self,
+        phase: usize,
+        parent: Option<SpanContext>,
+        check: impl FnOnce() -> Result<(), GateReject>,
+    ) -> Result<(), GateReject> {
+        let (span, _) = GATE_PHASES[phase];
+        let _s = self.tracer.as_deref().zip(parent).map(|(t, ctx)| t.child(span, ctx));
+        let t0 = Instant::now();
+        let out = check();
+        self.metrics.phase_seconds[phase].record(t0.elapsed().as_secs_f64());
+        out
     }
 
     /// Check 5: fixed seeded probe set, scored directly (not through the
@@ -387,6 +422,14 @@ impl PublishGate {
 
     /// Check 6: serve the candidate to the canary slice and compare live
     /// behavior against the incumbent before full cutover.
+    ///
+    /// The probes go out as one wave: up to `width` of them in flight,
+    /// checked oldest first, so every check and the drift sum run in probe
+    /// order and the verdict does not depend on the width. A probe's two
+    /// direct batch-of-1 scores are computed after its submit, while the
+    /// pool works. `width` is 1 unless both snapshots score rows
+    /// independently: a row-dependent model (STAR) scores a pickup of
+    /// several probes differently from the direct reference.
     fn run_canary(
         &self,
         candidate: &Arc<ServingSnapshot>,
@@ -397,50 +440,52 @@ impl PublishGate {
         let n_canary = self.canary_replicas(n);
         pool.publish_canary(Arc::clone(candidate), n_canary);
 
-        // A canary-specific probe set (decorrelated from the divergence
-        // probes): per-domain count sized to reach `canary_probes` total.
-        let per = (self.config.canary_probes / candidate.n_domains()).max(1);
-        let probes = candidate.probe_requests(self.config.probe_seed ^ 0x9E37_79B9, per);
-        let mut drift_sum = 0.0f32;
-        let mut drift_n = 0usize;
-        for req in probes {
-            let in_slice = replica_of(req.user, n) < n_canary;
-            let domain = req.domain;
-            let direct_cand = candidate.score(domain, std::slice::from_ref(&req))[0];
-            let direct_inc = incumbent.score(domain, std::slice::from_ref(&req))[0];
-            let pending = pool
-                .submit_class(req, None, SloClass::Interactive)
-                .map_err(|e| GateReject::Canary(format!("canary submit refused: {e}")))?;
-            let resp = match pending.wait() {
-                ServeResult::Scored(r) => r,
-                other => {
-                    return Err(GateReject::Canary(format!("canary request not scored: {other:?}")))
+        let probes = canary_probes(&self.config, candidate);
+        let width =
+            if candidate.scores_rows_independently() && incumbent.scores_rows_independently() {
+                probes.len()
+            } else {
+                1
+            };
+        let mut wave = Wave {
+            candidate,
+            incumbent,
+            in_flight: VecDeque::with_capacity(width),
+            drift_sum: 0.0,
+            drift_n: 0,
+        };
+        let refused = |e: SubmitError| GateReject::Canary(format!("canary submit refused: {e}"));
+        for req in &probes {
+            if wave.in_flight.len() == width {
+                wave.settle_to(width - 1)?;
+            }
+            let submit = || pool.submit_class(req.clone(), None, SloClass::Interactive);
+            let pending = match submit() {
+                Ok(pending) => pending,
+                Err(e) => {
+                    // The wave itself can fill a replica's queue or class
+                    // cap. Earlier probes are checked first, as one at a
+                    // time would have; then a refusal the wave caused is
+                    // retried once, on an empty wave.
+                    let wave_full = !wave.in_flight.is_empty()
+                        && matches!(e, SubmitError::QueueFull | SubmitError::ShedOverload(_));
+                    wave.settle_to(0)?;
+                    if !wave_full {
+                        return Err(refused(e));
+                    }
+                    submit().map_err(refused)?
                 }
             };
-            let (want_version, want_score) = if in_slice {
-                (candidate.version(), direct_cand)
-            } else {
-                (incumbent.version(), direct_inc)
-            };
-            if resp.snapshot_version != want_version {
-                return Err(GateReject::Canary(format!(
-                    "response attributed to v{}, expected v{want_version}",
-                    resp.snapshot_version
-                )));
-            }
-            if resp.score.to_bits() != want_score.to_bits() {
-                return Err(GateReject::Canary(format!(
-                    "pool score {} not bit-identical to direct score {}",
-                    resp.score, want_score
-                )));
-            }
-            if in_slice {
-                drift_sum += (direct_cand - direct_inc).abs();
-                drift_n += 1;
-            }
+            let direct = (
+                candidate.score(req.domain, std::slice::from_ref(req))[0],
+                incumbent.score(req.domain, std::slice::from_ref(req))[0],
+            );
+            let in_slice = replica_of(req.user, n) < n_canary;
+            wave.in_flight.push_back(CanaryProbe { pending, in_slice, direct });
         }
-        if drift_n > 0 {
-            let mean = drift_sum / drift_n as f32;
+        wave.settle_to(0)?;
+        if wave.drift_n > 0 {
+            let mean = wave.drift_sum / wave.drift_n as f32;
             if mean.is_nan() || mean > self.config.max_canary_drift {
                 return Err(GateReject::Canary(format!(
                     "canary-slice mean |Δscore| {mean} > bound {}",
@@ -469,14 +514,108 @@ impl PublishGate {
     }
 }
 
+/// The canary's probe set, decorrelated from the divergence probes:
+/// per-domain count sized to reach `canary_probes` total.
+fn canary_probes(config: &GateConfig, candidate: &ServingSnapshot) -> Vec<ScoreRequest> {
+    let per = (config.canary_probes / candidate.n_domains()).max(1);
+    candidate.probe_requests(config.probe_seed ^ 0x9E37_79B9, per)
+}
+
+/// One canary probe the pool admitted and the gate has not checked yet.
+struct CanaryProbe {
+    pending: Pending,
+    /// Routed to a replica of the canary slice.
+    in_slice: bool,
+    /// Direct batch-of-1 scores on the candidate and on the incumbent.
+    direct: (f32, f32),
+}
+
+/// The canary's probes in flight, oldest first, and the drift over the
+/// in-slice probes already checked.
+struct Wave<'a> {
+    candidate: &'a ServingSnapshot,
+    incumbent: &'a ServingSnapshot,
+    in_flight: VecDeque<CanaryProbe>,
+    drift_sum: f32,
+    drift_n: usize,
+}
+
+impl Wave<'_> {
+    /// Waits for and checks the oldest probes until at most `keep` are in
+    /// flight. A failed check waits out every other probe in flight before
+    /// it returns, so the rollback never races a canary request.
+    fn settle_to(&mut self, keep: usize) -> Result<(), GateReject> {
+        while self.in_flight.len() > keep {
+            let probe = self.in_flight.pop_front().expect("more than `keep` in flight");
+            if let Err(rej) = self.check(probe) {
+                for rest in self.in_flight.drain(..) {
+                    rest.pending.wait();
+                }
+                return Err(rej);
+            }
+        }
+        Ok(())
+    }
+
+    /// One probe's reply: scored, attributed to the version its replica
+    /// should serve, bit-identical to the direct score; in-slice drift is
+    /// added to the running sum.
+    fn check(&mut self, probe: CanaryProbe) -> Result<(), GateReject> {
+        let resp = match probe.pending.wait() {
+            ServeResult::Scored(r) => r,
+            other => {
+                return Err(GateReject::Canary(format!("canary request not scored: {other:?}")))
+            }
+        };
+        let (direct_cand, direct_inc) = probe.direct;
+        let (want_version, want_score) = if probe.in_slice {
+            (self.candidate.version(), direct_cand)
+        } else {
+            (self.incumbent.version(), direct_inc)
+        };
+        if resp.snapshot_version != want_version {
+            return Err(GateReject::Canary(format!(
+                "response attributed to v{}, expected v{want_version}",
+                resp.snapshot_version
+            )));
+        }
+        if resp.score.to_bits() != want_score.to_bits() {
+            return Err(GateReject::Canary(format!(
+                "pool score {} not bit-identical to direct score {}",
+                resp.score, want_score
+            )));
+        }
+        if probe.in_slice {
+            self.drift_sum += (direct_cand - direct_inc).abs();
+            self.drift_n += 1;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::server::ServeConfig;
-    use crate::snapshot::tests_support::tiny_dense_snapshot;
+    use crate::snapshot::tests_support::{tiny_dense_snapshot, tiny_snapshot_of};
+    use mamdr_models::ModelKind;
 
     fn pool(n: usize, registry: &MetricsRegistry) -> ReplicatedServer {
         ReplicatedServer::start(tiny_dense_snapshot(1), n, ServeConfig::default(), registry, None)
+    }
+
+    /// Loose bounds and a 50 % canary: every sound candidate passes.
+    fn canary_config() -> GateConfig {
+        GateConfig {
+            max_divergence: 1.0,
+            canary_pct: 50.0,
+            max_canary_drift: 1.0,
+            ..Default::default()
+        }
+    }
+
+    fn phase_samples(registry: &MetricsRegistry, phase: &str) -> u64 {
+        registry.histogram(&format!("publish_gate_seconds{{phase=\"{phase}\"}}")).count()
     }
 
     /// A gate sharing the pool's initial snapshot Arc, loose probe bound.
@@ -633,6 +772,106 @@ mod tests {
         );
         assert_eq!(rejected(&registry, "canary"), 1);
         assert_eq!(registry.counter("publish_rollbacks_total").get(), 1);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn gate_phase_times_are_recorded_per_offer_that_reaches_them() {
+        let registry = MetricsRegistry::new();
+        let pool = pool(2, &registry);
+        let g = gate(&pool, &registry, canary_config());
+        g.offer(1, tiny_dense_snapshot(2), &pool).expect("sound candidate");
+        for phase in ["structural", "probe", "canary"] {
+            assert_eq!(phase_samples(&registry, phase), 1, "{phase}");
+        }
+        let ps = mamdr_ps::ParameterServer::new(1, 2);
+        let err = g.offer(2, ServingSnapshot::from_ps(7, &ps, 5), &pool).unwrap_err();
+        assert_eq!(err.reason(), "structure");
+        assert_eq!(phase_samples(&registry, "structural"), 2);
+        assert_eq!(phase_samples(&registry, "probe"), 1, "a structure reject runs no probe");
+        assert_eq!(phase_samples(&registry, "canary"), 1, "a structure reject runs no canary");
+        pool.shutdown();
+    }
+
+    #[test]
+    fn star_canary_keeps_one_probe_in_flight_and_passes() {
+        // STAR normalizes over the batch, so a pickup holding several
+        // probes scores them differently from their direct batch-of-1
+        // scores; only a one-probe wave makes pool and direct agree.
+        let registry = MetricsRegistry::new();
+        let star = |v| tiny_snapshot_of(ModelKind::Star, v, 2);
+        assert!(!star(1).scores_rows_independently());
+        let pool = ReplicatedServer::start(star(1), 2, ServeConfig::default(), &registry, None);
+        let g = gate(&pool, &registry, canary_config());
+        for v in 2..=7 {
+            g.offer(v - 1, star(v), &pool).unwrap_or_else(|e| panic!("sound STAR v{v}: {e}"));
+        }
+        assert_eq!(registry.counter("publish_accepted_total").get(), 6);
+        assert_eq!(pool.current_version(), 7);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_wave_that_overfills_the_queue_is_retried_not_rejected() {
+        let registry = MetricsRegistry::new();
+        let config = ServeConfig { queue_cap: 4, ..ServeConfig::default() };
+        let pool = ReplicatedServer::start(tiny_dense_snapshot(1), 2, config, &registry, None);
+        let g = gate(&pool, &registry, canary_config());
+        for v in 2..=6 {
+            g.offer(v - 1, tiny_dense_snapshot(v), &pool)
+                .unwrap_or_else(|e| panic!("sound v{v} under queue_cap 4: {e}"));
+        }
+        assert_eq!(pool.current_version(), 6);
+        assert!(
+            registry.counter("serve_rejected_total").get() > 0,
+            "64-probe waves never filled a 4-deep queue: the retry went untested"
+        );
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_canary_reject_waits_out_every_probe_before_it_returns() {
+        let registry = MetricsRegistry::new();
+        // One forward pass per request, so a backlog takes a while.
+        let config =
+            ServeConfig { max_batch: 1, queue_cap: 8192, n_workers: 1, ..ServeConfig::default() };
+        let pool = ReplicatedServer::start(tiny_dense_snapshot(1), 2, config, &registry, None);
+        // The probe seed puts the first canary probe outside the slice
+        // (replica 1) and at least one probe inside it (replica 0).
+        let candidate = tiny_dense_snapshot(2);
+        let gate_config = (0u64..)
+            .map(|probe_seed| GateConfig { probe_seed, ..canary_config() })
+            .find(|c| {
+                let probes = canary_probes(c, &candidate);
+                pool.route(probes[0].user) == 1 && probes.iter().any(|p| pool.route(p.user) == 0)
+            })
+            .expect("a seed with an out-of-slice first probe");
+        let g = gate(&pool, &registry, gate_config);
+        // Behind the gate's back every replica moves to v5, so the first
+        // out-of-slice reply is attributed to v5, not the incumbent v1:
+        // the wave fails its first check while replica 0 is still busy
+        // with a backlog queued ahead of the in-slice probes.
+        pool.publish(tiny_dense_snapshot(5));
+        let user0 = (0..30).find(|&u| pool.route(u) == 0).expect("a user on replica 0");
+        let backlog: Vec<Pending> = (0..4000)
+            .map(|i| {
+                let req = ScoreRequest::new(0, user0, i % 20, i % 4, i % 5);
+                pool.submit(req, None).expect("backlog admitted")
+            })
+            .collect();
+        let err = g.offer(1, candidate, &pool).unwrap_err();
+        assert_eq!(err.reason(), "canary");
+        assert!(err.to_string().contains("attributed to v5, expected v1"), "{err}");
+        // Domain 0 is scored first and in arrival order, so every in-slice
+        // probe answered means the backlog was answered too.
+        assert_eq!(
+            registry.counter("serve_requests_total").get(),
+            registry.counter("serve_responses_total").get(),
+            "offer returned with canary requests in flight"
+        );
+        for p in backlog {
+            assert!(matches!(p.wait(), ServeResult::Scored(_)));
+        }
         pool.shutdown();
     }
 }

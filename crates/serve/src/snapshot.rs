@@ -263,6 +263,18 @@ impl ServingSnapshot {
         }
     }
 
+    /// True when a request's score does not depend on the other requests
+    /// of its forward pass: a batched pickup then scores it bit-identically
+    /// to a direct batch-of-1 call. The embedding scorer looks rows up one
+    /// by one; a dense model answers by its kind
+    /// ([`ModelKind::scores_rows_independently`]).
+    pub(crate) fn scores_rows_independently(&self) -> bool {
+        match &self.backend {
+            Backend::Dense { spec, .. } => spec.kind.scores_rows_independently(),
+            Backend::Embedding { .. } => true,
+        }
+    }
+
     /// A short human-readable description of the scorer.
     pub fn describe(&self) -> String {
         match &self.backend {
@@ -705,8 +717,13 @@ pub(crate) mod tests_support {
 
     /// [`tiny_dense_snapshot`] over `n_domains` domains.
     pub fn tiny_dense_snapshot_over(version: u64, n_domains: usize) -> ServingSnapshot {
+        tiny_snapshot_of(ModelKind::Mlp, version, n_domains)
+    }
+
+    /// [`tiny_dense_snapshot_over`] of any architecture.
+    pub fn tiny_snapshot_of(kind: ModelKind, version: u64, n_domains: usize) -> ServingSnapshot {
         let spec = ModelSpec {
-            kind: ModelKind::Mlp,
+            kind,
             features: FeatureConfig {
                 n_users: 30,
                 n_items: 20,
