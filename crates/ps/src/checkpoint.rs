@@ -17,7 +17,7 @@
 //! `mamdr_util::codec` reader and writer without `seal`. On disk, integrity
 //! comes from the shard manifest, which records each checkpoint's XXH64.
 
-use crate::kv::{ParamKey, ParameterServer, LOCK_STRIPES};
+use crate::kv::{ParamKey, ParameterServer};
 use mamdr_obs::{EventLog, Value};
 use mamdr_util::codec::{self, CodecError, Reader, Writer};
 use std::io::{Read, Write};
@@ -40,19 +40,18 @@ pub fn save(ps: &ParameterServer, dim: usize, mut w: impl Write) -> Result<(), C
 }
 
 fn encode(ps: &ParameterServer, dim: usize) -> Result<Vec<u8>, CodecError> {
-    let mut rows = ps.dump_rows();
-    rows.sort_by_key(|(k, _)| (k.table, k.row));
-    if let Some((key, value)) = rows.iter().find(|(_, v)| v.len() != dim) {
+    let (keys, values) = ps.dump_flat();
+    if let Some(key) = keys.first().filter(|_| ps.value_dim() != dim) {
         return Err(CodecError::corrupt(
             MAGIC,
-            format!("row {key:?} has width {} (expected {dim})", value.len()),
+            format!("row {key:?} has width {} (expected {dim})", ps.value_dim()),
         ));
     }
-    let mut w = Writer::default();
-    w.bytes(MAGIC).u32(dim as u32).u64(rows.len() as u64);
-    for (key, value) in &rows {
+    let mut w = Writer::with_capacity(MAGIC.len() + 12 + keys.len() * (8 + 4 * dim));
+    w.bytes(MAGIC).u32(dim as u32).u64(keys.len() as u64);
+    for (i, key) in keys.iter().enumerate() {
         key.write_to(&mut w);
-        w.f32s(value);
+        w.f32s(&values[i * dim..][..dim]);
     }
     Ok(w.into_bytes())
 }
@@ -77,7 +76,7 @@ fn decode(bytes: &[u8]) -> Result<ParameterServer, CodecError> {
     }
     let n_rows = r.u64()?;
     let n_rows = r.count(n_rows, 8 + 4 * dim as u64)?;
-    let ps = ParameterServer::new(LOCK_STRIPES, dim);
+    let ps = ParameterServer::new(1, dim);
     for _ in 0..n_rows {
         let key = ParamKey::read_from(&mut r)?;
         ps.init_row(key, r.f32s(dim as u64)?);

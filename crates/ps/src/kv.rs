@@ -1,27 +1,27 @@
-//! The parameter-server store: one record per row behind one striped map.
+//! The parameter-server store: one slab of rows behind one lock.
 //!
-//! A row's value, its Adagrad accumulator and its push version live in one
-//! record, so every data-plane operation costs one lock and one
-//! hash lookup per key, and a write validates the row before it mutates or
-//! counts anything. A worker reads through one batch call
+//! Slot `s` of the slab holds one row in every column: `keys[s]`, its
+//! value at `values[s * dim..][..dim]`, its Adagrad accumulator at the
+//! same offset of `accum` (meaningful once the row's first outer push has
+//! materialized it), and its push version. A [`SlotIndex`] finds a key's
+//! slot. Every operation takes the lock once — a batch included — and a
+//! write validates every key and the width before it mutates or counts
+//! anything. A worker reads through one batch call
 //! ([`ParameterServer::pull_flat`], no single-row variant on the cached
-//! path), and the same file defines the traffic counters the §IV-E cache
-//! exists to shrink.
+//! path), the driver writes through one
+//! ([`ParameterServer::push_outer_grads`]), and the same file defines the
+//! traffic counters the §IV-E cache exists to shrink.
 //!
-//! The stripes' maps hash a key by folding its [`ParamKey::fib_hash`]
-//! (`h ^ (h >> 32)`), not with std's SipHash: the map takes its buckets
-//! from the low bits, which the fold mixes with the high ones. SipHash's
-//! resistance to hash flooding buys nothing here — only the driver inserts
-//! keys (`init_row`, `restore_state`); a client can only probe, and a
-//! probe's length depends on the stored set, not on the probe. The stripe
-//! choice (`fib_hash() >> 33`) and the serving snapshot's index use the
-//! unfolded `fib_hash`.
+//! The index is the one open-addressed table of the tree: the serving
+//! snapshot indexes its frozen slab with it too. It homes a key by the top
+//! bits of [`ParamKey::fib_hash`] rather than std's SipHash: resistance to
+//! hash flooding buys nothing here — only the driver inserts keys
+//! (`init_row`, `restore_state`); a client can only probe, and a probe's
+//! length depends on the stored set, not on the probe.
 
 use mamdr_obs::MetricsRegistry;
 use mamdr_util::codec::{CodecError, Reader, Writer};
 use parking_lot::RwLock;
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// 2^64 / φ, the multiplier of [`ParamKey::fib_hash`].
@@ -58,9 +58,8 @@ impl ParamKey {
     }
 
     /// Fibonacci hash of the packed key `table ‖ row`: its high bits are
-    /// well mixed, so a table of `2^b` buckets takes the top `b` of them.
-    /// The store's lock stripes and the serving snapshot's row index both
-    /// hash keys this way.
+    /// well mixed, so a table of `2^b` buckets takes the top `b` of them
+    /// (see [`SlotIndex`]).
     #[inline]
     pub fn fib_hash(self) -> u64 {
         let packed = ((self.table as u64) << 32) | self.row as u64;
@@ -126,68 +125,181 @@ impl TrafficStats {
     }
 }
 
-/// Number of independently lockable stripes a store spreads its rows
-/// over. A concurrency detail, not a tunable: results are bit-identical at
-/// any value, and eight stripes keep concurrent workers off each other's
-/// locks at every worker count the repo runs.
-pub const LOCK_STRIPES: usize = 8;
+/// An open-addressed index from the keys of a slab to their slots.
+///
+/// A power-of-two table of at least `4n/3` buckets for `n` keys (so at
+/// least one is always empty), each holding slot + 1 of the key homed there
+/// or linearly probed past it, 0 if empty. A key's home bucket is the top
+/// `b` bits of its [`ParamKey::fib_hash`] in a table of `2^b` buckets, and
+/// a lookup probes linearly until it meets the key's slot or an empty
+/// bucket. The index holds slots, not keys: every call takes the slab's key
+/// column.
+///
+/// Keys are indexed in slot order, by [`SlotIndex::build`] or one at a
+/// time by [`SlotIndex::insert`], and both lay the table out the same way:
+/// an index grown key by key equals the one built over the same keys.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SlotIndex {
+    buckets: Vec<u32>,
+}
 
-/// The stripes' key hash: a [`ParamKey`] hashes as its two `u32` halves,
-/// which this packs back into `table ‖ row` and finishes as the folded
-/// [`ParamKey::fib_hash`]. Plain `fib_hash` would leave the low bits — the
-/// map's buckets — a function of the row alone, so keys that differ only in
-/// table would share buckets; the fold puts the well-mixed high half on top
-/// of them without the stripe-selection bits lining up with the bucket
-/// bits (a `rotate_left(32)` would make each stripe use one bucket in
-/// eight).
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    #[inline]
-    fn write_u32(&mut self, half: u32) {
-        self.0 = (self.0 << 32) | half as u64;
+impl SlotIndex {
+    /// The index over `keys`, `keys[s]` at slot `s`.
+    ///
+    /// Panics if a slab of that many rows could not be indexed by `u32`.
+    pub fn build(keys: &[ParamKey]) -> Self {
+        assert!(keys.len() < u32::MAX as usize, "a slab indexes fewer than 2^32 - 1 rows");
+        let len = (keys.len() + keys.len() / 3 + 1).next_power_of_two();
+        let mut index = SlotIndex { buckets: vec![0; len] };
+        for (slot, &key) in keys.iter().enumerate() {
+            index.place(key, slot);
+        }
+        index
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 << 8) | b as u64;
+    /// Indexes `keys[slot]`, the last key of `keys`, which the index does
+    /// not hold yet. Past three-quarters load the table is rebuilt at the
+    /// next power of two that keeps a quarter of it empty.
+    pub fn insert(&mut self, keys: &[ParamKey], slot: usize) {
+        debug_assert_eq!(slot + 1, keys.len(), "slots are indexed in order");
+        let n = keys.len();
+        if n + n / 3 + 1 > self.buckets.len() {
+            *self = SlotIndex::build(keys);
+        } else {
+            self.place(keys[slot], slot);
+        }
+    }
+
+    /// The home bucket of `key`: the top bits of its Fibonacci hash.
+    #[inline]
+    fn home(&self, key: ParamKey) -> usize {
+        let bits = self.buckets.len().trailing_zeros();
+        key.fib_hash().checked_shr(64 - bits).unwrap_or(0) as usize
+    }
+
+    fn place(&mut self, key: ParamKey, slot: usize) {
+        let mask = self.buckets.len() - 1;
+        let mut b = self.home(key);
+        while self.buckets[b] != 0 {
+            b = (b + 1) & mask;
+        }
+        self.buckets[b] = slot as u32 + 1;
+    }
+
+    /// The slot of `key` in the slab whose key column is `keys`, if any.
+    #[inline]
+    pub fn find(&self, keys: &[ParamKey], key: ParamKey) -> Option<usize> {
+        let mask = self.buckets.len() - 1;
+        let mut b = self.home(key);
+        loop {
+            let slot = (self.buckets[b] as usize).checked_sub(1)?;
+            if keys[slot] == key {
+                return Some(slot);
+            }
+            b = (b + 1) & mask;
+        }
+    }
+
+    /// The number of buckets.
+    pub fn n_buckets(&self) -> usize {
+        self.buckets.len()
+    }
+
+    /// The longest probe any indexed key takes: buckets visited from its
+    /// home to its slot, both included.
+    #[cfg(test)]
+    fn longest_probe(&self, keys: &[ParamKey]) -> usize {
+        let mask = self.buckets.len() - 1;
+        let mut longest = 0;
+        for (b, &entry) in self.buckets.iter().enumerate() {
+            if let Some(slot) = (entry as usize).checked_sub(1) {
+                longest = longest.max(((b.wrapping_sub(self.home(keys[slot]))) & mask) + 1);
+            }
+        }
+        longest
+    }
+}
+
+/// The store's columns, one slot per row (see the module docs).
+struct Slab {
+    dim: usize,
+    keys: Vec<ParamKey>,
+    values: Vec<f32>,
+    /// Adagrad accumulators of the outer update, `dim` per slot; a slot's
+    /// row is meaningful only once `has_accum` says its first outer push
+    /// materialized it.
+    accum: Vec<f32>,
+    has_accum: Vec<bool>,
+    /// Pushes each row has received — the basis of the staleness
+    /// measurement (§IV-E "alleviate inconsistency").
+    versions: Vec<u64>,
+    index: SlotIndex,
+}
+
+impl Slab {
+    fn new(dim: usize) -> Self {
+        Slab {
+            dim,
+            keys: Vec::new(),
+            values: Vec::new(),
+            accum: Vec::new(),
+            has_accum: Vec::new(),
+            versions: Vec::new(),
+            index: SlotIndex::build(&[]),
         }
     }
 
     #[inline]
-    fn finish(&self) -> u64 {
-        let h = self.0.wrapping_mul(FIB);
-        h ^ (h >> 32)
+    fn find(&self, key: ParamKey) -> Option<usize> {
+        self.index.find(&self.keys, key)
+    }
+
+    #[inline]
+    fn value(&self, slot: usize) -> &[f32] {
+        &self.values[slot * self.dim..][..self.dim]
+    }
+
+    /// Writes `value` into `key`'s slot, appending the slot if the key is
+    /// new (no accumulator, version 0), and returns the slot.
+    fn upsert(&mut self, key: ParamKey, value: &[f32]) -> usize {
+        let dim = self.dim;
+        assert_eq!(
+            value.len(),
+            dim,
+            "row width mismatch: {key:?} is {} wide, the store {dim}",
+            value.len()
+        );
+        if let Some(slot) = self.find(key) {
+            self.values[slot * dim..][..dim].copy_from_slice(value);
+            return slot;
+        }
+        let slot = self.keys.len();
+        self.keys.push(key);
+        self.values.extend_from_slice(value);
+        self.accum.resize(self.accum.len() + dim, 0.0);
+        self.has_accum.push(false);
+        self.versions.push(0);
+        self.index.insert(&self.keys, slot);
+        slot
+    }
+
+    /// Materializes `slot`'s accumulator as `acc`.
+    fn set_accum(&mut self, slot: usize, acc: &[f32]) {
+        self.accum[slot * self.dim..][..self.dim].copy_from_slice(acc);
+        self.has_accum[slot] = true;
     }
 }
 
-/// One stripe's rows.
-type RowMap = HashMap<ParamKey, Row, BuildHasherDefault<KeyHasher>>;
-
-/// Everything the store knows about one parameter row, behind one lookup.
-#[derive(Clone)]
-struct Row {
-    value: Vec<f32>,
-    /// Adagrad accumulator of the outer update; empty until the row's
-    /// first outer push materializes it.
-    accum: Vec<f32>,
-    /// Pushes this row has received — the basis of the staleness
-    /// measurement (§IV-E "alleviate inconsistency").
-    version: u64,
-}
-
-/// An in-memory parameter server: one record per row, one striped map.
+/// An in-memory parameter server: one slab of rows behind one lock.
 ///
-/// Rows are assigned to lock stripes by key hash; each stripe is
-/// independently lockable so concurrent workers rarely contend (the real
-/// deployment's 40 server machines play the same role). Every operation
-/// takes one lock and one lookup per key, and validates before it mutates
-/// or counts anything.
+/// Every operation takes the lock once — shared for reads, exclusive for
+/// writes — and a write validates before it mutates or counts anything.
+/// The driver is the only writer and workers read one batch per round, so
+/// the lock is held for a batch, never per row.
 pub struct ParameterServer {
-    stripes: Vec<RwLock<RowMap>>,
+    slab: RwLock<Slab>,
     traffic: TrafficStats,
-    dim_bytes: usize,
+    dim: usize,
     /// Number of *server* shards pull batches are modeled as routed over
     /// (see [`ParameterServer::set_route_shards`]); 1 = the single-server
     /// wire, today's default.
@@ -195,15 +307,14 @@ pub struct ParameterServer {
 }
 
 impl ParameterServer {
-    /// A server with `n_stripes` lock stripes (in-crate callers pass
-    /// [`LOCK_STRIPES`]); `value_dim` is the per-row vector width used for
-    /// byte accounting.
-    pub fn new(n_stripes: usize, value_dim: usize) -> Self {
-        assert!(n_stripes >= 1);
+    /// An empty server whose rows are `value_dim` floats wide. The first
+    /// argument is ignored: it once chose a lock-stripe count, and callers
+    /// still pass one.
+    pub fn new(_ignored: usize, value_dim: usize) -> Self {
         ParameterServer {
-            stripes: (0..n_stripes).map(|_| RwLock::default()).collect(),
+            slab: RwLock::new(Slab::new(value_dim)),
             traffic: TrafficStats::default(),
-            dim_bytes: value_dim * std::mem::size_of::<f32>(),
+            dim: value_dim,
             route_shards: AtomicUsize::new(1),
         }
     }
@@ -221,23 +332,21 @@ impl ParameterServer {
 
     /// The per-row vector width this server was built for.
     pub fn value_dim(&self) -> usize {
-        self.dim_bytes / std::mem::size_of::<f32>()
+        self.dim
     }
 
-    fn stripe(&self, key: ParamKey) -> &RwLock<RowMap> {
-        &self.stripes[(key.fib_hash() >> 33) as usize % self.stripes.len()]
+    fn row_bytes(&self, rows: usize) -> u64 {
+        (rows * self.dim * std::mem::size_of::<f32>()) as u64
     }
 
     /// Seeds a row without counting traffic (initial placement). Re-seeding
     /// an existing row replaces its value and keeps its accumulator and
     /// version.
+    ///
+    /// Panics, naming the key, if `value` is not
+    /// [`ParameterServer::value_dim`] wide.
     pub fn init_row(&self, key: ParamKey, value: Vec<f32>) {
-        match self.stripe(key).write().entry(key) {
-            Entry::Occupied(mut e) => e.get_mut().value = value,
-            Entry::Vacant(e) => {
-                e.insert(Row { value, accum: Vec::new(), version: 0 });
-            }
-        }
+        self.slab.write().upsert(key, &value);
     }
 
     /// Pulls the latest value of a row (one RPC, counted) — the
@@ -249,37 +358,34 @@ impl ParameterServer {
         let v =
             self.read_silent(key).unwrap_or_else(|| panic!("pull of uninitialized key {key:?}"));
         self.traffic.pulls.fetch_add(1, Ordering::Relaxed);
-        self.traffic.bytes_pulled.fetch_add(self.dim_bytes as u64, Ordering::Relaxed);
+        self.traffic.bytes_pulled.fetch_add(self.row_bytes(1), Ordering::Relaxed);
         v
     }
 
     /// Pulls many rows as one flat batch `(versions, values)` in input-key
     /// order — the store's one batched read, behind a cached worker round's
-    /// pull and the wire's `PullMany` handler, one lookup per key. Counts one
-    /// RPC per [`WIRE_BATCH_KEYS`] chunk — exactly the frames the batched
-    /// wire protocol would spend on the same key set, so in-process and
-    /// loopback runs report identical pull counters.
+    /// pull and the wire's `PullMany` handler, under one shared lock. Counts
+    /// one RPC per [`WIRE_BATCH_KEYS`] chunk — exactly the frames the
+    /// batched wire protocol would spend on the same key set, so in-process
+    /// and loopback runs report identical pull counters.
     ///
     /// Returns the first key the store holds no row for as the error,
     /// before any traffic is counted: workers may only touch rows the
-    /// driver placed. Panics if a row is not
-    /// [`ParameterServer::value_dim`] wide.
+    /// driver placed.
     pub fn pull_flat(&self, keys: &[ParamKey]) -> Result<(Vec<u64>, Vec<f32>), ParamKey> {
-        let dim = self.value_dim();
         let mut versions = Vec::with_capacity(keys.len());
-        let mut values = Vec::with_capacity(keys.len() * dim);
-        for &key in keys {
-            let stripe = self.stripe(key).read();
-            let row = stripe.get(&key).ok_or(key)?;
-            assert_eq!(row.value.len(), dim, "row width mismatch: {key:?}");
-            versions.push(row.version);
-            values.extend_from_slice(&row.value);
+        let mut values = Vec::with_capacity(keys.len() * self.dim);
+        {
+            let slab = self.slab.read();
+            for &key in keys {
+                let slot = slab.find(key).ok_or(key)?;
+                versions.push(slab.versions[slot]);
+                values.extend_from_slice(slab.value(slot));
+            }
         }
         let chunks = crate::shard::route_chunks(keys, self.route_shards.load(Ordering::Relaxed));
         self.traffic.pulls.fetch_add(chunks, Ordering::Relaxed);
-        self.traffic
-            .bytes_pulled
-            .fetch_add((self.dim_bytes * keys.len()) as u64, Ordering::Relaxed);
+        self.traffic.bytes_pulled.fetch_add(self.row_bytes(keys.len()), Ordering::Relaxed);
         Ok((versions, values))
     }
 
@@ -291,78 +397,116 @@ impl ParameterServer {
     pub fn pull_batch(&self, keys: &[ParamKey]) -> Vec<(Vec<f32>, u64)> {
         let (versions, values) =
             self.pull_flat(keys).unwrap_or_else(|key| panic!("pull of uninitialized key {key:?}"));
-        values.chunks_exact(self.value_dim().max(1)).map(<[f32]>::to_vec).zip(versions).collect()
+        values.chunks_exact(self.dim.max(1)).map(<[f32]>::to_vec).zip(versions).collect()
     }
 
     /// Reads a row without traffic accounting (driver-side evaluation).
     pub fn read_silent(&self, key: ParamKey) -> Option<Vec<f32>> {
-        self.stripe(key).read().get(&key).map(|row| row.value.clone())
+        let slab = self.slab.read();
+        slab.find(key).map(|slot| slab.value(slot).to_vec())
     }
 
     /// The first of `keys` the store holds no row for, if any — the
-    /// non-cloning existence check a front end runs over a whole push
-    /// batch before it applies any of it.
+    /// non-cloning existence check over a whole batch.
     pub fn first_missing(&self, keys: &[ParamKey]) -> Option<ParamKey> {
-        keys.iter().copied().find(|key| !self.stripe(*key).read().contains_key(key))
+        let slab = self.slab.read();
+        keys.iter().copied().find(|&key| slab.find(key).is_none())
     }
 
-    /// The one write path: validates the target row, then applies `update`
-    /// to it, bumps its version and counts one push — all under a single
-    /// stripe lock and lookup. A push to an uninitialized key or of the
-    /// wrong width panics with nothing mutated and nothing counted; the
-    /// lock is released first, so a rejected push leaves the store usable.
-    fn push_with(&self, key: ParamKey, width: usize, update: impl FnOnce(&mut Row)) {
-        let rejected = {
-            let mut stripe = self.stripe(key).write();
-            match stripe.get_mut(&key) {
-                None => Some(format!("push to uninitialized key {key:?}")),
-                Some(row) if row.value.len() != width => Some(format!(
-                    "row width mismatch: {key:?} is {} wide, push is {width}",
-                    row.value.len()
-                )),
-                Some(row) => {
-                    update(row);
-                    row.version += 1;
-                    None
-                }
+    /// The one write path: under one exclusive lock, finds the slot of
+    /// every key, then applies `update(slab, slot, row)` to each row of
+    /// `rows` (`dim` floats per key, in key order), bumps each version and
+    /// counts one push per key. A batch naming a key the store holds no
+    /// row for is refused with that key before anything is mutated or
+    /// counted; one of the wrong width panics, equally untouched.
+    fn push_rows(
+        &self,
+        keys: &[ParamKey],
+        rows: &[f32],
+        mut update: impl FnMut(&mut Slab, usize, &[f32]),
+    ) -> Result<(), ParamKey> {
+        let dim = self.dim;
+        assert_eq!(
+            rows.len(),
+            keys.len() * dim,
+            "push width mismatch: {} floats for {} rows {dim} wide",
+            rows.len(),
+            keys.len()
+        );
+        {
+            let mut guard = self.slab.write();
+            let slab = &mut *guard;
+            let mut slots = Vec::with_capacity(keys.len());
+            for &key in keys {
+                slots.push(slab.find(key).ok_or(key)?);
             }
-        };
-        if let Some(why) = rejected {
-            panic!("{why}");
+            for (&slot, row) in slots.iter().zip(rows.chunks_exact(dim.max(1))) {
+                update(slab, slot, row);
+                slab.versions[slot] += 1;
+            }
         }
-        self.traffic.pushes.fetch_add(1, Ordering::Relaxed);
-        self.traffic.bytes_pushed.fetch_add(self.dim_bytes as u64, Ordering::Relaxed);
+        self.traffic.pushes.fetch_add(keys.len() as u64, Ordering::Relaxed);
+        self.traffic.bytes_pushed.fetch_add(self.row_bytes(keys.len()), Ordering::Relaxed);
+        Ok(())
     }
 
-    /// Pushes an outer-loop gradient for one row (one RPC, counted) and
-    /// applies the server-side update `θ ← θ + lr_scaled · g` where the
-    /// scaling is Adagrad over accumulated squared gradients — the paper's
-    /// industry configuration (SGD inner, Adagrad outer).
-    pub fn push_outer_grad(&self, key: ParamKey, grad: &[f32], lr: f32) {
-        self.push_with(key, grad.len(), |row| {
+    /// Pushes one outer-loop gradient per key (one RPC per row, counted)
+    /// and applies the server-side update `θ ← θ + lr_scaled · g`, where
+    /// the scaling is Adagrad over accumulated squared gradients — the
+    /// paper's industry configuration (SGD inner, Adagrad outer). `grads`
+    /// holds [`ParameterServer::value_dim`] floats per key, in key order; a
+    /// key may repeat, and its rows then apply in order.
+    ///
+    /// Returns the first key the store holds no row for, with nothing
+    /// applied and nothing counted. Panics, equally untouched, if `grads`
+    /// is not `value_dim` floats per key.
+    pub fn push_outer_grads(
+        &self,
+        keys: &[ParamKey],
+        grads: &[f32],
+        lr: f32,
+    ) -> Result<(), ParamKey> {
+        self.push_rows(keys, grads, |slab, slot, grad| {
             // Accumulators start at 0.1 (the TensorFlow Adagrad default):
             // from zero, a row's first-ever update degenerates to
             // lr * sign(g), which on rarely-touched rows amplifies noise to
             // 10x the init scale regardless of how small the pushed delta
             // was.
-            if row.accum.is_empty() {
-                row.accum = vec![0.1; grad.len()];
+            let dim = slab.dim;
+            let acc = &mut slab.accum[slot * dim..][..dim];
+            if !slab.has_accum[slot] {
+                acc.fill(0.1);
+                slab.has_accum[slot] = true;
             }
-            for ((v, &g), a) in row.value.iter_mut().zip(grad).zip(row.accum.iter_mut()) {
+            let value = &mut slab.values[slot * dim..][..dim];
+            for ((v, &g), a) in value.iter_mut().zip(grad).zip(acc.iter_mut()) {
                 *a += g * g;
                 *v += lr * g / (a.sqrt() + 1e-8);
             }
-        });
+        })
+    }
+
+    /// [`ParameterServer::push_outer_grads`] of one row.
+    ///
+    /// Panics if the row was never initialized or `grad` is not
+    /// [`ParameterServer::value_dim`] wide, with nothing mutated and
+    /// nothing counted.
+    pub fn push_outer_grad(&self, key: ParamKey, grad: &[f32], lr: f32) {
+        self.push_outer_grads(&[key], grad, lr)
+            .unwrap_or_else(|key| panic!("push to uninitialized key {key:?}"));
     }
 
     /// Pushes a raw delta applied verbatim (used by the no-cache baseline's
-    /// immediate writes).
+    /// immediate writes). Refuses a missing key or a wrong width as
+    /// [`ParameterServer::push_outer_grad`] does.
     pub fn push_delta(&self, key: ParamKey, delta: &[f32]) {
-        self.push_with(key, delta.len(), |row| {
-            for (v, &d) in row.value.iter_mut().zip(delta) {
+        self.push_rows(&[key], delta, |slab, slot, delta| {
+            let dim = slab.dim;
+            for (v, &d) in slab.values[slot * dim..][..dim].iter_mut().zip(delta) {
                 *v += d;
             }
-        });
+        })
+        .unwrap_or_else(|key| panic!("push to uninitialized key {key:?}"));
     }
 
     /// The traffic counters.
@@ -372,20 +516,18 @@ impl ParameterServer {
 
     /// Number of rows stored.
     pub fn n_rows(&self) -> usize {
-        self.stripes.iter().map(|s| s.read().len()).sum()
+        self.slab.read().keys.len()
     }
 
     /// Resident payload bytes: the f32 storage of every value row plus
-    /// every materialized Adagrad accumulator. Map/key overhead is
-    /// excluded — this measures the tensor mass a real PS shard would
-    /// account against its memory budget.
+    /// every materialized Adagrad accumulator. Index/key overhead and
+    /// accumulator slots not yet materialized are excluded — this measures
+    /// the tensor mass a real PS shard would account against its memory
+    /// budget.
     pub fn resident_bytes(&self) -> u64 {
-        let f32s: usize = self
-            .stripes
-            .iter()
-            .map(|s| s.read().values().map(|r| r.value.len() + r.accum.len()).sum::<usize>())
-            .sum();
-        (f32s * std::mem::size_of::<f32>()) as u64
+        let slab = self.slab.read();
+        let rows = slab.keys.len() + slab.has_accum.iter().filter(|&&m| m).count();
+        self.row_bytes(rows)
     }
 
     /// Publishes store occupancy into a metrics registry:
@@ -411,46 +553,32 @@ impl ParameterServer {
     /// The number of pushes a row has received (0 if never pushed). Silent:
     /// a driver-side observability read, not an RPC.
     pub fn version(&self, key: ParamKey) -> u64 {
-        self.stripe(key).read().get(&key).map_or(0, |row| row.version)
-    }
-
-    /// Copies one field of every record out of the store, skipping records
-    /// for which `field` yields nothing (order unspecified).
-    fn dump<T>(&self, field: impl Fn(&Row) -> Option<T>) -> Vec<(ParamKey, T)> {
-        let mut out = Vec::with_capacity(self.n_rows());
-        for stripe in &self.stripes {
-            out.extend(stripe.read().iter().filter_map(|(k, row)| Some((*k, field(row)?))));
-        }
-        out
+        let slab = self.slab.read();
+        slab.find(key).map_or(0, |slot| slab.versions[slot])
     }
 
     /// Copies every `(key, value)` pair out of the store (checkpointing;
     /// order is unspecified — callers sort).
     pub fn dump_rows(&self) -> Vec<(ParamKey, Vec<f32>)> {
-        self.dump(|row| Some(row.value.clone()))
+        let slab = self.slab.read();
+        slab.keys.iter().enumerate().map(|(slot, &key)| (key, slab.value(slot).to_vec())).collect()
     }
 
     /// Copies every row's value out of the store as one flat batch
     /// `(keys, values)`: keys strictly `(table, row)`-ascending, row `i`'s
-    /// value at `values[i * dim..(i + 1) * dim]`. Every stripe's read lock
-    /// is held for the copy, so the batch is one consistent cut, and each
+    /// value at `values[i * dim..(i + 1) * dim]`. The store's read lock is
+    /// held for the copy, so the batch is one consistent cut, and each
     /// value is copied exactly once — the whole-store read a serving
     /// snapshot is built from. Silent: no traffic is counted.
-    ///
-    /// Panics if a row is not [`ParameterServer::value_dim`] wide.
     pub fn dump_flat(&self) -> (Vec<ParamKey>, Vec<f32>) {
-        let dim = self.value_dim();
-        let stripes: Vec<_> = self.stripes.iter().map(|s| s.read()).collect();
-        let mut rows: Vec<(ParamKey, &Row)> =
-            Vec::with_capacity(stripes.iter().map(|s| s.len()).sum());
-        rows.extend(stripes.iter().flat_map(|s| s.iter().map(|(k, row)| (*k, row))));
-        rows.sort_unstable_by_key(|(k, _)| *k);
-        let mut values = Vec::with_capacity(rows.len() * dim);
-        for (key, row) in &rows {
-            assert_eq!(row.value.len(), dim, "row width mismatch: {key:?}");
-            values.extend_from_slice(&row.value);
+        let slab = self.slab.read();
+        let mut order: Vec<(ParamKey, u32)> = slab.keys.iter().copied().zip(0..).collect();
+        order.sort_unstable_by_key(|&(key, _)| key);
+        let mut values = Vec::with_capacity(order.len() * self.dim);
+        for &(_, slot) in &order {
+            values.extend_from_slice(slab.value(slot as usize));
         }
-        (rows.into_iter().map(|(k, _)| k).collect(), values)
+        (order.into_iter().map(|(key, _)| key).collect(), values)
     }
 
     /// Copies every materialized Adagrad accumulator row out of the store
@@ -460,28 +588,46 @@ impl ParameterServer {
     /// not enough, because a cold-started accumulator rescales the next
     /// update of every previously-touched row.
     pub fn dump_adagrad(&self) -> Vec<(ParamKey, Vec<f32>)> {
-        self.dump(|row| (!row.accum.is_empty()).then(|| row.accum.clone()))
+        let slab = self.slab.read();
+        let dim = self.dim;
+        slab.keys
+            .iter()
+            .enumerate()
+            .filter(|&(slot, _)| slab.has_accum[slot])
+            .map(|(slot, &key)| (key, slab.accum[slot * dim..][..dim].to_vec()))
+            .collect()
     }
 
-    /// Copies every record of `other` — value, accumulator and version —
-    /// into this store, replacing records already present under the same
+    /// Copies every slot of `other` — value, accumulator and version —
+    /// into this store, replacing slots already present under the same
     /// key. Traffic counters are not touched.
+    ///
+    /// Panics if the two stores' rows differ in width.
     pub(crate) fn absorb(&self, other: &ParameterServer) {
-        for stripe in &other.stripes {
-            for (key, row) in stripe.read().iter() {
-                self.stripe(*key).write().insert(*key, row.clone());
-            }
+        assert_eq!(self.dim, other.dim, "absorbing a store of another row width");
+        let (from, mut into) = (other.slab.read(), self.slab.write());
+        let dim = self.dim;
+        for (s, &key) in from.keys.iter().enumerate() {
+            let slot = into.upsert(key, from.value(s));
+            into.accum[slot * dim..][..dim].copy_from_slice(&from.accum[s * dim..][..dim]);
+            into.has_accum[slot] = from.has_accum[s];
+            into.versions[slot] = from.versions[s];
         }
     }
 
     /// Seeds one Adagrad accumulator row verbatim (resume/rollback; no
     /// traffic accounting, no version bump).
     ///
-    /// Panics if the row was never initialized: an accumulator belongs to
-    /// a row, so values are restored first.
+    /// Panics if the row was never initialized — an accumulator belongs to
+    /// a row, so values are restored first — or if `acc` is not
+    /// [`ParameterServer::value_dim`] wide.
     pub fn restore_adagrad_row(&self, key: ParamKey, acc: Vec<f32>) {
-        let restored = self.stripe(key).write().get_mut(&key).map(|row| row.accum = acc);
-        restored.unwrap_or_else(|| panic!("accumulator restore for uninitialized key {key:?}"));
+        assert_eq!(acc.len(), self.dim, "accumulator width mismatch: {key:?}");
+        let mut slab = self.slab.write();
+        let slot = slab
+            .find(key)
+            .unwrap_or_else(|| panic!("accumulator restore for uninitialized key {key:?}"));
+        slab.set_accum(slot, &acc);
     }
 
     /// Restores the full training state — values and Adagrad accumulators —
@@ -496,34 +642,35 @@ impl ParameterServer {
     /// RPC front end holds an `Arc` to it), only its contents rewind.
     ///
     /// Panics, with the store untouched, if `adagrad` names a key `rows`
-    /// does not.
+    /// does not, or if a row or accumulator is not
+    /// [`ParameterServer::value_dim`] wide.
     pub fn restore_state(&self, rows: &[(ParamKey, Vec<f32>)], adagrad: &[(ParamKey, Vec<f32>)]) {
-        let mut fresh: RowMap = rows
-            .iter()
-            .map(|(k, v)| (*k, Row { value: v.clone(), accum: Vec::new(), version: 0 }))
-            .collect();
-        for (k, a) in adagrad {
-            fresh
-                .get_mut(k)
-                .unwrap_or_else(|| panic!("accumulator restore for uninitialized key {k:?}"))
-                .accum = a.clone();
+        let mut fresh = Slab::new(self.dim);
+        for (key, value) in rows {
+            fresh.upsert(*key, value);
         }
-        for stripe in &self.stripes {
-            for (k, old) in stripe.write().drain() {
-                if let Some(row) = fresh.get_mut(&k) {
-                    row.version = old.version;
-                }
-            }
+        for (key, acc) in adagrad {
+            assert_eq!(acc.len(), self.dim, "accumulator width mismatch: {key:?}");
+            let slot = fresh
+                .find(*key)
+                .unwrap_or_else(|| panic!("accumulator restore for uninitialized key {key:?}"));
+            fresh.set_accum(slot, acc);
         }
-        for (k, row) in fresh {
-            self.stripe(k).write().insert(k, row);
+        let mut slab = self.slab.write();
+        for (slot, &key) in fresh.keys.iter().enumerate() {
+            fresh.versions[slot] = slab.find(key).map_or(0, |old| slab.versions[old]);
         }
+        *slab = fresh;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The longest probe run the index may take over the sharded key set
+    /// (it takes 5 over the whole set, 6 over either shard's half).
+    const LONGEST_PROBE: usize = 8;
 
     #[test]
     fn init_pull_roundtrip_counts_traffic() {
@@ -689,7 +836,7 @@ mod tests {
 
     #[test]
     fn dump_flat_is_the_sorted_silent_dump() {
-        let ps = ParameterServer::new(LOCK_STRIPES, 2);
+        let ps = ParameterServer::new(8, 2);
         for (t, r) in [(3, 0), (0, u32::MAX), (0, 5), (1, 2), (0, 0)] {
             ps.init_row(ParamKey::new(t, r), vec![t as f32, r as f32]);
         }
@@ -704,36 +851,37 @@ mod tests {
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
     }
 
-    /// The map's hash over 5 tables × 4 096 dense rows: its low 16 bits —
-    /// the bucket bits of any stripe up to 2^16 buckets — tell apart keys
-    /// that differ only in table, and none of them is constant over the
-    /// keys of one stripe. Plain `fib_hash` fails the first (its low bits
-    /// are the row's alone); `fib_hash().rotate_left(32)` fails the second
-    /// (the stripe-selection bits become bucket bits).
+    /// The store's index over `sharded_train`'s key set — `industry(64, ..)`
+    /// seeds 8 000 user, 3 000 item, 16 group, 32 category and 64 domain
+    /// rows — whole and split over its two shards: no key is more than a
+    /// short run from its home bucket. Homing by the hash's low bits, which
+    /// are the row's alone, piles the five tables' rows onto the same
+    /// buckets and breaks the bound.
     #[test]
-    fn store_hash_spreads_keys_over_buckets() {
-        use std::hash::BuildHasher;
-        let ps = ParameterServer::new(LOCK_STRIPES, 1);
-        let map = ps.stripes[0].read();
-        let low16 = |key: ParamKey| map.hasher().hash_one(key) as u16;
-        for row in 0..4096 {
-            let mut buckets: Vec<u16> = (0..5).map(|t| low16(ParamKey::new(t, row))).collect();
-            buckets.sort_unstable();
-            buckets.dedup();
-            assert_eq!(buckets.len(), 5, "row {row}: keys of different tables share low bits");
-        }
-        // Per stripe: the OR of the low bits and the OR of their complements.
-        let mut seen = [(0u16, 0u16); LOCK_STRIPES];
-        for table in 0..5 {
-            for row in 0..4096 {
-                let key = ParamKey::new(table, row);
-                let (ones, zeros) = &mut seen[(key.fib_hash() >> 33) as usize % LOCK_STRIPES];
-                *ones |= low16(key);
-                *zeros |= !low16(key);
+    fn index_probe_runs_stay_short_over_the_sharded_key_set() {
+        use crate::model::tables;
+        let keys: Vec<ParamKey> = [
+            (tables::USER, 8_000),
+            (tables::ITEM, 3_000),
+            (tables::UGROUP, 16),
+            (tables::ICAT, 32),
+            (tables::DOMAIN_BIAS, 64),
+        ]
+        .into_iter()
+        .flat_map(|(table, rows)| (0..rows).map(move |row| ParamKey::new(table, row)))
+        .collect();
+        let map = crate::shard::ShardMap::new(2);
+        let shards: Vec<Vec<ParamKey>> =
+            (0..2).map(|s| keys.iter().copied().filter(|&k| map.owner(k) == s).collect()).collect();
+        for set in [&keys, &shards[0], &shards[1]] {
+            let ps = ParameterServer::new(1, 1);
+            for &key in set.iter() {
+                ps.init_row(key, vec![0.0]);
             }
-        }
-        for (stripe, &(ones, zeros)) in seen.iter().enumerate() {
-            assert_eq!(ones & zeros, u16::MAX, "stripe {stripe}: a bucket bit never varies");
+            let slab = ps.slab.read();
+            assert_eq!(slab.keys, *set);
+            let longest = slab.index.longest_probe(&slab.keys);
+            assert!(longest <= LONGEST_PROBE, "{} keys: a probe run of {longest}", set.len());
         }
     }
 

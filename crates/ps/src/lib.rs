@@ -9,9 +9,10 @@
 //! ## What is simulated, and how faithfully
 //!
 //! The paper runs 40 parameter servers and 400 workers over 4.9×10⁸
-//! samples. Here the parameter server is an in-memory KV store holding one
-//! record per row — value, Adagrad accumulator and push version behind a
-//! single lookup — lock-striped over `parking_lot::RwLock`s; workers are
+//! samples. Here the parameter server is an in-memory KV store: one slab of
+//! rows — keys, values, Adagrad accumulators and push versions in slot
+//! order, found through one open-addressed index — behind one
+//! `parking_lot::RwLock` that every batch takes once; workers are
 //! `std::thread::scope` threads, and "network traffic" is counted
 //! byte-accurately on every pull/push.
 //! That preserves exactly the quantities the §IV-E mechanism optimizes —
@@ -71,7 +72,7 @@ pub use cache::{CacheStats, OuterGrads, WorkerCache};
 pub use engine::{partition_domains, run_rounds, ResumeBase, RoundTransport};
 pub use guard::{outer_grad_norm, GuardConfig, GuardRail, GuardVerdict};
 pub use journal::RoundJournal;
-pub use kv::{ParamKey, ParameterServer, TrafficStats, LOCK_STRIPES, WIRE_BATCH_KEYS};
+pub use kv::{ParamKey, ParameterServer, SlotIndex, TrafficStats, WIRE_BATCH_KEYS};
 pub use publish::{
     latest_snapshot, snapshot_path, ContinualPublisher, PublishOutcome, PublisherFaults,
     SNAPSHOT_EXT,

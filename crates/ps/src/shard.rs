@@ -5,10 +5,9 @@
 //! machines (PAPER.md §VI); this module is the reproduction's version of
 //! that split. A [`ShardMap`] assigns every [`ParamKey`] to one of N
 //! *server* shards by FNV-1a hash — deliberately a different function from
-//! the Fibonacci hash [`ParameterServer`] uses for its internal lock
-//! stripes, so the cross-server route and the in-store stripe stay
-//! independent (the stripe count is the fixed [`LOCK_STRIPES`]; the shard
-//! count is the deployment's one sharding knob). The map is versioned: a manifest records which map wrote a
+//! the Fibonacci hash [`ParameterServer`]'s index homes keys by, so a
+//! shard's keys still spread over its own index (the shard count is the
+//! deployment's one sharding knob). The map is versioned: a manifest records which map wrote a
 //! set of shard files, and resuming into a different shard count bumps the
 //! version while the hash itself re-routes every row (consistent routing
 //! is a pure function of the key and the shard count, never of history —
@@ -27,7 +26,7 @@
 
 use crate::checkpoint;
 use crate::journal::RoundJournal;
-use crate::kv::{ParamKey, ParameterServer, LOCK_STRIPES, WIRE_BATCH_KEYS};
+use crate::kv::{ParamKey, ParameterServer, WIRE_BATCH_KEYS};
 use mamdr_obs::{EventLog, Value};
 use mamdr_util::codec::{self, CodecError};
 use mamdr_util::{xxh64, Checksum};
@@ -347,7 +346,7 @@ pub fn load_manifest_state(
 /// values, accumulators, and row versions are copied; traffic counters are
 /// *not* — the caller aggregates those across shards itself.
 pub fn merge_stores(stores: &[&ParameterServer], dim: usize) -> ParameterServer {
-    let merged = ParameterServer::new(LOCK_STRIPES, dim);
+    let merged = ParameterServer::new(1, dim);
     for store in stores {
         merged.absorb(store);
     }

@@ -7,13 +7,13 @@
 //! in-process and the networked workers both execute after their one pull,
 //! server seeding and evaluation, and [`DistributedMamdr`] — the trivial
 //! [`RoundTransport`], whose workers are scoped threads reading one shared
-//! [`ParameterServer`] and whose "wire" is a direct `push_outer_grad` call
+//! [`ParameterServer`] and whose "wire" is a direct `push_outer_grads` call
 //! that cannot fail.
 
 use crate::cache::{CacheStats, OuterGrads, WorkerCache};
 use crate::engine::{self, ResumeBase, RoundTransport};
 use crate::guard::GuardConfig;
-use crate::kv::{ParamKey, ParameterServer, LOCK_STRIPES};
+use crate::kv::{ParamKey, ParameterServer};
 use crate::model::{error_signal, log_loss, score, tables, ExampleKeys};
 use crate::shard::ShardMap;
 use mamdr_core::metrics::auc;
@@ -296,7 +296,7 @@ impl DistributedMamdr {
         if let Err(e) = engine::validate(&cfg) {
             panic!("bad DistributedConfig: {e}");
         }
-        let ps = ParameterServer::new(LOCK_STRIPES, cfg.dim);
+        let ps = ParameterServer::new(1, cfg.dim);
         ps.set_route_shards(cfg.route_shards.max(1));
         seed_server(&ps, ds, cfg.dim, cfg.seed);
         DistributedMamdr { ps, cfg, tracer: None }
@@ -375,8 +375,9 @@ impl RoundTransport for InProcess<'_> {
     }
 
     fn queue_grads(&mut self, grads: OuterGrads) {
-        for (key, delta) in grads.iter() {
-            self.trainer.ps.push_outer_grad(key, delta, self.trainer.cfg.outer_lr);
+        let lr = self.trainer.cfg.outer_lr;
+        if let Err(key) = self.trainer.ps.push_outer_grads(&grads.keys, &grads.values, lr) {
+            panic!("push to uninitialized key {key:?}");
         }
     }
 

@@ -230,6 +230,10 @@ pub struct WorkerClient {
     addr: SocketAddr,
     client_id: u32,
     stream: Option<TcpStream>,
+    /// Replies the server still owes the open connection for duplicated
+    /// frames. They are read before the connection is let go (see
+    /// [`WorkerClient::settle`]).
+    owed: usize,
     next_seq: u64,
     policy: RetryPolicy,
     fault: Option<FaultState>,
@@ -254,6 +258,7 @@ impl WorkerClient {
             addr,
             client_id,
             stream: None,
+            owed: 0,
             next_seq: 0,
             policy,
             fault,
@@ -557,6 +562,7 @@ impl WorkerClient {
             });
             match sent {
                 Ok(()) => {
+                    self.owed += usize::from(decision.duplicate);
                     drop_recv[i] = decision.drop_recv;
                     outstanding.insert(frame.seq, i);
                     attempt_spans.push(span);
@@ -591,6 +597,7 @@ impl WorkerClient {
                 Ok(resp) => {
                     let Some(i) = outstanding.remove(&resp.seq) else {
                         self.metrics.counter("rpc_stale_responses_total").inc();
+                        self.owed = self.owed.saturating_sub(1);
                         continue;
                     };
                     if drop_recv[i] {
@@ -641,6 +648,7 @@ impl WorkerClient {
             }
         }
         if pending_disconnect {
+            self.settle();
             self.drop_connection();
         }
     }
@@ -660,6 +668,33 @@ impl WorkerClient {
 
     fn drop_connection(&mut self) {
         self.stream = None;
+        self.owed = 0;
+    }
+
+    /// Reads and discards the replies the server still owes for duplicated
+    /// frames, so every request this client wrote has been served before
+    /// its connection goes: the server counts a duplicated pull when it
+    /// serves the copy, and a client let go first would leave that count
+    /// racing whoever reads the store's traffic next. Called with nothing
+    /// else outstanding, so every frame left on the connection is owed;
+    /// free on a fault-free wire, where nothing is.
+    fn settle(&mut self) {
+        while self.owed > 0 {
+            let Some(stream) = self.stream.as_mut() else { return };
+            match Frame::decode(stream) {
+                Ok(_) => {
+                    self.metrics.counter("rpc_stale_responses_total").inc();
+                    self.owed -= 1;
+                }
+                Err(_) => self.drop_connection(),
+            }
+        }
+    }
+}
+
+impl Drop for WorkerClient {
+    fn drop(&mut self) {
+        self.settle();
     }
 }
 
@@ -801,5 +836,42 @@ mod tests {
             other => panic!("expected the killed shard's exhausted retries, got {other:?}"),
         }
         servers.pop().expect("the live shard").kill();
+    }
+
+    /// A client that duplicated its pull reads the copy's reply before it
+    /// is let go, so the shard has served — and counted — both copies by
+    /// the time `drop` returns. A full wire chunk of one-float rows makes
+    /// the shard's work on the copy — decode 4 096 keys, find each — outlast
+    /// the client's read of the small first reply; a client let go without
+    /// reading the copy's reply finds the second pull not yet counted.
+    #[test]
+    fn a_dropped_client_has_been_served_every_duplicate_it_sent() {
+        let dim = 1;
+        let keys: Vec<ParamKey> =
+            (0..WIRE_BATCH_KEYS as u32).map(|r| ParamKey::new(0, r)).collect();
+        let metrics = Arc::new(MetricsRegistry::new());
+        let ps = Arc::new(ParameterServer::new(1, dim));
+        for &key in &keys {
+            ps.init_row(key, vec![key.row as f32; dim]);
+        }
+        let server =
+            PsServer::bind("127.0.0.1:0", Arc::clone(&ps), dim, Arc::clone(&metrics), None, None)
+                .unwrap();
+        let plan = crate::fault::FaultPlan::parse("seed=1,dup=1").unwrap();
+        for round in 1..=5 {
+            let fault = FaultState::new(plan.clone(), round);
+            let mut client = WorkerClient::new(
+                server.addr(),
+                round,
+                RetryPolicy::default(),
+                Some(fault),
+                Arc::clone(&metrics),
+            );
+            client.call(Request::PullMany { keys: keys.clone() }).unwrap();
+            drop(client);
+            assert_eq!(ps.traffic().snapshot().0, 2 * round as u64);
+        }
+        assert_eq!(metrics.counter("rpc_faults_duplicated_total").get(), 5);
+        server.kill();
     }
 }

@@ -388,19 +388,19 @@ fn handle(req: &Frame, inner: &Inner) -> Frame {
                         inner.dim
                     ));
                 }
-                if let Some(key) = inner.ps.first_missing(&push.keys) {
-                    return error(format!("push to uninitialized key {key:?}"));
-                }
                 // Exactly-once for the *whole batch*: the frame carries one
                 // sequence number, so a retry of a partially lost response
                 // dedups the entire row set as a unit — either every row
-                // was applied under this seq or none was.
+                // was applied under this seq or none was. The store applies
+                // the batch under one lock, or refuses all of it.
                 let mut last = inner.last_push_seq.lock().expect("push-seq lock");
                 let applied = match last.get(&push.client_id) {
                     Some(&prev) if seq <= prev => false,
                     _ => {
-                        for (key, grad) in push.keys.iter().zip(push.grads.chunks(inner.dim)) {
-                            inner.ps.push_outer_grad(*key, grad, push.lr);
+                        if let Err(key) =
+                            inner.ps.push_outer_grads(&push.keys, &push.grads, push.lr)
+                        {
+                            return error(format!("push to uninitialized key {key:?}"));
                         }
                         last.insert(push.client_id, seq);
                         true

@@ -95,7 +95,7 @@ use mamdr_ps::{
     checkpoint, latest_manifest, load_manifest_state, merge_stores, shard_dir, ContinualPublisher,
     DistributedConfig, DistributedReport, OuterGrads, ParamKey, ParameterServer, PublishOutcome,
     PublisherFaults, RoundJournal, ShardFiles, ShardManifest, ShardMap, StoreSnapshot, SyncMode,
-    LOCK_STRIPES, WIRE_BATCH_KEYS,
+    WIRE_BATCH_KEYS,
 };
 use mamdr_tensor::rng::derive_seed;
 use mamdr_util::xxh64;
@@ -399,7 +399,7 @@ impl DistributedTrainer {
             }
         }
         let stores: Vec<Arc<ParameterServer>> =
-            (0..n).map(|_| Arc::new(ParameterServer::new(LOCK_STRIPES, cfg.train.dim))).collect();
+            (0..n).map(|_| Arc::new(ParameterServer::new(1, cfg.train.dim))).collect();
         let mut map = ShardMap::new(n);
         {
             let refs: Vec<&ParameterServer> = stores.iter().map(|s| s.as_ref()).collect();
@@ -787,7 +787,7 @@ impl DistributedTrainer {
                     dir.display()
                 ))
             })?;
-        let ps = Arc::new(ParameterServer::new(LOCK_STRIPES, self.cfg.train.dim));
+        let ps = Arc::new(ParameterServer::new(1, self.cfg.train.dim));
         if manifest.n_shards() == n {
             let files = &manifest.shards[s];
             let loaded = checkpoint::load_from_path(&dir.join(&files.checkpoint))

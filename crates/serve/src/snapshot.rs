@@ -24,11 +24,12 @@
 //! index   [slot+1 or 0; 2^b ≥ 4n/3 entries] open addressing
 //! ```
 //!
-//! A key's home bucket is the top `b` bits of its Fibonacci hash
-//! ([`ParamKey::fib_hash`], the hash the store's lock stripes use) and a
-//! lookup probes linearly until it meets the key's slot or an empty
-//! bucket; the index is never more than three-quarters full, so a miss —
-//! a cold row, which scores as zeros — ends at a short run. Building the
+//! The index is the parameter server's own [`SlotIndex`]: a key's home
+//! bucket is the top `b` bits of its Fibonacci hash
+//! ([`ParamKey::fib_hash`]) and a lookup probes linearly until it meets
+//! the key's slot or an empty bucket; the index is never more than
+//! three-quarters full, so a miss — a cold row, which scores as zeros —
+//! ends at a short run. Building the
 //! slab copies each value once ([`ParameterServer::dump_flat`]); encoding
 //! writes straight from it and decoding reads straight into it.
 //!
@@ -57,7 +58,7 @@ use mamdr_models::{
     build_model, eval_logits_into, CtrModel, FeatureConfig, ModelConfig, ModelKind,
 };
 use mamdr_nn::ParamStore;
-use mamdr_ps::{model as ps_model, ParamKey, ParameterServer};
+use mamdr_ps::{model as ps_model, ParamKey, ParameterServer, SlotIndex};
 use mamdr_tensor::Tensor;
 use mamdr_util::codec::{self, CodecError};
 use mamdr_util::Checksum;
@@ -135,13 +136,13 @@ enum Backend {
     },
     /// The RAW embedding scorer of the distributed PS trainer, as one flat
     /// slab: row `i` is `keys[i]` with value `values[i * dim..][..dim]`,
-    /// found through `index` (see the module docs and [`build_index`]).
+    /// found through `index` (see the module docs and [`SlotIndex`]).
     Embedding {
         dim: usize,
         n_domains: usize,
         keys: Vec<ParamKey>,
         values: Vec<f32>,
-        index: Vec<u32>,
+        index: SlotIndex,
     },
 }
 
@@ -225,7 +226,7 @@ impl ServingSnapshot {
     /// Panics if a stored row is not [`ParameterServer::value_dim`] wide.
     pub fn from_ps(version: u64, ps: &ParameterServer, n_domains: usize) -> Self {
         let (keys, values) = ps.dump_flat();
-        let index = build_index(&keys);
+        let index = SlotIndex::build(&keys);
         let dim = ps.value_dim();
         ServingSnapshot {
             version,
@@ -363,7 +364,7 @@ impl ServingSnapshot {
             }
             Backend::Embedding { dim, keys, values, index, .. } => {
                 let zero = vec![0.0f32; *dim];
-                let row = |key: ParamKey| match find(keys, index, key) {
+                let row = |key: ParamKey| match index.find(keys, key) {
                     Some(slot) => row_at(values, *dim, slot),
                     None => &zero,
                 };
@@ -612,7 +613,7 @@ impl ServingSnapshot {
                     r.f32s_into(dim as u64, &mut values)?;
                 }
                 r.finish()?;
-                let index = build_index(&keys);
+                let index = SlotIndex::build(&keys);
                 let backend =
                     Backend::Embedding { dim: dim as usize, n_domains, keys, values, index };
                 Ok(ServingSnapshot { version, backend })
@@ -660,42 +661,6 @@ fn assemble_batch(
 /// Row `slot` of a flat `dim`-wide slab.
 fn row_at(values: &[f32], dim: usize, slot: usize) -> &[f32] {
     &values[slot * dim..(slot + 1) * dim]
-}
-
-/// The home bucket of `key` in an index of `len` (a power of two)
-/// buckets: the top bits of its Fibonacci hash.
-fn home(key: ParamKey, len: usize) -> usize {
-    key.fib_hash().checked_shr(64 - len.trailing_zeros()).unwrap_or(0) as usize
-}
-
-/// The open-addressed index over a slab's keys: a power-of-two table of at
-/// least `4n/3` buckets (so at least one is always empty), each holding
-/// slot + 1 of the key homed there or linearly probed past it, 0 if empty.
-fn build_index(keys: &[ParamKey]) -> Vec<u32> {
-    assert!(keys.len() < u32::MAX as usize, "a slab indexes fewer than 2^32 - 1 rows");
-    let len = (keys.len() + keys.len() / 3 + 1).next_power_of_two();
-    let mut index = vec![0u32; len];
-    for (slot, &key) in keys.iter().enumerate() {
-        let mut b = home(key, len);
-        while index[b] != 0 {
-            b = (b + 1) & (len - 1);
-        }
-        index[b] = slot as u32 + 1;
-    }
-    index
-}
-
-/// The slot of `key` in a slab indexed by [`build_index`], if present.
-#[inline]
-fn find(keys: &[ParamKey], index: &[u32], key: ParamKey) -> Option<usize> {
-    let mut b = home(key, index.len());
-    loop {
-        let slot = (index[b] as usize).checked_sub(1)?;
-        if keys[slot] == key {
-            return Some(slot);
-        }
-        b = (b + 1) & (index.len() - 1);
-    }
 }
 
 fn kind_id(kind: ModelKind) -> u8 {

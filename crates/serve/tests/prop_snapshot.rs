@@ -5,7 +5,7 @@
 //! write → read → write reproduces the file byte for byte.
 
 use mamdr_ps::model::{self as ps_model, ExampleKeys};
-use mamdr_ps::{ParamKey, ParameterServer, LOCK_STRIPES};
+use mamdr_ps::{ParamKey, ParameterServer};
 use mamdr_serve::{ScoreRequest, ServingSnapshot};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -36,7 +36,7 @@ proptest! {
             1..40,
         ),
     ) {
-        let ps = ParameterServer::new(LOCK_STRIPES, dim);
+        let ps = ParameterServer::new(1, dim);
         for (table, row, value) in &rows {
             // A repeated key overwrites: the store keeps the last value.
             ps.init_row(ParamKey::new(*table, *row), value[..dim].to_vec());

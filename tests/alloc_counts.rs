@@ -34,9 +34,9 @@
 //! recorder, plus the same request through buffers a scoring worker keeps.
 //! And one warm `ReplicatedServer::submit` + `Pending::wait` round trip,
 //! seen from the client's thread, one cached PS worker round over an
-//! in-process store, one pull-response frame encoded and decoded, and one
-//! embedding snapshot published: built from a store, written and read
-//! back.
+//! in-process store, that round's batched store pull and outer push, one
+//! pull-response frame encoded and decoded, and one embedding snapshot
+//! published: built from a store, written and read back.
 
 use mamdr::autodiff::{Grads, Tape};
 use mamdr::core::frameworks::mamdr::domain_regularization;
@@ -49,7 +49,7 @@ use mamdr::models::{
 use mamdr::nn::{ForwardCtx, ParamStore};
 use mamdr::obs::MetricsRegistry;
 use mamdr::ps::trainer::{partition_keys, run_cached_round, seed_server, worker_round_seed};
-use mamdr::ps::{partition_domains, ParamKey, ParameterServer, LOCK_STRIPES};
+use mamdr::ps::{partition_domains, ParamKey, ParameterServer};
 use mamdr::rpc::frame::PullManyResp;
 use mamdr::rpc::{Frame, OpCode};
 use mamdr::serve::{
@@ -169,15 +169,27 @@ const FRAME_ROUNDTRIP: (u64, u64) = (5, 79_576);
 /// One embedding publish — `ServingSnapshot::from_ps`, `write_to` into a
 /// fresh buffer, `read_from` — of a fixed store of 300 rows × 8 in two
 /// tables (the [`publish_store`] fixture). Nothing per row: the dump's
-/// stripe guards, sorted row list, values and keys (4); the index (1); the
-/// encoded file, written straight into the caller's buffer (1); the
+/// sorted `(key, slot)` list (300 × 12 B), which becomes its key list in
+/// place (3 600 B is exactly 450 keys), and its values (2); the index (1);
+/// the encoded file, written straight into the caller's buffer (1); the
 /// decoded keys, values and index (3), read from that buffer in place.
-/// While `write_to` encoded into a buffer of its own and copied it over,
-/// and `read_from` copied the bytes before decoding, two more 12 041-byte
-/// buffers made it 11 / 69 147. With a vector per row through a hash map
-/// on both sides, a sorted copy for the encode and a doubling file buffer
-/// it was 619 / 129 066.
-const EMBEDDING_PUBLISH: (u64, u64) = (9, 45_065);
+/// While the store was eight striped maps, the dump also held a vector of
+/// stripe guards (128 B), sorted `(key, row)` references (4 800 B) and
+/// collected its keys apart (2 400 B): 9 / 45 065. While `write_to`
+/// encoded into a buffer of its own and copied it over, and `read_from`
+/// copied the bytes before decoding, two more 12 041-byte buffers made it
+/// 11 / 69 147. With a vector per row through a hash map on both sides, a
+/// sorted copy for the encode and a doubling file buffer it was 619 /
+/// 129 066.
+const EMBEDDING_PUBLISH: (u64, u64) = (7, 41_337);
+/// One `ParameterServer::pull_flat` of the `CACHED_ROUND` key set (497
+/// rows at width 8): its two exactly sized outputs, the versions (497 ×
+/// 8 B) and the values (497 × 32 B), and nothing per row.
+const PULL_FLAT: (u64, u64) = (2, 19_880);
+/// One `ParameterServer::push_outer_grads` of that key set: the slot list
+/// it resolves every key into before it applies any (497 × 8 B), whether
+/// every row's accumulator is materialized by this push or none is.
+const PUSH_OUTER_GRADS: (u64, u64) = (1, 3_976);
 /// The gradient of the user embedding table if it were materialised:
 /// 2 378 rows × 16 floats × 4 bytes.
 const USER_TABLE_GRAD_BYTES: u64 = 2_378 * 16 * 4;
@@ -486,7 +498,7 @@ fn cached_round_allocations_are_pinned() {
     drop(knob);
     let (dim, seed) = (8, 42);
     let ds = presets::industry(8, 300, seed);
-    let ps = ParameterServer::new(LOCK_STRIPES, dim);
+    let ps = ParameterServer::new(1, dim);
     seed_server(&ps, &ds, dim, seed);
     let part = &partition_domains(ds.n_domains(), seed, 0, 2)[0];
     let round = || {
@@ -499,6 +511,37 @@ fn cached_round_allocations_are_pinned() {
     let got = counted(round);
     eprintln!("cached round: {} allocations, {} bytes", got.allocs, got.bytes);
     assert_eq!((got.allocs, got.bytes), CACHED_ROUND, "allocations per cached round moved");
+}
+
+/// The cached round's store, key set and a gradient batch for it.
+fn round_store() -> (ParameterServer, Vec<ParamKey>, Vec<f32>) {
+    let (dim, seed) = (8, 42);
+    let ds = presets::industry(8, 300, seed);
+    let ps = ParameterServer::new(1, dim);
+    seed_server(&ps, &ds, dim, seed);
+    let keys = partition_keys(&ds, &partition_domains(ds.n_domains(), seed, 0, 2)[0]);
+    let grads = (0..keys.len() * dim).map(|i| (i % 7) as f32 * 1e-3).collect();
+    (ps, keys, grads)
+}
+
+#[test]
+fn store_batch_allocations_are_pinned() {
+    let (ps, keys, grads) = round_store();
+    assert_eq!(keys.len(), 497, "the CACHED_ROUND key set");
+    let pull = || drop(ps.pull_flat(&keys).expect("seeded rows"));
+    pull();
+    let got = counted(pull);
+    assert_eq!((got.allocs, got.bytes), PULL_FLAT, "allocations per batched pull moved");
+    // The first push materializes every accumulator, the second none.
+    for first in [true, false] {
+        assert_eq!(ps.dump_adagrad().is_empty(), first);
+        let got = counted(|| ps.push_outer_grads(&keys, &grads, 0.1).expect("seeded rows"));
+        assert_eq!(
+            (got.allocs, got.bytes),
+            PUSH_OUTER_GRADS,
+            "allocations per batched push moved (first push: {first})"
+        );
+    }
 }
 
 #[test]
@@ -524,7 +567,7 @@ fn frame_roundtrip_allocations_are_pinned() {
 /// Two tables: 200 user rows and 100 item rows at width 8, values a pure
 /// function of the key.
 fn publish_store() -> ParameterServer {
-    let ps = ParameterServer::new(LOCK_STRIPES, 8);
+    let ps = ParameterServer::new(1, 8);
     for (table, rows) in [(0u32, 200u32), (1, 100)] {
         for row in 0..rows {
             let value = (0..8).map(|j| (table * 1000 + row * 8 + j) as f32 * 1e-3).collect();
